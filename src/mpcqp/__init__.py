@@ -62,7 +62,6 @@ from .view import (
     compute_residuals,
     full_kkt_system,
     objective,
-    ocp_qp_to_dense_kkt_oracle,
 )
 
 __version__ = "0.1.0"
@@ -120,6 +119,5 @@ __all__ = [
     "compute_residuals",
     "full_kkt_system",
     "objective",
-    "ocp_qp_to_dense_kkt_oracle",
     "__version__",
 ]

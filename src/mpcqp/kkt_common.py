@@ -30,7 +30,6 @@ import numpy as np
 
 from .errors import NonPositiveIterate, SingularSlackBlock
 from .linalg import matmul_acc
-from .view import QpSolution
 
 __all__ = ["BlockScales", "block_scales", "add_reduced_hessian",
            "fold_rhs", "recover_block", "kkt_apply_vec", "kkt_rhs_flat"]
@@ -190,6 +189,3 @@ def kkt_rhs_flat(view, r_g, r_b, r_d, r_m):
         np.where(view.act, r_m, 0.0),
     ])
 
-
-def step_from_parts(view, dy, dpi, dlam, dt):
-    return QpSolution(view, dy, dpi, dlam, dt)

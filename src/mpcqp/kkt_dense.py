@@ -44,7 +44,6 @@ from .kkt_common import (
     add_reduced_hessian,
     block_scales,
     fold_rhs,
-    kkt_apply_vec,
     recover_block,
 )
 from .linalg import cholesky_factor, matmul_acc, qr_cholesky, solve_triangular
@@ -56,7 +55,6 @@ __all__ = [
     "eliminate_ineq",
     "eliminate_slacks",
     "factor",
-    "kkt_apply",
 ]
 
 
@@ -255,21 +253,3 @@ def factor(qp, iterate, arg=None, use_qr=None):
     except LinalgError as exc:
         raise FactorizationFailed(f"dense KKT factorization failed: {exc}") from exc
 
-
-def kkt_apply(qp, iterate, step):
-    """Exact Newton-matrix action on a step, as the four residual blocks.
-
-    This is the unfactorized, unregularized matrix of the full system; it
-    defines the iterative-refinement residuals.
-    """
-    vw = make_view(qp)
-    lam = np.where(vw.act, iterate.lam, 0.0)
-    t = np.where(vw.act, iterate.t, 0.0)
-    out = kkt_apply_vec(vw, lam, t, step.flat())
-    ny, ne, nc = vw.ny, vw.ne, vw.nc
-    return (
-        out[:ny],
-        out[ny: ny + ne],
-        out[ny + ne: ny + ne + nc],
-        out[ny + ne + nc:],
-    )

@@ -1,41 +1,50 @@
-"""Backward Riccati factorization of the optimal-control KKT system.
+"""Riccati recursion of stage-structured KKT systems: a horizon is a chain tree.
 
 After the stage-wise inequality/slack elimination (shared with the dense
 backend), the remaining system is the KKT system of an equality-constrained
-linear-quadratic problem.  It is factorized by a backward Riccati recursion
-over the stage matrices
+linear-quadratic problem on a tree of nodes joined by dynamics edges.  An
+optimal-control horizon is the chain tree 0 -> 1 -> ... -> N; a scenario
+tree branches.  Both are factorized by one backward (leaves-to-root) Riccati
+recursion over the node matrices
 
-    G[n] = M[n] + [B A]' P[n+1] [B A],        G = [G_uu  G_ux]
-                                                  [G_ux' G_xx]
+    G[n] = M[n] + sum over edges n -> m of [B_m A_m]' P[m] [B_m A_m],
 
-with ``M[n]`` the augmented stage Hessian over (u, x).  The input block is
+    G = [G_uu  G_ux]
+        [G_ux' G_xx]
+
+with ``M[n]`` the augmented node Hessian over (u, x).  The input block is
 eliminated through ``K[n] = -G_uu^-1 G_ux`` and the cost-to-go matrix
-``P[n] = G_xx + G_ux' K[n]`` propagates backward; the terminal stage has no
-successor contribution.  Cost per stage is cubic in nu + nx and constant in
-the horizon, so the sweep is linear in N.
+``P[n] = G_xx + G_ux' K[n]`` propagates toward the root; leaves have no
+successor contribution.  Nodes are stored parents-first (the view lists each
+node's outgoing edges as ``(child, dyn, pi_off)``), so visiting them in
+reverse order reaches every node after all of its children; child
+contributions are summed in multiplier order so results are reproducible.
+Cost per node is cubic in nu + nx, so the sweep is linear in the horizon
+length or node count; no fill-in appears outside the data blocks.
 
 Two variants:
 
 * ``classical``     P is propagated explicitly and only G_uu is factorized;
-                    the full-space stage Hessian may be indefinite as long as
+                    the full-space node Hessian may be indefinite as long as
                     every reduced block is positive definite.
 * ``square_root``   the whole (nu+nx) block of G is factorized; its trailing
                     triangle is exactly chol(P[n]), so P is propagated in
-                    factored form.  Requires positive definite stage
-                    Hessians.  In QR mode the stage factor is obtained by
-                    triangularizing the stack [chol(M)' ; chol(P)' [B A]]
-                    without ever forming G (the array algorithm), which
-                    avoids squaring the stage condition number.
+                    factored form.  Requires positive definite node
+                    Hessians.  In QR mode the node factor is obtained by
+                    triangularizing the stack [chol(M)' ; chol(P_m)' [B_m A_m]
+                    per child] without ever forming G (the array algorithm),
+                    which avoids squaring the condition number.
 
-Factorization failures carry the offending stage index; in balance mode the
-caller allows a per-stage retry through the QR route before regularizing.
+Factorization failures carry the offending stage (node) index; in balance
+mode the caller allows a per-node retry through the QR route before
+regularizing.
 
 The vector solve runs the matching backward sweep (cost-to-go vectors and
-feedforward terms), a forward rollout of states and multipliers, and the
-per-stage recovery of slack and inequality components in reverse elimination
-order.  Dual regularization is not applied on this backend (the equality
-block stays exact); primal regularization plus iterative refinement covers
-ill-conditioned cases.
+feedforward terms), a forward rollout of states, inputs and edge multipliers
+from the root along the edges, and the per-node recovery of slack and
+inequality components in reverse elimination order.  Dual regularization is
+not applied on this backend (the equality block stays exact); primal
+regularization plus iterative refinement covers ill-conditioned cases.
 """
 
 from __future__ import annotations
@@ -44,13 +53,7 @@ import numpy as np
 
 from .errors import FactorizationFailed, LinalgError, NotPositiveDefinite
 from .ipm_core import IpmArg
-from .kkt_common import (
-    add_reduced_hessian,
-    block_scales,
-    fold_rhs,
-    kkt_apply_vec,
-    recover_block,
-)
+from .kkt_common import add_reduced_hessian, block_scales, fold_rhs, recover_block
 from .linalg import cholesky_factor, matmul_acc, qr_cholesky, solve_triangular
 from .view import QpSolution, make_view
 
@@ -59,7 +62,6 @@ __all__ = [
     "riccati_factor",
     "riccati_solve",
     "feedback_gains",
-    "kkt_apply_ocp",
 ]
 
 
@@ -80,32 +82,23 @@ def _stage_hessian(st, nu, nx, cb, sc, reg):
     return M
 
 
-def _split_stage_factor(L_G, nu):
-    L_uu = L_G[:nu, :nu]
-    L_xu = L_G[nu:, :nu]
-    L_P = np.ascontiguousarray(L_G[nu:, nu:])
-    if nu:
-        K = -solve_triangular(L_uu, L_xu.T, transpose=True)
-    else:
-        K = np.zeros((0, L_P.shape[0]))
-    return L_uu, K, L_P
+def _ba(dyn):
+    return np.hstack([dyn["B"], dyn["A"]])
 
 
 class RiccatiFactor:
-    """Backward Riccati factorization of one OCP QP at one iterate."""
+    """Backward Riccati factorization of one OCP or tree QP at one iterate."""
 
     def __init__(self, qp, view, variant):
         self.qp = qp
         self.view = view
         self.variant = variant
-        d = qp.dim
-        self.N = d.N
-        self.scales = [None] * (d.N + 1)
-        self.L_uu = [None] * (d.N + 1)
-        self.K = [None] * (d.N + 1)
-        self.kff = [None] * (d.N + 1)   # filled per solve
-        self.P = [None] * (d.N + 1)     # classical representation
-        self.L_P = [None] * (d.N + 1)   # square-root representation
+        n_node = view.n_node
+        self.scales = [None] * n_node
+        self.L_uu = [None] * n_node
+        self.K = [None] * n_node
+        self.P = [None] * n_node     # classical representation
+        self.L_P = [None] * n_node   # square-root representation
         self.L_P0 = None
         self.qr_stages = []
 
@@ -143,16 +136,17 @@ def riccati_factor(qp, iterate, variant=None, arg=None, use_qr=None,
                    stage_qr_fallback=None):
     """Run the backward factor sweep and return a reusable factor object.
 
-    ``use_qr`` switches every stage to the QR array algorithm (which implies
-    the square-root stage algebra); ``stage_qr_fallback`` retries only the
-    failing stage through the QR route before giving up.
+    Works on an :class:`OcpQp` (a chain) and on a :class:`TreeOcpQp` alike.
+    ``use_qr`` switches every node to the QR array algorithm (which implies
+    the square-root algebra); ``stage_qr_fallback`` retries only the failing
+    node through the QR route before giving up.
 
     Raises
     ------
     FactorizationFailed
-        With the failing stage index; the classical variant fails when a
-        reduced input block is not positive definite, the square-root
-        variant when a full stage block is not.
+        With the failing stage (node) index; the classical variant fails
+        when a reduced input block is not positive definite, the square-root
+        variant when a full node block is not.
     """
     arg = arg or IpmArg()
     variant = variant or arg.riccati_variant
@@ -166,23 +160,17 @@ def riccati_factor(qp, iterate, variant=None, arg=None, use_qr=None,
     d = qp.dim
     fac = RiccatiFactor(qp, vw, variant)
     sqrt_mode = variant == "square_root" or use_qr
-    for n in range(d.N, -1, -1):
+    for n in range(vw.n_node - 1, -1, -1):
         cb = vw.blocks[n]
         sc = block_scales(cb, iterate.lam, iterate.t)
         fac.scales[n] = sc
         M = _stage_hessian(qp._stages[n], d.nu[n], d.nx[n], cb, sc, arg.reg_prim)
-        nu, nx = d.nu[n], d.nx[n]
-        if n < d.N:
-            dyn = qp._dyn[n]
-            BA = np.hstack([dyn["B"], dyn["A"]])
-        else:
-            BA = None
         try:
-            _factor_stage(fac, n, M, BA, nu, sqrt_mode, use_qr)
+            _factor_node(fac, n, M, d.nu[n], sqrt_mode, use_qr)
         except NotPositiveDefinite as exc:
             if stage_qr_fallback and not use_qr:
                 try:
-                    _factor_stage(fac, n, M, BA, nu, True, True)
+                    _factor_node(fac, n, M, d.nu[n], True, True)
                     fac.qr_stages.append(n)
                     continue
                 except LinalgError:
@@ -201,38 +189,45 @@ def riccati_factor(qp, iterate, variant=None, arg=None, use_qr=None,
     return fac
 
 
-def _factor_stage(fac, n, M, BA, nu, sqrt_mode, use_qr):
-    """Factor one stage; writes L_uu, K and the P representation at n."""
+def _factor_node(fac, n, M, nu, sqrt_mode, use_qr):
+    """Factor one node; writes L_uu, K and the P representation at n."""
+    edges = fac.view.out_edges[n]
     if sqrt_mode:
-        if BA is not None:
-            L_next = fac.L_P[n + 1]
+        W = []
+        for m, dyn, _ in edges:
+            L_next = fac.L_P[m]
             if L_next is None:
-                # per-stage QR retry inside a classical sweep
-                L_next = cholesky_factor(fac.P[n + 1])
-            W = matmul_acc(1.0, L_next, BA, 0.0, 0.0, transA=True)
-        else:
-            W = None
+                # per-node QR retry inside a classical sweep
+                L_next = cholesky_factor(fac.P[m])
+            W.append(matmul_acc(1.0, L_next, _ba(dyn), 0.0, 0.0, transA=True))
         if use_qr:
             L_M = cholesky_factor(M)
-            stack = L_M.T if W is None else np.vstack([L_M.T, W])
-            L_G = qr_cholesky(stack).T
+            L_G = qr_cholesky(np.vstack([L_M.T] + W)).T
         else:
-            G = M if W is None else matmul_acc(1.0, W, W, 1.0, M, transA=True)
+            G = M
+            for W_m in W:
+                G = matmul_acc(1.0, W_m, W_m, 1.0, G, transA=True)
             L_G = cholesky_factor(G)
-        L_uu, K, L_P = _split_stage_factor(L_G, nu)
+        L_uu = L_G[:nu, :nu]
+        L_xu = L_G[nu:, :nu]
+        L_P = np.ascontiguousarray(L_G[nu:, nu:])
+        if nu:
+            K = -solve_triangular(L_uu, L_xu.T, transpose=True)
+        else:
+            K = np.zeros((0, L_P.shape[0]))
         fac.L_uu[n] = L_uu
         fac.K[n] = K
         fac.L_P[n] = L_P
         if fac.variant == "classical":
-            # keep the explicit matrix so later (earlier-index) classical
-            # stages can keep consuming P directly
+            # keep the explicit matrix so the parent's classical step can
+            # keep consuming P directly
             fac.P[n] = L_P @ L_P.T
         return
-    if BA is not None:
-        T1 = matmul_acc(1.0, fac.P[n + 1], BA, 0.0, 0.0)
-        G = matmul_acc(1.0, BA, T1, 1.0, M, transA=True)
-    else:
-        G = M
+    G = M
+    for m, dyn, _ in edges:
+        BA = _ba(dyn)
+        T1 = matmul_acc(1.0, fac.P[m], BA, 0.0, 0.0)
+        G = matmul_acc(1.0, BA, T1, 1.0, G, transA=True)
     G_uu = G[:nu, :nu]
     G_ux = G[:nu, nu:]
     G_xx = G[nu:, nu:]
@@ -255,15 +250,15 @@ def riccati_solve(fac, qp, r_g, r_b, r_d, r_m):
     """Full-space Newton solution from a current factor and a 4-block RHS.
 
     Backward sweep of cost-to-go vectors and feedforward terms, forward
-    rollout of states, inputs and dynamics multipliers, then per-stage
-    recovery of slack and inequality components.
+    rollout of states, inputs and edge multipliers from the root, then
+    per-node recovery of slack and inequality components.
     """
     vw = fac.view
     d = qp.dim
-    N = d.N
-    rhat = [None] * (N + 1)
-    stash = [None] * (N + 1)
-    for n in range(N + 1):
+    n_node = vw.n_node
+    rhat = [None] * n_node
+    stash = [None] * n_node
+    for n in range(n_node):
         cb = vw.blocks[n]
         sl = slice(cb.c_off, cb.c_off + cb.nc)
         rhat[n], stash[n] = fold_rhs(
@@ -273,39 +268,33 @@ def riccati_solve(fac, qp, r_g, r_b, r_d, r_m):
             r_g[vw.nv + vw.ns_tot + cb.s_off: vw.nv + vw.ns_tot + cb.s_off + cb.ns],
             r_d[sl], r_m[sl],
         )
-    pv = [None] * (N + 1)
-    kff = [None] * (N + 1)
-    for n in range(N, -1, -1):
+    pv = [None] * n_node
+    kff = [None] * n_node
+    for n in range(n_node - 1, -1, -1):
         nu = d.nu[n]
         rr = rhat[n][:nu]
         rq = rhat[n][nu:]
-        if n < N:
-            dyn = qp._dyn[n]
-            rb_n = r_b[vw.pi_off[n]: vw.pi_off[n] + d.nx[n + 1]]
-            e = fac.p_apply(n + 1, rb_n) + pv[n + 1]
+        for m, dyn, off in vw.out_edges[n]:
+            e = fac.p_apply(m, r_b[off: off + d.nx[m]]) + pv[m]
             rr = rr + dyn["B"].T @ e
             rq = rq + dyn["A"].T @ e
         kff[n] = -_cho_solve(fac.L_uu[n], rr) if nu else np.zeros(0)
         pv[n] = rq + fac.K[n].T @ rr
     dy = np.zeros(vw.ny)
     dpi = np.zeros(vw.ne)
-    xi = -fac.p0_solve(pv[0]) if d.nx[0] else np.zeros(0)
-    for n in range(N + 1):
+    xi = [None] * n_node
+    xi[0] = -fac.p0_solve(pv[0]) if d.nx[0] else np.zeros(0)
+    for n in range(n_node):
         nu = d.nu[n]
-        nv_u = fac.K[n] @ xi + kff[n] if nu else np.zeros(0)
+        nv_u = fac.K[n] @ xi[n] + kff[n] if nu else np.zeros(0)
         dy[vw.u_off[n]: vw.u_off[n] + nu] = nv_u
-        dy[vw.x_off[n]: vw.x_off[n] + d.nx[n]] = xi
-        if n < N:
-            dyn = qp._dyn[n]
-            rb_n = r_b[vw.pi_off[n]: vw.pi_off[n] + d.nx[n + 1]]
-            xi_next = dyn["A"] @ xi + dyn["B"] @ nv_u + rb_n
-            dpi[vw.pi_off[n]: vw.pi_off[n] + d.nx[n + 1]] = (
-                fac.p_apply(n + 1, xi_next) + pv[n + 1]
-            )
-            xi = xi_next
+        dy[vw.x_off[n]: vw.x_off[n] + d.nx[n]] = xi[n]
+        for m, dyn, off in vw.out_edges[n]:
+            xi[m] = dyn["A"] @ xi[n] + dyn["B"] @ nv_u + r_b[off: off + d.nx[m]]
+            dpi[off: off + d.nx[m]] = fac.p_apply(m, xi[m]) + pv[m]
     dlam = np.zeros(vw.nc)
     dt = np.zeros(vw.nc)
-    for n in range(N + 1):
+    for n in range(n_node):
         cb = vw.blocks[n]
         sl = slice(cb.c_off, cb.c_off + cb.nc)
         dw = dy[cb.w_off: cb.w_off + cb.nw]
@@ -321,25 +310,10 @@ def riccati_solve(fac, qp, r_g, r_b, r_d, r_m):
 
 
 def feedback_gains(fac):
-    """Stage feedback gain matrices K[0..N-1] of the factored recursion.
+    """Stage feedback gain matrices K[0..N-1] of a factored OCP recursion.
 
     For an unconstrained problem at any iterate these are the familiar
     discrete-time linear-quadratic regulator gains; with constraints they are
     the gains of the inequality-augmented stage Hessians.
     """
-    return [fac.K[n].copy() for n in range(fac.N)]
-
-
-def kkt_apply_ocp(qp, iterate, step):
-    """Exact stage-structured KKT matrix action (refinement residual basis)."""
-    vw = make_view(qp)
-    lam = np.where(vw.act, iterate.lam, 0.0)
-    t = np.where(vw.act, iterate.t, 0.0)
-    out = kkt_apply_vec(vw, lam, t, step.flat())
-    ny, ne, nc = vw.ny, vw.ne, vw.nc
-    return (
-        out[:ny],
-        out[ny: ny + ne],
-        out[ny + ne: ny + ne + nc],
-        out[ny + ne + nc:],
-    )
+    return [K.copy() for K in fac.K[:-1]]

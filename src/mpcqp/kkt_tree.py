@@ -1,299 +1,22 @@
-"""Riccati recursion on tree-structured optimal-control KKT systems.
+"""Tree-QP names of the Riccati engine, kept importable.
 
-The backward sweep proceeds from the leaves toward the root: a node's stage
-matrix accumulates one successor contribution per child,
-
-    G[n] = M[n] + sum over children m of [B_m A_m]' P[m] [B_m A_m],
-
-and is then eliminated exactly as an ordinary stage, so no fill-in appears
-outside the data blocks and the sweep cost is linear in the node count.
-Because nodes are stored parents-first, iterating the stored order in
-reverse visits every node after all of its children; child contributions are
-summed in child-index order so results are reproducible.  The vector solve
-runs the same backward sweep for cost-to-go vectors, then rolls states,
-inputs and edge multipliers forward from the root along the tree edges.
-
-A chain-shaped tree reproduces the ordinary horizon recursion value for
-value; sibling subtrees are data-independent during the backward sweep (the
-implementation is sequential, which is a conforming schedule).
-
-Both Riccati variants and the QR array algorithm are available with the same
-semantics as the ordinary horizon backend.
+A tree QP is factorized by the one Riccati recursion in :mod:`kkt_ocp`: a
+horizon is a chain tree, so there is no separate tree engine and the package
+never calls these names.  They keep code written against the former tree
+module working, including the benchmark tracer's wrap table.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from .kkt_ocp import RiccatiFactor, riccati_factor
 
-from .errors import FactorizationFailed, LinalgError, NotPositiveDefinite
-from .ipm_core import IpmArg
-from .kkt_common import (
-    add_reduced_hessian,
-    block_scales,
-    fold_rhs,
-    kkt_apply_vec,
-    recover_block,
-)
-from .linalg import cholesky_factor, matmul_acc, qr_cholesky, solve_triangular
-from .view import QpSolution, make_view
+__all__ = ["TreeRiccatiFactor", "tree_riccati_factor"]
 
-__all__ = [
-    "TreeRiccatiFactor",
-    "tree_riccati_factor",
-    "tree_riccati_solve",
-    "kkt_apply_tree",
-]
+tree_riccati_factor = riccati_factor
 
 
-def _cho_solve(L, b):
-    return solve_triangular(L, solve_triangular(L, b), transpose=True)
+class TreeRiccatiFactor(RiccatiFactor):
+    """Former tree factor class; tree QPs now factor into :class:`RiccatiFactor`."""
 
-
-def _stage_hessian(st, nu, nx, cb, sc, reg):
-    M = np.zeros((nu + nx, nu + nx))
-    M[:nu, :nu] = st["R"]
-    M[:nu, nu:] = st["S"]
-    M[nu:, :nu] = st["S"].T
-    M[nu:, nu:] = st["Q"]
-    M = 0.5 * (M + M.T)
-    M = add_reduced_hessian(cb, sc, M, effective=True)
-    if reg:
-        M[np.diag_indices_from(M)] += reg
-    return M
-
-
-class TreeRiccatiFactor:
-    """Leaves-to-root Riccati factorization of one tree QP at one iterate."""
-
-    def __init__(self, qp, view, variant):
-        self.qp = qp
-        self.view = view
-        self.variant = variant
-        n_node = qp.dim.n_node
-        self.n_node = n_node
-        self.children = view.children
-        self.scales = [None] * n_node
-        self.L_uu = [None] * n_node
-        self.K = [None] * n_node
-        self.P = [None] * n_node
-        self.L_P = [None] * n_node
-        self.L_P0 = None
-        self.qr_nodes = []
-
-    def p_apply(self, m, vec):
-        if self.L_P[m] is not None:
-            return self.L_P[m] @ (self.L_P[m].T @ vec)
-        return self.P[m] @ vec
-
-    def p0_solve(self, vec):
-        L = self.L_P[0] if self.L_P[0] is not None else self.L_P0
-        return _cho_solve(L, vec)
-
-    def p_matrix(self, m):
-        if self.P[m] is not None:
-            return self.P[m].copy()
-        return self.L_P[m] @ self.L_P[m].T
-
-    def solve(self, r_g, r_b, r_d, r_m):
-        return tree_riccati_solve(self, self.qp, r_g, r_b, r_d, r_m)
-
-    def solve_flat(self, rhs_flat):
-        vw = self.view
-        ny, ne, nc = vw.ny, vw.ne, vw.nc
-        step = self.solve(
-            rhs_flat[:ny],
-            rhs_flat[ny: ny + ne],
-            rhs_flat[ny + ne: ny + ne + nc],
-            rhs_flat[ny + ne + nc:],
-        )
-        return step.flat()
-
-
-def tree_riccati_factor(qp, iterate, variant=None, arg=None, use_qr=None,
-                        stage_qr_fallback=None):
-    """Backward (leaves-to-root) factor sweep over all tree nodes.
-
-    Raises :class:`FactorizationFailed` carrying the failing node index; the
-    per-node QR retry mirrors the horizon backend.
-    """
-    arg = arg or IpmArg()
-    variant = variant or arg.riccati_variant
-    if use_qr is None:
-        use_qr = arg.use_qr_always
-    if stage_qr_fallback is None:
-        stage_qr_fallback = arg.use_qr_fallback
-    if variant not in ("classical", "square_root"):
-        raise ValueError(f"unknown Riccati variant '{variant}'")
-    vw = make_view(qp)
-    d = qp.dim
-    fac = TreeRiccatiFactor(qp, vw, variant)
-    sqrt_mode = variant == "square_root" or use_qr
-    for n in range(d.n_node - 1, -1, -1):
-        cb = vw.blocks[n]
-        sc = block_scales(cb, iterate.lam, iterate.t)
-        fac.scales[n] = sc
-        M = _stage_hessian(qp._stages[n], d.nu[n], d.nx[n], cb, sc, arg.reg_prim)
-        try:
-            _factor_node(fac, n, M, d.nu[n], sqrt_mode, use_qr)
-        except NotPositiveDefinite as exc:
-            if stage_qr_fallback and not use_qr:
-                try:
-                    _factor_node(fac, n, M, d.nu[n], True, True)
-                    fac.qr_nodes.append(n)
-                    continue
-                except LinalgError:
-                    pass
-            raise FactorizationFailed(
-                f"tree Riccati factorization failed at node {n}: {exc}", stage=n
-            ) from exc
-    if fac.variant == "classical" and fac.L_P[0] is None and d.nx[0]:
-        try:
-            fac.L_P0 = cholesky_factor(fac.P[0])
-        except NotPositiveDefinite as exc:
-            raise FactorizationFailed(
-                f"root cost-to-go matrix not positive definite: {exc}", stage=0
-            ) from exc
-    return fac
-
-
-def _factor_node(fac, n, M, nu, sqrt_mode, use_qr):
-    qp = fac.qp
-    kids = fac.children[n]
-    if sqrt_mode:
-        stacks = []
-        if use_qr:
-            L_M = cholesky_factor(M)
-            stacks.append(L_M.T)
-            for m in kids:
-                dyn = qp._dyn[m]
-                BA = np.hstack([dyn["B"], dyn["A"]])
-                L_next = fac.L_P[m]
-                if L_next is None:
-                    L_next = cholesky_factor(fac.P[m])
-                stacks.append(matmul_acc(1.0, L_next, BA, 0.0, 0.0, transA=True))
-            L_G = qr_cholesky(np.vstack(stacks)).T
-        else:
-            G = M
-            for m in kids:
-                dyn = qp._dyn[m]
-                BA = np.hstack([dyn["B"], dyn["A"]])
-                L_next = fac.L_P[m]
-                if L_next is None:
-                    L_next = cholesky_factor(fac.P[m])
-                W = matmul_acc(1.0, L_next, BA, 0.0, 0.0, transA=True)
-                G = matmul_acc(1.0, W, W, 1.0, G, transA=True)
-            L_G = cholesky_factor(G)
-        L_uu = L_G[:nu, :nu]
-        L_xu = L_G[nu:, :nu]
-        L_P = np.ascontiguousarray(L_G[nu:, nu:])
-        if nu:
-            K = -solve_triangular(L_uu, L_xu.T, transpose=True)
-        else:
-            K = np.zeros((0, L_P.shape[0]))
-        fac.L_uu[n] = L_uu
-        fac.K[n] = K
-        fac.L_P[n] = L_P
-        if fac.variant == "classical":
-            fac.P[n] = L_P @ L_P.T
-        return
-    G = M
-    for m in kids:
-        dyn = qp._dyn[m]
-        BA = np.hstack([dyn["B"], dyn["A"]])
-        T1 = matmul_acc(1.0, fac.P[m], BA, 0.0, 0.0)
-        G = matmul_acc(1.0, BA, T1, 1.0, G, transA=True)
-    G_uu = G[:nu, :nu]
-    G_ux = G[:nu, nu:]
-    G_xx = G[nu:, nu:]
-    if nu:
-        L_uu = cholesky_factor(G_uu)
-        K = -solve_triangular(
-            L_uu, solve_triangular(L_uu, G_ux), transpose=True
-        )
-        P = matmul_acc(1.0, G_ux, K, 1.0, G_xx, transA=True)
-    else:
-        L_uu = np.zeros((0, 0))
-        K = np.zeros((0, G_xx.shape[0]))
-        P = G_xx.copy()
-    fac.L_uu[n] = L_uu
-    fac.K[n] = K
-    fac.P[n] = 0.5 * (P + P.T)
-
-
-def tree_riccati_solve(fac, qp, r_g, r_b, r_d, r_m):
-    """Backward vector sweep leaves-to-root, forward rollout along edges."""
-    vw = fac.view
-    d = qp.dim
-    n_node = d.n_node
-    rhat = [None] * n_node
-    stash = [None] * n_node
-    for n in range(n_node):
-        cb = vw.blocks[n]
-        sl = slice(cb.c_off, cb.c_off + cb.nc)
-        rhat[n], stash[n] = fold_rhs(
-            cb, fac.scales[n],
-            r_g[cb.w_off: cb.w_off + cb.nw],
-            r_g[vw.nv + cb.s_off: vw.nv + cb.s_off + cb.ns],
-            r_g[vw.nv + vw.ns_tot + cb.s_off: vw.nv + vw.ns_tot + cb.s_off + cb.ns],
-            r_d[sl], r_m[sl],
-        )
-    pv = [None] * n_node
-    kff = [None] * n_node
-    for n in range(n_node - 1, -1, -1):
-        nu = d.nu[n]
-        rr = rhat[n][:nu].copy()
-        rq = rhat[n][nu:].copy()
-        for m in fac.children[n]:
-            dyn = qp._dyn[m]
-            rb_m = r_b[vw.pi_off[m]: vw.pi_off[m] + d.nx[m]]
-            e = fac.p_apply(m, rb_m) + pv[m]
-            rr += dyn["B"].T @ e
-            rq += dyn["A"].T @ e
-        kff[n] = -_cho_solve(fac.L_uu[n], rr) if nu else np.zeros(0)
-        pv[n] = rq + fac.K[n].T @ rr
-    dy = np.zeros(vw.ny)
-    dpi = np.zeros(vw.ne)
-    xi = [None] * n_node
-    xi[0] = -fac.p0_solve(pv[0]) if d.nx[0] else np.zeros(0)
-    for n in range(n_node):
-        nu = d.nu[n]
-        nv_u = fac.K[n] @ xi[n] + kff[n] if nu else np.zeros(0)
-        dy[vw.u_off[n]: vw.u_off[n] + nu] = nv_u
-        dy[vw.x_off[n]: vw.x_off[n] + d.nx[n]] = xi[n]
-        for m in fac.children[n]:
-            dyn = qp._dyn[m]
-            rb_m = r_b[vw.pi_off[m]: vw.pi_off[m] + d.nx[m]]
-            xi[m] = dyn["A"] @ xi[n] + dyn["B"] @ nv_u + rb_m
-            dpi[vw.pi_off[m]: vw.pi_off[m] + d.nx[m]] = (
-                fac.p_apply(m, xi[m]) + pv[m]
-            )
-    dlam = np.zeros(vw.nc)
-    dt = np.zeros(vw.nc)
-    for n in range(n_node):
-        cb = vw.blocks[n]
-        sl = slice(cb.c_off, cb.c_off + cb.nc)
-        dw = dy[cb.w_off: cb.w_off + cb.nw]
-        dsl, dsu, dlam_blk, dt_blk = recover_block(
-            cb, fac.scales[n], dw, stash[n], r_d[sl]
-        )
-        dy[vw.nv + cb.s_off: vw.nv + cb.s_off + cb.ns] = dsl
-        dy[vw.nv + vw.ns_tot + cb.s_off:
-           vw.nv + vw.ns_tot + cb.s_off + cb.ns] = dsu
-        dlam[sl] = dlam_blk
-        dt[sl] = dt_blk
-    return QpSolution(vw, dy, dpi, dlam, dt)
-
-
-def kkt_apply_tree(qp, iterate, step):
-    """Exact tree-structured KKT matrix action on a step."""
-    vw = make_view(qp)
-    lam = np.where(vw.act, iterate.lam, 0.0)
-    t = np.where(vw.act, iterate.t, 0.0)
-    out = kkt_apply_vec(vw, lam, t, step.flat())
-    ny, ne, nc = vw.ny, vw.ne, vw.nc
-    return (
-        out[:ny],
-        out[ny: ny + ne],
-        out[ny + ne: ny + ne + nc],
-        out[ny + ne + nc:],
-    )
+    # an own binding, so wrapping this name leaves RiccatiFactor.solve alone
+    solve = RiccatiFactor.solve

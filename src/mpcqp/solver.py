@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import kkt_dense, kkt_ocp, kkt_tree
+from . import kkt_dense, kkt_ocp
 from .errors import DimensionMismatch, FactorizationFailed
 from .ipm_core import (
     IpmArg,
@@ -77,37 +77,21 @@ class SolveReport:
         return self.stats.iterations
 
 
-class _DenseBackend:
-    @staticmethod
-    def factor(qp, iterate, arg, use_qr):
-        return kkt_dense.factor(qp, iterate, arg, use_qr=use_qr)
-
-
-class _OcpBackend:
-    @staticmethod
-    def factor(qp, iterate, arg, use_qr):
-        return kkt_ocp.riccati_factor(qp, iterate, arg=arg, use_qr=use_qr)
-
-
-class _TreeBackend:
-    @staticmethod
-    def factor(qp, iterate, arg, use_qr):
-        return kkt_tree.tree_riccati_factor(qp, iterate, arg=arg, use_qr=use_qr)
-
-
+# The factor functions are looked up on their modules at call time, so a
+# wrapper installed on a module (a profiler, a test double) sees every call.
 def solve_dense_qp(qp, arg=None, guess=None):
     """Solve a dense QP; see the module docstring for the loop layout."""
-    return _solve(qp, _DenseBackend, arg, guess)
+    return _solve(qp, kkt_dense.factor, arg, guess)
 
 
 def solve_ocp_qp(qp, arg=None, guess=None):
     """Solve an optimal-control QP through the Riccati backend."""
-    return _solve(qp, _OcpBackend, arg, guess)
+    return _solve(qp, kkt_ocp.riccati_factor, arg, guess)
 
 
 def solve_tree_ocp_qp(qp, arg=None, guess=None):
-    """Solve a tree-structured optimal-control QP."""
-    return _solve(qp, _TreeBackend, arg, guess)
+    """Solve a tree-structured optimal-control QP through the same backend."""
+    return _solve(qp, kkt_ocp.riccati_factor, arg, guess)
 
 
 def _init_iterate(view, arg, guess):
@@ -142,29 +126,29 @@ def _init_iterate(view, arg, guess):
     return iterate
 
 
-def _factor_with_policy(backend, qp, iterate, arg):
+def _factor_with_policy(factor_fn, qp, iterate, arg):
     """Factorization with the mode's fallback ladder; None means Failure."""
     use_qr = arg.use_qr_always
     try:
-        return backend.factor(qp, iterate, arg, use_qr), use_qr
+        return factor_fn(qp, iterate, arg=arg, use_qr=use_qr), use_qr
     except FactorizationFailed as exc:
         logger.debug("factorization failed (%s)", exc)
     if arg.use_qr_fallback and not use_qr:
         try:
-            return backend.factor(qp, iterate, arg, True), True
+            return factor_fn(qp, iterate, arg=arg, use_qr=True), True
         except FactorizationFailed as exc:
             logger.debug("QR factorization failed (%s)", exc)
         use_qr = True
     reg = 2.0 * arg.reg_prim if arg.reg_prim > 0.0 else 1e-8
     arg_retry = replace(arg, reg_prim=reg)
     try:
-        return backend.factor(qp, iterate, arg_retry, use_qr), use_qr
+        return factor_fn(qp, iterate, arg=arg_retry, use_qr=use_qr), use_qr
     except FactorizationFailed as exc:
         logger.debug("regularized retry failed (%s)", exc)
         return None, use_qr
 
 
-def _solve(qp, backend, arg, guess):
+def _solve(qp, factor_fn, arg, guess):
     arg = (arg or IpmArg()).validate()
     bad = errors_only(validate(qp))
     if bad:
@@ -172,12 +156,12 @@ def _solve(qp, backend, arg, guess):
             "QP fails validation: " + "; ".join(str(v) for v in bad)
         )
     with flop_counter() as fc:
-        report = _ipm_loop(qp, backend, arg, guess)
+        report = _ipm_loop(qp, factor_fn, arg, guess)
     report.stats.flops = fc.flops
     return report
 
 
-def _ipm_loop(qp, backend, arg, guess):
+def _ipm_loop(qp, factor_fn, arg, guess):
     view = make_view(qp)
     iterate = _init_iterate(view, arg, guess)
     act = view.act
@@ -200,7 +184,7 @@ def _ipm_loop(qp, backend, arg, guess):
         status = check_termination(res, mu, alpha_last, it, arg)
         if status is not None:
             break
-        factor, used_qr = _factor_with_policy(backend, qp, iterate, arg)
+        factor, used_qr = _factor_with_policy(factor_fn, qp, iterate, arg)
         if factor is None:
             status = Status.Failure
             break
@@ -268,7 +252,7 @@ def _ipm_loop(qp, backend, arg, guess):
                 * max(1.0, _rhs_norm(view, rg, rb, rd, rm_dir))
             ):
                 try:
-                    factor = backend.factor(qp, iterate, arg, True)
+                    factor = factor_fn(qp, iterate, arg=arg, use_qr=True)
                     used_qr = True
                     sol_dir = factor.solve(rg, rb, rd, rm_dir)
                     sol_dir, ir_norm = _refine(

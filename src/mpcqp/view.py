@@ -28,6 +28,12 @@ with A the equality matrix, C the row-wise inequality matrix (lower rows
 ``full_kkt_system`` materializes the Newton linearization of these equations
 as one dense matrix; it serves as the reference oracle that the
 structure-exploiting factorizations are tested against.
+
+OCP and tree QPs share one view, :class:`StageView`, because a horizon is a
+chain tree: nodes (stages) joined by dynamics edges.  Its edge table lists
+``(parent, child, dyn)`` in multiplier order, ``(n, n+1, _dyn[n])`` for an
+OCP and ``(parents[m], m, _dyn[m])`` for a tree, so ``pi`` holds one block
+per edge in that order for both types.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonPositiveIterate
+from .errors import DimensionMismatch, IndexOutOfRange, NonPositiveIterate
 from .qp_data import DenseQp, OcpQp, TreeOcpQp
 
 __all__ = [
@@ -45,9 +51,7 @@ __all__ = [
     "make_view",
     "compute_residuals",
     "objective",
-    "duality_gap_dims",
     "full_kkt_system",
-    "ocp_qp_to_dense_kkt_oracle",
     "solve_full_kkt",
 ]
 
@@ -264,9 +268,6 @@ class ProblemView:
             H[idx, idx] = self.slack_diag()
         return H
 
-    def zeros_solution(self):
-        return QpSolution(self)
-
     # -- residuals --------------------------------------------------------
 
     def residuals(self, sol):
@@ -334,41 +335,60 @@ class DenseView(ProblemView):
         return E
 
 
-class OcpView(ProblemView):
+class StageView(ProblemView):
+    """View of an OCP or tree QP: parents-first nodes joined by dynamics edges.
+
+    ``edges`` lists ``(parent, child, dyn)`` in multiplier order (see the
+    module docstring); ``out_edges[n]`` lists ``(child, dyn, pi_off)`` for
+    the edges leaving node n, in the same order.
+    """
+
+    def __init__(self, qp, edges):
+        self.edges = edges
+        super().__init__(qp)
+
     def _build(self):
         qp = self.qp
         d = qp.dim
-        self.N = d.N
-        u_off, x_off, pi_off = [], [], []
-        v = 0
-        s = 0
-        c = 0
+        self._st = qp._stages
+        self.n_node = len(self._st)
+        u_off, x_off = [], []
+        v = s = c = 0
         self.blocks = []
-        for n in range(d.N + 1):
+        for n in range(self.n_node):
             u_off.append(v)
             x_off.append(v + d.nu[n])
-            cb = _block_from_stage(qp._stages[n], d.nu[n], d.nx[n], v, s, c)
+            cb = _block_from_stage(self._st[n], d.nu[n], d.nx[n], v, s, c)
             self.blocks.append(cb)
             v += d.nu[n] + d.nx[n]
             s += d.ns[n]
             c += cb.nc
+        self.pi_off = []
+        self.out_edges = [[] for _ in range(self.n_node)]
+        # per edge: dyn and the parent u, parent x, child x, multiplier slices
+        self._edge_sl = []
         p = 0
-        for n in range(d.N):
-            pi_off.append(p)
-            p += d.nx[n + 1]
+        for par, m, dyn in self.edges:
+            self.pi_off.append(p)
+            self.out_edges[par].append((m, dyn, p))
+            self._edge_sl.append((
+                dyn,
+                slice(u_off[par], u_off[par] + d.nu[par]),
+                slice(x_off[par], x_off[par] + d.nx[par]),
+                slice(x_off[m], x_off[m] + d.nx[m]),
+                slice(p, p + d.nx[m]),
+            ))
+            p += d.nx[m]
         self.nv = v
         self.ns_tot = s
         self.ne = p
         self.u_off = u_off
         self.x_off = x_off
-        self.pi_off = pi_off
-        self._st = qp._stages
-        self._dyn = qp._dyn
 
     def _hess_v(self, v):
         d = self.qp.dim
         out = np.empty(self.nv)
-        for n in range(d.N + 1):
+        for n in range(self.n_node):
             st = self._st[n]
             u = v[self.u_off[n]: self.u_off[n] + d.nu[n]]
             x = v[self.x_off[n]: self.x_off[n] + d.nx[n]]
@@ -379,7 +399,7 @@ class OcpView(ProblemView):
     def _hess_v_matrix(self):
         d = self.qp.dim
         H = np.zeros((self.nv, self.nv))
-        for n in range(d.N + 1):
+        for n in range(self.n_node):
             st = self._st[n]
             uo, xo = self.u_off[n], self.x_off[n]
             nu, nx = d.nu[n], d.nx[n]
@@ -392,159 +412,37 @@ class OcpView(ProblemView):
     def _grad_v(self):
         d = self.qp.dim
         g = np.empty(self.nv)
-        for n in range(d.N + 1):
+        for n in range(self.n_node):
             g[self.u_off[n]: self.u_off[n] + d.nu[n]] = self._st[n]["r"]
             g[self.x_off[n]: self.x_off[n] + d.nx[n]] = self._st[n]["q"]
         return g
 
     def at_pi(self, pi):
-        d = self.qp.dim
         out = np.zeros(self.ny)
-        for n in range(d.N):
-            dyn = self._dyn[n]
-            p = pi[self.pi_off[n]: self.pi_off[n] + d.nx[n + 1]]
-            out[self.u_off[n]: self.u_off[n] + d.nu[n]] -= dyn["B"].T @ p
-            out[self.x_off[n]: self.x_off[n] + d.nx[n]] -= dyn["A"].T @ p
-            out[self.x_off[n + 1]: self.x_off[n + 1] + d.nx[n + 1]] += p
+        for dyn, su, sx, sxm, sp in self._edge_sl:
+            p = pi[sp]
+            out[su] -= dyn["B"].T @ p
+            out[sx] -= dyn["A"].T @ p
+            out[sxm] += p
         return out
 
     def a_y(self, y):
-        d = self.qp.dim
         out = np.empty(self.ne)
-        for n in range(d.N):
-            dyn = self._dyn[n]
-            u = y[self.u_off[n]: self.u_off[n] + d.nu[n]]
-            x = y[self.x_off[n]: self.x_off[n] + d.nx[n]]
-            xn = y[self.x_off[n + 1]: self.x_off[n + 1] + d.nx[n + 1]]
-            out[self.pi_off[n]: self.pi_off[n] + d.nx[n + 1]] = (
-                xn - dyn["A"] @ x - dyn["B"] @ u
-            )
+        for dyn, su, sx, sxm, sp in self._edge_sl:
+            out[sp] = y[sxm] - dyn["A"] @ y[sx] - dyn["B"] @ y[su]
         return out
 
     def b(self):
         if not self.ne:
             return np.zeros(0)
-        return np.concatenate([self._dyn[n]["b"] for n in range(self.qp.dim.N)])
+        return np.concatenate([dyn["b"] for _, _, dyn in self.edges])
 
     def eq_matrix(self):
-        d = self.qp.dim
         E = np.zeros((self.ne, self.ny))
-        for n in range(d.N):
-            dyn = self._dyn[n]
-            r = self.pi_off[n]
-            E[r: r + d.nx[n + 1], self.u_off[n]: self.u_off[n] + d.nu[n]] = -dyn["B"]
-            E[r: r + d.nx[n + 1], self.x_off[n]: self.x_off[n] + d.nx[n]] = -dyn["A"]
-            E[r + np.arange(d.nx[n + 1]),
-              self.x_off[n + 1] + np.arange(d.nx[n + 1])] = 1.0
-        return E
-
-
-class TreeView(ProblemView):
-    def _build(self):
-        qp = self.qp
-        d = qp.dim
-        self.n_node = d.n_node
-        self.children = d.children()
-        u_off, x_off = [], []
-        v = s = c = 0
-        self.blocks = []
-        for m in range(d.n_node):
-            u_off.append(v)
-            x_off.append(v + d.nu[m])
-            cb = _block_from_stage(qp._stages[m], d.nu[m], d.nx[m], v, s, c)
-            self.blocks.append(cb)
-            v += d.nu[m] + d.nx[m]
-            s += d.ns[m]
-            c += cb.nc
-        # edge multipliers are indexed by the child node; root has no slot
-        p = 0
-        self.pi_off = {}
-        for m in range(1, d.n_node):
-            self.pi_off[m] = p
-            p += d.nx[m]
-        self.nv = v
-        self.ns_tot = s
-        self.ne = p
-        self.u_off = u_off
-        self.x_off = x_off
-        self._st = qp._stages
-        self._dyn = qp._dyn
-
-    def _hess_v(self, v):
-        d = self.qp.dim
-        out = np.empty(self.nv)
-        for m in range(d.n_node):
-            st = self._st[m]
-            u = v[self.u_off[m]: self.u_off[m] + d.nu[m]]
-            x = v[self.x_off[m]: self.x_off[m] + d.nx[m]]
-            out[self.u_off[m]: self.u_off[m] + d.nu[m]] = st["R"] @ u + st["S"] @ x
-            out[self.x_off[m]: self.x_off[m] + d.nx[m]] = st["S"].T @ u + st["Q"] @ x
-        return out
-
-    def _hess_v_matrix(self):
-        d = self.qp.dim
-        H = np.zeros((self.nv, self.nv))
-        for m in range(d.n_node):
-            st = self._st[m]
-            uo, xo = self.u_off[m], self.x_off[m]
-            nu, nx = d.nu[m], d.nx[m]
-            H[uo: uo + nu, uo: uo + nu] = st["R"]
-            H[uo: uo + nu, xo: xo + nx] = st["S"]
-            H[xo: xo + nx, uo: uo + nu] = st["S"].T
-            H[xo: xo + nx, xo: xo + nx] = st["Q"]
-        return H
-
-    def _grad_v(self):
-        d = self.qp.dim
-        g = np.empty(self.nv)
-        for m in range(d.n_node):
-            g[self.u_off[m]: self.u_off[m] + d.nu[m]] = self._st[m]["r"]
-            g[self.x_off[m]: self.x_off[m] + d.nx[m]] = self._st[m]["q"]
-        return g
-
-    def at_pi(self, pi):
-        d = self.qp.dim
-        out = np.zeros(self.ny)
-        for m in range(1, d.n_node):
-            par = d.parents[m]
-            dyn = self._dyn[m]
-            p = pi[self.pi_off[m]: self.pi_off[m] + d.nx[m]]
-            out[self.u_off[par]: self.u_off[par] + d.nu[par]] -= dyn["B"].T @ p
-            out[self.x_off[par]: self.x_off[par] + d.nx[par]] -= dyn["A"].T @ p
-            out[self.x_off[m]: self.x_off[m] + d.nx[m]] += p
-        return out
-
-    def a_y(self, y):
-        d = self.qp.dim
-        out = np.empty(self.ne)
-        for m in range(1, d.n_node):
-            par = d.parents[m]
-            dyn = self._dyn[m]
-            u = y[self.u_off[par]: self.u_off[par] + d.nu[par]]
-            x = y[self.x_off[par]: self.x_off[par] + d.nx[par]]
-            xm = y[self.x_off[m]: self.x_off[m] + d.nx[m]]
-            out[self.pi_off[m]: self.pi_off[m] + d.nx[m]] = (
-                xm - dyn["A"] @ x - dyn["B"] @ u
-            )
-        return out
-
-    def b(self):
-        if not self.ne:
-            return np.zeros(0)
-        return np.concatenate(
-            [self._dyn[m]["b"] for m in range(1, self.qp.dim.n_node)]
-        )
-
-    def eq_matrix(self):
-        d = self.qp.dim
-        E = np.zeros((self.ne, self.ny))
-        for m in range(1, d.n_node):
-            par = d.parents[m]
-            dyn = self._dyn[m]
-            r = self.pi_off[m]
-            E[r: r + d.nx[m], self.u_off[par]: self.u_off[par] + d.nu[par]] = -dyn["B"]
-            E[r: r + d.nx[m], self.x_off[par]: self.x_off[par] + d.nx[par]] = -dyn["A"]
-            E[r + np.arange(d.nx[m]), self.x_off[m] + np.arange(d.nx[m])] = 1.0
+        for dyn, su, sx, sxm, sp in self._edge_sl:
+            E[sp, su] = -dyn["B"]
+            E[sp, sx] = -dyn["A"]
+            E[np.arange(sp.start, sp.stop), np.arange(sxm.start, sxm.stop)] = 1.0
         return E
 
 
@@ -556,9 +454,12 @@ def make_view(qp):
     if isinstance(qp, DenseQp):
         view = DenseView(qp)
     elif isinstance(qp, OcpQp):
-        view = OcpView(qp)
+        view = StageView(qp, [(n, n + 1, qp._dyn[n]) for n in range(qp.dim.N)])
     elif isinstance(qp, TreeOcpQp):
-        view = TreeView(qp)
+        par = qp.dim.parents
+        view = StageView(
+            qp, [(par[m], m, qp._dyn[m]) for m in range(1, qp.dim.n_node)]
+        )
     else:
         raise TypeError(f"not a QP container: {type(qp)!r}")
     qp._view_cache = (qp._rev, view)
@@ -616,9 +517,11 @@ class QpSolution:
     def pi_stage(self, n):
         """Dynamics multiplier of stage n (OCP) or of the edge into node n (tree)."""
         vw = self._view
-        if vw.kind == "tree":
-            return self.pi[vw.pi_off[n]: vw.pi_off[n] + vw.qp.dim.nx[n]]
-        return self.pi[vw.pi_off[n]: vw.pi_off[n] + vw.qp.dim.nx[n + 1]]
+        e = n - 1 if vw.kind == "tree" else n
+        if not 0 <= e < len(vw.edges):
+            raise IndexOutOfRange(f"no dynamics multiplier at {n}")
+        off = vw.pi_off[e]
+        return self.pi[off: off + vw.qp.dim.nx[vw.edges[e][1]]]
 
     def lam_stage(self, n):
         cb = self._view.blocks[n]
@@ -633,13 +536,6 @@ class QpSolution:
             self._view, self.y.copy(), self.pi.copy(),
             self.lam.copy(), self.t.copy(),
         )
-
-    def axpy(self, alpha, step):
-        """In-place self += alpha * step on all four components."""
-        self.y += alpha * step.y
-        self.pi += alpha * step.pi
-        self.lam += alpha * step.lam
-        self.t += alpha * step.t
 
     def diff(self, other):
         """Componentwise self - other as a new solution object."""
@@ -714,12 +610,6 @@ def objective(qp, sol):
     return quad + float(vw.grad() @ y)
 
 
-def duality_gap_dims(qp):
-    """(number of active constraint sides, total slot count)."""
-    vw = make_view(qp)
-    return vw.n_act, vw.nc
-
-
 def full_kkt_system(qp, iterate, tau=0.0):
     """Materialize the Newton KKT matrix and right-hand side at an iterate.
 
@@ -755,13 +645,6 @@ def full_kkt_system(qp, iterate, tau=0.0):
     r_m = np.where(vw.act, lam * t - tau, 0.0)
     rhs = -np.concatenate([res.r_g, res.r_b, res.r_d, r_m])
     return K, rhs
-
-
-def ocp_qp_to_dense_kkt_oracle(qp, iterate, tau=0.0):
-    """Full Newton system of an optimal-control QP as one dense matrix."""
-    if not isinstance(qp, OcpQp):
-        raise TypeError("expected an OcpQp")
-    return full_kkt_system(qp, iterate, tau)
 
 
 def solve_full_kkt(qp, iterate, r_g, r_b, r_d, r_m):

@@ -9,9 +9,17 @@ factorizations), or from the independent helpers below.
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from mpcqp import DenseQp, OcpQp, OcpQpDim, TreeOcpQp, TreeOcpQpDim
+from mpcqp.kkt_common import kkt_apply_vec
 from mpcqp.view import QpSolution, make_view
+
+# property tests draw a fixed example sequence, so every run checks the
+# same cases and stays within a few seconds
+settings.register_profile("mpcqp", derandomize=True, database=None,
+                          deadline=None, max_examples=20)
+settings.load_profile("mpcqp")
 
 
 @pytest.fixture
@@ -194,6 +202,21 @@ def rand_iterate(rng, qp, spread=(0.1, 5.0)):
     it.lam[:] = np.where(vw.act, rng.uniform(*spread, vw.nc), 0.0)
     it.t[:] = np.where(vw.act, rng.uniform(*spread, vw.nc), 0.0)
     return it
+
+
+def kkt_apply_blocks(qp, iterate, step):
+    """Exact KKT matrix action on a step, split into the four residual blocks."""
+    vw = make_view(qp)
+    lam = np.where(vw.act, iterate.lam, 0.0)
+    t = np.where(vw.act, iterate.t, 0.0)
+    out = kkt_apply_vec(vw, lam, t, step.flat())
+    ny, ne, nc = vw.ny, vw.ne, vw.nc
+    return (
+        out[:ny],
+        out[ny: ny + ne],
+        out[ny + ne: ny + ne + nc],
+        out[ny + ne + nc:],
+    )
 
 
 def ocp_chain_as_tree(qp):

@@ -12,7 +12,6 @@ import pytest
 
 import mpcqp.kkt_dense as kkt_dense
 import mpcqp.kkt_ocp as kkt_ocp
-import mpcqp.kkt_tree as kkt_tree
 from mpcqp import (
     DenseQp,
     IpmArg,
@@ -216,7 +215,7 @@ def test_criterion_05_tree_correctness():
         it = rand_iterate(rng, qp)
         vw, res, rm = _rhs_from(qp, it)
         ref = solve_full_kkt(qp, it, res.r_g, res.r_b, res.r_d, rm)
-        step = kkt_tree.tree_riccati_factor(qp, it).solve(
+        step = kkt_ocp.riccati_factor(qp, it).solve(
             res.r_g, res.r_b, res.r_d, rm)
         err = maxabs(step.flat() - ref.flat()) / (1.0 + maxabs(ref.flat()))
         assert err <= 1e-8
@@ -300,7 +299,7 @@ def test_criterion_07_complexity_counting():
         qp = rand_tree_qp(rng, parents)
         it = rand_iterate(rng, qp)
         with flop_counter() as fc:
-            kkt_tree.tree_riccati_factor(qp, it)
+            kkt_ocp.riccati_factor(qp, it)
         return fc.flops, len(parents)
 
     (f3, n3), (f4, n4) = tree_count(3), tree_count(4)

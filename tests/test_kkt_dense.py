@@ -8,7 +8,7 @@ from mpcqp.ipm_core import iterative_refinement
 from mpcqp.kkt_common import kkt_apply_vec, kkt_rhs_flat
 from mpcqp.view import QpSolution, make_view, solve_full_kkt
 
-from conftest import rand_dense_qp, rand_iterate
+from conftest import kkt_apply_blocks, rand_dense_qp, rand_iterate
 
 
 def _rhs_from(qp, it):
@@ -183,7 +183,7 @@ class TestKktApply:
     def test_zero(self, rng):
         qp = rand_dense_qp(rng)
         it = rand_iterate(rng, qp)
-        out = kd.kkt_apply(qp, it, QpSolution(make_view(qp)))
+        out = kkt_apply_blocks(qp, it, QpSolution(make_view(qp)))
         assert all(np.max(np.abs(blk)) == 0.0 for blk in out if blk.size)
 
     def test_solve_apply_consistency(self, rng):
@@ -192,7 +192,7 @@ class TestKktApply:
         vw, res, rm = _rhs_from(qp, it)
         fac = kd.factor(qp, it, IpmArg())
         step = fac.solve(res.r_g, res.r_b, res.r_d, rm)
-        ag, ab, ad, am = kd.kkt_apply(qp, it, step)
+        ag, ab, ad, am = kkt_apply_blocks(qp, it, step)
         rd = np.where(vw.act, res.r_d, 0.0)
         worst = max(
             np.max(np.abs(ag + res.r_g)),
@@ -208,7 +208,7 @@ class TestKktApply:
         vw = make_view(qp)
         step = QpSolution(vw)
         step.v[:] = [1.0, 0.0]
-        ag, _, _, _ = kd.kkt_apply(qp, QpSolution(vw), step)
+        ag, _, _, _ = kkt_apply_blocks(qp, QpSolution(vw), step)
         assert np.allclose(ag, [1.0, 0.0])
 
 

@@ -13,7 +13,7 @@ from mpcqp import (
 )
 from mpcqp.view import QpSolution, make_view, solve_full_kkt
 
-from conftest import rand_iterate, rand_ocp_qp
+from conftest import kkt_apply_blocks, rand_iterate, rand_ocp_qp
 
 
 def scalar_lqr():
@@ -193,7 +193,7 @@ class TestApplyAndFlops:
     def test_apply_zero(self, rng):
         qp = rand_ocp_qp(rng, N=3, nx=3, nu=1)
         it = rand_iterate(rng, qp)
-        out = ko.kkt_apply_ocp(qp, it, QpSolution(make_view(qp)))
+        out = kkt_apply_blocks(qp, it, QpSolution(make_view(qp)))
         assert all(np.max(np.abs(b)) == 0.0 for b in out if b.size)
 
     def test_solve_apply_consistency(self, rng):
@@ -202,7 +202,7 @@ class TestApplyAndFlops:
         vw, res, rm = _rhs_from(qp, it)
         fac = ko.riccati_factor(qp, it)
         step = fac.solve(res.r_g, res.r_b, res.r_d, rm)
-        ag, ab, ad, am = ko.kkt_apply_ocp(qp, it, step)
+        ag, ab, ad, am = kkt_apply_blocks(qp, it, step)
         rd = np.where(vw.act, res.r_d, 0.0)
         worst = max(np.max(np.abs(ag + res.r_g)), np.max(np.abs(ab + res.r_b)),
                     np.max(np.abs(ad + rd)), np.max(np.abs(am + rm)))

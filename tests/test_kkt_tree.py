@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import mpcqp.kkt_ocp as ko
-import mpcqp.kkt_tree as kt
-from mpcqp import FactorizationFailed, compute_residuals, flop_counter
+from mpcqp import FactorizationFailed, IndexOutOfRange, compute_residuals, flop_counter
 from mpcqp.view import QpSolution, make_view, solve_full_kkt
 
-from conftest import maxabs, ocp_chain_as_tree, rand_iterate, rand_ocp_qp, rand_tree_qp
+from conftest import ocp_chain_as_tree, rand_iterate, rand_ocp_qp, rand_tree_qp
 
 
 def _rhs_from(qp, it):
@@ -16,23 +17,37 @@ def _rhs_from(qp, it):
     return vw, res, rm
 
 
+@st.composite
+def parents_first_trees(draw):
+    """Parent lists of 1-9 nodes with ``parents[m] < m``."""
+    n_node = draw(st.integers(1, 9))
+    return [-1] + [draw(st.integers(0, m - 1)) for m in range(1, n_node)]
+
+
 class TestChainEquivalence:
-    def test_factor_and_step_match_horizon_backend(self, rng):
+    @pytest.mark.parametrize("variant,use_qr", [
+        ("classical", False), ("square_root", False), ("square_root", True),
+    ])
+    def test_factor_and_step_match_horizon_backend(self, rng, variant, use_qr):
+        # the chain tree indexes its edges by child node, the OCP by stage;
+        # both must drive the recursion through exactly the same arithmetic
         qp = rand_ocp_qp(rng, N=5, nx=3, nu=2)
         tqp = ocp_chain_as_tree(qp)
         it = rand_iterate(rng, qp)
         it_t = QpSolution(make_view(tqp), it.y.copy(), it.pi.copy(),
                           it.lam.copy(), it.t.copy())
-        fo = ko.riccati_factor(qp, it)
-        ft = kt.tree_riccati_factor(tqp, it_t)
-        for n in range(qp.dim.N + 1):
-            assert maxabs(fo.p_matrix(n) - ft.p_matrix(n)) <= 1e-12
-            assert maxabs(fo.K[n] - ft.K[n]) <= 1e-12
         vw, res, rm = _rhs_from(qp, it)
-        so = fo.solve(res.r_g, res.r_b, res.r_d, rm)
-        st = ft.solve(res.r_g, res.r_b, res.r_d, rm)
-        assert np.max(np.abs(so.flat() - st.flat())) <= 1e-12 * (
-            1.0 + np.max(np.abs(so.flat())))
+        with flop_counter() as fc_o:
+            fo = ko.riccati_factor(qp, it, variant=variant, use_qr=use_qr)
+            s_ocp = fo.solve(res.r_g, res.r_b, res.r_d, rm)
+        with flop_counter() as fc_t:
+            ft = ko.riccati_factor(tqp, it_t, variant=variant, use_qr=use_qr)
+            s_tree = ft.solve(res.r_g, res.r_b, res.r_d, rm)
+        for n in range(qp.dim.N + 1):
+            assert np.array_equal(fo.p_matrix(n), ft.p_matrix(n))
+            assert np.array_equal(fo.K[n], ft.K[n])
+        assert np.array_equal(s_ocp.flat(), s_tree.flat())
+        assert fc_o.flops == fc_t.flops
 
 
 class TestTreeStructure:
@@ -62,7 +77,7 @@ class TestTreeStructure:
         it.t_stage(0)[:] = np.where(
             vw.act[vw.blocks[0].c_off: vw.blocks[0].c_off + vw.blocks[0].nc],
             1.0, 0.0)
-        fac = kt.tree_riccati_factor(qp, it)
+        fac = ko.riccati_factor(qp, it)
         assert np.array_equal(fac.p_matrix(1), fac.p_matrix(2))
         # the root accumulates the sum of both children's contributions:
         # rebuild its stage matrix by hand and re-derive the root cost-to-go
@@ -89,11 +104,18 @@ class TestTreeStructure:
         qp = rand_tree_qp(rng, [-1])
         it = rand_iterate(rng, qp)
         vw, res, rm = _rhs_from(qp, it)
-        fac = kt.tree_riccati_factor(qp, it)
+        fac = ko.riccati_factor(qp, it)
         step = fac.solve(res.r_g, res.r_b, res.r_d, rm)
         ref = solve_full_kkt(qp, it, res.r_g, res.r_b, res.r_d, rm)
         assert np.max(np.abs(step.flat() - ref.flat())) <= 1e-10 * (
             1.0 + np.max(np.abs(ref.flat())))
+
+    def test_pi_stage_is_the_edge_into_node(self, rng):
+        sol = rand_iterate(rng, rand_tree_qp(rng, [-1, 0, 0]))
+        assert np.array_equal(sol.pi_stage(1), sol.pi[:2])
+        assert np.array_equal(sol.pi_stage(2), sol.pi[2:4])
+        with pytest.raises(IndexOutOfRange):
+            sol.pi_stage(0)
 
     def test_factorization_failure_carries_node(self, rng):
         qp = rand_tree_qp(rng, [-1, 0])
@@ -101,8 +123,8 @@ class TestTreeStructure:
         qp.set_field("Q", 1, -np.eye(2))
         it = rand_iterate(rng, qp)
         with pytest.raises(FactorizationFailed) as ei:
-            kt.tree_riccati_factor(qp, it, variant="square_root",
-                                   stage_qr_fallback=False)
+            ko.riccati_factor(qp, it, variant="square_root",
+                              stage_qr_fallback=False)
         assert ei.value.stage == 1
 
 
@@ -111,7 +133,7 @@ class TestSolveOracle:
         qp = rand_tree_qp(rng, [-1, 0, 0, 1, 1])
         it = rand_iterate(rng, qp)
         vw = make_view(qp)
-        fac = kt.tree_riccati_factor(qp, it)
+        fac = ko.riccati_factor(qp, it)
         step = fac.solve(np.zeros(vw.ny), np.zeros(vw.ne),
                          np.zeros(vw.nc), np.zeros(vw.nc))
         assert np.max(np.abs(step.flat())) == 0.0
@@ -119,14 +141,16 @@ class TestSolveOracle:
     @pytest.mark.parametrize("variant,use_qr", [
         ("classical", False), ("square_root", False), ("square_root", True),
     ])
-    def test_binary_tree_matches_oracle(self, rng, variant, use_qr):
-        parents = [-1, 0, 0, 1, 1, 2, 2]   # depth 2 binary tree
+    @given(parents=parents_first_trees(), seed=st.integers(0, 2**32 - 1))
+    @example(parents=[-1, 0, 0, 1, 1, 2, 2], seed=1234)  # depth 2 binary tree
+    def test_binary_tree_matches_oracle(self, variant, use_qr, parents, seed):
+        rng = np.random.default_rng(seed)
         for _ in range(4):
             qp = rand_tree_qp(rng, parents)
             it = rand_iterate(rng, qp)
             vw, res, rm = _rhs_from(qp, it)
             ref = solve_full_kkt(qp, it, res.r_g, res.r_b, res.r_d, rm)
-            fac = kt.tree_riccati_factor(qp, it, variant=variant, use_qr=use_qr)
+            fac = ko.riccati_factor(qp, it, variant=variant, use_qr=use_qr)
             step = fac.solve(res.r_g, res.r_b, res.r_d, rm)
             err = np.max(np.abs(step.flat() - ref.flat()))
             assert err <= 1e-8 * (1.0 + np.max(np.abs(ref.flat())))
@@ -138,7 +162,7 @@ class TestSolveOracle:
         qp = rand_tree_qp(rng, parents)
         it = rand_iterate(rng, qp)
         vw, res, rm = _rhs_from(qp, it)
-        step = kt.tree_riccati_factor(qp, it).solve(
+        step = ko.riccati_factor(qp, it).solve(
             res.r_g, res.r_b, res.r_d, rm)
 
         swap = rand_tree_qp(rng, parents)
@@ -163,7 +187,7 @@ class TestSolveOracle:
                 its.pi_stage(ms)[:] = it.pi_stage(m)
         ress = compute_residuals(swap, its)
         rms = np.where(vws.act, its.lam * its.t, 0.0)
-        steps = kt.tree_riccati_factor(swap, its).solve(
+        steps = ko.riccati_factor(swap, its).solve(
             ress.r_g, ress.r_b, ress.r_d, rms)
         for m, ms in ((0, 0), (1, 2), (2, 1)):
             assert np.max(np.abs(
@@ -180,7 +204,7 @@ class TestSolveOracle:
             qp = rand_tree_qp(rng, parents)
             it = rand_iterate(rng, qp)
             with flop_counter() as fc:
-                kt.tree_riccati_factor(qp, it)
+                ko.riccati_factor(qp, it)
             return fc.flops, len(parents)
 
         c3, n3 = count(3)

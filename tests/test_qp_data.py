@@ -15,7 +15,6 @@ from mpcqp import (
     compute_residuals,
     full_kkt_system,
     objective,
-    ocp_qp_to_dense_kkt_oracle,
     validate,
 )
 from mpcqp.view import QpSolution, make_view
@@ -216,7 +215,7 @@ class TestFullKktOracle:
         qp.set_field("R", 0, M[:1, :1])
         qp.set_field("S", 0, M[:1, 1:])
         qp.set_field("Q", 0, M[1:, 1:])
-        K, rhs = ocp_qp_to_dense_kkt_oracle(qp, QpSolution(make_view(qp)))
+        K, rhs = full_kkt_system(qp, QpSolution(make_view(qp)))
         assert np.allclose(K, M)
         assert np.allclose(rhs, 0.0)
 

@@ -215,18 +215,16 @@ class TestFactorPolicy:
 
         calls = []
 
-        class Backend:
-            @staticmethod
-            def factor(qp, iterate, arg, use_qr):
-                calls.append((use_qr, arg.reg_prim))
-                if len(calls) < 3:
-                    raise FactorizationFailed("nope")
-                return "factor"
+        def factor(qp, iterate, arg, use_qr):
+            calls.append((use_qr, arg.reg_prim))
+            if len(calls) < 3:
+                raise FactorizationFailed("nope")
+            return "factor"
 
         qp = rand_dense_qp(rng)
         it = rand_iterate(rng, qp)
         arg = mode_preset("balance")   # QR fallback enabled, reg 0
-        fac, used_qr = _factor_with_policy(Backend, qp, it, arg)
+        fac, used_qr = _factor_with_policy(factor, qp, it, arg)
         assert fac == "factor"
         # plain Cholesky, then QR, then the regularized retry (floor 1e-8)
         assert calls == [(False, 0.0), (True, 0.0), (True, 1e-8)]
@@ -236,14 +234,12 @@ class TestFactorPolicy:
         from mpcqp.errors import FactorizationFailed
         from mpcqp.solver import _factor_with_policy
 
-        class Backend:
-            @staticmethod
-            def factor(qp, iterate, arg, use_qr):
-                raise FactorizationFailed("always")
+        def factor(qp, iterate, arg, use_qr):
+            raise FactorizationFailed("always")
 
         qp = rand_dense_qp(rng)
         it = rand_iterate(rng, qp)
-        fac, _ = _factor_with_policy(Backend, qp, it, mode_preset("speed"))
+        fac, _ = _factor_with_policy(factor, qp, it, mode_preset("speed"))
         assert fac is None
 
 
