@@ -20,6 +20,12 @@ Scaling vectors, with gamma = lam / t per active row:
 
 The right-hand-side folding and the reverse recovery (first dlam, then dt)
 mirror the same order.
+
+The per-row quantities that need no block structure, the scalings
+``lam / t`` and the folding weights ``(lam * r_d - r_m) / t``, are formed
+once over the flat vectors (:func:`view_scales`, :func:`fold_weights`) and
+sliced per block.  They are elementwise, so the values are the same as
+forming them block by block.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ import numpy as np
 from .errors import NonPositiveIterate, SingularSlackBlock
 from .linalg import matmul_acc
 
-__all__ = ["BlockScales", "block_scales", "add_reduced_hessian",
+__all__ = ["BlockScales", "view_scales", "add_reduced_hessian", "fold_weights",
            "fold_rhs", "recover_block", "kkt_apply_vec", "kkt_rhs_flat"]
 
 
@@ -53,8 +59,10 @@ class BlockScales:
     act: np.ndarray       # (nc,) bool
 
 
-def block_scales(cb, lam, t):
-    """Multiplier/slack scalings of block ``cb`` at the current iterate.
+def view_scales(view, lam, t):
+    """Multiplier/slack scalings of every constraint block at the current iterate.
+
+    Returns one :class:`BlockScales` per block of ``view``, in block order.
 
     Raises
     ------
@@ -63,13 +71,19 @@ def block_scales(cb, lam, t):
     SingularSlackBlock
         If an augmented slack diagonal is not strictly positive.
     """
-    lam_blk = lam[cb.c_off: cb.c_off + cb.nc]
-    t_blk = t[cb.c_off: cb.c_off + cb.nc]
-    act = np.concatenate([cb.act_lo, cb.act_up, cb.act_slo, cb.act_sup])
-    if np.any(lam_blk[act] <= 0.0) or np.any(t_blk[act] <= 0.0):
+    act = view.act
+    if np.any(lam[act] <= 0.0) or np.any(t[act] <= 0.0):
         raise NonPositiveIterate("lam, t must be > 0 on active rows")
-    g_all = np.zeros(cb.nc)
-    np.divide(lam_blk, t_blk, out=g_all, where=act)
+    g = np.zeros(view.nc)
+    np.divide(lam, t, out=g, where=act)
+    out = []
+    for cb in view.blocks:
+        sl = slice(cb.c_off, cb.c_off + cb.nc)
+        out.append(_block_scales(cb, g[sl], lam[sl], t[sl], act[sl]))
+    return out
+
+
+def _block_scales(cb, g_all, lam_blk, t_blk, act):
     m, ns = cb.m, cb.ns
     g_lo = g_all[:m]
     g_up = g_all[m: 2 * m]
@@ -114,15 +128,21 @@ def add_reduced_hessian(cb, sc, H, effective=True):
     return H
 
 
-def fold_rhs(cb, sc, r_gw, r_gsl, r_gsu, r_d_blk, r_m_blk):
+def fold_weights(view, lam, t, r_d, r_m):
+    """Folding weights ``(lam * r_d - r_m) / t`` of all rows, 0 on inactive ones."""
+    w = np.zeros(view.nc)
+    np.divide(lam * r_d - r_m, t, out=w, where=view.act)
+    return w
+
+
+def fold_rhs(cb, sc, w_all, r_gw, r_gsl, r_gsu):
     """Fold one block's inequality and slack right-hand sides into the window.
 
-    Returns ``(rhat_w, stash)``: the reduced window right-hand side and the
+    ``w_all`` is the block's slice of :func:`fold_weights`.  Returns
+    ``(rhat_w, stash)``: the reduced window right-hand side and the
     intermediates needed by :func:`recover_block`.
     """
     m, ns = cb.m, cb.ns
-    w_all = np.zeros(cb.nc)
-    np.divide(sc.lam * r_d_blk - r_m_blk, sc.t, out=w_all, where=sc.act)
     w_lo = w_all[:m]
     w_up = w_all[m: 2 * m]
     rt_sl = r_gsl - w_lo[cb.idxs] - w_all[2 * m: 2 * m + ns] if ns else r_gsl

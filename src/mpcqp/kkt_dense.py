@@ -42,9 +42,10 @@ from .errors import FactorizationFailed, LinalgError, NotPositiveDefinite
 from .ipm_core import IpmArg
 from .kkt_common import (
     add_reduced_hessian,
-    block_scales,
     fold_rhs,
+    fold_weights,
     recover_block,
+    view_scales,
 )
 from .linalg import cholesky_factor, matmul_acc, qr_cholesky, solve_triangular
 from .view import QpSolution, make_view
@@ -93,7 +94,7 @@ def eliminate_ineq(qp, iterate):
     """
     vw = make_view(qp)
     cb = vw.blocks[0]
-    sc = block_scales(cb, iterate.lam, iterate.t)
+    sc = view_scales(vw, iterate.lam, iterate.t)[0]
     Hv = add_reduced_hessian(cb, sc, qp._data["H"], effective=False)
     return AugmentedIneq(Hv=Hv, D_l=sc.D_l.copy(), D_u=sc.D_u.copy(), scales=sc)
 
@@ -108,7 +109,7 @@ def eliminate_slacks(qp, iterate, aug=None):
     """
     vw = make_view(qp)
     cb = vw.blocks[0]
-    sc = aug.scales if aug is not None else block_scales(cb, iterate.lam, iterate.t)
+    sc = aug.scales if aug is not None else view_scales(vw, iterate.lam, iterate.t)[0]
     return add_reduced_hessian(cb, sc, qp._data["H"], effective=True)
 
 
@@ -193,8 +194,9 @@ class DenseKktFactor:
         vw = self.view
         cb = self._cb
         nv, ns = vw.nv, vw.ns_tot
+        w = fold_weights(vw, self.sc.lam, self.sc.t, r_d, r_m)
         rhat, stash = fold_rhs(
-            cb, self.sc, r_g[:nv], r_g[nv: nv + ns], r_g[nv + ns:], r_d, r_m
+            cb, self.sc, w, r_g[:nv], r_g[nv: nv + ns], r_g[nv + ns:]
         )
         if self.method == "null_space" and self.qp.ne:
             v_p = self._Q1 @ solve_triangular(self._Ra, r_b, transpose=True,
@@ -246,7 +248,7 @@ def factor(qp, iterate, arg=None, use_qr=None):
     if use_qr is None:
         use_qr = arg.use_qr_always
     vw = make_view(qp)
-    sc = block_scales(vw.blocks[0], iterate.lam, iterate.t)
+    sc = view_scales(vw, iterate.lam, iterate.t)[0]
     method = arg.kkt_method if qp.ne else "chol"
     try:
         return DenseKktFactor(qp, vw, sc, arg, method, use_qr)

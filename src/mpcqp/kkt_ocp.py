@@ -16,11 +16,15 @@ with ``M[n]`` the augmented node Hessian over (u, x).  The input block is
 eliminated through ``K[n] = -G_uu^-1 G_ux`` and the cost-to-go matrix
 ``P[n] = G_xx + G_ux' K[n]`` propagates toward the root; leaves have no
 successor contribution.  Nodes are stored parents-first (the view lists each
-node's outgoing edges as ``(child, dyn, pi_off)``), so visiting them in
+node's outgoing edges as ``(child, dyn, pi_off, BA)``), so visiting them in
 reverse order reaches every node after all of its children; child
 contributions are summed in multiplier order so results are reproducible.
 Cost per node is cubic in nu + nx, so the sweep is linear in the horizon
-length or node count; no fill-in appears outside the data blocks.
+length or node count; no fill-in appears outside the data blocks.  The
+constant parts of the sweep are per-view constants (see :mod:`view`): the
+symmetrized base node Hessian ``[[R S] [S' Q]]`` and each edge's ``[B A]``
+are built once per QP revision, and each factorization only adds the
+iterate-dependent constraint terms to a copy of the former.
 
 Two variants:
 
@@ -53,7 +57,13 @@ import numpy as np
 
 from .errors import FactorizationFailed, LinalgError, NotPositiveDefinite
 from .ipm_core import IpmArg
-from .kkt_common import add_reduced_hessian, block_scales, fold_rhs, recover_block
+from .kkt_common import (
+    add_reduced_hessian,
+    fold_rhs,
+    fold_weights,
+    recover_block,
+    view_scales,
+)
 from .linalg import cholesky_factor, matmul_acc, qr_cholesky, solve_triangular
 from .view import QpSolution, make_view
 
@@ -69,32 +79,17 @@ def _cho_solve(L, b):
     return solve_triangular(L, solve_triangular(L, b), transpose=True)
 
 
-def _stage_hessian(st, nu, nx, cb, sc, reg):
-    M = np.zeros((nu + nx, nu + nx))
-    M[:nu, :nu] = st["R"]
-    M[:nu, nu:] = st["S"]
-    M[nu:, :nu] = st["S"].T
-    M[nu:, nu:] = st["Q"]
-    M = 0.5 * (M + M.T)
-    M = add_reduced_hessian(cb, sc, M, effective=True)
-    if reg:
-        M[np.diag_indices_from(M)] += reg
-    return M
-
-
-def _ba(dyn):
-    return np.hstack([dyn["B"], dyn["A"]])
-
-
 class RiccatiFactor:
     """Backward Riccati factorization of one OCP or tree QP at one iterate."""
 
-    def __init__(self, qp, view, variant):
+    def __init__(self, qp, view, variant, iterate):
         self.qp = qp
         self.view = view
         self.variant = variant
+        self.lam = iterate.lam
+        self.t = iterate.t
+        self.scales = view_scales(view, iterate.lam, iterate.t)
         n_node = view.n_node
-        self.scales = [None] * n_node
         self.L_uu = [None] * n_node
         self.K = [None] * n_node
         self.P = [None] * n_node     # classical representation
@@ -158,13 +153,13 @@ def riccati_factor(qp, iterate, variant=None, arg=None, use_qr=None,
         raise ValueError(f"unknown Riccati variant '{variant}'")
     vw = make_view(qp)
     d = qp.dim
-    fac = RiccatiFactor(qp, vw, variant)
+    fac = RiccatiFactor(qp, vw, variant, iterate)
     sqrt_mode = variant == "square_root" or use_qr
     for n in range(vw.n_node - 1, -1, -1):
-        cb = vw.blocks[n]
-        sc = block_scales(cb, iterate.lam, iterate.t)
-        fac.scales[n] = sc
-        M = _stage_hessian(qp._stages[n], d.nu[n], d.nx[n], cb, sc, arg.reg_prim)
+        M = add_reduced_hessian(vw.blocks[n], fac.scales[n], vw.node_hess[n],
+                                effective=True)
+        if arg.reg_prim:
+            M[np.diag_indices_from(M)] += arg.reg_prim
         try:
             _factor_node(fac, n, M, d.nu[n], sqrt_mode, use_qr)
         except NotPositiveDefinite as exc:
@@ -194,12 +189,12 @@ def _factor_node(fac, n, M, nu, sqrt_mode, use_qr):
     edges = fac.view.out_edges[n]
     if sqrt_mode:
         W = []
-        for m, dyn, _ in edges:
+        for m, _, _, BA in edges:
             L_next = fac.L_P[m]
             if L_next is None:
                 # per-node QR retry inside a classical sweep
                 L_next = cholesky_factor(fac.P[m])
-            W.append(matmul_acc(1.0, L_next, _ba(dyn), 0.0, 0.0, transA=True))
+            W.append(matmul_acc(1.0, L_next, BA, 0.0, 0.0, transA=True))
         if use_qr:
             L_M = cholesky_factor(M)
             L_G = qr_cholesky(np.vstack([L_M.T] + W)).T
@@ -224,8 +219,7 @@ def _factor_node(fac, n, M, nu, sqrt_mode, use_qr):
             fac.P[n] = L_P @ L_P.T
         return
     G = M
-    for m, dyn, _ in edges:
-        BA = _ba(dyn)
+    for m, _, _, BA in edges:
         T1 = matmul_acc(1.0, fac.P[m], BA, 0.0, 0.0)
         G = matmul_acc(1.0, BA, T1, 1.0, G, transA=True)
     G_uu = G[:nu, :nu]
@@ -258,15 +252,14 @@ def riccati_solve(fac, qp, r_g, r_b, r_d, r_m):
     n_node = vw.n_node
     rhat = [None] * n_node
     stash = [None] * n_node
+    w = fold_weights(vw, fac.lam, fac.t, r_d, r_m)
     for n in range(n_node):
         cb = vw.blocks[n]
-        sl = slice(cb.c_off, cb.c_off + cb.nc)
         rhat[n], stash[n] = fold_rhs(
-            cb, fac.scales[n],
+            cb, fac.scales[n], w[cb.c_off: cb.c_off + cb.nc],
             r_g[cb.w_off: cb.w_off + cb.nw],
             r_g[vw.nv + cb.s_off: vw.nv + cb.s_off + cb.ns],
             r_g[vw.nv + vw.ns_tot + cb.s_off: vw.nv + vw.ns_tot + cb.s_off + cb.ns],
-            r_d[sl], r_m[sl],
         )
     pv = [None] * n_node
     kff = [None] * n_node
@@ -274,7 +267,7 @@ def riccati_solve(fac, qp, r_g, r_b, r_d, r_m):
         nu = d.nu[n]
         rr = rhat[n][:nu]
         rq = rhat[n][nu:]
-        for m, dyn, off in vw.out_edges[n]:
+        for m, dyn, off, _ in vw.out_edges[n]:
             e = fac.p_apply(m, r_b[off: off + d.nx[m]]) + pv[m]
             rr = rr + dyn["B"].T @ e
             rq = rq + dyn["A"].T @ e
@@ -289,7 +282,7 @@ def riccati_solve(fac, qp, r_g, r_b, r_d, r_m):
         nv_u = fac.K[n] @ xi[n] + kff[n] if nu else np.zeros(0)
         dy[vw.u_off[n]: vw.u_off[n] + nu] = nv_u
         dy[vw.x_off[n]: vw.x_off[n] + d.nx[n]] = xi[n]
-        for m, dyn, off in vw.out_edges[n]:
+        for m, dyn, off, _ in vw.out_edges[n]:
             xi[m] = dyn["A"] @ xi[n] + dyn["B"] @ nv_u + r_b[off: off + d.nx[m]]
             dpi[off: off + d.nx[m]] = fac.p_apply(m, xi[m]) + pv[m]
     dlam = np.zeros(vw.nc)
@@ -315,5 +308,13 @@ def feedback_gains(fac):
     For an unconstrained problem at any iterate these are the familiar
     discrete-time linear-quadratic regulator gains; with constraints they are
     the gains of the inequality-augmented stage Hessians.
+
+    Raises
+    ------
+    ValueError
+        For the factor of a tree QP, whose nodes have no stage order: the
+        per-node gains are ``fac.K``.
     """
+    if fac.view.kind == "tree":
+        raise ValueError("feedback_gains is defined for OCP factors only")
     return [K.copy() for K in fac.K[:-1]]

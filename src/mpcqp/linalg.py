@@ -12,6 +12,17 @@ active (see :func:`flop_counter`); this keeps the kernels safe to call
 concurrently on disjoint data while making complexity measurements exact and
 reproducible.  Nominal counts use the standard textbook formulas and are
 deterministic integers.
+
+The Cholesky and triangular-solve kernels call the LAPACK routines
+``dpotrf`` and ``dtrtrs`` directly, bound once at import, instead of going
+through ``scipy.linalg.cholesky``/``solve_triangular``: on the small blocks
+of a Riccati recursion the wrappers' argument validation costs several times
+the arithmetic.  Layout dispatch follows scipy's wrappers exactly (a factor
+that is not Fortran-contiguous is passed transposed with the opposite
+triangle and transposition), so results are bit-identical to them.  Their
+checks are replaced by the shape checks here and the LAPACK return codes:
+``dpotrf`` reports a nonpositive pivot, ``dtrtrs`` an exactly zero diagonal
+entry, and a negative code (an illegal argument) raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -20,7 +31,8 @@ import threading
 from contextlib import contextmanager
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf as _potrf
+from scipy.linalg.lapack import dtrtrs as _trtrs
 
 from .errors import (
     DimensionMismatch,
@@ -107,10 +119,13 @@ def cholesky_factor(M, reg=0.0, pivot_tol=0.0):
     if n == 0:
         return np.zeros((0, 0))
     A = M if reg == 0.0 else M + reg * np.eye(n)
-    try:
-        L = scipy.linalg.cholesky(A, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(str(exc)) from exc
+    L, info = _potrf(A, lower=True, clean=True, overwrite_a=False)
+    if info > 0:
+        raise NotPositiveDefinite(
+            f"{info}-th leading minor of the array is not positive definite"
+        )
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dpotrf")
     if pivot_tol > 0.0 and np.min(np.diag(L)) ** 2 <= pivot_tol:
         raise NotPositiveDefinite(
             f"pivot {np.min(np.diag(L))**2:.3e} below threshold {pivot_tol:.3e}"
@@ -140,13 +155,17 @@ def solve_triangular(L, B, transpose=False, lower=True):
         raise DimensionMismatch(f"rhs leading dim {B.shape} does not match factor {n}")
     if n == 0:
         return B.copy()
-    if np.any(np.diag(L) == 0.0):
+    if L.flags.f_contiguous:
+        X, info = _trtrs(L, B, lower=lower, trans=transpose)
+    else:
+        X, info = _trtrs(L.T, B, lower=not lower, trans=not transpose)
+    if info > 0:
         raise SingularFactor("zero diagonal entry in triangular factor")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dtrtrs")
     m = 1 if B.ndim == 1 else B.shape[1]
     _count(n * n * m)
-    return scipy.linalg.solve_triangular(
-        L, B, trans="T" if transpose else "N", lower=lower, check_finite=False
-    )
+    return X
 
 
 def qr_cholesky(Astack, rank_tol=None):

@@ -165,7 +165,6 @@ def _ipm_loop(qp, factor_fn, arg, guess):
     view = make_view(qp)
     iterate = _init_iterate(view, arg, guess)
     act = view.act
-    lam_m = np.where(act, iterate.lam, 0.0)   # masked views for products
     g_full = view.grad()
     b_vec = view.b()
     d_vec = view.d

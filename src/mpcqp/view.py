@@ -34,6 +34,11 @@ chain tree: nodes (stages) joined by dynamics edges.  Its edge table lists
 ``(parent, child, dyn)`` in multiplier order, ``(n, n+1, _dyn[n])`` for an
 OCP and ``(parents[m], m, _dyn[m])`` for a tree, so ``pi`` holds one block
 per edge in that order for both types.
+
+A view is cached on its QP until the next ``set_field`` (see
+:func:`make_view`), so it also holds the per-QP constants of the Riccati
+recursion: each node's symmetrized base Hessian ``[[R S] [S' Q]]`` and each
+edge's ``[B A]`` stack are built once per view, not once per factorization.
 """
 
 from __future__ import annotations
@@ -163,6 +168,15 @@ def _block_d(cb):
 
 def _block_act(cb):
     return np.concatenate([cb.act_lo, cb.act_up, cb.act_slo, cb.act_sup])
+
+
+def _node_hessian(st, nu, nx):
+    M = np.zeros((nu + nx, nu + nx))
+    M[:nu, :nu] = st["R"]
+    M[:nu, nu:] = st["S"]
+    M[nu:, :nu] = st["S"].T
+    M[nu:, nu:] = st["Q"]
+    return 0.5 * (M + M.T)
 
 
 class ProblemView:
@@ -339,8 +353,10 @@ class StageView(ProblemView):
     """View of an OCP or tree QP: parents-first nodes joined by dynamics edges.
 
     ``edges`` lists ``(parent, child, dyn)`` in multiplier order (see the
-    module docstring); ``out_edges[n]`` lists ``(child, dyn, pi_off)`` for
-    the edges leaving node n, in the same order.
+    module docstring); ``out_edges[n]`` lists ``(child, dyn, pi_off, BA)``
+    for the edges leaving node n, in the same order, with ``BA`` the edge's
+    ``[B A]`` stack.  ``node_hess[n]`` is the symmetrized base Hessian
+    ``[[R S] [S' Q]]`` of node n over its (u, x) window.
     """
 
     def __init__(self, qp, edges):
@@ -355,11 +371,13 @@ class StageView(ProblemView):
         u_off, x_off = [], []
         v = s = c = 0
         self.blocks = []
+        self.node_hess = []
         for n in range(self.n_node):
             u_off.append(v)
             x_off.append(v + d.nu[n])
             cb = _block_from_stage(self._st[n], d.nu[n], d.nx[n], v, s, c)
             self.blocks.append(cb)
+            self.node_hess.append(_node_hessian(self._st[n], d.nu[n], d.nx[n]))
             v += d.nu[n] + d.nx[n]
             s += d.ns[n]
             c += cb.nc
@@ -370,7 +388,9 @@ class StageView(ProblemView):
         p = 0
         for par, m, dyn in self.edges:
             self.pi_off.append(p)
-            self.out_edges[par].append((m, dyn, p))
+            self.out_edges[par].append(
+                (m, dyn, p, np.hstack([dyn["B"], dyn["A"]]))
+            )
             self._edge_sl.append((
                 dyn,
                 slice(u_off[par], u_off[par] + d.nu[par]),

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import settings
 
 from mpcqp import DenseQp, OcpQp, OcpQpDim, TreeOcpQp, TreeOcpQpDim
-from mpcqp.kkt_common import kkt_apply_vec
+from mpcqp.kkt_common import add_reduced_hessian, kkt_apply_vec
 from mpcqp.view import QpSolution, make_view
 
 # property tests draw a fixed example sequence, so every run checks the
@@ -202,6 +202,29 @@ def rand_iterate(rng, qp, spread=(0.1, 5.0)):
     it.lam[:] = np.where(vw.act, rng.uniform(*spread, vw.nc), 0.0)
     it.t[:] = np.where(vw.act, rng.uniform(*spread, vw.nc), 0.0)
     return it
+
+
+def stage_hessian_ref(st, nu, nx, cb, sc, reg):
+    """Reduced node Hessian assembled from the raw stage data (reference).
+
+    The Riccati factorization must produce the same bits from the view's
+    hoisted base Hessian ``node_hess[n]``.
+    """
+    M = np.zeros((nu + nx, nu + nx))
+    M[:nu, :nu] = st["R"]
+    M[:nu, nu:] = st["S"]
+    M[nu:, :nu] = st["S"].T
+    M[nu:, nu:] = st["Q"]
+    M = 0.5 * (M + M.T)
+    M = add_reduced_hessian(cb, sc, M, effective=True)
+    if reg:
+        M[np.diag_indices_from(M)] += reg
+    return M
+
+
+def ba_ref(dyn):
+    """``[B A]`` stack of one dynamics edge from the raw data (reference)."""
+    return np.hstack([dyn["B"], dyn["A"]])
 
 
 def kkt_apply_blocks(qp, iterate, step):

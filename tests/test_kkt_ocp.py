@@ -10,10 +10,19 @@ from mpcqp import (
     OcpQpDim,
     compute_residuals,
     flop_counter,
+    solve_ocp_qp,
 )
+from mpcqp.kkt_common import add_reduced_hessian, view_scales
 from mpcqp.view import QpSolution, make_view, solve_full_kkt
 
-from conftest import kkt_apply_blocks, rand_iterate, rand_ocp_qp
+from conftest import (
+    ba_ref,
+    kkt_apply_blocks,
+    rand_iterate,
+    rand_ocp_qp,
+    rand_tree_qp,
+    stage_hessian_ref,
+)
 
 
 def scalar_lqr():
@@ -163,6 +172,12 @@ class TestGains:
         for K in ko.feedback_gains(fac):
             assert np.allclose(K, 0.0)
 
+    def test_tree_factor_has_no_stage_gains(self, rng):
+        qp = rand_tree_qp(rng, [-1, 0, 0])
+        fac = ko.riccati_factor(qp, rand_iterate(rng, qp))
+        with pytest.raises(ValueError):
+            ko.feedback_gains(fac)
+
     def test_long_horizon_stationary_gain(self):
         # time-invariant system: K[0] approaches the fixed point of the
         # Riccati map computed by plain iteration (independent oracle)
@@ -187,6 +202,63 @@ class TestGains:
             P = Q + A.T @ P @ A + Gux.T @ K
             P = 0.5 * (P + P.T)
         assert np.max(np.abs(ko.feedback_gains(fac)[0] - K)) <= 1e-6
+
+
+class TestViewConstants:
+    """Node Hessians and [B A] stacks hoisted into the view."""
+
+    @staticmethod
+    def _assert_constants_match(qp, it):
+        vw = make_view(qp)
+        d = qp.dim
+        for n, sc in enumerate(view_scales(vw, it.lam, it.t)):
+            cb = vw.blocks[n]
+            for reg in (0.0, 1e-6):
+                M = add_reduced_hessian(cb, sc, vw.node_hess[n], effective=True)
+                if reg:
+                    M[np.diag_indices_from(M)] += reg
+                ref = stage_hessian_ref(qp._stages[n], d.nu[n], d.nx[n],
+                                        cb, sc, reg)
+                assert np.array_equal(M, ref)
+            for _, dyn, _, BA in vw.out_edges[n]:
+                assert np.array_equal(BA, ba_ref(dyn))
+
+    @pytest.mark.parametrize("kind", ["ocp", "tree"])
+    def test_bit_equal_to_per_factorization_assembly(self, rng, kind):
+        for _ in range(3):
+            qp = (rand_ocp_qp(rng, N=4, nx=3, nu=2) if kind == "ocp"
+                  else rand_tree_qp(rng, [-1, 0, 0, 1, 2, 2]))
+            # an unsymmetric Q exercises the symmetrization
+            Q = qp.get_field("Q", 1)
+            qp.set_field("Q", 1, Q + 0.1 * np.triu(rng.standard_normal(Q.shape), 1))
+            self._assert_constants_match(qp, rand_iterate(rng, qp))
+
+    def test_node_hessian_is_not_written_by_factorization(self, rng):
+        qp = rand_ocp_qp(rng, N=3, nx=3, nu=2)
+        vw = make_view(qp)
+        before = [H.copy() for H in vw.node_hess]
+        ko.riccati_factor(qp, rand_iterate(rng, qp), arg=IpmArg(reg_prim=1e-3))
+        assert all(np.array_equal(H, H0) for H, H0 in zip(vw.node_hess, before))
+
+    @pytest.mark.parametrize("field,stage", [
+        ("Q", 2), ("S", 1), ("R", 0), ("A", 3), ("B", 0),
+    ])
+    def test_set_field_after_solve_refreshes_constants(self, rng, field, stage):
+        qp = rand_ocp_qp(rng, N=4, nx=3, nu=2)
+        solve_ocp_qp(qp)
+        old = make_view(qp)
+        shape = qp.get_field(field, stage).shape
+        G = rng.standard_normal(shape)
+        value = G @ G.T + np.eye(shape[0]) if field in ("Q", "R") else G
+        qp.set_field(field, stage, value)
+        assert make_view(qp) is not old
+        it = rand_iterate(rng, qp)
+        self._assert_constants_match(qp, it)
+        vw, res, rm = _rhs_from(qp, it)
+        ref = solve_full_kkt(qp, it, res.r_g, res.r_b, res.r_d, rm)
+        step = ko.riccati_factor(qp, it).solve(res.r_g, res.r_b, res.r_d, rm)
+        err = np.max(np.abs(step.flat() - ref.flat()))
+        assert err <= 1e-8 * (1.0 + np.max(np.abs(ref.flat())))
 
 
 class TestApplyAndFlops:

@@ -81,7 +81,7 @@ class TestTreeStructure:
         assert np.array_equal(fac.p_matrix(1), fac.p_matrix(2))
         # the root accumulates the sum of both children's contributions:
         # rebuild its stage matrix by hand and re-derive the root cost-to-go
-        from mpcqp.kkt_common import add_reduced_hessian, block_scales
+        from mpcqp.kkt_common import add_reduced_hessian, view_scales
 
         st0 = qp._stages[0]
         M = np.zeros((3, 3))
@@ -90,7 +90,7 @@ class TestTreeStructure:
         M[1:, :1] = st0["S"].T
         M[1:, 1:] = st0["Q"]
         cb0 = vw.blocks[0]
-        sc0 = block_scales(cb0, it.lam, it.t)
+        sc0 = view_scales(vw, it.lam, it.t)[0]
         G = add_reduced_hessian(cb0, sc0, M)
         for m in (1, 2):
             BA = np.hstack([qp.get_field("B", m), qp.get_field("A", m)])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from mpcqp.errors import (
     DimensionMismatch,
@@ -158,3 +159,107 @@ class TestFlopCounter:
                 matmul_acc(1.0, np.ones((2, 2)), np.ones((2, 2)), 0.0, 0.0)
         assert inner.flops == 16
         assert outer.flops == 32
+
+
+def _layouts(A):
+    """The same matrix as C-ordered, F-ordered and two strided arrays."""
+    n = A.shape[0]
+    big = np.zeros((2 * n + 1, 2 * n + 1))
+    big[1::2, 1::2] = A
+    lead = np.asfortranarray(np.zeros((n + 2, n + 2)))
+    lead[:n, :n] = A
+    return {
+        "C": np.ascontiguousarray(A),
+        "F": np.asfortranarray(A),
+        "strided": big[1::2, 1::2],
+        "F_leading_block": lead[:n, :n],
+    }
+
+
+LAYOUTS = ["C", "F", "strided", "F_leading_block"]
+
+
+def _factor(rng, n, lower):
+    G = rng.standard_normal((n, n))
+    L = np.tril(G) + np.diag(np.sign(np.diag(G)) + 0.5 * np.diag(G))
+    return L if lower else L.T
+
+
+class TestKernelsMatchScipy:
+    """The LAPACK kernels give scipy's wrappers' results bit for bit."""
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("lower", [True, False])
+    @pytest.mark.parametrize("transpose", [False, True])
+    @pytest.mark.parametrize("ncol", [None, 3, 0])
+    def test_solve_triangular(self, layout, lower, transpose, ncol):
+        rng = np.random.default_rng(5)
+        for n in (2, 5, 8):
+            T = _layouts(_factor(rng, n, lower))[layout]
+            B = rng.standard_normal(n if ncol is None else (n, ncol))
+            X = solve_triangular(T, B, transpose=transpose, lower=lower)
+            ref = scipy.linalg.solve_triangular(
+                T, B, trans="T" if transpose else "N", lower=lower,
+                check_finite=False,
+            )
+            assert X.shape == ref.shape
+            assert np.array_equal(X, ref)
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("reg", [0.0, 0.3])
+    def test_cholesky(self, layout, reg):
+        rng = np.random.default_rng(6)
+        for n in (1, 2, 5, 8):
+            G = rng.standard_normal((n, n))
+            M = _layouts(G @ G.T + 0.1 * np.eye(n))[layout]
+            L = cholesky_factor(M, reg=reg)
+            ref = scipy.linalg.cholesky(
+                M if reg == 0.0 else M + reg * np.eye(n), lower=True,
+                check_finite=False,
+            )
+            assert np.array_equal(L, ref)
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("lower", [True, False])
+    @pytest.mark.parametrize("transpose", [False, True])
+    @pytest.mark.parametrize("ncol", [None, 2, 0])
+    def test_zero_diagonal_raises(self, layout, lower, transpose, ncol):
+        rng = np.random.default_rng(7)
+        T = _factor(rng, 4, lower)
+        T[2, 2] = 0.0
+        B = np.ones(4 if ncol is None else (4, ncol))
+        with flop_counter() as fc:
+            with pytest.raises(SingularFactor):
+                solve_triangular(_layouts(T)[layout], B, transpose=transpose,
+                                 lower=lower)
+        assert fc.flops == 0
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("reg", [0.0, 0.5])
+    def test_not_positive_definite_raises(self, layout, reg):
+        M = _layouts(np.diag([2.0, 1.0, -1.0]))[layout]
+        with flop_counter() as fc:
+            with pytest.raises(NotPositiveDefinite):
+                cholesky_factor(M, reg=reg)
+        assert fc.flops == 3 ** 3 // 3
+
+
+class TestKernelFlops:
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_solve_triangular_counts(self, layout):
+        rng = np.random.default_rng(8)
+        T = _layouts(_factor(rng, 5, True))[layout]
+        for B, expected in ((np.ones(5), 25), (np.ones((5, 3)), 75),
+                            (np.ones((5, 0)), 0)):
+            with flop_counter() as fc:
+                solve_triangular(T, B)
+            assert fc.flops == expected
+        with flop_counter() as fc:
+            solve_triangular(np.zeros((0, 0)), np.zeros(0))
+        assert fc.flops == 0
+
+    def test_cholesky_counts(self):
+        for n in (0, 1, 4, 7):
+            with flop_counter() as fc:
+                cholesky_factor(np.eye(n))
+            assert fc.flops == n ** 3 // 3
