@@ -19,14 +19,14 @@ solver mode:
 
 Mode presets trade speed for robustness:
 
-=========  ===========  =========  ==========  ==================
+=========  ===========  =========  ==========  =============
 mode       formulation  residuals  refinement  factorization
-=========  ===========  =========  ==========  ==================
-speed_abs  absolute     at return  none        Cholesky
-speed      delta        each iter  none        Cholesky
-balance    delta        each iter  on demand   Cholesky, QR retry
-robust     delta        each iter  on demand   QR always
-=========  ===========  =========  ==========  ==================
+=========  ===========  =========  ==========  =============
+speed_abs  absolute     at return  none        ``chol``
+speed      delta        each iter  none        ``chol``
+balance    delta        each iter  on demand   ``chol_qr``
+robust     delta        each iter  on demand   ``qr``
+=========  ===========  =========  ==========  =============
 """
 
 from __future__ import annotations
@@ -63,6 +63,15 @@ class Status(enum.Enum):
     Failure = "Failure"
 
 
+# route ladder of each factorization policy (``qr``: the array algorithms
+# on stacked factors); the solver walks it, see IpmArg
+FACTOR_ROUTES = {
+    "chol": ("chol", "chol+reg"),
+    "chol_qr": ("chol", "qr", "qr+reg"),
+    "qr": ("qr", "chol", "chol+reg"),
+}
+
+
 @dataclass
 class IpmArg:
     """Full algorithmic configuration of one solve.
@@ -78,6 +87,13 @@ class IpmArg:
     system.  They also put a floor of roughly ``lam_min * max(t)`` under the
     reachable duality measure, so a ``tol_comp`` below that needs smaller
     clip values than the balance/robust presets use.
+
+    ``factorization`` selects the routes (``FACTOR_ROUTES``) the solver
+    tries in order each iteration: the preferred one, the other one if the
+    policy allows it, then the last one with primal regularization
+    (``2 * reg_prim``, or 1e-8).  Under ``chol_qr`` a ``chol`` step whose
+    refined residual exceeds ``qr_fallback_ratio * max(1, ||rhs||)`` is
+    recomputed from the ``qr`` rungs.
     """
 
     mode: str = "balance"
@@ -101,8 +117,7 @@ class IpmArg:
     itref_pred_max: int = 0           # refinement steps on the prediction
     itref_stop_ratio: float = 1e-12   # target residual/rhs ratio for refinement
     qr_fallback_ratio: float = 1e-6   # refinement residual ratio that triggers QR
-    use_qr_fallback: bool = False
-    use_qr_always: bool = False
+    factorization: str = "chol"       # chol | chol_qr | qr
     comp_res_pred: bool = True        # compute residuals each iteration
     abs_form: bool = False            # absolute formulation
     ftb: float = 0.995                # fraction-to-boundary factor
@@ -125,6 +140,8 @@ class IpmArg:
             raise ValueError("lam_min and t_min must be >= 0")
         if self.warm_start not in ("none", "primal", "primal_dual"):
             raise ValueError(f"unknown warm_start '{self.warm_start}'")
+        if self.factorization not in FACTOR_ROUTES:
+            raise ValueError(f"unknown factorization '{self.factorization}'")
         return self
 
 
@@ -133,25 +150,25 @@ _PRESETS = {
     "speed_abs": dict(
         abs_form=True, comp_res_pred=False,
         itref_corr_max=0, itref_pred_max=0,
-        use_qr_fallback=False, use_qr_always=False,
+        factorization="chol",
         lam_min=1e-16, t_min=1e-16,
     ),
     "speed": dict(
         abs_form=False, comp_res_pred=True,
         itref_corr_max=0, itref_pred_max=0,
-        use_qr_fallback=False, use_qr_always=False,
+        factorization="chol",
         lam_min=1e-16, t_min=1e-16,
     ),
     "balance": dict(
         abs_form=False, comp_res_pred=True,
         itref_corr_max=2, itref_pred_max=0,
-        use_qr_fallback=True, use_qr_always=False,
+        factorization="chol_qr",
         lam_min=1e-10, t_min=1e-10,
     ),
     "robust": dict(
         abs_form=False, comp_res_pred=True,
         itref_corr_max=4, itref_pred_max=0,
-        use_qr_fallback=True, use_qr_always=True,
+        factorization="qr",
         lam_min=1e-10, t_min=1e-10,
     ),
 }
@@ -181,6 +198,7 @@ class IterRecord:
     res_b: float
     res_d: float
     res_m: float
+    route: str          # factorization route: chol | qr | chol+reg | qr+reg
 
 
 @dataclass

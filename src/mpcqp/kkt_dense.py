@@ -24,8 +24,8 @@ computed by orthogonal triangularization of the stacked factors instead
 (``qr_cholesky``), which avoids squaring condition numbers: Hred from the
 stack [chol(H + reg I)' ; sqrt(coef_i) * row_i], the Schur complement from
 the stack [W ; sqrt(reg_dual) I] with W = L^-1 A'.  The QR route needs the
-unaugmented Hessian to be positive definite; if it is not, the assembled
-Hred is factored directly as a fallback.
+unaugmented Hessian to be positive definite and fails otherwise; the Cholesky
+route needs only Hred to be.
 
 A factor object is valid for any number of right-hand sides until the
 iterate changes.
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import FactorizationFailed, LinalgError, NotPositiveDefinite
+from .errors import FactorizationFailed, LinalgError
 from .ipm_core import IpmArg
 from .kkt_common import (
     add_reduced_hessian,
@@ -121,7 +121,6 @@ class DenseKktFactor:
         self.view = view
         self.sc = sc
         self.method = method
-        self.used_qr = use_qr
         self.reg_prim = arg.reg_prim
         self.reg_dual = arg.reg_dual
         cb = view.blocks[0]
@@ -164,15 +163,7 @@ class DenseKktFactor:
 
     def _factor_qr(self, H, cb, sc, reg):
         """Cholesky of the reduced Hessian via the stacked-factor QR route."""
-        try:
-            Lh = cholesky_factor(H, reg)
-        except NotPositiveDefinite:
-            # base Hessian not PD: the stacked form does not exist, factor
-            # the assembled reduced Hessian directly
-            Hred = add_reduced_hessian(cb, sc, H, effective=True)
-            if reg:
-                Hred[np.diag_indices_from(Hred)] += reg
-            return cholesky_factor(Hred)
+        Lh = cholesky_factor(H, reg)
         coef = sc.ge_lo + sc.ge_up
         rows = np.flatnonzero(coef > 0.0)
         if rows.size:
@@ -231,22 +222,21 @@ class DenseKktFactor:
         return step.flat()
 
 
-def factor(qp, iterate, arg=None, use_qr=None):
+def factor(qp, iterate, arg=None, use_qr=False):
     """Factorize the reduced KKT system of a dense QP at an iterate.
 
     With no equality constraints this is a plain Cholesky factorization of
     the reduced Hessian; otherwise the method configured in ``arg``
-    (``schur`` by default, or ``null_space``) handles the equality block.
+    (``schur`` by default, or ``null_space``) handles the equality block;
+    ``use_qr`` selects the QR route.
 
     Raises
     ------
     FactorizationFailed
-        If the required factorizations fail even for the requested path; the
-        caller decides on regularization retries or the QR fallback.
+        If a required factorization fails on the requested route; the
+        caller decides on another route or a regularized retry.
     """
     arg = arg or IpmArg()
-    if use_qr is None:
-        use_qr = arg.use_qr_always
     vw = make_view(qp)
     sc = view_scales(vw, iterate.lam, iterate.t)[0]
     method = arg.kkt_method if qp.ne else "chol"

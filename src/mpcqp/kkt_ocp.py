@@ -39,9 +39,10 @@ Two variants:
                     per child] without ever forming G (the array algorithm),
                     which avoids squaring the condition number.
 
-Factorization failures carry the offending stage (node) index; in balance
-mode the caller allows a per-node retry through the QR route before
-regularizing.
+Factorization failures carry the offending stage (node) index.  A factor
+call makes one attempt on the route it is given (Cholesky or QR, with or
+without regularization); retrying on another route is the solver's
+decision.
 
 The vector solve runs the matching backward sweep (cost-to-go vectors and
 feedforward terms), a forward rollout of states, inputs and edge multipliers
@@ -55,7 +56,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import FactorizationFailed, LinalgError, NotPositiveDefinite
+from .errors import FactorizationFailed, LinalgError
 from .ipm_core import IpmArg
 from .kkt_common import (
     add_reduced_hessian,
@@ -95,7 +96,6 @@ class RiccatiFactor:
         self.P = [None] * n_node     # classical representation
         self.L_P = [None] * n_node   # square-root representation
         self.L_P0 = None
-        self.qr_stages = []
 
     # cost-to-go applications, independent of the variant in use
     def p_apply(self, n, vec):
@@ -127,28 +127,23 @@ class RiccatiFactor:
         return step.flat()
 
 
-def riccati_factor(qp, iterate, variant=None, arg=None, use_qr=None,
-                   stage_qr_fallback=None):
+def riccati_factor(qp, iterate, variant=None, arg=None, use_qr=False):
     """Run the backward factor sweep and return a reusable factor object.
 
     Works on an :class:`OcpQp` (a chain) and on a :class:`TreeOcpQp` alike.
     ``use_qr`` switches every node to the QR array algorithm (which implies
-    the square-root algebra); ``stage_qr_fallback`` retries only the failing
-    node through the QR route before giving up.
+    the square-root algebra).
 
     Raises
     ------
     FactorizationFailed
         With the failing stage (node) index; the classical variant fails
         when a reduced input block is not positive definite, the square-root
-        variant when a full node block is not.
+        variant when a full node block is not, the QR route when a node
+        Hessian before the successor terms is not.
     """
     arg = arg or IpmArg()
     variant = variant or arg.riccati_variant
-    if use_qr is None:
-        use_qr = arg.use_qr_always
-    if stage_qr_fallback is None:
-        stage_qr_fallback = arg.use_qr_fallback
     if variant not in ("classical", "square_root"):
         raise ValueError(f"unknown Riccati variant '{variant}'")
     vw = make_view(qp)
@@ -162,21 +157,14 @@ def riccati_factor(qp, iterate, variant=None, arg=None, use_qr=None,
             M[np.diag_indices_from(M)] += arg.reg_prim
         try:
             _factor_node(fac, n, M, d.nu[n], sqrt_mode, use_qr)
-        except NotPositiveDefinite as exc:
-            if stage_qr_fallback and not use_qr:
-                try:
-                    _factor_node(fac, n, M, d.nu[n], True, True)
-                    fac.qr_stages.append(n)
-                    continue
-                except LinalgError:
-                    pass
+        except LinalgError as exc:
             raise FactorizationFailed(
                 f"Riccati factorization failed at stage {n}: {exc}", stage=n
             ) from exc
     if fac.variant == "classical" and fac.L_P[0] is None and d.nx[0]:
         try:
             fac.L_P0 = cholesky_factor(fac.P[0])
-        except NotPositiveDefinite as exc:
+        except LinalgError as exc:
             raise FactorizationFailed(
                 f"cost-to-go matrix at stage 0 not positive definite: {exc}",
                 stage=0,
@@ -188,13 +176,8 @@ def _factor_node(fac, n, M, nu, sqrt_mode, use_qr):
     """Factor one node; writes L_uu, K and the P representation at n."""
     edges = fac.view.out_edges[n]
     if sqrt_mode:
-        W = []
-        for m, _, _, BA in edges:
-            L_next = fac.L_P[m]
-            if L_next is None:
-                # per-node QR retry inside a classical sweep
-                L_next = cholesky_factor(fac.P[m])
-            W.append(matmul_acc(1.0, L_next, BA, 0.0, 0.0, transA=True))
+        W = [matmul_acc(1.0, fac.L_P[m], BA, 0.0, 0.0, transA=True)
+             for m, _, _, BA in edges]
         if use_qr:
             L_M = cholesky_factor(M)
             L_G = qr_cholesky(np.vstack([L_M.T] + W)).T
@@ -203,7 +186,8 @@ def _factor_node(fac, n, M, nu, sqrt_mode, use_qr):
             for W_m in W:
                 G = matmul_acc(1.0, W_m, W_m, 1.0, G, transA=True)
             L_G = cholesky_factor(G)
-        L_uu = L_G[:nu, :nu]
+        # C-contiguous, so the vector solves pass it to LAPACK uncopied
+        L_uu = np.ascontiguousarray(L_G[:nu, :nu])
         L_xu = L_G[nu:, :nu]
         L_P = np.ascontiguousarray(L_G[nu:, nu:])
         if nu:
@@ -213,10 +197,6 @@ def _factor_node(fac, n, M, nu, sqrt_mode, use_qr):
         fac.L_uu[n] = L_uu
         fac.K[n] = K
         fac.L_P[n] = L_P
-        if fac.variant == "classical":
-            # keep the explicit matrix so the parent's classical step can
-            # keep consuming P directly
-            fac.P[n] = L_P @ L_P.T
         return
     G = M
     for m, _, _, BA in edges:

@@ -4,14 +4,15 @@ One shared predictor-corrector loop wires the type-agnostic vector
 machinery (:mod:`ipm_core`) to the type-specific KKT backend:
 
 1. residuals (skipped per iteration in speed_abs mode) and termination test;
-2. factorization of the reduced KKT system with the mode's retry policy
-   (QR fallback and/or one regularization retry on failure);
+2. factorization of the reduced KKT system by the first route of the
+   policy's ladder that succeeds (:class:`IpmArg`), recorded in the trace;
+   only this ladder retries, each backend call is one attempt;
 3. affine prediction, step length probe, centering parameter;
 4. corrector direction, accepted only if it does not blow up the duality
    measure (otherwise one predictor-centering resolve with the same factor);
-5. optional iterative refinement of the combined direction, with the
-   balance-mode switch to the QR factorization when refinement cannot reach
-   the requested accuracy;
+5. optional iterative refinement of the combined direction; under the
+   ``chol_qr`` policy a ``chol`` direction that refinement cannot bring to
+   the requested accuracy is recomputed from the ladder's ``qr`` rungs;
 6. fraction-to-boundary step length, iterate update with multiplier/slack
    lower bounds.
 
@@ -35,6 +36,7 @@ import numpy as np
 from . import kkt_dense, kkt_ocp
 from .errors import DimensionMismatch, FactorizationFailed
 from .ipm_core import (
+    FACTOR_ROUTES,
     IpmArg,
     IterRecord,
     SolverStats,
@@ -98,7 +100,8 @@ def _init_iterate(view, arg, guess):
     iterate = QpSolution(view)
     warm = arg.warm_start if guess is not None else "none"
     if guess is not None:
-        if guess.y.shape[0] != view.ny or guess.lam.shape[0] != view.nc:
+        if (guess.y.shape[0], guess.pi.shape[0], guess.lam.shape[0],
+                guess.t.shape[0]) != (view.ny, view.ne, view.nc, view.nc):
             raise DimensionMismatch("guess does not match QP dimensions")
     if warm in ("primal", "primal_dual"):
         iterate.y[:] = guess.y
@@ -126,26 +129,27 @@ def _init_iterate(view, arg, guess):
     return iterate
 
 
-def _factor_with_policy(factor_fn, qp, iterate, arg):
-    """Factorization with the mode's fallback ladder; None means Failure."""
-    use_qr = arg.use_qr_always
-    try:
-        return factor_fn(qp, iterate, arg=arg, use_qr=use_qr), use_qr
-    except FactorizationFailed as exc:
-        logger.debug("factorization failed (%s)", exc)
-    if arg.use_qr_fallback and not use_qr:
+def _factorize(factor_fn, qp, iterate, arg, first=None):
+    """Walk the policy's route ladder, from route ``first`` on if given.
+
+    Returns ``(factor, route)`` for the first route that factors, or
+    ``(None, None)`` once every route has failed.
+    """
+    routes = FACTOR_ROUTES[arg.factorization]
+    if first is not None:
+        routes = routes[routes.index(first):]
+    for route in routes:
+        arg_route = arg
+        if route.endswith("+reg"):
+            reg = 2.0 * arg.reg_prim if arg.reg_prim > 0.0 else 1e-8
+            arg_route = replace(arg, reg_prim=reg)
         try:
-            return factor_fn(qp, iterate, arg=arg, use_qr=True), True
-        except FactorizationFailed as exc:
-            logger.debug("QR factorization failed (%s)", exc)
-        use_qr = True
-    reg = 2.0 * arg.reg_prim if arg.reg_prim > 0.0 else 1e-8
-    arg_retry = replace(arg, reg_prim=reg)
-    try:
-        return factor_fn(qp, iterate, arg=arg_retry, use_qr=use_qr), use_qr
-    except FactorizationFailed as exc:
-        logger.debug("regularized retry failed (%s)", exc)
-        return None, use_qr
+            fac = factor_fn(qp, iterate, arg=arg_route,
+                            use_qr=route.startswith("qr"))
+        except FactorizationFailed:
+            continue
+        return fac, route
+    return None, None
 
 
 def _solve(qp, factor_fn, arg, guess):
@@ -183,7 +187,7 @@ def _ipm_loop(qp, factor_fn, arg, guess):
         status = check_termination(res, mu, alpha_last, it, arg)
         if status is not None:
             break
-        factor, used_qr = _factor_with_policy(factor_fn, qp, iterate, arg)
+        factor, route = _factorize(factor_fn, qp, iterate, arg)
         if factor is None:
             status = Status.Failure
             break
@@ -240,26 +244,24 @@ def _ipm_loop(qp, factor_fn, arg, guess):
                     if arg.abs_form else sol_dir
                 )
         if arg.itref_corr_max > 0:
-            sol_dir, ir_norm = _refine(
+            sol_dir, ir_norm, rhs_norm = _refine(
                 view, factor, lam_m, t_m, rg, rb, rd, rm_dir, sol_dir,
                 arg.itref_corr_max, arg.itref_stop_ratio,
             )
             if (
-                arg.use_qr_fallback
-                and not used_qr
-                and ir_norm > arg.qr_fallback_ratio
-                * max(1.0, _rhs_norm(view, rg, rb, rd, rm_dir))
+                arg.factorization == "chol_qr"
+                and route == "chol"
+                and ir_norm > arg.qr_fallback_ratio * max(1.0, rhs_norm)
             ):
-                try:
-                    factor = factor_fn(qp, iterate, arg=arg, use_qr=True)
-                    used_qr = True
+                factor_qr, route_qr = _factorize(factor_fn, qp, iterate, arg,
+                                                 first="qr")
+                if factor_qr is not None:
+                    factor, route = factor_qr, route_qr
                     sol_dir = factor.solve(rg, rb, rd, rm_dir)
-                    sol_dir, ir_norm = _refine(
+                    sol_dir = _refine(
                         view, factor, lam_m, t_m, rg, rb, rd, rm_dir, sol_dir,
                         arg.itref_corr_max, arg.itref_stop_ratio,
-                    )
-                except FactorizationFailed:
-                    pass
+                    )[0]
             step = (
                 recover_step_absolute(iterate, sol_dir)
                 if arg.abs_form else sol_dir
@@ -277,6 +279,7 @@ def _ipm_loop(qp, factor_fn, arg, guess):
             res_b=res.res_b if res else np.nan,
             res_d=res.res_d if res else np.nan,
             res_m=res.res_m if res else np.nan,
+            route=route,
         ))
         alpha_last = alpha
         it += 1
@@ -292,6 +295,7 @@ def _ipm_loop(qp, factor_fn, arg, guess):
 
 
 def _refine(view, factor, lam_m, t_m, rg, rb, rd, rm, sol, max_steps, stop_ratio):
+    """Refined solution, its KKT residual norm and the RHS norm."""
     rhs_flat = kkt_rhs_flat(view, rg, rb, rd, rm)
     flat, norm, _ = iterative_refinement(
         factor.solve_flat,
@@ -301,12 +305,8 @@ def _refine(view, factor, lam_m, t_m, rg, rb, rd, rm, sol, max_steps, stop_ratio
         max_steps,
         stop_ratio,
     )
-    return QpSolution.from_flat(view, flat), norm
-
-
-def _rhs_norm(view, rg, rb, rd, rm):
-    v = kkt_rhs_flat(view, rg, rb, rd, rm)
-    return float(np.max(np.abs(v))) if v.size else 0.0
+    rhs_norm = float(np.max(np.abs(rhs_flat))) if rhs_flat.size else 0.0
+    return QpSolution.from_flat(view, flat), norm, rhs_norm
 
 
 def _log_mu_trace(trace):

@@ -268,7 +268,7 @@ class TestModePresets:
         assert arg.itref_corr_max == 0
 
     def test_robust(self):
-        assert mode_preset("robust").use_qr_always
+        assert mode_preset("robust").factorization == "qr"
 
     def test_speed_has_no_refinement(self):
         assert mode_preset("speed").itref_corr_max == 0
@@ -287,7 +287,7 @@ class TestModePresets:
         a_speed = mode_preset("speed").with_tol(1e-8)
         a_bal = replace(
             mode_preset("balance").with_tol(1e-8),
-            itref_corr_max=0, use_qr_fallback=False,
+            itref_corr_max=0, factorization="chol",
             lam_min=a_speed.lam_min, t_min=a_speed.t_min,
         )
         r1 = solve_dense_qp(qp, a_speed)
@@ -298,6 +298,12 @@ class TestModePresets:
     def test_validate_rejects_bad_tolerance(self):
         with pytest.raises(ValueError):
             IpmArg(tol_comp=0.0).validate()
+
+    def test_validate_rejects_unknown_factorization(self):
+        for policy in ("chol", "chol_qr", "qr"):
+            IpmArg(factorization=policy).validate()
+        with pytest.raises(ValueError, match="factorization"):
+            IpmArg(factorization="lq").validate()
 
 
 class TestLinearResidualContraction:

@@ -82,8 +82,7 @@ class TestFactor:
         assert fac.p_matrix(0)[0, 0] == pytest.approx(-0.2 + 1.0 - 0.5)
         with pytest.raises(FactorizationFailed):
             ko.riccati_factor(qp, QpSolution(make_view(qp)),
-                              variant="square_root", use_qr=True,
-                              stage_qr_fallback=False)
+                              variant="square_root", use_qr=True)
 
     def test_positive_semidefinite_cost_to_go(self, rng):
         qp = rand_ocp_qp(rng, N=6, nx=4, nu=2)
@@ -259,6 +258,30 @@ class TestViewConstants:
         step = ko.riccati_factor(qp, it).solve(res.r_g, res.r_b, res.r_d, rm)
         err = np.max(np.abs(step.flat() - ref.flat()))
         assert err <= 1e-8 * (1.0 + np.max(np.abs(ref.flat())))
+
+
+class TestFactorLayout:
+    @pytest.mark.parametrize("variant,use_qr", [
+        ("classical", False), ("square_root", False), ("classical", True),
+    ])
+    def test_input_factor_is_contiguous(self, rng, variant, use_qr):
+        # a strided L_uu would be copied by every LAPACK call of every
+        # vector solve; the square-root factor stored C-contiguous takes the
+        # same transposed LAPACK path as a strided one and gives the same bits
+        qp = rand_ocp_qp(rng, N=4, nx=3, nu=2)
+        fac = ko.riccati_factor(qp, rand_iterate(rng, qp), variant=variant,
+                                use_qr=use_qr)
+        b = rng.standard_normal(2)
+        for L in fac.L_uu[:-1]:
+            if variant == "classical" and not use_qr:
+                assert L.flags.f_contiguous
+                continue
+            assert L.flags.c_contiguous
+            big = np.zeros((4, 4), order="F")
+            big[:2, :2] = L
+            assert not big[:2, :2].flags.c_contiguous
+            assert np.array_equal(ko._cho_solve(L, b),
+                                  ko._cho_solve(big[:2, :2], b))
 
 
 class TestApplyAndFlops:

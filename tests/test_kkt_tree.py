@@ -123,8 +123,7 @@ class TestTreeStructure:
         qp.set_field("Q", 1, -np.eye(2))
         it = rand_iterate(rng, qp)
         with pytest.raises(FactorizationFailed) as ei:
-            ko.riccati_factor(qp, it, variant="square_root",
-                              stage_qr_fallback=False)
+            ko.riccati_factor(qp, it, variant="square_root")
         assert ei.value.stage == 1
 
 

@@ -209,38 +209,174 @@ class TestTree:
 
 
 class TestFactorPolicy:
-    def test_fallback_ladder_order(self, rng):
+    @staticmethod
+    def _walk(rng, arg, succeed_at=None, first=None):
+        """Walk the ladder; the fake factor succeeds only on call ``succeed_at``."""
         from mpcqp.errors import FactorizationFailed
-        from mpcqp.solver import _factor_with_policy
+        from mpcqp.solver import _factorize
 
         calls = []
 
         def factor(qp, iterate, arg, use_qr):
             calls.append((use_qr, arg.reg_prim))
-            if len(calls) < 3:
+            if len(calls) != succeed_at:
                 raise FactorizationFailed("nope")
             return "factor"
 
         qp = rand_dense_qp(rng)
         it = rand_iterate(rng, qp)
-        arg = mode_preset("balance")   # QR fallback enabled, reg 0
-        fac, used_qr = _factor_with_policy(factor, qp, it, arg)
+        return _factorize(factor, qp, it, arg, first=first), calls
+
+    def test_fallback_ladder_order(self, rng):
+        arg = mode_preset("balance")   # chol_qr policy, reg 0
+        (fac, route), calls = self._walk(rng, arg, succeed_at=3)
         assert fac == "factor"
         # plain Cholesky, then QR, then the regularized retry (floor 1e-8)
         assert calls == [(False, 0.0), (True, 0.0), (True, 1e-8)]
-        assert used_qr
+        assert route == "qr+reg"
+
+    @pytest.mark.parametrize("mode,order", [
+        ("speed", [("chol", False, 0.0), ("chol+reg", False, 1e-8)]),
+        ("balance", [("chol", False, 0.0), ("qr", True, 0.0),
+                     ("qr+reg", True, 1e-8)]),
+        ("robust", [("qr", True, 0.0), ("chol", False, 0.0),
+                    ("chol+reg", False, 1e-8)]),
+    ])
+    def test_each_policy_route_order(self, rng, mode, order):
+        arg = mode_preset(mode)
+        attempts = [(use_qr, reg) for _, use_qr, reg in order]
+        for k, (route, _, _) in enumerate(order, start=1):
+            (fac, got), calls = self._walk(rng, arg, succeed_at=k)
+            assert (fac, got) == ("factor", route)
+            assert calls == attempts[:k]
+        assert self._walk(rng, arg) == ((None, None), attempts)
+
+    def test_regularized_rung_doubles_reg_prim(self, rng):
+        arg = replace(mode_preset("speed"), reg_prim=1e-6)
+        (_, route), calls = self._walk(rng, arg, succeed_at=2)
+        assert route == "chol+reg"
+        assert calls == [(False, 1e-6), (False, 2e-6)]
+
+    def test_reentry_at_qr_skips_cholesky(self, rng):
+        (_, route), calls = self._walk(rng, mode_preset("balance"),
+                                       succeed_at=2, first="qr")
+        assert route == "qr+reg"
+        assert calls == [(True, 0.0), (True, 1e-8)]
 
     def test_exhausted_ladder_returns_none(self, rng):
-        from mpcqp.errors import FactorizationFailed
-        from mpcqp.solver import _factor_with_policy
+        (fac, route), _ = self._walk(rng, mode_preset("speed"))
+        assert fac is None and route is None
 
-        def factor(qp, iterate, arg, use_qr):
-            raise FactorizationFailed("always")
 
-        qp = rand_dense_qp(rng)
-        it = rand_iterate(rng, qp)
-        fac, _ = _factor_with_policy(factor, qp, it, mode_preset("speed"))
-        assert fac is None
+def indefinite_dense_qp(rescued):
+    """Dense QP with an indefinite Hessian.
+
+    With ``rescued`` the negative-curvature variable has a box whose barrier
+    terms keep the reduced Hessian positive definite at every iterate;
+    without it no route can factor the reduced system.
+    """
+    qp = DenseQp(nv=3, ne=1, nb=2 if rescued else 1)
+    qp.set_field("H", [[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, -0.5]])
+    qp.set_field("g", [0.3, -0.2, -1.0])
+    qp.set_field("A", [[1.0, 1.0, 0.0]])
+    qp.set_field("b", [0.5])
+    qp.set_field("idxb", [0, 2] if rescued else [0])
+    qp.set_field("lb", [-2.0, -1.0] if rescued else [-2.0])
+    qp.set_field("ub", [2.0, 1.0] if rescued else [2.0])
+    return qp
+
+
+def spy_factor(monkeypatch, module, name, fail_chol=False):
+    """Record the ``use_qr`` of every call to ``module.name``.
+
+    With ``fail_chol`` the Cholesky route raises instead of factoring.
+    """
+    from mpcqp.errors import FactorizationFailed
+
+    real = getattr(module, name)
+    calls = []
+
+    def factor(qp, iterate, arg=None, use_qr=False):
+        calls.append(use_qr)
+        if fail_chol and not use_qr:
+            raise FactorizationFailed("Cholesky route disabled")
+        return real(qp, iterate, arg=arg, use_qr=use_qr)
+
+    monkeypatch.setattr(module, name, factor)
+    return calls
+
+
+class TestRouteLadder:
+    """Every rung of the factorization ladder on real QPs, seen in the trace."""
+
+    @pytest.mark.parametrize("kind", ["ocp", "tree"])
+    def test_qr_fallback_when_cholesky_fails(self, rng, monkeypatch, kind):
+        from mpcqp import kkt_ocp
+
+        if kind == "ocp":
+            qp, solve = rand_ocp_qp(rng, N=4, nx=3, nu=2), solve_ocp_qp
+        else:
+            qp, solve = rand_tree_qp(rng, [-1, 0, 0, 1, 2]), solve_tree_ocp_qp
+        ref = solve(qp, mode_preset("balance").with_tol(1e-8))
+        calls = spy_factor(monkeypatch, kkt_ocp, "riccati_factor",
+                           fail_chol=True)
+        rep = solve(qp, mode_preset("balance").with_tol(1e-8))
+        assert rep.status is Status.Success
+        assert [r.route for r in rep.stats.trace] == ["qr"] * rep.iterations
+        assert calls == [False, True] * rep.iterations
+        assert maxabs(rep.solution.y - ref.solution.y) <= 1e-6
+
+    @pytest.mark.parametrize("kind", ["dense", "ocp"])
+    def test_refinement_miss_escalates_to_qr(self, rng, monkeypatch, kind):
+        from mpcqp import kkt_dense, kkt_ocp
+
+        if kind == "dense":
+            qp, solve = rand_dense_qp(rng), solve_dense_qp
+            calls = spy_factor(monkeypatch, kkt_dense, "factor")
+        else:
+            qp, solve = rand_ocp_qp(rng, N=4, nx=3, nu=2), solve_ocp_qp
+            calls = spy_factor(monkeypatch, kkt_ocp, "riccati_factor")
+        arg = replace(mode_preset("balance").with_tol(1e-8),
+                      qr_fallback_ratio=0.0)
+        rep = solve(qp, arg)
+        assert rep.status is Status.Success
+        # each Cholesky factor succeeds, misses the (zero) refinement
+        # target, and the step is recomputed through QR
+        assert calls == [False, True] * rep.iterations
+        assert [r.route for r in rep.stats.trace] == ["qr"] * rep.iterations
+
+    def test_balance_keeps_cholesky_when_refinement_meets_target(self, rng):
+        rep = solve_dense_qp(rand_dense_qp(rng),
+                             mode_preset("balance").with_tol(1e-8))
+        assert rep.status is Status.Success
+        assert {r.route for r in rep.stats.trace} == {"chol"}
+
+    def test_robust_solves_indefinite_hessian_through_cholesky(self, monkeypatch):
+        from mpcqp import kkt_dense
+
+        ref = solve_dense_qp(indefinite_dense_qp(True),
+                             mode_preset("speed").with_tol(1e-8))
+        assert ref.status is Status.Success
+        calls = spy_factor(monkeypatch, kkt_dense, "factor")
+        rep = solve_dense_qp(indefinite_dense_qp(True),
+                             mode_preset("robust").with_tol(1e-8))
+        assert rep.status is Status.Success
+        # the QR route needs a positive definite H and fails every time
+        assert calls == [True, False] * rep.iterations
+        assert [r.route for r in rep.stats.trace] == ["chol"] * rep.iterations
+        assert maxabs(rep.solution.y - ref.solution.y) <= 1e-6
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_exhausted_ladder_is_failure(self, monkeypatch, mode):
+        from mpcqp import kkt_dense
+
+        calls = spy_factor(monkeypatch, kkt_dense, "factor")
+        rep = solve_dense_qp(indefinite_dense_qp(False), mode_preset(mode))
+        assert rep.status is Status.Failure
+        assert rep.iterations == 0 and rep.stats.trace == []
+        routes = {"chol": [False, False], "chol_qr": [False, True, True],
+                  "qr": [True, False, False]}
+        assert calls == routes[mode_preset(mode).factorization]
 
 
 class TestStatsAndTrace:
@@ -263,3 +399,12 @@ class TestStatsAndTrace:
         with pytest.raises(DimensionMismatch):
             solve_dense_qp(qp, replace(mode_preset("speed"),
                                        warm_start="primal"), guess)
+        # equal y and lam lengths, but pi built for another equality count:
+        # ne=1 would broadcast into ne=2, ne=0 would fail inside numpy
+        qp = rand_dense_qp(rng, nv=3, ne=2, nb=1, ng=0, ns=0)
+        for ne in (1, 0):
+            other = rand_dense_qp(rng, nv=3, ne=ne, nb=1, ng=0, ns=0)
+            guess = QpSolution(make_view(other))
+            with pytest.raises(DimensionMismatch):
+                solve_dense_qp(qp, replace(mode_preset("speed"),
+                                           warm_start="primal_dual"), guess)
