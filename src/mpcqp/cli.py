@@ -35,13 +35,11 @@ import sys
 
 import numpy as np
 
-from .condensing import condense, expand_solution, partial_condense, partial_expand
 from .errors import ClosedLoopFailed, InvalidConfig, MpcQpError, ParseError
 from .ipm_core import Status, mode_preset
 from .mass_spring import MassSpringConfig, gen_mass_spring, run_closed_loop, run_scaling
-from .qp_data import DenseQp, OcpQp, TreeOcpQp
 from .qp_io import qp_read, qp_write
-from .solver import solve_dense_qp, solve_ocp_qp, solve_tree_ocp_qp
+from .solver import solve_path
 from .view import compute_residuals
 
 __all__ = ["main", "format_report"]
@@ -155,33 +153,7 @@ def _cmd_solve(args):
     arg.iter_max = args.iter_max
     arg.warm_start = args.warm_start
     path = args.path
-    if isinstance(qp, DenseQp):
-        if path != "ocp":
-            raise InvalidConfig("dense QP files support only --path ocp (direct)")
-        rep = solve_dense_qp(qp, arg)
-        final = rep.residuals
-    elif isinstance(qp, TreeOcpQp):
-        if path != "ocp":
-            raise InvalidConfig("tree QP files support only --path ocp (direct)")
-        rep = solve_tree_ocp_qp(qp, arg)
-        final = rep.residuals
-    elif isinstance(qp, OcpQp):
-        if path == "ocp":
-            rep = solve_ocp_qp(qp, arg)
-            final = rep.residuals
-        elif path == "condense":
-            dense, cmap = condense(qp)
-            rep = solve_dense_qp(dense, arg)
-            final = compute_residuals(qp, expand_solution(rep.solution, cmap, qp))
-        elif path.startswith("partial:"):
-            n1 = int(path.split(":", 1)[1])
-            qp_p, pmap = partial_condense(qp, n1)
-            rep = solve_ocp_qp(qp_p, arg)
-            final = compute_residuals(qp, partial_expand(rep.solution, pmap, qp))
-        else:
-            raise InvalidConfig(f"unknown solve path '{path}'")
-    else:
-        raise InvalidConfig("unsupported QP type")
+    rep, sol = solve_path(qp, path, arg)
     text = format_report(
         "solve",
         [
@@ -192,7 +164,7 @@ def _cmd_solve(args):
             ("iterations", rep.iterations),
         ],
         stats=rep.stats,
-        residuals=final,
+        residuals=compute_residuals(qp, sol),
     )
     sys.stdout.write(text)
     if args.report:

@@ -1,10 +1,11 @@
 """Condensing: state elimination between the structured and dense QP types.
 
 Full condensing eliminates every state except (optionally) the one at stage
-0, leaving a dense QP over ``z = (x0?, u_0, ..., u_N?)`` whose minimizers
-coincide with the original inputs.  The condensed Hessian is built by a
-backward recursion with the flavor of a Riccati sweep but without any
-minimization:
+0, leaving a dense QP over ``z = (u_0, ..., u_N?, x0?)`` whose minimizers
+coincide with the original inputs.  A kept initial state goes after the
+inputs, so ``z`` is in the stage order ``(u, x)``.  The condensed Hessian
+is built by a backward recursion with the flavor of a Riccati sweep but
+without any minimization:
 
     P[N] = Q[N]
     Y[n] = A[n]' P[n+1] B[n] + S[n]'
@@ -39,8 +40,13 @@ multipliers by the backward costate recursion
 Partial condensing applies the same machinery per block of ``N1`` stages
 (keeping each block's initial state, as required), producing an
 optimal-control QP with horizon ``ceil(N / N1)``; the last block is shorter
-when N1 does not divide N.  Expansion is blockwise; block-boundary states
-and dynamics multipliers are taken verbatim from the short-horizon solution.
+when N1 does not divide N.  A condensed block is already a stage: its
+variable ``z = (u, x0)`` is the new stage's ``(u, x)`` window, its box rows
+(in ``idxb`` order), general rows and soft rows are the stage's rows as they
+stand, and its terminal prediction is the stage's ``[B A]``.  So no row is
+permuted either way.  Expansion is blockwise: each block's dense solution is
+the stage's slices of the short-horizon solution, and block-boundary states
+and dynamics multipliers are taken verbatim from it.
 """
 
 from __future__ import annotations
@@ -52,7 +58,7 @@ import numpy as np
 from .errors import CondenseError, DimensionMismatch, InvalidBlockSize
 from .linalg import cholesky_factor, matmul_acc, qr_cholesky
 from .qp_data import DenseQp, OcpQp, OcpQpDim
-from .view import QpSolution, make_view
+from .view import DenseView, QpSolution, make_view
 
 __all__ = [
     "CondensingMap",
@@ -62,6 +68,11 @@ __all__ = [
     "partial_condense",
     "partial_expand",
 ]
+
+_SLACK_FIELDS = ("Zl", "Zu", "zl", "zu", "sl_lb", "su_lb")
+# constraint-row fields that a dense QP and a stage store alike
+_ROW_FIELDS = ("idxb", "lb", "ub", "lg", "ug", "idxs", "maskl", "masku") \
+    + _SLACK_FIELDS
 
 
 @dataclass
@@ -79,7 +90,6 @@ class CondensingMap:
     gen_map: list       # dense general row -> (stage, 'b'|'g', row index)
     slack_map: list     # dense slack -> (stage, slack index)
     fix_rows: list      # stage-0 (row index, state component) dropped rows
-    N: int
 
 
 @dataclass
@@ -88,17 +98,13 @@ class _BlockCond:
     n1: int
     sub_qp: OcpQp
     sub_map: CondensingMap
-    dense_shell: DenseQp   # the block's condensed dense QP (layout reference)
-    box_perm: np.ndarray   # new-stage box row order -> sub-dense box row
-    idxs_perm: np.ndarray  # new-stage slack order -> sub-dense slack index
+    view: DenseView        # view of the block's condensed dense QP
 
 
 @dataclass
 class PartialCondensingMap:
-    """Blockwise condensing maps plus the block boundaries."""
+    """Blockwise condensing maps, one per stage of the condensed QP."""
 
-    N1: int
-    starts: list
     blocks: list = field(default_factory=list)
 
 
@@ -184,21 +190,22 @@ def condense(qp, keep_x0=None, variant="classical"):
                     "soft initial-state fixing rows are not supported with "
                     "keep_x0=False"
                 )
-    nx0 = d.nx[0]
-    # z layout: [x0 (if kept) | u_0 | u_1 | ... ]
+    # z layout: [u_0 | u_1 | ... | x0 (if kept)], the stage order (u, x)
     u_off = [None] * (N + 1)
-    off = nx0 if keep_x0 else 0
+    off = 0
     for n in range(N + 1):
         if d.nu[n]:
             u_off[n] = off
             off += d.nu[n]
-    nv = off
+    x0_off = off
+    nx0 = d.nx[0]
+    nv = off + nx0 if keep_x0 else off
     # sensitivities and affine parts
     pred = [np.zeros((d.nx[n], nv)) for n in range(N + 1)]
     gamma = [None] * (N + 1)
     gamma[0] = np.zeros(nx0) if keep_x0 else x0hat.copy()
     if keep_x0:
-        pred[0][:, :nx0] = np.eye(nx0)
+        pred[0][:, x0_off:] = np.eye(nx0)
     for n in range(N):
         dyn = qp._dyn[n]
         pred[n + 1] = matmul_acc(1.0, dyn["A"], pred[n], 0.0, 0.0)
@@ -218,8 +225,8 @@ def condense(qp, keep_x0=None, variant="classical"):
     Hc = np.zeros((nv, nv))
     gc = np.zeros(nv)
     if keep_x0:
-        Hc[:nx0, :nx0] = P[0]
-        gc[:nx0] = beta[0]
+        Hc[x0_off:, x0_off:] = P[0]
+        gc[x0_off:] = beta[0]
     for j in range(N + 1):
         nuj = d.nu[j]
         if not nuj:
@@ -256,7 +263,7 @@ def condense(qp, keep_x0=None, variant="classical"):
             if k < d.nu[n]:
                 entry = ("box", u_off[n] + k)
             elif n == 0 and keep_x0:
-                entry = ("box", k - d.nu[0])
+                entry = ("box", x0_off + k - d.nu[0])
             elif n == 0:
                 continue  # dropped fixing row
             else:
@@ -322,7 +329,7 @@ def condense(qp, keep_x0=None, variant="classical"):
     slack_map = []
     if ns_c:
         dense.set_field("idxs", np.array([e[0] for e in slack_entries], dtype=int))
-        for name in ("Zl", "Zu", "zl", "zu", "sl_lb", "su_lb"):
+        for name in _SLACK_FIELDS:
             dense.set_field(name, np.array(
                 [qp._stages[e[1]][name][e[2]] for e in slack_entries]
             ))
@@ -335,7 +342,6 @@ def condense(qp, keep_x0=None, variant="classical"):
         gen_map=[(r[5], r[6], r[7]) for r in gen_rows],
         slack_map=slack_map,
         fix_rows=fix_rows if not keep_x0 else [],
-        N=N,
     )
     return dense, cmap
 
@@ -356,7 +362,7 @@ def expand_solution(dense_sol, cmap, qp, pi_terminal=None):
     if z.shape[0] != cmap.nv:
         raise DimensionMismatch("dense solution does not match the map")
     # primal: inputs from z, states by rollout
-    x = cmap.x0hat.copy() if not cmap.keep_x0 else z[:cmap.nx0].copy()
+    x = z[cmap.nv - cmap.nx0:].copy() if cmap.keep_x0 else cmap.x0hat.copy()
     sol.x(0)[:] = x
     for n in range(N + 1):
         if d.nu[n]:
@@ -452,9 +458,9 @@ def partial_condense(qp, N1):
     """Block-condense an optimal-control QP to horizon ``ceil(N / N1)``.
 
     Each block of up to N1 stages is condensed with its initial state kept
-    as a variable; the block predictions become the new dynamics and the old
-    terminal stage is carried over unchanged.  ``N1 = 1`` reproduces the
-    input problem exactly.
+    as a variable; the block's dense QP becomes one stage (see the module
+    docstring) and the old terminal stage is carried over unchanged.
+    ``N1 = 1`` reproduces the input problem exactly.
     """
     if not isinstance(qp, OcpQp):
         raise TypeError("partial_condense expects an OcpQp")
@@ -464,88 +470,38 @@ def partial_condense(qp, N1):
     if d.N < 1:
         raise InvalidBlockSize("horizon must be >= 1 for partial condensing")
     N1 = int(N1)
-    starts = list(range(0, d.N, N1))
-    Np = len(starts)
-    pmap = PartialCondensingMap(N1=N1, starts=starts + [d.N])
-    new_nx, new_nu, new_nb, new_ng, new_ns = [], [], [], [], []
-    block_data = []
-    for n0 in starts:
+    pmap = PartialCondensingMap()
+    for n0 in range(0, d.N, N1):
         n1 = min(n0 + N1, d.N)
         sub = _sub_qp(qp, n0, n1)
         dense, smap = condense(sub, keep_x0=True)
-        nu_new = dense.nv - d.nx[n0]
-        # permute dense box rows (x0 rows first) into (u', x') order
-        didxb = dense._data["idxb"]
-        new_idx = np.where(didxb < d.nx[n0], didxb + nu_new, didxb - d.nx[n0])
-        perm = np.argsort(new_idx, kind="stable")
-        sub_idxs = dense._data["idxs"]
-        pmap.blocks.append(_BlockCond(
-            n0=n0, n1=n1, sub_qp=sub, sub_map=smap, dense_shell=dense,
-            box_perm=perm, idxs_perm=np.arange(len(sub_idxs)),
-        ))
-        new_nx.append(d.nx[n0])
-        new_nu.append(nu_new)
-        new_nb.append(dense.nb)
-        new_ng.append(dense.ng)
-        new_ns.append(dense.ns)
-        block_data.append((dense, smap, perm, new_idx))
-    new_nx.append(d.nx[d.N])
-    new_nu.append(d.nu[d.N])
-    new_nb.append(d.nb[d.N])
-    new_ng.append(d.ng[d.N])
-    new_ns.append(d.ns[d.N])
-    newd = OcpQpDim(Np, new_nx, new_nu, new_nb, new_ng, new_ns)
-    out = OcpQp(newd)
-    for k, (dense, smap, perm, new_idx) in enumerate(block_data):
-        nxk = new_nx[k]
-        nuk = new_nu[k]
-        H = dense._data["H"]
-        g = dense._data["g"]
-        # z = [x0 | u]; new stage variable is (u, x)
-        out.set_field("R", k, H[nxk:, nxk:])
-        out.set_field("S", k, H[nxk:, :nxk])
-        out.set_field("Q", k, H[:nxk, :nxk])
-        out.set_field("r", k, g[nxk:])
-        out.set_field("q", k, g[:nxk])
-        predT = smap.pred[-1]
-        out.set_field("A", k, predT[:, :nxk])
-        out.set_field("B", k, predT[:, nxk:])
-        out.set_field("b", k, smap.gamma[-1])
-        nb_k = dense.nb
-        if nb_k:
-            out.set_field("idxb", k, new_idx[perm])
-            out.set_field("lb", k, dense._data["lb"][perm])
-            out.set_field("ub", k, dense._data["ub"][perm])
-        if dense.ng:
-            Cz = dense._data["C"]
-            out.set_field("D", k, Cz[:, nxk:])
-            out.set_field("C", k, Cz[:, :nxk])
-            out.set_field("lg", k, dense._data["lg"])
-            out.set_field("ug", k, dense._data["ug"])
-        maskl = dense._data["maskl"].copy()
-        masku = dense._data["masku"].copy()
-        maskl[:nb_k] = maskl[:nb_k][perm]
-        masku[:nb_k] = masku[:nb_k][perm]
-        out.set_field("maskl", k, maskl)
-        out.set_field("masku", k, masku)
-        if dense.ns:
-            # soft rows: box rows moved with perm, general rows kept offsets
-            didxs = dense._data["idxs"]
-            if nb_k:
-                inv = np.empty(nb_k, dtype=int)
-                inv[perm] = np.arange(nb_k)
-                new_rows = np.where(
-                    didxs < nb_k, inv[didxs.clip(max=nb_k - 1)], didxs
-                )
-            else:
-                new_rows = didxs.copy()
-            order = np.argsort(new_rows, kind="stable")
-            pmap.blocks[k].idxs_perm = order
-            out.set_field("idxs", k, new_rows[order])
-            for name in ("Zl", "Zu", "zl", "zu", "sl_lb", "su_lb"):
-                out.set_field(name, k, dense._data[name][order])
+        pmap.blocks.append(_BlockCond(n0, n1, sub, smap, make_view(dense)))
+    dense = [blk.view.qp for blk in pmap.blocks]
+    nx = [d.nx[blk.n0] for blk in pmap.blocks]
+    out = OcpQp(OcpQpDim(
+        len(dense),
+        nx + [d.nx[d.N]],
+        [dq.nv - nxk for dq, nxk in zip(dense, nx)] + [d.nu[d.N]],
+        [dq.nb for dq in dense] + [d.nb[d.N]],
+        [dq.ng for dq in dense] + [d.ng[d.N]],
+        [dq.ns for dq in dense] + [d.ns[d.N]],
+    ))
+    for k, blk in enumerate(pmap.blocks):
+        dd = dense[k]._data
+        nu = out.dim.nu[k]
+        H, g, C = dd["H"], dd["g"], dd["C"]
+        pred = blk.sub_map.pred[-1]
+        split = {
+            "R": H[:nu, :nu], "S": H[:nu, nu:], "Q": H[nu:, nu:],
+            "r": g[:nu], "q": g[nu:], "D": C[:, :nu], "C": C[:, nu:],
+            "B": pred[:, :nu], "A": pred[:, nu:], "b": blk.sub_map.gamma[-1],
+        }
+        for name, value in split.items():
+            out.set_field(name, k, value)
+        for name in _ROW_FIELDS:
+            out.set_field(name, k, dd[name])
     # terminal stage copies over verbatim
-    out._stages[Np] = dict(qp._stages[d.N])
+    out._stages[-1] = dict(qp._stages[d.N])
     out._rev += 1
     return out, pmap
 
@@ -553,48 +509,20 @@ def partial_condense(qp, N1):
 def partial_expand(sol_p, pmap, qp):
     """Expand a short-horizon solution back to the original horizon."""
     d = qp.dim
-    vw = make_view(qp)
-    sol = QpSolution(vw)
+    sol = QpSolution(make_view(qp))
     vwp = sol_p._view
-    qp_p = vwp.qp
-    Np = qp_p.dim.N
+    Np = vwp.qp.dim.N
     for k, blk in enumerate(pmap.blocks):
-        nxk = qp_p.dim.nx[k]
-        dsol = QpSolution(make_view(blk.dense_shell))
-        # dense z = [x0 | u]
-        dsol.v[:nxk] = sol_p.x(k)
-        dsol.v[nxk:] = sol_p.u(k)
-        # un-permute multiplier rows back into the sub-dense ordering
-        nb_k = qp_p.dim.nb[k]
-        ng_k = qp_p.dim.ng[k]
-        ns_k = qp_p.dim.ns[k]
-        m_k = nb_k + ng_k
-        lam_new = sol_p.lam_stage(k)
-        t_new = sol_p.t_stage(k)
-        lam_d = np.zeros(2 * m_k + 2 * ns_k)
-        t_d = np.zeros_like(lam_d)
-        perm = blk.box_perm
-        lam_d[:nb_k][perm] = lam_new[:nb_k]
-        lam_d[nb_k:m_k] = lam_new[nb_k:m_k]
-        lam_d[m_k: m_k + nb_k][perm] = lam_new[m_k: m_k + nb_k]
-        lam_d[m_k + nb_k: 2 * m_k] = lam_new[m_k + nb_k: 2 * m_k]
-        t_d[:nb_k][perm] = t_new[:nb_k]
-        t_d[nb_k:m_k] = t_new[nb_k:m_k]
-        t_d[m_k: m_k + nb_k][perm] = t_new[m_k: m_k + nb_k]
-        t_d[m_k + nb_k: 2 * m_k] = t_new[m_k + nb_k: 2 * m_k]
-        iperm = blk.idxs_perm
-        lam_d[2 * m_k: 2 * m_k + ns_k][iperm] = lam_new[2 * m_k: 2 * m_k + ns_k]
-        lam_d[2 * m_k + ns_k:][iperm] = lam_new[2 * m_k + ns_k:]
-        t_d[2 * m_k: 2 * m_k + ns_k][iperm] = t_new[2 * m_k: 2 * m_k + ns_k]
-        t_d[2 * m_k + ns_k:][iperm] = t_new[2 * m_k + ns_k:]
-        dsol.lam[:] = lam_d
-        dsol.t[:] = t_d
-        if ns_k:
-            dsol.sl_all[iperm] = sol_p.sl(k)
-            dsol.su_all[iperm] = sol_p.su(k)
-        pi_term = sol_p.pi_stage(k)
+        # the block's dense solution is stage k of the short one
+        dsol = QpSolution(blk.view)
+        w0 = vwp.u_off[k]
+        dsol.v[:] = sol_p.y[w0: w0 + blk.view.nv]
+        dsol.sl_all[:] = sol_p.sl(k)
+        dsol.su_all[:] = sol_p.su(k)
+        dsol.lam[:] = sol_p.lam_stage(k)
+        dsol.t[:] = sol_p.t_stage(k)
         bsol = expand_solution(dsol, blk.sub_map, blk.sub_qp,
-                               pi_terminal=pi_term)
+                               pi_terminal=sol_p.pi_stage(k))
         # copy block stages into the full solution
         for i, n in enumerate(range(blk.n0, blk.n1)):
             sol.x(n)[:] = bsol.x(i)
@@ -606,8 +534,7 @@ def partial_expand(sol_p, pmap, qp):
             sol.t_stage(n)[:] = bsol.t_stage(i)
             sol.pi_stage(n)[:] = bsol.pi_stage(i)
         # block-boundary state comes verbatim from the short solution
-        if k + 1 <= Np:
-            sol.x(blk.n1)[:] = sol_p.x(k + 1)
+        sol.x(blk.n1)[:] = sol_p.x(k + 1)
     # terminal stage data
     N = d.N
     sol.sl(N)[:] = sol_p.sl(Np)

@@ -307,7 +307,10 @@ def check_termination(res, mu, alpha_last, it, arg):
     speed_abs exits on the duality measure, the iteration cap and the
     minimum step length only; the other modes additionally require the
     stationarity / equality / inequality residual norms to meet their
-    tolerances before declaring success.
+    tolerances before declaring success.  Without residuals the duality
+    measure is evidence of convergence only once a step has been taken:
+    before the first one it describes the starting point (and is 0 when no
+    inequality row is active), so speed_abs never succeeds at ``it == 0``.
     """
     if res is not None and not res.isfinite():
         return Status.NaNDetected
@@ -319,8 +322,9 @@ def check_termination(res, mu, alpha_last, it, arg):
         return Status.MinStep
     if mu <= arg.tol_comp:
         if arg.mode == "speed_abs" or res is None:
-            return Status.Success
-        if (
+            if it > 0:
+                return Status.Success
+        elif (
             res.res_g <= arg.tol_stat
             and res.res_b <= arg.tol_eq
             and res.res_d <= arg.tol_ineq

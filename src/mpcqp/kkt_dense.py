@@ -33,8 +33,6 @@ iterate changes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.linalg
 
@@ -50,13 +48,7 @@ from .kkt_common import (
 from .linalg import cholesky_factor, matmul_acc, qr_cholesky, solve_triangular
 from .view import QpSolution, make_view
 
-__all__ = [
-    "DenseKktFactor",
-    "AugmentedIneq",
-    "eliminate_ineq",
-    "eliminate_slacks",
-    "factor",
-]
+__all__ = ["DenseKktFactor", "factor"]
 
 
 def _cho_solve(L, b):
@@ -72,45 +64,6 @@ def _box_rows_matrix(cb):
     if cb.ng:
         M[cb.nb:] = cb.Jg
     return M
-
-
-@dataclass
-class AugmentedIneq:
-    """Result of eliminating t and lam: augmented Hessian pieces + scalings."""
-
-    Hv: np.ndarray        # v-block of the augmented Hessian (raw gamma)
-    D_l: np.ndarray       # augmented lower-slack diagonal (ns,)
-    D_u: np.ndarray
-    scales: object        # BlockScales
-
-
-def eliminate_ineq(qp, iterate):
-    """Augmented Hessian after eliminating inequality slacks and multipliers.
-
-    Deactivated rows contribute nothing; box rows touch only diagonal
-    entries of the v-block.  The slack blocks stay diagonal (returned as the
-    vectors ``D_l``/``D_u``); the v-slack coupling is implicit in the
-    scalings and handled by :func:`eliminate_slacks`.
-    """
-    vw = make_view(qp)
-    cb = vw.blocks[0]
-    sc = view_scales(vw, iterate.lam, iterate.t)[0]
-    Hv = add_reduced_hessian(cb, sc, qp._data["H"], effective=False)
-    return AugmentedIneq(Hv=Hv, D_l=sc.D_l.copy(), D_u=sc.D_u.copy(), scales=sc)
-
-
-def eliminate_slacks(qp, iterate, aug=None):
-    """Reduce the augmented system to the v variables alone.
-
-    Block-eliminating the diagonal slack blocks replaces each soft row's
-    gamma coefficient by its series combination with the slack stiffness,
-    so the result is the same rank-1-per-row update as the hard-constraint
-    case; cost beyond the base problem is linear in ns.
-    """
-    vw = make_view(qp)
-    cb = vw.blocks[0]
-    sc = aug.scales if aug is not None else view_scales(vw, iterate.lam, iterate.t)[0]
-    return add_reduced_hessian(cb, sc, qp._data["H"], effective=True)
 
 
 class DenseKktFactor:

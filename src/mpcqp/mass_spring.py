@@ -35,11 +35,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg
 
-from .condensing import condense, expand_solution, partial_condense, partial_expand
 from .errors import ClosedLoopFailed, InvalidConfig
 from .ipm_core import Status, mode_preset
 from .qp_data import OcpQp, OcpQpDim
-from .solver import solve_dense_qp, solve_ocp_qp
+from .solver import solve_ocp_qp, solve_path
 from .view import QpSolution, make_view
 
 __all__ = [
@@ -286,23 +285,6 @@ class ScalingCell:
     median_seconds: float
 
 
-def _solve_path(qp, path, arg):
-    if path == "ocp":
-        return solve_ocp_qp(qp, arg)
-    if path == "condense":
-        dense, cmap = condense(qp)
-        rep = solve_dense_qp(dense, arg)
-        expand_solution(rep.solution, cmap, qp)
-        return rep
-    if path.startswith("partial:"):
-        n1 = int(path.split(":", 1)[1])
-        qp_p, pmap = partial_condense(qp, n1)
-        rep = solve_ocp_qp(qp_p, arg)
-        partial_expand(rep.solution, pmap, qp)
-        return rep
-    raise InvalidConfig(f"unknown solve path '{path}'")
-
-
 def run_scaling(masses, horizons, modes, reps=3, paths=("ocp",), iter_max=10):
     """Runtime / flop table over a grid of sizes, modes and solve paths.
 
@@ -333,7 +315,7 @@ def run_scaling(masses, horizons, modes, reps=3, paths=("ocp",), iter_max=10):
                     rep = None
                     for _ in range(reps):
                         t0 = time.perf_counter()
-                        rep = _solve_path(qp, path, arg)
+                        rep = solve_path(qp, path, arg)[0]
                         times.append(time.perf_counter() - t0)
                         if flops is None:
                             flops = rep.stats.flops

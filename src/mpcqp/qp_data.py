@@ -197,7 +197,6 @@ class _FieldAccess:
     """set_field/get_field over a declarative catalog (mixin)."""
 
     _FIELDS: dict = {}
-    _VIRTUAL: dict = {}
 
     def _resolve(self, name, n):
         try:
@@ -209,9 +208,6 @@ class _FieldAccess:
 
     def _bump(self):
         self._rev += 1
-
-    def field_names(self):
-        return sorted(set(self._FIELDS) | set(self._VIRTUAL))
 
 
 # --------------------------------------------------------------------------
@@ -334,7 +330,6 @@ class OcpQp(_StageQpBase):
             "b": _Field("b", lambda d, n: (d.nx[n + 1],), float, dyn=True),
         }
     )
-    _VIRTUAL = {v: None for v in _STAGE_VIRTUAL}
     kind = "ocp"
 
     def __init__(self, dim: OcpQpDim):
@@ -390,7 +385,6 @@ class TreeOcpQp(_StageQpBase):
             "b": _Field("b", lambda d, m: (d.nx[m],), float, dyn=True),
         }
     )
-    _VIRTUAL = {v: None for v in _STAGE_VIRTUAL}
     kind = "tree"
 
     def __init__(self, dim: TreeOcpQpDim):
@@ -537,13 +531,16 @@ def _mask_violation(mask, name, stage, out):
         out.append(Violation(name, stage, "mask entries must be 0 or 1"))
 
 
-def _stage_violations(st, nu, nx, nb, ng, stage, out):
-    _sym_violation(st["Q"], "Q", stage, out)
-    _sym_violation(st["R"], "R", stage, out)
+def _row_violations(st, nw, nb, ng, stage, out):
+    """Slack, index-set, mask and bound checks of one block of rows.
+
+    ``st`` maps the row fields of a stage or of a dense QP, ``nw`` is the
+    width of the variable window that ``idxb`` indexes.
+    """
     for zn in ("Zl", "Zu"):
         if np.any(st[zn] < 0.0):
             out.append(Violation(zn, stage, "slack penalty diagonal must be >= 0"))
-    _index_set_violation(st["idxb"], nu + nx, "idxb", stage, out)
+    _index_set_violation(st["idxb"], nw, "idxb", stage, out)
     _index_set_violation(st["idxs"], nb + ng, "idxs", stage, out)
     _mask_violation(st["maskl"], "maskl", stage, out)
     _mask_violation(st["masku"], "masku", stage, out)
@@ -566,6 +563,12 @@ def _stage_violations(st, nu, nx, nb, ng, stage, out):
         )
 
 
+def _stage_violations(st, nu, nx, nb, ng, stage, out):
+    _sym_violation(st["Q"], "Q", stage, out)
+    _sym_violation(st["R"], "R", stage, out)
+    _row_violations(st, nu + nx, nb, ng, stage, out)
+
+
 def validate(qp):
     """Collect diagnostics for a QP; an empty list means valid.
 
@@ -576,31 +579,8 @@ def validate(qp):
     """
     out = []
     if isinstance(qp, DenseQp):
-        d = qp._data
-        _sym_violation(d["H"], "H", None, out)
-        for zn in ("Zl", "Zu"):
-            if np.any(d[zn] < 0.0):
-                out.append(Violation(zn, None, "slack penalty diagonal must be >= 0"))
-        _index_set_violation(d["idxb"], qp.nv, "idxb", None, out)
-        _index_set_violation(d["idxs"], qp.nb + qp.ng, "idxs", None, out)
-        _mask_violation(d["maskl"], "maskl", None, out)
-        _mask_violation(d["masku"], "masku", None, out)
-        lo = np.concatenate([d["lb"], d["lg"]])
-        up = np.concatenate([d["ub"], d["ug"]])
-        both = (d["maskl"] != 0.0) & (d["masku"] != 0.0)
-        bad = both & np.isfinite(lo) & np.isfinite(up) & (lo > up)
-        for i in np.flatnonzero(bad):
-            out.append(
-                Violation("lb/ub" if i < qp.nb else "lg/ug", None,
-                          f"row {i}: lower bound exceeds upper bound",
-                          severity="warning")
-            )
-        if np.any(d["sl_lb"] < 0.0) or np.any(d["su_lb"] < 0.0):
-            out.append(
-                Violation("sl_lb/su_lb", None,
-                          "negative slack lower bound (allowed, check intent)",
-                          severity="warning")
-            )
+        _sym_violation(qp._data["H"], "H", None, out)
+        _row_violations(qp._data, qp.nv, qp.nb, qp.ng, None, out)
         return out
 
     if isinstance(qp, OcpQp):

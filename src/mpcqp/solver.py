@@ -20,6 +20,10 @@ Numerical trouble never raises: it lands in ``SolverStats.status``.  The
 final report always carries independently recomputed residuals, also in
 speed_abs mode (which computes them only once, before returning).
 
+:func:`solve_path` picks the route for an optimal-control QP: the Riccati
+backend directly, or a dense/Riccati solve of its (partially) condensed
+form expanded back.
+
 Warm starts: ``primal`` takes the primal variables from the guess and
 derives the inequality slacks from the constraint values; ``primal_dual``
 additionally takes the multipliers (clipped away from zero).  Cold starts
@@ -33,8 +37,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import kkt_dense, kkt_ocp
-from .errors import DimensionMismatch, FactorizationFailed
+from . import condensing, kkt_dense, kkt_ocp
+from .errors import DimensionMismatch, FactorizationFailed, InvalidConfig
 from .ipm_core import (
     FACTOR_ROUTES,
     IpmArg,
@@ -55,7 +59,8 @@ from .linalg import flop_counter
 from .qp_data import errors_only, validate
 from .view import QpSolution, make_view
 
-__all__ = ["SolveReport", "solve_dense_qp", "solve_ocp_qp", "solve_tree_ocp_qp"]
+__all__ = ["SolveReport", "solve_dense_qp", "solve_ocp_qp", "solve_tree_ocp_qp",
+           "solve_path"]
 
 logger = logging.getLogger("mpcqp")
 
@@ -94,6 +99,35 @@ def solve_ocp_qp(qp, arg=None, guess=None):
 def solve_tree_ocp_qp(qp, arg=None, guess=None):
     """Solve a tree-structured optimal-control QP through the same backend."""
     return _solve(qp, kkt_ocp.riccati_factor, arg, guess)
+
+
+def solve_path(qp, path="ocp", arg=None):
+    """Solve ``qp`` along ``path``; returns ``(report, solution on qp)``.
+
+    ``ocp`` solves any QP type directly.  An optimal-control QP can also go
+    through ``condense`` (dense solve of the fully condensed QP) or
+    ``partial:<N1>`` (Riccati solve of the QP condensed in blocks of N1
+    stages); the report is then that of the condensed solve and the
+    solution is expanded back onto ``qp``.
+    """
+    solve = {"dense": solve_dense_qp, "ocp": solve_ocp_qp,
+             "tree": solve_tree_ocp_qp}.get(getattr(qp, "kind", None))
+    if solve is None:
+        raise InvalidConfig("unsupported QP type")
+    if path == "ocp":
+        rep = solve(qp, arg)
+        return rep, rep.solution
+    if qp.kind != "ocp":
+        raise InvalidConfig(f"{qp.kind} QPs support only the ocp path (direct)")
+    if path == "condense":
+        dense, cmap = condensing.condense(qp)
+        rep = solve_dense_qp(dense, arg)
+        return rep, condensing.expand_solution(rep.solution, cmap, qp)
+    if path.startswith("partial:"):
+        qp_p, pmap = condensing.partial_condense(qp, int(path.split(":", 1)[1]))
+        rep = solve_ocp_qp(qp_p, arg)
+        return rep, condensing.partial_expand(rep.solution, pmap, qp)
+    raise InvalidConfig(f"unknown solve path '{path}'")
 
 
 def _init_iterate(view, arg, guess):

@@ -389,10 +389,10 @@ def prediction_matrix_hessian(qp, keep_x0):
     N = d.N
     nx0 = d.nx[0]
     n_u = int(sum(d.nu))
-    nz = (nx0 if keep_x0 else 0) + n_u
-    # variable offsets in z
+    nz = n_u + (nx0 if keep_x0 else 0)
+    # variable offsets in z = [u_0 | ... | u_N | x0 (if kept)]
     u_off = {}
-    off = nx0 if keep_x0 else 0
+    off = 0
     for n in range(N + 1):
         if d.nu[n]:
             u_off[n] = off
@@ -416,7 +416,7 @@ def prediction_matrix_hessian(qp, keep_x0):
     X = np.zeros((nx0, nz))
     cvec = np.zeros(nx0)
     if keep_x0:
-        X[:, :nx0] = np.eye(nx0)
+        X[:, n_u:] = np.eye(nx0)
     else:
         st0 = qp._stages[0]
         x0hat = np.full(nx0, np.nan)

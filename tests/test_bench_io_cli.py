@@ -231,6 +231,16 @@ class TestCli:
                            if l.startswith("res_g")][0].split()[1])
             assert res_g <= 1e-6
 
+    def test_path_errors_exit_2(self, rng, tmp_path, capsys):
+        densef = str(tmp_path / "d.qp")
+        qp_write(densef, rand_dense_qp(rng))
+        ocpf = str(tmp_path / "o.qp")
+        qp_write(ocpf, rand_ocp_qp(rng, N=3, nx=2, nu=1))
+        for qpf, path in ((densef, "condense"), (densef, "partial:2"),
+                          (ocpf, "bogus")):
+            assert cli_main(["solve", "--qp", qpf, "--path", path]) == 2
+            assert capsys.readouterr().err.startswith("error: ")
+
     def test_infeasible_exit_code(self, tmp_path):
         qp = DenseQp(nv=1, nb=1)
         qp.set_field("H", [[1.0]])

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mpcqp import (
     CondenseError,
     InvalidBlockSize,
     OcpQp,
     OcpQpDim,
+    Status,
     compute_residuals,
     condense,
     expand_solution,
@@ -31,6 +34,25 @@ def scalar_example():
     qp.set_field("lb", 0, [1.0])
     qp.set_field("ub", 0, [1.0])
     return qp
+
+
+STAGE_FIELDS = ("Q", "S", "R", "q", "r", "idxb", "lb", "ub", "C", "D", "lg",
+                "ug", "idxs", "Zl", "Zu", "zl", "zu", "sl_lb", "su_lb",
+                "maskl", "masku")
+
+
+def empty_terminal(qp):
+    """The same QP with a cost-free terminal stage that has no rows."""
+    d = qp.dim
+    N = d.N
+    out = OcpQp(OcpQpDim(N, d.nx, d.nu, list(d.nb[:N]) + [0],
+                         list(d.ng[:N]) + [0], list(d.ns[:N]) + [0]))
+    for n in range(N):
+        for f in STAGE_FIELDS:
+            out.set_field(f, n, qp.get_field(f, n))
+        for f in ("A", "B", "b"):
+            out.set_field(f, n, qp.get_field(f, n))
+    return out
 
 
 # tight-tolerance solves use the speed preset: its multiplier floors do not
@@ -193,6 +215,42 @@ class TestPartial:
         r2 = solve_ocp_qp(qp2, ARG)
         esol = partial_expand(r2.solution, pmap, qp)
         assert compute_residuals(qp, esol).max_norm() <= 1e-6
+
+    @given(N=st.integers(2, 8), data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_block_is_the_condensed_stage(self, N, data, seed):
+        # a block condensed with its initial state kept is a stage as it
+        # stands: z = (u, x0) is the (u, x) window, the rows keep their order
+        N1 = data.draw(st.integers(1, N), label="N1")
+        rng = np.random.default_rng(seed)
+        qp = rand_ocp_qp(rng, N=N, nx=2, nu=2, ng=2, ns=2,
+                         fix_x0=bool(seed % 2))
+        # one block over the whole horizon, terminal stage without data
+        qp0 = empty_terminal(qp)
+        qp1, pmap = partial_condense(qp0, N)
+        dense, cmap = condense(qp0, keep_x0=True)
+        nu = qp1.dim.nu[0]
+        assert nu == dense.nv - qp.dim.nx[0]
+        H, g, C = (dense.get_field(f) for f in ("H", "g", "C"))
+        expect = {
+            "R": H[:nu, :nu], "S": H[:nu, nu:], "Q": H[nu:, nu:],
+            "r": g[:nu], "q": g[nu:], "D": C[:, :nu], "C": C[:, nu:],
+            "B": cmap.pred[-1][:, :nu], "A": cmap.pred[-1][:, nu:],
+            "b": cmap.gamma[-1],
+        }
+        for f in ("idxb", "lb", "ub", "lg", "ug", "idxs", "Zl", "Zu", "zl",
+                  "zu", "sl_lb", "su_lb", "maskl", "masku"):
+            expect[f] = dense.get_field(f)
+        for f, value in expect.items():
+            assert np.array_equal(qp1.get_field(f, 0), value), f
+        # any block size: the expanded solve meets the tolerance on qp
+        qp2, pmap = partial_condense(qp, N1)
+        assert qp2.dim.N == -(-N // N1)
+        rep = solve_ocp_qp(qp2, ARG)
+        assert rep.status is Status.Success
+        esol = partial_expand(rep.solution, pmap, qp)
+        res = compute_residuals(qp, esol)
+        assert res.res_g <= ARG.tol_stat and res.res_b <= ARG.tol_eq
+        assert res.res_d <= ARG.tol_ineq and res.res_m <= ARG.tol_comp
 
     def test_invalid_block_size(self, rng):
         qp = rand_ocp_qp(rng, N=4, nx=2, nu=1)

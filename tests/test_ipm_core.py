@@ -195,6 +195,12 @@ class TestTermination:
         assert check_termination(None, 1e-9, 1.0, 2, arg) is Status.Success
         assert check_termination(None, 1e-3, 1.0, 2, arg) is None
 
+    def test_speed_abs_needs_a_step(self):
+        # mu = 0 before any step (no active row) is not convergence
+        arg = mode_preset("speed_abs").with_tol(1e-6)
+        assert check_termination(None, 0.0, 1.0, 0, arg) is None
+        assert check_termination(None, 0.0, 1.0, 1, arg) is Status.Success
+
 
 class TestIterativeRefinement:
     def test_exact_factor_zero_corrections(self, rng):

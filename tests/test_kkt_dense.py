@@ -5,7 +5,12 @@ import mpcqp.kkt_dense as kd
 from mpcqp import DenseQp, FactorizationFailed, IpmArg, compute_residuals
 from mpcqp.errors import SingularSlackBlock
 from mpcqp.ipm_core import iterative_refinement
-from mpcqp.kkt_common import kkt_apply_vec, kkt_rhs_flat
+from mpcqp.kkt_common import (
+    add_reduced_hessian,
+    kkt_apply_vec,
+    kkt_rhs_flat,
+    view_scales,
+)
 from mpcqp.view import QpSolution, make_view, solve_full_kkt
 
 from conftest import kkt_apply_blocks, rand_dense_qp, rand_iterate
@@ -16,6 +21,15 @@ def _rhs_from(qp, it):
     res = compute_residuals(qp, it)
     rm = np.where(vw.act, it.lam * it.t, 0.0)
     return vw, res, rm
+
+
+def _reduced_hessian(qp, it, effective):
+    """Dense Hessian after eliminating t and lam (and, if ``effective``, the
+    soft slacks) at the iterate ``it``."""
+    vw = make_view(qp)
+    sc = view_scales(vw, it.lam, it.t)[0]
+    return add_reduced_hessian(vw.blocks[0], sc, qp._data["H"],
+                               effective=effective)
 
 
 def _numeric_full_matrix(qp, it):
@@ -29,8 +43,8 @@ class TestEliminateIneq:
     def test_no_constraints(self, rng):
         qp = rand_dense_qp(rng, nb=0, ng=0, ns=0, ne=0)
         it = rand_iterate(rng, qp)
-        aug = kd.eliminate_ineq(qp, it)
-        assert np.array_equal(aug.Hv, qp.get_field("H"))
+        Hv = _reduced_hessian(qp, it, effective=False)
+        assert np.array_equal(Hv, qp.get_field("H"))
 
     def test_single_box_row_diagonal_update(self):
         qp = DenseQp(nv=2, nb=1)
@@ -41,10 +55,10 @@ class TestEliminateIneq:
         it = QpSolution(vw)
         it.lam[:] = [4.0, 8.0]
         it.t[:] = [1.0, 2.0]   # gammas: lower 4, upper 4
-        aug = kd.eliminate_ineq(qp, it)
-        assert aug.Hv[0, 0] == pytest.approx(1.0 + 4.0 + 4.0)
-        assert aug.Hv[1, 1] == 1.0
-        assert aug.Hv[0, 1] == 0.0
+        Hv = _reduced_hessian(qp, it, effective=False)
+        assert Hv[0, 0] == pytest.approx(1.0 + 4.0 + 4.0)
+        assert Hv[1, 1] == 1.0
+        assert Hv[0, 1] == 0.0
 
     def test_all_rows_masked(self, rng):
         qp = rand_dense_qp(rng, ns=0)
@@ -52,8 +66,8 @@ class TestEliminateIneq:
         qp.set_field("maskl", np.zeros(m))
         qp.set_field("masku", np.zeros(m))
         it = rand_iterate(rng, qp)
-        aug = kd.eliminate_ineq(qp, it)
-        assert np.array_equal(aug.Hv, qp.get_field("H"))
+        Hv = _reduced_hessian(qp, it, effective=False)
+        assert np.array_equal(Hv, qp.get_field("H"))
 
     def test_matches_numeric_block_elimination(self, rng):
         # eliminate dt, dlam, then the soft slacks from the assembled full
@@ -76,7 +90,7 @@ class TestEliminateIneq:
         Hvs = Hfull[:nv, nv:]
         Hss = Hfull[nv:, nv:]
         Hred_num = Hvv - Hvs @ np.linalg.solve(Hss, Hvs.T)
-        Hred = kd.eliminate_slacks(qp, it)
+        Hred = _reduced_hessian(qp, it, effective=True)
         scale = np.max(np.abs(Hred_num))
         assert np.max(np.abs(Hred - Hred_num)) <= 1e-12 * scale
 
@@ -94,7 +108,7 @@ class TestEliminateIneq:
         it.t[:] = np.where(vw.act, 1.0, 0.0)
         # gamma_lo = 2, slack-bound gamma = 2, D_l = 3 + 2 + 2 = 7
         # effective = gamma * (Zl + g_bnd) / D = 2 * 5 / 7
-        Hred = kd.eliminate_slacks(qp, it)
+        Hred = _reduced_hessian(qp, it, effective=True)
         assert Hred[0, 0] == pytest.approx(1.0 + 2.0 * 5.0 / 7.0)
         series = 1.0 / (1.0 / 2.0 + 1.0 / (3.0 + 2.0))
         assert Hred[0, 0] == pytest.approx(1.0 + series)
@@ -111,7 +125,7 @@ class TestEliminateIneq:
         it.lam[:] = np.where(vw.act, 1.0, 0.0)
         it.t[:] = np.where(vw.act, 1.0, 0.0)
         with pytest.raises(SingularSlackBlock):
-            kd.eliminate_ineq(qp, it)
+            _reduced_hessian(qp, it, effective=False)
 
 
 class TestFactorSolve:

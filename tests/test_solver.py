@@ -96,6 +96,40 @@ class TestDense:
             assert res.mu <= 1e-7
 
 
+class TestNoInequalityRows:
+    """With no active row the duality measure is 0 from the start; every
+    mode must still take a step before it reports Success."""
+
+    @staticmethod
+    def _check(qp, rep, arg):
+        assert rep.status is Status.Success
+        assert rep.iterations >= 1
+        res = compute_residuals(qp, rep.solution)
+        assert res.res_g <= arg.tol_stat
+        assert res.res_b <= arg.tol_eq
+        assert res.res_d <= arg.tol_ineq
+        assert res.res_m <= arg.tol_comp
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_dense_equality_only(self, mode):
+        qp = DenseQp(nv=2, ne=1)
+        qp.set_field("H", np.eye(2))
+        qp.set_field("g", [1.0, 1.0])
+        qp.set_field("A", [[1.0, -1.0]])
+        qp.set_field("b", [0.5])
+        arg = mode_preset(mode).with_tol(1e-8)
+        rep = solve_dense_qp(qp, arg)
+        self._check(qp, rep, arg)
+        assert np.allclose(rep.solution.v, [-0.75, -1.25])
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_ocp_without_rows(self, rng, mode):
+        qp = rand_ocp_qp(rng, N=4, nx=3, nu=2, nb=0, ng=0, ns=0)
+        assert sum(qp.dim.nb) == sum(qp.dim.ng) == 0
+        arg = mode_preset(mode).with_tol(1e-8)
+        self._check(qp, solve_ocp_qp(qp, arg), arg)
+
+
 class TestOcp:
     def test_scalar_lqr_with_wide_bounds(self):
         qp = OcpQp(OcpQpDim(1, nx=[1, 1], nu=[1, 0], nb=[2, 1]))
