@@ -56,16 +56,6 @@ def _cho_solve(L, b):
     return solve_triangular(L, x, transpose=True)
 
 
-def _box_rows_matrix(cb):
-    """Dense (m, nw) matrix of the block's constraint rows (box + general)."""
-    M = np.zeros((cb.m, cb.nw))
-    for i, k in enumerate(cb.idxb):
-        M[i, k] = 1.0
-    if cb.ng:
-        M[cb.nb:] = cb.Jg
-    return M
-
-
 class DenseKktFactor:
     """Factorized reduced KKT system of a dense QP at one iterate."""
 
@@ -78,12 +68,12 @@ class DenseKktFactor:
         self.reg_dual = arg.reg_dual
         cb = view.blocks[0]
         self._cb = cb
-        H = qp._data["H"]
-        A = qp._data["A"]
+        H = view.H
+        A = view.E
         self._A = A
         ne = qp.ne
         if use_qr:
-            self._Lred = self._factor_qr(H, cb, sc, arg.reg_prim)
+            self._Lred = self._factor_qr(H, sc, arg.reg_prim)
         else:
             Hred = add_reduced_hessian(cb, sc, H, effective=True)
             if arg.reg_prim:
@@ -114,14 +104,14 @@ class DenseKktFactor:
                     M[np.diag_indices_from(M)] += arg.reg_dual
                 self._Lm = cholesky_factor(M)
 
-    def _factor_qr(self, H, cb, sc, reg):
+    def _factor_qr(self, H, sc, reg):
         """Cholesky of the reduced Hessian via the stacked-factor QR route."""
         Lh = cholesky_factor(H, reg)
         coef = sc.ge_lo + sc.ge_up
         rows = np.flatnonzero(coef > 0.0)
         if rows.size:
-            JcM = _box_rows_matrix(cb)
-            stack = np.vstack([Lh.T, np.sqrt(coef[rows])[:, None] * JcM[rows]])
+            J = self.view.row_matrix()[rows]
+            stack = np.vstack([Lh.T, np.sqrt(coef[rows])[:, None] * J])
         else:
             stack = Lh.T
         return qr_cholesky(stack).T

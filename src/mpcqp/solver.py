@@ -150,7 +150,7 @@ def _init_iterate(view, arg, guess):
             float(np.max(np.where(act, view.d - cy, 0.0), initial=0.0))
             if view.nc else 0.0
         )
-        r_b = -view.a_y(iterate.y) + view.b()
+        r_b = -view.a_y(iterate.y) + view.b
         gap_b = float(np.max(np.abs(r_b))) if r_b.size else 0.0
         floor = max(_WARM_FLOOR, arg.t_min, min(1.0, max(gap_d, gap_b)))
         t = np.maximum(cy - view.d, floor)
@@ -203,9 +203,6 @@ def _ipm_loop(qp, factor_fn, arg, guess):
     view = make_view(qp)
     iterate = _init_iterate(view, arg, guess)
     act = view.act
-    g_full = view.grad()
-    b_vec = view.b()
-    d_vec = view.d
     trace = []
     alpha_last = 1.0
     status = None
@@ -229,7 +226,7 @@ def _ipm_loop(qp, factor_fn, arg, guess):
         t_m = np.where(act, iterate.t, 0.0)
         comp = lam_m * t_m
         if arg.abs_form:
-            rg, rb, rd = g_full, b_vec, d_vec
+            rg, rb, rd = view.g, view.b, view.d
             rm_aff = -comp
         else:
             rg, rb, rd = res.r_g, res.r_b, res.r_d

@@ -29,6 +29,29 @@ with A the equality matrix, C the row-wise inequality matrix (lower rows
 as one dense matrix; it serves as the reference oracle that the
 structure-exploiting factorizations are tested against.
 
+Each view builds these operators once, over the variables v:
+
+* ``H``  (nv, nv) Hessian; the slack block of the Hessian is the diagonal
+         ``slack_diag``;
+* ``E``  (ne, nv) equality matrix, ``A y = E v``;
+* ``G``  the general rows of every constraint block, stacked in block order;
+
+and two index tables: ``box_col``, the column of v that each box row
+selects, and the positions in ``lam``/``t`` of the lower, upper and
+slack-bound side of every row.  The products ``hess_y``, ``at_pi``,
+``a_y``, ``cy``, ``ct_lam`` and :meth:`ProblemView.residuals` are written
+once for all three QP types: matrix products with H, E and G, one gather
+for the box rows and one ``np.bincount`` scatter back.  ``hess_matrix``,
+``eq_matrix`` and ``con_matrix`` are dense copies of the same operators.
+The vectors g, b and d are constants of the view as well.
+
+A view type supplies only its layout and its blocks, and the QP type decides
+the storage.  The dense type uses its QP's own ``H``, ``A`` and ``C`` arrays:
+they are dense already, and copying them would cost every condensed solve.
+The stage type assembles its node Hessians, its edges' ``-[B A]`` and ``I``
+and its nodes' ``[D C]`` into ``scipy.sparse`` CSR, so that each product is
+one call whatever the number of nodes.
+
 OCP and tree QPs share one view, :class:`StageView`, because a horizon is a
 chain tree: nodes (stages) joined by dynamics edges.  Its edge table lists
 ``(parent, child, dyn)`` in multiplier order, ``(n, n+1, _dyn[n])`` for an
@@ -39,6 +62,7 @@ A view is cached on its QP until the next ``set_field`` (see
 :func:`make_view`), so it also holds the per-QP constants of the Riccati
 recursion: each node's symmetrized base Hessian ``[[R S] [S' Q]]`` and each
 edge's ``[B A]`` stack are built once per view, not once per factorization.
+The stage type's ``H`` is made of the same symmetrized node Hessians.
 """
 
 from __future__ import annotations
@@ -46,6 +70,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import DimensionMismatch, IndexOutOfRange, NonPositiveIterate
 from .qp_data import DenseQp, OcpQp, TreeOcpQp
@@ -72,20 +97,9 @@ class ConBlock:
     ns: int
     idxb: np.ndarray      # (nb,) component indices into the window
     Jg: np.ndarray        # (ng, nw) general-constraint rows
-    d_lo: np.ndarray      # (nb+ng,) lower bounds (box rows first)
-    d_up: np.ndarray      # (nb+ng,) upper bounds
-    act_lo: np.ndarray    # (nb+ng,) bool, lower side active
-    act_up: np.ndarray
     idxs: np.ndarray      # (ns,) soft row indices into 0..nb+ng
-    slack_of_row: np.ndarray  # (nb+ng,) slack index or -1
     Zl: np.ndarray
     Zu: np.ndarray
-    zl: np.ndarray
-    zu: np.ndarray
-    sl_lb: np.ndarray
-    su_lb: np.ndarray
-    act_slo: np.ndarray   # (ns,) bool
-    act_sup: np.ndarray
     s_off: int            # block start in the flat slack vectors
     c_off: int            # block start in lam/t
 
@@ -114,60 +128,12 @@ class ConBlock:
         return out
 
 
-def _block_from_stage(st, nu, nx, w_off, s_off, c_off):
-    nb = st["idxb"].shape[0]
-    ng = st["lg"].shape[0]
-    ns = st["idxs"].shape[0]
-    nw = nu + nx
-    Jg = np.hstack([st["D"], st["C"]]) if ng else np.zeros((0, nw))
-    d_lo = np.concatenate([st["lb"], st["lg"]])
-    d_up = np.concatenate([st["ub"], st["ug"]])
-    act_lo = (st["maskl"] != 0.0) & np.isfinite(d_lo)
-    act_up = (st["masku"] != 0.0) & np.isfinite(d_up)
-    slack_of_row = np.full(nb + ng, -1, dtype=int)
-    slack_of_row[st["idxs"]] = np.arange(ns)
+def _block_from_stage(st, Jg, w_off, s_off, c_off):
     return ConBlock(
-        w_off=w_off, nw=nw, nb=nb, ng=ng, ns=ns,
-        idxb=st["idxb"], Jg=Jg, d_lo=d_lo, d_up=d_up,
-        act_lo=act_lo, act_up=act_up,
-        idxs=st["idxs"], slack_of_row=slack_of_row,
-        Zl=st["Zl"], Zu=st["Zu"], zl=st["zl"], zu=st["zu"],
-        sl_lb=st["sl_lb"], su_lb=st["su_lb"],
-        act_slo=np.isfinite(st["sl_lb"]), act_sup=np.isfinite(st["su_lb"]),
-        s_off=s_off, c_off=c_off,
+        w_off=w_off, nw=Jg.shape[1], nb=st["idxb"].shape[0], ng=Jg.shape[0],
+        ns=st["idxs"].shape[0], idxb=st["idxb"], Jg=Jg, idxs=st["idxs"],
+        Zl=st["Zl"], Zu=st["Zu"], s_off=s_off, c_off=c_off,
     )
-
-
-def _block_cy(cb, v, sl, su):
-    w = v[cb.w_off: cb.w_off + cb.nw]
-    base = cb.rows_w(w)
-    slb = sl[cb.s_off: cb.s_off + cb.ns]
-    sub = su[cb.s_off: cb.s_off + cb.ns]
-    lo = base.copy()
-    up = -base
-    if cb.ns:
-        lo[cb.idxs] += slb
-        up[cb.idxs] += sub
-    return np.concatenate([lo, up, slb, sub])
-
-
-def _block_ct_lam(cb, lam_blk, out_v, out_sl, out_su):
-    m, ns = cb.m, cb.ns
-    lam_lo = lam_blk[:m]
-    lam_up = lam_blk[m: 2 * m]
-    coeff = lam_lo - lam_up
-    out_v[cb.w_off: cb.w_off + cb.nw] += cb.rows_w_t(coeff)
-    if ns:
-        out_sl[cb.s_off: cb.s_off + ns] += lam_lo[cb.idxs] + lam_blk[2 * m: 2 * m + ns]
-        out_su[cb.s_off: cb.s_off + ns] += lam_up[cb.idxs] + lam_blk[2 * m + ns:]
-
-
-def _block_d(cb):
-    return np.concatenate([cb.d_lo, -cb.d_up, cb.sl_lb, cb.su_lb])
-
-
-def _block_act(cb):
-    return np.concatenate([cb.act_lo, cb.act_up, cb.act_slo, cb.act_sup])
 
 
 def _node_hessian(st, nu, nx):
@@ -179,108 +145,168 @@ def _node_hessian(st, nu, nx):
     return 0.5 * (M + M.T)
 
 
+def _ranges(starts, lens):
+    """Concatenation of ``arange(s, s + l)`` over the pairs (s, l)."""
+    ends = lens.cumsum()
+    return (starts - ends + lens).repeat(lens) + np.arange(ends[-1] if ends.size else 0)
+
+
+def _csr(mats, offs, n_col, tail=None):
+    """CSR matrix of the dense blocks ``mats`` stacked top to bottom.
+
+    Block k spans the columns from ``offs[k]`` on.  With ``tail``, row i
+    also holds a 1 in column ``tail[i]``, after its block entries.
+    """
+    if not mats:
+        return sp.csr_array((0, n_col))
+    rows = np.array([M.shape[0] for M in mats], dtype=np.intp)
+    row_len = np.repeat([M.shape[1] for M in mats], rows)
+    indices = _ranges(np.repeat(offs, rows), row_len)
+    data = np.concatenate([M.ravel() for M in mats])
+    if tail is not None:
+        ends = np.cumsum(row_len)
+        indices = np.insert(indices, ends, tail)
+        data = np.insert(data, ends, 1.0)
+        row_len = row_len + 1
+    indptr = np.concatenate([[0], np.cumsum(row_len)])
+    return sp.csr_array((data, indices, indptr), shape=(row_len.shape[0], n_col))
+
+
+def _dense(M):
+    return M.toarray() if sp.issparse(M) else M
+
+
 class ProblemView:
-    """Layout tables and flat-vector operators for one QP instance."""
+    """Layout tables and flat-vector operators for one QP instance.
+
+    A view type's ``_build`` sets the layout (``nv``, ``ns_tot``, ``ne``,
+    ``blocks``) and the operators ``H``, ``E`` and ``G`` over v, and returns
+    the row data of every block (one stage dict each), the gradient over v
+    and the equality right-hand side.  Everything else is built here, once
+    per view.
+    """
 
     def __init__(self, qp):
         self.qp = qp
         self.kind = qp.kind
-        self._build()
+        stages, g_v, b = self._build()
         self.ny = self.nv + 2 * self.ns_tot
         self.nc = sum(cb.nc for cb in self.blocks)
-        self.act = (
-            np.concatenate([_block_act(cb) for cb in self.blocks])
-            if self.blocks and self.nc
-            else np.zeros(0, dtype=bool)
+        self._Et = self.E.T
+        self._Gt = self.G.T
+        # per-view constants, read-only because every solve shares them
+        self.g = np.concatenate(
+            [g_v] + [st["zl"] for st in stages] + [st["zu"] for st in stages]
         )
+        self.b = np.array(b, dtype=float)
+        self.slack_diag = np.concatenate(
+            [st["Zl"] for st in stages] + [st["Zu"] for st in stages]
+        )
+        d = np.concatenate([
+            a for st in stages
+            for a in (st["lb"], st["lg"], -st["ub"], -st["ug"],
+                      st["sl_lb"], st["su_lb"])
+        ])
+        on = np.concatenate([
+            a for st in stages
+            for a in (st["maskl"], st["masku"], np.ones(2 * st["idxs"].shape[0]))
+        ])
+        self.act = (on != 0.0) & np.isfinite(d)
         self.n_act = int(np.sum(self.act))
-        d = (
-            np.concatenate([_block_d(cb) for cb in self.blocks])
-            if self.blocks and self.nc
-            else np.zeros(0)
-        )
         self.d = np.where(self.act, d, 0.0)
+        for const in (self.g, self.b, self.slack_diag, self.d):
+            const.flags.writeable = False
+        # row tables: the rows are numbered box rows of every block first,
+        # then general rows, the order of [v[box_col], G @ v]
+        c, nb, ng, ns = np.array(
+            [(cb.c_off, cb.nb, cb.ng, cb.ns) for cb in self.blocks], dtype=np.intp
+        ).T
+        m = nb + ng
+        self._nb = int(nb.sum())
+        self._m = int(m.sum())
+        self.box_col = np.concatenate(
+            [cb.w_off + cb.idxb for cb in self.blocks]
+        ).astype(np.intp)
+        # positions in lam/t of every row's lower side, upper side, then of
+        # the lower and upper slack-bound rows; a permutation of 0..nc-1
+        self._rows = _ranges(
+            np.concatenate([c, c + nb, c + m, c + m + nb, c + 2 * m, c + 2 * m + ns]),
+            np.concatenate([nb, ng, nb, ng, ns, ns]),
+        )
+        # positions of the lower and upper sides of the softened rows, in
+        # the order of the slacks [sl | su]
+        soft_lo = np.repeat(c, ns) + np.concatenate(
+            [cb.idxs for cb in self.blocks]
+        ).astype(np.intp)
+        self._soft = np.concatenate([soft_lo, soft_lo + np.repeat(m, ns)])
 
-    # -- constraint machinery shared by all types ------------------------
+    # -- products ----------------------------------------------------------
+
+    def hess_y(self, y):
+        return np.concatenate([self.H @ y[: self.nv], self.slack_diag * y[self.nv:]])
+
+    def at_pi(self, pi):
+        """A' @ pi over the primal vector."""
+        return np.concatenate([self._Et @ pi, np.zeros(2 * self.ns_tot)])
+
+    def a_y(self, y):
+        """Equality row values A @ y."""
+        return self.E @ y[: self.nv]
 
     def cy(self, y):
         """Row values C @ y of all inequality rows (unmasked)."""
         v = y[: self.nv]
-        sl = y[self.nv: self.nv + self.ns_tot]
-        su = y[self.nv + self.ns_tot:]
-        if not self.nc:
-            return np.zeros(0)
-        return np.concatenate([_block_cy(cb, v, sl, su) for cb in self.blocks])
+        base = np.concatenate([v[self.box_col], self.G @ v])
+        out = np.empty(self.nc)
+        out[self._rows] = np.concatenate([base, -base, y[self.nv:]])
+        out[self._soft] += y[self.nv:]
+        return out
 
     def ct_lam(self, lam):
         """C' @ lam over the primal vector, masked sides excluded."""
         lam = np.where(self.act, lam, 0.0)
-        out_v = np.zeros(self.nv)
-        out_sl = np.zeros(self.ns_tot)
-        out_su = np.zeros(self.ns_tot)
-        for cb in self.blocks:
-            _block_ct_lam(cb, lam[cb.c_off: cb.c_off + cb.nc], out_v, out_sl, out_su)
-        return np.concatenate([out_v, out_sl, out_su])
+        side = lam[self._rows]
+        m, nb = self._m, self._nb
+        coeff = side[:m] - side[m: 2 * m]
+        return np.concatenate([
+            np.bincount(self.box_col, weights=coeff[:nb], minlength=self.nv)
+            + self._Gt @ coeff[nb:],
+            lam[self._soft] + side[2 * m:],
+        ])
 
-    def slack_diag(self):
-        """Diagonal of the soft-slack Hessian blocks, flat (2*ns_tot,)."""
-        if not self.ns_tot:
-            return np.zeros(0)
-        zl = np.concatenate([cb.Zl for cb in self.blocks])
-        zu = np.concatenate([cb.Zu for cb in self.blocks])
-        return np.concatenate([zl, zu])
-
-    def hess_y(self, y):
-        out = np.empty(self.ny)
-        out[: self.nv] = self._hess_v(y[: self.nv])
-        out[self.nv:] = self.slack_diag() * y[self.nv:]
-        return out
-
-    def grad(self):
-        g = np.empty(self.ny)
-        g[: self.nv] = self._grad_v()
-        if self.ns_tot:
-            g[self.nv: self.nv + self.ns_tot] = np.concatenate(
-                [cb.zl for cb in self.blocks]
-            )
-            g[self.nv + self.ns_tot:] = np.concatenate([cb.zu for cb in self.blocks])
-        return g
-
-    # -- oracle-grade dense assemblies -----------------------------------
-
-    def con_matrix(self):
-        """Full inequality matrix C (nc, ny); deactivated rows are zero."""
-        C = np.zeros((self.nc, self.ny))
-        for cb in self.blocks:
-            m, ns = cb.m, cb.ns
-            base = np.zeros((m, self.ny))
-            for i, k in enumerate(cb.idxb):
-                base[i, cb.w_off + k] = 1.0
-            if cb.ng:
-                base[cb.nb:, cb.w_off: cb.w_off + cb.nw] = cb.Jg
-            lo = base.copy()
-            up = -base
-            if ns:
-                sl_cols = self.nv + cb.s_off + np.arange(ns)
-                su_cols = self.nv + self.ns_tot + cb.s_off + np.arange(ns)
-                lo[cb.idxs, sl_cols] = 1.0
-                up[cb.idxs, su_cols] = 1.0
-            r0 = cb.c_off
-            C[r0: r0 + m] = lo
-            C[r0 + m: r0 + 2 * m] = up
-            if ns:
-                C[r0 + 2 * m + np.arange(ns), sl_cols] = 1.0
-                C[r0 + 2 * m + ns + np.arange(ns), su_cols] = 1.0
-        C[~self.act] = 0.0
-        return C
+    # -- oracle-grade dense copies ---------------------------------------
 
     def hess_matrix(self):
         H = np.zeros((self.ny, self.ny))
-        H[: self.nv, : self.nv] = self._hess_v_matrix()
-        if self.ns_tot:
-            idx = np.arange(self.nv, self.ny)
-            H[idx, idx] = self.slack_diag()
+        H[: self.nv, : self.nv] = _dense(self.H)
+        idx = np.arange(self.nv, self.ny)
+        H[idx, idx] = self.slack_diag
         return H
+
+    def eq_matrix(self):
+        E = np.zeros((self.ne, self.ny))
+        E[:, : self.nv] = _dense(self.E)
+        return E
+
+    def row_matrix(self):
+        """Dense (nb_tot + ng_tot, nv) matrix of the box rows, then the general rows."""
+        J = np.zeros((self._m, self.nv))
+        J[np.arange(self._nb), self.box_col] = 1.0
+        J[self._nb:] = _dense(self.G)
+        return J
+
+    def con_matrix(self):
+        """Full inequality matrix C (nc, ny); deactivated rows are zero."""
+        m, nv = self._m, self.nv
+        J = self.row_matrix()
+        C = np.zeros((self.nc, self.ny))
+        C[self._rows[:m], :nv] = J
+        C[self._rows[m: 2 * m], :nv] = -J
+        slack_cols = np.arange(nv, self.ny)
+        C[self._rows[2 * m:], slack_cols] = 1.0
+        C[self._soft, slack_cols] = 1.0
+        C[~self.act] = 0.0
+        return C
 
     # -- residuals --------------------------------------------------------
 
@@ -291,8 +317,8 @@ class ProblemView:
             raise DimensionMismatch("equality multiplier length mismatch")
         lam = np.where(self.act, sol.lam, 0.0)
         t = np.where(self.act, sol.t, 0.0)
-        r_g = self.hess_y(sol.y) + self.grad() - self.at_pi(sol.pi) - self.ct_lam(lam)
-        r_b = -self.a_y(sol.y) + self.b()
+        r_g = self.hess_y(sol.y) + self.g - self.at_pi(sol.pi) - self.ct_lam(lam)
+        r_b = -self.a_y(sol.y) + self.b
         r_d = np.where(self.act, -self.cy(sol.y) + self.d + t, 0.0)
         r_m = np.where(self.act, lam * t, 0.0)
         mu = float(lam @ t) / self.n_act if self.n_act else 0.0
@@ -308,45 +334,19 @@ def _inf_norm(v):
 
 
 class DenseView(ProblemView):
+    """View of a dense QP: one block over all of v, the QP's own arrays as operators."""
+
     def _build(self):
         qp = self.qp
+        data = qp._data
         self.nv = qp.nv
         self.ns_tot = qp.ns
         self.ne = qp.ne
-        # dense QP: single window covering all of v, Jg = C
-        stage = dict(qp._data)
-        stage["D"] = np.zeros((qp.ng, 0))
-        self.blocks = [_block_from_stage(stage, 0, qp.nv, 0, 0, 0)]
-        self._H = qp._data["H"]
-        self._g = qp._data["g"]
-        self._A = qp._data["A"]
-        self._b = qp._data["b"]
-
-    def _hess_v(self, v):
-        return self._H @ v
-
-    def _hess_v_matrix(self):
-        return self._H.copy()
-
-    def _grad_v(self):
-        return self._g.copy()
-
-    def at_pi(self, pi):
-        out = np.zeros(self.ny)
-        if self.ne:
-            out[: self.nv] = self._A.T @ pi
-        return out
-
-    def a_y(self, y):
-        return self._A @ y[: self.nv] if self.ne else np.zeros(0)
-
-    def b(self):
-        return self._b.copy()
-
-    def eq_matrix(self):
-        E = np.zeros((self.ne, self.ny))
-        E[:, : self.nv] = self._A
-        return E
+        self.blocks = [_block_from_stage(data, data["C"], 0, 0, 0)]
+        self.H = data["H"]
+        self.E = data["A"]
+        self.G = data["C"]
+        return [data], data["g"], data["b"]
 
 
 class StageView(ProblemView):
@@ -356,7 +356,9 @@ class StageView(ProblemView):
     module docstring); ``out_edges[n]`` lists ``(child, dyn, pi_off, BA)``
     for the edges leaving node n, in the same order, with ``BA`` the edge's
     ``[B A]`` stack.  ``node_hess[n]`` is the symmetrized base Hessian
-    ``[[R S] [S' Q]]`` of node n over its (u, x) window.
+    ``[[R S] [S' Q]]`` of node n over its (u, x) window.  ``H`` holds the
+    node Hessians, ``E`` the rows ``[-B -A I]`` of every edge and ``G`` the
+    rows ``[D C]`` of every node.
     """
 
     def __init__(self, qp, edges):
@@ -366,104 +368,45 @@ class StageView(ProblemView):
     def _build(self):
         qp = self.qp
         d = qp.dim
-        self._st = qp._stages
-        self.n_node = len(self._st)
-        u_off, x_off = [], []
-        v = s = c = 0
+        stages = qp._stages
+        self.n_node = len(stages)
         self.blocks = []
         self.node_hess = []
-        for n in range(self.n_node):
-            u_off.append(v)
-            x_off.append(v + d.nu[n])
-            cb = _block_from_stage(self._st[n], d.nu[n], d.nx[n], v, s, c)
+        self.u_off = []
+        self.x_off = []
+        v = s = c = 0
+        for n, st in enumerate(stages):
+            cb = _block_from_stage(st, np.hstack([st["D"], st["C"]]), v, s, c)
             self.blocks.append(cb)
-            self.node_hess.append(_node_hessian(self._st[n], d.nu[n], d.nx[n]))
-            v += d.nu[n] + d.nx[n]
-            s += d.ns[n]
+            self.node_hess.append(_node_hessian(st, d.nu[n], d.nx[n]))
+            self.u_off.append(v)
+            self.x_off.append(v + d.nu[n])
+            v += cb.nw
+            s += cb.ns
             c += cb.nc
         self.pi_off = []
         self.out_edges = [[] for _ in range(self.n_node)]
-        # per edge: dyn and the parent u, parent x, child x, multiplier slices
-        self._edge_sl = []
+        neg_BA = []
         p = 0
         for par, m, dyn in self.edges:
+            BA = np.hstack([dyn["B"], dyn["A"]])
             self.pi_off.append(p)
-            self.out_edges[par].append(
-                (m, dyn, p, np.hstack([dyn["B"], dyn["A"]]))
-            )
-            self._edge_sl.append((
-                dyn,
-                slice(u_off[par], u_off[par] + d.nu[par]),
-                slice(x_off[par], x_off[par] + d.nx[par]),
-                slice(x_off[m], x_off[m] + d.nx[m]),
-                slice(p, p + d.nx[m]),
-            ))
+            self.out_edges[par].append((m, dyn, p, BA))
+            neg_BA.append(-BA)
             p += d.nx[m]
         self.nv = v
         self.ns_tot = s
         self.ne = p
-        self.u_off = u_off
-        self.x_off = x_off
-
-    def _hess_v(self, v):
-        d = self.qp.dim
-        out = np.empty(self.nv)
-        for n in range(self.n_node):
-            st = self._st[n]
-            u = v[self.u_off[n]: self.u_off[n] + d.nu[n]]
-            x = v[self.x_off[n]: self.x_off[n] + d.nx[n]]
-            out[self.u_off[n]: self.u_off[n] + d.nu[n]] = st["R"] @ u + st["S"] @ x
-            out[self.x_off[n]: self.x_off[n] + d.nx[n]] = st["S"].T @ u + st["Q"] @ x
-        return out
-
-    def _hess_v_matrix(self):
-        d = self.qp.dim
-        H = np.zeros((self.nv, self.nv))
-        for n in range(self.n_node):
-            st = self._st[n]
-            uo, xo = self.u_off[n], self.x_off[n]
-            nu, nx = d.nu[n], d.nx[n]
-            H[uo: uo + nu, uo: uo + nu] = st["R"]
-            H[uo: uo + nu, xo: xo + nx] = st["S"]
-            H[xo: xo + nx, uo: uo + nu] = st["S"].T
-            H[xo: xo + nx, xo: xo + nx] = st["Q"]
-        return H
-
-    def _grad_v(self):
-        d = self.qp.dim
-        g = np.empty(self.nv)
-        for n in range(self.n_node):
-            g[self.u_off[n]: self.u_off[n] + d.nu[n]] = self._st[n]["r"]
-            g[self.x_off[n]: self.x_off[n] + d.nx[n]] = self._st[n]["q"]
-        return g
-
-    def at_pi(self, pi):
-        out = np.zeros(self.ny)
-        for dyn, su, sx, sxm, sp in self._edge_sl:
-            p = pi[sp]
-            out[su] -= dyn["B"].T @ p
-            out[sx] -= dyn["A"].T @ p
-            out[sxm] += p
-        return out
-
-    def a_y(self, y):
-        out = np.empty(self.ne)
-        for dyn, su, sx, sxm, sp in self._edge_sl:
-            out[sp] = y[sxm] - dyn["A"] @ y[sx] - dyn["B"] @ y[su]
-        return out
-
-    def b(self):
-        if not self.ne:
-            return np.zeros(0)
-        return np.concatenate([dyn["b"] for _, _, dyn in self.edges])
-
-    def eq_matrix(self):
-        E = np.zeros((self.ne, self.ny))
-        for dyn, su, sx, sxm, sp in self._edge_sl:
-            E[sp, su] = -dyn["B"]
-            E[sp, sx] = -dyn["A"]
-            E[np.arange(sp.start, sp.stop), np.arange(sxm.start, sxm.stop)] = 1.0
-        return E
+        self.H = _csr(self.node_hess, self.u_off, v)
+        self.G = _csr([cb.Jg for cb in self.blocks], self.u_off, v)
+        # edge row i: -[B A] over the parent's window, then 1 at the child's x_i
+        par = np.array([e[0] for e in self.edges], dtype=np.intp)
+        child = np.array([e[1] for e in self.edges], dtype=np.intp)
+        self.E = _csr(neg_BA, np.take(self.u_off, par), v,
+                      tail=_ranges(np.take(self.x_off, child), d.nx[child]))
+        g_v = np.concatenate([a for st in stages for a in (st["r"], st["q"])])
+        b = [dyn["b"] for _, _, dyn in self.edges]
+        return stages, g_v, np.concatenate(b) if b else np.zeros(0)
 
 
 def make_view(qp):
@@ -518,20 +461,26 @@ class QpSolution:
     def su_all(self):
         return self.y[self._view.nv + self._view.ns_tot:]
 
+    def _block(self, n):
+        blocks = self._view.blocks
+        if not 0 <= n < len(blocks):
+            raise IndexOutOfRange(f"no stage {n}: stages are 0..{len(blocks) - 1}")
+        return blocks[n]
+
     def u(self, n):
-        vw = self._view
-        return self.y[vw.u_off[n]: vw.u_off[n] + vw.qp.dim.nu[n]]
+        self._block(n)
+        return self.y[self._view.u_off[n]: self._view.x_off[n]]
 
     def x(self, n):
-        vw = self._view
-        return self.y[vw.x_off[n]: vw.x_off[n] + vw.qp.dim.nx[n]]
+        cb = self._block(n)
+        return self.y[self._view.x_off[n]: cb.w_off + cb.nw]
 
     def sl(self, n):
-        cb = self._view.blocks[n]
+        cb = self._block(n)
         return self.sl_all[cb.s_off: cb.s_off + cb.ns]
 
     def su(self, n):
-        cb = self._view.blocks[n]
+        cb = self._block(n)
         return self.su_all[cb.s_off: cb.s_off + cb.ns]
 
     def pi_stage(self, n):
@@ -544,11 +493,11 @@ class QpSolution:
         return self.pi[off: off + vw.qp.dim.nx[vw.edges[e][1]]]
 
     def lam_stage(self, n):
-        cb = self._view.blocks[n]
+        cb = self._block(n)
         return self.lam[cb.c_off: cb.c_off + cb.nc]
 
     def t_stage(self, n):
-        cb = self._view.blocks[n]
+        cb = self._block(n)
         return self.t[cb.c_off: cb.c_off + cb.nc]
 
     def copy(self):
@@ -627,7 +576,7 @@ def objective(qp, sol):
     vw = make_view(qp)
     y = sol.y
     quad = 0.5 * float(y @ vw.hess_y(y))
-    return quad + float(vw.grad() @ y)
+    return quad + float(vw.g @ y)
 
 
 def full_kkt_system(qp, iterate, tau=0.0):

@@ -227,6 +227,96 @@ def ba_ref(dyn):
     return np.hstack([dyn["B"], dyn["A"]])
 
 
+def _row_stages(qp):
+    """Row data of every constraint block: the dense QP's fields or the stages."""
+    return [qp._data] if qp.kind == "dense" else qp._stages
+
+
+def hess_matrix_ref(qp):
+    """Hessian over y = [v | sl | su], assembled block by block (reference)."""
+    vw = make_view(qp)
+    H = np.zeros((vw.ny, vw.ny))
+    if qp.kind == "dense":
+        H[: vw.nv, : vw.nv] = qp._data["H"]
+    else:
+        d = qp.dim
+        for n, st in enumerate(qp._stages):
+            uo, xo, nu, nx = vw.u_off[n], vw.x_off[n], d.nu[n], d.nx[n]
+            H[uo: uo + nu, uo: uo + nu] = st["R"]
+            H[uo: uo + nu, xo: xo + nx] = st["S"]
+            H[xo: xo + nx, uo: uo + nu] = st["S"].T
+            H[xo: xo + nx, xo: xo + nx] = st["Q"]
+    for cb, st in zip(vw.blocks, _row_stages(qp)):
+        sl = vw.nv + cb.s_off + np.arange(cb.ns)
+        H[sl, sl] = st["Zl"]
+        H[sl + vw.ns_tot, sl + vw.ns_tot] = st["Zu"]
+    return H
+
+
+def eq_matrix_ref(qp):
+    """Equality matrix A over y, assembled edge by edge (reference)."""
+    vw = make_view(qp)
+    E = np.zeros((vw.ne, vw.ny))
+    if qp.kind == "dense":
+        E[:, : vw.nv] = qp._data["A"]
+        return E
+    d = qp.dim
+    for (par, m, dyn), p in zip(vw.edges, vw.pi_off):
+        rows = slice(p, p + d.nx[m])
+        E[rows, vw.u_off[par]: vw.u_off[par] + d.nu[par]] = -dyn["B"]
+        E[rows, vw.x_off[par]: vw.x_off[par] + d.nx[par]] = -dyn["A"]
+        E[p + np.arange(d.nx[m]), vw.x_off[m] + np.arange(d.nx[m])] = 1.0
+    return E
+
+
+def row_constants_ref(qp):
+    """``(act, d)`` of every inequality row, formed block by block (reference)."""
+    act, d = [], []
+    for st in _row_stages(qp):
+        lo = np.concatenate([st["lb"], st["lg"]])
+        up = np.concatenate([st["ub"], st["ug"]])
+        act.append(np.concatenate([
+            (st["maskl"] != 0.0) & np.isfinite(lo),
+            (st["masku"] != 0.0) & np.isfinite(up),
+            np.isfinite(st["sl_lb"]), np.isfinite(st["su_lb"]),
+        ]))
+        d.append(np.concatenate([lo, -up, st["sl_lb"], st["su_lb"]]))
+    act = np.concatenate(act)
+    return act, np.where(act, np.concatenate(d), 0.0)
+
+
+def con_matrix_ref(qp, masked=True):
+    """Inequality matrix C over y, assembled block by block (reference).
+
+    With ``masked`` the deactivated rows are zero.
+    """
+    vw = make_view(qp)
+    C = np.zeros((vw.nc, vw.ny))
+    for cb, st in zip(vw.blocks, _row_stages(qp)):
+        m, ns = cb.m, cb.ns
+        base = np.zeros((m, vw.ny))
+        for i, k in enumerate(st["idxb"]):
+            base[i, cb.w_off + k] = 1.0
+        if qp.kind == "dense":
+            base[cb.nb:, : vw.nv] = st["C"]
+        else:
+            base[cb.nb:, cb.w_off: cb.w_off + cb.nw] = np.hstack([st["D"], st["C"]])
+        lo = base.copy()
+        up = -base
+        sl_cols = vw.nv + cb.s_off + np.arange(ns)
+        su_cols = sl_cols + vw.ns_tot
+        lo[st["idxs"], sl_cols] = 1.0
+        up[st["idxs"], su_cols] = 1.0
+        r0 = cb.c_off
+        C[r0: r0 + m] = lo
+        C[r0 + m: r0 + 2 * m] = up
+        C[r0 + 2 * m + np.arange(ns), sl_cols] = 1.0
+        C[r0 + 2 * m + ns + np.arange(ns), su_cols] = 1.0
+    if masked:
+        C[~row_constants_ref(qp)[0]] = 0.0
+    return C
+
+
 def kkt_apply_blocks(qp, iterate, step):
     """Exact KKT matrix action on a step, split into the four residual blocks."""
     vw = make_view(qp)

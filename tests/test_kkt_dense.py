@@ -183,8 +183,8 @@ class TestFactorSolve:
         vw, res, rm = _rhs_from(qp, it)
         fac = kd.factor(qp, it, IpmArg())
         delta = fac.solve(res.r_g, res.r_b, res.r_d, rm)
-        g = vw.grad()
-        b = vw.b()
+        g = vw.g
+        b = vw.b
         d = vw.d
         rm_abs = rm - 2.0 * np.where(vw.act, it.lam * it.t, 0.0)
         absolute = fac.solve(g, b, d, rm_abs)

@@ -259,6 +259,28 @@ class TestViewConstants:
         err = np.max(np.abs(step.flat() - ref.flat()))
         assert err <= 1e-8 * (1.0 + np.max(np.abs(ref.flat())))
 
+    @pytest.mark.parametrize("field", ["lbx", "ubx"])
+    def test_bound_write_after_solve_refreshes_d(self, rng, field):
+        qp = rand_ocp_qp(rng, N=4, nx=3, nu=2, fix_x0=True)
+        solve_ocp_qp(qp)
+        x0 = qp.get_field(field, 0) + (-0.25 if field == "lbx" else 0.25)
+        qp.set_field(field, 0, x0)
+        vw = make_view(qp)
+        # stage 0 boxes all of (u, x): its x rows follow its nu input rows
+        cb = vw.blocks[0]
+        rows = cb.c_off + qp.dim.nu[0] + np.arange(qp.dim.nx[0])
+        if field == "lbx":
+            assert np.array_equal(vw.d[rows], x0)
+        else:
+            assert np.array_equal(vw.d[rows + cb.m], -x0)
+        it = rand_iterate(rng, qp)
+        self._assert_constants_match(qp, it)
+        vw, res, rm = _rhs_from(qp, it)
+        ref = solve_full_kkt(qp, it, res.r_g, res.r_b, res.r_d, rm)
+        step = ko.riccati_factor(qp, it).solve(res.r_g, res.r_b, res.r_d, rm)
+        err = np.max(np.abs(step.flat() - ref.flat()))
+        assert err <= 1e-8 * (1.0 + np.max(np.abs(ref.flat())))
+
 
 class TestFactorLayout:
     @pytest.mark.parametrize("variant,use_qr", [

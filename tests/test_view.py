@@ -1,0 +1,214 @@
+"""The view's KKT operators against block-by-block references, and its accessors."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mpcqp import (
+    DenseQp,
+    IndexOutOfRange,
+    MassSpringConfig,
+    OcpQp,
+    OcpQpDim,
+    TreeOcpQp,
+    TreeOcpQpDim,
+    gen_mass_spring,
+)
+from mpcqp.view import QpSolution, make_view
+
+from conftest import (
+    con_matrix_ref,
+    eq_matrix_ref,
+    hess_matrix_ref,
+    rand_tree_qp,
+    row_constants_ref,
+)
+
+# fixed before the operators were rewritten: the products only change the
+# summation order, so they agree with the references to a few ulps
+PRODUCT_RTOL = 1e-12
+
+
+def _sym(rng, n):
+    X = rng.standard_normal((n, n))
+    return 0.5 * (X + X.T)
+
+
+def _with_inf(rng, x, sign):
+    """``x`` with about one entry in four replaced by ``sign * inf``."""
+    return np.where(rng.random(x.shape) < 0.25, sign * np.inf, x)
+
+
+def _rows(rng, nw, nb, ng, ns):
+    """Random row data of one block: some soft, masked and infinite sides."""
+    lo = rng.uniform(-2.0, -0.5, nb + ng)
+    up = rng.uniform(0.5, 2.0, nb + ng)
+    return {
+        "idxb": np.sort(rng.choice(nw, nb, replace=False)),
+        "lb": _with_inf(rng, lo[:nb], -1), "ub": _with_inf(rng, up[:nb], 1),
+        "lg": _with_inf(rng, lo[nb:], -1), "ug": _with_inf(rng, up[nb:], 1),
+        "idxs": np.sort(rng.choice(nb + ng, ns, replace=False)),
+        "Zl": rng.uniform(0.5, 2.0, ns), "Zu": rng.uniform(0.5, 2.0, ns),
+        "zl": rng.standard_normal(ns), "zu": rng.standard_normal(ns),
+        "sl_lb": _with_inf(rng, rng.uniform(0.0, 0.5, ns), -1),
+        "su_lb": _with_inf(rng, rng.uniform(0.0, 0.5, ns), -1),
+        "maskl": (rng.random(nb + ng) > 0.2).astype(float),
+        "masku": (rng.random(nb + ng) > 0.2).astype(float),
+    }
+
+
+@st.composite
+def stage_dims(draw):
+    nx = draw(st.integers(1, 3))
+    nu = draw(st.integers(0, 2))
+    nb = draw(st.integers(0, nu + nx))
+    ng = draw(st.integers(0, 2))
+    return nx, nu, nb, ng, draw(st.integers(0, nb + ng))
+
+
+@st.composite
+def random_qps(draw):
+    """Dense, OCP and tree QPs, not necessarily feasible or convex.
+
+    Covers soft rows, masked rows, infinite bounds, ``ne = 0`` (a dense QP
+    without equalities, a one-stage OCP or a one-node tree) and stages with
+    ``nb = ng = 0`` or ``nu = 0``.
+    """
+    kind = draw(st.sampled_from(["dense", "ocp", "tree"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "dense":
+        nv = draw(st.integers(1, 6))
+        nb = draw(st.integers(0, nv))
+        ng = draw(st.integers(0, 3))
+        ne = draw(st.integers(0, 3))
+        qp = DenseQp(nv, ne, nb, ng, draw(st.integers(0, nb + ng)))
+        qp.set_field("H", _sym(rng, nv))
+        qp.set_field("g", rng.standard_normal(nv))
+        qp.set_field("A", rng.standard_normal((ne, nv)))
+        qp.set_field("b", rng.standard_normal(ne))
+        qp.set_field("C", rng.standard_normal((ng, nv)))
+        for name, value in _rows(rng, nv, nb, ng, qp.ns).items():
+            qp.set_field(name, value)
+        return qp
+    n_node = draw(st.integers(1, 5))
+    if kind == "ocp":
+        parents = [-1] + list(range(n_node - 1))
+    else:
+        parents = [-1] + [draw(st.integers(0, m - 1)) for m in range(1, n_node)]
+    nx, nu, nb, ng, ns = (list(c) for c in zip(
+        *[draw(stage_dims()) for _ in range(n_node)]
+    ))
+    if kind == "ocp":
+        qp = OcpQp(OcpQpDim(n_node - 1, nx, nu, nb, ng, ns))
+    else:
+        qp = TreeOcpQp(TreeOcpQpDim(parents, nx=nx, nu=nu, nb=nb, ng=ng, ns=ns))
+    for n in range(n_node):
+        M = _sym(rng, nu[n] + nx[n])
+        qp.set_field("R", n, M[: nu[n], : nu[n]])
+        qp.set_field("S", n, M[: nu[n], nu[n]:])
+        qp.set_field("Q", n, M[nu[n]:, nu[n]:])
+        qp.set_field("r", n, rng.standard_normal(nu[n]))
+        qp.set_field("q", n, rng.standard_normal(nx[n]))
+        qp.set_field("C", n, rng.standard_normal((ng[n], nx[n])))
+        qp.set_field("D", n, rng.standard_normal((ng[n], nu[n])))
+        for name, value in _rows(rng, nu[n] + nx[n], nb[n], ng[n], ns[n]).items():
+            qp.set_field(name, n, value)
+    for m in range(1, n_node):
+        p = parents[m]
+        e = m - 1 if kind == "ocp" else m
+        qp.set_field("A", e, rng.standard_normal((nx[m], nx[p])))
+        qp.set_field("B", e, rng.standard_normal((nx[m], nu[p])))
+        qp.set_field("b", e, rng.standard_normal(nx[m]))
+    return qp
+
+
+def _rel_err(x, ref):
+    if not ref.size:
+        return 0.0
+    return float(np.max(np.abs(x - ref))) / max(1.0, float(np.max(np.abs(ref))))
+
+
+def _point(qp, seed):
+    vw = make_view(qp)
+    rng = np.random.default_rng(seed)
+    return QpSolution(vw, rng.standard_normal(vw.ny), rng.standard_normal(vw.ne),
+                      rng.uniform(0.1, 2.0, vw.nc), rng.uniform(0.1, 2.0, vw.nc))
+
+
+class TestOperators:
+    @settings(max_examples=100)
+    @given(random_qps())
+    def test_dense_forms_equal_references(self, qp):
+        vw = make_view(qp)
+        assert np.array_equal(vw.hess_matrix(), hess_matrix_ref(qp))
+        assert np.array_equal(vw.eq_matrix(), eq_matrix_ref(qp))
+        assert np.array_equal(vw.con_matrix(), con_matrix_ref(qp))
+        act, d = row_constants_ref(qp)
+        assert np.array_equal(vw.act, act)
+        assert np.array_equal(vw.d, d)
+
+    @settings(max_examples=100)
+    @given(random_qps(), st.integers(0, 2**32 - 1))
+    def test_products_match_references(self, qp, seed):
+        vw = make_view(qp)
+        p = _point(qp, seed)
+        H, E = hess_matrix_ref(qp), eq_matrix_ref(qp)
+        C, C_all = con_matrix_ref(qp), con_matrix_ref(qp, masked=False)
+        act, d = row_constants_ref(qp)
+        assert _rel_err(vw.hess_y(p.y), H @ p.y) <= PRODUCT_RTOL
+        assert _rel_err(vw.at_pi(p.pi), E.T @ p.pi) <= PRODUCT_RTOL
+        assert _rel_err(vw.a_y(p.y), E @ p.y) <= PRODUCT_RTOL
+        assert _rel_err(vw.cy(p.y), C_all @ p.y) <= PRODUCT_RTOL
+        assert _rel_err(vw.ct_lam(p.lam), C.T @ p.lam) <= PRODUCT_RTOL
+        # residuals from the reference matrices and the raw QP vectors
+        if qp.kind == "dense":
+            g_v, b = qp._data["g"], qp._data["b"]
+            zl, zu = qp._data["zl"], qp._data["zu"]
+        else:
+            g_v = np.concatenate([a for s in qp._stages for a in (s["r"], s["q"])])
+            b = np.concatenate([dyn["b"] for _, _, dyn in vw.edges] or [[]])
+            zl = np.concatenate([s["zl"] for s in qp._stages])
+            zu = np.concatenate([s["zu"] for s in qp._stages])
+        lam = np.where(act, p.lam, 0.0)
+        t = np.where(act, p.t, 0.0)
+        res = vw.residuals(p)
+        g = np.concatenate([g_v, zl, zu])
+        assert _rel_err(res.r_g, H @ p.y + g - E.T @ p.pi - C.T @ lam) <= PRODUCT_RTOL
+        assert _rel_err(res.r_b, b - E @ p.y) <= PRODUCT_RTOL
+        assert _rel_err(res.r_d, np.where(act, -C_all @ p.y + d + t, 0.0)) <= PRODUCT_RTOL
+        assert np.array_equal(res.r_m, np.where(act, lam * t, 0.0))
+
+
+class TestStageAccessors:
+    ACCESSORS = ["u", "x", "sl", "su", "lam_stage", "t_stage"]
+
+    @pytest.mark.parametrize("name", ACCESSORS)
+    @pytest.mark.parametrize("kind", ["ocp", "tree"])
+    def test_index_outside_the_stages_raises(self, rng, kind, name):
+        qp = (gen_mass_spring(MassSpringConfig(masses=2, horizon=3))
+              if kind == "ocp" else rand_tree_qp(rng, [-1, 0, 0, 1]))
+        sol = QpSolution(make_view(qp))
+        n_node = len(make_view(qp).blocks)
+        for n in (-1, n_node, n_node + 3):
+            with pytest.raises(IndexOutOfRange):
+                getattr(sol, name)(n)
+        for n in (0, n_node - 1):
+            getattr(sol, name)(n)
+
+    def test_accessors_tile_the_flat_vectors(self, rng):
+        qp = rand_tree_qp(rng, [-1, 0, 0, 1])
+        sol = _point(qp, 7)
+        n_node = qp.dim.n_node
+        assert np.array_equal(
+            np.concatenate([a for n in range(n_node) for a in (sol.u(n), sol.x(n))]),
+            sol.v,
+        )
+        assert np.array_equal(np.concatenate([sol.sl(n) for n in range(n_node)]),
+                              sol.sl_all)
+        assert np.array_equal(np.concatenate([sol.su(n) for n in range(n_node)]),
+                              sol.su_all)
+        assert np.array_equal(
+            np.concatenate([sol.lam_stage(n) for n in range(n_node)]), sol.lam)
+        assert np.array_equal(
+            np.concatenate([sol.t_stage(n) for n in range(n_node)]), sol.t)
