@@ -199,6 +199,9 @@ class IterRecord:
     res_d: float
     res_m: float
     route: str          # factorization route: chol | qr | chol+reg | qr+reg
+    corrector: bool     # the corrector term was used in the step direction
+    escalated: bool     # refinement missed its target and the direction was
+                        # recomputed from the ladder's qr rungs
 
 
 @dataclass

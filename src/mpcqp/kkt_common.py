@@ -3,10 +3,9 @@
 Each backend reduces the Newton KKT system to an equality-constrained core
 by eliminating, in this order, the inequality slacks t and the inequality
 multipliers lam, and then the soft-constraint slack variables.  The
-elimination acts block by block (one block per stage/node, or the whole
-problem for the dense type) and only ever touches diagonals plus one rank-1
-term per constraint row, which is what keeps soft constraints cheap: the
-cost of handling ns soft rows is linear in ns.
+elimination only ever touches diagonals plus one rank-1 term per constraint
+row, which is what keeps soft constraints cheap: the cost of handling ns
+soft rows is linear in ns.
 
 Scaling vectors, with gamma = lam / t per active row:
 
@@ -18,14 +17,18 @@ Scaling vectors, with gamma = lam / t per active row:
   the augmented slack diagonals ``D = Z + gamma + gamma_bnd`` are eliminated
   exactly because they are scalar.
 
-The right-hand-side folding and the reverse recovery (first dlam, then dt)
-mirror the same order.
+The right-hand-side folding and the reverse recovery (first the slacks,
+then dlam and dt) mirror the same order.
 
-The per-row quantities that need no block structure, the scalings
-``lam / t`` and the folding weights ``(lam * r_d - r_m) / t``, are formed
-once over the flat vectors (:func:`view_scales`, :func:`fold_weights`) and
-sliced per block.  They are elementwise, so the values are the same as
-forming them block by block.
+Only the reduced Hessian has block structure: :func:`add_reduced_hessian`
+adds one block's rows to its window Hessian.  Everything else is formed once
+over the flat vectors, with the view's row tables (``box_col``, ``G`` and
+the positions of every row side in ``lam``/``t``): the scalings
+(:func:`view_scales`), the folded right-hand side over v (:func:`fold_rhs`)
+and the recovered slack, multiplier and inequality-slack steps
+(:func:`recover`).  Both backends call the same three functions; on a dense
+QP, whose one block is the whole problem, they perform the per-block
+arithmetic operation for operation.
 """
 
 from __future__ import annotations
@@ -37,32 +40,32 @@ import numpy as np
 from .errors import NonPositiveIterate, SingularSlackBlock
 from .linalg import matmul_acc
 
-__all__ = ["BlockScales", "view_scales", "add_reduced_hessian", "fold_weights",
-           "fold_rhs", "recover_block", "kkt_apply_vec", "kkt_rhs_flat"]
+__all__ = ["Scales", "view_scales", "add_reduced_hessian", "fold_rhs", "recover",
+           "kkt_apply_vec", "kkt_rhs_flat"]
 
 
 @dataclass
-class BlockScales:
-    """Per-row multiplier/slack scalings of one constraint block."""
+class Scales:
+    """Multiplier/slack scalings of every constraint row at one iterate."""
 
-    g_lo: np.ndarray      # (m,) lam/t on active lower rows, else 0
-    g_up: np.ndarray
-    g_slo: np.ndarray     # (ns,) slack-bound row scalings
-    g_sup: np.ndarray
-    D_l: np.ndarray       # (ns,) augmented slack diagonals
-    D_u: np.ndarray
-    ge_lo: np.ndarray     # (m,) effective coefficients after slack elimination
-    ge_up: np.ndarray
-    g_all: np.ndarray     # (nc,) raw scalings in block row order
-    lam: np.ndarray       # views of the iterate's block slices
+    lam: np.ndarray       # (nc,) the iterate's multipliers and slacks
     t: np.ndarray
-    act: np.ndarray       # (nc,) bool
+    g: np.ndarray         # (nc,) lam/t on active rows, else 0
+    ge: np.ndarray        # (nc,) effective coefficients after slack elimination
+    D: np.ndarray         # (2 ns_tot,) augmented slack diagonals [D_l | D_u]
+
+    def coef(self, cb, effective=True):
+        """Reduced-Hessian coefficient of each box and general row of block ``cb``.
+
+        With ``effective`` the slack-eliminated coefficients, otherwise the
+        raw gamma scalings.
+        """
+        g = (self.ge if effective else self.g)[cb.c_off: cb.c_off + 2 * cb.m]
+        return g[: cb.m] + g[cb.m:]
 
 
 def view_scales(view, lam, t):
-    """Multiplier/slack scalings of every constraint block at the current iterate.
-
-    Returns one :class:`BlockScales` per block of ``view``, in block order.
+    """Multiplier/slack scalings of all rows of ``view`` at the current iterate.
 
     Raises
     ------
@@ -76,49 +79,29 @@ def view_scales(view, lam, t):
         raise NonPositiveIterate("lam, t must be > 0 on active rows")
     g = np.zeros(view.nc)
     np.divide(lam, t, out=g, where=act)
-    out = []
-    for cb in view.blocks:
-        sl = slice(cb.c_off, cb.c_off + cb.nc)
-        out.append(_block_scales(cb, g[sl], lam[sl], t[sl], act[sl]))
-    return out
-
-
-def _block_scales(cb, g_all, lam_blk, t_blk, act):
-    m, ns = cb.m, cb.ns
-    g_lo = g_all[:m]
-    g_up = g_all[m: 2 * m]
-    g_slo = g_all[2 * m: 2 * m + ns]
-    g_sup = g_all[2 * m + ns:]
-    ge_lo = g_lo.copy()
-    ge_up = g_up.copy()
-    if ns:
-        D_l = cb.Zl + g_lo[cb.idxs] + g_slo
-        D_u = cb.Zu + g_up[cb.idxs] + g_sup
-        if np.any(D_l <= 0.0) or np.any(D_u <= 0.0):
-            raise SingularSlackBlock(
-                "augmented soft-slack diagonal must be > 0"
-            )
-        ge_lo[cb.idxs] = g_lo[cb.idxs] * (D_l - g_lo[cb.idxs]) / D_l
-        ge_up[cb.idxs] = g_up[cb.idxs] * (D_u - g_up[cb.idxs]) / D_u
-    else:
-        D_l = np.zeros(0)
-        D_u = np.zeros(0)
-    return BlockScales(
-        g_lo=g_lo, g_up=g_up, g_slo=g_slo, g_sup=g_sup,
-        D_l=D_l, D_u=D_u, ge_lo=ge_lo, ge_up=ge_up,
-        g_all=g_all, lam=lam_blk, t=t_blk, act=act,
-    )
+    soft = view._soft
+    if not soft.size:
+        return Scales(lam=lam, t=t, g=g, ge=g, D=np.zeros(0))
+    # the softened rows' sides and the slack-bound rows, in slack order [sl | su]
+    g_soft = g[soft]
+    D = view.slack_diag + g_soft + g[view._rows[2 * view._m:]]
+    if np.any(D <= 0.0):
+        raise SingularSlackBlock("augmented soft-slack diagonal must be > 0")
+    ge = g.copy()
+    ge[soft] = g_soft * (D - g_soft) / D
+    return Scales(lam=lam, t=t, g=g, ge=ge, D=D)
 
 
 def add_reduced_hessian(cb, sc, H, effective=True):
-    """Add the constraint contributions to a window Hessian and return it.
+    """Add the constraint contributions of block ``cb`` to its window Hessian.
 
     With ``effective`` the slack-eliminated coefficients are used (the fully
     reduced system over the window variables); otherwise the raw gamma
     scalings (inequality elimination only).  Box rows touch only diagonal
     entries; general rows add a scaled Gram matrix of their coefficient rows.
+    Returns a new array.
     """
-    coef = (sc.ge_lo + sc.ge_up) if effective else (sc.g_lo + sc.g_up)
+    coef = sc.coef(cb, effective)
     H = H.copy()
     if cb.nb:
         H[cb.idxb, cb.idxb] += coef[: cb.nb]
@@ -128,58 +111,46 @@ def add_reduced_hessian(cb, sc, H, effective=True):
     return H
 
 
-def fold_weights(view, lam, t, r_d, r_m):
-    """Folding weights ``(lam * r_d - r_m) / t`` of all rows, 0 on inactive ones."""
+def fold_rhs(view, sc, r_g, r_d, r_m):
+    """Fold the inequality and slack right-hand sides into one over v.
+
+    Returns ``(rhat, fold)``: the reduced right-hand side over v and the
+    intermediates :func:`recover` needs, the folding weights
+    ``(lam * r_d - r_m) / t`` (0 on inactive rows) and the slacks' folded
+    right-hand sides.
+    """
+    nv = view.nv
     w = np.zeros(view.nc)
-    np.divide(lam * r_d - r_m, t, out=w, where=view.act)
-    return w
+    np.divide(sc.lam * r_d - r_m, sc.t, out=w, where=view.act)
+    rhat = r_g[:nv] - view.rows_t(w)
+    soft = view._soft
+    if not soft.size:
+        return rhat, (w, None)
+    rt = r_g[nv:] - w[soft] - w[view._rows[2 * view._m:]]
+    f = np.zeros(view.nc)
+    f[soft] = sc.g[soft] * rt / sc.D
+    return rhat - view.rows_t(f), (w, rt)
 
 
-def fold_rhs(cb, sc, w_all, r_gw, r_gsl, r_gsu):
-    """Fold one block's inequality and slack right-hand sides into the window.
+def recover(view, sc, dv, fold, r_d):
+    """Recover ``(dy, dlam, dt)`` from the step ``dv`` over v.
 
-    ``w_all`` is the block's slice of :func:`fold_weights`.  Returns
-    ``(rhat_w, stash)``: the reduced window right-hand side and the
-    intermediates needed by :func:`recover_block`.
+    The slack steps come back first, then the multipliers and the inequality
+    slacks, reversing the elimination order.  Deactivated rows stay at zero.
+    Without soft rows ``dy`` is ``dv`` itself.
     """
-    m, ns = cb.m, cb.ns
-    w_lo = w_all[:m]
-    w_up = w_all[m: 2 * m]
-    rt_sl = r_gsl - w_lo[cb.idxs] - w_all[2 * m: 2 * m + ns] if ns else r_gsl
-    rt_su = r_gsu - w_up[cb.idxs] - w_all[2 * m + ns:] if ns else r_gsu
-    rhat_w = r_gw - cb.rows_w_t(w_lo - w_up)
-    if ns:
-        fold = np.zeros(m)
-        fold[cb.idxs] = (sc.g_lo[cb.idxs] * rt_sl / sc.D_l
-                         - sc.g_up[cb.idxs] * rt_su / sc.D_u)
-        rhat_w = rhat_w - cb.rows_w_t(fold)
-    return rhat_w, (w_all, rt_sl, rt_su)
-
-
-def recover_block(cb, sc, dw, stash, r_d_blk):
-    """Recover (dsl, dsu, dlam, dt) of one block from the window step.
-
-    The multipliers come back first, then the inequality slacks, reversing
-    the elimination order.  Deactivated rows stay at zero.
-    """
-    m, ns = cb.m, cb.ns
-    w_all, rt_sl, rt_su = stash
-    base = cb.rows_w(dw)
-    if ns:
-        dsl = (-rt_sl - sc.g_lo[cb.idxs] * base[cb.idxs]) / sc.D_l
-        dsu = (-rt_su + sc.g_up[cb.idxs] * base[cb.idxs]) / sc.D_u
-    else:
-        dsl = np.zeros(0)
-        dsu = np.zeros(0)
-    cy_lo = base.copy()
-    cy_up = -base
-    if ns:
-        cy_lo[cb.idxs] += dsl
-        cy_up[cb.idxs] += dsu
-    cy = np.concatenate([cy_lo, cy_up, dsl, dsu])
-    dlam = np.where(sc.act, w_all - sc.g_all * cy, 0.0)
-    dt = np.where(sc.act, -r_d_blk + cy, 0.0)
-    return dsl, dsu, dlam, dt
+    w, rt = fold
+    soft = view._soft
+    cy = view.cy(np.concatenate([dv, np.zeros(soft.size)]))
+    dy = dv
+    if soft.size:
+        ds = (-rt - sc.g[soft] * cy[soft]) / sc.D
+        cy[soft] += ds
+        cy[view._rows[2 * view._m:]] = ds
+        dy = np.concatenate([dv, ds])
+    dlam = np.where(view.act, w - sc.g * cy, 0.0)
+    dt = np.where(view.act, -r_d + cy, 0.0)
+    return dy, dlam, dt
 
 
 def kkt_apply_vec(view, lam, t, delta_flat):

@@ -38,13 +38,7 @@ import scipy.linalg
 
 from .errors import FactorizationFailed, LinalgError
 from .ipm_core import IpmArg
-from .kkt_common import (
-    add_reduced_hessian,
-    fold_rhs,
-    fold_weights,
-    recover_block,
-    view_scales,
-)
+from .kkt_common import add_reduced_hessian, fold_rhs, recover, view_scales
 from .linalg import cholesky_factor, matmul_acc, qr_cholesky, solve_triangular
 from .view import QpSolution, make_view
 
@@ -107,7 +101,7 @@ class DenseKktFactor:
     def _factor_qr(self, H, sc, reg):
         """Cholesky of the reduced Hessian via the stacked-factor QR route."""
         Lh = cholesky_factor(H, reg)
-        coef = sc.ge_lo + sc.ge_up
+        coef = sc.coef(self._cb)
         rows = np.flatnonzero(coef > 0.0)
         if rows.size:
             J = self.view.row_matrix()[rows]
@@ -126,12 +120,7 @@ class DenseKktFactor:
         represents; the factor itself is formulation-agnostic.
         """
         vw = self.view
-        cb = self._cb
-        nv, ns = vw.nv, vw.ns_tot
-        w = fold_weights(vw, self.sc.lam, self.sc.t, r_d, r_m)
-        rhat, stash = fold_rhs(
-            cb, self.sc, w, r_g[:nv], r_g[nv: nv + ns], r_g[nv + ns:]
-        )
+        rhat, fold = fold_rhs(vw, self.sc, r_g, r_d, r_m)
         if self.method == "null_space" and self.qp.ne:
             v_p = self._Q1 @ solve_triangular(self._Ra, r_b, transpose=True,
                                               lower=False)
@@ -148,8 +137,7 @@ class DenseKktFactor:
         else:
             dpi = np.zeros(0)
             dv = -_cho_solve(self._Lred, rhat)
-        dsl, dsu, dlam, dt = recover_block(cb, self.sc, dv, stash, r_d)
-        dy = np.concatenate([dv, dsl, dsu])
+        dy, dlam, dt = recover(vw, self.sc, dv, fold, r_d)
         return QpSolution(vw, dy, dpi, dlam, dt)
 
     def solve_flat(self, rhs_flat):
@@ -181,7 +169,7 @@ def factor(qp, iterate, arg=None, use_qr=False):
     """
     arg = arg or IpmArg()
     vw = make_view(qp)
-    sc = view_scales(vw, iterate.lam, iterate.t)[0]
+    sc = view_scales(vw, iterate.lam, iterate.t)
     method = arg.kkt_method if qp.ne else "chol"
     try:
         return DenseKktFactor(qp, vw, sc, arg, method, use_qr)

@@ -44,28 +44,50 @@ call makes one attempt on the route it is given (Cholesky or QR, with or
 without regularization); retrying on another route is the solver's
 decision.
 
-The vector solve runs the matching backward sweep (cost-to-go vectors and
-feedforward terms), a forward rollout of states, inputs and edge multipliers
-from the root along the edges, and the per-node recovery of slack and
-inequality components in reverse elimination order.  Dual regularization is
-not applied on this backend (the equality block stays exact); primal
-regularization plus iterative refinement covers ill-conditioned cases.
+The vector solve is two banded triangular solves over the flat vectors.
+After the factorization both sweeps of a node-by-node solve are linear
+recurrences with fixed matrices.  In the cost-to-go vectors ``p_n`` and
+``l_n = L_uu^-1 rr_n`` (``rr_n`` the input part of node n's folded
+right-hand side ``rhat_n`` plus its children's terms) the backward sweep
+reads
+
+    [L_uu 0; L_xu I] [l_n; p_n] - sum over edges n -> m of [B_m'; A_m'] e_m
+        = rhat_n,        e_m = p_m + P_m b_m,
+
+and the forward sweep ``L_uu' u_n = -(L_xu' x_n + l_n)``,
+``x_m = A_m x_n + B_m u_n + b_m``.  In the unknowns ``s_m = e_m`` (the
+child's own row then carries ``P_m b_m`` on its right-hand side) and
+``s_0 = L_P0^-1 p_0`` at the root, with ``L_P0 L_P0' = P_0``, the backward
+sweep is one lower triangular system T, and the forward sweep is its
+transpose: ``T' [u; x] = [-l; b]`` with ``-s_0`` in the root's slot.  Each
+factorization writes its ``L_uu``, ``L_xu`` and ``L_P0`` into T, held in
+LAPACK band storage; the layout, the bandwidth (taken from the edge table:
+about ``2 nx + nu`` on a chain) and the coupling entries, which are E's, are
+constants of the view (:class:`view.RiccatiBand`).  A vector solve then
+folds the right-hand side over the flat vectors, forms ``P b`` with one
+block-diagonal product over the edges, runs the two band solves, forms
+``pi_m = P_m (x_m - b_m) + e_m`` with a second product and recovers the
+slack and inequality components over the flat vectors.  Dual
+regularization is not applied on this backend (the equality block stays
+exact); primal regularization plus iterative refinement covers
+ill-conditioned cases.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import FactorizationFailed, LinalgError
 from .ipm_core import IpmArg
-from .kkt_common import (
-    add_reduced_hessian,
-    fold_rhs,
-    fold_weights,
-    recover_block,
-    view_scales,
+from .kkt_common import add_reduced_hessian, fold_rhs, recover, view_scales
+from .linalg import (
+    cholesky_factor,
+    matmul_acc,
+    qr_cholesky,
+    solve_banded_triangular,
+    solve_triangular,
 )
-from .linalg import cholesky_factor, matmul_acc, qr_cholesky, solve_triangular
 from .view import QpSolution, make_view
 
 __all__ = [
@@ -76,10 +98,6 @@ __all__ = [
 ]
 
 
-def _cho_solve(L, b):
-    return solve_triangular(L, solve_triangular(L, b), transpose=True)
-
-
 class RiccatiFactor:
     """Backward Riccati factorization of one OCP or tree QP at one iterate."""
 
@@ -87,25 +105,16 @@ class RiccatiFactor:
         self.qp = qp
         self.view = view
         self.variant = variant
-        self.lam = iterate.lam
-        self.t = iterate.t
         self.scales = view_scales(view, iterate.lam, iterate.t)
         n_node = view.n_node
         self.L_uu = [None] * n_node
+        self.L_col = [None] * n_node  # factor columns [L_uu; L_xu]
         self.K = [None] * n_node
         self.P = [None] * n_node     # classical representation
         self.L_P = [None] * n_node   # square-root representation
-        self.L_P0 = None
-
-    # cost-to-go applications, independent of the variant in use
-    def p_apply(self, n, vec):
-        if self.L_P[n] is not None:
-            return self.L_P[n] @ (self.L_P[n].T @ vec)
-        return self.P[n] @ vec
-
-    def p0_solve(self, vec):
-        L = self.L_P[0] if self.L_P[0] is not None else self.L_P0
-        return _cho_solve(L, vec)
+        self.ab = None               # band storage of the solve matrix T
+        self.P_op = None             # per-edge blocks: P, or chol(P) if sqrt
+        self.sqrt = False
 
     def p_matrix(self, n):
         if self.P[n] is not None:
@@ -151,7 +160,7 @@ def riccati_factor(qp, iterate, variant=None, arg=None, use_qr=False):
     fac = RiccatiFactor(qp, vw, variant, iterate)
     sqrt_mode = variant == "square_root" or use_qr
     for n in range(vw.n_node - 1, -1, -1):
-        M = add_reduced_hessian(vw.blocks[n], fac.scales[n], vw.node_hess[n],
+        M = add_reduced_hessian(vw.blocks[n], fac.scales, vw.node_hess[n],
                                 effective=True)
         if arg.reg_prim:
             M[np.diag_indices_from(M)] += arg.reg_prim
@@ -161,19 +170,36 @@ def riccati_factor(qp, iterate, variant=None, arg=None, use_qr=False):
             raise FactorizationFailed(
                 f"Riccati factorization failed at stage {n}: {exc}", stage=n
             ) from exc
-    if fac.variant == "classical" and fac.L_P[0] is None and d.nx[0]:
+    if sqrt_mode:
+        L_root = fac.L_P[0]
+    elif d.nx[0]:
         try:
-            fac.L_P0 = cholesky_factor(fac.P[0])
+            L_root = cholesky_factor(fac.P[0])
         except LinalgError as exc:
             raise FactorizationFailed(
                 f"cost-to-go matrix at stage 0 not positive definite: {exc}",
                 stage=0,
             ) from exc
+    else:
+        L_root = np.zeros((0, 0))
+    band = vw.band
+    # column-major: the factors come out of LAPACK Fortran-ordered
+    vals = np.concatenate([L.ravel(order="F") for L in fac.L_col + [L_root]])
+    ab = band.ab0.copy()
+    ab.ravel()[band.dst] = vals[band.src]
+    fac.ab = ab.T
+    blocks = fac.L_P if sqrt_mode else fac.P
+    fac.P_op = sp.csr_array(
+        (np.concatenate([np.zeros(0)] + [blocks[m].ravel() for _, m, _ in vw.edges]),
+         *band.p_csr),
+        shape=(vw.ne, vw.ne),
+    )
+    fac.sqrt = sqrt_mode
     return fac
 
 
 def _factor_node(fac, n, M, nu, sqrt_mode, use_qr):
-    """Factor one node; writes L_uu, K and the P representation at n."""
+    """Factor one node; writes L_uu, L_col, K and the P representation at n."""
     edges = fac.view.out_edges[n]
     if sqrt_mode:
         W = [matmul_acc(1.0, fac.L_P[m], BA, 0.0, 0.0, transA=True)
@@ -186,8 +212,7 @@ def _factor_node(fac, n, M, nu, sqrt_mode, use_qr):
             for W_m in W:
                 G = matmul_acc(1.0, W_m, W_m, 1.0, G, transA=True)
             L_G = cholesky_factor(G)
-        # C-contiguous, so the vector solves pass it to LAPACK uncopied
-        L_uu = np.ascontiguousarray(L_G[:nu, :nu])
+        L_uu = L_G[:nu, :nu]
         L_xu = L_G[nu:, :nu]
         L_P = np.ascontiguousarray(L_G[nu:, nu:])
         if nu:
@@ -195,6 +220,7 @@ def _factor_node(fac, n, M, nu, sqrt_mode, use_qr):
         else:
             K = np.zeros((0, L_P.shape[0]))
         fac.L_uu[n] = L_uu
+        fac.L_col[n] = L_G[:, :nu]
         fac.K[n] = K
         fac.L_P[n] = L_P
         return
@@ -207,78 +233,47 @@ def _factor_node(fac, n, M, nu, sqrt_mode, use_qr):
     G_xx = G[nu:, nu:]
     if nu:
         L_uu = cholesky_factor(G_uu)
-        K = -solve_triangular(
-            L_uu, solve_triangular(L_uu, G_ux), transpose=True
-        )
+        L_xu_t = solve_triangular(L_uu, G_ux)
+        K = -solve_triangular(L_uu, L_xu_t, transpose=True)
         P = matmul_acc(1.0, G_ux, K, 1.0, G_xx, transA=True)
     else:
         L_uu = np.zeros((0, 0))
+        L_xu_t = np.zeros((0, G_xx.shape[0]))
         K = np.zeros((0, G_xx.shape[0]))
         P = G_xx.copy()
     fac.L_uu[n] = L_uu
+    fac.L_col[n] = np.hstack([L_uu.T, L_xu_t]).T
     fac.K[n] = K
     fac.P[n] = 0.5 * (P + P.T)
+
+
+def _p_apply(fac, vec):
+    """``P_m @ vec_m`` for every edge block of a vector laid out like pi."""
+    if fac.sqrt:
+        return fac.P_op @ (fac.P_op.T @ vec)
+    return fac.P_op @ vec
 
 
 def riccati_solve(fac, qp, r_g, r_b, r_d, r_m):
     """Full-space Newton solution from a current factor and a 4-block RHS.
 
-    Backward sweep of cost-to-go vectors and feedforward terms, forward
-    rollout of states, inputs and edge multipliers from the root, then
-    per-node recovery of slack and inequality components.
+    Two band solves with the factor's matrix T, backward then forward (see
+    the module docstring), between the flat fold of the right-hand side and
+    the flat recovery of the slack and inequality components.
     """
     vw = fac.view
-    d = qp.dim
-    n_node = vw.n_node
-    rhat = [None] * n_node
-    stash = [None] * n_node
-    w = fold_weights(vw, fac.lam, fac.t, r_d, r_m)
-    for n in range(n_node):
-        cb = vw.blocks[n]
-        rhat[n], stash[n] = fold_rhs(
-            cb, fac.scales[n], w[cb.c_off: cb.c_off + cb.nc],
-            r_g[cb.w_off: cb.w_off + cb.nw],
-            r_g[vw.nv + cb.s_off: vw.nv + cb.s_off + cb.ns],
-            r_g[vw.nv + vw.ns_tot + cb.s_off: vw.nv + vw.ns_tot + cb.s_off + cb.ns],
-        )
-    pv = [None] * n_node
-    kff = [None] * n_node
-    for n in range(n_node - 1, -1, -1):
-        nu = d.nu[n]
-        rr = rhat[n][:nu]
-        rq = rhat[n][nu:]
-        for m, dyn, off, _ in vw.out_edges[n]:
-            e = fac.p_apply(m, r_b[off: off + d.nx[m]]) + pv[m]
-            rr = rr + dyn["B"].T @ e
-            rq = rq + dyn["A"].T @ e
-        kff[n] = -_cho_solve(fac.L_uu[n], rr) if nu else np.zeros(0)
-        pv[n] = rq + fac.K[n].T @ rr
-    dy = np.zeros(vw.ny)
-    dpi = np.zeros(vw.ne)
-    xi = [None] * n_node
-    xi[0] = -fac.p0_solve(pv[0]) if d.nx[0] else np.zeros(0)
-    for n in range(n_node):
-        nu = d.nu[n]
-        nv_u = fac.K[n] @ xi[n] + kff[n] if nu else np.zeros(0)
-        dy[vw.u_off[n]: vw.u_off[n] + nu] = nv_u
-        dy[vw.x_off[n]: vw.x_off[n] + d.nx[n]] = xi[n]
-        for m, dyn, off, _ in vw.out_edges[n]:
-            xi[m] = dyn["A"] @ xi[n] + dyn["B"] @ nv_u + r_b[off: off + d.nx[m]]
-            dpi[off: off + d.nx[m]] = fac.p_apply(m, xi[m]) + pv[m]
-    dlam = np.zeros(vw.nc)
-    dt = np.zeros(vw.nc)
-    for n in range(n_node):
-        cb = vw.blocks[n]
-        sl = slice(cb.c_off, cb.c_off + cb.nc)
-        dw = dy[cb.w_off: cb.w_off + cb.nw]
-        dsl, dsu, dlam_blk, dt_blk = recover_block(
-            cb, fac.scales[n], dw, stash[n], r_d[sl]
-        )
-        dy[vw.nv + cb.s_off: vw.nv + cb.s_off + cb.ns] = dsl
-        dy[vw.nv + vw.ns_tot + cb.s_off:
-           vw.nv + vw.ns_tot + cb.s_off + cb.ns] = dsu
-        dlam[sl] = dlam_blk
-        dt[sl] = dt_blk
+    band = vw.band
+    rhat, fold = fold_rhs(vw, fac.scales, r_g, r_d, r_m)
+    f = np.empty(vw.nv)
+    f[band.vpos] = rhat
+    f[band.pi_pos] += _p_apply(fac, r_b)
+    s = solve_banded_triangular(fac.ab, f)
+    f = -s
+    f[band.pi_pos] = r_b
+    w = solve_banded_triangular(fac.ab, f, transpose=True)
+    x = w[band.pi_pos]
+    dpi = _p_apply(fac, x - r_b) + s[band.pi_pos]
+    dy, dlam, dt = recover(vw, fac.scales, w[band.vpos], fold, r_d)
     return QpSolution(vw, dy, dpi, dlam, dt)
 
 

@@ -14,15 +14,17 @@ reproducible.  Nominal counts use the standard textbook formulas and are
 deterministic integers.
 
 The Cholesky and triangular-solve kernels call the LAPACK routines
-``dpotrf`` and ``dtrtrs`` directly, bound once at import, instead of going
-through ``scipy.linalg.cholesky``/``solve_triangular``: on the small blocks
+``dpotrf``, ``dtrtrs`` and (banded) ``dtbtrs`` directly, bound once at
+import, instead of going through ``scipy.linalg.cholesky``/
+``solve_triangular``: on the small blocks
 of a Riccati recursion the wrappers' argument validation costs several times
 the arithmetic.  Layout dispatch follows scipy's wrappers exactly (a factor
 that is not Fortran-contiguous is passed transposed with the opposite
 triangle and transposition), so results are bit-identical to them.  Their
 checks are replaced by the shape checks here and the LAPACK return codes:
-``dpotrf`` reports a nonpositive pivot, ``dtrtrs`` an exactly zero diagonal
-entry, and a negative code (an illegal argument) raises ``ValueError``.
+``dpotrf`` reports a nonpositive pivot, ``dtrtrs`` and ``dtbtrs`` an exactly
+zero diagonal entry, and a negative code (an illegal argument) raises
+``ValueError``.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from contextlib import contextmanager
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf as _potrf
+from scipy.linalg.lapack import dtbtrs as _tbtrs
 from scipy.linalg.lapack import dtrtrs as _trtrs
 
 from .errors import (
@@ -44,6 +47,7 @@ from .errors import (
 __all__ = [
     "cholesky_factor",
     "solve_triangular",
+    "solve_banded_triangular",
     "qr_cholesky",
     "matmul_acc",
     "flop_counter",
@@ -165,6 +169,45 @@ def solve_triangular(L, B, transpose=False, lower=True):
         raise ValueError(f"illegal value in argument {-info} of dtrtrs")
     m = 1 if B.ndim == 1 else B.shape[1]
     _count(n * n * m)
+    return X
+
+
+def solve_banded_triangular(ab, B, transpose=False):
+    """Solve L @ X = B (or L.T @ X = B when ``transpose``) for a banded L.
+
+    ``ab`` is the lower triangular band matrix L in LAPACK band storage:
+    shape (kd + 1, n) with ``ab[i - j, j] = L[i, j]`` for ``j <= i <= j + kd``.
+    A Fortran-contiguous ``ab`` (the transpose of a C-ordered (n, kd + 1)
+    array) reaches LAPACK uncopied.  The nominal count is that of the band
+    kernel, ``2 n kd + n - kd (kd + 1)`` per right-hand-side column, which is
+    ``n**2`` (the dense triangular count) once the band is full.
+
+    Raises
+    ------
+    SingularFactor
+        If any diagonal entry of L is exactly zero.
+    DimensionMismatch
+        If shapes are not conformal.
+    """
+    ab = np.asarray(ab, dtype=float)
+    B = np.asarray(B, dtype=float)
+    if ab.ndim != 2 or ab.shape[0] < 1:
+        raise DimensionMismatch(f"band storage must be (kd+1, n), got {ab.shape}")
+    n = ab.shape[1]
+    if B.shape[0] != n:
+        raise DimensionMismatch(f"rhs leading dim {B.shape} does not match factor {n}")
+    if B.size == 0:
+        # no LAPACK call: scipy 1.17's dtbtrs wrapper corrupts the heap on a
+        # zero-column right-hand side
+        return B.copy()
+    X, info = _tbtrs(ab, B, uplo="L", trans="T" if transpose else "N")
+    if info > 0:
+        raise SingularFactor("zero diagonal entry in triangular factor")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dtbtrs")
+    kd = min(ab.shape[0] - 1, n - 1)
+    m = 1 if B.ndim == 1 else B.shape[1]
+    _count(m * (2 * n * kd + n - kd * (kd + 1)))
     return X
 
 

@@ -10,9 +10,11 @@ machinery (:mod:`ipm_core`) to the type-specific KKT backend:
 3. affine prediction, step length probe, centering parameter;
 4. corrector direction, accepted only if it does not blow up the duality
    measure (otherwise one predictor-centering resolve with the same factor);
+   the trace records whether it was used;
 5. optional iterative refinement of the combined direction; under the
    ``chol_qr`` policy a ``chol`` direction that refinement cannot bring to
-   the requested accuracy is recomputed from the ladder's ``qr`` rungs;
+   the requested accuracy is recomputed from the ladder's ``qr`` rungs,
+   which the trace records as ``escalated``;
 6. fraction-to-boundary step length, iterate update with multiplier/slack
    lower bounds.
 
@@ -261,6 +263,8 @@ def _ipm_loop(qp, factor_fn, arg, guess):
         step = (
             recover_step_absolute(iterate, sol_dir) if arg.abs_form else sol_dir
         )
+        corrector = arg.pred_corr
+        escalated = False
         if arg.pred_corr and arg.cond_pred_corr:
             a_t = max_step(iterate.lam, iterate.t, step.lam, step.t, act)
             mu_t = duality_measure(
@@ -268,6 +272,7 @@ def _ipm_loop(qp, factor_fn, arg, guess):
                 iterate.t + a_t * step.t, act,
             )
             if not corrector_acceptance(mu_t, mu_aff, arg.corr_ratio):
+                corrector = False
                 rm_dir = rm_center - 2.0 * comp if arg.abs_form else rm_center
                 sol_dir = factor.solve(rg, rb, rd, rm_dir)
                 step = (
@@ -288,6 +293,7 @@ def _ipm_loop(qp, factor_fn, arg, guess):
                                                  first="qr")
                 if factor_qr is not None:
                     factor, route = factor_qr, route_qr
+                    escalated = True
                     sol_dir = factor.solve(rg, rb, rd, rm_dir)
                     sol_dir = _refine(
                         view, factor, lam_m, t_m, rg, rb, rd, rm_dir, sol_dir,
@@ -310,7 +316,7 @@ def _ipm_loop(qp, factor_fn, arg, guess):
             res_b=res.res_b if res else np.nan,
             res_d=res.res_d if res else np.nan,
             res_m=res.res_m if res else np.nan,
-            route=route,
+            route=route, corrector=corrector, escalated=escalated,
         ))
         alpha_last = alpha
         it += 1

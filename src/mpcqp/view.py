@@ -61,18 +61,21 @@ per edge in that order for both types.
 A view is cached on its QP until the next ``set_field`` (see
 :func:`make_view`), so it also holds the per-QP constants of the Riccati
 recursion: each node's symmetrized base Hessian ``[[R S] [S' Q]]`` and each
-edge's ``[B A]`` stack are built once per view, not once per factorization.
+edge's ``[B A]`` stack are built once per view, not once per factorization,
+and so is, on first use, the band layout of the Riccati vector solve
+(:class:`RiccatiBand`), whose constant entries are those of E.
 The stage type's ``H`` is made of the same symmetrized node Hessians.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DimensionMismatch, IndexOutOfRange, NonPositiveIterate
+from .errors import DimensionMismatch, IndexOutOfRange, NonPositiveIterate, UnknownField
 from .qp_data import DenseQp, OcpQp, TreeOcpQp
 
 __all__ = [
@@ -98,8 +101,6 @@ class ConBlock:
     idxb: np.ndarray      # (nb,) component indices into the window
     Jg: np.ndarray        # (ng, nw) general-constraint rows
     idxs: np.ndarray      # (ns,) soft row indices into 0..nb+ng
-    Zl: np.ndarray
-    Zu: np.ndarray
     s_off: int            # block start in the flat slack vectors
     c_off: int            # block start in lam/t
 
@@ -111,28 +112,12 @@ class ConBlock:
     def nc(self):
         return 2 * self.m + 2 * self.ns
 
-    def rows_w(self, w):
-        """Box+general row values Jc @ w of the window vector."""
-        out = np.empty(self.m)
-        out[: self.nb] = w[self.idxb]
-        if self.ng:
-            out[self.nb:] = self.Jg @ w
-        return out
-
-    def rows_w_t(self, coeff):
-        """Jc' @ coeff accumulated into a window-sized vector."""
-        out = np.zeros(self.nw)
-        np.add.at(out, self.idxb, coeff[: self.nb])
-        if self.ng:
-            out += self.Jg.T @ coeff[self.nb:]
-        return out
-
 
 def _block_from_stage(st, Jg, w_off, s_off, c_off):
     return ConBlock(
         w_off=w_off, nw=Jg.shape[1], nb=st["idxb"].shape[0], ng=Jg.shape[0],
         ns=st["idxs"].shape[0], idxb=st["idxb"], Jg=Jg, idxs=st["idxs"],
-        Zl=st["Zl"], Zu=st["Zu"], s_off=s_off, c_off=c_off,
+        s_off=s_off, c_off=c_off,
     )
 
 
@@ -262,16 +247,23 @@ class ProblemView:
         out[self._soft] += y[self.nv:]
         return out
 
+    def rows_t(self, c):
+        """Box and general rows' part of C' @ c: ``J' (c_lo - c_up)`` over v.
+
+        ``c`` is laid out like ``lam``; its slack-bound entries are not read.
+        """
+        m, nb = self._m, self._nb
+        side = c[self._rows[: 2 * m]]
+        coeff = side[:m] - side[m:]
+        return (np.bincount(self.box_col, weights=coeff[:nb], minlength=self.nv)
+                + self._Gt @ coeff[nb:])
+
     def ct_lam(self, lam):
         """C' @ lam over the primal vector, masked sides excluded."""
         lam = np.where(self.act, lam, 0.0)
-        side = lam[self._rows]
-        m, nb = self._m, self._nb
-        coeff = side[:m] - side[m: 2 * m]
         return np.concatenate([
-            np.bincount(self.box_col, weights=coeff[:nb], minlength=self.nv)
-            + self._Gt @ coeff[nb:],
-            lam[self._soft] + side[2 * m:],
+            self.rows_t(lam),
+            lam[self._soft] + lam[self._rows[2 * self._m:]],
         ])
 
     # -- oracle-grade dense copies ---------------------------------------
@@ -408,6 +400,78 @@ class StageView(ProblemView):
         b = [dyn["b"] for _, _, dyn in self.edges]
         return stages, g_v, np.concatenate(b) if b else np.zeros(0)
 
+    @cached_property
+    def band(self):
+        """Band layout of the Riccati vector solve (see :mod:`kkt_ocp`)."""
+        return RiccatiBand(self)
+
+
+class RiccatiBand:
+    """Band layout of the Riccati recursion's vector-solve matrix T.
+
+    The nodes are laid out in reverse order (every child before its parent),
+    each node n as ``[l_n | s_n]`` over its window ``(u_n, x_n)``, so that T
+    is lower triangular.  Its diagonal block is ``[[L_uu 0] [L_xu D_n]]``
+    with ``D_n = I`` except at the root; the edge into a child m couples the
+    parent's rows to ``s_m`` through ``-[B_m A_m]'``.  The coupling and the
+    identities are the equality matrix E with its columns moved to band
+    order, so they are constants of the view; a factorization writes only
+    the factor columns ``[L_uu; L_xu]`` of every node and the root block.
+
+    * ``vpos``     v index k sits at band position ``vpos[k]``;
+    * ``pi_pos``   band position of the child state each pi entry pairs with;
+    * ``kd``       number of subdiagonals, from the edge table;
+    * ``ab0``      (nv, kd + 1) C-ordered constant part; its transpose is
+                   LAPACK lower band storage;
+    * ``dst``/``src``  flat positions in ``ab0`` of the factor entries and
+                   their positions in the concatenation, in node order, of
+                   every ``[L_uu; L_xu]`` and then of the root block, each
+                   flattened column-major;
+    * ``p_csr``    ``(indices, indptr)`` of the (ne, ne) CSR block diagonal
+                   with one (nx_m, nx_m) block per edge into m, for the
+                   cost-to-go products over pi.
+    """
+
+    def __init__(self, view):
+        d = view.qp.dim
+        n_node = view.n_node
+        nu = np.array([d.nu[n] for n in range(n_node)], dtype=np.intp)
+        nx = np.array([d.nx[n] for n in range(n_node)], dtype=np.intp)
+        w = nu + nx
+        start = np.cumsum(w[::-1])[::-1] - w
+        self.vpos = _ranges(start, w)
+        child = np.array([m for _, m, _ in view.edges], dtype=np.intp)
+        self.pi_pos = self.vpos[
+            _ranges(np.take(view.x_off, child).astype(np.intp), nx[child])
+        ]
+        row_len = nx[child].repeat(nx[child])
+        self.p_csr = (
+            _ranges(np.repeat(view.pi_off, nx[child]).astype(np.intp), row_len),
+            np.concatenate([[0], np.cumsum(row_len)]),
+        )
+        E = view.E
+        rows = self.vpos[E.indices]
+        cols = self.pi_pos.repeat(np.diff(E.indptr))
+        # the factor entries: every node's (w_n, nu_n) column block, then the
+        # root's (nx_0, nx_0) block, each column-major and on the diagonal
+        h = np.append(w, nx[0])
+        width = np.append(nu, nx[0])
+        first = np.append(start, start[0] + nu[0])
+        count = h * width
+        k = _ranges(np.zeros(n_node + 1, dtype=np.intp), count)
+        h_k = np.maximum(h.repeat(count), 1)
+        c, r = k // h_k, k % h_k
+        low = r >= c
+        r, c = r[low], c[low]
+        self.kd = kd = int(max(np.max(rows - cols, initial=0),
+                               np.max(r - c, initial=0)))
+        ab0 = np.zeros((view.nv, kd + 1))
+        ab0[cols, rows - cols] = E.data
+        ab0.flags.writeable = False   # every factorization writes a copy
+        self.ab0 = ab0
+        self.dst = (first.repeat(count)[low] + c) * (kd + 1) + r - c
+        self.src = np.flatnonzero(low)
+
 
 def make_view(qp):
     """Build (or fetch the cached) flat view of a QP."""
@@ -467,12 +531,17 @@ class QpSolution:
             raise IndexOutOfRange(f"no stage {n}: stages are 0..{len(blocks) - 1}")
         return blocks[n]
 
+    def _stage_block(self, n):
+        if self._view.kind == "dense":
+            raise UnknownField("a dense QP has no stage inputs or states")
+        return self._block(n)
+
     def u(self, n):
-        self._block(n)
+        self._stage_block(n)
         return self.y[self._view.u_off[n]: self._view.x_off[n]]
 
     def x(self, n):
-        cb = self._block(n)
+        cb = self._stage_block(n)
         return self.y[self._view.x_off[n]: cb.w_off + cb.nw]
 
     def sl(self, n):

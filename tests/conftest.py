@@ -9,6 +9,7 @@ factorizations), or from the independent helpers below.
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import settings
 
 from mpcqp import DenseQp, OcpQp, OcpQpDim, TreeOcpQp, TreeOcpQpDim
@@ -220,6 +221,100 @@ def stage_hessian_ref(st, nu, nx, cb, sc, reg):
     if reg:
         M[np.diag_indices_from(M)] += reg
     return M
+
+
+def riccati_solve_ref(fac, r_g, r_b, r_d, r_m):
+    """Riccati vector solve by node loops, block by block (reference).
+
+    The backward sweep of cost-to-go vectors and feedforward terms, the
+    forward rollout from the root along the edges and the per-block folding
+    and recovery, as the factor's band solve replaced them.  Reads only the
+    factor's ``L_uu``, ``K``, ``p_matrix`` and scalings.
+    """
+    vw = fac.view
+    d = vw.qp.dim
+    sc = fac.scales
+    nv, ns_tot, n_node = vw.nv, vw.ns_tot, vw.n_node
+    w = np.zeros(vw.nc)
+    np.divide(sc.lam * r_d - r_m, sc.t, out=w, where=vw.act)
+
+    def rows_w(cb, v):
+        out = np.empty(cb.m)
+        out[: cb.nb] = v[cb.idxb]
+        out[cb.nb:] = cb.Jg @ v
+        return out
+
+    def rows_w_t(cb, coeff):
+        out = np.zeros(cb.nw)
+        np.add.at(out, cb.idxb, coeff[: cb.nb])
+        return out + cb.Jg.T @ coeff[cb.nb:]
+
+    def cho_solve(L, b):
+        return scipy.linalg.cho_solve((L, True), b)
+
+    rhat, stash = [], []
+    for cb in vw.blocks:
+        m, ns, c = cb.m, cb.ns, cb.c_off
+        g = sc.g[c: c + cb.nc]
+        wb = w[c: c + cb.nc]
+        sl = slice(nv + cb.s_off, nv + cb.s_off + ns)
+        su = slice(nv + ns_tot + cb.s_off, nv + ns_tot + cb.s_off + ns)
+        D_l, D_u = sc.D[cb.s_off: cb.s_off + ns], sc.D[ns_tot + cb.s_off:][:ns]
+        rt_sl = r_g[sl] - wb[:m][cb.idxs] - wb[2 * m: 2 * m + ns]
+        rt_su = r_g[su] - wb[m: 2 * m][cb.idxs] - wb[2 * m + ns:]
+        fold = np.zeros(m)
+        fold[cb.idxs] = (g[:m][cb.idxs] * rt_sl / D_l
+                         - g[m: 2 * m][cb.idxs] * rt_su / D_u)
+        rhat.append(r_g[cb.w_off: cb.w_off + cb.nw]
+                    - rows_w_t(cb, wb[:m] - wb[m: 2 * m]) - rows_w_t(cb, fold))
+        stash.append((g, wb, rt_sl, rt_su, D_l, D_u, sl, su))
+    pv = [None] * n_node
+    kff = [None] * n_node
+    for n in range(n_node - 1, -1, -1):
+        nu = d.nu[n]
+        rr = rhat[n][:nu]
+        rq = rhat[n][nu:]
+        for m, dyn, off, _ in vw.out_edges[n]:
+            e = fac.p_matrix(m) @ r_b[off: off + d.nx[m]] + pv[m]
+            rr = rr + dyn["B"].T @ e
+            rq = rq + dyn["A"].T @ e
+        kff[n] = -cho_solve(fac.L_uu[n], rr) if nu else np.zeros(0)
+        pv[n] = rq + fac.K[n].T @ rr
+    dy = np.zeros(vw.ny)
+    dpi = np.zeros(vw.ne)
+    xi = [None] * n_node
+    if d.nx[0]:
+        L0 = np.linalg.cholesky(fac.p_matrix(0))
+        xi[0] = -cho_solve(L0, pv[0])
+    else:
+        xi[0] = np.zeros(0)
+    for n in range(n_node):
+        nu = d.nu[n]
+        u = fac.K[n] @ xi[n] + kff[n] if nu else np.zeros(0)
+        dy[vw.u_off[n]: vw.u_off[n] + nu] = u
+        dy[vw.x_off[n]: vw.x_off[n] + d.nx[n]] = xi[n]
+        for m, dyn, off, _ in vw.out_edges[n]:
+            xi[m] = dyn["A"] @ xi[n] + dyn["B"] @ u + r_b[off: off + d.nx[m]]
+            dpi[off: off + d.nx[m]] = fac.p_matrix(m) @ xi[m] + pv[m]
+    dlam = np.zeros(vw.nc)
+    dt = np.zeros(vw.nc)
+    for cb, (g, wb, rt_sl, rt_su, D_l, D_u, sl, su) in zip(vw.blocks, stash):
+        m = cb.m
+        base = rows_w(cb, dy[cb.w_off: cb.w_off + cb.nw])
+        dsl = (-rt_sl - g[:m][cb.idxs] * base[cb.idxs]) / D_l
+        dsu = (-rt_su + g[m: 2 * m][cb.idxs] * base[cb.idxs]) / D_u
+        cy_lo = base.copy()
+        cy_up = -base
+        cy_lo[cb.idxs] += dsl
+        cy_up[cb.idxs] += dsu
+        cy = np.concatenate([cy_lo, cy_up, dsl, dsu])
+        rows = slice(cb.c_off, cb.c_off + cb.nc)
+        act = vw.act[rows]
+        dlam[rows] = np.where(act, wb - g * cy, 0.0)
+        dt[rows] = np.where(act, -r_d[rows] + cy, 0.0)
+        dy[sl] = dsl
+        dy[su] = dsu
+    return QpSolution(vw, dy, dpi, dlam, dt)
 
 
 def ba_ref(dyn):

@@ -27,7 +27,7 @@ def _reduced_hessian(qp, it, effective):
     """Dense Hessian after eliminating t and lam (and, if ``effective``, the
     soft slacks) at the iterate ``it``."""
     vw = make_view(qp)
-    sc = view_scales(vw, it.lam, it.t)[0]
+    sc = view_scales(vw, it.lam, it.t)
     return add_reduced_hessian(vw.blocks[0], sc, qp._data["H"],
                                effective=effective)
 

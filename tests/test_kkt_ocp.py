@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mpcqp.kkt_ocp as ko
 from mpcqp import (
@@ -8,6 +10,8 @@ from mpcqp import (
     IpmArg,
     OcpQp,
     OcpQpDim,
+    TreeOcpQp,
+    TreeOcpQpDim,
     compute_residuals,
     flop_counter,
     solve_ocp_qp,
@@ -21,6 +25,7 @@ from conftest import (
     rand_iterate,
     rand_ocp_qp,
     rand_tree_qp,
+    riccati_solve_ref,
     stage_hessian_ref,
 )
 
@@ -210,8 +215,8 @@ class TestViewConstants:
     def _assert_constants_match(qp, it):
         vw = make_view(qp)
         d = qp.dim
-        for n, sc in enumerate(view_scales(vw, it.lam, it.t)):
-            cb = vw.blocks[n]
+        sc = view_scales(vw, it.lam, it.t)
+        for n, cb in enumerate(vw.blocks):
             for reg in (0.0, 1e-6):
                 M = add_reduced_hessian(cb, sc, vw.node_hess[n], effective=True)
                 if reg:
@@ -282,28 +287,93 @@ class TestViewConstants:
         assert err <= 1e-8 * (1.0 + np.max(np.abs(ref.flat())))
 
 
-class TestFactorLayout:
-    @pytest.mark.parametrize("variant,use_qr", [
-        ("classical", False), ("square_root", False), ("classical", True),
+# fixed before the band solve replaced the node loops: both sweeps do the
+# same arithmetic in another order, so they agree to a few ulps times the
+# (moderate) conditioning of the random node Hessians
+EQUIV_RTOL = 1e-12
+
+
+@st.composite
+def convex_stage_qps(draw):
+    """Convex OCPs and parents-first trees of 1-9 nodes.
+
+    Every node draws its own dimensions: ``nu = 0`` nodes anywhere, boxes,
+    ``ng > 0`` general rows, soft rows, masked sides and infinite bounds.
+    The node Hessians are positive definite, so every route factors.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_node = draw(st.integers(1, 9))
+    if draw(st.booleans()):
+        kind, parents = "ocp", [-1] + list(range(n_node - 1))
+    else:
+        kind = "tree"
+        parents = [-1] + [draw(st.integers(0, m - 1)) for m in range(1, n_node)]
+    nx = [draw(st.integers(1, 3)) for _ in range(n_node)]
+    nu = [draw(st.integers(0, 2)) for _ in range(n_node)]
+    nb = [draw(st.integers(0, nu[n] + nx[n])) for n in range(n_node)]
+    ng = [draw(st.integers(0, 2)) for _ in range(n_node)]
+    ns = [draw(st.integers(0, nb[n] + ng[n])) for n in range(n_node)]
+    if kind == "ocp":
+        qp = OcpQp(OcpQpDim(n_node - 1, nx, nu, nb, ng, ns))
+    else:
+        qp = TreeOcpQp(TreeOcpQpDim(parents, nx=nx, nu=nu, nb=nb, ng=ng, ns=ns))
+    for n in range(n_node):
+        nw = nu[n] + nx[n]
+        G = rng.standard_normal((nw, nw))
+        M = G @ G.T + np.eye(nw)
+        qp.set_field("R", n, M[: nu[n], : nu[n]])
+        qp.set_field("S", n, M[: nu[n], nu[n]:])
+        qp.set_field("Q", n, M[nu[n]:, nu[n]:])
+        qp.set_field("r", n, rng.standard_normal(nu[n]))
+        qp.set_field("q", n, rng.standard_normal(nx[n]))
+        qp.set_field("C", n, rng.standard_normal((ng[n], nx[n])))
+        qp.set_field("D", n, rng.standard_normal((ng[n], nu[n])))
+        m = nb[n] + ng[n]
+        lo = np.where(rng.random(m) < 0.2, -np.inf, rng.uniform(-2.0, -0.5, m))
+        up = np.where(rng.random(m) < 0.2, np.inf, rng.uniform(0.5, 2.0, m))
+        qp.set_field("idxb", n, np.sort(rng.choice(nw, nb[n], replace=False)))
+        qp.set_field("lb", n, lo[: nb[n]])
+        qp.set_field("ub", n, up[: nb[n]])
+        qp.set_field("lg", n, lo[nb[n]:])
+        qp.set_field("ug", n, up[nb[n]:])
+        qp.set_field("maskl", n, (rng.random(m) > 0.2).astype(float))
+        qp.set_field("masku", n, (rng.random(m) > 0.2).astype(float))
+        qp.set_field("idxs", n, np.sort(rng.choice(m, ns[n], replace=False)))
+        qp.set_field("Zl", n, rng.uniform(0.5, 2.0, ns[n]))
+        qp.set_field("Zu", n, rng.uniform(0.5, 2.0, ns[n]))
+    for m in range(1, n_node):
+        p = parents[m]
+        e = m - 1 if kind == "ocp" else m
+        qp.set_field("A", e, 0.5 * rng.standard_normal((nx[m], nx[p])))
+        qp.set_field("B", e, rng.standard_normal((nx[m], nu[p])))
+        qp.set_field("b", e, rng.standard_normal(nx[m]))
+    return qp
+
+
+class TestBandSolveEquivalence:
+    """The band solve against the node-loop solve it replaced."""
+
+    @pytest.mark.parametrize("variant,use_qr,reg_prim", [
+        ("classical", False, 0.0), ("square_root", False, 0.0),
+        ("square_root", True, 0.0), ("classical", False, 1e-3),
+        ("classical", True, 1e-3),
     ])
-    def test_input_factor_is_contiguous(self, rng, variant, use_qr):
-        # a strided L_uu would be copied by every LAPACK call of every
-        # vector solve; the square-root factor stored C-contiguous takes the
-        # same transposed LAPACK path as a strided one and gives the same bits
-        qp = rand_ocp_qp(rng, N=4, nx=3, nu=2)
-        fac = ko.riccati_factor(qp, rand_iterate(rng, qp), variant=variant,
-                                use_qr=use_qr)
-        b = rng.standard_normal(2)
-        for L in fac.L_uu[:-1]:
-            if variant == "classical" and not use_qr:
-                assert L.flags.f_contiguous
-                continue
-            assert L.flags.c_contiguous
-            big = np.zeros((4, 4), order="F")
-            big[:2, :2] = L
-            assert not big[:2, :2].flags.c_contiguous
-            assert np.array_equal(ko._cho_solve(L, b),
-                                  ko._cho_solve(big[:2, :2], b))
+    @settings(max_examples=60)
+    @given(qp=convex_stage_qps(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_node_loop_reference(self, variant, use_qr, reg_prim, qp, seed):
+        rng = np.random.default_rng(seed)
+        it = rand_iterate(rng, qp)
+        vw = make_view(qp)
+        fac = ko.riccati_factor(qp, it, variant=variant, use_qr=use_qr,
+                                arg=IpmArg(reg_prim=reg_prim))
+        for _ in range(2):
+            rhs = (rng.standard_normal(vw.ny), rng.standard_normal(vw.ne),
+                   rng.standard_normal(vw.nc),
+                   np.where(vw.act, rng.standard_normal(vw.nc), 0.0))
+            step = fac.solve(*rhs).flat()
+            ref = riccati_solve_ref(fac, *rhs).flat()
+            err = float(np.max(np.abs(step - ref), initial=0.0))
+            assert err <= EQUIV_RTOL * max(1.0, float(np.max(np.abs(ref), initial=0.0)))
 
 
 class TestApplyAndFlops:
@@ -374,6 +444,21 @@ class TestApplyAndFlops:
         # both flats are [y, (empty pi), lam, t] with identical layouts
         assert np.max(np.abs(step.flat() - dstep.flat())) <= 1e-10 * (
             1.0 + np.max(np.abs(step.flat())))
+
+    def test_solve_flops_linear_in_horizon(self, rng):
+        # a band that filled in toward dense would grow quadratically
+        def count(N):
+            qp = rand_ocp_qp(rng, N=N, nx=4, nu=2)
+            it = rand_iterate(rng, qp)
+            vw, res, rm = _rhs_from(qp, it)
+            fac = ko.riccati_factor(qp, it)
+            with flop_counter() as fc:
+                fac.solve(res.r_g, res.r_b, res.r_d, rm)
+            return fc.flops
+
+        c8, c16, c32 = count(8), count(16), count(32)
+        assert 1.9 <= c16 / c8 <= 2.1
+        assert 1.9 <= c32 / c16 <= 2.1
 
     def test_factor_flops_linear_in_horizon(self, rng):
         def count(N):

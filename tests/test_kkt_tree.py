@@ -90,7 +90,7 @@ class TestTreeStructure:
         M[1:, :1] = st0["S"].T
         M[1:, 1:] = st0["Q"]
         cb0 = vw.blocks[0]
-        sc0 = view_scales(vw, it.lam, it.t)[0]
+        sc0 = view_scales(vw, it.lam, it.t)
         G = add_reduced_hessian(cb0, sc0, M)
         for m in (1, 2):
             BA = np.hstack([qp.get_field("B", m), qp.get_field("A", m)])

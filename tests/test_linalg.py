@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.linalg.lapack import dtbtrs
 
 from mpcqp.errors import (
     DimensionMismatch,
@@ -13,6 +14,7 @@ from mpcqp.linalg import (
     flop_counter,
     matmul_acc,
     qr_cholesky,
+    solve_banded_triangular,
     solve_triangular,
 )
 
@@ -263,3 +265,70 @@ class TestKernelFlops:
             with flop_counter() as fc:
                 cholesky_factor(np.eye(n))
             assert fc.flops == n ** 3 // 3
+
+
+def _band(rng, n, kd):
+    """A lower triangular band matrix: (dense L, LAPACK band storage of L)."""
+    L = np.tril(rng.standard_normal((n, n))) - np.tril(np.ones((n, n)), -kd - 1)
+    L = np.tril(L) - np.tril(L, -kd - 1)
+    L[np.diag_indices(n)] = np.sign(np.diag(L)) + 0.5 * np.diag(L)
+    abT = np.zeros((n, kd + 1))
+    for k in range(min(kd, n - 1) + 1):
+        abT[: n - k, k] = np.diag(L, -k)
+    return L, abT.T
+
+
+class TestBandedTriangular:
+    @pytest.mark.parametrize("transpose", [False, True])
+    @pytest.mark.parametrize("ncol", [None, 3])
+    @pytest.mark.parametrize("n,kd", [(1, 0), (7, 2), (12, 5), (6, 5), (5, 9)])
+    def test_matches_lapack_and_dense_solve(self, transpose, ncol, n, kd):
+        rng = np.random.default_rng(11)
+        L, ab = _band(rng, n, kd)
+        B = rng.standard_normal(n if ncol is None else (n, ncol))
+        X = solve_banded_triangular(ab, B, transpose=transpose)
+        ref, info = dtbtrs(ab, B, uplo="L", trans="T" if transpose else "N")
+        assert info == 0
+        assert X.shape == B.shape
+        assert np.array_equal(X, ref)
+        dense = solve_triangular(L, B, transpose=transpose)
+        assert np.max(np.abs(X - dense), initial=0.0) <= 1e-12 * max(
+            1.0, np.max(np.abs(dense), initial=0.0))
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    @pytest.mark.parametrize("ncol", [None, 2])
+    def test_zero_diagonal_raises_without_flops(self, transpose, ncol):
+        _, ab = _band(np.random.default_rng(12), 6, 2)
+        ab = np.array(ab, order="F")
+        ab[0, 3] = 0.0
+        with flop_counter() as fc:
+            with pytest.raises(SingularFactor):
+                solve_banded_triangular(ab, np.ones(6 if ncol is None else (6, ncol)),
+                                        transpose=transpose)
+        assert fc.flops == 0
+
+    def test_empty_and_shape_errors(self):
+        _, ab = _band(np.random.default_rng(14), 4, 1)
+        with flop_counter() as fc:
+            empty = solve_banded_triangular(np.zeros((3, 0)), np.zeros(0))
+            no_cols = solve_banded_triangular(ab, np.zeros((4, 0)), transpose=True)
+        assert empty.shape == (0,) and no_cols.shape == (4, 0)
+        assert fc.flops == 0
+        with pytest.raises(DimensionMismatch):
+            solve_banded_triangular(np.ones((2, 4)), np.ones(5))
+        with pytest.raises(DimensionMismatch):
+            solve_banded_triangular(np.ones(4), np.ones(4))
+
+    def test_flop_counts(self):
+        rng = np.random.default_rng(13)
+        for n, kd, ncol, expected in (
+            (10, 3, None, 2 * 10 * 3 + 10 - 3 * 4),
+            (10, 3, 4, 4 * (2 * 10 * 3 + 10 - 3 * 4)),
+            (10, 0, None, 10),
+            (5, 4, None, 25),      # a full band counts as the dense triangle
+            (5, 9, 2, 50),
+        ):
+            _, ab = _band(rng, n, kd)
+            with flop_counter() as fc:
+                solve_banded_triangular(ab, np.ones(n if ncol is None else (n, ncol)))
+            assert fc.flops == expected

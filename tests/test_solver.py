@@ -379,6 +379,24 @@ class TestRouteLadder:
         assert calls == [False, True] * rep.iterations
         assert [r.route for r in rep.stats.trace] == ["qr"] * rep.iterations
 
+    def test_trace_tells_escalation_from_cholesky_failure(self, rng, monkeypatch):
+        # both runs step through QR every iteration; the Cholesky failure
+        # is forced, but only the trace is read to tell the two apart
+        from mpcqp import kkt_ocp
+
+        qp = rand_ocp_qp(rng, N=4, nx=3, nu=2)
+        arg = mode_preset("balance").with_tol(1e-8)
+        escalation = solve_ocp_qp(qp, replace(arg, qr_fallback_ratio=0.0))
+        with monkeypatch.context() as mp:
+            spy_factor(mp, kkt_ocp, "riccati_factor", fail_chol=True)
+            failure = solve_ocp_qp(qp, arg)
+        for rep, escalated in ((escalation, True), (failure, False)):
+            assert rep.status is Status.Success
+            assert [(r.route, r.escalated) for r in rep.stats.trace] == \
+                [("qr", escalated)] * rep.iterations
+        plain = solve_ocp_qp(qp, arg)
+        assert not any(r.escalated for r in plain.stats.trace)
+
     def test_balance_keeps_cholesky_when_refinement_meets_target(self, rng):
         rep = solve_dense_qp(rand_dense_qp(rng),
                              mode_preset("balance").with_tol(1e-8))
@@ -423,6 +441,17 @@ class TestStatsAndTrace:
         for rec in rep.stats.trace:
             assert 0.0 <= rec.alpha <= 1.0
             assert rec.mu >= 0.0
+
+    @pytest.mark.parametrize("overrides,used", [
+        ({"corr_ratio": 1e300}, True),
+        ({"corr_ratio": 0.0}, False),      # every corrector is rejected
+        ({"pred_corr": False}, False),
+    ])
+    def test_trace_records_corrector(self, rng, overrides, used):
+        rep = solve_dense_qp(rand_dense_qp(rng),
+                             replace(mode_preset("speed").with_tol(1e-8), **overrides))
+        assert rep.status is Status.Success
+        assert [r.corrector for r in rep.stats.trace] == [used] * rep.iterations
 
     def test_guess_dimension_mismatch(self, rng):
         from mpcqp import DimensionMismatch

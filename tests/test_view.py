@@ -13,6 +13,7 @@ from mpcqp import (
     OcpQpDim,
     TreeOcpQp,
     TreeOcpQpDim,
+    UnknownField,
     gen_mass_spring,
 )
 from mpcqp.view import QpSolution, make_view
@@ -195,6 +196,12 @@ class TestStageAccessors:
                 getattr(sol, name)(n)
         for n in (0, n_node - 1):
             getattr(sol, name)(n)
+
+    @pytest.mark.parametrize("name", ["u", "x"])
+    def test_dense_solution_has_no_inputs_or_states(self, name):
+        sol = QpSolution(make_view(DenseQp(3, 1, 1, 1, 0)))
+        with pytest.raises(UnknownField):
+            getattr(sol, name)(0)
 
     def test_accessors_tile_the_flat_vectors(self, rng):
         qp = rand_tree_qp(rng, [-1, 0, 0, 1])
