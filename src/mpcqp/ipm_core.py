@@ -72,6 +72,11 @@ FACTOR_ROUTES = {
 }
 
 
+# node algebra of the Riccati backend and equality handling of the dense one
+RICCATI_VARIANTS = ("classical", "square_root")
+KKT_METHODS = ("schur", "null_space")
+
+
 @dataclass
 class IpmArg:
     """Full algorithmic configuration of one solve.
@@ -142,6 +147,10 @@ class IpmArg:
             raise ValueError(f"unknown warm_start '{self.warm_start}'")
         if self.factorization not in FACTOR_ROUTES:
             raise ValueError(f"unknown factorization '{self.factorization}'")
+        if self.kkt_method not in KKT_METHODS:
+            raise ValueError(f"unknown kkt_method '{self.kkt_method}'")
+        if self.riccati_variant not in RICCATI_VARIANTS:
+            raise ValueError(f"unknown riccati_variant '{self.riccati_variant}'")
         return self
 
 

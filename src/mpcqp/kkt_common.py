@@ -20,15 +20,19 @@ Scaling vectors, with gamma = lam / t per active row:
 The right-hand-side folding and the reverse recovery (first the slacks,
 then dlam and dt) mirror the same order.
 
-Only the reduced Hessian has block structure: :func:`add_reduced_hessian`
-adds one block's rows to its window Hessian.  Everything else is formed once
-over the flat vectors, with the view's row tables (``box_col``, ``G`` and
-the positions of every row side in ``lam``/``t``): the scalings
-(:func:`view_scales`), the folded right-hand side over v (:func:`fold_rhs`)
-and the recovered slack, multiplier and inequality-slack steps
-(:func:`recover`).  Both backends call the same three functions; on a dense
-QP, whose one block is the whole problem, they perform the per-block
-arithmetic operation for operation.
+Only the reduced Hessian has block structure.  :func:`reduced_hessian`
+forms every block's reduced Hessian in one pass over a flat buffer laid out
+by the view (``hess0``, ``hess_off``, ``hess_box``, ``hess_diag``): one
+copy of the base Hessians, one scatter of the box rows' coefficients onto
+their diagonal entries, the Gram term ``Jg' (c Jg)`` of each block with
+general rows and the primal regularization on every diagonal entry.
+Everything else is formed once over the flat vectors, with the view's row
+tables (``box_col``, ``G`` and the positions of every row side in
+``lam``/``t``): the scalings (:func:`view_scales`), the folded right-hand
+side over v (:func:`fold_rhs`) and the recovered slack, multiplier and
+inequality-slack steps (:func:`recover`).  Both backends call the same four
+functions; on a dense QP, whose one block is the whole problem, they
+perform the per-block arithmetic operation for operation.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ import numpy as np
 from .errors import NonPositiveIterate, SingularSlackBlock
 from .linalg import matmul_acc
 
-__all__ = ["Scales", "view_scales", "add_reduced_hessian", "fold_rhs", "recover",
+__all__ = ["Scales", "view_scales", "reduced_hessian", "fold_rhs", "recover",
            "kkt_apply_vec", "kkt_rhs_flat"]
 
 
@@ -54,13 +58,12 @@ class Scales:
     ge: np.ndarray        # (nc,) effective coefficients after slack elimination
     D: np.ndarray         # (2 ns_tot,) augmented slack diagonals [D_l | D_u]
 
-    def coef(self, cb, effective=True):
+    def coef(self, cb):
         """Reduced-Hessian coefficient of each box and general row of block ``cb``.
 
-        With ``effective`` the slack-eliminated coefficients, otherwise the
-        raw gamma scalings.
+        These are the slack-eliminated coefficients, lower plus upper side.
         """
-        g = (self.ge if effective else self.g)[cb.c_off: cb.c_off + 2 * cb.m]
+        g = self.ge[cb.c_off: cb.c_off + 2 * cb.m]
         return g[: cb.m] + g[cb.m:]
 
 
@@ -92,23 +95,29 @@ def view_scales(view, lam, t):
     return Scales(lam=lam, t=t, g=g, ge=ge, D=D)
 
 
-def add_reduced_hessian(cb, sc, H, effective=True):
-    """Add the constraint contributions of block ``cb`` to its window Hessian.
+def reduced_hessian(view, sc, reg=0.0):
+    """Every block's reduced Hessian, formed in one pass over a flat buffer.
 
-    With ``effective`` the slack-eliminated coefficients are used (the fully
-    reduced system over the window variables); otherwise the raw gamma
-    scalings (inequality elimination only).  Box rows touch only diagonal
-    entries; general rows add a scaled Gram matrix of their coefficient rows.
-    Returns a new array.
+    Returns a fresh buffer laid out like ``view.hess0``: block n's (nw, nw)
+    Hessian is ``out[view.hess_off[n]: view.hess_off[n + 1]]`` in row-major
+    order.  It is the block's base Hessian plus the slack-eliminated
+    coefficient of each box row on that row's diagonal entry, plus
+    ``Jg' (c Jg)`` for the general rows, plus ``reg`` on the diagonal.  The
+    terms are added in that order, so each block gets the bits of a
+    block-by-block assembly.
     """
-    coef = sc.coef(cb, effective)
-    H = H.copy()
-    if cb.nb:
-        H[cb.idxb, cb.idxb] += coef[: cb.nb]
-    if cb.ng:
-        H = matmul_acc(1.0, cb.Jg, coef[cb.nb:, None] * cb.Jg, 1.0, H,
-                       transA=True)
-    return H
+    m, nb = view._m, view._nb
+    rows = view._rows
+    coef = sc.ge[rows[:m]] + sc.ge[rows[m: 2 * m]]
+    out = view.hess0.copy()
+    out[view.hess_box] += coef[:nb]
+    for cb, lo, k in view.hess_gen:
+        M = out[lo: lo + cb.nw * cb.nw].reshape(cb.nw, cb.nw)
+        c = coef[nb + k: nb + k + cb.ng]
+        M[...] = matmul_acc(1.0, cb.Jg, c[:, None] * cb.Jg, 1.0, M, transA=True)
+    if reg:
+        out[view.hess_diag] += reg
+    return out
 
 
 def fold_rhs(view, sc, r_g, r_d, r_m):

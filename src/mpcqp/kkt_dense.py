@@ -37,8 +37,8 @@ import numpy as np
 import scipy.linalg
 
 from .errors import FactorizationFailed, LinalgError
-from .ipm_core import IpmArg
-from .kkt_common import add_reduced_hessian, fold_rhs, recover, view_scales
+from .ipm_core import KKT_METHODS, IpmArg
+from .kkt_common import fold_rhs, recover, reduced_hessian, view_scales
 from .linalg import cholesky_factor, matmul_acc, qr_cholesky, solve_triangular
 from .view import QpSolution, make_view
 
@@ -60,8 +60,7 @@ class DenseKktFactor:
         self.method = method
         self.reg_prim = arg.reg_prim
         self.reg_dual = arg.reg_dual
-        cb = view.blocks[0]
-        self._cb = cb
+        self._cb = view.blocks[0]
         H = view.H
         A = view.E
         self._A = A
@@ -69,9 +68,7 @@ class DenseKktFactor:
         if use_qr:
             self._Lred = self._factor_qr(H, sc, arg.reg_prim)
         else:
-            Hred = add_reduced_hessian(cb, sc, H, effective=True)
-            if arg.reg_prim:
-                Hred[np.diag_indices_from(Hred)] += arg.reg_prim
+            Hred = reduced_hessian(view, sc, arg.reg_prim).reshape(H.shape)
             self._Lred = cholesky_factor(Hred)
             self._Hred = Hred
         if method == "null_space" and ne:
@@ -166,8 +163,12 @@ def factor(qp, iterate, arg=None, use_qr=False):
     FactorizationFailed
         If a required factorization fails on the requested route; the
         caller decides on another route or a regularized retry.
+    ValueError
+        For an unknown ``arg.kkt_method``.
     """
     arg = arg or IpmArg()
+    if arg.kkt_method not in KKT_METHODS:
+        raise ValueError(f"unknown kkt_method '{arg.kkt_method}'")
     vw = make_view(qp)
     sc = view_scales(vw, iterate.lam, iterate.t)
     method = arg.kkt_method if qp.ne else "chol"

@@ -13,18 +13,40 @@ recursion over the node matrices
         [G_ux' G_xx]
 
 with ``M[n]`` the augmented node Hessian over (u, x).  The input block is
-eliminated through ``K[n] = -G_uu^-1 G_ux`` and the cost-to-go matrix
-``P[n] = G_xx + G_ux' K[n]`` propagates toward the root; leaves have no
-successor contribution.  Nodes are stored parents-first (the view lists each
-node's outgoing edges as ``(child, dyn, pi_off, BA)``), so visiting them in
-reverse order reaches every node after all of its children; child
-contributions are summed in multiplier order so results are reproducible.
-Cost per node is cubic in nu + nx, so the sweep is linear in the horizon
-length or node count; no fill-in appears outside the data blocks.  The
-constant parts of the sweep are per-view constants (see :mod:`view`): the
-symmetrized base node Hessian ``[[R S] [S' Q]]`` and each edge's ``[B A]``
-are built once per QP revision, and each factorization only adds the
-iterate-dependent constraint terms to a copy of the former.
+eliminated through ``L_uu = chol(G_uu)`` and ``X = L_uu^-1 G_ux`` (so
+``L_xu = X'``), and the cost-to-go matrix ``P[n] = G_xx - X'X`` propagates
+toward the root; leaves have no successor contribution.  Nodes are stored
+parents-first (the view lists each node's outgoing edges as
+``(child, dyn, pi_off, BA)``), so visiting them in reverse order reaches
+every node after all of its children; child contributions are summed in
+multiplier order so results are reproducible.  Cost per node is cubic in
+nu + nx, so the sweep is linear in the horizon length or node count; no
+fill-in appears outside the data blocks.
+
+A node runs only the recursion's own BLAS/LAPACK calls.  Everything else is
+done once per factorization or once per view:
+
+* the augmented node Hessians ``M[n]`` of all nodes are formed in one pass
+  over a flat buffer (:func:`kkt_common.reduced_hessian`): a copy of the
+  view's symmetrized base Hessians ``[[R S] [S' Q]]``, one scatter of the
+  box rows' coefficients, the general rows' Gram terms and the primal
+  regularization.  Each node then works in place on its slice;
+* the sweep order, the slices and the edges are a view constant
+  (``RiccatiBand.sweep``), and each ``[B A]`` is built once per QP
+  revision;
+* each node writes its factor columns ``[L_uu; L_xu]`` straight into the
+  value buffer from which the band matrix of the vector solve is filled;
+* the gains ``K[n] = -L_uu^-T L_xu'`` are not needed by the solve and are
+  formed when :attr:`RiccatiFactor.K` is first read (``feedback_gains``,
+  tests); their triangular solves are counted then.
+
+Per node the classical variant makes, per edge, one ``P BA`` product and
+one ``BA'(.)`` accumulate, then one ``dpotrf`` of ``G_uu``, one ``dtrtrs``
+for X and one product for ``X'X``, and symmetrizes P.  The square-root
+variant makes, per edge, ``W = chol(P_m)' BA`` and ``G += W'W``, then one
+``dpotrf`` of G; on the QR route one ``dpotrf`` of ``M[n]`` and one QR
+(``dgeqrf``) of the stack.  The flop counts are those of the
+:mod:`linalg` kernels these calls stand in for, counted per node.
 
 Two variants:
 
@@ -75,15 +97,18 @@ ill-conditioned cases.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.lapack import dpotrf as _potrf
+from scipy.linalg.lapack import dtrtrs as _trtrs
 
 from .errors import FactorizationFailed, LinalgError
-from .ipm_core import IpmArg
-from .kkt_common import add_reduced_hessian, fold_rhs, recover, view_scales
+from .ipm_core import RICCATI_VARIANTS, IpmArg
+from .kkt_common import fold_rhs, recover, reduced_hessian, view_scales
 from .linalg import (
-    cholesky_factor,
-    matmul_acc,
+    count_flops,
     qr_cholesky,
     solve_banded_triangular,
     solve_triangular,
@@ -108,13 +133,18 @@ class RiccatiFactor:
         self.scales = view_scales(view, iterate.lam, iterate.t)
         n_node = view.n_node
         self.L_uu = [None] * n_node
-        self.L_col = [None] * n_node  # factor columns [L_uu; L_xu]
-        self.K = [None] * n_node
+        self.L_xu = [None] * n_node
         self.P = [None] * n_node     # classical representation
         self.L_P = [None] * n_node   # square-root representation
         self.ab = None               # band storage of the solve matrix T
         self.P_op = None             # per-edge blocks: P, or chol(P) if sqrt
         self.sqrt = False
+
+    @cached_property
+    def K(self):
+        """Feedback gains ``K[n] = -L_uu^-T L_xu'``, formed on first read."""
+        return [-solve_triangular(L, L_xu.T, transpose=True)
+                for L, L_xu in zip(self.L_uu, self.L_xu)]
 
     def p_matrix(self, n):
         if self.P[n] is not None:
@@ -153,38 +183,29 @@ def riccati_factor(qp, iterate, variant=None, arg=None, use_qr=False):
     """
     arg = arg or IpmArg()
     variant = variant or arg.riccati_variant
-    if variant not in ("classical", "square_root"):
+    if variant not in RICCATI_VARIANTS:
         raise ValueError(f"unknown Riccati variant '{variant}'")
     vw = make_view(qp)
-    d = qp.dim
     fac = RiccatiFactor(qp, vw, variant, iterate)
     sqrt_mode = variant == "square_root" or use_qr
-    for n in range(vw.n_node - 1, -1, -1):
-        M = add_reduced_hessian(vw.blocks[n], fac.scales, vw.node_hess[n],
-                                effective=True)
-        if arg.reg_prim:
-            M[np.diag_indices_from(M)] += arg.reg_prim
-        try:
-            _factor_node(fac, n, M, d.nu[n], sqrt_mode, use_qr)
-        except LinalgError as exc:
-            raise FactorizationFailed(
-                f"Riccati factorization failed at stage {n}: {exc}", stage=n
-            ) from exc
-    if sqrt_mode:
-        L_root = fac.L_P[0]
-    elif d.nx[0]:
-        try:
-            L_root = cholesky_factor(fac.P[0])
-        except LinalgError as exc:
-            raise FactorizationFailed(
-                f"cost-to-go matrix at stage 0 not positive definite: {exc}",
-                stage=0,
-            ) from exc
-    else:
-        L_root = np.zeros((0, 0))
+    hess = reduced_hessian(vw, fac.scales, arg.reg_prim)
     band = vw.band
-    # column-major: the factors come out of LAPACK Fortran-ordered
-    vals = np.concatenate([L.ravel(order="F") for L in fac.L_col + [L_root]])
+    vals = np.empty(band.val_off[-1])
+    for n, nu, w, h0, v0, edges in band.sweep:
+        G = hess[h0: h0 + w * w].reshape(w, w)
+        # the node's factor columns [L_uu; L_xu], column-major in vals
+        col = vals[v0: v0 + w * nu].reshape(nu, w).T
+        if sqrt_mode:
+            _sqrt_node(fac, n, G, nu, col, edges, use_qr)
+        else:
+            _classical_node(fac, n, G, nu, col, edges)
+    nx0 = int(qp.dim.nx[0])
+    root = vals[band.val_off[-2]:].reshape(nx0, nx0).T
+    if sqrt_mode:
+        root[...] = fac.L_P[0]
+    elif nx0:
+        count_flops(nx0 ** 3 // 3)
+        root[...] = _chol(fac.P[0], 0, "cost-to-go matrix not positive definite")
     ab = band.ab0.copy()
     ab.ravel()[band.dst] = vals[band.src]
     fac.ab = ab.T
@@ -198,53 +219,80 @@ def riccati_factor(qp, iterate, variant=None, arg=None, use_qr=False):
     return fac
 
 
-def _factor_node(fac, n, M, nu, sqrt_mode, use_qr):
-    """Factor one node; writes L_uu, L_col, K and the P representation at n."""
-    edges = fac.view.out_edges[n]
-    if sqrt_mode:
-        W = [matmul_acc(1.0, fac.L_P[m], BA, 0.0, 0.0, transA=True)
-             for m, _, _, BA in edges]
-        if use_qr:
-            L_M = cholesky_factor(M)
-            L_G = qr_cholesky(np.vstack([L_M.T] + W)).T
-        else:
-            G = M
-            for W_m in W:
-                G = matmul_acc(1.0, W_m, W_m, 1.0, G, transA=True)
-            L_G = cholesky_factor(G)
-        L_uu = L_G[:nu, :nu]
-        L_xu = L_G[nu:, :nu]
-        L_P = np.ascontiguousarray(L_G[nu:, nu:])
-        if nu:
-            K = -solve_triangular(L_uu, L_xu.T, transpose=True)
-        else:
-            K = np.zeros((0, L_P.shape[0]))
-        fac.L_uu[n] = L_uu
-        fac.L_col[n] = L_G[:, :nu]
-        fac.K[n] = K
-        fac.L_P[n] = L_P
-        return
-    G = M
+def _chol(A, n, what="Riccati factorization failed"):
+    """Lower Cholesky factor of A by one ``dpotrf``; raises with stage n."""
+    L, info = _potrf(A, lower=1, clean=1)
+    if info:
+        raise FactorizationFailed(
+            f"{what} at stage {n}: {info}-th leading minor of the array is "
+            "not positive definite", stage=n,
+        )
+    return L
+
+
+def _classical_node(fac, n, G, nu, col, edges):
+    """Classical step at node n on its reduced Hessian G (written in place).
+
+    Per edge one ``P BA`` product and one ``BA'(.)`` accumulate, then one
+    ``dpotrf`` of ``G_uu``, one ``dtrtrs`` for ``X = L_uu^-1 G_ux`` and
+    ``P = G_xx - X'X``, symmetrized.  The counts are those of the kernels
+    in :mod:`linalg` that these calls stand in for.
+    """
+    w = G.shape[0]
+    nx = w - nu
+    flops = 0
     for m, _, _, BA in edges:
-        T1 = matmul_acc(1.0, fac.P[m], BA, 0.0, 0.0)
-        G = matmul_acc(1.0, BA, T1, 1.0, G, transA=True)
-    G_uu = G[:nu, :nu]
-    G_ux = G[:nu, nu:]
-    G_xx = G[nu:, nu:]
+        G += BA.T @ (fac.P[m] @ BA)
+        flops += 2 * BA.shape[0] * w * (BA.shape[0] + w)
     if nu:
-        L_uu = cholesky_factor(G_uu)
-        L_xu_t = solve_triangular(L_uu, G_ux)
-        K = -solve_triangular(L_uu, L_xu_t, transpose=True)
-        P = matmul_acc(1.0, G_ux, K, 1.0, G_xx, transA=True)
+        count_flops(flops + nu ** 3 // 3)
+        L = _chol(G[:nu, :nu], n)
+        # L has a positive diagonal, so dtrtrs cannot fail
+        X, _ = _trtrs(L, G[:nu, nu:], lower=1)
+        P = G[nu:, nu:] - X.T @ X
+        count_flops(nu * nu * nx + 2 * nx * nx * nu)
+        col[:nu] = L
+        col[nu:] = X.T
+        fac.L_uu[n] = L
+        fac.L_xu[n] = X.T
     else:
-        L_uu = np.zeros((0, 0))
-        L_xu_t = np.zeros((0, G_xx.shape[0]))
-        K = np.zeros((0, G_xx.shape[0]))
-        P = G_xx.copy()
-    fac.L_uu[n] = L_uu
-    fac.L_col[n] = np.hstack([L_uu.T, L_xu_t]).T
-    fac.K[n] = K
+        count_flops(flops)
+        P = G
+        fac.L_uu[n] = np.zeros((0, 0))
+        fac.L_xu[n] = np.zeros((nx, 0))
     fac.P[n] = 0.5 * (P + P.T)
+
+
+def _sqrt_node(fac, n, G, nu, col, edges, use_qr):
+    """Square-root step at node n: the whole node block in factored form.
+
+    Per edge ``W = chol(P_m)' BA``; then either ``G + sum W'W`` and one
+    ``dpotrf`` or, on the QR route, one ``dpotrf`` of G and one QR of the
+    stack ``[chol(G)'; W ...]``.  The trailing block of the factor is
+    ``chol(P[n])``.
+    """
+    w = G.shape[0]
+    W = [fac.L_P[m].T @ BA for m, _, _, BA in edges]
+    flops = sum(2 * W_m.shape[0] ** 2 * w for W_m in W)
+    if use_qr:
+        count_flops(flops + w ** 3 // 3)
+        L_M = _chol(G, n)
+        try:
+            L_G = qr_cholesky(np.vstack([L_M.T] + W)).T
+        except LinalgError as exc:
+            raise FactorizationFailed(
+                f"Riccati factorization failed at stage {n}: {exc}", stage=n
+            ) from exc
+    else:
+        for W_m in W:
+            G += W_m.T @ W_m
+            flops += 2 * w * w * W_m.shape[0]
+        count_flops(flops + w ** 3 // 3)
+        L_G = _chol(G, n)
+    col[...] = L_G[:, :nu]
+    fac.L_uu[n] = L_G[:nu, :nu]
+    fac.L_xu[n] = L_G[nu:, :nu]
+    fac.L_P[n] = np.ascontiguousarray(L_G[nu:, nu:])
 
 
 def _p_apply(fac, vec):

@@ -13,17 +13,18 @@ concurrently on disjoint data while making complexity measurements exact and
 reproducible.  Nominal counts use the standard textbook formulas and are
 deterministic integers.
 
-The Cholesky and triangular-solve kernels call the LAPACK routines
-``dpotrf``, ``dtrtrs`` and (banded) ``dtbtrs`` directly, bound once at
-import, instead of going through ``scipy.linalg.cholesky``/
-``solve_triangular``: on the small blocks
-of a Riccati recursion the wrappers' argument validation costs several times
-the arithmetic.  Layout dispatch follows scipy's wrappers exactly (a factor
+The Cholesky, triangular-solve and QR kernels call the LAPACK routines
+``dpotrf``, ``dtrtrs``, (banded) ``dtbtrs`` and ``dgeqrf`` directly, bound
+once at import, instead of going through ``scipy.linalg.cholesky``/
+``solve_triangular``/``qr`` or ``numpy.linalg.qr``: on the small blocks of a
+Riccati recursion the wrappers' argument validation costs several times the
+arithmetic.  Layout dispatch follows scipy's wrappers exactly (a factor
 that is not Fortran-contiguous is passed transposed with the opposite
-triangle and transposition), so results are bit-identical to them.  Their
-checks are replaced by the shape checks here and the LAPACK return codes:
-``dpotrf`` reports a nonpositive pivot, ``dtrtrs`` and ``dtbtrs`` an exactly
-zero diagonal entry, and a negative code (an illegal argument) raises
+triangle and transposition), and ``dgeqrf`` gets the workspace scipy's
+``qr`` asks for, so results are bit-identical to them.  Their checks are
+replaced by the shape checks here and the LAPACK return codes: ``dpotrf``
+reports a nonpositive pivot, ``dtrtrs`` and ``dtbtrs`` an exactly zero
+diagonal entry, and a negative code (an illegal argument) raises
 ``ValueError``.
 """
 
@@ -31,8 +32,11 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
+from functools import lru_cache
 
 import numpy as np
+from scipy.linalg.lapack import dgeqrf as _geqrf
+from scipy.linalg.lapack import dgeqrf_lwork as _geqrf_lwork
 from scipy.linalg.lapack import dpotrf as _potrf
 from scipy.linalg.lapack import dtbtrs as _tbtrs
 from scipy.linalg.lapack import dtrtrs as _trtrs
@@ -51,10 +55,12 @@ __all__ = [
     "qr_cholesky",
     "matmul_acc",
     "flop_counter",
+    "count_flops",
     "FlopCounter",
 ]
 
 _local = threading.local()
+_EPS = np.finfo(float).eps
 
 
 class FlopCounter:
@@ -85,7 +91,12 @@ def flop_counter():
         stack.pop()
 
 
-def _count(n):
+def count_flops(n):
+    """Add ``n`` to every active counter (see :func:`flop_counter`).
+
+    The kernels here call it; so does code that calls LAPACK itself, with
+    the nominal count of the kernel it stands in for.
+    """
     stack = getattr(_local, "stack", None)
     if stack:
         n = int(n)
@@ -119,7 +130,7 @@ def cholesky_factor(M, reg=0.0, pivot_tol=0.0):
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionMismatch(f"expected square matrix, got shape {M.shape}")
     n = M.shape[0]
-    _count(n * n * n // 3)
+    count_flops(n * n * n // 3)
     if n == 0:
         return np.zeros((0, 0))
     A = M if reg == 0.0 else M + reg * np.eye(n)
@@ -168,7 +179,7 @@ def solve_triangular(L, B, transpose=False, lower=True):
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of dtrtrs")
     m = 1 if B.ndim == 1 else B.shape[1]
-    _count(n * n * m)
+    count_flops(n * n * m)
     return X
 
 
@@ -207,7 +218,7 @@ def solve_banded_triangular(ab, B, transpose=False):
         raise ValueError(f"illegal value in argument {-info} of dtbtrs")
     kd = min(ab.shape[0] - 1, n - 1)
     m = 1 if B.ndim == 1 else B.shape[1]
-    _count(m * (2 * n * kd + n - kd * (kd + 1)))
+    count_flops(m * (2 * n * kd + n - kd * (kd + 1)))
     return X
 
 
@@ -234,19 +245,40 @@ def qr_cholesky(Astack, rank_tol=None):
     m, n = A.shape
     if m < n:
         raise DimensionMismatch(f"stack must have at least {n} rows, got {m}")
-    _count(max(0, 2 * m * n * n - (2 * n * n * n) // 3))
+    count_flops(max(0, 2 * m * n * n - (2 * n * n * n) // 3))
     if n == 0:
         return np.zeros((0, 0))
-    R = np.linalg.qr(A, mode="r")
-    d = np.diag(R).copy()
+    qr, _, _, info = _geqrf(A, lwork=_qr_lwork(m, n))
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dgeqrf")
+    R = np.where(_upper(n), qr[:n], 0.0)
+    d = R.diagonal().copy()
+    size = np.abs(d)
     if rank_tol is None:
-        rank_tol = max(m, n) * np.finfo(float).eps * (np.max(np.abs(d)) if n else 0.0)
-    if np.any(np.abs(d) <= rank_tol):
+        rank_tol = max(m, n) * _EPS * size.max()
+    if (size <= rank_tol).any():
         raise RankDeficient(
-            f"diagonal entry {np.min(np.abs(d)):.3e} at or below {rank_tol:.3e}"
+            f"diagonal entry {size.min():.3e} at or below {rank_tol:.3e}"
         )
-    R = np.where(d[:, None] < 0.0, -R, R)
+    R *= np.copysign(1.0, d)[:, None]
     return R
+
+
+@lru_cache(maxsize=256)
+def _qr_lwork(m, n):
+    """The workspace size scipy's ``qr`` queries for an (m, n) ``dgeqrf``."""
+    work, info = _geqrf_lwork(m, n)
+    if info != 0:
+        raise ValueError(f"dgeqrf workspace query failed with code {info}")
+    return int(work)
+
+
+@lru_cache(maxsize=256)
+def _upper(n):
+    """Read-only (n, n) mask of the upper triangle, diagonal included."""
+    mask = np.triu(np.ones((n, n), dtype=bool))
+    mask.flags.writeable = False
+    return mask
 
 
 def matmul_acc(alpha, A, B, beta, C, transA=False, transB=False):
@@ -268,7 +300,7 @@ def matmul_acc(alpha, A, B, beta, C, transA=False, transB=False):
         )
     mdim = opA.shape[0]
     ndim = 1 if opB.ndim == 1 else opB.shape[1]
-    _count(2 * mdim * ndim * opA.shape[1])
+    count_flops(2 * mdim * ndim * opA.shape[1])
     P = alpha * (opA @ opB)
     if beta == 0.0:
         return P

@@ -193,10 +193,26 @@ def _check_value(name, value, shape, dtype):
     return arr
 
 
+# fields that no blocking check of validate() reads (bounds, gradients,
+# dynamics, linear penalties, slack bounds): a write to one of them keeps a
+# passed validation verdict
+_VERDICT_KEEPING = frozenset({
+    "S", "q", "r", "g", "lb", "ub", "lbu", "ubu", "lbx", "ubx", "C", "D",
+    "lg", "ug", "zl", "zu", "sl_lb", "su_lb", "A", "B", "b",
+})
+
+
 class _FieldAccess:
-    """set_field/get_field over a declarative catalog (mixin)."""
+    """set_field/get_field over a declarative catalog (mixin).
+
+    ``_rev`` counts the writes.  ``_valid_rev`` is the revision at which
+    :func:`validate` last found no blocking error, as recorded by the
+    solver; a write carries it forward only if it touches a field in
+    ``_VERDICT_KEEPING``, and any other change of ``_rev`` drops it.
+    """
 
     _FIELDS: dict = {}
+    _valid_rev = -1
 
     def _resolve(self, name, n):
         try:
@@ -206,8 +222,11 @@ class _FieldAccess:
         self._check_stage(name, n, f.dyn)
         return f
 
-    def _bump(self):
+    def _bump(self, name):
+        keep = self._valid_rev == self._rev and name in _VERDICT_KEEPING
         self._rev += 1
+        if keep:
+            self._valid_rev = self._rev
 
 
 # --------------------------------------------------------------------------
@@ -286,7 +305,7 @@ class _StageQpBase(_FieldAccess):
             arr = _check_value(name, value, (int(np.sum(sel)),), float)
             self._stages[stage][dst] = self._stages[stage][dst].copy()
             self._stages[stage][dst][sel] = arr
-            self._bump()
+            self._bump(name)
             return
         f = self._resolve(name, stage)
         arr = _check_value(name, value, f.shape(self.dim, stage), f.dtype)
@@ -294,7 +313,7 @@ class _StageQpBase(_FieldAccess):
             self._dyn[stage][f.attr] = arr
         else:
             self._stages[stage][f.attr] = arr
-        self._bump()
+        self._bump(name)
 
     def get_field(self, name, stage):
         """Return a copy of the stored values for ``name`` at a stage/node."""
@@ -489,7 +508,7 @@ class DenseQp(_FieldAccess):
     def set_field(self, name, value):
         f = self._resolve(name, None)
         self._data[f.attr] = _check_value(name, value, f.shape(self, None), f.dtype)
-        self._bump()
+        self._bump(name)
 
     def get_field(self, name):
         f = self._resolve(name, None)
@@ -576,6 +595,12 @@ def validate(qp):
     lower > upper bound rows with both sides active, malformed index sets and
     masks, and (for trees) the parent structure.  Diagnostics are returned,
     never raised; entries with severity ``warning`` do not block a solve.
+
+    The blocking checks read only ``Q``, ``R``, ``H``, ``Zl``, ``Zu``,
+    ``idxb``, ``idxs``, ``maskl``, ``masku`` and the parents.  The solver
+    therefore keeps a passed verdict across writes to any other field (an
+    MPC step's bound writes, say) and validates again only after a write
+    that a blocking check reads or any other change of the QP.
     """
     out = []
     if isinstance(qp, DenseQp):

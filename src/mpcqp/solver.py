@@ -22,6 +22,12 @@ Numerical trouble never raises: it lands in ``SolverStats.status``.  The
 final report always carries independently recomputed residuals, also in
 speed_abs mode (which computes them only once, before returning).
 
+A QP with a blocking :func:`qp_data.validate` error raises before the loop.
+A passed verdict is kept on the QP for its revision, and ``set_field``
+carries it forward across writes that no blocking check reads (bounds,
+gradients, dynamics), so a closed loop that rewrites only the initial-state
+bounds validates once; any other write or change drops it.
+
 :func:`solve_path` picks the route for an optimal-control QP: the Riccati
 backend directly, or a dense/Riccati solve of its (partially) condensed
 form expanded back.
@@ -190,11 +196,13 @@ def _factorize(factor_fn, qp, iterate, arg, first=None):
 
 def _solve(qp, factor_fn, arg, guess):
     arg = (arg or IpmArg()).validate()
-    bad = errors_only(validate(qp))
-    if bad:
-        raise ValueError(
-            "QP fails validation: " + "; ".join(str(v) for v in bad)
-        )
+    if qp._valid_rev != qp._rev:
+        bad = errors_only(validate(qp))
+        if bad:
+            raise ValueError(
+                "QP fails validation: " + "; ".join(str(v) for v in bad)
+            )
+        qp._valid_rev = qp._rev
     with flop_counter() as fc:
         report = _ipm_loop(qp, factor_fn, arg, guess)
     report.stats.flops = fc.flops

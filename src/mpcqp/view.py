@@ -59,12 +59,16 @@ OCP and ``(parents[m], m, _dyn[m])`` for a tree, so ``pi`` holds one block
 per edge in that order for both types.
 
 A view is cached on its QP until the next ``set_field`` (see
-:func:`make_view`), so it also holds the per-QP constants of the Riccati
-recursion: each node's symmetrized base Hessian ``[[R S] [S' Q]]`` and each
-edge's ``[B A]`` stack are built once per view, not once per factorization,
-and so is, on first use, the band layout of the Riccati vector solve
-(:class:`RiccatiBand`), whose constant entries are those of E.
-The stage type's ``H`` is made of the same symmetrized node Hessians.
+:func:`make_view`), so it also holds the per-QP constants of the KKT
+backends: the base Hessian of every block, flattened into one array
+``hess0`` with the positions of its blocks, box-row diagonal entries and
+diagonals (the layout of the one-pass reduced Hessian), each node's
+symmetrized base Hessian ``[[R S] [S' Q]]`` as a view of it, and each
+edge's ``[B A]`` stack are built once per view, not once per
+factorization, and so is, on first use, the band layout and sweep order of
+the Riccati recursion (:class:`RiccatiBand`), whose constant entries are
+those of E.  The stage type's ``H`` is made of the same symmetrized node
+Hessians.
 """
 
 from __future__ import annotations
@@ -165,10 +169,22 @@ class ProblemView:
     """Layout tables and flat-vector operators for one QP instance.
 
     A view type's ``_build`` sets the layout (``nv``, ``ns_tot``, ``ne``,
-    ``blocks``) and the operators ``H``, ``E`` and ``G`` over v, and returns
-    the row data of every block (one stage dict each), the gradient over v
-    and the equality right-hand side.  Everything else is built here, once
-    per view.
+    ``blocks``), the operators ``H``, ``E`` and ``G`` over v and ``hess0``,
+    the base Hessian of every block flattened row-major and concatenated in
+    block order, and returns the row data of every block (one stage dict
+    each), the gradient over v and the equality right-hand side.  Everything
+    else is built here, once per view, including the flat layout of the
+    blocks' reduced Hessians (see :func:`kkt_common.reduced_hessian`):
+
+    * ``hess_off``   block n's (nw, nw) Hessian spans
+                     ``hess_off[n]:hess_off[n + 1]`` of a buffer laid out
+                     like ``hess0``;
+    * ``hess_box``   the buffer position of every box row's diagonal entry,
+                     in row order (the order of ``box_col``);
+    * ``hess_diag``  the buffer positions of every block's diagonal;
+    * ``hess_gen``   ``(block, offset, first row)`` of every block with
+                     general rows: its ``hess_off`` entry and the index of
+                     its first general row among all general rows.
     """
 
     def __init__(self, qp):
@@ -224,6 +240,17 @@ class ProblemView:
             [cb.idxs for cb in self.blocks]
         ).astype(np.intp)
         self._soft = np.concatenate([soft_lo, soft_lo + np.repeat(m, ns)])
+        nw = np.array([cb.nw for cb in self.blocks], dtype=np.intp)
+        self.hess_off = np.concatenate([[0], np.cumsum(nw * nw)])
+        start = self.hess_off[:-1]
+        self.hess_box = np.repeat(start, nb) + np.concatenate(
+            [cb.idxb for cb in self.blocks]
+        ).astype(np.intp) * np.repeat(nw + 1, nb)
+        self.hess_diag = np.repeat(start, nw) + _ranges(
+            np.zeros_like(nw), nw) * np.repeat(nw + 1, nw)
+        first = np.cumsum(ng) - ng
+        self.hess_gen = [(cb, int(lo), int(k))
+                         for cb, lo, k in zip(self.blocks, start, first) if cb.ng]
 
     # -- products ----------------------------------------------------------
 
@@ -336,6 +363,8 @@ class DenseView(ProblemView):
         self.ne = qp.ne
         self.blocks = [_block_from_stage(data, data["C"], 0, 0, 0)]
         self.H = data["H"]
+        self.hess0 = data["H"].ravel()
+        self.hess0.flags.writeable = False
         self.E = data["A"]
         self.G = data["C"]
         return [data], data["g"], data["b"]
@@ -348,9 +377,9 @@ class StageView(ProblemView):
     module docstring); ``out_edges[n]`` lists ``(child, dyn, pi_off, BA)``
     for the edges leaving node n, in the same order, with ``BA`` the edge's
     ``[B A]`` stack.  ``node_hess[n]`` is the symmetrized base Hessian
-    ``[[R S] [S' Q]]`` of node n over its (u, x) window.  ``H`` holds the
-    node Hessians, ``E`` the rows ``[-B -A I]`` of every edge and ``G`` the
-    rows ``[D C]`` of every node.
+    ``[[R S] [S' Q]]`` of node n over its (u, x) window, a view of
+    ``hess0``.  ``H`` holds the node Hessians, ``E`` the rows ``[-B -A I]``
+    of every edge and ``G`` the rows ``[D C]`` of every node.
     """
 
     def __init__(self, qp, edges):
@@ -389,6 +418,12 @@ class StageView(ProblemView):
         self.nv = v
         self.ns_tot = s
         self.ne = p
+        self.hess0 = np.concatenate([M.ravel() for M in self.node_hess])
+        self.hess0.flags.writeable = False
+        off = 0
+        for n, M in enumerate(self.node_hess):
+            self.node_hess[n] = self.hess0[off: off + M.size].reshape(M.shape)
+            off += M.size
         self.H = _csr(self.node_hess, self.u_off, v)
         self.G = _csr([cb.Jg for cb in self.blocks], self.u_off, v)
         # edge row i: -[B A] over the parent's window, then 1 at the child's x_i
@@ -423,10 +458,15 @@ class RiccatiBand:
     * ``kd``       number of subdiagonals, from the edge table;
     * ``ab0``      (nv, kd + 1) C-ordered constant part; its transpose is
                    LAPACK lower band storage;
+    * ``val_off``  the factor values are every node's ``[L_uu; L_xu]``, in
+                   node order, and then the root block, each flattened
+                   column-major and concatenated; block n (the root is
+                   block ``n_node``) spans ``val_off[n]:val_off[n + 1]``;
     * ``dst``/``src``  flat positions in ``ab0`` of the factor entries and
-                   their positions in the concatenation, in node order, of
-                   every ``[L_uu; L_xu]`` and then of the root block, each
-                   flattened column-major;
+                   their positions among the factor values;
+    * ``sweep``    the factor sweep's visiting order, children first:
+                   ``(n, nu, nu + nx, hess_off[n], val_off[n], out_edges[n])``
+                   per node, in Python integers;
     * ``p_csr``    ``(indices, indptr)`` of the (ne, ne) CSR block diagonal
                    with one (nx_m, nx_m) block per edge into m, for the
                    cost-to-go products over pi.
@@ -458,6 +498,7 @@ class RiccatiBand:
         width = np.append(nu, nx[0])
         first = np.append(start, start[0] + nu[0])
         count = h * width
+        self.val_off = np.concatenate([[0], np.cumsum(count)])
         k = _ranges(np.zeros(n_node + 1, dtype=np.intp), count)
         h_k = np.maximum(h.repeat(count), 1)
         c, r = k // h_k, k % h_k
@@ -471,6 +512,11 @@ class RiccatiBand:
         self.ab0 = ab0
         self.dst = (first.repeat(count)[low] + c) * (kd + 1) + r - c
         self.src = np.flatnonzero(low)
+        self.sweep = [
+            (n, int(nu[n]), int(w[n]), int(view.hess_off[n]),
+             int(self.val_off[n]), view.out_edges[n])
+            for n in range(n_node - 1, -1, -1)
+        ]
 
 
 def make_view(qp):

@@ -13,7 +13,10 @@ import scipy.linalg
 from hypothesis import settings
 
 from mpcqp import DenseQp, OcpQp, OcpQpDim, TreeOcpQp, TreeOcpQpDim
-from mpcqp.kkt_common import add_reduced_hessian, kkt_apply_vec
+from mpcqp.errors import FactorizationFailed, LinalgError
+from mpcqp.ipm_core import IpmArg
+from mpcqp.kkt_common import kkt_apply_vec, view_scales
+from mpcqp.linalg import cholesky_factor, matmul_acc, qr_cholesky, solve_triangular
 from mpcqp.view import QpSolution, make_view
 
 # property tests draw a fixed example sequence, so every run checks the
@@ -205,11 +208,27 @@ def rand_iterate(rng, qp, spread=(0.1, 5.0)):
     return it
 
 
+def add_reduced_hessian_ref(cb, sc, H):
+    """Constraint terms of block ``cb`` added to a copy of its Hessian (reference).
+
+    Box rows add their slack-eliminated coefficient to one diagonal entry
+    each; general rows add the scaled Gram matrix of their coefficient rows.
+    """
+    coef = sc.coef(cb)
+    H = H.copy()
+    if cb.nb:
+        H[cb.idxb, cb.idxb] += coef[: cb.nb]
+    if cb.ng:
+        H = matmul_acc(1.0, cb.Jg, coef[cb.nb:, None] * cb.Jg, 1.0, H,
+                       transA=True)
+    return H
+
+
 def stage_hessian_ref(st, nu, nx, cb, sc, reg):
     """Reduced node Hessian assembled from the raw stage data (reference).
 
     The Riccati factorization must produce the same bits from the view's
-    hoisted base Hessian ``node_hess[n]``.
+    flat base Hessians ``hess0``.
     """
     M = np.zeros((nu + nx, nu + nx))
     M[:nu, :nu] = st["R"]
@@ -217,10 +236,139 @@ def stage_hessian_ref(st, nu, nx, cb, sc, reg):
     M[nu:, :nu] = st["S"].T
     M[nu:, nu:] = st["Q"]
     M = 0.5 * (M + M.T)
-    M = add_reduced_hessian(cb, sc, M, effective=True)
+    M = add_reduced_hessian_ref(cb, sc, M)
     if reg:
         M[np.diag_indices_from(M)] += reg
     return M
+
+
+class RiccatiFactorRef:
+    """Factor object of :func:`riccati_factor_ref`; the band solve reads it."""
+
+    def __init__(self, qp, view, variant, iterate):
+        self.qp = qp
+        self.view = view
+        self.variant = variant
+        self.scales = view_scales(view, iterate.lam, iterate.t)
+        n_node = view.n_node
+        self.L_uu = [None] * n_node
+        self.L_col = [None] * n_node  # factor columns [L_uu; L_xu]
+        self.K = [None] * n_node
+        self.P = [None] * n_node     # classical representation
+        self.L_P = [None] * n_node   # square-root representation
+        self.ab = None               # band storage of the solve matrix T
+        self.P_op = None             # per-edge blocks: P, or chol(P) if sqrt
+        self.sqrt = False
+
+    def p_matrix(self, n):
+        if self.P[n] is not None:
+            return self.P[n].copy()
+        return self.L_P[n] @ self.L_P[n].T
+
+
+def riccati_factor_ref(qp, iterate, variant=None, arg=None, use_qr=False):
+    """The node-by-node factor sweep that the lean node kernels replaced.
+
+    Per node: a copy of the base Hessian with the constraint terms added,
+    kernel wrappers with their argument checks for every product, the
+    factor columns stacked with ``hstack`` and the gains ``K`` solved
+    eagerly.
+    """
+    import scipy.sparse as sp
+
+    arg = arg or IpmArg()
+    variant = variant or arg.riccati_variant
+    if variant not in ("classical", "square_root"):
+        raise ValueError(f"unknown Riccati variant '{variant}'")
+    vw = make_view(qp)
+    d = qp.dim
+    fac = RiccatiFactorRef(qp, vw, variant, iterate)
+    sqrt_mode = variant == "square_root" or use_qr
+    for n in range(vw.n_node - 1, -1, -1):
+        M = add_reduced_hessian_ref(vw.blocks[n], fac.scales, vw.node_hess[n])
+        if arg.reg_prim:
+            M[np.diag_indices_from(M)] += arg.reg_prim
+        try:
+            _factor_node_ref(fac, n, M, d.nu[n], sqrt_mode, use_qr)
+        except LinalgError as exc:
+            raise FactorizationFailed(
+                f"Riccati factorization failed at stage {n}: {exc}", stage=n
+            ) from exc
+    if sqrt_mode:
+        L_root = fac.L_P[0]
+    elif d.nx[0]:
+        try:
+            L_root = cholesky_factor(fac.P[0])
+        except LinalgError as exc:
+            raise FactorizationFailed(
+                f"cost-to-go matrix at stage 0 not positive definite: {exc}",
+                stage=0,
+            ) from exc
+    else:
+        L_root = np.zeros((0, 0))
+    band = vw.band
+    # column-major: the factors come out of LAPACK Fortran-ordered
+    vals = np.concatenate([L.ravel(order="F") for L in fac.L_col + [L_root]])
+    ab = band.ab0.copy()
+    ab.ravel()[band.dst] = vals[band.src]
+    fac.ab = ab.T
+    blocks = fac.L_P if sqrt_mode else fac.P
+    fac.P_op = sp.csr_array(
+        (np.concatenate([np.zeros(0)] + [blocks[m].ravel() for _, m, _ in vw.edges]),
+         *band.p_csr),
+        shape=(vw.ne, vw.ne),
+    )
+    fac.sqrt = sqrt_mode
+    return fac
+
+
+def _factor_node_ref(fac, n, M, nu, sqrt_mode, use_qr):
+    """Factor one node; writes L_uu, L_col, K and the P representation at n."""
+    edges = fac.view.out_edges[n]
+    if sqrt_mode:
+        W = [matmul_acc(1.0, fac.L_P[m], BA, 0.0, 0.0, transA=True)
+             for m, _, _, BA in edges]
+        if use_qr:
+            L_M = cholesky_factor(M)
+            L_G = qr_cholesky(np.vstack([L_M.T] + W)).T
+        else:
+            G = M
+            for W_m in W:
+                G = matmul_acc(1.0, W_m, W_m, 1.0, G, transA=True)
+            L_G = cholesky_factor(G)
+        L_uu = L_G[:nu, :nu]
+        L_xu = L_G[nu:, :nu]
+        L_P = np.ascontiguousarray(L_G[nu:, nu:])
+        if nu:
+            K = -solve_triangular(L_uu, L_xu.T, transpose=True)
+        else:
+            K = np.zeros((0, L_P.shape[0]))
+        fac.L_uu[n] = L_uu
+        fac.L_col[n] = L_G[:, :nu]
+        fac.K[n] = K
+        fac.L_P[n] = L_P
+        return
+    G = M
+    for m, _, _, BA in edges:
+        T1 = matmul_acc(1.0, fac.P[m], BA, 0.0, 0.0)
+        G = matmul_acc(1.0, BA, T1, 1.0, G, transA=True)
+    G_uu = G[:nu, :nu]
+    G_ux = G[:nu, nu:]
+    G_xx = G[nu:, nu:]
+    if nu:
+        L_uu = cholesky_factor(G_uu)
+        L_xu_t = solve_triangular(L_uu, G_ux)
+        K = -solve_triangular(L_uu, L_xu_t, transpose=True)
+        P = matmul_acc(1.0, G_ux, K, 1.0, G_xx, transA=True)
+    else:
+        L_uu = np.zeros((0, 0))
+        L_xu_t = np.zeros((0, G_xx.shape[0]))
+        K = np.zeros((0, G_xx.shape[0]))
+        P = G_xx.copy()
+    fac.L_uu[n] = L_uu
+    fac.L_col[n] = np.hstack([L_uu.T, L_xu_t]).T
+    fac.K[n] = K
+    fac.P[n] = 0.5 * (P + P.T)
 
 
 def riccati_solve_ref(fac, r_g, r_b, r_d, r_m):

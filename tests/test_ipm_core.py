@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mpcqp import DenseQp, compute_residuals, mode_preset
+from mpcqp import DenseQp, compute_residuals, mode_preset, solve_dense_qp, solve_ocp_qp
 from mpcqp.ipm_core import (
     IpmArg,
     Status,
@@ -17,7 +17,7 @@ from mpcqp.ipm_core import (
 from mpcqp.kkt_dense import factor
 from mpcqp.view import QpSolution, make_view
 
-from conftest import rand_dense_qp, rand_iterate
+from conftest import rand_dense_qp, rand_iterate, rand_ocp_qp
 
 
 class TestDualityMeasure:
@@ -310,6 +310,24 @@ class TestModePresets:
             IpmArg(factorization=policy).validate()
         with pytest.raises(ValueError, match="factorization"):
             IpmArg(factorization="lq").validate()
+
+    def test_validate_rejects_unknown_kkt_method_and_variant(self, rng):
+        for method in ("schur", "null_space"):
+            for variant in ("classical", "square_root"):
+                IpmArg(kkt_method=method, riccati_variant=variant).validate()
+        with pytest.raises(ValueError, match="kkt_method"):
+            IpmArg(kkt_method="nullspace").validate()
+        with pytest.raises(ValueError, match="riccati_variant"):
+            IpmArg(riccati_variant="sqrt").validate()
+        # the solvers reject them before any factorization, and so do the
+        # backends when called directly
+        qp = rand_dense_qp(rng)
+        with pytest.raises(ValueError, match="kkt_method"):
+            solve_dense_qp(qp, IpmArg(kkt_method="nullspace"))
+        with pytest.raises(ValueError, match="kkt_method"):
+            factor(qp, rand_iterate(rng, qp), IpmArg(kkt_method="nullspace"))
+        with pytest.raises(ValueError, match="riccati_variant"):
+            solve_ocp_qp(rand_ocp_qp(rng), IpmArg(riccati_variant="sqrt"))
 
 
 class TestLinearResidualContraction:

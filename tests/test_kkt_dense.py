@@ -6,9 +6,9 @@ from mpcqp import DenseQp, FactorizationFailed, IpmArg, compute_residuals
 from mpcqp.errors import SingularSlackBlock
 from mpcqp.ipm_core import iterative_refinement
 from mpcqp.kkt_common import (
-    add_reduced_hessian,
     kkt_apply_vec,
     kkt_rhs_flat,
+    reduced_hessian,
     view_scales,
 )
 from mpcqp.view import QpSolution, make_view, solve_full_kkt
@@ -23,13 +23,12 @@ def _rhs_from(qp, it):
     return vw, res, rm
 
 
-def _reduced_hessian(qp, it, effective):
-    """Dense Hessian after eliminating t and lam (and, if ``effective``, the
-    soft slacks) at the iterate ``it``."""
+def _reduced_hessian(qp, it):
+    """Dense Hessian after eliminating t, lam and the soft slacks at the
+    iterate ``it``."""
     vw = make_view(qp)
     sc = view_scales(vw, it.lam, it.t)
-    return add_reduced_hessian(vw.blocks[0], sc, qp._data["H"],
-                               effective=effective)
+    return reduced_hessian(vw, sc).reshape(vw.nv, vw.nv)
 
 
 def _numeric_full_matrix(qp, it):
@@ -43,7 +42,7 @@ class TestEliminateIneq:
     def test_no_constraints(self, rng):
         qp = rand_dense_qp(rng, nb=0, ng=0, ns=0, ne=0)
         it = rand_iterate(rng, qp)
-        Hv = _reduced_hessian(qp, it, effective=False)
+        Hv = _reduced_hessian(qp, it)
         assert np.array_equal(Hv, qp.get_field("H"))
 
     def test_single_box_row_diagonal_update(self):
@@ -55,7 +54,7 @@ class TestEliminateIneq:
         it = QpSolution(vw)
         it.lam[:] = [4.0, 8.0]
         it.t[:] = [1.0, 2.0]   # gammas: lower 4, upper 4
-        Hv = _reduced_hessian(qp, it, effective=False)
+        Hv = _reduced_hessian(qp, it)
         assert Hv[0, 0] == pytest.approx(1.0 + 4.0 + 4.0)
         assert Hv[1, 1] == 1.0
         assert Hv[0, 1] == 0.0
@@ -66,7 +65,7 @@ class TestEliminateIneq:
         qp.set_field("maskl", np.zeros(m))
         qp.set_field("masku", np.zeros(m))
         it = rand_iterate(rng, qp)
-        Hv = _reduced_hessian(qp, it, effective=False)
+        Hv = _reduced_hessian(qp, it)
         assert np.array_equal(Hv, qp.get_field("H"))
 
     def test_matches_numeric_block_elimination(self, rng):
@@ -90,7 +89,7 @@ class TestEliminateIneq:
         Hvs = Hfull[:nv, nv:]
         Hss = Hfull[nv:, nv:]
         Hred_num = Hvv - Hvs @ np.linalg.solve(Hss, Hvs.T)
-        Hred = _reduced_hessian(qp, it, effective=True)
+        Hred = _reduced_hessian(qp, it)
         scale = np.max(np.abs(Hred_num))
         assert np.max(np.abs(Hred - Hred_num)) <= 1e-12 * scale
 
@@ -108,7 +107,7 @@ class TestEliminateIneq:
         it.t[:] = np.where(vw.act, 1.0, 0.0)
         # gamma_lo = 2, slack-bound gamma = 2, D_l = 3 + 2 + 2 = 7
         # effective = gamma * (Zl + g_bnd) / D = 2 * 5 / 7
-        Hred = _reduced_hessian(qp, it, effective=True)
+        Hred = _reduced_hessian(qp, it)
         assert Hred[0, 0] == pytest.approx(1.0 + 2.0 * 5.0 / 7.0)
         series = 1.0 / (1.0 / 2.0 + 1.0 / (3.0 + 2.0))
         assert Hred[0, 0] == pytest.approx(1.0 + series)
@@ -125,7 +124,7 @@ class TestEliminateIneq:
         it.lam[:] = np.where(vw.act, 1.0, 0.0)
         it.t[:] = np.where(vw.act, 1.0, 0.0)
         with pytest.raises(SingularSlackBlock):
-            _reduced_hessian(qp, it, effective=False)
+            _reduced_hessian(qp, it)
 
 
 class TestFactorSolve:

@@ -16,7 +16,7 @@ from mpcqp import (
     flop_counter,
     solve_ocp_qp,
 )
-from mpcqp.kkt_common import add_reduced_hessian, view_scales
+from mpcqp.kkt_common import reduced_hessian, view_scales
 from mpcqp.view import QpSolution, make_view, solve_full_kkt
 
 from conftest import (
@@ -25,6 +25,7 @@ from conftest import (
     rand_iterate,
     rand_ocp_qp,
     rand_tree_qp,
+    riccati_factor_ref,
     riccati_solve_ref,
     stage_hessian_ref,
 )
@@ -216,14 +217,14 @@ class TestViewConstants:
         vw = make_view(qp)
         d = qp.dim
         sc = view_scales(vw, it.lam, it.t)
-        for n, cb in enumerate(vw.blocks):
-            for reg in (0.0, 1e-6):
-                M = add_reduced_hessian(cb, sc, vw.node_hess[n], effective=True)
-                if reg:
-                    M[np.diag_indices_from(M)] += reg
+        for reg in (0.0, 1e-6):
+            hess = reduced_hessian(vw, sc, reg)
+            for n, cb in enumerate(vw.blocks):
+                M = hess[vw.hess_off[n]: vw.hess_off[n + 1]].reshape(cb.nw, cb.nw)
                 ref = stage_hessian_ref(qp._stages[n], d.nu[n], d.nx[n],
                                         cb, sc, reg)
                 assert np.array_equal(M, ref)
+        for n in range(vw.n_node):
             for _, dyn, _, BA in vw.out_edges[n]:
                 assert np.array_equal(BA, ba_ref(dyn))
 
@@ -350,14 +351,18 @@ def convex_stage_qps(draw):
     return qp
 
 
+# every factorization route: (variant, use_qr, reg_prim)
+ROUTES = [
+    ("classical", False, 0.0), ("square_root", False, 0.0),
+    ("square_root", True, 0.0), ("classical", False, 1e-3),
+    ("classical", True, 1e-3),
+]
+
+
 class TestBandSolveEquivalence:
     """The band solve against the node-loop solve it replaced."""
 
-    @pytest.mark.parametrize("variant,use_qr,reg_prim", [
-        ("classical", False, 0.0), ("square_root", False, 0.0),
-        ("square_root", True, 0.0), ("classical", False, 1e-3),
-        ("classical", True, 1e-3),
-    ])
+    @pytest.mark.parametrize("variant,use_qr,reg_prim", ROUTES)
     @settings(max_examples=60)
     @given(qp=convex_stage_qps(), seed=st.integers(0, 2**32 - 1))
     def test_matches_node_loop_reference(self, variant, use_qr, reg_prim, qp, seed):
@@ -374,6 +379,86 @@ class TestBandSolveEquivalence:
             ref = riccati_solve_ref(fac, *rhs).flat()
             err = float(np.max(np.abs(step - ref), initial=0.0))
             assert err <= EQUIV_RTOL * max(1.0, float(np.max(np.abs(ref), initial=0.0)))
+
+
+# fixed before the node kernels replaced the wrapper-based sweep: the sweeps
+# do the same arithmetic except ``P = G_xx - X'X`` for ``G_xx + G_ux' K``,
+# which moves results by a few ulps times the conditioning of the random
+# node Hessians
+SWEEP_RTOL = 1e-12
+
+
+def _close(a, ref):
+    err = float(np.max(np.abs(a - ref), initial=0.0))
+    return err <= SWEEP_RTOL * max(1.0, float(np.max(np.abs(ref), initial=0.0)))
+
+
+class TestFactorSweepEquivalence:
+    """The node-kernel factor sweep against the wrapper-based sweep it replaced."""
+
+    @pytest.mark.parametrize("variant,use_qr,reg_prim", ROUTES)
+    @settings(max_examples=60)
+    @given(qp=convex_stage_qps(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_reference_sweep(self, variant, use_qr, reg_prim, qp, seed):
+        rng = np.random.default_rng(seed)
+        it = rand_iterate(rng, qp)
+        vw = make_view(qp)
+        kw = dict(variant=variant, use_qr=use_qr, arg=IpmArg(reg_prim=reg_prim))
+        fac = ko.riccati_factor(qp, it, **kw)
+        ref = riccati_factor_ref(qp, it, **kw)
+        for n in range(vw.n_node):
+            nu = qp.dim.nu[n]
+            assert fac.L_uu[n].shape == ref.L_uu[n].shape
+            assert _close(fac.L_uu[n], ref.L_uu[n])
+            assert fac.L_xu[n].shape == ref.L_col[n][nu:].shape
+            assert _close(fac.L_xu[n], ref.L_col[n][nu:])
+            assert _close(fac.p_matrix(n), ref.p_matrix(n))
+            assert fac.K[n].shape == ref.K[n].shape
+            assert _close(fac.K[n], ref.K[n])
+        assert fac.ab.shape == ref.ab.shape
+        assert _close(fac.ab, ref.ab)
+        rhs = (rng.standard_normal(vw.ny), rng.standard_normal(vw.ne),
+               rng.standard_normal(vw.nc),
+               np.where(vw.act, rng.standard_normal(vw.nc), 0.0))
+        assert _close(fac.solve(*rhs).flat(), ko.riccati_solve(ref, qp, *rhs).flat())
+
+    @pytest.mark.parametrize("variant,use_qr,reg_prim", ROUTES)
+    @pytest.mark.parametrize("kind", ["ocp", "tree"])
+    def test_indefinite_node_fails_at_reference_stage(self, rng, variant,
+                                                      use_qr, reg_prim, kind):
+        kw = dict(variant=variant, use_qr=use_qr, arg=IpmArg(reg_prim=reg_prim))
+        for bad in range(4):
+            qp = (rand_ocp_qp(rng, N=4, nx=3, nu=2) if kind == "ocp"
+                  else rand_tree_qp(rng, [-1, 0, 0, 1, 2], nx=3, nu=2))
+            qp.set_field("R", bad, -1e3 * np.eye(2))
+            it = rand_iterate(rng, qp)
+            with pytest.raises(FactorizationFailed) as got:
+                ko.riccati_factor(qp, it, **kw)
+            with pytest.raises(FactorizationFailed) as want:
+                riccati_factor_ref(qp, it, **kw)
+            assert got.value.stage == want.value.stage == bad
+
+    @pytest.mark.parametrize("variant,use_qr", [
+        ("classical", False), ("square_root", False), ("square_root", True),
+    ])
+    @pytest.mark.parametrize("kind", ["ocp", "tree"])
+    def test_flops_are_the_kernel_counts_with_lazy_gains(self, rng, variant,
+                                                         use_qr, kind):
+        # the sweep counts what the reference's kernels count, except the
+        # gain solves nu^2 nx per node, which it counts when K is read
+        qp = (rand_ocp_qp(rng, N=5, nx=3, nu=2) if kind == "ocp"
+              else rand_tree_qp(rng, [-1, 0, 0, 1, 1, 2]))
+        it = rand_iterate(rng, qp)
+        with flop_counter() as want:
+            riccati_factor_ref(qp, it, variant=variant, use_qr=use_qr)
+        with flop_counter() as got:
+            fac = ko.riccati_factor(qp, it, variant=variant, use_qr=use_qr)
+        gains = sum(nu * nu * nx for nu, nx in zip(qp.dim.nu, qp.dim.nx) if nu)
+        assert got.flops == want.flops - gains
+        with flop_counter() as read:
+            fac.K[0]
+            fac.K[1]
+        assert read.flops == gains
 
 
 class TestApplyAndFlops:

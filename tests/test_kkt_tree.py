@@ -7,7 +7,13 @@ import mpcqp.kkt_ocp as ko
 from mpcqp import FactorizationFailed, IndexOutOfRange, compute_residuals, flop_counter
 from mpcqp.view import QpSolution, make_view, solve_full_kkt
 
-from conftest import ocp_chain_as_tree, rand_iterate, rand_ocp_qp, rand_tree_qp
+from conftest import (
+    add_reduced_hessian_ref,
+    ocp_chain_as_tree,
+    rand_iterate,
+    rand_ocp_qp,
+    rand_tree_qp,
+)
 
 
 def _rhs_from(qp, it):
@@ -81,7 +87,7 @@ class TestTreeStructure:
         assert np.array_equal(fac.p_matrix(1), fac.p_matrix(2))
         # the root accumulates the sum of both children's contributions:
         # rebuild its stage matrix by hand and re-derive the root cost-to-go
-        from mpcqp.kkt_common import add_reduced_hessian, view_scales
+        from mpcqp.kkt_common import view_scales
 
         st0 = qp._stages[0]
         M = np.zeros((3, 3))
@@ -91,7 +97,7 @@ class TestTreeStructure:
         M[1:, 1:] = st0["Q"]
         cb0 = vw.blocks[0]
         sc0 = view_scales(vw, it.lam, it.t)
-        G = add_reduced_hessian(cb0, sc0, M)
+        G = add_reduced_hessian_ref(cb0, sc0, M)
         for m in (1, 2):
             BA = np.hstack([qp.get_field("B", m), qp.get_field("A", m)])
             G = G + BA.T @ fac.p_matrix(m) @ BA

@@ -221,6 +221,20 @@ class TestKernelsMatchScipy:
             )
             assert np.array_equal(L, ref)
 
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_qr_cholesky(self, layout):
+        rng = np.random.default_rng(9)
+        for m, n in ((1, 1), (5, 3), (8, 8), (17, 11), (40, 7), (200, 140)):
+            A = rng.standard_normal((m, n))
+            big = np.zeros((2 * m, 2 * n))
+            big[::2, ::2] = A
+            A = {"C": A, "F": np.asfortranarray(A), "strided": big[::2, ::2]}[layout]
+            R = qr_cholesky(A)
+            ref = scipy.linalg.qr(A, mode="r", check_finite=False)[0][:n]
+            ref = np.where(np.diag(ref)[:, None] < 0.0, -ref, ref)
+            assert R.shape == (n, n)
+            assert np.array_equal(R, ref)
+
     @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize("lower", [True, False])
     @pytest.mark.parametrize("transpose", [False, True])

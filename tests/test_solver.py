@@ -10,6 +10,7 @@ from mpcqp import (
     Status,
     compute_residuals,
     mode_preset,
+    partial_condense,
     solve_dense_qp,
     solve_ocp_qp,
     solve_tree_ocp_qp,
@@ -471,3 +472,78 @@ class TestStatsAndTrace:
             with pytest.raises(DimensionMismatch):
                 solve_dense_qp(qp, replace(mode_preset("speed"),
                                            warm_start="primal_dual"), guess)
+
+
+def spy_validate(monkeypatch):
+    """Record every QP the solver validates."""
+    import mpcqp.solver as solver
+
+    calls = []
+    real = solver.validate
+
+    def spy(qp):
+        calls.append(qp)
+        return real(qp)
+
+    monkeypatch.setattr(solver, "validate", spy)
+    return calls
+
+
+class TestValidationVerdict:
+    """A passed validation is kept across writes that no blocking check reads."""
+
+    def test_bound_writes_keep_the_verdict(self, rng, monkeypatch):
+        qp = rand_ocp_qp(rng, N=4, nx=3, nu=2, fix_x0=True)
+        calls = spy_validate(monkeypatch)
+        solve_ocp_qp(qp)
+        assert calls == [qp]
+        for name, value in (("lbx", qp.get_field("lbx", 0) - 0.1),
+                            ("ubx", qp.get_field("ubx", 0) + 0.1),
+                            ("q", qp.get_field("q", 2) + 0.1),
+                            ("b", qp.get_field("b", 1) + 0.1)):
+            qp.set_field(name, 0 if name in ("lbx", "ubx") else 2, value)
+            rep = solve_ocp_qp(qp)
+            assert rep.status == Status.Success
+            assert calls == [qp]
+        # a write that a blocking check reads validates again, even if valid
+        qp.set_field("Q", 1, qp.get_field("Q", 1))
+        solve_ocp_qp(qp)
+        assert calls == [qp, qp]
+
+    @pytest.mark.parametrize("field", ["Q", "Zl"])
+    def test_bad_write_after_a_solve_raises(self, rng, field):
+        qp = rand_ocp_qp(rng, N=4, nx=3, nu=2)
+        solve_ocp_qp(qp)
+        qp.set_field("lb", 1, qp.get_field("lb", 1) - 0.1)
+        solve_ocp_qp(qp)
+        if field == "Q":
+            bad = qp.get_field("Q", 2) + np.triu(np.ones((3, 3)), 1)
+        else:
+            bad = -np.ones(qp.dim.ns[2])
+        qp.set_field(field, 2, bad)
+        with pytest.raises(ValueError, match="fails validation"):
+            solve_ocp_qp(qp)
+
+    def test_dense_asymmetric_hessian_after_a_solve_raises(self, rng):
+        qp = rand_dense_qp(rng)
+        solve_dense_qp(qp)
+        H = qp.get_field("H")
+        H[0, 1] += 1.0
+        qp.set_field("H", H)
+        with pytest.raises(ValueError, match="fails validation"):
+            solve_dense_qp(qp)
+
+    def test_other_changes_validate_afresh(self, rng, monkeypatch):
+        qp = rand_ocp_qp(rng, N=4, nx=3, nu=2)
+        calls = spy_validate(monkeypatch)
+        solve_ocp_qp(qp)
+        # partial condensing builds its QP with set_field and then replaces
+        # the terminal stage directly
+        qp_p, _ = partial_condense(qp, 2)
+        solve_ocp_qp(qp_p)
+        solve_ocp_qp(qp_p)
+        assert calls == [qp, qp_p]
+        # a revision bump outside set_field drops the verdict
+        qp._rev += 1
+        solve_ocp_qp(qp)
+        assert calls == [qp, qp_p, qp]
