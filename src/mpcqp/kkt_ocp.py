@@ -35,7 +35,10 @@ done once per factorization or once per view:
   (``RiccatiBand.sweep``), and each ``[B A]`` is built once per QP
   revision;
 * each node writes its factor columns ``[L_uu; L_xu]`` straight into the
-  value buffer from which the band matrix of the vector solve is filled;
+  value buffer from which the band matrix of the vector solve is filled,
+  and its cost-to-go block (``P[n]``, or ``chol(P[n])`` on the square-root
+  and QR routes) into its slot of one stacked buffer
+  (:attr:`RiccatiFactor.p_blocks`, laid out by ``RiccatiBand.p_dim``);
 * the gains ``K[n] = -L_uu^-T L_xu'`` are not needed by the solve and are
   formed when :attr:`RiccatiFactor.K` is first read (``feedback_gains``,
   tests); their triangular solves are counted then.
@@ -87,7 +90,8 @@ LAPACK band storage; the layout, the bandwidth (taken from the edge table:
 about ``2 nx + nu`` on a chain) and the coupling entries, which are E's, are
 constants of the view (:class:`view.RiccatiBand`).  A vector solve then
 folds the right-hand side over the flat vectors, forms ``P b`` with one
-block-diagonal product over the edges, runs the two band solves, forms
+stacked product over the edges' cost-to-go blocks (two with the factors on
+the square-root routes), runs the two band solves, forms
 ``pi_m = P_m (x_m - b_m) + e_m`` with a second product and recovers the
 slack and inequality components over the flat vectors.  Dual
 regularization is not applied on this backend (the equality block stays
@@ -100,7 +104,6 @@ from __future__ import annotations
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg.lapack import dpotrf as _potrf
 from scipy.linalg.lapack import dtrtrs as _trtrs
 
@@ -137,7 +140,10 @@ class RiccatiFactor:
         self.P = [None] * n_node     # classical representation
         self.L_P = [None] * n_node   # square-root representation
         self.ab = None               # band storage of the solve matrix T
-        self.P_op = None             # per-edge blocks: P, or chol(P) if sqrt
+        # every node's P, or chol(P) if sqrt, at the top left of its slot
+        # (see view.RiccatiBand.p_dim); P[n] and L_P[n] are views of it
+        p = view.band.p_dim
+        self.p_blocks = np.zeros((n_node, p, p))
         self.sqrt = False
 
     @cached_property
@@ -209,12 +215,6 @@ def riccati_factor(qp, iterate, variant=None, arg=None, use_qr=False):
     ab = band.ab0.copy()
     ab.ravel()[band.dst] = vals[band.src]
     fac.ab = ab.T
-    blocks = fac.L_P if sqrt_mode else fac.P
-    fac.P_op = sp.csr_array(
-        (np.concatenate([np.zeros(0)] + [blocks[m].ravel() for _, m, _ in vw.edges]),
-         *band.p_csr),
-        shape=(vw.ne, vw.ne),
-    )
     fac.sqrt = sqrt_mode
     return fac
 
@@ -260,7 +260,8 @@ def _classical_node(fac, n, G, nu, col, edges):
         P = G
         fac.L_uu[n] = np.zeros((0, 0))
         fac.L_xu[n] = np.zeros((nx, 0))
-    fac.P[n] = 0.5 * (P + P.T)
+    fac.P[n] = fac.p_blocks[n, :nx, :nx]
+    fac.P[n][...] = 0.5 * (P + P.T)
 
 
 def _sqrt_node(fac, n, G, nu, col, edges, use_qr):
@@ -292,14 +293,24 @@ def _sqrt_node(fac, n, G, nu, col, edges, use_qr):
     col[...] = L_G[:, :nu]
     fac.L_uu[n] = L_G[:nu, :nu]
     fac.L_xu[n] = L_G[nu:, :nu]
-    fac.L_P[n] = np.ascontiguousarray(L_G[nu:, nu:])
+    fac.L_P[n] = fac.p_blocks[n, : w - nu, : w - nu]
+    fac.L_P[n][...] = L_G[nu:, nu:]
 
 
 def _p_apply(fac, vec):
-    """``P_m @ vec_m`` for every edge block of a vector laid out like pi."""
+    """``P_m @ vec_m`` for every edge block of a vector laid out like pi.
+
+    One stacked product over the edges' slots of ``p_blocks``, two with
+    ``chol(P_m)`` and its transpose on the square-root routes.
+    """
+    band = fac.view.band
+    P = fac.p_blocks[1:]
+    v = np.zeros(P.shape[0] * band.p_dim)
+    v[band.p_pos] = vec
+    v = v.reshape(P.shape[0], band.p_dim, 1)
     if fac.sqrt:
-        return fac.P_op @ (fac.P_op.T @ vec)
-    return fac.P_op @ vec
+        v = P.transpose(0, 2, 1) @ v
+    return (P @ v).ravel()[band.p_pos]
 
 
 def riccati_solve(fac, qp, r_g, r_b, r_d, r_m):

@@ -182,6 +182,7 @@ class _Field:
     shape: object          # callable (qp, n) -> tuple
     dtype: type = float
     dyn: bool = False      # indexed by dynamics block / non-root node
+    bound: bool = False    # read only by the view's bound vector d and mask act
 
 
 def _check_value(name, value, shape, dtype):
@@ -209,10 +210,19 @@ class _FieldAccess:
     :func:`validate` last found no blocking error, as recorded by the
     solver; a write carries it forward only if it touches a field in
     ``_VERDICT_KEEPING``, and any other change of ``_rev`` drops it.
+
+    ``_view_cache`` is ``(rev, view, fresh)``, set by :func:`view.make_view`.
+    A write to a ``bound`` field of the catalog (a virtual box field counts
+    as the field it writes) carries a view of the current revision forward
+    with ``fresh`` false: only its ``d`` and ``act`` are out of date, and
+    ``make_view`` recomputes them once, however many such writes came in
+    a row.  Any other write or change of ``_rev`` leaves the cache behind,
+    so the next ``make_view`` builds a new view.
     """
 
     _FIELDS: dict = {}
     _valid_rev = -1
+    _view_cache = None
 
     def _resolve(self, name, n):
         try:
@@ -222,11 +232,13 @@ class _FieldAccess:
         self._check_stage(name, n, f.dyn)
         return f
 
-    def _bump(self, name):
-        keep = self._valid_rev == self._rev and name in _VERDICT_KEEPING
+    def _bump(self, name, f):
+        rev = self._rev
         self._rev += 1
-        if keep:
+        if self._valid_rev == rev and name in _VERDICT_KEEPING:
             self._valid_rev = self._rev
+        if f.bound and self._view_cache is not None and self._view_cache[0] == rev:
+            self._view_cache = (self._rev, self._view_cache[1], False)
 
 
 # --------------------------------------------------------------------------
@@ -267,25 +279,26 @@ _STAGE_FIELDS = {
     "q": _Field("q", lambda d, n: (d.nx[n],)),
     "r": _Field("r", lambda d, n: (d.nu[n],)),
     "idxb": _Field("idxb", lambda d, n: (d.nb[n],), int),
-    "lb": _Field("lb", lambda d, n: (d.nb[n],)),
-    "ub": _Field("ub", lambda d, n: (d.nb[n],)),
+    "lb": _Field("lb", lambda d, n: (d.nb[n],), bound=True),
+    "ub": _Field("ub", lambda d, n: (d.nb[n],), bound=True),
     "C": _Field("C", lambda d, n: (d.ng[n], d.nx[n])),
     "D": _Field("D", lambda d, n: (d.ng[n], d.nu[n])),
-    "lg": _Field("lg", lambda d, n: (d.ng[n],)),
-    "ug": _Field("ug", lambda d, n: (d.ng[n],)),
+    "lg": _Field("lg", lambda d, n: (d.ng[n],), bound=True),
+    "ug": _Field("ug", lambda d, n: (d.ng[n],), bound=True),
     "idxs": _Field("idxs", lambda d, n: (d.ns[n],), int),
     "Zl": _Field("Zl", lambda d, n: (d.ns[n],)),
     "Zu": _Field("Zu", lambda d, n: (d.ns[n],)),
     "zl": _Field("zl", lambda d, n: (d.ns[n],)),
     "zu": _Field("zu", lambda d, n: (d.ns[n],)),
-    "sl_lb": _Field("sl_lb", lambda d, n: (d.ns[n],)),
-    "su_lb": _Field("su_lb", lambda d, n: (d.ns[n],)),
-    "maskl": _Field("maskl", lambda d, n: (d.nb[n] + d.ng[n],)),
-    "masku": _Field("masku", lambda d, n: (d.nb[n] + d.ng[n],)),
+    "sl_lb": _Field("sl_lb", lambda d, n: (d.ns[n],), bound=True),
+    "su_lb": _Field("su_lb", lambda d, n: (d.ns[n],), bound=True),
+    "maskl": _Field("maskl", lambda d, n: (d.nb[n] + d.ng[n],), bound=True),
+    "masku": _Field("masku", lambda d, n: (d.nb[n] + d.ng[n],), bound=True),
 }
 
-# bounds restricted to input / state box rows, derived from idxb
-_STAGE_VIRTUAL = {"lbu", "ubu", "lbx", "ubx"}
+# bounds restricted to input / state box rows, derived from idxb: the
+# field each one writes
+_STAGE_VIRTUAL = {"lbu": "lb", "ubu": "ub", "lbx": "lb", "ubx": "ub"}
 
 
 class _StageQpBase(_FieldAccess):
@@ -301,11 +314,11 @@ class _StageQpBase(_FieldAccess):
             self._check_stage(name, stage, dyn=False)
             is_u = self._box_split(stage)
             sel = is_u if name[-1] == "u" else ~is_u
-            dst = "lb" if name[0] == "l" else "ub"
+            dst = _STAGE_VIRTUAL[name]
             arr = _check_value(name, value, (int(np.sum(sel)),), float)
             self._stages[stage][dst] = self._stages[stage][dst].copy()
             self._stages[stage][dst][sel] = arr
-            self._bump(name)
+            self._bump(name, self._FIELDS[dst])
             return
         f = self._resolve(name, stage)
         arr = _check_value(name, value, f.shape(self.dim, stage), f.dtype)
@@ -313,7 +326,7 @@ class _StageQpBase(_FieldAccess):
             self._dyn[stage][f.attr] = arr
         else:
             self._stages[stage][f.attr] = arr
-        self._bump(name)
+        self._bump(name, f)
 
     def get_field(self, name, stage):
         """Return a copy of the stored values for ``name`` at a stage/node."""
@@ -321,8 +334,7 @@ class _StageQpBase(_FieldAccess):
             self._check_stage(name, stage, dyn=False)
             is_u = self._box_split(stage)
             sel = is_u if name[-1] == "u" else ~is_u
-            src = "lb" if name[0] == "l" else "ub"
-            return self._stages[stage][src][sel].copy()
+            return self._stages[stage][_STAGE_VIRTUAL[name]][sel].copy()
         f = self._resolve(name, stage)
         store = self._dyn[stage] if f.dyn else self._stages[stage]
         return store[f.attr].copy()
@@ -452,20 +464,20 @@ class DenseQp(_FieldAccess):
         "A": _Field("A", lambda d, n: (d.ne, d.nv)),
         "b": _Field("b", lambda d, n: (d.ne,)),
         "idxb": _Field("idxb", lambda d, n: (d.nb,), int),
-        "lb": _Field("lb", lambda d, n: (d.nb,)),
-        "ub": _Field("ub", lambda d, n: (d.nb,)),
+        "lb": _Field("lb", lambda d, n: (d.nb,), bound=True),
+        "ub": _Field("ub", lambda d, n: (d.nb,), bound=True),
         "C": _Field("C", lambda d, n: (d.ng, d.nv)),
-        "lg": _Field("lg", lambda d, n: (d.ng,)),
-        "ug": _Field("ug", lambda d, n: (d.ng,)),
+        "lg": _Field("lg", lambda d, n: (d.ng,), bound=True),
+        "ug": _Field("ug", lambda d, n: (d.ng,), bound=True),
         "idxs": _Field("idxs", lambda d, n: (d.ns,), int),
         "Zl": _Field("Zl", lambda d, n: (d.ns,)),
         "Zu": _Field("Zu", lambda d, n: (d.ns,)),
         "zl": _Field("zl", lambda d, n: (d.ns,)),
         "zu": _Field("zu", lambda d, n: (d.ns,)),
-        "sl_lb": _Field("sl_lb", lambda d, n: (d.ns,)),
-        "su_lb": _Field("su_lb", lambda d, n: (d.ns,)),
-        "maskl": _Field("maskl", lambda d, n: (d.nb + d.ng,)),
-        "masku": _Field("masku", lambda d, n: (d.nb + d.ng,)),
+        "sl_lb": _Field("sl_lb", lambda d, n: (d.ns,), bound=True),
+        "su_lb": _Field("su_lb", lambda d, n: (d.ns,), bound=True),
+        "maskl": _Field("maskl", lambda d, n: (d.nb + d.ng,), bound=True),
+        "masku": _Field("masku", lambda d, n: (d.nb + d.ng,), bound=True),
     }
 
     def __init__(self, nv, ne=0, nb=0, ng=0, ns=0):
@@ -508,7 +520,7 @@ class DenseQp(_FieldAccess):
     def set_field(self, name, value):
         f = self._resolve(name, None)
         self._data[f.attr] = _check_value(name, value, f.shape(self, None), f.dtype)
-        self._bump(name)
+        self._bump(name, f)
 
     def get_field(self, name):
         f = self._resolve(name, None)

@@ -26,7 +26,10 @@ A QP with a blocking :func:`qp_data.validate` error raises before the loop.
 A passed verdict is kept on the QP for its revision, and ``set_field``
 carries it forward across writes that no blocking check reads (bounds,
 gradients, dynamics), so a closed loop that rewrites only the initial-state
-bounds validates once; any other write or change drops it.
+bounds validates once; any other write or change drops it.  The view is
+kept the same way across bound writes (:func:`view.make_view`): such a
+loop builds its operators and the Riccati band layout once and refreshes
+only the bound vector and the activity mask per step.
 
 :func:`solve_path` picks the route for an optimal-control QP: the Riccati
 backend directly, or a dense/Riccati solve of its (partially) condensed
@@ -132,7 +135,14 @@ def solve_path(qp, path="ocp", arg=None):
         rep = solve_dense_qp(dense, arg)
         return rep, condensing.expand_solution(rep.solution, cmap, qp)
     if path.startswith("partial:"):
-        qp_p, pmap = condensing.partial_condense(qp, int(path.split(":", 1)[1]))
+        try:
+            N1 = int(path.split(":", 1)[1])
+        except ValueError:
+            raise InvalidConfig(
+                f"solve path '{path}': the block size after 'partial:' "
+                "must be an integer"
+            ) from None
+        qp_p, pmap = condensing.partial_condense(qp, N1)
         rep = solve_ocp_qp(qp_p, arg)
         return rep, condensing.partial_expand(rep.solution, pmap, qp)
     raise InvalidConfig(f"unknown solve path '{path}'")

@@ -58,9 +58,15 @@ chain tree: nodes (stages) joined by dynamics edges.  Its edge table lists
 OCP and ``(parents[m], m, _dyn[m])`` for a tree, so ``pi`` holds one block
 per edge in that order for both types.
 
-A view is cached on its QP until the next ``set_field`` (see
-:func:`make_view`), so it also holds the per-QP constants of the KKT
-backends: the base Hessian of every block, flattened into one array
+A view is cached on its QP (see :func:`make_view`).  A write to a field
+that feeds only the bound vector d and the activity mask (``lb``, ``ub``,
+``lg``, ``ug``, the slack bounds, the masks and the virtual box fields,
+marked ``bound`` in the field catalog) keeps it: the next ``make_view``
+returns a copy with d, ``act`` and ``n_act`` recomputed that shares
+everything else, so an MPC step's initial-state writes cost one pass over
+the bounds.  Any other write, or any other change of the QP's revision,
+builds a new view.  The view therefore also holds the per-QP constants of
+the KKT backends: the base Hessian of every block, flattened into one array
 ``hess0`` with the positions of its blocks, box-row diagonal entries and
 diagonals (the layout of the one-pass reduced Hessian), each node's
 symmetrized base Hessian ``[[R S] [S' Q]]`` as a view of it, and each
@@ -73,6 +79,7 @@ Hessians.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -168,13 +175,14 @@ def _dense(M):
 class ProblemView:
     """Layout tables and flat-vector operators for one QP instance.
 
-    A view type's ``_build`` sets the layout (``nv``, ``ns_tot``, ``ne``,
-    ``blocks``), the operators ``H``, ``E`` and ``G`` over v and ``hess0``,
-    the base Hessian of every block flattened row-major and concatenated in
-    block order, and returns the row data of every block (one stage dict
-    each), the gradient over v and the equality right-hand side.  Everything
-    else is built here, once per view, including the flat layout of the
-    blocks' reduced Hessians (see :func:`kkt_common.reduced_hessian`):
+    A view type's ``_stages`` returns the row data of every block (the
+    QP's own stage dicts), and its ``_build`` sets the layout (``nv``,
+    ``ns_tot``, ``ne``, ``blocks``), the operators ``H``, ``E`` and ``G``
+    over v and ``hess0``, the base Hessian of every block flattened
+    row-major and concatenated in block order, and returns the gradient
+    over v and the equality right-hand side.  Everything else is built
+    here, once per view, including the flat layout of the blocks' reduced
+    Hessians (see :func:`kkt_common.reduced_hessian`):
 
     * ``hess_off``   block n's (nw, nw) Hessian spans
                      ``hess_off[n]:hess_off[n + 1]`` of a buffer laid out
@@ -190,7 +198,8 @@ class ProblemView:
     def __init__(self, qp):
         self.qp = qp
         self.kind = qp.kind
-        stages, g_v, b = self._build()
+        g_v, b = self._build()
+        stages = self._stages()
         self.ny = self.nv + 2 * self.ns_tot
         self.nc = sum(cb.nc for cb in self.blocks)
         self._Et = self.E.T
@@ -203,19 +212,7 @@ class ProblemView:
         self.slack_diag = np.concatenate(
             [st["Zl"] for st in stages] + [st["Zu"] for st in stages]
         )
-        d = np.concatenate([
-            a for st in stages
-            for a in (st["lb"], st["lg"], -st["ub"], -st["ug"],
-                      st["sl_lb"], st["su_lb"])
-        ])
-        on = np.concatenate([
-            a for st in stages
-            for a in (st["maskl"], st["masku"], np.ones(2 * st["idxs"].shape[0]))
-        ])
-        self.act = (on != 0.0) & np.isfinite(d)
-        self.n_act = int(np.sum(self.act))
-        self.d = np.where(self.act, d, 0.0)
-        for const in (self.g, self.b, self.slack_diag, self.d):
+        for const in (self.g, self.b, self.slack_diag):
             const.flags.writeable = False
         # row tables: the rows are numbered box rows of every block first,
         # then general rows, the order of [v[box_col], G @ v]
@@ -240,6 +237,11 @@ class ProblemView:
             [cb.idxs for cb in self.blocks]
         ).astype(np.intp)
         self._soft = np.concatenate([soft_lo, soft_lo + np.repeat(m, ns)])
+        # positions of every block's [maskl | masku] and of the upper sides,
+        # whose entries of d are the negated bounds
+        self._mask_pos = _ranges(c, 2 * m)
+        self._upper = np.zeros(self.nc, dtype=bool)
+        self._upper[_ranges(c + m, m)] = True
         nw = np.array([cb.nw for cb in self.blocks], dtype=np.intp)
         self.hess_off = np.concatenate([[0], np.cumsum(nw * nw)])
         start = self.hess_off[:-1]
@@ -251,6 +253,30 @@ class ProblemView:
         first = np.cumsum(ng) - ng
         self.hess_gen = [(cb, int(lo), int(k))
                          for cb, lo, k in zip(self.blocks, start, first) if cb.ng]
+        self._set_bounds()
+
+    def _set_bounds(self):
+        """Set ``d``, ``act`` and ``n_act`` from the QP's bound fields.
+
+        The one place they are computed: a build calls it, and so does
+        :func:`make_view` on a copy of the cached view after bound writes.
+        """
+        stages = self._stages()
+        d = np.concatenate([
+            a for st in stages
+            for a in (st["lb"], st["lg"], st["ub"], st["ug"],
+                      st["sl_lb"], st["su_lb"])
+        ])
+        np.negative(d, out=d, where=self._upper)
+        on = np.ones(self.nc)
+        on[self._mask_pos] = np.concatenate(
+            [a for st in stages for a in (st["maskl"], st["masku"])]
+        )
+        self.act = (on != 0.0) & np.isfinite(d)
+        self.n_act = int(np.count_nonzero(self.act))
+        self.d = np.where(self.act, d, 0.0)
+        self.act.flags.writeable = False
+        self.d.flags.writeable = False
 
     # -- products ----------------------------------------------------------
 
@@ -355,6 +381,9 @@ def _inf_norm(v):
 class DenseView(ProblemView):
     """View of a dense QP: one block over all of v, the QP's own arrays as operators."""
 
+    def _stages(self):
+        return [self.qp._data]
+
     def _build(self):
         qp = self.qp
         data = qp._data
@@ -367,7 +396,7 @@ class DenseView(ProblemView):
         self.hess0.flags.writeable = False
         self.E = data["A"]
         self.G = data["C"]
-        return [data], data["g"], data["b"]
+        return data["g"], data["b"]
 
 
 class StageView(ProblemView):
@@ -385,6 +414,9 @@ class StageView(ProblemView):
     def __init__(self, qp, edges):
         self.edges = edges
         super().__init__(qp)
+
+    def _stages(self):
+        return self.qp._stages
 
     def _build(self):
         qp = self.qp
@@ -433,7 +465,7 @@ class StageView(ProblemView):
                       tail=_ranges(np.take(self.x_off, child), d.nx[child]))
         g_v = np.concatenate([a for st in stages for a in (st["r"], st["q"])])
         b = [dyn["b"] for _, _, dyn in self.edges]
-        return stages, g_v, np.concatenate(b) if b else np.zeros(0)
+        return g_v, np.concatenate(b) if b else np.zeros(0)
 
     @cached_property
     def band(self):
@@ -467,9 +499,16 @@ class RiccatiBand:
     * ``sweep``    the factor sweep's visiting order, children first:
                    ``(n, nu, nu + nx, hess_off[n], val_off[n], out_edges[n])``
                    per node, in Python integers;
-    * ``p_csr``    ``(indices, indptr)`` of the (ne, ne) CSR block diagonal
-                   with one (nx_m, nx_m) block per edge into m, for the
-                   cost-to-go products over pi.
+    * ``p_dim``    the largest nx over the nodes: a factorization writes
+                   every node's cost-to-go block (``P_n``, or ``chol(P_n)``
+                   on the square-root and QR routes) at the top left of slot
+                   n of one zeroed (n_node, p_dim, p_dim) buffer, so the
+                   blocks of the edges, edge e leading into node e + 1, are
+                   its slots 1 on, and each product over pi is one stacked
+                   ``matmul``;
+    * ``p_pos``    positions of the pi entries in a vector of the edges'
+                   padded (n_node - 1, p_dim) blocks: a slice when every
+                   non-root node has ``nx = p_dim``, else an index array.
     """
 
     def __init__(self, view):
@@ -484,11 +523,10 @@ class RiccatiBand:
         self.pi_pos = self.vpos[
             _ranges(np.take(view.x_off, child).astype(np.intp), nx[child])
         ]
-        row_len = nx[child].repeat(nx[child])
-        self.p_csr = (
-            _ranges(np.repeat(view.pi_off, nx[child]).astype(np.intp), row_len),
-            np.concatenate([[0], np.cumsum(row_len)]),
-        )
+        self.p_dim = p = int(nx.max())
+        self.p_pos = (slice(None) if np.all(nx[child] == p)
+                      else _ranges(np.arange(child.size, dtype=np.intp) * p,
+                                   nx[child]))
         E = view.E
         rows = self.vpos[E.indices]
         cols = self.pi_pos.repeat(np.diff(E.indptr))
@@ -520,10 +558,22 @@ class RiccatiBand:
 
 
 def make_view(qp):
-    """Build (or fetch the cached) flat view of a QP."""
+    """Build (or fetch the cached) flat view of a QP.
+
+    A view is cached on its QP with the QP's revision.  After writes only to
+    bound fields (see :class:`qp_data._FieldAccess`) the cached view comes
+    back as a shallow copy with ``d``, ``act`` and ``n_act`` recomputed, so
+    it shares every other constant, the Riccati band included; the cached
+    view itself is never modified, because earlier solutions hold it.
+    """
     cached = getattr(qp, "_view_cache", None)
     if cached is not None and cached[0] == qp._rev:
-        return cached[1]
+        rev, view, fresh = cached
+        if not fresh:
+            view = copy.copy(view)
+            view._set_bounds()
+            qp._view_cache = (rev, view, True)
+        return view
     if isinstance(qp, DenseQp):
         view = DenseView(qp)
     elif isinstance(qp, OcpQp):
@@ -535,7 +585,7 @@ def make_view(qp):
         )
     else:
         raise TypeError(f"not a QP container: {type(qp)!r}")
-    qp._view_cache = (qp._rev, view)
+    qp._view_cache = (qp._rev, view, True)
     return view
 
 

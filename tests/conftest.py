@@ -257,7 +257,7 @@ class RiccatiFactorRef:
         self.P = [None] * n_node     # classical representation
         self.L_P = [None] * n_node   # square-root representation
         self.ab = None               # band storage of the solve matrix T
-        self.P_op = None             # per-edge blocks: P, or chol(P) if sqrt
+        self.p_blocks = None         # per-node blocks: P, or chol(P) if sqrt
         self.sqrt = False
 
     def p_matrix(self, n):
@@ -274,8 +274,6 @@ def riccati_factor_ref(qp, iterate, variant=None, arg=None, use_qr=False):
     factor columns stacked with ``hstack`` and the gains ``K`` solved
     eagerly.
     """
-    import scipy.sparse as sp
-
     arg = arg or IpmArg()
     variant = variant or arg.riccati_variant
     if variant not in ("classical", "square_root"):
@@ -312,12 +310,9 @@ def riccati_factor_ref(qp, iterate, variant=None, arg=None, use_qr=False):
     ab = band.ab0.copy()
     ab.ravel()[band.dst] = vals[band.src]
     fac.ab = ab.T
-    blocks = fac.L_P if sqrt_mode else fac.P
-    fac.P_op = sp.csr_array(
-        (np.concatenate([np.zeros(0)] + [blocks[m].ravel() for _, m, _ in vw.edges]),
-         *band.p_csr),
-        shape=(vw.ne, vw.ne),
-    )
+    fac.p_blocks = np.zeros((vw.n_node, band.p_dim, band.p_dim))
+    for n, B in enumerate(fac.L_P if sqrt_mode else fac.P):
+        fac.p_blocks[n, : B.shape[0], : B.shape[1]] = B
     fac.sqrt = sqrt_mode
     return fac
 

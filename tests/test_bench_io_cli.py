@@ -89,6 +89,38 @@ class TestClosedLoop:
         assert all(w <= c for w, c in zip(warm, cold))
         assert sum(warm) < sum(cold)
 
+    def test_kept_view_is_bit_identical_to_rebuilding(self, monkeypatch):
+        # the view carried across every step's lbx/ubx writes against a run
+        # that drops the cached view before every step
+        import mpcqp.mass_spring as ms
+        from mpcqp.view import ProblemView
+
+        builds = []
+        real_init = ProblemView.__init__
+
+        def counting_init(self, qp):
+            builds.append(qp)
+            real_init(self, qp)
+
+        monkeypatch.setattr(ProblemView, "__init__", counting_init)
+        cfg = MassSpringConfig(masses=4, horizon=20)
+        kept = run_closed_loop(cfg, 16)
+        assert len(builds) == 1
+        real_make_view = ms.make_view
+
+        def dropping_make_view(qp):
+            qp._view_cache = None
+            return real_make_view(qp)
+
+        monkeypatch.setattr(ms, "make_view", dropping_make_view)
+        rebuilt = run_closed_loop(cfg, 16)
+        assert len(builds) == 1 + 16
+        assert np.array_equal(kept.states, rebuilt.states)
+        assert np.array_equal(kept.inputs, rebuilt.inputs)
+        assert ([r.iterations for r in kept.records]
+                == [r.iterations for r in rebuilt.records])
+        assert all(r.status == "Success" for r in kept.records)
+
     def test_abort_reports_step(self):
         # force failure through an unreachable tolerance budget
         cfg = MassSpringConfig(masses=2, horizon=10)
@@ -237,9 +269,11 @@ class TestCli:
         ocpf = str(tmp_path / "o.qp")
         qp_write(ocpf, rand_ocp_qp(rng, N=3, nx=2, nu=1))
         for qpf, path in ((densef, "condense"), (densef, "partial:2"),
-                          (ocpf, "bogus")):
+                          (ocpf, "bogus"), (ocpf, "partial:abc")):
             assert cli_main(["solve", "--qp", qpf, "--path", path]) == 2
             assert capsys.readouterr().err.startswith("error: ")
+        cli_main(["solve", "--qp", ocpf, "--path", "partial:1.5"])
+        assert "solve path 'partial:1.5'" in capsys.readouterr().err
 
     def test_infeasible_exit_code(self, tmp_path):
         qp = DenseQp(nv=1, nb=1)

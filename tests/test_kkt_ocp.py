@@ -12,12 +12,13 @@ from mpcqp import (
     OcpQpDim,
     TreeOcpQp,
     TreeOcpQpDim,
+    Status,
     compute_residuals,
     flop_counter,
     solve_ocp_qp,
 )
 from mpcqp.kkt_common import reduced_hessian, view_scales
-from mpcqp.view import QpSolution, make_view, solve_full_kkt
+from mpcqp.view import QpSolution, StageView, make_view, solve_full_kkt
 
 from conftest import (
     ba_ref,
@@ -246,17 +247,24 @@ class TestViewConstants:
         assert all(np.array_equal(H, H0) for H, H0 in zip(vw.node_hess, before))
 
     @pytest.mark.parametrize("field,stage", [
-        ("Q", 2), ("S", 1), ("R", 0), ("A", 3), ("B", 0),
+        ("Q", 2), ("S", 1), ("R", 0), ("A", 3), ("B", 0), ("q", 1), ("r", 0),
+        ("b", 2), ("C", 1), ("D", 1), ("idxb", 1), ("idxs", 1), ("Zl", 1),
+        ("Zu", 1), ("zl", 1), ("zu", 1),
     ])
     def test_set_field_after_solve_refreshes_constants(self, rng, field, stage):
         qp = rand_ocp_qp(rng, N=4, nx=3, nu=2)
         solve_ocp_qp(qp)
         old = make_view(qp)
-        shape = qp.get_field(field, stage).shape
-        G = rng.standard_normal(shape)
-        value = G @ G.T + np.eye(shape[0]) if field in ("Q", "R") else G
+        # a bound write before it must not carry the view past it
+        qp.set_field("lb", 3, qp.get_field("lb", 3) - 0.1)
+        value = qp.get_field(field, stage)
+        if field in ("Q", "S", "R", "A", "B"):
+            G = rng.standard_normal(value.shape)
+            value = G @ G.T + np.eye(value.shape[0]) if field in ("Q", "R") else G
         qp.set_field(field, stage, value)
-        assert make_view(qp) is not old
+        vw = make_view(qp)
+        assert vw.H is not old.H and vw.E is not old.E and vw.G is not old.G
+        assert "band" not in vars(vw)
         it = rand_iterate(rng, qp)
         self._assert_constants_match(qp, it)
         vw, res, rm = _rhs_from(qp, it)
@@ -286,6 +294,103 @@ class TestViewConstants:
         step = ko.riccati_factor(qp, it).solve(res.r_g, res.r_b, res.r_d, rm)
         err = np.max(np.abs(step.flat() - ref.flat()))
         assert err <= 1e-8 * (1.0 + np.max(np.abs(ref.flat())))
+
+
+    # every field that feeds only d and act, with a write that keeps the QP
+    # feasible: widened bounds, a negative slack bound, a masked side
+    BOUND_WRITES = [
+        ("lb", lambda v: v - 0.1), ("ub", lambda v: v + 0.1),
+        ("lbu", lambda v: v - 0.1), ("ubu", lambda v: v + 0.1),
+        ("lbx", lambda v: v - 0.1), ("ubx", lambda v: v + 0.1),
+        ("lg", lambda v: v - 0.1), ("ug", lambda v: v + 0.1),
+        ("sl_lb", lambda v: v - 0.1), ("su_lb", lambda v: v - 0.1),
+        ("maskl", lambda v: np.r_[0.0, v[1:]]),
+        ("masku", lambda v: np.r_[v[:-1], 0.0]),
+    ]
+    SHARED = ["H", "E", "G", "_Et", "_Gt", "hess0", "hess_off", "hess_box",
+              "hess_diag", "hess_gen", "node_hess", "out_edges", "box_col",
+              "_rows", "_soft", "g", "b", "slack_diag", "blocks", "band"]
+
+    @staticmethod
+    def _qp(rng, kind):
+        return (rand_ocp_qp(rng, N=4, nx=3, nu=2, fix_x0=True) if kind == "ocp"
+                else rand_tree_qp(rng, [-1, 0, 0, 1, 2, 2], nb=3))
+
+    @pytest.mark.parametrize("field,change", BOUND_WRITES)
+    @pytest.mark.parametrize("kind", ["ocp", "tree"])
+    def test_bound_write_keeps_operators(self, rng, kind, field, change):
+        qp = self._qp(rng, kind)
+        solve_ocp_qp(qp)
+        old = make_view(qp)
+        assert "band" in vars(old)
+        d_old, act_old = old.d.copy(), old.act.copy()
+        qp.set_field(field, 0, change(qp.get_field(field, 0)))
+        vw = make_view(qp)
+        assert vw is not old
+        for name in self.SHARED:
+            assert getattr(vw, name) is getattr(old, name), name
+        fresh = StageView(qp, old.edges)
+        assert np.array_equal(vw.d, fresh.d)
+        assert np.array_equal(vw.act, fresh.act)
+        assert vw.n_act == fresh.n_act
+        assert not np.array_equal(vw.d, d_old) or not np.array_equal(vw.act, act_old)
+        # the previous view, which earlier solutions hold, is unchanged
+        assert np.array_equal(old.d, d_old)
+        assert np.array_equal(old.act, act_old)
+        assert make_view(qp) is vw
+
+    @pytest.mark.parametrize("kind", ["ocp", "tree"])
+    def test_writes_in_a_row_refresh_once(self, rng, kind, monkeypatch):
+        qp = self._qp(rng, kind)
+        old = make_view(qp)
+        calls = []
+        real = StageView._set_bounds
+        monkeypatch.setattr(StageView, "_set_bounds",
+                            lambda self: calls.append(self) or real(self))
+        for field in ("lb", "ub", "lg", "maskl"):
+            qp.set_field(field, 2, qp.get_field(field, 2))
+        assert calls == []
+        vw = make_view(qp)
+        assert calls == [vw] and vw is not old and vw.H is old.H
+        assert make_view(qp) is vw and calls == [vw]
+
+    def test_direct_revision_bump_builds_new_operators(self, rng):
+        qp = rand_ocp_qp(rng, N=4, nx=3, nu=2, fix_x0=True)
+        old = make_view(qp)
+        qp._rev += 1
+        qp.set_field("lbx", 0, qp.get_field("lbx", 0) - 0.1)
+        assert make_view(qp).H is not old.H
+        old = make_view(qp)
+        qp.set_field("ubx", 0, qp.get_field("ubx", 0) + 0.1)
+        qp._rev += 1
+        assert make_view(qp).H is not old.H
+
+    # the last row of stage 2, its general row, is masked on its lower side
+    # (rand_ocp_qp); every write here switches one side on or off
+    @pytest.mark.parametrize("field,row,value", [
+        ("lb", 0, -np.inf), ("ub", -1, np.inf), ("ug", 0, np.inf),
+        ("maskl", 0, 0.0), ("masku", -1, 0.0), ("maskl", -1, 1.0),
+    ])
+    def test_side_switch_changes_act_and_resolves(self, rng, field, row, value):
+        qp = rand_ocp_qp(rng, N=4, nx=3, nu=2)
+        solve_ocp_qp(qp)
+        old = make_view(qp)
+        cur = qp.get_field(field, 2)
+        cur[row] = value
+        qp.set_field(field, 2, cur)
+        vw = make_view(qp)
+        assert vw.H is old.H
+        fresh = StageView(qp, old.edges)
+        assert np.array_equal(vw.act, fresh.act) and vw.n_act == fresh.n_act
+        assert not np.array_equal(vw.act, old.act)
+        assert vw.n_act - old.n_act == int(vw.act.sum()) - int(old.act.sum()) != 0
+        it = rand_iterate(rng, qp)
+        vw, res, rm = _rhs_from(qp, it)
+        ref = solve_full_kkt(qp, it, res.r_g, res.r_b, res.r_d, rm)
+        step = ko.riccati_factor(qp, it).solve(res.r_g, res.r_b, res.r_d, rm)
+        err = np.max(np.abs(step.flat() - ref.flat()))
+        assert err <= 1e-8 * (1.0 + np.max(np.abs(ref.flat())))
+        assert solve_ocp_qp(qp).status == Status.Success
 
 
 # fixed before the band solve replaced the node loops: both sweeps do the
@@ -421,6 +526,31 @@ class TestFactorSweepEquivalence:
                rng.standard_normal(vw.nc),
                np.where(vw.act, rng.standard_normal(vw.nc), 0.0))
         assert _close(fac.solve(*rhs).flat(), ko.riccati_solve(ref, qp, *rhs).flat())
+
+    @pytest.mark.parametrize("variant,use_qr,reg_prim", ROUTES)
+    @settings(max_examples=60)
+    @given(qp=convex_stage_qps(), seed=st.integers(0, 2**32 - 1))
+    def test_cost_to_go_buffer_matches_reference(self, variant, use_qr, reg_prim,
+                                                 qp, seed):
+        rng = np.random.default_rng(seed)
+        it = rand_iterate(rng, qp)
+        vw = make_view(qp)
+        kw = dict(variant=variant, use_qr=use_qr, arg=IpmArg(reg_prim=reg_prim))
+        fac = ko.riccati_factor(qp, it, **kw)
+        ref = riccati_factor_ref(qp, it, **kw)
+        p = int(max(qp.dim.nx))
+        assert fac.p_blocks.shape == (vw.n_node, p, p)
+        for n, B in enumerate(ref.L_P if fac.sqrt else ref.P):
+            nx = qp.dim.nx[n]
+            assert _close(fac.p_blocks[n, :nx, :nx], B)
+            assert not np.any(fac.p_blocks[n, nx:]) and not np.any(fac.p_blocks[n, :, nx:])
+        # P_m times the pi block of the edge into m, for every edge
+        vec = rng.standard_normal(vw.ne)
+        want = np.empty(vw.ne)
+        for (_, m, _), off in zip(vw.edges, vw.pi_off):
+            blk = slice(off, off + qp.dim.nx[m])
+            want[blk] = ref.p_matrix(m) @ vec[blk]
+        assert _close(ko._p_apply(fac, vec), want)
 
     @pytest.mark.parametrize("variant,use_qr,reg_prim", ROUTES)
     @pytest.mark.parametrize("kind", ["ocp", "tree"])

@@ -5,6 +5,7 @@ import pytest
 
 from mpcqp import (
     DenseQp,
+    InvalidConfig,
     OcpQp,
     OcpQpDim,
     Status,
@@ -15,6 +16,7 @@ from mpcqp import (
     solve_ocp_qp,
     solve_tree_ocp_qp,
 )
+from mpcqp.solver import solve_path
 from mpcqp.view import QpSolution, make_view
 
 from conftest import (
@@ -547,3 +549,17 @@ class TestValidationVerdict:
         qp._rev += 1
         solve_ocp_qp(qp)
         assert calls == [qp, qp_p, qp]
+
+
+class TestSolvePath:
+    @pytest.mark.parametrize("path", ["partial:abc", "partial:", "partial:1.5"])
+    def test_malformed_block_size_is_invalid_config(self, rng, path):
+        qp = rand_ocp_qp(rng, N=4, nx=2, nu=1)
+        with pytest.raises(InvalidConfig, match=f"solve path '{path}'"):
+            solve_path(qp, path)
+
+    def test_partial_path_solves(self, rng):
+        qp = rand_ocp_qp(rng, N=4, nx=2, nu=1)
+        rep, sol = solve_path(qp, "partial:2")
+        assert rep.status == Status.Success
+        assert compute_residuals(qp, sol).max_norm() <= 1e-5

@@ -16,12 +16,14 @@ from mpcqp import (
     UnknownField,
     gen_mass_spring,
 )
-from mpcqp.view import QpSolution, make_view
+from mpcqp.solver import solve_dense_qp
+from mpcqp.view import DenseView, QpSolution, StageView, make_view
 
 from conftest import (
     con_matrix_ref,
     eq_matrix_ref,
     hess_matrix_ref,
+    rand_dense_qp,
     rand_tree_qp,
     row_constants_ref,
 )
@@ -219,3 +221,117 @@ class TestStageAccessors:
             np.concatenate([sol.lam_stage(n) for n in range(n_node)]), sol.lam)
         assert np.array_equal(
             np.concatenate([sol.t_stage(n) for n in range(n_node)]), sol.t)
+
+
+BOUND_FIELDS = ["lb", "ub", "lg", "ug", "sl_lb", "su_lb", "maskl", "masku"]
+# the fields the write sequences draw from, per QP kind
+_STAGE_WRITES = set(BOUND_FIELDS) | {"lbu", "ubx", "Q", "q", "b", "Zl", "zu"}
+_FIELDS_OF = {
+    "dense": set(BOUND_FIELDS) | {"H", "g", "b", "Zl", "zu"},
+    "ocp": _STAGE_WRITES,
+    "tree": _STAGE_WRITES,
+}
+
+
+def _fresh_view(qp):
+    """A view built from scratch, bypassing the cache."""
+    if qp.kind == "dense":
+        return DenseView(qp)
+    return StageView(qp, make_view(qp).edges)
+
+
+def _random_write(qp, rng, field):
+    """Write a random value of the right shape to ``field`` at a random stage."""
+    args = ()
+    if qp.kind != "dense":
+        n_node = len(qp._stages)
+        if field == "b":
+            if n_node == 1:
+                return
+            lo = 1 if qp.kind == "tree" else 0
+            args = (int(rng.integers(lo, lo + n_node - 1)),)
+        else:
+            args = (int(rng.integers(0, n_node)),)
+    cur = qp.get_field(field, *args)
+    if field in ("maskl", "masku"):
+        value = (rng.random(cur.shape) > 0.3).astype(float)
+    elif field in ("H", "Q"):
+        value = cur + _sym(rng, cur.shape[0])
+    elif field == "Zl":
+        value = rng.uniform(0.5, 2.0, cur.shape)
+    else:
+        value = cur + rng.uniform(-0.5, 0.5, cur.shape)
+        if field in BOUND_FIELDS or field in ("lbu", "ubu", "lbx", "ubx"):
+            value = _with_inf(rng, value, 1 if field[0] == "u" else -1)
+    qp.set_field(field, *args, value)
+
+
+class TestBoundRefresh:
+    """A bound write refreshes only d, act and n_act of the cached view."""
+
+    SHARED = ["H", "E", "G", "hess0", "hess_off", "hess_box", "hess_diag",
+              "hess_gen", "blocks", "box_col", "_rows", "_soft", "g", "b",
+              "slack_diag"]
+
+    @pytest.mark.parametrize("field", BOUND_FIELDS)
+    def test_dense_bound_write_keeps_operators(self, rng, field):
+        qp = rand_dense_qp(rng)
+        solve_dense_qp(qp)
+        old = make_view(qp)
+        d_old, act_old = old.d.copy(), old.act.copy()
+        cur = qp.get_field(field)
+        cur[-1] = 0.0 if field.startswith("mask") else cur[-1] - 0.3
+        qp.set_field(field, cur)
+        vw = make_view(qp)
+        assert vw is not old
+        for name in self.SHARED:
+            assert getattr(vw, name) is getattr(old, name), name
+        fresh = DenseView(qp)
+        assert np.array_equal(vw.d, fresh.d)
+        assert np.array_equal(vw.act, fresh.act)
+        assert vw.n_act == fresh.n_act
+        assert np.array_equal(old.d, d_old) and np.array_equal(old.act, act_old)
+        assert not (np.array_equal(vw.d, d_old) and np.array_equal(vw.act, act_old))
+
+    @pytest.mark.parametrize("field", ["H", "g", "A", "b", "C", "idxb", "Zl", "zl"])
+    def test_dense_other_write_builds_a_new_view(self, rng, field):
+        qp = rand_dense_qp(rng)
+        old = make_view(qp)
+        qp.set_field("lb", qp.get_field("lb") - 0.1)
+        qp.set_field(field, qp.get_field(field))
+        vw = make_view(qp)
+        assert vw.hess0 is not old.hess0 and vw._rows is not old._rows
+
+    @settings(max_examples=80)
+    @given(random_qps(), st.integers(0, 2**32 - 1), st.lists(
+        st.sampled_from(BOUND_FIELDS + ["lbu", "ubx", "view", "view", "H", "Q",
+                                        "g", "q", "b", "Zl", "zu"]),
+        min_size=1, max_size=12,
+    ))
+    def test_cached_view_equals_fresh_build(self, qp, seed, ops):
+        rng = np.random.default_rng(seed)
+        held = []
+
+        def check():
+            vw = make_view(qp)
+            fresh = _fresh_view(qp)
+            for name in ("d", "act", "g", "b"):
+                assert np.array_equal(getattr(vw, name), getattr(fresh, name)), name
+            assert vw.n_act == fresh.n_act
+            p = _point(qp, seed)
+            got, want = vw.residuals(p), fresh.residuals(p)
+            for name in ("r_g", "r_b", "r_d", "r_m"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+            assert got.mu == want.mu
+            held.append((vw, vw.d.copy(), vw.act.copy(), vw.n_act))
+
+        check()
+        for op in ops:
+            if op == "view":
+                check()
+            elif op in _FIELDS_OF[qp.kind]:
+                _random_write(qp, rng, op)
+        check()
+        for vw, d, act, n_act in held:
+            assert np.array_equal(vw.d, d) and np.array_equal(vw.act, act)
+            assert vw.n_act == n_act
