@@ -1,9 +1,15 @@
 """QP-type-agnostic interior point machinery.
 
 The solvers in this package are infeasible-start predictor-corrector primal
-dual interior point methods.  Everything here operates on flat multiplier /
-slack vectors (plus an activity mask) and is independent of the QP type and
-of how the KKT systems are factorized.
+dual interior point methods.  Everything here is independent of the QP type
+and of how the KKT systems are factorized: it works on the one flat buffer
+``[y | pi | lam | t]`` of an iterate or a step (:class:`view.QpSolution`)
+and on its ``[lam | t]`` half ``lt``.  Every iterate and every step holds
+exact zeros on masked constraint rows, so these kernels take no activity
+mask: the duality measure is ``lam' t / n_act`` over the whole vectors, the
+step length is one ratio pass over ``lt`` (a zero step entry never blocks)
+and the update is one axpy over the buffer plus one floor clip of ``lt`` on
+the active rows, which keeps the masked rows at zero.
 
 Two formulations of the Newton system are supported and selected through the
 solver mode:
@@ -211,6 +217,10 @@ class IterRecord:
     corrector: bool     # the corrector term was used in the step direction
     escalated: bool     # refinement missed its target and the direction was
                         # recomputed from the ladder's qr rungs
+    refine_steps: int   # corrections refinement applied to the direction
+                        # the step took (0 without refinement)
+    refine_ratio: float  # KKT residual it reached over max(1, ||rhs||), the
+                         # scale of itref_stop_ratio (nan without refinement)
 
 
 @dataclass
@@ -228,39 +238,35 @@ class SolverStats:
     trace: list = field(default_factory=list)
 
 
-def duality_measure(lam, t, act=None):
-    """Average complementarity lam' t / n over active rows.
+def duality_measure(lt, n_act):
+    """Average complementarity ``lam' t / n_act`` of a ``[lam | t]`` vector.
 
-    Returns 0.0 for an empty active set (the problem is then equality
-    constrained only and the caller should treat complementarity as
-    satisfied); no exception is raised for that case.
+    Masked rows hold zeros (the iterate invariant), so the dot product over
+    all rows is the sum over the ``n_act`` active ones.  Returns 0.0 for an
+    empty active set (the problem is then equality constrained only and the
+    caller should treat complementarity as satisfied); no exception is
+    raised for that case.
     """
-    if act is not None:
-        lam = lam[act]
-        t = t[act]
-    n = lam.shape[0]
-    if n == 0:
+    if not n_act:
         return 0.0
-    return float(lam @ t) / n
+    nc = lt.shape[0] // 2
+    return float(lt[:nc] @ lt[nc:]) / n_act
 
 
-def max_step(lam, t, dlam, dt, act=None, ftb=1.0):
-    """Largest alpha in (0, 1] keeping lam + alpha dlam >= 0 and t + alpha dt >= 0.
+def max_step(lt, dlt, ftb=1.0):
+    """Largest alpha in (0, 1] keeping ``lt + alpha dlt >= 0``.
 
-    ``ftb`` scales the blocking ratio (fraction-to-boundary); it multiplies
-    the ratio before the cap at 1, so an unblocked direction still yields a
+    One ratio pass over the ``[lam | t]`` half of the iterate and of the
+    step.  Masked rows of a step are zero, so they never block.  ``ftb``
+    scales the blocking ratio (fraction-to-boundary); it multiplies the
+    ratio before the cap at 1, so an unblocked direction still yields a
     unit step.
     """
-    if act is not None:
-        lam, t, dlam, dt = lam[act], t[act], dlam[act], dt[act]
-    ratio = np.inf
-    neg = dlam < 0.0
-    if np.any(neg):
-        ratio = min(ratio, float(np.min(-lam[neg] / dlam[neg])))
-    neg = dt < 0.0
-    if np.any(neg):
-        ratio = min(ratio, float(np.min(-t[neg] / dt[neg])))
-    return min(1.0, ftb * ratio)
+    neg = dlt < 0.0
+    # the blocking ratios -lt/dlt are the negated quotients where dlt < 0;
+    # every other entry reads -inf, so an unblocked direction gives inf
+    q = np.divide(lt, dlt, out=np.full(lt.shape, -np.inf), where=neg)
+    return min(1.0, ftb * -float(q.max(initial=-np.inf)))
 
 
 def centering(mu, mu_aff):
@@ -280,25 +286,18 @@ def corrector_acceptance(mu_pcc, mu_aff, threshold=1.5):
     return mu_pcc <= threshold * mu_aff
 
 
-def update_iterate_delta(iterate, step, alpha, act=None, lam_min=0.0, t_min=0.0):
+def update_iterate_delta(iterate, step, alpha, lam_min=0.0, t_min=0.0):
     """In-place iterate += alpha * step, clipping active lam/t from below.
 
-    The lower bounds keep late-iteration multiplier/slack ratios bounded and
-    with them the conditioning of the KKT system.  Deactivated rows are left
-    untouched at zero.
+    One axpy over the whole buffer, then one floor clip of ``lt`` on the
+    active rows.  The lower bounds keep late-iteration multiplier/slack
+    ratios bounded and with them the conditioning of the KKT system.  The
+    step is zero on masked rows, so they stay at zero.
     """
-    iterate.y += alpha * step.y
-    iterate.pi += alpha * step.pi
-    lam = iterate.lam + alpha * step.lam
-    t = iterate.t + alpha * step.t
-    if act is None:
-        np.maximum(lam, lam_min, out=lam)
-        np.maximum(t, t_min, out=t)
-    else:
-        lam = np.where(act, np.maximum(lam, lam_min), lam)
-        t = np.where(act, np.maximum(t, t_min), t)
-    iterate.lam[:] = lam
-    iterate.t[:] = t
+    buf = iterate.flat()
+    buf += alpha * step.flat()
+    lt = iterate.lt.reshape(2, -1)
+    np.maximum(lt, [[lam_min], [t_min]], out=lt, where=iterate._view.act)
     return iterate
 
 

@@ -32,7 +32,9 @@ tables (``box_col``, ``G`` and the positions of every row side in
 side over v (:func:`fold_rhs`) and the recovered slack, multiplier and
 inequality-slack steps (:func:`recover`).  Both backends call the same four
 functions; on a dense QP, whose one block is the whole problem, they
-perform the per-block arithmetic operation for operation.
+perform the per-block arithmetic operation for operation.  A backend writes
+its step over v and its ``pi`` straight into one zeroed solution buffer, and
+:func:`recover` fills in the rest, leaving masked rows at exact zero.
 """
 
 from __future__ import annotations
@@ -41,8 +43,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveIterate, SingularSlackBlock
+from .errors import DimensionMismatch, NonPositiveIterate, SingularSlackBlock
 from .linalg import matmul_acc
+from .view import split_flat
 
 __all__ = ["Scales", "view_scales", "reduced_hessian", "fold_rhs", "recover",
            "kkt_apply_vec", "kkt_rhs_flat"]
@@ -141,51 +144,68 @@ def fold_rhs(view, sc, r_g, r_d, r_m):
     return rhat - view.rows_t(f), (w, rt)
 
 
-def recover(view, sc, dv, fold, r_d):
-    """Recover ``(dy, dlam, dt)`` from the step ``dv`` over v.
+def recover(view, sc, fold, r_d, out):
+    """Recover the slack, multiplier and inequality-slack steps into ``out``.
 
-    The slack steps come back first, then the multipliers and the inequality
-    slacks, reversing the elimination order.  Deactivated rows stay at zero.
-    Without soft rows ``dy`` is ``dv`` itself.
+    ``out`` is a zeroed :class:`QpSolution` whose ``v`` already holds the
+    step over v; the slack steps come back first, then the multipliers and
+    the inequality slacks, reversing the elimination order.  Deactivated
+    rows stay exactly zero, which is the invariant the interior point loop
+    relies on.
     """
     w, rt = fold
     soft = view._soft
-    cy = view.cy(np.concatenate([dv, np.zeros(soft.size)]))
-    dy = dv
+    cy = view.cy(out.y)     # the slack part of out.y is still zero
     if soft.size:
         ds = (-rt - sc.g[soft] * cy[soft]) / sc.D
         cy[soft] += ds
         cy[view._rows[2 * view._m:]] = ds
-        dy = np.concatenate([dv, ds])
-    dlam = np.where(view.act, w - sc.g * cy, 0.0)
-    dt = np.where(view.act, -r_d + cy, 0.0)
-    return dy, dlam, dt
+        out.y[view.nv:] = ds
+    np.subtract(w, sc.g * cy, out=out.lam, where=view.act)
+    np.subtract(cy, r_d, out=out.t, where=view.act)
+    return out
 
 
 def kkt_apply_vec(view, lam, t, delta_flat):
     """Exact (unfactorized, unregularized) KKT matrix action on a flat vector.
 
-    ``lam``/``t`` fix the complementarity linearization; masked rows map to
-    zero.  Used to form iterative-refinement residuals.
+    ``lam``/``t`` fix the complementarity linearization.  Both and the
+    ``dlam``/``dt`` parts of ``delta_flat`` must be zero on masked rows, as
+    every iterate and step of the interior point loop is; masked rows then
+    map to zero.  Used to form iterative-refinement residuals; the result
+    is one buffer laid out like ``delta_flat``.
+
+    Raises
+    ------
+    DimensionMismatch
+        If ``delta_flat``, ``lam`` or ``t`` does not match the view.
     """
     ny, ne, nc = view.ny, view.ne, view.nc
-    dy = delta_flat[:ny]
-    dpi = delta_flat[ny: ny + ne]
-    dlam = delta_flat[ny + ne: ny + ne + nc]
-    dt = delta_flat[ny + ne + nc:]
-    a_g = view.hess_y(dy) - view.at_pi(dpi) - view.ct_lam(dlam)
-    a_b = -view.a_y(dy)
-    a_d = np.where(view.act, -view.cy(dy) + dt, 0.0)
-    a_m = np.where(view.act, t * dlam + lam * dt, 0.0)
-    return np.concatenate([a_g, a_b, a_d, a_m])
+    n = ny + ne + 2 * nc
+    if delta_flat.shape != (n,) or lam.shape != (nc,) or t.shape != (nc,):
+        raise DimensionMismatch(
+            f"KKT vector of shape {delta_flat.shape} with lam {lam.shape} and "
+            f"t {t.shape}; the QP needs ({n},) and ({nc},)"
+        )
+    dy, dpi, dlam, dt = split_flat(delta_flat, ny, ne, nc)
+    out = np.zeros(n)
+    a_g, a_b, a_d, a_m = split_flat(out, ny, ne, nc)
+    view.stationarity(dy, dpi, dlam, a_g)
+    np.negative(view.a_y(dy), out=a_b)
+    np.subtract(dt, view.cy(dy), out=a_d, where=view.act)
+    np.multiply(t, dlam, out=a_m)
+    a_m += lam * dt
+    return out
 
 
 def kkt_rhs_flat(view, r_g, r_b, r_d, r_m):
-    """Pack 4-block right-hand sides into the flat KKT vector order."""
-    return np.concatenate([
-        r_g,
-        r_b,
-        np.where(view.act, r_d, 0.0),
-        np.where(view.act, r_m, 0.0),
-    ])
+    """Pack 4-block right-hand sides into the flat KKT vector order.
 
+    ``r_d`` and ``r_m`` must be zero on masked rows (the loop's residuals
+    and complementarity terms are).
+    """
+    ny, ne, nc = view.ny, view.ne, view.nc
+    out = np.empty(ny + ne + 2 * nc)
+    for dst, src in zip(split_flat(out, ny, ne, nc), (r_g, r_b, r_d, r_m)):
+        dst[:] = src
+    return out

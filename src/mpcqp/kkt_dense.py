@@ -40,7 +40,7 @@ from .errors import FactorizationFailed, LinalgError
 from .ipm_core import KKT_METHODS, IpmArg
 from .kkt_common import fold_rhs, recover, reduced_hessian, view_scales
 from .linalg import cholesky_factor, matmul_acc, qr_cholesky, solve_triangular
-from .view import QpSolution, make_view
+from .view import QpSolution, make_view, split_flat
 
 __all__ = ["DenseKktFactor", "factor"]
 
@@ -117,37 +117,29 @@ class DenseKktFactor:
         represents; the factor itself is formulation-agnostic.
         """
         vw = self.view
+        step = QpSolution(vw)
         rhat, fold = fold_rhs(vw, self.sc, r_g, r_d, r_m)
         if self.method == "null_space" and self.qp.ne:
             v_p = self._Q1 @ solve_triangular(self._Ra, r_b, transpose=True,
                                               lower=False)
             rhs_z = self._Z.T @ (rhat + self._Hred @ v_p)
             q = _cho_solve(self._Lz, -rhs_z)
-            dv = v_p + self._Z @ q
-            dpi = solve_triangular(self._Ra, self._Q1.T @ (self._Hred @ dv + rhat),
-                                   lower=False)
+            np.add(v_p, self._Z @ q, out=step.v)
+            step.pi[:] = solve_triangular(
+                self._Ra, self._Q1.T @ (self._Hred @ step.v + rhat), lower=False)
         elif self.qp.ne:
             z = _cho_solve(self._Lred, rhat)
             rhs_pi = r_b + self._A @ z
-            dpi = _cho_solve(self._Lm, rhs_pi)
-            dv = _cho_solve(self._Lred, self._A.T @ dpi - rhat)
+            step.pi[:] = _cho_solve(self._Lm, rhs_pi)
+            step.v[:] = _cho_solve(self._Lred, self._A.T @ step.pi - rhat)
         else:
-            dpi = np.zeros(0)
-            dv = -_cho_solve(self._Lred, rhat)
-        dy, dlam, dt = recover(vw, self.sc, dv, fold, r_d)
-        return QpSolution(vw, dy, dpi, dlam, dt)
+            np.negative(_cho_solve(self._Lred, rhat), out=step.v)
+        return recover(vw, self.sc, fold, r_d, step)
 
     def solve_flat(self, rhs_flat):
         """Same solve on a packed [r_g, r_b, r_d, r_m] vector (refinement hook)."""
         vw = self.view
-        ny, ne, nc = vw.ny, vw.ne, vw.nc
-        step = self.solve(
-            rhs_flat[:ny],
-            rhs_flat[ny: ny + ne],
-            rhs_flat[ny + ne: ny + ne + nc],
-            rhs_flat[ny + ne + nc:],
-        )
-        return step.flat()
+        return self.solve(*split_flat(rhs_flat, vw.ny, vw.ne, vw.nc)).flat()
 
 
 def factor(qp, iterate, arg=None, use_qr=False):

@@ -116,7 +116,7 @@ from .linalg import (
     solve_banded_triangular,
     solve_triangular,
 )
-from .view import QpSolution, make_view
+from .view import QpSolution, make_view, split_flat
 
 __all__ = [
     "RiccatiFactor",
@@ -162,14 +162,7 @@ class RiccatiFactor:
 
     def solve_flat(self, rhs_flat):
         vw = self.view
-        ny, ne, nc = vw.ny, vw.ne, vw.nc
-        step = self.solve(
-            rhs_flat[:ny],
-            rhs_flat[ny: ny + ne],
-            rhs_flat[ny + ne: ny + ne + nc],
-            rhs_flat[ny + ne + nc:],
-        )
-        return step.flat()
+        return self.solve(*split_flat(rhs_flat, vw.ny, vw.ne, vw.nc)).flat()
 
 
 def riccati_factor(qp, iterate, variant=None, arg=None, use_qr=False):
@@ -318,7 +311,9 @@ def riccati_solve(fac, qp, r_g, r_b, r_d, r_m):
 
     Two band solves with the factor's matrix T, backward then forward (see
     the module docstring), between the flat fold of the right-hand side and
-    the flat recovery of the slack and inequality components.
+    the flat recovery of the slack and inequality components.  The step's
+    v and pi parts go straight into one zeroed solution buffer, which the
+    recovery completes.
     """
     vw = fac.view
     band = vw.band
@@ -330,10 +325,10 @@ def riccati_solve(fac, qp, r_g, r_b, r_d, r_m):
     f = -s
     f[band.pi_pos] = r_b
     w = solve_banded_triangular(fac.ab, f, transpose=True)
-    x = w[band.pi_pos]
-    dpi = _p_apply(fac, x - r_b) + s[band.pi_pos]
-    dy, dlam, dt = recover(vw, fac.scales, w[band.vpos], fold, r_d)
-    return QpSolution(vw, dy, dpi, dlam, dt)
+    step = QpSolution(vw)
+    np.add(_p_apply(fac, w[band.pi_pos] - r_b), s[band.pi_pos], out=step.pi)
+    np.take(w, band.vpos, out=step.v)
+    return recover(vw, fac.scales, fold, r_d, step)
 
 
 def feedback_gains(fac):

@@ -18,9 +18,22 @@ machinery (:mod:`ipm_core`) to the type-specific KKT backend:
 6. fraction-to-boundary step length, iterate update with multiplier/slack
    lower bounds.
 
+The iterate and every step are :class:`view.QpSolution` buffers
+``[y | pi | lam | t]``.  :func:`_init_iterate` puts exact zeros on the masked
+constraint rows of the iterate, the backends' recovery keeps them in every
+step and :func:`ipm_core.update_iterate_delta` in every update, so the loop
+itself holds no activity mask: complementarity is ``lam * t``, the centering
+term is ``tau`` times the view's float mask ``act_float``, the corrector
+term is ``dlam * dt``, and step length, duality measure and update are
+single passes over the flat arrays (see :mod:`ipm_core`).
+
 Numerical trouble never raises: it lands in ``SolverStats.status``.  The
-final report always carries independently recomputed residuals, also in
-speed_abs mode (which computes them only once, before returning).
+final report always carries residuals of the returned iterate: those the
+last loop test evaluated, since every exit taken after them leaves the
+iterate unchanged, or in speed_abs mode (which skips them in the loop) one
+evaluation before returning.  The trace records per iteration the
+factorization route, the corrector decision, a ``qr`` escalation and the
+refinement steps and residual ratio of the direction taken.
 
 A QP with a blocking :func:`qp_data.validate` error raises before the loop.
 A passed verdict is kept on the QP for its revision, and ``set_field``
@@ -149,6 +162,7 @@ def solve_path(qp, path="ocp", arg=None):
 
 
 def _init_iterate(view, arg, guess):
+    """First iterate; exact zeros on masked rows, whatever the guess holds there."""
     iterate = QpSolution(view)
     warm = arg.warm_start if guess is not None else "none"
     if guess is not None:
@@ -222,16 +236,15 @@ def _solve(qp, factor_fn, arg, guess):
 def _ipm_loop(qp, factor_fn, arg, guess):
     view = make_view(qp)
     iterate = _init_iterate(view, arg, guess)
-    act = view.act
+    lt = iterate.lt
+    n_act = view.n_act
     trace = []
     alpha_last = 1.0
     status = None
     it = 0
     while True:
         res = view.residuals(iterate) if arg.comp_res_pred else None
-        mu = res.mu if res is not None else duality_measure(
-            iterate.lam, iterate.t, act
-        )
+        mu = res.mu if res is not None else duality_measure(lt, n_act)
         if res is None and not iterate.isfinite():
             status = Status.NaNDetected
             break
@@ -242,9 +255,7 @@ def _ipm_loop(qp, factor_fn, arg, guess):
         if factor is None:
             status = Status.Failure
             break
-        lam_m = np.where(act, iterate.lam, 0.0)
-        t_m = np.where(act, iterate.t, 0.0)
-        comp = lam_m * t_m
+        comp = iterate.lam * iterate.t
         if arg.abs_form:
             rg, rb, rd = view.g, view.b, view.d
             rm_aff = -comp
@@ -253,26 +264,21 @@ def _ipm_loop(qp, factor_fn, arg, guess):
             rm_aff = comp
         sol_aff = factor.solve(rg, rb, rd, rm_aff)
         if arg.itref_pred_max > 0:
-            sol_aff = _refine(view, factor, lam_m, t_m,
-                              rg, rb, rd, rm_aff, sol_aff,
-                              arg.itref_pred_max, arg.itref_stop_ratio)[0]
+            sol_aff = _refine(view, factor, iterate, rg, rb, rd, rm_aff,
+                              sol_aff, arg.itref_pred_max,
+                              arg.itref_stop_ratio)[0]
         step_aff = (
             recover_step_absolute(iterate, sol_aff) if arg.abs_form else sol_aff
         )
         if not step_aff.isfinite():
             status = Status.NaNDetected
             break
-        alpha_aff = max_step(iterate.lam, iterate.t,
-                             step_aff.lam, step_aff.t, act)
-        mu_aff = duality_measure(
-            iterate.lam + alpha_aff * step_aff.lam,
-            iterate.t + alpha_aff * step_aff.t, act,
-        )
+        alpha_aff = max_step(lt, step_aff.lt)
+        mu_aff = duality_measure(lt + alpha_aff * step_aff.lt, n_act)
         sigma = centering(mu, mu_aff)
-        tau = sigma * mu
-        rm_center = comp - np.where(act, tau, 0.0)
+        rm_center = comp - (sigma * mu) * view.act_float
         if arg.pred_corr:
-            rm_dir = rm_center + np.where(act, step_aff.lam * step_aff.t, 0.0)
+            rm_dir = rm_center + step_aff.lam * step_aff.t
         else:
             rm_dir = rm_center
         if arg.abs_form:
@@ -283,12 +289,10 @@ def _ipm_loop(qp, factor_fn, arg, guess):
         )
         corrector = arg.pred_corr
         escalated = False
+        refine_steps, refine_ratio = 0, np.nan
         if arg.pred_corr and arg.cond_pred_corr:
-            a_t = max_step(iterate.lam, iterate.t, step.lam, step.t, act)
-            mu_t = duality_measure(
-                iterate.lam + a_t * step.lam,
-                iterate.t + a_t * step.t, act,
-            )
+            a_t = max_step(lt, step.lt)
+            mu_t = duality_measure(lt + a_t * step.lt, n_act)
             if not corrector_acceptance(mu_t, mu_aff, arg.corr_ratio):
                 corrector = False
                 rm_dir = rm_center - 2.0 * comp if arg.abs_form else rm_center
@@ -298,8 +302,8 @@ def _ipm_loop(qp, factor_fn, arg, guess):
                     if arg.abs_form else sol_dir
                 )
         if arg.itref_corr_max > 0:
-            sol_dir, ir_norm, rhs_norm = _refine(
-                view, factor, lam_m, t_m, rg, rb, rd, rm_dir, sol_dir,
+            sol_dir, ir_norm, rhs_norm, refine_steps = _refine(
+                view, factor, iterate, rg, rb, rd, rm_dir, sol_dir,
                 arg.itref_corr_max, arg.itref_stop_ratio,
             )
             if (
@@ -313,10 +317,11 @@ def _ipm_loop(qp, factor_fn, arg, guess):
                     factor, route = factor_qr, route_qr
                     escalated = True
                     sol_dir = factor.solve(rg, rb, rd, rm_dir)
-                    sol_dir = _refine(
-                        view, factor, lam_m, t_m, rg, rb, rd, rm_dir, sol_dir,
+                    sol_dir, ir_norm, rhs_norm, refine_steps = _refine(
+                        view, factor, iterate, rg, rb, rd, rm_dir, sol_dir,
                         arg.itref_corr_max, arg.itref_stop_ratio,
-                    )[0]
+                    )
+            refine_ratio = ir_norm / max(1.0, rhs_norm)
             step = (
                 recover_step_absolute(iterate, sol_dir)
                 if arg.abs_form else sol_dir
@@ -324,10 +329,8 @@ def _ipm_loop(qp, factor_fn, arg, guess):
         if not step.isfinite():
             status = Status.NaNDetected
             break
-        alpha = max_step(iterate.lam, iterate.t, step.lam, step.t, act,
-                         ftb=arg.ftb)
-        update_iterate_delta(iterate, step, alpha, act,
-                             arg.lam_min, arg.t_min)
+        alpha = max_step(lt, step.lt, ftb=arg.ftb)
+        update_iterate_delta(iterate, step, alpha, arg.lam_min, arg.t_min)
         trace.append(IterRecord(
             it=it, alpha_aff=alpha_aff, alpha=alpha, mu=mu, sigma=sigma,
             res_g=res.res_g if res else np.nan,
@@ -335,10 +338,12 @@ def _ipm_loop(qp, factor_fn, arg, guess):
             res_d=res.res_d if res else np.nan,
             res_m=res.res_m if res else np.nan,
             route=route, corrector=corrector, escalated=escalated,
+            refine_steps=refine_steps, refine_ratio=refine_ratio,
         ))
         alpha_last = alpha
         it += 1
-    final = view.residuals(iterate)
+    # every exit taken with residuals leaves the iterate as they saw it
+    final = res if res is not None else view.residuals(iterate)
     _log_mu_trace(trace)
     stats = SolverStats(
         status=status, iterations=it,
@@ -349,19 +354,19 @@ def _ipm_loop(qp, factor_fn, arg, guess):
     return SolveReport(solution=iterate, stats=stats, residuals=final)
 
 
-def _refine(view, factor, lam_m, t_m, rg, rb, rd, rm, sol, max_steps, stop_ratio):
-    """Refined solution, its KKT residual norm and the RHS norm."""
+def _refine(view, factor, iterate, rg, rb, rd, rm, sol, max_steps, stop_ratio):
+    """Refined solution, its KKT residual norm, the RHS norm and the steps taken."""
     rhs_flat = kkt_rhs_flat(view, rg, rb, rd, rm)
-    flat, norm, _ = iterative_refinement(
+    flat, norm, steps = iterative_refinement(
         factor.solve_flat,
-        lambda x: kkt_apply_vec(view, lam_m, t_m, x),
+        lambda x: kkt_apply_vec(view, iterate.lam, iterate.t, x),
         rhs_flat,
         sol.flat(),
         max_steps,
         stop_ratio,
     )
     rhs_norm = float(np.max(np.abs(rhs_flat))) if rhs_flat.size else 0.0
-    return QpSolution.from_flat(view, flat), norm, rhs_norm
+    return QpSolution.from_flat(view, flat), norm, rhs_norm, steps
 
 
 def _log_mu_trace(trace):

@@ -12,9 +12,18 @@ Internally every QP type is mapped onto flat float64 arrays:
            upper slack bounds].
 * ``t``    inequality slack variables, same length and order as ``lam``.
 
+A :class:`QpSolution` holds the four in one contiguous buffer
+``[y | pi | lam | t]``, of which they are views, so that copies, differences,
+finiteness tests and the iterate update are one operation each.
+
 A deactivated constraint side (mask 0, or an infinite bound) keeps its slot
 in ``lam``/``t`` but is pinned to zero and excluded from residuals, duality
-measure and multiplier updates.
+measure and multiplier updates.  Every interior point iterate and every
+Newton step holds exact zeros there (see :mod:`solver`), so the vector work
+of the loop runs over whole arrays without the activity mask; the float
+mask ``act_float`` (1.0 on active sides, 0.0 elsewhere) is what carries the
+centering term.  :meth:`ProblemView.residuals` still masks its input,
+because it also evaluates arbitrary points.
 
 The first-order optimality residuals of a primal-dual point are
 
@@ -39,9 +48,11 @@ Each view builds these operators once, over the variables v:
 and two index tables: ``box_col``, the column of v that each box row
 selects, and the positions in ``lam``/``t`` of the lower, upper and
 slack-bound side of every row.  The products ``hess_y``, ``at_pi``,
-``a_y``, ``cy``, ``ct_lam`` and :meth:`ProblemView.residuals` are written
-once for all three QP types: matrix products with H, E and G, one gather
-for the box rows and one ``np.bincount`` scatter back.  ``hess_matrix``,
+``a_y``, ``cy``, ``ct_lam``, ``stationarity`` and
+:meth:`ProblemView.residuals` are written once for all three QP types:
+matrix products with H, E and G, one gather for the box rows and one
+``np.bincount`` scatter back; a view without general rows makes no product
+with G.  ``hess_matrix``,
 ``eq_matrix`` and ``con_matrix`` are dense copies of the same operators.
 The vectors g, b and d are constants of the view as well.
 
@@ -260,6 +271,7 @@ class ProblemView:
 
         The one place they are computed: a build calls it, and so does
         :func:`make_view` on a copy of the cached view after bound writes.
+        ``act_float`` is ``act`` as 0.0/1.0.
         """
         stages = self._stages()
         d = np.concatenate([
@@ -273,10 +285,11 @@ class ProblemView:
             [a for st in stages for a in (st["maskl"], st["masku"])]
         )
         self.act = (on != 0.0) & np.isfinite(d)
+        self.act_float = self.act.astype(float)
         self.n_act = int(np.count_nonzero(self.act))
         self.d = np.where(self.act, d, 0.0)
-        self.act.flags.writeable = False
-        self.d.flags.writeable = False
+        for const in (self.act, self.act_float, self.d):
+            const.flags.writeable = False
 
     # -- products ----------------------------------------------------------
 
@@ -294,7 +307,9 @@ class ProblemView:
     def cy(self, y):
         """Row values C @ y of all inequality rows (unmasked)."""
         v = y[: self.nv]
-        base = np.concatenate([v[self.box_col], self.G @ v])
+        base = v[self.box_col]
+        if self._m > self._nb:
+            base = np.concatenate([base, self.G @ v])
         out = np.empty(self.nc)
         out[self._rows] = np.concatenate([base, -base, y[self.nv:]])
         out[self._soft] += y[self.nv:]
@@ -308,16 +323,40 @@ class ProblemView:
         m, nb = self._m, self._nb
         side = c[self._rows[: 2 * m]]
         coeff = side[:m] - side[m:]
-        return (np.bincount(self.box_col, weights=coeff[:nb], minlength=self.nv)
-                + self._Gt @ coeff[nb:])
+        # bincount counts in int64 when there is no box row at all
+        out = np.bincount(self.box_col, weights=coeff[:nb],
+                          minlength=self.nv).astype(float, copy=False)
+        if m > nb:
+            out = out + self._Gt @ coeff[nb:]
+        return out
 
     def ct_lam(self, lam):
         """C' @ lam over the primal vector, masked sides excluded."""
-        lam = np.where(self.act, lam, 0.0)
-        return np.concatenate([
-            self.rows_t(lam),
-            lam[self._soft] + lam[self._rows[2 * self._m:]],
-        ])
+        return np.concatenate(self._ct_parts(np.where(self.act, lam, 0.0)))
+
+    def _ct_parts(self, lam):
+        """C' @ lam over v and over the slacks, for ``lam`` already masked."""
+        return self.rows_t(lam), lam[self._soft] + lam[self._rows[2 * self._m:]]
+
+    def stationarity(self, y, pi, lam, out, g=None):
+        """``out = H y (+ g) - A' pi - C' lam``, written into ``out`` (ny,).
+
+        The products of :meth:`residuals` and of the KKT matrix action
+        (:func:`kkt_common.kkt_apply_vec`), in the order of
+        ``hess_y(y) + g - at_pi(pi) - ct_lam(lam)``.  ``lam`` must be 0 on
+        masked sides; it is not masked here.
+        """
+        nv = self.nv
+        out[:nv] = self.H @ y[:nv]
+        np.multiply(self.slack_diag, y[nv:], out=out[nv:])
+        if g is not None:
+            out += g
+        if self.ne:
+            out[:nv] -= self._Et @ pi
+        ct_v, ct_s = self._ct_parts(lam)
+        out[:nv] -= ct_v
+        out[nv:] -= ct_s
+        return out
 
     # -- oracle-grade dense copies ---------------------------------------
 
@@ -356,26 +395,40 @@ class ProblemView:
     # -- residuals --------------------------------------------------------
 
     def residuals(self, sol):
-        if sol.y.shape[0] != self.ny or sol.lam.shape[0] != self.nc:
-            raise DimensionMismatch("solution does not match QP dimensions")
-        if sol.pi.shape[0] != self.ne:
-            raise DimensionMismatch("equality multiplier length mismatch")
-        lam = np.where(self.act, sol.lam, 0.0)
-        t = np.where(self.act, sol.t, 0.0)
-        r_g = self.hess_y(sol.y) + self.g - self.at_pi(sol.pi) - self.ct_lam(lam)
-        r_b = -self.a_y(sol.y) + self.b
-        r_d = np.where(self.act, -self.cy(sol.y) + self.d + t, 0.0)
-        r_m = np.where(self.act, lam * t, 0.0)
+        """KKT residuals of any point ``sol``; its masked sides are ignored.
+
+        The four blocks are views of one buffer laid out like a solution.
+        """
+        ny, ne, nc = self.ny, self.ne, self.nc
+        for name, n in (("y", ny), ("pi", ne), ("lam", nc), ("t", nc)):
+            if getattr(sol, name).shape != (n,):
+                raise DimensionMismatch(
+                    f"solution {name} has shape {getattr(sol, name).shape}, "
+                    f"the QP needs ({n},)"
+                )
+        lt = np.where(self.act, np.stack([sol.lam, sol.t]), 0.0)
+        lam, t = lt
+        out = np.zeros(ny + ne + 2 * nc)
+        r_g, r_b, r_d, r_m = split_flat(out, ny, ne, nc)
+        self.stationarity(sol.y, sol.pi, lam, r_g, self.g)
+        np.subtract(self.b, self.a_y(sol.y), out=r_b)
+        np.subtract(self.d, self.cy(sol.y), out=r_d, where=self.act)
+        r_d += t
+        np.multiply(lam, t, out=r_m)
         mu = float(lam @ t) / self.n_act if self.n_act else 0.0
+        a = np.abs(out)
+        res_g, res_b, res_d, res_m = (float(p.max(initial=0.0))
+                                      for p in split_flat(a, ny, ne, nc))
         return QpResiduals(
             r_g=r_g, r_b=r_b, r_d=r_d, r_m=r_m,
-            res_g=_inf_norm(r_g), res_b=_inf_norm(r_b),
-            res_d=_inf_norm(r_d), res_m=_inf_norm(r_m), mu=mu,
+            res_g=res_g, res_b=res_b, res_d=res_d, res_m=res_m, mu=mu,
         )
 
 
-def _inf_norm(v):
-    return float(np.max(np.abs(v))) if v.size else 0.0
+def split_flat(vec, ny, ne, nc):
+    """The ``[y | pi | lam | t]`` blocks of a flat vector, as views."""
+    return (vec[:ny], vec[ny: ny + ne], vec[ny + ne: ny + ne + nc],
+            vec[ny + ne + nc:])
 
 
 class DenseView(ProblemView):
@@ -590,20 +643,46 @@ def make_view(qp):
 
 
 class QpSolution:
-    """Primal-dual point; doubles as the interior point iterate.
+    """Primal-dual point; doubles as the interior point iterate and its steps.
 
-    Attributes ``y``, ``pi``, ``lam``, ``t`` are the flat arrays described in
-    the module docstring.  The stage accessors return numpy views into the
-    flat storage, so writing to them updates the solution (used when
-    assembling warm-start guesses).
+    The point lives in one contiguous buffer ``[y | pi | lam | t]`` of
+    length ``ny + ne + 2 nc``.  Attributes ``y``, ``pi``, ``lam``, ``t``
+    (the flat arrays described in the module docstring) and ``lt``, the
+    ``[lam | t]`` half, are views of it; write through them (``sol.y[:] =
+    ...``), never rebind them.  :meth:`flat` returns the buffer itself,
+    :meth:`from_flat` copies a vector into a new one, and :meth:`copy`,
+    :meth:`diff` and :meth:`isfinite` are one array operation each.  The
+    stage accessors return views as well, so writing to them updates the
+    solution (used when assembling warm-start guesses).
+
+    The constructor allocates a zeroed buffer and copies in the parts it is
+    given; a part of the wrong shape raises :class:`DimensionMismatch`.
     """
 
     def __init__(self, view, y=None, pi=None, lam=None, t=None):
+        self._attach(view, np.zeros(view.ny + view.ne + 2 * view.nc))
+        for name, part in (("y", y), ("pi", pi), ("lam", lam), ("t", t)):
+            if part is not None:
+                dst = getattr(self, name)
+                if np.shape(part) != dst.shape:
+                    raise DimensionMismatch(
+                        f"{name} has shape {np.shape(part)}, the QP needs "
+                        f"{dst.shape}"
+                    )
+                dst[:] = part
+
+    def _attach(self, view, buf):
         self._view = view
-        self.y = np.zeros(view.ny) if y is None else y
-        self.pi = np.zeros(view.ne) if pi is None else pi
-        self.lam = np.zeros(view.nc) if lam is None else lam
-        self.t = np.zeros(view.nc) if t is None else t
+        self._buf = buf
+        self.y, self.pi, self.lam, self.t = split_flat(buf, view.ny, view.ne, view.nc)
+        self.lt = buf[view.ny + view.ne:]
+
+    @classmethod
+    def _wrap(cls, view, buf):
+        """Solution over ``buf`` itself (no copy, no check)."""
+        sol = cls.__new__(cls)
+        sol._attach(view, buf)
+        return sol
 
     @property
     def kind(self):
@@ -666,40 +745,28 @@ class QpSolution:
         return self.t[cb.c_off: cb.c_off + cb.nc]
 
     def copy(self):
-        return QpSolution(
-            self._view, self.y.copy(), self.pi.copy(),
-            self.lam.copy(), self.t.copy(),
-        )
+        return QpSolution._wrap(self._view, self._buf.copy())
 
     def diff(self, other):
         """Componentwise self - other as a new solution object."""
-        return QpSolution(
-            self._view,
-            self.y - other.y, self.pi - other.pi,
-            self.lam - other.lam, self.t - other.t,
-        )
+        return QpSolution._wrap(self._view, self._buf - other._buf)
 
     def flat(self):
-        return np.concatenate([self.y, self.pi, self.lam, self.t])
+        """The buffer ``[y | pi | lam | t]`` itself (not a copy)."""
+        return self._buf
 
     @classmethod
     def from_flat(cls, view, vec):
-        ny, ne, nc = view.ny, view.ne, view.nc
-        return cls(
-            view,
-            vec[:ny].copy(),
-            vec[ny: ny + ne].copy(),
-            vec[ny + ne: ny + ne + nc].copy(),
-            vec[ny + ne + nc:].copy(),
-        )
+        """New solution holding a copy of the flat vector ``vec``."""
+        n = view.ny + view.ne + 2 * view.nc
+        if np.shape(vec) != (n,):
+            raise DimensionMismatch(
+                f"flat vector has shape {np.shape(vec)}, the QP needs ({n},)"
+            )
+        return cls._wrap(view, np.array(vec, dtype=float))
 
     def isfinite(self):
-        return (
-            bool(np.all(np.isfinite(self.y)))
-            and bool(np.all(np.isfinite(self.pi)))
-            and bool(np.all(np.isfinite(self.lam)))
-            and bool(np.all(np.isfinite(self.t)))
-        )
+        return bool(np.isfinite(self._buf).all())
 
 
 @dataclass

@@ -570,6 +570,67 @@ def kkt_apply_blocks(qp, iterate, step):
     )
 
 
+# -- masked references of the interior point vector kernels -----------------
+# The loop's kernels run over whole arrays because every iterate and step
+# holds exact zeros on masked rows.  These are the masked forms they
+# replaced, kept to check that the flat ones agree with them.
+
+def duality_measure_ref(lam, t, act):
+    """Average complementarity over the active rows (reference)."""
+    lam, t = lam[act], t[act]
+    return float(lam @ t) / lam.shape[0] if lam.shape[0] else 0.0
+
+
+def max_step_ref(lam, t, dlam, dt, act, ftb=1.0):
+    """Step length to the boundary, lam and t taken separately (reference)."""
+    lam, t, dlam, dt = lam[act], t[act], dlam[act], dt[act]
+    ratio = np.inf
+    neg = dlam < 0.0
+    if np.any(neg):
+        ratio = min(ratio, float(np.min(-lam[neg] / dlam[neg])))
+    neg = dt < 0.0
+    if np.any(neg):
+        ratio = min(ratio, float(np.min(-t[neg] / dt[neg])))
+    return min(1.0, ftb * ratio)
+
+
+def update_iterate_delta_ref(iterate, step, alpha, act, lam_min=0.0, t_min=0.0):
+    """``iterate += alpha step`` part by part, clipped on active rows (reference)."""
+    iterate.y += alpha * step.y
+    iterate.pi += alpha * step.pi
+    lam = iterate.lam + alpha * step.lam
+    t = iterate.t + alpha * step.t
+    iterate.lam[:] = np.where(act, np.maximum(lam, lam_min), lam)
+    iterate.t[:] = np.where(act, np.maximum(t, t_min), t)
+    return iterate
+
+
+def residuals_ref(vw, sol):
+    """``(r_g, r_b, r_d, r_m, mu)`` from the view's separate products (reference)."""
+    lam = np.where(vw.act, sol.lam, 0.0)
+    t = np.where(vw.act, sol.t, 0.0)
+    r_g = vw.hess_y(sol.y) + vw.g - vw.at_pi(sol.pi) - vw.ct_lam(lam)
+    r_b = -vw.a_y(sol.y) + vw.b
+    r_d = np.where(vw.act, -vw.cy(sol.y) + vw.d + t, 0.0)
+    r_m = np.where(vw.act, lam * t, 0.0)
+    mu = float(lam @ t) / vw.n_act if vw.n_act else 0.0
+    return r_g, r_b, r_d, r_m, mu
+
+
+def kkt_apply_vec_ref(vw, lam, t, delta_flat):
+    """KKT matrix action from the separate products, every row masked (reference)."""
+    ny, ne, nc = vw.ny, vw.ne, vw.nc
+    dy = delta_flat[:ny]
+    dpi = delta_flat[ny: ny + ne]
+    dlam = delta_flat[ny + ne: ny + ne + nc]
+    dt = delta_flat[ny + ne + nc:]
+    a_g = vw.hess_y(dy) - vw.at_pi(dpi) - vw.ct_lam(dlam)
+    a_b = -vw.a_y(dy)
+    a_d = np.where(vw.act, -vw.cy(dy) + dt, 0.0)
+    a_m = np.where(vw.act, t * dlam + lam * dt, 0.0)
+    return np.concatenate([a_g, a_b, a_d, a_m])
+
+
 def ocp_chain_as_tree(qp):
     """Tree QP with a single chain carrying exactly the OCP QP's data."""
     d = qp.dim

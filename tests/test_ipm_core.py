@@ -1,7 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from mpcqp import DenseQp, compute_residuals, mode_preset, solve_dense_qp, solve_ocp_qp
+from mpcqp import (
+    DenseQp,
+    compute_residuals,
+    mode_preset,
+    solve_dense_qp,
+    solve_ocp_qp,
+    solve_tree_ocp_qp,
+)
 from mpcqp.ipm_core import (
     IpmArg,
     Status,
@@ -15,61 +26,69 @@ from mpcqp.ipm_core import (
     update_iterate_delta,
 )
 from mpcqp.kkt_dense import factor
+from mpcqp.kkt_ocp import riccati_factor
+from mpcqp.solver import _init_iterate
 from mpcqp.view import QpSolution, make_view
 
-from conftest import rand_dense_qp, rand_iterate, rand_ocp_qp
+from conftest import (
+    duality_measure_ref,
+    max_step_ref,
+    rand_dense_qp,
+    rand_iterate,
+    rand_ocp_qp,
+    rand_tree_qp,
+    update_iterate_delta_ref,
+)
+
+
+def _lt(lam, t):
+    return np.concatenate([lam, t])
 
 
 class TestDualityMeasure:
     def test_simple_average(self):
-        assert duality_measure(np.array([1.0, 2.0]), np.array([2.0, 1.0])) == 2.0
+        assert duality_measure(_lt([1.0, 2.0], [2.0, 1.0]), 2) == 2.0
 
     def test_zero_vectors(self):
-        assert duality_measure(np.zeros(3), np.zeros(3)) == 0.0
+        assert duality_measure(np.zeros(6), 3) == 0.0
 
     def test_masked_row_excluded(self):
-        act = np.array([True, False])
-        mu = duality_measure(np.array([1.0, 5.0]), np.array([1.0, 1.0]), act)
+        # a masked row holds zeros and is left out of the count
+        mu = duality_measure(_lt([1.0, 0.0], [1.0, 0.0]), 1)
         assert mu == 1.0
 
     def test_empty_active_set_returns_zero(self):
-        assert duality_measure(np.zeros(0), np.zeros(0)) == 0.0
+        assert duality_measure(np.zeros(0), 0) == 0.0
+        assert duality_measure(np.zeros(4), 0) == 0.0
 
     def test_permutation_invariance(self, rng):
         lam = rng.uniform(0.1, 2.0, 17)
         t = rng.uniform(0.1, 2.0, 17)
         perm = rng.permutation(17)
-        assert duality_measure(lam, t) == pytest.approx(
-            duality_measure(lam[perm], t[perm]), rel=1e-15
+        assert duality_measure(_lt(lam, t), 17) == pytest.approx(
+            duality_measure(_lt(lam[perm], t[perm]), 17), rel=1e-15
         )
 
 
 class TestMaxStep:
     def test_zero_direction(self):
-        one = np.ones(2)
-        assert max_step(one, one, np.zeros(2), np.zeros(2)) == 1.0
+        assert max_step(np.ones(4), np.zeros(4)) == 1.0
 
     def test_single_blocking(self):
-        assert max_step(np.array([1.0]), np.array([1.0]),
-                        np.array([-2.0]), np.array([0.0])) == 0.5
+        assert max_step(_lt([1.0], [1.0]), _lt([-2.0], [0.0])) == 0.5
 
     def test_tightest_ratio(self):
-        a = max_step(np.array([1.0, 1.0]), np.array([1.0, 1.0]),
-                     np.array([-4.0, -2.0]), np.zeros(2))
+        a = max_step(_lt([1.0, 1.0], [1.0, 1.0]), _lt([-4.0, -2.0], np.zeros(2)))
         assert a == 0.25
 
     def test_nonnegativity_after_step(self, rng):
         for _ in range(25):
-            lam = rng.uniform(0.01, 5.0, 12)
-            t = rng.uniform(0.01, 5.0, 12)
-            dl = rng.standard_normal(12)
-            dt = rng.standard_normal(12)
-            a = max_step(lam, t, dl, dt)
-            assert np.all(lam + a * dl >= -1e-15)
-            assert np.all(t + a * dt >= -1e-15)
-            a995 = max_step(lam, t, dl, dt, ftb=0.995)
-            assert np.all(lam + a995 * dl > 0.0)
-            assert np.all(t + a995 * dt > 0.0)
+            lt = rng.uniform(0.01, 5.0, 24)
+            dlt = rng.standard_normal(24)
+            a = max_step(lt, dlt)
+            assert np.all(lt + a * dlt >= -1e-15)
+            a995 = max_step(lt, dlt, ftb=0.995)
+            assert np.all(lt + a995 * dlt > 0.0)
 
 
 class TestCenteringAndCorrector:
@@ -99,7 +118,7 @@ class TestIterateUpdate:
         qp = rand_dense_qp(rng)
         vw, it, step = self._pair(rng, qp)
         before = it.copy()
-        update_iterate_delta(it, step, 1.0, vw.act, 1e-12, 1e-12)
+        update_iterate_delta(it, step, 1.0, 1e-12, 1e-12)
         assert np.array_equal(it.y, before.y)
         assert np.array_equal(it.lam, before.lam)
 
@@ -113,7 +132,7 @@ class TestIterateUpdate:
         it.t[:] = 1.0
         step = QpSolution(vw)
         step.lam[:] = [-1.0, 0.0]
-        update_iterate_delta(it, step, 0.9, vw.act, 1e-12, 1e-12)
+        update_iterate_delta(it, step, 0.9, 1e-12, 1e-12)
         assert it.lam[0] == pytest.approx(0.1)
 
     def test_clipping_floor(self):
@@ -124,7 +143,7 @@ class TestIterateUpdate:
         it = QpSolution(vw)
         it.lam[:] = 1e-13
         it.t[:] = 1.0
-        update_iterate_delta(it, QpSolution(vw), 1.0, vw.act, 1e-12, 1e-12)
+        update_iterate_delta(it, QpSolution(vw), 1.0, 1e-12, 1e-12)
         assert np.all(it.lam == 1e-12)
 
     def test_masked_rows_untouched(self):
@@ -132,7 +151,7 @@ class TestIterateUpdate:
         qp.set_field("lb", [0.0])  # upper side stays infinite -> inactive
         vw = make_view(qp)
         it = QpSolution(vw)
-        update_iterate_delta(it, QpSolution(vw), 1.0, vw.act, 1e-12, 1e-12)
+        update_iterate_delta(it, QpSolution(vw), 1.0, 1e-12, 1e-12)
         assert it.lam[1] == 0.0 and it.t[1] == 0.0
 
 
@@ -342,11 +361,109 @@ class TestLinearResidualContraction:
             fac = factor(qp, it, IpmArg())
             rm = np.where(vw.act, it.lam * it.t, 0.0)
             step = fac.solve(res.r_g, res.r_b, res.r_d, rm)
-            alpha = 0.5 * max_step(it.lam, it.t, step.lam, step.t, vw.act)
-            update_iterate_delta(it, step, alpha, vw.act, 0.0, 0.0)
+            alpha = 0.5 * max_step(it.lt, step.lt)
+            update_iterate_delta(it, step, alpha, 0.0, 0.0)
             res2 = compute_residuals(qp, it)
             scale = 1.0 - alpha
             ref = max(res.res_g, res.res_b, res.res_d)
             assert np.max(np.abs(res2.r_g - scale * res.r_g)) <= 1e-10 * ref
             assert np.max(np.abs(res2.r_b - scale * res.r_b)) <= 1e-10 * ref
             assert np.max(np.abs(res2.r_d - scale * res.r_d)) <= 1e-10 * ref
+
+
+@st.composite
+def masked_qps(draw):
+    """Convex dense, OCP and tree QPs with soft rows, whose bound writes open
+    about a third of the bounds to infinity and mask about a third of the sides."""
+    kind = draw(st.sampled_from(["dense", "ocp", "tree"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "dense":
+        qp, stages = rand_dense_qp(rng, nv=6, ne=2, nb=3, ng=2, ns=2), [()]
+    elif kind == "ocp":
+        qp, stages = rand_ocp_qp(rng, N=4, nx=3, nu=2), [(n,) for n in range(5)]
+    else:
+        qp = rand_tree_qp(rng, [-1, 0, 0, 1, 2])
+        stages = [(n,) for n in range(5)]
+    for at in stages:
+        for name, side in (("lb", -1.0), ("ub", 1.0), ("lg", -1.0), ("ug", 1.0),
+                           ("sl_lb", -1.0), ("su_lb", -1.0)):
+            v = np.array(qp.get_field(name, *at), dtype=float)
+            v[rng.random(v.shape) < 0.3] = side * np.inf
+            qp.set_field(name, *at, v)
+        for name in ("maskl", "masku"):
+            v = np.array(qp.get_field(name, *at), dtype=float)
+            v[rng.random(v.shape) < 0.3] = 0.0
+            qp.set_field(name, *at, v)
+    return qp
+
+
+def _factor_fn(qp):
+    return factor if qp.kind == "dense" else riccati_factor
+
+
+def _start(qp, warm, seed):
+    """View, argument, guess and first iterate; a guess is nonzero everywhere."""
+    vw = make_view(qp)
+    arg = replace(mode_preset("balance").with_tol(1e-8), warm_start=warm)
+    guess = None
+    if warm != "none":
+        rng = np.random.default_rng(seed)
+        guess = QpSolution(vw, rng.standard_normal(vw.ny),
+                           rng.standard_normal(vw.ne),
+                           rng.uniform(0.1, 2.0, vw.nc), rng.uniform(0.1, 2.0, vw.nc))
+    return vw, arg, guess, _init_iterate(vw, arg, guess)
+
+
+def _masked_part(vw, sol):
+    return sol.lt.reshape(2, -1)[:, ~vw.act]
+
+
+class TestFlatIterate:
+    """The loop's invariant, and the flat kernels against the masked ones."""
+
+    @given(masked_qps(), st.sampled_from(["none", "primal_dual"]),
+           st.integers(0, 2**32 - 1))
+    def test_masked_rows_hold_exact_zeros(self, qp, warm, seed):
+        vw, arg, guess, it = _start(qp, warm, seed)
+        assert np.all(_masked_part(vw, it) == 0.0)
+        res = vw.residuals(it)
+        comp = it.lam * it.t
+        steps = []
+        for use_qr in (False, True):
+            fac = _factor_fn(qp)(qp, it, arg=IpmArg(), use_qr=use_qr)
+            steps += [
+                fac.solve(res.r_g, res.r_b, res.r_d, comp),
+                fac.solve(res.r_g, res.r_b, res.r_d, comp - 0.1 * vw.act_float),
+                fac.solve(vw.g, vw.b, vw.d, -comp),     # absolute formulation
+            ]
+        for step in steps:
+            assert np.all(_masked_part(vw, step) == 0.0)
+        for step in steps:
+            alpha = max_step(it.lt, step.lt, ftb=0.995)
+            update_iterate_delta(it, step, alpha, arg.lam_min, arg.t_min)
+            assert np.all(_masked_part(vw, it) == 0.0)
+        solve = {"dense": solve_dense_qp, "ocp": solve_ocp_qp,
+                 "tree": solve_tree_ocp_qp}[qp.kind]
+        rep = solve(qp, arg, guess)
+        assert np.all(_masked_part(vw, rep.solution) == 0.0)
+
+    @given(masked_qps(), st.sampled_from(["none", "primal_dual"]),
+           st.integers(0, 2**32 - 1))
+    def test_step_length_and_update_equal_masked_references(self, qp, warm, seed):
+        vw, arg, _, it = _start(qp, warm, seed)
+        res = vw.residuals(it)
+        fac = _factor_fn(qp)(qp, it, arg=IpmArg())
+        step = fac.solve(res.r_g, res.r_b, res.r_d, it.lam * it.t)
+        for scale in (1.0, 1e3, -1e3):      # scaled copies reach the boundary
+            dir_ = QpSolution.from_flat(vw, scale * step.flat())
+            for ftb in (1.0, arg.ftb):
+                alpha = max_step(it.lt, dir_.lt, ftb=ftb)
+                assert alpha == max_step_ref(it.lam, it.t, dir_.lam, dir_.t,
+                                             vw.act, ftb=ftb)
+            new, ref = it.copy(), it.copy()
+            update_iterate_delta(new, dir_, alpha, arg.lam_min, arg.t_min)
+            update_iterate_delta_ref(ref, dir_, alpha, vw.act,
+                                     arg.lam_min, arg.t_min)
+            assert np.array_equal(new.flat(), ref.flat())
+            assert duality_measure(new.lt, vw.n_act) == pytest.approx(
+                duality_measure_ref(new.lam, new.t, vw.act), rel=1e-14, abs=0.0)

@@ -456,6 +456,47 @@ class TestStatsAndTrace:
         assert rep.status is Status.Success
         assert [r.corrector for r in rep.stats.trace] == [used] * rep.iterations
 
+    def test_trace_tells_refinement_met_target_from_ran_out(self, rng):
+        # read from the trace alone: a refinement that met itref_stop_ratio
+        # ends at or below it, one that ran out took every allowed step
+        qp = rand_ocp_qp(rng, N=4, nx=3, nu=2)
+        arg = mode_preset("balance").with_tol(1e-8)
+        met = solve_ocp_qp(qp, replace(arg, itref_stop_ratio=1e-6))
+        out = solve_ocp_qp(qp, replace(arg, itref_stop_ratio=0.0))
+        for rep in (met, out):
+            assert rep.status is Status.Success
+            assert not any(r.escalated for r in rep.stats.trace)
+        assert all(r.refine_ratio <= 1e-6 for r in met.stats.trace)
+        assert all(0.0 < r.refine_ratio and r.refine_steps == arg.itref_corr_max
+                   for r in out.stats.trace)
+        # without refinement nothing is recorded
+        plain = solve_ocp_qp(qp, mode_preset("speed").with_tol(1e-8))
+        assert all(r.refine_steps == 0 and np.isnan(r.refine_ratio)
+                   for r in plain.stats.trace)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_final_residuals_reuse_the_loop_evaluation(self, rng, monkeypatch, mode):
+        from mpcqp.view import ProblemView
+
+        qp = rand_ocp_qp(rng, N=4, nx=3, nu=2)
+        calls = []
+        real = ProblemView.residuals
+
+        def spy(view, sol):
+            calls.append(sol)
+            return real(view, sol)
+
+        monkeypatch.setattr(ProblemView, "residuals", spy)
+        rep = solve_ocp_qp(qp, mode_preset(mode).with_tol(1e-8))
+        # one evaluation per loop head, the exit's included; speed_abs
+        # evaluates only once, before returning
+        assert len(calls) == (1 if mode == "speed_abs" else rep.iterations + 1)
+        fresh = real(make_view(qp), rep.solution)
+        for name in ("res_g", "res_b", "res_d", "res_m", "mu"):
+            assert getattr(rep.residuals, name) == getattr(fresh, name)
+            assert getattr(rep.stats, name) == getattr(fresh, name)
+        assert np.array_equal(rep.residuals.r_g, fresh.r_g)
+
     def test_guess_dimension_mismatch(self, rng):
         from mpcqp import DimensionMismatch
 

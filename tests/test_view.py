@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from types import SimpleNamespace
+
 from mpcqp import (
     DenseQp,
+    DimensionMismatch,
     IndexOutOfRange,
     MassSpringConfig,
     OcpQp,
@@ -16,6 +19,7 @@ from mpcqp import (
     UnknownField,
     gen_mass_spring,
 )
+from mpcqp.kkt_common import kkt_apply_vec
 from mpcqp.solver import solve_dense_qp
 from mpcqp.view import DenseView, QpSolution, StageView, make_view
 
@@ -23,8 +27,10 @@ from conftest import (
     con_matrix_ref,
     eq_matrix_ref,
     hess_matrix_ref,
+    kkt_apply_vec_ref,
     rand_dense_qp,
     rand_tree_qp,
+    residuals_ref,
     row_constants_ref,
 )
 
@@ -181,6 +187,133 @@ class TestOperators:
         assert _rel_err(res.r_b, b - E @ p.y) <= PRODUCT_RTOL
         assert _rel_err(res.r_d, np.where(act, -C_all @ p.y + d + t, 0.0)) <= PRODUCT_RTOL
         assert np.array_equal(res.r_m, np.where(act, lam * t, 0.0))
+
+
+class TestFusedProducts:
+    """Residuals and the KKT action in one buffer against the separate products."""
+
+    @settings(max_examples=100)
+    @given(random_qps(), st.integers(0, 2**32 - 1))
+    def test_residuals_match_separate_products(self, qp, seed):
+        vw = make_view(qp)
+        p = _point(qp, seed)      # nonzero on masked rows too
+        res = vw.residuals(p)
+        r_g, r_b, r_d, r_m, mu = residuals_ref(vw, p)
+        assert _rel_err(res.r_g, r_g) <= PRODUCT_RTOL
+        assert _rel_err(res.r_b, r_b) <= PRODUCT_RTOL
+        assert _rel_err(res.r_d, r_d) <= PRODUCT_RTOL
+        assert _rel_err(res.r_m, r_m) <= PRODUCT_RTOL
+        assert res.mu == pytest.approx(mu, rel=PRODUCT_RTOL, abs=0.0)
+        for norm, r in ((res.res_g, r_g), (res.res_b, r_b), (res.res_d, r_d),
+                        (res.res_m, r_m)):
+            assert norm == pytest.approx(np.max(np.abs(r), initial=0.0),
+                                         rel=PRODUCT_RTOL, abs=0.0)
+
+    @settings(max_examples=100)
+    @given(random_qps(), st.integers(0, 2**32 - 1))
+    def test_kkt_apply_matches_separate_products(self, qp, seed):
+        vw = make_view(qp)
+        it, d = _point(qp, seed), _point(qp, seed + 1)
+        for sol in (it, d):       # the loop's invariant: zeros on masked rows
+            sol.lt.reshape(2, -1)[:, ~vw.act] = 0.0
+        out = kkt_apply_vec(vw, it.lam, it.t, d.flat())
+        assert _rel_err(out, kkt_apply_vec_ref(vw, it.lam, it.t, d.flat())) \
+            <= PRODUCT_RTOL
+
+    def test_no_general_rows_skips_their_products(self, rng, monkeypatch):
+        qp = gen_mass_spring(MassSpringConfig(masses=2, horizon=3))
+        vw = make_view(qp)
+        assert vw._m == vw._nb
+        monkeypatch.setattr(vw, "G", None)      # any product with it raises
+        monkeypatch.setattr(vw, "_Gt", None)
+        p = _point(qp, 3)
+        assert vw.rows_t(p.lam).dtype == float
+        vw.residuals(p)
+        vw.cy(p.y)
+        # a view without any box row keeps its products in floating point
+        empty = make_view(DenseQp(2, 0, 0, 0, 0))
+        assert empty.rows_t(np.zeros(0)).dtype == float
+
+
+class TestSolutionBuffer:
+    def test_parts_are_views_of_one_buffer(self, rng):
+        qp = rand_tree_qp(rng, [-1, 0, 0, 1])
+        vw = make_view(qp)
+        sol = _point(qp, 5)
+        buf = sol.flat()
+        assert buf is sol.flat()
+        assert buf.shape == (vw.ny + vw.ne + 2 * vw.nc,)
+        for part in (sol.y, sol.pi, sol.lam, sol.t, sol.lt):
+            assert part.base is buf
+        assert np.array_equal(buf, np.concatenate([sol.y, sol.pi, sol.lam, sol.t]))
+        sol.t[-1] = 7.5
+        assert buf[-1] == 7.5 and sol.lt[-1] == 7.5
+        sol.x(1)[:] = -3.0
+        assert np.all(buf[vw.x_off[1]: vw.x_off[1] + qp.dim.nx[1]] == -3.0)
+
+    def test_from_flat_copies_and_flat_aliases(self, rng):
+        qp = rand_dense_qp(rng)
+        vw = make_view(qp)
+        vec = rng.standard_normal(vw.ny + vw.ne + 2 * vw.nc)
+        sol = QpSolution.from_flat(vw, vec)
+        assert not np.shares_memory(sol.flat(), vec)
+        vec[:] = 0.0
+        assert np.all(sol.flat() != 0.0)
+        sol.flat()[0] = 11.0
+        assert sol.y[0] == 11.0
+        cp = sol.copy()
+        assert not np.shares_memory(cp.flat(), sol.flat())
+        assert np.array_equal(cp.flat(), sol.flat())
+        assert np.array_equal(cp.diff(sol).flat(), np.zeros_like(vec))
+        part = QpSolution(vw, y=vec[: vw.ny])
+        assert not np.shares_memory(part.y, vec)
+
+    def test_isfinite_sees_every_part(self, rng):
+        qp = rand_dense_qp(rng)
+        vw = make_view(qp)
+        for k in range(vw.ny + vw.ne + 2 * vw.nc):
+            sol = QpSolution(vw)
+            assert sol.isfinite()
+            sol.flat()[k] = np.nan if k % 2 else np.inf
+            assert not sol.isfinite()
+
+    @pytest.mark.parametrize("part", ["y", "pi", "lam", "t"])
+    @pytest.mark.parametrize("delta", [-3, -1, 1])
+    def test_wrong_part_length_raises(self, part, delta):
+        vw = make_view(gen_mass_spring(MassSpringConfig(masses=2, horizon=3)))
+        n = {"y": vw.ny, "pi": vw.ne, "lam": vw.nc, "t": vw.nc}[part]
+        with pytest.raises(DimensionMismatch, match=part):
+            QpSolution(vw, **{part: np.zeros(n + delta)})
+        with pytest.raises(DimensionMismatch, match=part):
+            QpSolution(vw, **{part: np.zeros((n, 1))})
+
+    @pytest.mark.parametrize("delta", [-3, -1, 1])
+    def test_from_flat_wrong_length_raises(self, delta):
+        # M2 N3: a vector 3 short used to give a t of 35 entries against nc 38
+        vw = make_view(gen_mass_spring(MassSpringConfig(masses=2, horizon=3)))
+        n = vw.ny + vw.ne + 2 * vw.nc
+        with pytest.raises(DimensionMismatch):
+            QpSolution.from_flat(vw, np.zeros(n + delta))
+
+    @pytest.mark.parametrize("part", ["y", "pi", "lam", "t"])
+    def test_residuals_check_every_part(self, part):
+        qp = gen_mass_spring(MassSpringConfig(masses=2, horizon=3))
+        vw = make_view(qp)
+        sol = QpSolution(vw)
+        parts = {name: getattr(sol, name) for name in ("y", "pi", "lam", "t")}
+        parts[part] = parts[part][:-3]
+        with pytest.raises(DimensionMismatch, match=part):
+            vw.residuals(SimpleNamespace(**parts))
+
+    def test_kkt_apply_checks_lengths(self):
+        vw = make_view(gen_mass_spring(MassSpringConfig(masses=2, horizon=3)))
+        n = vw.ny + vw.ne + 2 * vw.nc
+        lam = t = np.zeros(vw.nc)
+        kkt_apply_vec(vw, lam, t, np.zeros(n))
+        for bad in ((lam, t, np.zeros(n - 3)), (lam, t, np.zeros(n + 1)),
+                    (lam[:-1], t, np.zeros(n)), (lam, t[:-1], np.zeros(n))):
+            with pytest.raises(DimensionMismatch):
+                kkt_apply_vec(vw, *bad)
 
 
 class TestStageAccessors:
