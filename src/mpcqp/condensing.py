@@ -23,17 +23,25 @@ mirror the Riccati ones: the classical recursion propagates P explicitly
 chol(P) through QR triangularization and requires positive definite state
 costs.
 
-Constraint routing: input box rows stay box rows; state box rows at stages
-past 0 become dense general rows (one prediction row each); general rows
-compose with the prediction.  Soft-constraint data and per-side masks travel
-with their rows.  With ``keep_x0=False`` the initial state must be fully
-fixed by equal-bound box rows; those rows are dropped from the dense QP and
-their multipliers are reconstructed during expansion from the stage-0
-stationarity gap.
+Constraint routing works on the OCP view's row table (``_rows``, ``_soft``,
+see :class:`view.ProblemView`), with index arrays and no per-row step.  A
+map from v to z columns decides which box rows stay box rows: input rows,
+and the initial state's rows when x0 is kept.  With x0 eliminated, its
+stage-0 rows are dropped.  Every other state box row becomes a dense general
+row whose coefficients are its row of the prediction, gathered from the
+stacked ``(sum nx, nz)`` prediction; a stage's general rows are
+``C_n pred_n`` with ``D_n`` added on the stage's inputs.  The dense rows are
+the box rows in z order, then the general rows stage by stage, each stage's
+state box rows ahead of its general rows.  Bounds, masks and soft-constraint
+data are gathered through the same positions.  With ``keep_x0=False`` the
+initial state must be fully fixed by equal-bound box rows; those rows are
+dropped from the dense QP and their multipliers are reconstructed during
+expansion from the stage-0 stationarity gap.
 
-Expansion rebuilds states by rolling the dynamics forward, routes
-multipliers and slacks back row by row, and reconstructs the dynamics
-multipliers by the backward costate recursion
+Expansion rebuilds states by rolling the dynamics forward and scatters the
+dense multipliers, inequality slacks and soft slacks to the OCP positions
+the map recorded (``lam_pos``, ``slack_pos``).  The dynamics multipliers
+follow from the backward costate recursion
 
     pi[m-1] = Q_m x_m + S_m' u_m + q_m + A_m' pi[m] - (C' lam)_{x_m}.
 
@@ -46,19 +54,24 @@ variable ``z = (u, x0)`` is the new stage's ``(u, x)`` window, its box rows
 stand, and its terminal prediction is the stage's ``[B A]``.  So no row is
 permuted either way.  Expansion is blockwise: each block's dense solution is
 the stage's slices of the short-horizon solution, and block-boundary states
-and dynamics multipliers are taken verbatim from it.
+and dynamics multipliers are taken verbatim from it.  A block's stages are
+contiguous in every part of the full solution, so the blocks' expanded
+parts, followed by the terminal stage's, are the full solution as it is
+laid out.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import CondenseError, DimensionMismatch, InvalidBlockSize
+from .ipm_core import RICCATI_VARIANTS
 from .linalg import cholesky_factor, matmul_acc, qr_cholesky
 from .qp_data import DenseQp, OcpQp, OcpQpDim
-from .view import DenseView, QpSolution, make_view
+from .view import DenseView, QpSolution, _ranges, make_view
 
 __all__ = [
     "CondensingMap",
@@ -69,27 +82,25 @@ __all__ = [
     "partial_expand",
 ]
 
-_SLACK_FIELDS = ("Zl", "Zu", "zl", "zu", "sl_lb", "su_lb")
 # constraint-row fields that a dense QP and a stage store alike
-_ROW_FIELDS = ("idxb", "lb", "ub", "lg", "ug", "idxs", "maskl", "masku") \
-    + _SLACK_FIELDS
+_ROW_FIELDS = ("idxb", "lb", "ub", "lg", "ug", "idxs", "maskl", "masku", "Zl",
+               "Zu", "zl", "zu", "sl_lb", "su_lb")
 
 
 @dataclass
 class CondensingMap:
-    """Bookkeeping to route data and solutions across one condensing."""
+    """Index maps that route data and solutions across one condensing."""
 
     keep_x0: bool
     x0hat: object
     nx0: int
     u_off: list
     nv: int
-    pred: list          # per stage: (nx_n, nv) affine prediction operator
-    gamma: list         # per stage: constant part of the prediction
-    box_map: list       # dense box row -> (stage, row index within the stage)
-    gen_map: list       # dense general row -> (stage, 'b'|'g', row index)
-    slack_map: list     # dense slack -> (stage, slack index)
-    fix_rows: list      # stage-0 (row index, state component) dropped rows
+    pred: list          # per stage: (nx_n, nv) prediction operator, rows of one stack
+    gamma: list         # per stage: constant part of the prediction, likewise
+    lam_pos: np.ndarray     # OCP lam/t position of every dense lam/t entry
+    slack_pos: np.ndarray   # OCP slack index of every dense slack
+    fix_rows: np.ndarray    # stage-0 box rows dropped with the initial state
 
 
 @dataclass
@@ -111,24 +122,13 @@ class PartialCondensingMap:
 def _detect_fixed_x0(qp):
     """(all_fixed, x0hat, fix_rows) from the stage-0 equal-bound box rows."""
     st = qp._stages[0]
-    nu0 = qp.dim.nu[0]
-    nx0 = qp.dim.nx[0]
-    x0hat = np.full(nx0, np.nan)
-    fix_rows = []
-    for i, k in enumerate(st["idxb"]):
-        if k < nu0:
-            continue
-        c = k - nu0
-        if (
-            st["lb"][i] == st["ub"][i]
-            and np.isfinite(st["lb"][i])
-            and st["maskl"][i] != 0.0
-            and st["masku"][i] != 0.0
-        ):
-            x0hat[c] = st["lb"][i]
-            fix_rows.append((i, c))
-    all_fixed = not np.any(np.isnan(x0hat)) if nx0 else True
-    return all_fixed, x0hat, fix_rows
+    nu0, nb0 = qp.dim.nu[0], qp.dim.nb[0]
+    idxb, lb = st["idxb"], st["lb"]
+    fix = ((idxb >= nu0) & (lb == st["ub"]) & np.isfinite(lb)
+           & (st["maskl"][:nb0] != 0.0) & (st["masku"][:nb0] != 0.0))
+    x0hat = np.full(qp.dim.nx[0], np.nan)
+    x0hat[idxb[fix] - nu0] = lb[fix]
+    return not np.isnan(x0hat).any(), x0hat, np.flatnonzero(fix)
 
 
 def _cost_recursion(qp, variant):
@@ -172,24 +172,18 @@ def condense(qp, keep_x0=None, variant="classical"):
     """
     if not isinstance(qp, OcpQp):
         raise TypeError("condense expects an OcpQp")
+    if variant not in RICCATI_VARIANTS:
+        raise ValueError(f"unknown condensing variant '{variant}'")
     d = qp.dim
     N = d.N
     all_fixed, x0hat, fix_rows = _detect_fixed_x0(qp)
     if keep_x0 is None:
         keep_x0 = not all_fixed
-    if not keep_x0:
-        if not all_fixed:
-            raise CondenseError(
-                "keep_x0=False requires every initial-state component fixed "
-                "by active equal-bound box rows"
-            )
-        st0 = qp._stages[0]
-        for j, r in enumerate(st0["idxs"]):
-            if qp.dim.ns[0] and r < d.nb[0] and st0["idxb"][r] >= d.nu[0]:
-                raise CondenseError(
-                    "soft initial-state fixing rows are not supported with "
-                    "keep_x0=False"
-                )
+    if not keep_x0 and not all_fixed:
+        raise CondenseError(
+            "keep_x0=False requires every initial-state component fixed "
+            "by active equal-bound box rows"
+        )
     # z layout: [u_0 | u_1 | ... | x0 (if kept)], the stage order (u, x)
     u_off = [None] * (N + 1)
     off = 0
@@ -200,18 +194,23 @@ def condense(qp, keep_x0=None, variant="classical"):
     x0_off = off
     nx0 = d.nx[0]
     nv = off + nx0 if keep_x0 else off
-    # sensitivities and affine parts
-    pred = [np.zeros((d.nx[n], nv)) for n in range(N + 1)]
-    gamma = [None] * (N + 1)
-    gamma[0] = np.zeros(nx0) if keep_x0 else x0hat.copy()
+    # sensitivities and affine parts: every stage's rows of one stack
+    x_end = np.cumsum(d.nx)
+    pred_all = np.zeros((x_end[-1], nv))
+    gamma_all = np.zeros(x_end[-1])
+    rows_of = [slice(e - k, e) for e, k in zip(x_end.tolist(), d.nx)]
+    pred = [pred_all[r] for r in rows_of]
+    gamma = [gamma_all[r] for r in rows_of]
     if keep_x0:
         pred[0][:, x0_off:] = np.eye(nx0)
+    else:
+        gamma[0][:] = x0hat
     for n in range(N):
         dyn = qp._dyn[n]
-        pred[n + 1] = matmul_acc(1.0, dyn["A"], pred[n], 0.0, 0.0)
+        pred[n + 1][:] = matmul_acc(1.0, dyn["A"], pred[n], 0.0, 0.0)
         if d.nu[n]:
             pred[n + 1][:, u_off[n]: u_off[n] + d.nu[n]] += dyn["B"]
-        gamma[n + 1] = dyn["A"] @ gamma[n] + dyn["b"]
+        gamma[n + 1][:] = dyn["A"] @ gamma[n] + dyn["b"]
     P, Y = _cost_recursion(qp, variant)
     # costate of the affine part
     beta = [None] * (N + 1)
@@ -251,97 +250,85 @@ def condense(qp, keep_x0=None, variant="classical"):
         Hc[:, oj: oj + nuj] += cols
         Hc[oj: oj + nuj, :] += cols.T
     Hc = 0.5 * (Hc + Hc.T)
-    # ---- constraints ----
-    box_rows = []   # (z index, lb, ub, maskl, masku, stage, row)
-    gen_rows = []   # (row vec, lo, up, maskl, masku, stage, kind, idx)
-    soft = {}       # (stage, row) -> slack data tuple
+    # ---- constraints, routed through the view's row table ----
+    vw = make_view(qp)
+    m, rows, ns = vw._m, vw._rows, vw.ns_tot
+    # z column of every v entry that stays a variable, prediction row of
+    # every state entry; -1 elsewhere
+    zcol = np.full(vw.nv, -1)
+    zcol[_ranges(np.array(vw.u_off), np.array(d.nu))] = np.arange(x0_off)
+    if keep_x0:
+        zcol[vw.x_off[0]: vw.x_off[0] + nx0] = np.arange(x0_off, nv)
+    xrow = np.full(vw.nv, -1)
+    xrow[_ranges(np.array(vw.x_off), np.array(d.nx))] = np.arange(x_end[-1])
+    zb, xb = zcol[vw.box_col], xrow[vw.box_col]
+    box = np.flatnonzero(zb >= 0)
+    box = box[np.argsort(zb[box], kind="stable")]
+    # the general rows: state box rows past stage 0, then every general row
+    sbox = np.flatnonzero(xb >= nx0)
+    gen = np.concatenate([sbox, np.arange(vw._nb, m)])
+    Cg = np.empty((gen.size, nv))
+    shift = np.empty(gen.size)
+    np.take(pred_all, xb[sbox], axis=0, out=Cg[: sbox.size])
+    np.take(gamma_all, xb[sbox], out=shift[: sbox.size])
+    k = sbox.size
     for n in range(N + 1):
-        st = qp._stages[n]
-        soft_of_row = {int(r): j for j, r in enumerate(st["idxs"])}
-        for i, k in enumerate(st["idxb"]):
-            entry = None
-            if k < d.nu[n]:
-                entry = ("box", u_off[n] + k)
-            elif n == 0 and keep_x0:
-                entry = ("box", x0_off + k - d.nu[0])
-            elif n == 0:
-                continue  # dropped fixing row
-            else:
-                c = k - d.nu[n]
-                entry = ("gen", pred[n][c], gamma[n][c])
-            lo, up = st["lb"][i], st["ub"][i]
-            ml, mu_ = st["maskl"][i], st["masku"][i]
-            if entry[0] == "box":
-                box_rows.append((entry[1], lo, up, ml, mu_, n, i))
-            else:
-                gen_rows.append(
-                    (entry[1], lo - entry[2], up - entry[2], ml, mu_, n, "b", i)
-                )
-            if i in soft_of_row:
-                soft[(n, i, "b")] = (n, soft_of_row[i])
-        for gidx in range(d.ng[n]):
-            row = np.zeros(nv)
+        if d.ng[n]:
+            st = qp._stages[n]
+            Cn = Cg[k: k + d.ng[n]]
+            np.matmul(st["C"], pred[n], out=Cn)
             if d.nu[n]:
-                row[u_off[n]: u_off[n] + d.nu[n]] = st["D"][gidx]
-            row += st["C"][gidx] @ pred[n]
-            shift = float(st["C"][gidx] @ gamma[n])
-            i = d.nb[n] + gidx
-            gen_rows.append(
-                (row, st["lg"][gidx] - shift, st["ug"][gidx] - shift,
-                 st["maskl"][i], st["masku"][i], n, "g", gidx)
-            )
-            if i in soft_of_row:
-                soft[(n, gidx, "g")] = (n, soft_of_row[i])
-    box_rows.sort(key=lambda r: r[0])
-    nb_c = len(box_rows)
-    ng_c = len(gen_rows)
-    # soft rows in dense row order
-    slack_entries = []
-    for pos, (_, lo, up, ml, mu_, n, i) in enumerate(box_rows):
-        if (n, i, "b") in soft:
-            slack_entries.append((pos, *soft[(n, i, "b")]))
-    for pos, row in enumerate(gen_rows):
-        n, kind, idx = row[5], row[6], row[7]
-        key = (n, idx, kind)
-        if key in soft:
-            slack_entries.append((nb_c + pos, *soft[key]))
-    slack_entries.sort(key=lambda e: e[0])
-    ns_c = len(slack_entries)
-    dense = DenseQp(nv, ne=0, nb=nb_c, ng=ng_c, ns=ns_c)
+                Cn[:, u_off[n]: u_off[n] + d.nu[n]] += st["D"]
+            shift[k: k + d.ng[n]] = st["C"] @ gamma[n]
+            k += d.ng[n]
+    if m > vw._nb:
+        # stage by stage, each stage's state rows first
+        stage = np.concatenate([np.repeat(np.arange(N + 1), d.nb)[sbox],
+                                np.repeat(np.arange(N + 1), d.ng)])
+        order = np.argsort(stage, kind="stable")
+        gen, Cg, shift = gen[order], Cg[order], shift[order]
+    # dense row -> OCP row, and the lam/t positions of its two sides
+    src = np.concatenate([box, gen])
+    lo_pos, up_pos = rows[src], rows[m + src]
+    dense_row = np.full(vw.nc, -1)
+    dense_row[lo_pos] = np.arange(src.size)
+    soft_row = dense_row[vw._soft[:ns]]      # dense row of every OCP slack
+    if np.any(soft_row < 0):
+        raise CondenseError(
+            "soft initial-state fixing rows are not supported with keep_x0=False"
+        )
+    slack_pos = np.argsort(soft_row)
+    nb_c = box.size
+    dense = DenseQp(nv, ne=0, nb=nb_c, ng=gen.size, ns=ns)
     dense.set_field("H", Hc)
     dense.set_field("g", gc)
+    bnd, on = vw._raw_bounds()
+    lo, up = bnd[lo_pos], bnd[up_pos]
     if nb_c:
-        dense.set_field("idxb", np.array([r[0] for r in box_rows], dtype=int))
-        dense.set_field("lb", np.array([r[1] for r in box_rows]))
-        dense.set_field("ub", np.array([r[2] for r in box_rows]))
-    if ng_c:
-        dense.set_field("C", np.array([r[0] for r in gen_rows]))
-        dense.set_field("lg", np.array([r[1] for r in gen_rows]))
-        dense.set_field("ug", np.array([r[2] for r in gen_rows]))
-    maskl = np.ones(nb_c + ng_c)
-    masku = np.ones(nb_c + ng_c)
-    for pos, r in enumerate(box_rows):
-        maskl[pos], masku[pos] = r[3], r[4]
-    for pos, r in enumerate(gen_rows):
-        maskl[nb_c + pos], masku[nb_c + pos] = r[3], r[4]
-    dense.set_field("maskl", maskl)
-    dense.set_field("masku", masku)
-    slack_map = []
-    if ns_c:
-        dense.set_field("idxs", np.array([e[0] for e in slack_entries], dtype=int))
-        for name in _SLACK_FIELDS:
-            dense.set_field(name, np.array(
-                [qp._stages[e[1]][name][e[2]] for e in slack_entries]
-            ))
-        slack_map = [(e[1], e[2]) for e in slack_entries]
+        dense.set_field("idxb", zb[box])
+        dense.set_field("lb", lo[:nb_c])
+        dense.set_field("ub", up[:nb_c])
+    if gen.size:
+        dense.set_field("C", Cg)
+        dense.set_field("lg", lo[nb_c:] - shift)
+        dense.set_field("ug", up[nb_c:] - shift)
+    dense.set_field("maskl", on[lo_pos])
+    dense.set_field("masku", on[up_pos])
+    if ns:
+        dense.set_field("idxs", soft_row[slack_pos])
+        # each source holds the lower sides' values, then the upper sides'
+        for names, a in ((("Zl", "Zu"), vw.slack_diag), (("zl", "zu"), vw.g[vw.nv:]),
+                         (("sl_lb", "su_lb"), bnd[rows[2 * m:]])):
+            for name, j in zip(names, (slack_pos, ns + slack_pos)):
+                dense.set_field(name, a[j])
     cmap = CondensingMap(
         keep_x0=keep_x0,
         x0hat=None if keep_x0 else x0hat,
         nx0=nx0, u_off=u_off, nv=nv, pred=pred, gamma=gamma,
-        box_map=[(r[5], r[6]) for r in box_rows],
-        gen_map=[(r[5], r[6], r[7]) for r in gen_rows],
-        slack_map=slack_map,
-        fix_rows=fix_rows if not keep_x0 else [],
+        lam_pos=rows[np.concatenate(
+            [src, m + src, 2 * m + slack_pos, 2 * m + ns + slack_pos])],
+        slack_pos=slack_pos,
+        fix_rows=fix_rows[:0] if keep_x0 else fix_rows,
     )
     return dense, cmap
 
@@ -350,9 +337,10 @@ def expand_solution(dense_sol, cmap, qp, pi_terminal=None):
     """Expand a dense solution back to the original optimal-control QP.
 
     States are rebuilt by the forward dynamics rollout, multipliers and
-    slacks are routed back row by row, and the dynamics multipliers follow
-    from the backward costate recursion (seeded with ``pi_terminal`` when
-    the last edge's multiplier is known, as in partial condensing).
+    slacks are scattered to the positions the map records, and the dynamics
+    multipliers follow from the backward costate recursion (seeded with
+    ``pi_terminal`` when the last edge's multiplier is known, as in partial
+    condensing).
     """
     d = qp.dim
     N = d.N
@@ -371,35 +359,11 @@ def expand_solution(dense_sol, cmap, qp, pi_terminal=None):
             dyn = qp._dyn[n]
             x = dyn["A"] @ x + dyn["B"] @ sol.u(n) + dyn["b"]
             sol.x(n + 1)[:] = x
-    # multipliers and inequality slacks, row by row
-    dvw = dense_sol._view
-    nb_c = dvw.blocks[0].nb
-    ng_c = dvw.blocks[0].ng
-    m_c = nb_c + ng_c
-    ns_c = dvw.blocks[0].ns
-    def route(dense_row, stage, stage_row):
-        cb = vw.blocks[stage]
-        m = cb.m
-        c0 = cb.c_off
-        sol.lam[c0 + stage_row] = dense_sol.lam[dense_row]
-        sol.lam[c0 + m + stage_row] = dense_sol.lam[m_c + dense_row]
-        sol.t[c0 + stage_row] = dense_sol.t[dense_row]
-        sol.t[c0 + m + stage_row] = dense_sol.t[m_c + dense_row]
-    for pos, (stage, i) in enumerate(cmap.box_map):
-        route(pos, stage, i)
-    for pos, (stage, kind, idx) in enumerate(cmap.gen_map):
-        stage_row = idx if kind == "b" else d.nb[stage] + idx
-        route(nb_c + pos, stage, stage_row)
-    for jc, (stage, j) in enumerate(cmap.slack_map):
-        cb = vw.blocks[stage]
-        sol.sl(stage)[j] = dense_sol.sl_all[jc]
-        sol.su(stage)[j] = dense_sol.su_all[jc]
-        c0 = cb.c_off
-        m = cb.m
-        sol.lam[c0 + 2 * m + j] = dense_sol.lam[2 * m_c + jc]
-        sol.lam[c0 + 2 * m + cb.ns + j] = dense_sol.lam[2 * m_c + ns_c + jc]
-        sol.t[c0 + 2 * m + j] = dense_sol.t[2 * m_c + jc]
-        sol.t[c0 + 2 * m + cb.ns + j] = dense_sol.t[2 * m_c + ns_c + jc]
+    # multipliers and inequality slacks
+    sol.lam[cmap.lam_pos] = dense_sol.lam
+    sol.t[cmap.lam_pos] = dense_sol.t
+    sol.sl_all[cmap.slack_pos] = dense_sol.sl_all
+    sol.su_all[cmap.slack_pos] = dense_sol.su_all
     # costate recursion for the dynamics multipliers
     ct = vw.ct_lam(sol.lam)
     def ctlam_x(m):
@@ -418,20 +382,17 @@ def expand_solution(dense_sol, cmap, qp, pi_terminal=None):
         sol.pi_stage(m - 1)[:] = pi_m1
     # dropped initial-state fixing rows: recover their net multipliers from
     # the stage-0 stationarity gap and split by sign
-    if cmap.fix_rows:
+    if cmap.fix_rows.size:
         st = qp._stages[0]
         gap = (
             st["Q"] @ sol.x(0) + st["S"].T @ sol.u(0) + st["q"] - ctlam_x(0)
         )
         if N >= 1:
             gap = gap + qp._dyn[0]["A"].T @ sol.pi_stage(0)
-        cb = vw.blocks[0]
-        for (i, c) in cmap.fix_rows:
-            nu_val = gap[c]
-            if nu_val >= 0.0:
-                sol.lam[cb.c_off + i] = nu_val
-            else:
-                sol.lam[cb.c_off + cb.m + i] = -nu_val
+        i = cmap.fix_rows
+        nu_val = gap[st["idxb"][i] - d.nu[0]]
+        side = np.where(nu_val >= 0.0, vw._rows[i], vw._rows[vw._m + i])
+        sol.lam[side] = np.abs(nu_val)
     return sol
 
 
@@ -465,8 +426,8 @@ def partial_condense(qp, N1):
     if not isinstance(qp, OcpQp):
         raise TypeError("partial_condense expects an OcpQp")
     d = qp.dim
-    if not 1 <= N1:
-        raise InvalidBlockSize("block size must be >= 1")
+    if not isinstance(N1, numbers.Integral) or N1 < 1:
+        raise InvalidBlockSize(f"block size must be an integer >= 1, got {N1!r}")
     if d.N < 1:
         raise InvalidBlockSize("horizon must be >= 1 for partial condensing")
     N1 = int(N1)
@@ -508,10 +469,9 @@ def partial_condense(qp, N1):
 
 def partial_expand(sol_p, pmap, qp):
     """Expand a short-horizon solution back to the original horizon."""
-    d = qp.dim
-    sol = QpSolution(make_view(qp))
     vwp = sol_p._view
     Np = vwp.qp.dim.N
+    parts = []
     for k, blk in enumerate(pmap.blocks):
         # the block's dense solution is stage k of the short one
         dsol = QpSolution(blk.view)
@@ -523,24 +483,12 @@ def partial_expand(sol_p, pmap, qp):
         dsol.t[:] = sol_p.t_stage(k)
         bsol = expand_solution(dsol, blk.sub_map, blk.sub_qp,
                                pi_terminal=sol_p.pi_stage(k))
-        # copy block stages into the full solution
-        for i, n in enumerate(range(blk.n0, blk.n1)):
-            sol.x(n)[:] = bsol.x(i)
-            if d.nu[n]:
-                sol.u(n)[:] = bsol.u(i)
-            sol.sl(n)[:] = bsol.sl(i)
-            sol.su(n)[:] = bsol.su(i)
-            sol.lam_stage(n)[:] = bsol.lam_stage(i)
-            sol.t_stage(n)[:] = bsol.t_stage(i)
-            sol.pi_stage(n)[:] = bsol.pi_stage(i)
-        # block-boundary state comes verbatim from the short solution
-        sol.x(blk.n1)[:] = sol_p.x(k + 1)
-    # terminal stage data
-    N = d.N
-    sol.sl(N)[:] = sol_p.sl(Np)
-    sol.su(N)[:] = sol_p.su(Np)
-    sol.lam_stage(N)[:] = sol_p.lam_stage(Np)
-    sol.t_stage(N)[:] = sol_p.t_stage(Np)
-    if d.nu[N]:
-        sol.u(N)[:] = sol_p.u(Np)
-    return sol
+        # the block's stages without the placeholder's terminal state, which
+        # the next block (or the terminal stage) carries verbatim
+        parts.append((bsol.v[: bsol._view.x_off[-1]], bsol.sl_all, bsol.su_all,
+                      bsol.pi, bsol.lam, bsol.t))
+    parts.append((sol_p.v[vwp.u_off[Np]:], sol_p.sl(Np), sol_p.su(Np),
+                  sol_p.pi[:0], sol_p.lam_stage(Np), sol_p.t_stage(Np)))
+    # [v | sl | su | pi | lam | t], each the blocks' parts in stage order
+    return QpSolution.from_flat(make_view(qp), np.concatenate(
+        [a for column in zip(*parts) for a in column]))

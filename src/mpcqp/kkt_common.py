@@ -20,6 +20,10 @@ Scaling vectors, with gamma = lam / t per active row:
 The right-hand-side folding and the reverse recovery (first the slacks,
 then dlam and dt) mirror the same order.
 
+Every row's reduced-Hessian coefficient, lower plus upper side after slack
+elimination, is one expression over the view's row table,
+:func:`row_coef`; the dense QR route reads it too.
+
 Only the reduced Hessian has block structure.  :func:`reduced_hessian`
 forms every block's reduced Hessian in one pass over a flat buffer laid out
 by the view (``hess0``, ``hess_off``, ``hess_box``, ``hess_diag``): one
@@ -47,8 +51,8 @@ from .errors import DimensionMismatch, NonPositiveIterate, SingularSlackBlock
 from .linalg import matmul_acc
 from .view import split_flat
 
-__all__ = ["Scales", "view_scales", "reduced_hessian", "fold_rhs", "recover",
-           "kkt_apply_vec", "kkt_rhs_flat"]
+__all__ = ["Scales", "view_scales", "row_coef", "reduced_hessian", "fold_rhs",
+           "recover", "kkt_apply_vec", "kkt_rhs_flat"]
 
 
 @dataclass
@@ -60,14 +64,6 @@ class Scales:
     g: np.ndarray         # (nc,) lam/t on active rows, else 0
     ge: np.ndarray        # (nc,) effective coefficients after slack elimination
     D: np.ndarray         # (2 ns_tot,) augmented slack diagonals [D_l | D_u]
-
-    def coef(self, cb):
-        """Reduced-Hessian coefficient of each box and general row of block ``cb``.
-
-        These are the slack-eliminated coefficients, lower plus upper side.
-        """
-        g = self.ge[cb.c_off: cb.c_off + 2 * cb.m]
-        return g[: cb.m] + g[cb.m:]
 
 
 def view_scales(view, lam, t):
@@ -98,6 +94,16 @@ def view_scales(view, lam, t):
     return Scales(lam=lam, t=t, g=g, ge=ge, D=D)
 
 
+def row_coef(view, sc):
+    """Reduced-Hessian coefficient of every box and general row, in row order.
+
+    The slack-eliminated coefficients of the row's lower and upper sides,
+    summed.
+    """
+    m = view._m
+    return sc.ge[view._rows[:m]] + sc.ge[view._rows[m: 2 * m]]
+
+
 def reduced_hessian(view, sc, reg=0.0):
     """Every block's reduced Hessian, formed in one pass over a flat buffer.
 
@@ -109,9 +115,8 @@ def reduced_hessian(view, sc, reg=0.0):
     terms are added in that order, so each block gets the bits of a
     block-by-block assembly.
     """
-    m, nb = view._m, view._nb
-    rows = view._rows
-    coef = sc.ge[rows[:m]] + sc.ge[rows[m: 2 * m]]
+    nb = view._nb
+    coef = row_coef(view, sc)
     out = view.hess0.copy()
     out[view.hess_box] += coef[:nb]
     for cb, lo, k in view.hess_gen:

@@ -38,7 +38,7 @@ import scipy.linalg
 
 from .errors import FactorizationFailed, LinalgError
 from .ipm_core import KKT_METHODS, IpmArg
-from .kkt_common import fold_rhs, recover, reduced_hessian, view_scales
+from .kkt_common import fold_rhs, recover, reduced_hessian, row_coef, view_scales
 from .linalg import cholesky_factor, matmul_acc, qr_cholesky, solve_triangular
 from .view import QpSolution, make_view, split_flat
 
@@ -60,7 +60,6 @@ class DenseKktFactor:
         self.method = method
         self.reg_prim = arg.reg_prim
         self.reg_dual = arg.reg_dual
-        self._cb = view.blocks[0]
         H = view.H
         A = view.E
         self._A = A
@@ -98,7 +97,7 @@ class DenseKktFactor:
     def _factor_qr(self, H, sc, reg):
         """Cholesky of the reduced Hessian via the stacked-factor QR route."""
         Lh = cholesky_factor(H, reg)
-        coef = sc.coef(self._cb)
+        coef = row_coef(self.view, sc)
         rows = np.flatnonzero(coef > 0.0)
         if rows.size:
             J = self.view.row_matrix()[rows]

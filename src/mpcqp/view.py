@@ -192,8 +192,23 @@ class ProblemView:
     over v and ``hess0``, the base Hessian of every block flattened
     row-major and concatenated in block order, and returns the gradient
     over v and the equality right-hand side.  Everything else is built
-    here, once per view, including the flat layout of the blocks' reduced
-    Hessians (see :func:`kkt_common.reduced_hessian`):
+    here, once per view, including the row table and the flat layout of the
+    blocks' reduced Hessians (see :func:`kkt_common.reduced_hessian`).
+
+    The row table is the one description of the ``lam``/``t`` layout that
+    other modules read, in place of recomputing it from block offsets.  The
+    rows are numbered box rows of every block first, then general rows:
+
+    * ``_rows``      the ``lam``/``t`` position of every row's lower side,
+                     then of every row's upper side, then of the lower and
+                     upper slack-bound rows in slack order ``[sl | su]``;
+    * ``_soft``      the positions of the lower and upper sides of the
+                     softened rows, in slack order;
+    * ``_m``, ``_nb``  the number of rows and of box rows.
+
+    :mod:`kkt_common` reads it for the scalings and the row coefficients,
+    and :mod:`condensing` routes the dense QP's rows, multipliers and
+    slacks through it.  The flat layout of the reduced Hessians:
 
     * ``hess_off``   block n's (nw, nw) Hessian spans
                      ``hess_off[n]:hess_off[n + 1]`` of a buffer laid out
@@ -266,6 +281,26 @@ class ProblemView:
                          for cb, lo, k in zip(self.blocks, start, first) if cb.ng]
         self._set_bounds()
 
+    def _raw_bounds(self):
+        """The QP's bounds and side masks as stored, laid out like ``lam``.
+
+        Returns ``(bnd, on)``: ``bnd`` holds ``lb``/``lg`` on lower sides,
+        ``ub``/``ug`` (not negated) on upper sides and the slack lower
+        bounds on the slack-bound rows; ``on`` holds ``maskl``/``masku`` on
+        the sides of the box and general rows and 1.0 elsewhere.
+        """
+        stages = self._stages()
+        bnd = np.concatenate([
+            a for st in stages
+            for a in (st["lb"], st["lg"], st["ub"], st["ug"],
+                      st["sl_lb"], st["su_lb"])
+        ])
+        on = np.ones(self.nc)
+        on[self._mask_pos] = np.concatenate(
+            [a for st in stages for a in (st["maskl"], st["masku"])]
+        )
+        return bnd, on
+
     def _set_bounds(self):
         """Set ``d``, ``act`` and ``n_act`` from the QP's bound fields.
 
@@ -273,17 +308,8 @@ class ProblemView:
         :func:`make_view` on a copy of the cached view after bound writes.
         ``act_float`` is ``act`` as 0.0/1.0.
         """
-        stages = self._stages()
-        d = np.concatenate([
-            a for st in stages
-            for a in (st["lb"], st["lg"], st["ub"], st["ug"],
-                      st["sl_lb"], st["su_lb"])
-        ])
+        d, on = self._raw_bounds()
         np.negative(d, out=d, where=self._upper)
-        on = np.ones(self.nc)
-        on[self._mask_pos] = np.concatenate(
-            [a for st in stages for a in (st["maskl"], st["masku"])]
-        )
         self.act = (on != 0.0) & np.isfinite(d)
         self.act_float = self.act.astype(float)
         self.n_act = int(np.count_nonzero(self.act))

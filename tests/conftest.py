@@ -214,7 +214,8 @@ def add_reduced_hessian_ref(cb, sc, H):
     Box rows add their slack-eliminated coefficient to one diagonal entry
     each; general rows add the scaled Gram matrix of their coefficient rows.
     """
-    coef = sc.coef(cb)
+    g = sc.ge[cb.c_off: cb.c_off + 2 * cb.m]
+    coef = g[: cb.m] + g[cb.m:]
     H = H.copy()
     if cb.nb:
         H[cb.idxb, cb.idxb] += coef[: cb.nb]

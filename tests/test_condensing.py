@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpcqp import (
@@ -8,6 +8,7 @@ from mpcqp import (
     InvalidBlockSize,
     OcpQp,
     OcpQpDim,
+    QpSolution,
     Status,
     compute_residuals,
     condense,
@@ -19,8 +20,9 @@ from mpcqp import (
     solve_dense_qp,
     solve_ocp_qp,
 )
+from mpcqp.view import make_view
 
-from conftest import maxabs, prediction_matrix_hessian, rand_ocp_qp
+from conftest import maxabs, prediction_matrix_hessian, rand_iterate, rand_ocp_qp
 
 
 def scalar_example():
@@ -52,6 +54,66 @@ def empty_terminal(qp):
             out.set_field(f, n, qp.get_field(f, n))
         for f in ("A", "B", "b"):
             out.set_field(f, n, qp.get_field(f, n))
+    return out
+
+
+def terminal_input_qp(rng, N, nx=2, nu=2, fix_x0=False):
+    """Feasible OCP with inputs at every stage, the terminal one included."""
+    nw = nu + nx
+    dim = OcpQpDim(N, [nx] * (N + 1), [nu] * (N + 1), [nw] * (N + 1),
+                   [1] * (N + 1), [1] * (N + 1))
+    qp = OcpQp(dim)
+    us = [rng.uniform(-1.0, 1.0, nu) for _ in range(N + 1)]
+    xs = [rng.uniform(-1.0, 1.0, nx)]
+    for n in range(N):
+        A, B = 0.5 * rng.standard_normal((nx, nx)), rng.standard_normal((nx, nu))
+        b = rng.uniform(-0.2, 0.2, nx)
+        for f, value in (("A", A), ("B", B), ("b", b)):
+            qp.set_field(f, n, value)
+        xs.append(A @ xs[n] + B @ us[n] + b)
+    for n in range(N + 1):
+        G = rng.standard_normal((nw, nw))
+        M = G @ G.T + np.eye(nw)
+        w = np.concatenate([us[n], xs[n]])
+        lo = w - rng.uniform(0.5, 2.0, nw)
+        up = w + rng.uniform(0.5, 2.0, nw)
+        if fix_x0 and n == 0:
+            lo[nu:] = up[nu:] = xs[0]
+        C, D = rng.standard_normal((1, nx)), rng.standard_normal((1, nu))
+        cw = D @ us[n] + C @ xs[n]
+        for f, value in (("R", M[:nu, :nu]), ("S", M[:nu, nu:]),
+                         ("Q", M[nu:, nu:]), ("r", rng.standard_normal(nu)),
+                         ("q", rng.standard_normal(nx)), ("lb", lo),
+                         ("ub", up), ("C", C), ("D", D), ("lg", cw - 1.0),
+                         ("ug", cw + 1.0), ("idxs", [nw]), ("Zl", [1.0]),
+                         ("Zu", [1.0])):
+            qp.set_field(f, n, value)
+    return qp
+
+
+def open_sides(rng, qp, fix_x0):
+    """Make one lower and one upper side infinite at random rows past the fixing ones."""
+    d = qp.dim
+    for f_box, f_gen, value in (("lb", "lg", -np.inf), ("ub", "ug", np.inf)):
+        n = int(rng.integers(1 if fix_x0 else 0, d.N + 1))
+        i = int(rng.integers(d.nb[n] + d.ng[n]))
+        f, j = (f_box, i) if i < d.nb[n] else (f_gen, i - d.nb[n])
+        bound = qp.get_field(f, n)
+        bound[j] = value
+        qp.set_field(f, n, bound)
+
+
+def ocp_row_gaps(qp, sol):
+    """Row value minus lower bound and upper bound minus row value, laid out like lam."""
+    vw = make_view(qp)
+    out = np.zeros(vw.nc)
+    for n, cb in enumerate(vw.blocks):
+        u, x = sol.u(n), sol.x(n)
+        val = np.concatenate([np.concatenate([u, x])[cb.idxb],
+                              qp.get_field("D", n) @ u + qp.get_field("C", n) @ x])
+        lo = np.concatenate([qp.get_field("lb", n), qp.get_field("lg", n)])
+        up = np.concatenate([qp.get_field("ub", n), qp.get_field("ug", n)])
+        out[cb.c_off: cb.c_off + 2 * cb.m] = np.concatenate([val - lo, up - val])
     return out
 
 
@@ -109,6 +171,82 @@ class TestFullCondense:
         free = rand_ocp_qp(rng, N=2, nx=2, nu=1, fix_x0=False)
         assert not condense(fixed)[1].keep_x0
         assert condense(free)[1].keep_x0
+
+    def test_unknown_variant_rejected(self, rng):
+        qp = rand_ocp_qp(rng, N=2, nx=2, nu=1)
+        with pytest.raises(ValueError, match="sqrt"):
+            condense(qp, variant="sqrt")
+
+    @settings(max_examples=40)
+    @given(seed=st.integers(0, 2**32 - 1), N=st.integers(1, 5),
+           fix_x0=st.booleans(), keep=st.booleans())
+    def test_rows_route_through_lam_pos(self, seed, N, fix_x0, keep):
+        # general rows, soft rows, masked sides and infinite bounds: every
+        # dense row is its source OCP row at the rolled-out trajectory
+        rng = np.random.default_rng(seed)
+        qp = rand_ocp_qp(rng, N=N, nx=2, nu=2, ng=2, ns=2, fix_x0=fix_x0)
+        open_sides(rng, qp, fix_x0)
+        # a free initial state can only be kept
+        dense, cmap = condense(qp, keep_x0=keep or not fix_x0)
+        dvw = make_view(dense)
+        m_c = dense.nb + dense.ng
+        lam_pos = cmap.lam_pos
+        # every OCP side is routed once, except those of the dropped x0 rows
+        n_drop = 0 if cmap.keep_x0 else qp.dim.nx[0]
+        assert np.unique(lam_pos).size == lam_pos.size == \
+            make_view(qp).nc - 2 * n_drop
+        # random z, the rollout from it and each side's distance to its bound
+        z = rng.standard_normal(dense.nv)
+        sol = QpSolution(make_view(qp))
+        x = z[dense.nv - cmap.nx0:] if cmap.keep_x0 else \
+            qp.get_field("lb", 0)[qp.dim.nu[0]:]
+        k = 0
+        for n in range(N + 1):
+            nu = qp.dim.nu[n]
+            sol.u(n)[:] = z[k: k + nu]
+            sol.x(n)[:] = x
+            k += nu
+            if n < N:
+                x = (qp.get_field("A", n) @ x + qp.get_field("B", n) @ sol.u(n)
+                     + qp.get_field("b", n))
+        val = np.concatenate([z[dense.get_field("idxb")],
+                              dense.get_field("C") @ z])
+        lo = np.concatenate([dense.get_field("lb"), dense.get_field("lg")])
+        up = np.concatenate([dense.get_field("ub"), dense.get_field("ug")])
+        gaps = ocp_row_gaps(qp, sol)[lam_pos[: 2 * m_c]]
+        assert np.allclose(np.concatenate([val - lo, up - val]), gaps,
+                           rtol=1e-10, atol=1e-10)
+        masks = np.ones(make_view(qp).nc)
+        for n, cb in enumerate(make_view(qp).blocks):
+            masks[cb.c_off: cb.c_off + 2 * cb.m] = np.concatenate(
+                [qp.get_field("maskl", n), qp.get_field("masku", n)])
+        assert np.array_equal(np.concatenate([dense.get_field("maskl"),
+                                              dense.get_field("masku")]),
+                              masks[lam_pos[: 2 * m_c]])
+        # a random dense point keeps its residuals at lam_pos once expanded
+        point = rand_iterate(rng, dense)
+        esol = expand_solution(point, cmap, qp)
+        dres = compute_residuals(dense, point)
+        eres = compute_residuals(qp, esol)
+        assert np.array_equal(make_view(qp).act[lam_pos], dvw.act)
+        assert np.allclose(eres.r_d[lam_pos], dres.r_d, rtol=1e-10, atol=1e-10)
+        assert np.array_equal(eres.r_m[lam_pos], dres.r_m)
+
+    @pytest.mark.parametrize("fix_x0", [False, True])
+    @pytest.mark.parametrize("N", [0, 1, 3])
+    def test_terminal_inputs_and_zero_horizon(self, rng, N, fix_x0):
+        qp = terminal_input_qp(rng, N, fix_x0=fix_x0)
+        direct = solve_ocp_qp(qp, ARG)
+        dense, cmap = condense(qp)
+        assert cmap.keep_x0 is not fix_x0
+        assert dense.nv == 2 * (N + 1) + (0 if fix_x0 else 2)
+        rep = solve_dense_qp(dense, ARG)
+        assert direct.status is Status.Success and rep.status is Status.Success
+        esol = expand_solution(rep.solution, cmap, qp)
+        for n in range(N + 1):
+            assert maxabs(esol.u(n) - direct.solution.u(n)) <= 1e-6
+            assert maxabs(esol.x(n) - direct.solution.x(n)) <= 1e-6
+        assert compute_residuals(qp, esol).max_norm() <= 1e-6
 
 
 class TestExpand:
@@ -256,3 +394,14 @@ class TestPartial:
         qp = rand_ocp_qp(rng, N=4, nx=2, nu=1)
         with pytest.raises(InvalidBlockSize):
             partial_condense(qp, 0)
+        with pytest.raises(InvalidBlockSize, match="2.5"):
+            partial_condense(qp, 2.5)
+
+    def test_integer_block_size_types(self, rng):
+        qp = rand_ocp_qp(rng, N=5, nx=2, nu=1)
+        qp_a, _ = partial_condense(qp, 2)
+        qp_b, _ = partial_condense(qp, np.int64(2))
+        assert qp_a.dim.N == qp_b.dim.N == 3
+        for n in range(qp_a.dim.N + 1):
+            for f in ("Q", "R", "S", "C", "D", "lg", "ug", "idxb"):
+                assert np.array_equal(qp_a.get_field(f, n), qp_b.get_field(f, n))
