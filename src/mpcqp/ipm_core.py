@@ -11,8 +11,8 @@ step length is one ratio pass over ``lt`` (a zero step entry never blocks)
 and the update is one axpy over the buffer plus one floor clip of ``lt`` on
 the active rows, which keeps the masked rows at zero.
 
-Two formulations of the Newton system are supported and selected through the
-solver mode:
+Two formulations of the Newton system are supported, selected by
+``IpmArg.abs_form``:
 
 * delta formulation: the linear system is assembled with the current KKT
   residuals on the right-hand side and its solution is the Newton step;
@@ -23,7 +23,10 @@ solver mode:
   products per iteration but suffers cancellation once the step becomes small
   relative to the iterate, which is why it is confined to the fastest mode.
 
-Mode presets trade speed for robustness:
+Residuals follow the formulation: the delta form evaluates them every
+iteration (its right-hand side) and exits on them, the absolute form skips
+them in the loop and exits on the duality measure alone.  Mode presets trade
+speed for robustness:
 
 =========  ===========  =========  ==========  =============
 mode       formulation  residuals  refinement  factorization
@@ -33,6 +36,10 @@ speed      delta        each iter  none        ``chol``
 balance    delta        each iter  on demand   ``chol_qr``
 robust     delta        each iter  on demand   ``qr``
 =========  ===========  =========  ==========  =============
+
+Constants shared by every mode: a step length below ``ALPHA_MIN`` ends the
+solve with ``MinStep``, and a cold start puts the slacks at
+``max(C y - d, T0)`` and the multipliers at ``MU0 / t``.
 """
 
 from __future__ import annotations
@@ -82,6 +89,10 @@ FACTOR_ROUTES = {
 RICCATI_VARIANTS = ("classical", "square_root")
 KKT_METHODS = ("schur", "null_space")
 
+ALPHA_MIN = 1e-8  # shortest step length before the solve ends in MinStep
+MU0 = 1e2         # lam_i t_i of every active row at a cold start
+T0 = 1.0          # slack floor at a cold start
+
 
 @dataclass
 class IpmArg:
@@ -90,8 +101,8 @@ class IpmArg:
     Build via :func:`mode_preset` and override fields as needed.  Tolerances
     must be positive; ``tol_comp`` bounds the duality measure, the other
     three bound the stationarity / equality / inequality residual infinity
-    norms (ignored in speed_abs mode, whose exit test uses the duality
-    measure only).
+    norms (ignored in the absolute formulation, ``abs_form``, which skips
+    residuals in the loop and exits on the duality measure only).
 
     ``lam_min``/``t_min`` clip the multipliers and slacks from below after
     every update, bounding the late-iteration ill-conditioning of the KKT
@@ -105,32 +116,30 @@ class IpmArg:
     (``2 * reg_prim``, or 1e-8).  Under ``chol_qr`` a ``chol`` step whose
     refined residual exceeds ``qr_fallback_ratio * max(1, ||rhs||)`` is
     recomputed from the ``qr`` rungs.
+
+    With ``pred_corr`` the Mehrotra corrector is kept only when its trial
+    duality measure stays within ``corr_ratio`` times the affine one.  The
+    minimum step length and the cold-start point are the module constants
+    ``ALPHA_MIN``, ``MU0`` and ``T0``.
     """
 
     mode: str = "balance"
     iter_max: int = 30
-    alpha_min: float = 1e-8
-    mu0: float = 1e2
     tol_stat: float = 1e-8
     tol_eq: float = 1e-8
     tol_ineq: float = 1e-8
     tol_comp: float = 1e-8
     reg_prim: float = 0.0
-    reg_dual: float = 0.0
     lam_min: float = 1e-16
     t_min: float = 1e-16
-    t0: float = 1.0
     warm_start: str = "none"          # none | primal | primal_dual
     pred_corr: bool = True
-    cond_pred_corr: bool = True
     corr_ratio: float = 1.5           # corrector acceptance threshold
     itref_corr_max: int = 0           # refinement steps on the combined direction
-    itref_pred_max: int = 0           # refinement steps on the prediction
     itref_stop_ratio: float = 1e-12   # target residual/rhs ratio for refinement
     qr_fallback_ratio: float = 1e-6   # refinement residual ratio that triggers QR
     factorization: str = "chol"       # chol | chol_qr | qr
-    comp_res_pred: bool = True        # compute residuals each iteration
-    abs_form: bool = False            # absolute formulation
+    abs_form: bool = False            # absolute formulation, no loop residuals
     ftb: float = 0.995                # fraction-to-boundary factor
     kkt_method: str = "schur"         # dense equality handling: schur | null_space
     riccati_variant: str = "classical"  # classical | square_root
@@ -145,8 +154,12 @@ class IpmArg:
         for name in ("tol_stat", "tol_eq", "tol_ineq", "tol_comp"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be > 0")
-        if not 0.0 < self.alpha_min < 1.0:
-            raise ValueError("alpha_min must lie in (0, 1)")
+        if not 0.0 < self.ftb <= 1.0:
+            raise ValueError("ftb must lie in (0, 1]")
+        for name in ("iter_max", "reg_prim", "itref_corr_max", "corr_ratio",
+                     "itref_stop_ratio", "qr_fallback_ratio"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if self.lam_min < 0.0 or self.t_min < 0.0:
             raise ValueError("lam_min and t_min must be >= 0")
         if self.warm_start not in ("none", "primal", "primal_dual"):
@@ -163,26 +176,26 @@ class IpmArg:
 _PRESETS = {
     # speed_abs: everything geared to the lowest per-iteration cost.
     "speed_abs": dict(
-        abs_form=True, comp_res_pred=False,
-        itref_corr_max=0, itref_pred_max=0,
+        abs_form=True,
+        itref_corr_max=0,
         factorization="chol",
         lam_min=1e-16, t_min=1e-16,
     ),
     "speed": dict(
-        abs_form=False, comp_res_pred=True,
-        itref_corr_max=0, itref_pred_max=0,
+        abs_form=False,
+        itref_corr_max=0,
         factorization="chol",
         lam_min=1e-16, t_min=1e-16,
     ),
     "balance": dict(
-        abs_form=False, comp_res_pred=True,
-        itref_corr_max=2, itref_pred_max=0,
+        abs_form=False,
+        itref_corr_max=2,
         factorization="chol_qr",
         lam_min=1e-10, t_min=1e-10,
     ),
     "robust": dict(
-        abs_form=False, comp_res_pred=True,
-        itref_corr_max=4, itref_pred_max=0,
+        abs_form=False,
+        itref_corr_max=4,
         factorization="qr",
         lam_min=1e-10, t_min=1e-10,
     ),
@@ -315,24 +328,25 @@ def recover_step_absolute(iterate, iterate_full):
 def check_termination(res, mu, alpha_last, it, arg):
     """Return a terminal Status or None to continue.
 
-    speed_abs exits on the duality measure, the iteration cap and the
-    minimum step length only; the other modes additionally require the
-    stationarity / equality / inequality residual norms to meet their
-    tolerances before declaring success.  Without residuals the duality
-    measure is evidence of convergence only once a step has been taken:
-    before the first one it describes the starting point (and is 0 when no
-    inequality row is active), so speed_abs never succeeds at ``it == 0``.
+    Without residuals (``res is None``: the absolute formulation skips
+    them in the loop) the exit tests are the duality measure, the iteration
+    cap and the minimum step length only; with them, success additionally
+    requires the stationarity / equality / inequality residual norms to
+    meet their tolerances.  Without residuals the duality measure is
+    evidence of convergence only once a step has been taken: before the
+    first one it describes the starting point (and is 0 when no inequality
+    row is active), so a residual-free test never succeeds at ``it == 0``.
     """
     if res is not None and not res.isfinite():
         return Status.NaNDetected
     if not np.isfinite(mu):
         return Status.NaNDetected
     # a collapsed step length means stalling, not convergence: it outranks
-    # the tolerance test (success demands alpha >= alpha_min throughout)
-    if alpha_last < arg.alpha_min:
+    # the tolerance test (success demands alpha >= ALPHA_MIN throughout)
+    if alpha_last < ALPHA_MIN:
         return Status.MinStep
     if mu <= arg.tol_comp:
-        if arg.mode == "speed_abs" or res is None:
+        if res is None:
             if it > 0:
                 return Status.Success
         elif (

@@ -6,26 +6,23 @@ slacks t, inequality multipliers lam (together: the gamma scalings of
 equality-constrained core
 
     [ Hred  -A' ] [dv ]     [ rhat ]
-    [ -A    -rI ] [dpi] = - [ r_b  ]
+    [ -A     0  ] [dpi] = - [ r_b  ]
 
-with ``Hred`` the constraint-augmented Hessian over v and ``r = reg_dual``
-(the dual regularization replaces the zero block; it is offset afterwards by
-iterative refinement, like the primal one).  Two equality-handling methods
-are provided:
+with ``Hred`` the constraint-augmented Hessian over v (plus the primal
+regularization, which iterative refinement offsets afterwards).  Two
+equality-handling methods are provided:
 
-* ``schur``   factor Hred, form the Schur complement A Hred^-1 A' + r I and
+* ``schur``   factor Hred, form the Schur complement A Hred^-1 A' and
               factor it;
 * ``null_space``  orthonormal basis of null(A) from a QR of A', solve the
-              reduced problem on the basis (reg_dual is not applied on this
-              path).
+              reduced problem on the basis.
 
 When the QR path is requested, Cholesky factors of normal-matrix forms are
 computed by orthogonal triangularization of the stacked factors instead
 (``qr_cholesky``), which avoids squaring condition numbers: Hred from the
 stack [chol(H + reg I)' ; sqrt(coef_i) * row_i], the Schur complement from
-the stack [W ; sqrt(reg_dual) I] with W = L^-1 A'.  The QR route needs the
-unaugmented Hessian to be positive definite and fails otherwise; the Cholesky
-route needs only Hred to be.
+W = L^-1 A'.  The QR route needs the unaugmented Hessian to be positive
+definite and fails otherwise; the Cholesky route needs only Hred to be.
 
 A factor object is valid for any number of right-hand sides until the
 iterate changes.
@@ -58,8 +55,6 @@ class DenseKktFactor:
         self.view = view
         self.sc = sc
         self.method = method
-        self.reg_prim = arg.reg_prim
-        self.reg_dual = arg.reg_dual
         H = view.H
         A = view.E
         self._A = A
@@ -84,15 +79,10 @@ class DenseKktFactor:
         elif ne:
             W = solve_triangular(self._Lred, A.T)
             if use_qr:
-                stack = W
-                if arg.reg_dual > 0.0:
-                    stack = np.vstack([W, np.sqrt(arg.reg_dual) * np.eye(ne)])
-                self._Lm = qr_cholesky(stack).T
+                self._Lm = qr_cholesky(W).T
             else:
-                M = matmul_acc(1.0, W, W, 0.0, 0.0, transA=True)
-                if arg.reg_dual:
-                    M[np.diag_indices_from(M)] += arg.reg_dual
-                self._Lm = cholesky_factor(M)
+                self._Lm = cholesky_factor(
+                    matmul_acc(1.0, W, W, 0.0, 0.0, transA=True))
 
     def _factor_qr(self, H, sc, reg):
         """Cholesky of the reduced Hessian via the stacked-factor QR route."""

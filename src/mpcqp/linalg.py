@@ -222,7 +222,7 @@ def solve_banded_triangular(ab, B, transpose=False):
     return X
 
 
-def qr_cholesky(Astack, rank_tol=None):
+def qr_cholesky(Astack):
     """Upper-triangular R with R.T @ R = Astack.T @ Astack, via QR.
 
     This is the array-algorithm replacement for forming the normal matrix
@@ -235,9 +235,11 @@ def qr_cholesky(Astack, rank_tol=None):
     ----------
     Astack : (m, n) array with m >= n
         Stacked rows of the factors whose Gram matrix is wanted.
-    rank_tol : float, optional
-        Diagonal entries of R at or below this value raise
-        :class:`RankDeficient`.  Default: max(m, n) * eps * max_i |R_ii|.
+
+    Raises
+    ------
+    RankDeficient
+        If a diagonal entry of R is at or below max(m, n) * eps * max_i |R_ii|.
     """
     A = np.asarray(Astack, dtype=float)
     if A.ndim != 2:
@@ -254,8 +256,7 @@ def qr_cholesky(Astack, rank_tol=None):
     R = np.where(_upper(n), qr[:n], 0.0)
     d = R.diagonal().copy()
     size = np.abs(d)
-    if rank_tol is None:
-        rank_tol = max(m, n) * _EPS * size.max()
+    rank_tol = max(m, n) * _EPS * size.max()
     if (size <= rank_tol).any():
         raise RankDeficient(
             f"diagonal entry {size.min():.3e} at or below {rank_tol:.3e}"
@@ -281,8 +282,8 @@ def _upper(n):
     return mask
 
 
-def matmul_acc(alpha, A, B, beta, C, transA=False, transB=False):
-    """Return alpha * op(A) @ op(B) + beta * C.
+def matmul_acc(alpha, A, B, beta, C, transA=False):
+    """Return alpha * op(A) @ B + beta * C.
 
     ``A`` and ``B`` are matrices (B may also be a vector); ``C`` must be
     conformal with the product (or a scalar 0.0 shortcut when beta == 0).
@@ -291,17 +292,16 @@ def matmul_acc(alpha, A, B, beta, C, transA=False, transB=False):
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     opA = A.T if transA else A
-    opB = B.T if transB else B
     if opA.ndim != 2:
         raise DimensionMismatch("A must be a matrix")
-    if opA.shape[-1] != opB.shape[0]:
+    if opA.shape[-1] != B.shape[0]:
         raise DimensionMismatch(
-            f"inner dimensions differ: {opA.shape} vs {opB.shape}"
+            f"inner dimensions differ: {opA.shape} vs {B.shape}"
         )
     mdim = opA.shape[0]
-    ndim = 1 if opB.ndim == 1 else opB.shape[1]
+    ndim = 1 if B.ndim == 1 else B.shape[1]
     count_flops(2 * mdim * ndim * opA.shape[1])
-    P = alpha * (opA @ opB)
+    P = alpha * (opA @ B)
     if beta == 0.0:
         return P
     C = np.asarray(C, dtype=float)

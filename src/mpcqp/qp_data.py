@@ -164,13 +164,6 @@ class TreeOcpQpDim:
     def n_node(self):
         return self.parents.shape[0]
 
-    def children(self):
-        """Child index lists per node, in node-index order."""
-        out = [[] for _ in range(self.n_node)]
-        for m in range(1, self.n_node):
-            out[self.parents[m]].append(m)
-        return out
-
 
 # --------------------------------------------------------------------------
 # field catalog machinery

@@ -3,7 +3,8 @@
 One shared predictor-corrector loop wires the type-agnostic vector
 machinery (:mod:`ipm_core`) to the type-specific KKT backend:
 
-1. residuals (skipped per iteration in speed_abs mode) and termination test;
+1. residuals (skipped per iteration in the absolute formulation) and
+   termination test;
 2. factorization of the reduced KKT system by the first route of the
    policy's ladder that succeeds (:class:`IpmArg`), recorded in the trace;
    only this ladder retries, each backend call is one attempt;
@@ -11,7 +12,7 @@ machinery (:mod:`ipm_core`) to the type-specific KKT backend:
 4. corrector direction, accepted only if it does not blow up the duality
    measure (otherwise one predictor-centering resolve with the same factor);
    the trace records whether it was used;
-5. optional iterative refinement of the combined direction; under the
+5. optional iterative refinement of the direction taken; under the
    ``chol_qr`` policy a ``chol`` direction that refinement cannot bring to
    the requested accuracy is recomputed from the ladder's ``qr`` rungs,
    which the trace records as ``escalated``;
@@ -30,8 +31,8 @@ single passes over the flat arrays (see :mod:`ipm_core`).
 Numerical trouble never raises: it lands in ``SolverStats.status``.  The
 final report always carries residuals of the returned iterate: those the
 last loop test evaluated, since every exit taken after them leaves the
-iterate unchanged, or in speed_abs mode (which skips them in the loop) one
-evaluation before returning.  The trace records per iteration the
+iterate unchanged, or in the absolute formulation (which skips them in the
+loop) one evaluation before returning.  The trace records per iteration the
 factorization route, the corrector decision, a ``qr`` escalation and the
 refinement steps and residual ratio of the direction taken.
 
@@ -51,7 +52,7 @@ form expanded back.
 Warm starts: ``primal`` takes the primal variables from the guess and
 derives the inequality slacks from the constraint values; ``primal_dual``
 additionally takes the multipliers (clipped away from zero).  Cold starts
-put ``lam_i t_i = mu0`` on every active row.
+put ``lam_i t_i = ipm_core.MU0`` on every active row.
 """
 
 from __future__ import annotations
@@ -65,6 +66,8 @@ from . import condensing, kkt_dense, kkt_ocp
 from .errors import DimensionMismatch, FactorizationFailed, InvalidConfig
 from .ipm_core import (
     FACTOR_ROUTES,
+    MU0,
+    T0,
     IpmArg,
     IterRecord,
     SolverStats,
@@ -188,8 +191,8 @@ def _init_iterate(view, arg, guess):
         t = np.maximum(cy - view.d, floor)
         lam = np.maximum(guess.lam, max(_WARM_FLOOR, arg.lam_min))
     else:
-        t = np.maximum(cy - view.d, arg.t0)
-        lam = arg.mu0 / t
+        t = np.maximum(cy - view.d, T0)
+        lam = MU0 / t
     iterate.t[:] = np.where(act, t, 0.0)
     iterate.lam[:] = np.where(act, lam, 0.0)
     return iterate
@@ -242,8 +245,22 @@ def _ipm_loop(qp, factor_fn, arg, guess):
     alpha_last = 1.0
     status = None
     it = 0
+    if arg.abs_form:
+        def step_of(sol):
+            return recover_step_absolute(iterate, sol)
+    else:
+        def step_of(sol):
+            return sol
     while True:
-        res = view.residuals(iterate) if arg.comp_res_pred else None
+        # the absolute form solves for the next iterate: data on the right,
+        # 2 comp off the complementarity rows, no residuals in the loop
+        comp = iterate.lam * iterate.t
+        if arg.abs_form:
+            res = None
+            rg, rb, rd, shift = view.g, view.b, view.d, 2.0 * comp
+        else:
+            res = view.residuals(iterate)
+            rg, rb, rd, shift = res.r_g, res.r_b, res.r_d, 0.0
         mu = res.mu if res is not None else duality_measure(lt, n_act)
         if res is None and not iterate.isfinite():
             status = Status.NaNDetected
@@ -255,21 +272,7 @@ def _ipm_loop(qp, factor_fn, arg, guess):
         if factor is None:
             status = Status.Failure
             break
-        comp = iterate.lam * iterate.t
-        if arg.abs_form:
-            rg, rb, rd = view.g, view.b, view.d
-            rm_aff = -comp
-        else:
-            rg, rb, rd = res.r_g, res.r_b, res.r_d
-            rm_aff = comp
-        sol_aff = factor.solve(rg, rb, rd, rm_aff)
-        if arg.itref_pred_max > 0:
-            sol_aff = _refine(view, factor, iterate, rg, rb, rd, rm_aff,
-                              sol_aff, arg.itref_pred_max,
-                              arg.itref_stop_ratio)[0]
-        step_aff = (
-            recover_step_absolute(iterate, sol_aff) if arg.abs_form else sol_aff
-        )
+        step_aff = step_of(factor.solve(rg, rb, rd, comp - shift))
         if not step_aff.isfinite():
             status = Status.NaNDetected
             break
@@ -277,30 +280,20 @@ def _ipm_loop(qp, factor_fn, arg, guess):
         mu_aff = duality_measure(lt + alpha_aff * step_aff.lt, n_act)
         sigma = centering(mu, mu_aff)
         rm_center = comp - (sigma * mu) * view.act_float
-        if arg.pred_corr:
-            rm_dir = rm_center + step_aff.lam * step_aff.t
-        else:
-            rm_dir = rm_center
-        if arg.abs_form:
-            rm_dir = rm_dir - 2.0 * comp
-        sol_dir = factor.solve(rg, rb, rd, rm_dir)
-        step = (
-            recover_step_absolute(iterate, sol_dir) if arg.abs_form else sol_dir
-        )
         corrector = arg.pred_corr
-        escalated = False
-        refine_steps, refine_ratio = 0, np.nan
-        if arg.pred_corr and arg.cond_pred_corr:
+        if corrector:
+            rm_dir = rm_center + step_aff.lam * step_aff.t - shift
+            sol_dir = factor.solve(rg, rb, rd, rm_dir)
+            step = step_of(sol_dir)
             a_t = max_step(lt, step.lt)
             mu_t = duality_measure(lt + a_t * step.lt, n_act)
-            if not corrector_acceptance(mu_t, mu_aff, arg.corr_ratio):
-                corrector = False
-                rm_dir = rm_center - 2.0 * comp if arg.abs_form else rm_center
-                sol_dir = factor.solve(rg, rb, rd, rm_dir)
-                step = (
-                    recover_step_absolute(iterate, sol_dir)
-                    if arg.abs_form else sol_dir
-                )
+            corrector = corrector_acceptance(mu_t, mu_aff, arg.corr_ratio)
+        if not corrector:
+            rm_dir = rm_center - shift
+            sol_dir = factor.solve(rg, rb, rd, rm_dir)
+            step = step_of(sol_dir)
+        escalated = False
+        refine_steps, refine_ratio = 0, np.nan
         if arg.itref_corr_max > 0:
             sol_dir, ir_norm, rhs_norm, refine_steps = _refine(
                 view, factor, iterate, rg, rb, rd, rm_dir, sol_dir,
@@ -322,10 +315,7 @@ def _ipm_loop(qp, factor_fn, arg, guess):
                         arg.itref_corr_max, arg.itref_stop_ratio,
                     )
             refine_ratio = ir_norm / max(1.0, rhs_norm)
-            step = (
-                recover_step_absolute(iterate, sol_dir)
-                if arg.abs_form else sol_dir
-            )
+            step = step_of(sol_dir)
         if not step.isfinite():
             status = Status.NaNDetected
             break

@@ -289,6 +289,13 @@ class TestCli:
         bad.write_text("not a qp\n")
         assert cli_main(["solve", "--qp", str(bad)]) == 2
 
+    def test_negative_iter_max_exit_2(self, tmp_path, capsys):
+        qpf = str(tmp_path / "ms.qp")
+        cli_main(["gen-mass-spring", "--masses", "2", "--horizon", "5",
+                  "--out", qpf])
+        assert cli_main(["solve", "--qp", qpf, "--iter-max", "-1"]) == 2
+        assert "iter_max" in capsys.readouterr().err
+
     def test_closed_loop_command(self, tmp_path, capsys):
         out_csv = str(tmp_path / "cl.csv")
         rc = cli_main(["closed-loop", "--masses", "2", "--horizon", "10",

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from mpcqp import (
     DenseQp,
+    MassSpringConfig,
     compute_residuals,
+    gen_mass_spring,
     mode_preset,
     solve_dense_qp,
     solve_ocp_qp,
@@ -220,6 +222,14 @@ class TestTermination:
         assert check_termination(None, 0.0, 1.0, 0, arg) is None
         assert check_termination(None, 0.0, 1.0, 1, arg) is Status.Success
 
+    @pytest.mark.parametrize("mode", ["speed_abs", "speed"])
+    def test_residuals_gate_success_whatever_the_mode(self, mode):
+        # a delta-formulation arg has residuals, and they must meet their
+        # tolerances: the mode name does not pick the mu-only exit
+        arg = replace(mode_preset(mode), abs_form=False).with_tol(1e-6)
+        res = _FakeRes(1e-3, 1e-3, 1e-3, 1e-9)
+        assert check_termination(res, 1e-9, 1.0, 3, arg) is None
+
 
 class TestIterativeRefinement:
     def test_exact_factor_zero_corrections(self, rng):
@@ -289,7 +299,7 @@ class TestIterativeRefinement:
 class TestModePresets:
     def test_speed_abs(self):
         arg = mode_preset("speed_abs")
-        assert arg.abs_form and not arg.comp_res_pred
+        assert arg.abs_form
         assert arg.itref_corr_max == 0
 
     def test_robust(self):
@@ -323,6 +333,31 @@ class TestModePresets:
     def test_validate_rejects_bad_tolerance(self):
         with pytest.raises(ValueError):
             IpmArg(tol_comp=0.0).validate()
+
+    @pytest.mark.parametrize("name, value", [
+        ("ftb", 1.5), ("ftb", 0.0), ("ftb", -0.5), ("iter_max", -1),
+        ("reg_prim", -1.0), ("itref_corr_max", -1), ("corr_ratio", -0.1),
+        ("itref_stop_ratio", -1e-12), ("qr_fallback_ratio", -1e-6),
+    ])
+    def test_validate_rejects_out_of_range(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            replace(IpmArg(), **{name: value}).validate()
+
+    @pytest.mark.parametrize("name, value", [
+        ("ftb", 1.0), ("iter_max", 0), ("reg_prim", 0.0),
+        ("itref_corr_max", 0), ("corr_ratio", 0.0),
+        ("itref_stop_ratio", 0.0), ("qr_fallback_ratio", 0.0),
+    ])
+    def test_validate_accepts_range_ends(self, name, value):
+        replace(IpmArg(), **{name: value}).validate()
+
+    @pytest.mark.parametrize("mode", ["speed_abs", "speed", "balance", "robust"])
+    def test_either_formulation_solves_every_preset(self, mode):
+        # the formulation alone decides whether the loop has residuals
+        qp = gen_mass_spring(MassSpringConfig(masses=2, horizon=10))
+        p = mode_preset(mode).with_tol(1e-6)
+        rep = solve_ocp_qp(qp, replace(p, abs_form=not p.abs_form))
+        assert rep.status is Status.Success
 
     def test_validate_rejects_unknown_factorization(self):
         for policy in ("chol", "chol_qr", "qr"):
