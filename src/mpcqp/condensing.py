@@ -70,7 +70,7 @@ import numpy as np
 from .errors import CondenseError, DimensionMismatch, InvalidBlockSize
 from .ipm_core import RICCATI_VARIANTS
 from .linalg import cholesky_factor, matmul_acc, qr_cholesky
-from .qp_data import DenseQp, OcpQp, OcpQpDim
+from .qp_data import ROW_FIELDS, DenseQp, OcpQp, OcpQpDim
 from .view import DenseView, QpSolution, _ranges, make_view
 
 __all__ = [
@@ -81,11 +81,6 @@ __all__ = [
     "partial_condense",
     "partial_expand",
 ]
-
-# constraint-row fields that a dense QP and a stage store alike
-_ROW_FIELDS = ("idxb", "lb", "ub", "lg", "ug", "idxs", "maskl", "masku", "Zl",
-               "Zu", "zl", "zu", "sl_lb", "su_lb")
-
 
 @dataclass
 class CondensingMap:
@@ -459,7 +454,8 @@ def partial_condense(qp, N1):
         }
         for name, value in split.items():
             out.set_field(name, k, value)
-        for name in _ROW_FIELDS:
+        # the constraint-row fields, which a dense QP and a stage store alike
+        for name in ROW_FIELDS:
             out.set_field(name, k, dd[name])
     # terminal stage copies over verbatim
     out._stages[-1] = dict(qp._stages[d.N])

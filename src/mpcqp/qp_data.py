@@ -27,6 +27,18 @@ multiplier updates, residuals and the duality measure.
 All data is accessed through ``set_field``/``get_field`` with the documented
 field catalog; a set followed by a get returns exactly the stored values.
 Internal storage is private and may differ from the accessor layout.
+
+The catalog (``_FIELDS`` of each container: name order, shape and dtype of
+every field) is the one description of a QP's fields; :mod:`qp_io` reads
+and writes files through it.  The dynamics of both stage types come from
+one edge table on the dimension record, ``dim.edges``, which maps dynamics
+index i to ``(parent, child)``: ``n -> (n, n + 1)`` for an OCP and
+``m -> (parents[m], m)`` for a tree, in child order (the edge into node c
+is the (c - 1)-th).  The shapes of A B b, the dynamics storage, the index
+checks, :func:`validate` and the view's edges all read it.  One initialiser,
+``_zero_rows``, sets the constraint-row fields that a stage and a dense QP
+store alike (``ROW_FIELDS``) for both.  Counts, parents and index-set
+entries must be whole numbers: ``2.0`` passes, ``2.5`` raises.
 """
 
 from __future__ import annotations
@@ -53,13 +65,35 @@ __all__ = [
 ]
 
 
-def _intvec(values, name):
-    arr = np.asarray(values, dtype=int)
-    if arr.ndim != 1:
-        raise InvalidDim(f"{name} must be a 1-d integer sequence")
-    if np.any(arr < 0):
-        raise InvalidDim(f"{name} entries must be nonnegative")
-    return arr
+def _whole(values, name, exc=InvalidDim):
+    """``values`` as an integer array; raises ``exc`` on a non-whole number."""
+    arr = np.asarray(values)
+    if arr.dtype.kind == "f" and not (np.isfinite(arr) & (arr == np.floor(arr))).all():
+        raise exc(f"{name} must hold whole numbers")
+    return arr.astype(int)
+
+
+def _set_counts(dim, n_stage, where, **counts):
+    """Check and store the per-stage counts nx nu nb ng ns of a dimension record.
+
+    ``where`` names a stage (``stage`` or ``node``) in the messages; a count
+    left as None is zero at every stage.
+    """
+    for name, v in counts.items():
+        arr = _whole([0] * n_stage if v is None else v, name)
+        if arr.shape != (n_stage,):
+            raise InvalidDim(f"{name} must be a 1-d sequence with one entry "
+                             f"per {where} ({n_stage})")
+        if np.any(arr < 0):
+            raise InvalidDim(f"{name} entries must be nonnegative")
+        object.__setattr__(dim, name, arr)
+    for n in range(n_stage):
+        if dim.nb[n] > dim.nu[n] + dim.nx[n]:
+            raise InvalidDim(f"{where} {n}: nb = {dim.nb[n]} exceeds nu + nx = "
+                             f"{dim.nu[n] + dim.nx[n]}")
+        if dim.ns[n] > dim.nb[n] + dim.ng[n]:
+            raise InvalidDim(f"{where} {n}: ns = {dim.ns[n]} exceeds nb + ng = "
+                             f"{dim.nb[n] + dim.ng[n]}")
 
 
 @dataclass(frozen=True)
@@ -67,9 +101,10 @@ class OcpQpDim:
     """Stage-wise dimensions of an optimal-control QP with horizon N.
 
     There are N + 1 stages (0..N); dynamics link consecutive stages, so there
-    are N dynamics blocks.  ``nb[n] <= nu[n] + nx[n]`` box rows select
-    components of the stacked stage variable ``(u[n], x[n])`` (inputs first);
-    ``ns[n] <= nb[n] + ng[n]`` rows are softened.
+    are N dynamics blocks, ``edges = {n: (n, n + 1)}``.  ``nb[n] <= nu[n] +
+    nx[n]`` box rows select components of the stacked stage variable
+    ``(u[n], x[n])`` (inputs first); ``ns[n] <= nb[n] + ng[n]`` rows are
+    softened.
     """
 
     N: int
@@ -78,37 +113,15 @@ class OcpQpDim:
     nb: np.ndarray
     ng: np.ndarray
     ns: np.ndarray
+    edges: dict
 
     def __init__(self, N, nx, nu, nb=None, ng=None, ns=None):
+        N = int(_whole(N, "horizon N"))
         if N < 0:
             raise InvalidDim("horizon N must be >= 0")
-        object.__setattr__(self, "N", int(N))
-        n_stage = self.N + 1
-
-        def prep(v, name, default=0):
-            if v is None:
-                v = [default] * n_stage
-            arr = _intvec(v, name)
-            if arr.shape[0] != n_stage:
-                raise InvalidDim(f"{name} must have N+1 = {n_stage} entries")
-            return arr
-
-        object.__setattr__(self, "nx", prep(nx, "nx"))
-        object.__setattr__(self, "nu", prep(nu, "nu"))
-        object.__setattr__(self, "nb", prep(nb, "nb"))
-        object.__setattr__(self, "ng", prep(ng, "ng"))
-        object.__setattr__(self, "ns", prep(ns, "ns"))
-        for n in range(n_stage):
-            if self.nb[n] > self.nu[n] + self.nx[n]:
-                raise InvalidDim(
-                    f"stage {n}: nb = {self.nb[n]} exceeds nu + nx = "
-                    f"{self.nu[n] + self.nx[n]}"
-                )
-            if self.ns[n] > self.nb[n] + self.ng[n]:
-                raise InvalidDim(
-                    f"stage {n}: ns = {self.ns[n]} exceeds nb + ng = "
-                    f"{self.nb[n] + self.ng[n]}"
-                )
+        object.__setattr__(self, "N", N)
+        _set_counts(self, N + 1, "stage", nx=nx, nu=nu, nb=nb, ng=ng, ns=ns)
+        object.__setattr__(self, "edges", {n: (n, n + 1) for n in range(N)})
 
 
 @dataclass(frozen=True)
@@ -117,7 +130,8 @@ class TreeOcpQpDim:
 
     ``parents[m]`` is the parent index of node m, with ``parents[0] == -1``
     for the root; parents must precede children (``0 <= parents[m] < m``), so
-    the stored node order is a topological order.
+    the stored node order is a topological order.  Every non-root node m is
+    the child of dynamics block m, ``edges = {m: (parents[m], m)}``.
     """
 
     parents: np.ndarray
@@ -126,9 +140,10 @@ class TreeOcpQpDim:
     nb: np.ndarray
     ng: np.ndarray
     ns: np.ndarray
+    edges: dict
 
     def __init__(self, parents, nx, nu, nb=None, ng=None, ns=None):
-        par = np.asarray(parents, dtype=int)
+        par = _whole(parents, "parents")
         if par.ndim != 1 or par.shape[0] < 1:
             raise InvalidDim("parents must be a nonempty 1-d integer sequence")
         if par[0] != -1:
@@ -139,26 +154,10 @@ class TreeOcpQpDim:
                     f"node {m}: parent {par[m]} must satisfy 0 <= parent < {m}"
                 )
         object.__setattr__(self, "parents", par)
-        n_node = par.shape[0]
-
-        def prep(v, name, default=0):
-            if v is None:
-                v = [default] * n_node
-            arr = _intvec(v, name)
-            if arr.shape[0] != n_node:
-                raise InvalidDim(f"{name} must have one entry per node ({n_node})")
-            return arr
-
-        object.__setattr__(self, "nx", prep(nx, "nx"))
-        object.__setattr__(self, "nu", prep(nu, "nu"))
-        object.__setattr__(self, "nb", prep(nb, "nb"))
-        object.__setattr__(self, "ng", prep(ng, "ng"))
-        object.__setattr__(self, "ns", prep(ns, "ns"))
-        for m in range(n_node):
-            if self.nb[m] > self.nu[m] + self.nx[m]:
-                raise InvalidDim(f"node {m}: nb exceeds nu + nx")
-            if self.ns[m] > self.nb[m] + self.ng[m]:
-                raise InvalidDim(f"node {m}: ns exceeds nb + ng")
+        _set_counts(self, par.shape[0], "node", nx=nx, nu=nu, nb=nb, ng=ng, ns=ns)
+        object.__setattr__(
+            self, "edges", {m: (p, m) for m, p in enumerate(par.tolist()) if m}
+        )
 
     @property
     def n_node(self):
@@ -174,17 +173,72 @@ class _Field:
     attr: str
     shape: object          # callable (qp, n) -> tuple
     dtype: type = float
-    dyn: bool = False      # indexed by dynamics block / non-root node
+    dyn: bool = False      # indexed by dynamics block, a key of dim.edges
     bound: bool = False    # read only by the view's bound vector d and mask act
 
 
 def _check_value(name, value, shape, dtype):
-    arr = np.array(value, dtype=dtype)
+    if dtype is int:
+        arr = _whole(value, f"field '{name}'", DimensionMismatch)
+    else:
+        arr = np.array(value, dtype=dtype)
     if arr.shape != shape:
         raise DimensionMismatch(
             f"field '{name}': expected shape {shape}, got {arr.shape}"
         )
     return arr
+
+
+def _zero(fields, d, n, rows):
+    """Fresh values of the catalog ``fields`` at index n.
+
+    A field takes its value from ``rows`` (see :func:`_zero_rows`) if that
+    names it, else zeros of its catalog shape.
+    """
+    return {name: rows[name] if name in rows else np.zeros(f.shape(d, n))
+            for name, f in fields.items()}
+
+
+def _filled(k, value):
+    # np.full and np.ones take about three times as long at these sizes
+    arr = np.empty(k)
+    arr.fill(value)
+    return arr
+
+
+def _zero_rows(nb, ng, ns):
+    """The constraint-row fields of a stage or a dense QP, freshly set."""
+    inf = np.inf
+    return {
+        "idxb": np.arange(nb, dtype=int),
+        "lb": _filled(nb, -inf),
+        "ub": _filled(nb, inf),
+        "lg": _filled(ng, -inf),
+        "ug": _filled(ng, inf),
+        "idxs": np.arange(ns, dtype=int),
+        **{k: np.zeros(ns) for k in ("Zl", "Zu", "zl", "zu", "sl_lb", "su_lb")},
+        "maskl": _filled(nb + ng, 1.0),
+        "masku": _filled(nb + ng, 1.0),
+    }
+
+
+# the row fields that a dense QP and a stage store alike
+ROW_FIELDS = tuple(_zero_rows(0, 0, 0))
+
+
+def _zero_stage(nx, nu, nb, ng, ns):
+    # written out rather than taken from the catalog's shape functions, which
+    # made building a horizon's stages about 15% slower
+    return {
+        "Q": np.zeros((nx, nx)),
+        "S": np.zeros((nu, nx)),
+        "R": np.zeros((nu, nu)),
+        "q": np.zeros(nx),
+        "r": np.zeros(nu),
+        "C": np.zeros((ng, nx)),
+        "D": np.zeros((ng, nu)),
+        **_zero_rows(nb, ng, ns),
+    }
 
 
 # fields that no blocking check of validate() reads (bounds, gradients,
@@ -238,33 +292,6 @@ class _FieldAccess:
 # stage data shared by OCP and tree nodes
 # --------------------------------------------------------------------------
 
-def _zero_stage(nx, nu, nb, ng, ns):
-    inf = np.inf
-    return {
-        "Q": np.zeros((nx, nx)),
-        "S": np.zeros((nu, nx)),
-        "R": np.zeros((nu, nu)),
-        "q": np.zeros(nx),
-        "r": np.zeros(nu),
-        "idxb": np.arange(nb, dtype=int),
-        "lb": np.full(nb, -inf),
-        "ub": np.full(nb, inf),
-        "C": np.zeros((ng, nx)),
-        "D": np.zeros((ng, nu)),
-        "lg": np.full(ng, -inf),
-        "ug": np.full(ng, inf),
-        "idxs": np.arange(ns, dtype=int),
-        "Zl": np.zeros(ns),
-        "Zu": np.zeros(ns),
-        "zl": np.zeros(ns),
-        "zu": np.zeros(ns),
-        "sl_lb": np.zeros(ns),
-        "su_lb": np.zeros(ns),
-        "maskl": np.ones(nb + ng),
-        "masku": np.ones(nb + ng),
-    }
-
-
 _STAGE_FIELDS = {
     "Q": _Field("Q", lambda d, n: (d.nx[n], d.nx[n])),
     "S": _Field("S", lambda d, n: (d.nu[n], d.nx[n])),
@@ -289,13 +316,50 @@ _STAGE_FIELDS = {
     "masku": _Field("masku", lambda d, n: (d.nb[n] + d.ng[n],), bound=True),
 }
 
+# dynamics block i of the edge table, ``d.edges[i] = (parent, child)``:
+# x[child] = A x[parent] + B u[parent] + b
+_DYN_FIELDS = {
+    "A": _Field("A", lambda d, i: (d.nx[d.edges[i][1]], d.nx[d.edges[i][0]]),
+                dyn=True),
+    "B": _Field("B", lambda d, i: (d.nx[d.edges[i][1]], d.nu[d.edges[i][0]]),
+                dyn=True),
+    "b": _Field("b", lambda d, i: (d.nx[d.edges[i][1]],), dyn=True),
+}
+
 # bounds restricted to input / state box rows, derived from idxb: the
 # field each one writes
 _STAGE_VIRTUAL = {"lbu": "lb", "ubu": "ub", "lbx": "lb", "ubx": "ub"}
 
 
 class _StageQpBase(_FieldAccess):
-    """Common stage-indexed accessors for OcpQp and TreeOcpQp."""
+    """Stages (nodes) joined by the dynamics blocks of ``dim.edges``.
+
+    Stage n holds the stage fields and dynamics block i the fields A B b,
+    in slot i of ``_dyn``; a tree's slot 0 stays unused.  A subclass names
+    its ``kind`` and its dimension record type ``_DIM``.
+    """
+
+    _FIELDS = {**_STAGE_FIELDS, **_DYN_FIELDS}
+
+    def __init__(self, dim):
+        if not isinstance(dim, self._DIM):
+            raise InvalidDim(
+                f"{type(self).__name__} requires a {self._DIM.__name__}"
+            )
+        self.dim = d = dim
+        counts = (d.nx.tolist(), d.nu.tolist(), d.nb.tolist(), d.ng.tolist(),
+                  d.ns.tolist())
+        self._stages = [_zero_stage(*c) for c in zip(*counts)]
+        self._dyn = [None] * (max(d.edges, default=-1) + 1)
+        for i in d.edges:
+            self._dyn[i] = _zero(_DYN_FIELDS, d, i, {})
+        self._rev = 0
+
+    def _check_stage(self, name, n, dyn):
+        d = self.dim
+        if not (n in d.edges if dyn else 0 <= n < len(d.nx)):
+            what = "dynamics block" if dyn else "stage"
+            raise IndexOutOfRange(f"field '{name}': no {what} {n}")
 
     def _box_split(self, n):
         idxb = self._stages[n]["idxb"]
@@ -346,41 +410,8 @@ class OcpQp(_StageQpBase):
     lbx/ubx address the input-box / state-box subsets of lb/ub.
     """
 
-    _FIELDS = dict(_STAGE_FIELDS)
-    _FIELDS.update(
-        {
-            "A": _Field("A", lambda d, n: (d.nx[n + 1], d.nx[n]), float, dyn=True),
-            "B": _Field("B", lambda d, n: (d.nx[n + 1], d.nu[n]), float, dyn=True),
-            "b": _Field("b", lambda d, n: (d.nx[n + 1],), float, dyn=True),
-        }
-    )
     kind = "ocp"
-
-    def __init__(self, dim: OcpQpDim):
-        if not isinstance(dim, OcpQpDim):
-            raise InvalidDim("OcpQp requires an OcpQpDim")
-        self.dim = dim
-        d = dim
-        self._stages = [
-            _zero_stage(d.nx[n], d.nu[n], d.nb[n], d.ng[n], d.ns[n])
-            for n in range(d.N + 1)
-        ]
-        self._dyn = [
-            {
-                "A": np.zeros((d.nx[n + 1], d.nx[n])),
-                "B": np.zeros((d.nx[n + 1], d.nu[n])),
-                "b": np.zeros(d.nx[n + 1]),
-            }
-            for n in range(d.N)
-        ]
-        self._rev = 0
-
-    def _check_stage(self, name, n, dyn):
-        hi = self.dim.N - 1 if dyn else self.dim.N
-        if not 0 <= n <= hi:
-            raise IndexOutOfRange(
-                f"field '{name}': stage {n} outside 0..{hi}"
-            )
+    _DIM = OcpQpDim
 
 
 class TreeOcpQp(_StageQpBase):
@@ -391,54 +422,8 @@ class TreeOcpQp(_StageQpBase):
     ``x[m] = A[m] x[parent(m)] + B[m] u[parent(m)] + b[m]``.
     """
 
-    _FIELDS = dict(_STAGE_FIELDS)
-    _FIELDS.update(
-        {
-            "A": _Field(
-                "A",
-                lambda d, m: (d.nx[m], d.nx[d.parents[m]]),
-                float,
-                dyn=True,
-            ),
-            "B": _Field(
-                "B",
-                lambda d, m: (d.nx[m], d.nu[d.parents[m]]),
-                float,
-                dyn=True,
-            ),
-            "b": _Field("b", lambda d, m: (d.nx[m],), float, dyn=True),
-        }
-    )
     kind = "tree"
-
-    def __init__(self, dim: TreeOcpQpDim):
-        if not isinstance(dim, TreeOcpQpDim):
-            raise InvalidDim("TreeOcpQp requires a TreeOcpQpDim")
-        self.dim = dim
-        d = dim
-        self._stages = [
-            _zero_stage(d.nx[m], d.nu[m], d.nb[m], d.ng[m], d.ns[m])
-            for m in range(d.n_node)
-        ]
-        # dynamics data per non-root node; slot 0 unused
-        self._dyn = [None]
-        for m in range(1, d.n_node):
-            p = d.parents[m]
-            self._dyn.append(
-                {
-                    "A": np.zeros((d.nx[m], d.nx[p])),
-                    "B": np.zeros((d.nx[m], d.nu[p])),
-                    "b": np.zeros(d.nx[m]),
-                }
-            )
-        self._rev = 0
-
-    def _check_stage(self, name, m, dyn):
-        lo = 1 if dyn else 0
-        if not lo <= m < self.dim.n_node:
-            raise IndexOutOfRange(
-                f"field '{name}': node {m} outside {lo}..{self.dim.n_node - 1}"
-            )
+    _DIM = TreeOcpQpDim
 
 
 class DenseQp(_FieldAccess):
@@ -474,36 +459,20 @@ class DenseQp(_FieldAccess):
     }
 
     def __init__(self, nv, ne=0, nb=0, ng=0, ns=0):
-        for name, val in (("nv", nv), ("ne", ne), ("nb", nb), ("ng", ng), ("ns", ns)):
+        counts = {"nv": nv, "ne": ne, "nb": nb, "ng": ng, "ns": ns}
+        for name, val in counts.items():
+            val = int(_whole(val, name))
             if val < 0:
                 raise InvalidDim(f"{name} must be >= 0")
-        if nb > nv:
-            raise InvalidDim(f"nb = {nb} exceeds nv = {nv}")
-        if ns > nb + ng:
-            raise InvalidDim(f"ns = {ns} exceeds nb + ng = {nb + ng}")
-        self.nv, self.ne, self.nb, self.ng, self.ns = nv, ne, nb, ng, ns
-        inf = np.inf
-        self._data = {
-            "H": np.zeros((nv, nv)),
-            "g": np.zeros(nv),
-            "A": np.zeros((ne, nv)),
-            "b": np.zeros(ne),
-            "idxb": np.arange(nb, dtype=int),
-            "lb": np.full(nb, -inf),
-            "ub": np.full(nb, inf),
-            "C": np.zeros((ng, nv)),
-            "lg": np.full(ng, -inf),
-            "ug": np.full(ng, inf),
-            "idxs": np.arange(ns, dtype=int),
-            "Zl": np.zeros(ns),
-            "Zu": np.zeros(ns),
-            "zl": np.zeros(ns),
-            "zu": np.zeros(ns),
-            "sl_lb": np.zeros(ns),
-            "su_lb": np.zeros(ns),
-            "maskl": np.ones(nb + ng),
-            "masku": np.ones(nb + ng),
-        }
+            setattr(self, name, val)
+        if self.nb > self.nv:
+            raise InvalidDim(f"nb = {self.nb} exceeds nv = {self.nv}")
+        if self.ns > self.nb + self.ng:
+            raise InvalidDim(
+                f"ns = {self.ns} exceeds nb + ng = {self.nb + self.ng}"
+            )
+        self._data = _zero(self._FIELDS, self, None,
+                           _zero_rows(self.nb, self.ng, self.ns))
         self._rev = 0
 
     def _check_stage(self, name, n, dyn):
@@ -587,12 +556,6 @@ def _row_violations(st, nw, nb, ng, stage, out):
         )
 
 
-def _stage_violations(st, nu, nx, nb, ng, stage, out):
-    _sym_violation(st["Q"], "Q", stage, out)
-    _sym_violation(st["R"], "R", stage, out)
-    _row_violations(st, nu + nx, nb, ng, stage, out)
-
-
 def validate(qp):
     """Collect diagnostics for a QP; an empty list means valid.
 
@@ -612,17 +575,11 @@ def validate(qp):
         _sym_violation(qp._data["H"], "H", None, out)
         _row_violations(qp._data, qp.nv, qp.nb, qp.ng, None, out)
         return out
-
-    if isinstance(qp, OcpQp):
-        dm = qp.dim
-        for n in range(dm.N + 1):
-            _stage_violations(qp._stages[n], dm.nu[n], dm.nx[n],
-                              dm.nb[n], dm.ng[n], n, out)
-        return out
-
+    if not isinstance(qp, _StageQpBase):
+        raise TypeError(f"not a QP container: {type(qp)!r}")
+    dm = qp.dim
     if isinstance(qp, TreeOcpQp):
-        dm = qp.dim
-        par = np.asarray(dm.parents)
+        par = dm.parents
         if par[0] != -1:
             out.append(Violation("parents", 0, "root parent must be -1"))
         for m in range(1, par.shape[0]):
@@ -631,12 +588,11 @@ def validate(qp):
                     Violation("parents", m,
                               f"parent {par[m]} must satisfy 0 <= parent < {m}")
                 )
-        for m in range(dm.n_node):
-            _stage_violations(qp._stages[m], dm.nu[m], dm.nx[m],
-                              dm.nb[m], dm.ng[m], m, out)
-        return out
-
-    raise TypeError(f"not a QP container: {type(qp)!r}")
+    for n, st in enumerate(qp._stages):
+        _sym_violation(st["Q"], "Q", n, out)
+        _sym_violation(st["R"], "R", n, out)
+        _row_violations(st, dm.nu[n] + dm.nx[n], dm.nb[n], dm.ng[n], n, out)
+    return out
 
 
 def errors_only(violations):

@@ -1,10 +1,11 @@
 """Text interchange format for the three QP types.
 
 Layout (version 1): a header line ``mpcqp_qp 1 <dense|ocp|tree>``, dimension
-lines, then one section per stage/node with every catalog field in a fixed
-order.  A field is its name on one line followed by its values: one line per
-matrix row (row-major), a single line for vectors and index sets, nothing
-for empty matrices.  Floats are written with ``repr`` (shortest exact
+lines, then the field sections.  A field is its name on one line followed
+by its values: one line per matrix row (row-major), a single line for
+vectors and index sets.  An empty vector is one blank line; a matrix with no
+rows has no lines, and a (k, 0) matrix has k blank lines (``B`` of a stage
+with ``nu = 0``, say).  Floats are written with ``repr`` (shortest exact
 round-trip); infinities appear as ``inf``/``-inf``.
 
     mpcqp_qp 1 ocp
@@ -20,10 +21,12 @@ round-trip); infinities appear as ``inf``/``-inf``.
     0.0 1.0
     ...
 
-Stage sections list the cost, constraint and soft fields first and close
-with the dynamics blocks A B b (absent for the terminal stage / the root
-node).  Tree files add a ``parents`` line; dense files replace the stage
-sections with one flat field list.
+The fields, their order, shapes and types are those of the container's
+field catalog (see :mod:`qp_data`).  OCP and tree files hold one section
+per stage / node, opened by a ``stage n`` / ``node m`` line: the stage
+fields, then the fields A B b of dynamics block n if the edge table has
+one (not the terminal stage, not the root node).  Tree files add a
+``parents`` line; dense files hold one section without an opening line.
 
 Reading is strict: unexpected field names, malformed numbers, wrong counts
 and truncated files raise :class:`ParseError` with the offending line
@@ -42,26 +45,15 @@ __all__ = ["qp_read", "qp_write"]
 
 _MAGIC = "mpcqp_qp"
 _VERSION = 1
-
-_STAGE_ORDER = [
-    "Q", "S", "R", "q", "r",
-    "idxb", "lb", "ub",
-    "C", "D", "lg", "ug",
-    "idxs", "Zl", "Zu", "zl", "zu", "sl_lb", "su_lb",
-    "maskl", "masku",
-]
-_DYN_ORDER = ["A", "B", "b"]
-_DENSE_ORDER = [
-    "H", "g", "A", "b",
-    "idxb", "lb", "ub",
-    "C", "lg", "ug",
-    "idxs", "Zl", "Zu", "zl", "zu", "sl_lb", "su_lb",
-    "maskl", "masku",
-]
+_COUNTS = ("nx", "nu", "nb", "ng", "ns")
 
 
 def _fmt(x):
     return repr(float(x))
+
+
+def _ints(values):
+    return " ".join(str(int(v)) for v in values)
 
 
 def _write_array(out, name, arr):
@@ -69,7 +61,7 @@ def _write_array(out, name, arr):
     arr = np.asarray(arr)
     if arr.ndim == 1:
         if np.issubdtype(arr.dtype, np.integer):
-            out.append(" ".join(str(int(v)) for v in arr))
+            out.append(_ints(arr))
         else:
             out.append(" ".join(_fmt(v) for v in arr))
     else:
@@ -81,10 +73,6 @@ class _Reader:
     def __init__(self, text):
         self.lines = text.splitlines()
         self.pos = 0
-
-    @property
-    def lineno(self):
-        return self.pos  # 1-based number of the line just consumed
 
     def next(self):
         if self.pos >= len(self.lines):
@@ -117,30 +105,24 @@ class _Reader:
         except ValueError as exc:
             raise ParseError(f"bad integer in '{key}' line: {exc}", line=self.pos)
 
-    def floats(self, count):
+    def numbers(self, count, dtype):
+        kind = "integer" if dtype is int else "number"
         toks = self.next().split()
         if len(toks) != count:
             raise ParseError(
-                f"expected {count} numbers, found {len(toks)}", line=self.pos
+                f"expected {count} {kind}s, found {len(toks)}", line=self.pos
             )
         try:
-            return np.array([float(t) for t in toks])
+            return np.array([dtype(t) for t in toks], dtype=dtype)
         except ValueError as exc:
-            raise ParseError(f"bad number: {exc}", line=self.pos)
+            raise ParseError(f"bad {kind}: {exc}", line=self.pos)
 
-    def ints(self, count):
-        toks = self.next().split()
-        if len(toks) != count:
-            raise ParseError(
-                f"expected {count} integers, found {len(toks)}", line=self.pos
-            )
-        try:
-            return np.array([int(t) for t in toks], dtype=int)
-        except ValueError as exc:
-            raise ParseError(f"bad integer: {exc}", line=self.pos)
-
-    def matrix(self, rows, cols):
-        return np.array([self.floats(cols) for _ in range(rows)]).reshape(rows, cols)
+    def values(self, shape, dtype):
+        """One field's values: a vector line, or one line per matrix row."""
+        if len(shape) == 1:
+            return self.numbers(shape[0], dtype)
+        rows = [self.numbers(shape[1], dtype) for _ in range(shape[0])]
+        return np.array(rows, dtype=dtype).reshape(shape)
 
     def done(self):
         while self.pos < len(self.lines):
@@ -149,88 +131,50 @@ class _Reader:
             self.pos += 1
 
 
-def _field_shape(name, dim, n, kind_tree=False):
-    d = dim
-    if name == "Q":
-        return (d.nx[n], d.nx[n])
-    if name == "S":
-        return (d.nu[n], d.nx[n])
-    if name == "R":
-        return (d.nu[n], d.nu[n])
-    if name == "q":
-        return (d.nx[n],)
-    if name == "r":
-        return (d.nu[n],)
-    if name in ("idxb", "lb", "ub"):
-        return (d.nb[n],)
-    if name == "C":
-        return (d.ng[n], d.nx[n])
-    if name == "D":
-        return (d.ng[n], d.nu[n])
-    if name in ("lg", "ug"):
-        return (d.ng[n],)
-    if name in ("idxs", "Zl", "Zu", "zl", "zu", "sl_lb", "su_lb"):
-        return (d.ns[n],)
-    if name in ("maskl", "masku"):
-        return (d.nb[n] + d.ng[n],)
-    raise AssertionError(name)
+def _sections(qp):
+    """``(opening line, index, fields)`` of every section of ``qp``'s file.
+
+    ``index`` is the stage index argument of the section's ``set_field`` and
+    ``get_field`` calls (none for a dense QP), and ``fields`` lists
+    ``(name, shape, dtype)`` from the catalog in file order.
+    """
+    if isinstance(qp, DenseQp):
+        return [(None, (), [(name, f.shape(qp, None), f.dtype)
+                            for name, f in qp._FIELDS.items()])]
+    if not isinstance(qp, (OcpQp, TreeOcpQp)):
+        raise TypeError(f"not a QP container: {type(qp)!r}")
+    d = qp.dim
+    word = "node" if isinstance(qp, TreeOcpQp) else "stage"
+    return [
+        (f"{word} {n}", (n,), [(name, f.shape(d, n), f.dtype)
+                               for name, f in qp._FIELDS.items()
+                               if not f.dyn or n in d.edges])
+        for n in range(len(d.nx))
+    ]
 
 
-def _write_stage_fields(out, qp, n):
-    for name in _STAGE_ORDER:
-        _write_array(out, name, qp.get_field(name, n))
-
-
-def _read_stage_fields(rd, qp, dim, n):
-    for name in _STAGE_ORDER:
-        shape = _field_shape(name, dim, n)
-        rd.expect(name)
-        if name in ("idxb", "idxs"):
-            val = rd.ints(shape[0])
-        elif len(shape) == 1:
-            val = rd.floats(shape[0])
-        else:
-            val = rd.matrix(*shape)
-        qp.set_field(name, n, val)
+def _header(qp):
+    """The magic line and the dimension lines of ``qp``'s file."""
+    lines = [f"{_MAGIC} {_VERSION} {qp.kind}"]
+    if isinstance(qp, DenseQp):
+        return lines + [f"dims {_ints((qp.nv, qp.ne, qp.nb, qp.ng, qp.ns))}"]
+    d = qp.dim
+    if isinstance(qp, TreeOcpQp):
+        lines += [f"nodes {d.n_node}", f"parents {_ints(d.parents)}"]
+    else:
+        lines.append(f"N {d.N}")
+    return lines + [f"{key} {_ints(getattr(d, key))}" for key in _COUNTS]
 
 
 def qp_write(path, qp):
     """Serialize a QP to the documented text format (overwrites ``path``)."""
-    out = []
-    if isinstance(qp, DenseQp):
-        out.append(f"{_MAGIC} {_VERSION} dense")
-        out.append(
-            f"dims {qp.nv} {qp.ne} {qp.nb} {qp.ng} {qp.ns}"
-        )
-        for name in _DENSE_ORDER:
-            _write_array(out, name, qp.get_field(name))
-    elif isinstance(qp, OcpQp):
-        d = qp.dim
-        out.append(f"{_MAGIC} {_VERSION} ocp")
-        out.append(f"N {d.N}")
-        for key in ("nx", "nu", "nb", "ng", "ns"):
-            out.append(key + " " + " ".join(str(int(v)) for v in getattr(d, key)))
-        for n in range(d.N + 1):
-            out.append(f"stage {n}")
-            _write_stage_fields(out, qp, n)
-            if n < d.N:
-                for name in _DYN_ORDER:
-                    _write_array(out, name, qp.get_field(name, n))
-    elif isinstance(qp, TreeOcpQp):
-        d = qp.dim
-        out.append(f"{_MAGIC} {_VERSION} tree")
-        out.append(f"nodes {d.n_node}")
-        out.append("parents " + " ".join(str(int(v)) for v in d.parents))
-        for key in ("nx", "nu", "nb", "ng", "ns"):
-            out.append(key + " " + " ".join(str(int(v)) for v in getattr(d, key)))
-        for m in range(d.n_node):
-            out.append(f"node {m}")
-            _write_stage_fields(out, qp, m)
-            if m >= 1:
-                for name in _DYN_ORDER:
-                    _write_array(out, name, qp.get_field(name, m))
-    else:
-        raise TypeError(f"not a QP container: {type(qp)!r}")
+    sections = _sections(qp)    # a TypeError for anything but a QP, first
+    out = _header(qp)
+    for line, at, fields in sections:
+        if line:
+            out.append(line)
+        for name, _, _ in fields:
+            _write_array(out, name, qp.get_field(name, *at))
     with open(path, "w") as fh:
         fh.write("\n".join(out) + "\n")
 
@@ -248,61 +192,23 @@ def qp_read(path):
         )
     kind = head[2]
     if kind == "dense":
-        nv, ne, nb, ng, ns = rd.keyword_ints("dims", 5)
-        qp = DenseQp(nv, ne, nb, ng, ns)
-        for name in _DENSE_ORDER:
-            rd.expect(name)
-            shape = {
-                "H": (nv, nv), "g": (nv,), "A": (ne, nv), "b": (ne,),
-                "idxb": (nb,), "lb": (nb,), "ub": (nb,),
-                "C": (ng, nv), "lg": (ng,), "ug": (ng,),
-                "idxs": (ns,), "Zl": (ns,), "Zu": (ns,), "zl": (ns,),
-                "zu": (ns,), "sl_lb": (ns,), "su_lb": (ns,),
-                "maskl": (nb + ng,), "masku": (nb + ng,),
-            }[name]
-            if name in ("idxb", "idxs"):
-                val = rd.ints(shape[0])
-            elif len(shape) == 1:
-                val = rd.floats(shape[0])
-            else:
-                val = rd.matrix(*shape)
-            qp.set_field(name, val)
-        rd.done()
-        return qp
-    if kind == "ocp":
+        qp = DenseQp(*rd.keyword_ints("dims", 5))
+    elif kind == "ocp":
         (N,) = rd.keyword_ints("N", 1)
-        counts = {k: rd.keyword_ints(k, N + 1) for k in ("nx", "nu", "nb", "ng", "ns")}
-        dim = OcpQpDim(N, **counts)
-        qp = OcpQp(dim)
-        for n in range(N + 1):
-            rd.expect(f"stage {n}")
-            _read_stage_fields(rd, qp, dim, n)
-            if n < N:
-                rd.expect("A")
-                qp.set_field("A", n, rd.matrix(dim.nx[n + 1], dim.nx[n]))
-                rd.expect("B")
-                qp.set_field("B", n, rd.matrix(dim.nx[n + 1], dim.nu[n]))
-                rd.expect("b")
-                qp.set_field("b", n, rd.floats(dim.nx[n + 1]))
-        rd.done()
-        return qp
-    if kind == "tree":
+        counts = {k: rd.keyword_ints(k, N + 1) for k in _COUNTS}
+        qp = OcpQp(OcpQpDim(N, **counts))
+    elif kind == "tree":
         (n_node,) = rd.keyword_ints("nodes", 1)
         parents = rd.keyword_ints("parents", n_node)
-        counts = {k: rd.keyword_ints(k, n_node) for k in ("nx", "nu", "nb", "ng", "ns")}
-        dim = TreeOcpQpDim(parents, **counts)
-        qp = TreeOcpQp(dim)
-        for m in range(n_node):
-            rd.expect(f"node {m}")
-            _read_stage_fields(rd, qp, dim, m)
-            if m >= 1:
-                p = dim.parents[m]
-                rd.expect("A")
-                qp.set_field("A", m, rd.matrix(dim.nx[m], dim.nx[p]))
-                rd.expect("B")
-                qp.set_field("B", m, rd.matrix(dim.nx[m], dim.nu[p]))
-                rd.expect("b")
-                qp.set_field("b", m, rd.floats(dim.nx[m]))
-        rd.done()
-        return qp
-    raise ParseError(f"unknown QP kind '{kind}'", line=1)
+        counts = {k: rd.keyword_ints(k, n_node) for k in _COUNTS}
+        qp = TreeOcpQp(TreeOcpQpDim(parents, **counts))
+    else:
+        raise ParseError(f"unknown QP kind '{kind}'", line=1)
+    for line, at, fields in _sections(qp):
+        if line:
+            rd.expect(line)
+        for name, shape, dtype in fields:
+            rd.expect(name)
+            qp.set_field(name, *at, rd.values(shape, dtype))
+    rd.done()
+    return qp

@@ -64,10 +64,10 @@ and its nodes' ``[D C]`` into ``scipy.sparse`` CSR, so that each product is
 one call whatever the number of nodes.
 
 OCP and tree QPs share one view, :class:`StageView`, because a horizon is a
-chain tree: nodes (stages) joined by dynamics edges.  Its edge table lists
-``(parent, child, dyn)`` in multiplier order, ``(n, n+1, _dyn[n])`` for an
-OCP and ``(parents[m], m, _dyn[m])`` for a tree, so ``pi`` holds one block
-per edge in that order for both types.
+chain tree: nodes (stages) joined by dynamics edges.  The edges come from
+the container's edge table ``dim.edges`` (see :mod:`qp_data`): the view
+lists ``(parent, child, _dyn[i])`` for every dynamics block i in multiplier
+order, so ``pi`` holds one block per edge in that order for both types.
 
 A view is cached on its QP (see :func:`make_view`).  A write to a field
 that feeds only the bound vector d and the activity mask (``lb``, ``ub``,
@@ -655,13 +655,9 @@ def make_view(qp):
         return view
     if isinstance(qp, DenseQp):
         view = DenseView(qp)
-    elif isinstance(qp, OcpQp):
-        view = StageView(qp, [(n, n + 1, qp._dyn[n]) for n in range(qp.dim.N)])
-    elif isinstance(qp, TreeOcpQp):
-        par = qp.dim.parents
-        view = StageView(
-            qp, [(par[m], m, qp._dyn[m]) for m in range(1, qp.dim.n_node)]
-        )
+    elif isinstance(qp, (OcpQp, TreeOcpQp)):
+        edges = qp.dim.edges.items()
+        view = StageView(qp, [(p, c, qp._dyn[i]) for i, (p, c) in edges])
     else:
         raise TypeError(f"not a QP container: {type(qp)!r}")
     qp._view_cache = (qp._rev, view, True)
@@ -756,11 +752,12 @@ class QpSolution:
     def pi_stage(self, n):
         """Dynamics multiplier of stage n (OCP) or of the edge into node n (tree)."""
         vw = self._view
-        e = n - 1 if vw.kind == "tree" else n
-        if not 0 <= e < len(vw.edges):
-            raise IndexOutOfRange(f"no dynamics multiplier at {n}")
-        off = vw.pi_off[e]
-        return self.pi[off: off + vw.qp.dim.nx[vw.edges[e][1]]]
+        try:
+            child = vw.qp.dim.edges[n][1]
+        except KeyError:
+            raise IndexOutOfRange(f"no dynamics multiplier at {n}") from None
+        off = vw.pi_off[child - 1]    # the edge into node c is edge c - 1
+        return self.pi[off: off + vw.qp.dim.nx[child]]
 
     def lam_stage(self, n):
         cb = self._block(n)

@@ -47,6 +47,45 @@ class TestDims:
         with pytest.raises(InvalidDim):
             TreeOcpQpDim([-1, 0, 5], nx=[1, 1, 1], nu=[0, 0, 0])
 
+    @pytest.mark.parametrize("make", [
+        lambda: OcpQpDim(2.7, nx=[2, 2, 2], nu=[1, 1, 0]),
+        lambda: OcpQpDim(2, nx=[2.9, 2, 2], nu=[1, 1, 0]),
+        lambda: OcpQpDim(1, nx=[1, 1], nu=[1, 0], nb=[0.5, 0]),
+        lambda: OcpQpDim(1, nx=[1, 1], nu=[1, 0], ns=[0, np.nan]),
+        lambda: TreeOcpQpDim([-1, 0.6, 1.2], nx=[1, 1, 1], nu=[0, 0, 0]),
+        lambda: TreeOcpQpDim([-1, 0, 0], nx=[1, 1, 1], nu=[0, 1.5, 0]),
+        lambda: DenseQp(2.5),
+        lambda: DenseQp(2, nb=np.inf),
+    ], ids=["N", "nx", "nb", "ns_nan", "parents", "tree_nu", "dense_nv",
+            "dense_nb_inf"])
+    def test_non_whole_counts_rejected(self, make):
+        with pytest.raises(InvalidDim):
+            make()
+
+    def test_whole_counts_of_any_type_accepted(self):
+        for N in (2, np.int64(2), 2.0):
+            dim = OcpQpDim(N, nx=[2.0, np.int64(2), 2], nu=np.array([1.0, 1.0, 0.0]))
+            assert dim.N == 2 and type(dim.N) is int
+            assert dim.nx.tolist() == [2, 2, 2] and dim.nu.tolist() == [1, 1, 0]
+        tree = TreeOcpQpDim(np.array([-1.0, 0.0, 1.0]), nx=[1, 1, 1], nu=[0, 0, 0])
+        assert tree.parents.tolist() == [-1, 0, 1]
+        assert DenseQp(2.0, nb=np.int64(1)).nv == 2
+
+    def test_edge_table(self):
+        chain = OcpQpDim(3, nx=[1] * 4, nu=[1] * 4)
+        assert chain.edges == {0: (0, 1), 1: (1, 2), 2: (2, 3)}
+        assert OcpQpDim(0, nx=[1], nu=[0]).edges == {}
+        tree = TreeOcpQpDim([-1, 0, 0, 1, 2, 2], nx=[1] * 6, nu=[1] * 6)
+        assert tree.edges == {1: (0, 1), 2: (0, 2), 3: (1, 3), 4: (2, 4),
+                              5: (2, 5)}
+        assert TreeOcpQpDim([-1], nx=[1], nu=[0]).edges == {}
+        # the dynamics shapes follow the edges
+        qp = TreeOcpQp(TreeOcpQpDim([-1, 0, 0], nx=[1, 2, 3], nu=[2, 0, 0]))
+        for m, (p, c) in qp.dim.edges.items():
+            assert qp.get_field("A", m).shape == (qp.dim.nx[c], qp.dim.nx[p])
+            assert qp.get_field("B", m).shape == (qp.dim.nx[c], qp.dim.nu[p])
+            assert qp.get_field("b", m).shape == (qp.dim.nx[c],)
+
 
 class TestFieldAccess:
     def test_round_trip_all_ocp_fields(self, rng):
@@ -74,6 +113,23 @@ class TestFieldAccess:
             qp.set_field("lbx", 3, [0.0])
         with pytest.raises(IndexOutOfRange):
             qp.set_field("A", 2, np.eye(1))
+        tree = TreeOcpQp(TreeOcpQpDim([-1, 0, 0], nx=[1] * 3, nu=[1] * 3))
+        for name, value in (("A", np.eye(1)), ("B", np.eye(1)), ("b", [0.0])):
+            for n in (0, 3):
+                with pytest.raises(IndexOutOfRange):
+                    tree.set_field(name, n, value)
+                with pytest.raises(IndexOutOfRange):
+                    tree.get_field(name, n)
+            with pytest.raises(IndexOutOfRange):
+                qp.set_field(name, -1, value)
+            for n in (-1, 2):
+                with pytest.raises(IndexOutOfRange):
+                    qp.get_field(name, n)
+        for n in (-1, 3):
+            with pytest.raises(IndexOutOfRange):
+                qp.get_field("Q", n)
+            with pytest.raises(IndexOutOfRange):
+                tree.get_field("Q", n)
 
     def test_unknown_field(self):
         qp = DenseQp(nv=1)
@@ -91,6 +147,18 @@ class TestFieldAccess:
         assert np.array_equal(qp.get_field("Zl"), [-1.0])
         out = validate(qp)
         assert any(v.field == "Zl" for v in out)
+
+    @pytest.mark.parametrize("name", ["idxb", "idxs"])
+    def test_non_whole_index_set_rejected(self, name):
+        qp = OcpQp(OcpQpDim(1, nx=[2, 2], nu=[1, 0], nb=[3, 0], ns=[3, 0]))
+        with pytest.raises(DimensionMismatch):
+            qp.set_field(name, 0, [0.5, 1.7, 2.2])
+        assert qp.get_field(name, 0).tolist() == [0, 1, 2]
+        qp.set_field(name, 0, [0.0, np.int64(1), 2])
+        assert qp.get_field(name, 0).dtype.kind == "i"
+        dense = DenseQp(nv=3, nb=2, ns=2)
+        with pytest.raises(DimensionMismatch):
+            dense.set_field(name, [0, 1.5])
 
     def test_virtual_bounds_split(self):
         qp = OcpQp(OcpQpDim(1, nx=[2, 2], nu=[1, 0], nb=[3, 2]))
