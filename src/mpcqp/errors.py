@@ -16,7 +16,11 @@ class DimensionMismatch(MpcQpError, ValueError):
 
 
 class InvalidDim(MpcQpError, ValueError):
-    """A dimension record violates its invariants."""
+    """A dimension record violates its invariants; carries the field when known."""
+
+    def __init__(self, msg, field=None):
+        super().__init__(msg)
+        self.field = field
 
 
 class UnknownField(MpcQpError, KeyError):

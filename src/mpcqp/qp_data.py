@@ -35,10 +35,13 @@ one edge table on the dimension record, ``dim.edges``, which maps dynamics
 index i to ``(parent, child)``: ``n -> (n, n + 1)`` for an OCP and
 ``m -> (parents[m], m)`` for a tree, in child order (the edge into node c
 is the (c - 1)-th).  The shapes of A B b, the dynamics storage, the index
-checks, :func:`validate` and the view's edges all read it.  One initialiser,
-``_zero_rows``, sets the constraint-row fields that a stage and a dense QP
-store alike (``ROW_FIELDS``) for both.  Counts, parents and index-set
-entries must be whole numbers: ``2.0`` passes, ``2.5`` raises.
+checks and the view's edges all read it.  One initialiser, ``_zero_rows``,
+sets the constraint-row fields that a stage and a dense QP store alike
+(``ROW_FIELDS``) for both.  Counts, parents and index-set entries must be
+whole numbers: ``2.0`` passes, ``2.5`` raises.  A dimension record is
+checked when it is built and is immutable after: its count and parent
+arrays are read-only, so the edge table, the storage and cached views
+cannot drift from it.
 """
 
 from __future__ import annotations
@@ -83,17 +86,18 @@ def _set_counts(dim, n_stage, where, **counts):
         arr = _whole([0] * n_stage if v is None else v, name)
         if arr.shape != (n_stage,):
             raise InvalidDim(f"{name} must be a 1-d sequence with one entry "
-                             f"per {where} ({n_stage})")
+                             f"per {where} ({n_stage})", field=name)
         if np.any(arr < 0):
-            raise InvalidDim(f"{name} entries must be nonnegative")
+            raise InvalidDim(f"{name} entries must be nonnegative", field=name)
+        arr.flags.writeable = False
         object.__setattr__(dim, name, arr)
     for n in range(n_stage):
         if dim.nb[n] > dim.nu[n] + dim.nx[n]:
             raise InvalidDim(f"{where} {n}: nb = {dim.nb[n]} exceeds nu + nx = "
-                             f"{dim.nu[n] + dim.nx[n]}")
+                             f"{dim.nu[n] + dim.nx[n]}", field="nb")
         if dim.ns[n] > dim.nb[n] + dim.ng[n]:
             raise InvalidDim(f"{where} {n}: ns = {dim.ns[n]} exceeds nb + ng = "
-                             f"{dim.nb[n] + dim.ng[n]}")
+                             f"{dim.nb[n] + dim.ng[n]}", field="ns")
 
 
 @dataclass(frozen=True)
@@ -118,7 +122,7 @@ class OcpQpDim:
     def __init__(self, N, nx, nu, nb=None, ng=None, ns=None):
         N = int(_whole(N, "horizon N"))
         if N < 0:
-            raise InvalidDim("horizon N must be >= 0")
+            raise InvalidDim("horizon N must be >= 0", field="N")
         object.__setattr__(self, "N", N)
         _set_counts(self, N + 1, "stage", nx=nx, nu=nu, nb=nb, ng=ng, ns=ns)
         object.__setattr__(self, "edges", {n: (n, n + 1) for n in range(N)})
@@ -145,14 +149,17 @@ class TreeOcpQpDim:
     def __init__(self, parents, nx, nu, nb=None, ng=None, ns=None):
         par = _whole(parents, "parents")
         if par.ndim != 1 or par.shape[0] < 1:
-            raise InvalidDim("parents must be a nonempty 1-d integer sequence")
+            raise InvalidDim("parents must be a nonempty 1-d integer sequence",
+                             field="parents")
         if par[0] != -1:
-            raise InvalidDim("root parent index must be -1")
+            raise InvalidDim("root parent index must be -1", field="parents")
         for m in range(1, par.shape[0]):
             if not 0 <= par[m] < m:
                 raise InvalidDim(
-                    f"node {m}: parent {par[m]} must satisfy 0 <= parent < {m}"
+                    f"node {m}: parent {par[m]} must satisfy 0 <= parent < {m}",
+                    field="parents",
                 )
+        par.flags.writeable = False
         object.__setattr__(self, "parents", par)
         _set_counts(self, par.shape[0], "node", nx=nx, nu=nu, nb=nb, ng=ng, ns=ns)
         object.__setattr__(
@@ -560,12 +567,13 @@ def validate(qp):
     """Collect diagnostics for a QP; an empty list means valid.
 
     Checks symmetry of Hessian blocks, nonnegativity of slack penalties,
-    lower > upper bound rows with both sides active, malformed index sets and
-    masks, and (for trees) the parent structure.  Diagnostics are returned,
-    never raised; entries with severity ``warning`` do not block a solve.
+    lower > upper bound rows with both sides active, and malformed index sets
+    and masks.  Diagnostics are returned, never raised; entries with severity
+    ``warning`` do not block a solve.  The dimension record (counts and a
+    tree's parents) is checked when it is built and is read-only after.
 
     The blocking checks read only ``Q``, ``R``, ``H``, ``Zl``, ``Zu``,
-    ``idxb``, ``idxs``, ``maskl``, ``masku`` and the parents.  The solver
+    ``idxb``, ``idxs``, ``maskl`` and ``masku``.  The solver
     therefore keeps a passed verdict across writes to any other field (an
     MPC step's bound writes, say) and validates again only after a write
     that a blocking check reads or any other change of the QP.
@@ -578,16 +586,6 @@ def validate(qp):
     if not isinstance(qp, _StageQpBase):
         raise TypeError(f"not a QP container: {type(qp)!r}")
     dm = qp.dim
-    if isinstance(qp, TreeOcpQp):
-        par = dm.parents
-        if par[0] != -1:
-            out.append(Violation("parents", 0, "root parent must be -1"))
-        for m in range(1, par.shape[0]):
-            if not 0 <= par[m] < m:
-                out.append(
-                    Violation("parents", m,
-                              f"parent {par[m]} must satisfy 0 <= parent < {m}")
-                )
     for n, st in enumerate(qp._stages):
         _sym_violation(st["Q"], "Q", n, out)
         _sym_violation(st["R"], "R", n, out)

@@ -28,17 +28,19 @@ fields, then the fields A B b of dynamics block n if the edge table has
 one (not the terminal stage, not the root node).  Tree files add a
 ``parents`` line; dense files hold one section without an opening line.
 
-Reading is strict: unexpected field names, malformed numbers, wrong counts
-and truncated files raise :class:`ParseError` with the offending line
-number; an unsupported version raises :class:`VersionMismatch`.  A write
-followed by a read reproduces every field bit-exactly.
+Reading is strict: unexpected field names, malformed numbers, wrong counts,
+dimension lines that break a dimension record's invariants (``nb`` above
+``nu + nx``, say) and truncated files raise :class:`ParseError` with the
+offending line number; an unsupported version raises
+:class:`VersionMismatch`.  A write followed by a read reproduces every
+field bit-exactly.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ParseError, VersionMismatch
+from .errors import InvalidDim, ParseError, VersionMismatch
 from .qp_data import DenseQp, OcpQp, OcpQpDim, TreeOcpQp, TreeOcpQpDim
 
 __all__ = ["qp_read", "qp_write"]
@@ -73,6 +75,7 @@ class _Reader:
     def __init__(self, text):
         self.lines = text.splitlines()
         self.pos = 0
+        self.keys = {}      # the line of every keyword line read
 
     def next(self):
         if self.pos >= len(self.lines):
@@ -101,9 +104,11 @@ class _Reader:
                 line=self.pos,
             )
         try:
-            return [int(t) for t in toks[1:]]
+            values = [int(t) for t in toks[1:]]
         except ValueError as exc:
             raise ParseError(f"bad integer in '{key}' line: {exc}", line=self.pos)
+        self.keys[key] = self.pos
+        return values
 
     def numbers(self, count, dtype):
         kind = "integer" if dtype is int else "number"
@@ -191,19 +196,24 @@ def qp_read(path):
             f"unsupported format version '{head[1]}'", line=1
         )
     kind = head[2]
-    if kind == "dense":
-        qp = DenseQp(*rd.keyword_ints("dims", 5))
-    elif kind == "ocp":
-        (N,) = rd.keyword_ints("N", 1)
-        counts = {k: rd.keyword_ints(k, N + 1) for k in _COUNTS}
-        qp = OcpQp(OcpQpDim(N, **counts))
-    elif kind == "tree":
-        (n_node,) = rd.keyword_ints("nodes", 1)
-        parents = rd.keyword_ints("parents", n_node)
-        counts = {k: rd.keyword_ints(k, n_node) for k in _COUNTS}
-        qp = TreeOcpQp(TreeOcpQpDim(parents, **counts))
-    else:
-        raise ParseError(f"unknown QP kind '{kind}'", line=1)
+    try:
+        if kind == "dense":
+            qp = DenseQp(*rd.keyword_ints("dims", 5))
+        elif kind == "ocp":
+            (N,) = rd.keyword_ints("N", 1)
+            counts = {k: rd.keyword_ints(k, N + 1) for k in _COUNTS}
+            qp = OcpQp(OcpQpDim(N, **counts))
+        elif kind == "tree":
+            (n_node,) = rd.keyword_ints("nodes", 1)
+            parents = rd.keyword_ints("parents", n_node)
+            counts = {k: rd.keyword_ints(k, n_node) for k in _COUNTS}
+            qp = TreeOcpQp(TreeOcpQpDim(parents, **counts))
+        else:
+            raise ParseError(f"unknown QP kind '{kind}'", line=1)
+    except InvalidDim as exc:
+        # a dimension record names the count it rejects; a dense QP's
+        # counts share one line
+        raise ParseError(str(exc), line=rd.keys.get(exc.field, rd.pos)) from exc
     for line, at, fields in _sections(qp):
         if line:
             rd.expect(line)

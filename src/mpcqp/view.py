@@ -61,7 +61,9 @@ the storage.  The dense type uses its QP's own ``H``, ``A`` and ``C`` arrays:
 they are dense already, and copying them would cost every condensed solve.
 The stage type assembles its node Hessians, its edges' ``-[B A]`` and ``I``
 and its nodes' ``[D C]`` into ``scipy.sparse`` CSR, so that each product is
-one call whatever the number of nodes.
+one call whatever the number of nodes; it builds ``H`` and ``E`` on first
+use, so that a view that serves only its row table and ``G`` (a block of a
+partially condensed QP) never builds them.
 
 OCP and tree QPs share one view, :class:`StageView`, because a horizon is a
 chain tree: nodes (stages) joined by dynamics edges.  The edges come from
@@ -79,20 +81,20 @@ the bounds.  Any other write, or any other change of the QP's revision,
 builds a new view.  The view therefore also holds the per-QP constants of
 the KKT backends: the base Hessian of every block, flattened into one array
 ``hess0`` with the positions of its blocks, box-row diagonal entries and
-diagonals (the layout of the one-pass reduced Hessian), each node's
-symmetrized base Hessian ``[[R S] [S' Q]]`` as a view of it, and each
-edge's ``[B A]`` stack are built once per view, not once per
-factorization, and so is, on first use, the band layout and sweep order of
-the Riccati recursion (:class:`RiccatiBand`), whose constant entries are
-those of E.  The stage type's ``H`` is made of the same symmetrized node
-Hessians.
+diagonals (the layout of the one-pass reduced Hessian) and each node's
+symmetrized base Hessian ``[[R S] [S' Q]]`` as a view of it are built once
+per view, not once per factorization, and so is, on first use, the band
+layout and level schedule of the Riccati recursion (:class:`RiccatiBand`),
+whose constant entries are those of E and which holds every edge's
+``[B A]``, stacked by level.  The stage type's ``H`` is made of the same
+symmetrized node Hessians.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -188,10 +190,11 @@ class ProblemView:
 
     A view type's ``_stages`` returns the row data of every block (the
     QP's own stage dicts), and its ``_build`` sets the layout (``nv``,
-    ``ns_tot``, ``ne``, ``blocks``), the operators ``H``, ``E`` and ``G``
-    over v and ``hess0``, the base Hessian of every block flattened
-    row-major and concatenated in block order, and returns the gradient
-    over v and the equality right-hand side.  Everything else is built
+    ``ns_tot``, ``ne``, ``blocks``) and ``hess0``, the base Hessian of every
+    block flattened row-major and concatenated in block order, and returns
+    the gradient over v and the equality right-hand side, and sets or
+    provides the operators ``H``, ``E`` and ``G`` over v (a stage view
+    builds ``H`` and ``E`` on first use).  Everything else is built
     here, once per view, including the row table and the flat layout of the
     blocks' reduced Hessians (see :func:`kkt_common.reduced_hessian`).
 
@@ -228,7 +231,6 @@ class ProblemView:
         stages = self._stages()
         self.ny = self.nv + 2 * self.ns_tot
         self.nc = sum(cb.nc for cb in self.blocks)
-        self._Et = self.E.T
         self._Gt = self.G.T
         # per-view constants, read-only because every solve shares them
         self.g = np.concatenate(
@@ -316,6 +318,10 @@ class ProblemView:
         self.d = np.where(self.act, d, 0.0)
         for const in (self.act, self.act_float, self.d):
             const.flags.writeable = False
+
+    @cached_property
+    def _Et(self):
+        return self.E.T
 
     # -- products ----------------------------------------------------------
 
@@ -482,12 +488,12 @@ class StageView(ProblemView):
     """View of an OCP or tree QP: parents-first nodes joined by dynamics edges.
 
     ``edges`` lists ``(parent, child, dyn)`` in multiplier order (see the
-    module docstring); ``out_edges[n]`` lists ``(child, dyn, pi_off, BA)``
-    for the edges leaving node n, in the same order, with ``BA`` the edge's
-    ``[B A]`` stack.  ``node_hess[n]`` is the symmetrized base Hessian
-    ``[[R S] [S' Q]]`` of node n over its (u, x) window, a view of
-    ``hess0``.  ``H`` holds the node Hessians, ``E`` the rows ``[-B -A I]``
-    of every edge and ``G`` the rows ``[D C]`` of every node.
+    module docstring); ``out_edges[n]`` lists ``(child, dyn, pi_off)``
+    for the edges leaving node n, in the same order.  ``node_hess[n]`` is
+    the symmetrized base Hessian ``[[R S] [S' Q]]`` of node n over its
+    (u, x) window, a view of ``hess0``.  ``H`` holds the node Hessians,
+    ``E`` the rows ``[-B -A I]`` of every edge and ``G`` the rows ``[D C]``
+    of every node.
     """
 
     def __init__(self, qp, edges):
@@ -518,13 +524,10 @@ class StageView(ProblemView):
             c += cb.nc
         self.pi_off = []
         self.out_edges = [[] for _ in range(self.n_node)]
-        neg_BA = []
         p = 0
         for par, m, dyn in self.edges:
-            BA = np.hstack([dyn["B"], dyn["A"]])
             self.pi_off.append(p)
-            self.out_edges[par].append((m, dyn, p, BA))
-            neg_BA.append(-BA)
+            self.out_edges[par].append((m, dyn, p))
             p += d.nx[m]
         self.nv = v
         self.ns_tot = s
@@ -535,25 +538,37 @@ class StageView(ProblemView):
         for n, M in enumerate(self.node_hess):
             self.node_hess[n] = self.hess0[off: off + M.size].reshape(M.shape)
             off += M.size
-        self.H = _csr(self.node_hess, self.u_off, v)
         self.G = _csr([cb.Jg for cb in self.blocks], self.u_off, v)
-        # edge row i: -[B A] over the parent's window, then 1 at the child's x_i
-        par = np.array([e[0] for e in self.edges], dtype=np.intp)
-        child = np.array([e[1] for e in self.edges], dtype=np.intp)
-        self.E = _csr(neg_BA, np.take(self.u_off, par), v,
-                      tail=_ranges(np.take(self.x_off, child), d.nx[child]))
         g_v = np.concatenate([a for st in stages for a in (st["r"], st["q"])])
         b = [dyn["b"] for _, _, dyn in self.edges]
         return g_v, np.concatenate(b) if b else np.zeros(0)
 
+    # H and E are built on first use: condensing a block of a partially
+    # condensed QP reads only the row table, and expanding it only G
+
+    @cached_property
+    def H(self):
+        return _csr(self.node_hess, self.u_off, self.nv)
+
+    @cached_property
+    def E(self):
+        # edge row i: -[B A] over the parent's window, then 1 at the child's x_i
+        nx = self.qp.dim.nx
+        par = np.array([e[0] for e in self.edges], dtype=np.intp)
+        child = np.array([e[1] for e in self.edges], dtype=np.intp)
+        neg_BA = [-np.hstack([dyn["B"], dyn["A"]]) for _, _, dyn in self.edges]
+        return _csr(neg_BA, np.take(self.u_off, par), self.nv,
+                    tail=_ranges(np.take(self.x_off, child), nx[child]))
+
     @cached_property
     def band(self):
-        """Band layout of the Riccati vector solve (see :mod:`kkt_ocp`)."""
+        """The Riccati recursion's constants (see :mod:`kkt_ocp`)."""
         return RiccatiBand(self)
 
 
 class RiccatiBand:
-    """Band layout of the Riccati recursion's vector-solve matrix T.
+    """The Riccati recursion's constants: its factor sweep's level schedule
+    and the band layout of its vector-solve matrix T.
 
     The nodes are laid out in reverse order (every child before its parent),
     each node n as ``[l_n | s_n]`` over its window ``(u_n, x_n)``, so that T
@@ -575,9 +590,14 @@ class RiccatiBand:
                    block ``n_node``) spans ``val_off[n]:val_off[n + 1]``;
     * ``dst``/``src``  flat positions in ``ab0`` of the factor entries and
                    their positions among the factor values;
-    * ``sweep``    the factor sweep's visiting order, children first:
-                   ``(n, nu, nu + nx, hess_off[n], val_off[n], out_edges[n])``
-                   per node, in Python integers;
+    * ``levels``   the factor sweep's level schedule, deepest level first:
+                   one :class:`RiccatiLevel` per group of nodes of equal
+                   depth, ``nu``, ``nx`` and out-edge child ``nx``; a chain
+                   has one one-node level per stage;
+    * ``flops``    the sweep's nominal flop counts, per route (``classical``,
+                   ``square_root``, ``qr``): entry i is the count of
+                   levels 0..i-1, so the last entry is the whole sweep's
+                   (the classical root factor excluded);
     * ``p_dim``    the largest nx over the nodes: a factorization writes
                    every node's cost-to-go block (``P_n``, or ``chol(P_n)``
                    on the square-root and QR routes) at the top left of slot
@@ -629,11 +649,119 @@ class RiccatiBand:
         self.ab0 = ab0
         self.dst = (first.repeat(count)[low] + c) * (kd + 1) + r - c
         self.src = np.flatnonzero(low)
-        self.sweep = [
-            (n, int(nu[n]), int(w[n]), int(view.hess_off[n]),
-             int(self.val_off[n]), view.out_edges[n])
-            for n in range(n_node - 1, -1, -1)
+        depth = np.zeros(n_node, dtype=np.intp)
+        for par, m, _ in view.edges:
+            depth[m] = depth[par] + 1
+        groups = {}
+        for n in range(n_node):
+            key = (depth[n], nu[n], nx[n],
+                   tuple(nx[m] for m, _, _ in view.out_edges[n]))
+            # a node without state is never stacked
+            groups.setdefault(key if nx[n] else (n,), []).append(n)
+        self.levels = [
+            RiccatiLevel(view, nodes, self.val_off)
+            for nodes in sorted(groups.values(),
+                                key=lambda g: (-depth[g[0]], -g[-1]))
         ]
+        self.flops = {}
+        for route in ("classical", "square_root", "qr"):
+            cum = [0]
+            for lv in self.levels:
+                cum.append(cum[-1] + lv.k * lv.flops[route][0])
+            self.flops[route] = cum
+
+
+def _sel(ids):
+    """``ids`` as a slice when evenly spaced and ascending, else an index array."""
+    step = ids[1] - ids[0] if len(ids) > 1 else 1
+    if step > 0 and all(b - a == step for a, b in zip(ids, ids[1:])):
+        return slice(ids[0], ids[-1] + 1, step)
+    return np.array(ids, dtype=np.intp)
+
+
+@lru_cache(maxsize=64)
+def _blocks(k, b):
+    """Positions of the k diagonal (b, b) blocks of a (k b, k b) matrix.
+
+    In the flat buffer whose (k b, k b) reshape is the matrix's transpose,
+    so that the transpose is Fortran-ordered: entry ``[i, r, c]`` addresses
+    row ``i b + r`` and column ``i b + c``.  Read-only and shared.
+    """
+    kb = k * b
+    i = np.arange(k)[:, None, None] * b * (kb + 1)
+    blk = i + np.arange(b)[None, :, None] + np.arange(b)[None, None, :] * kb
+    blk.flags.writeable = False
+    return blk
+
+
+class RiccatiLevel:
+    """Nodes of one depth and one shape: one step of the factor sweep.
+
+    A level's k nodes share ``nu``, ``w = nu + nx`` and the ``nx`` of the
+    children of every out-edge slot, so :mod:`kkt_ocp` factors them with
+    one call per kernel on (k, ., .) stacks.  Selectors are slices where
+    the node numbering allows (consecutive nodes, evenly spaced children,
+    as in a breadth-first numbering) and index arrays otherwise.
+
+    * ``nodes``    the node indices, ascending; ``k`` their number;
+    * ``hess``     the nodes' (w, w) blocks in the flat reduced-Hessian
+                   buffer (:func:`kkt_common.reduced_hessian`);
+    * ``vals``     the nodes' factor columns among the band's factor
+                   values, each column-major, that is an (nu, w) block;
+    * ``p``        the nodes' slots in the stacked cost-to-go buffer;
+    * ``edges``    per out-edge slot ``(children, nx_child, BA)``: the
+                   children's slots and the (k, nx_child, w) stack of the
+                   edges' ``[B A]``;
+    * ``blk_u``, ``blk_w``  :func:`_blocks` of the input and the whole
+                   node blocks, for one Cholesky factorization of a level's
+                   block-diagonal matrix (k > 1 only);
+    * ``flops``    nominal counts per node and route, ``(full, at
+                   failure)``: those of the :mod:`linalg` kernels the
+                   step's calls stand in for.
+    """
+
+    __slots__ = ("nodes", "k", "nu", "w", "hess", "vals", "p", "edges",
+                 "blk_u", "blk_w", "flops")
+
+    def __init__(self, view, nodes, val_off):
+        d = view.qp.dim
+        n0 = nodes[0]
+        self.nodes = nodes
+        self.k = k = len(nodes)
+        self.nu = nu = int(d.nu[n0])
+        nx = int(d.nx[n0])
+        self.w = w = nu + nx
+        h0, v0 = int(view.hess_off[n0]), int(val_off[n0])
+        if nodes[-1] - n0 == k - 1:
+            self.hess = slice(h0, h0 + k * w * w)
+            self.vals = slice(v0, v0 + k * w * nu)
+        else:
+            ids = np.array(nodes, dtype=np.intp)
+            self.hess = _ranges(view.hess_off[ids], np.full(k, w * w))
+            self.vals = _ranges(val_off[ids], np.full(k, w * nu))
+        self.p = _sel(nodes)
+        out = [view.out_edges[n] for n in nodes]
+        self.edges = []
+        for j, (m, _, _) in enumerate(out[0]):
+            BA = np.empty((k, int(d.nx[m]), w))
+            for i, o in enumerate(out):
+                BA[i, :, :nu] = o[j][1]["B"]
+                BA[i, :, nu:] = o[j][1]["A"]
+            BA.flags.writeable = False
+            self.edges.append((_sel([o[j][0] for o in out]), int(d.nx[m]), BA))
+        self.blk_u = self.blk_w = None
+        if k > 1:
+            self.blk_u, self.blk_w = _blocks(k, nu), _blocks(k, w)
+        c = [e[1] for e in self.edges]
+        edge_cl = sum(2 * ci * w * (ci + w) for ci in c)
+        edge_sq = sum(2 * ci * ci * w for ci in c) + w ** 3 // 3
+        m = w + sum(c)
+        self.flops = {
+            "classical": (edge_cl + nu ** 3 // 3 + nu * nu * nx + 2 * nx * nx * nu,
+                          edge_cl + nu ** 3 // 3),
+            "square_root": (edge_sq + sum(2 * w * w * ci for ci in c),) * 2,
+            "qr": (edge_sq + max(0, 2 * m * w * w - (2 * w ** 3) // 3), edge_sq),
+        }
 
 
 def make_view(qp):
@@ -649,6 +777,9 @@ def make_view(qp):
     if cached is not None and cached[0] == qp._rev:
         rev, view, fresh = cached
         if not fresh:
+            # the operators, built on first use, once for all the copies
+            for name in ("H", "E", "_Et"):
+                getattr(view, name)
             view = copy.copy(view)
             view._set_bounds()
             qp._view_cache = (rev, view, True)

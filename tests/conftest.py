@@ -322,8 +322,8 @@ def _factor_node_ref(fac, n, M, nu, sqrt_mode, use_qr):
     """Factor one node; writes L_uu, L_col, K and the P representation at n."""
     edges = fac.view.out_edges[n]
     if sqrt_mode:
-        W = [matmul_acc(1.0, fac.L_P[m], BA, 0.0, 0.0, transA=True)
-             for m, _, _, BA in edges]
+        W = [matmul_acc(1.0, fac.L_P[m], ba_ref(dyn), 0.0, 0.0, transA=True)
+             for m, dyn, _ in edges]
         if use_qr:
             L_M = cholesky_factor(M)
             L_G = qr_cholesky(np.vstack([L_M.T] + W)).T
@@ -345,7 +345,8 @@ def _factor_node_ref(fac, n, M, nu, sqrt_mode, use_qr):
         fac.L_P[n] = L_P
         return
     G = M
-    for m, _, _, BA in edges:
+    for m, dyn, _ in edges:
+        BA = ba_ref(dyn)
         T1 = matmul_acc(1.0, fac.P[m], BA, 0.0, 0.0)
         G = matmul_acc(1.0, BA, T1, 1.0, G, transA=True)
     G_uu = G[:nu, :nu]
@@ -418,7 +419,7 @@ def riccati_solve_ref(fac, r_g, r_b, r_d, r_m):
         nu = d.nu[n]
         rr = rhat[n][:nu]
         rq = rhat[n][nu:]
-        for m, dyn, off, _ in vw.out_edges[n]:
+        for m, dyn, off in vw.out_edges[n]:
             e = fac.p_matrix(m) @ r_b[off: off + d.nx[m]] + pv[m]
             rr = rr + dyn["B"].T @ e
             rq = rq + dyn["A"].T @ e
@@ -437,7 +438,7 @@ def riccati_solve_ref(fac, r_g, r_b, r_d, r_m):
         u = fac.K[n] @ xi[n] + kff[n] if nu else np.zeros(0)
         dy[vw.u_off[n]: vw.u_off[n] + nu] = u
         dy[vw.x_off[n]: vw.x_off[n] + d.nx[n]] = xi[n]
-        for m, dyn, off, _ in vw.out_edges[n]:
+        for m, dyn, off in vw.out_edges[n]:
             xi[m] = dyn["A"] @ xi[n] + dyn["B"] @ u + r_b[off: off + d.nx[m]]
             dpi[off: off + d.nx[m]] = fac.p_matrix(m) @ xi[m] + pv[m]
     dlam = np.zeros(vw.nc)

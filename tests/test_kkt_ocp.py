@@ -225,9 +225,10 @@ class TestViewConstants:
                 ref = stage_hessian_ref(qp._stages[n], d.nu[n], d.nx[n],
                                         cb, sc, reg)
                 assert np.array_equal(M, ref)
-        for n in range(vw.n_node):
-            for _, dyn, _, BA in vw.out_edges[n]:
-                assert np.array_equal(BA, ba_ref(dyn))
+        for lv in vw.band.levels:
+            for j, (_, _, BA) in enumerate(lv.edges):
+                for i, n in enumerate(lv.nodes):
+                    assert np.array_equal(BA[i], ba_ref(vw.out_edges[n][j][1]))
 
     @pytest.mark.parametrize("kind", ["ocp", "tree"])
     def test_bit_equal_to_per_factorization_assembly(self, rng, kind):
@@ -419,6 +420,80 @@ def convex_stage_qps(draw):
     nb = [draw(st.integers(0, nu[n] + nx[n])) for n in range(n_node)]
     ng = [draw(st.integers(0, 2)) for _ in range(n_node)]
     ns = [draw(st.integers(0, nb[n] + ng[n])) for n in range(n_node)]
+    return _convex_qp(rng, kind, parents, nx, nu, nb, ng, ns)
+
+
+@st.composite
+def level_trees(draw):
+    """Trees whose levels share their dimensions, so levels stack.
+
+    Depth 1-6; every level draws a branching factor 1-3 (1 once a level
+    holds six nodes) and may mix it with one child fewer, so that a level
+    splits by child count and childless nodes end early.  All nodes of a
+    depth share nx, nu, nb, ng and ns, and the deepest level may have
+    ``nu = 0``.  Nodes are numbered breadth-first, so levels are
+    contiguous, or depth-first, so they are not.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    depth = draw(st.integers(1, 6))
+    # children[l][i]: child count of the i-th node of level l
+    width, children = 1, []
+    for _ in range(depth):
+        b = draw(st.integers(1, 3)) if width < 6 else 1
+        mix = draw(st.booleans())
+        counts = [b - (mix and i % 2) for i in range(width)]
+        children.append(counts)
+        width = sum(counts)
+        if not width:
+            break
+    dims = [(draw(st.integers(1, 3)), draw(st.integers(0, 2)))
+            for _ in range(len(children) + 1)]
+    if draw(st.booleans()):
+        dims[-1] = (dims[-1][0], 0)
+    rows = [(draw(st.integers(0, nx + nu)), draw(st.integers(0, 2)))
+            for nx, nu in dims]
+    soft = [draw(st.integers(0, nb + ng)) for nb, ng in rows]
+    # (level, index within the level) of every node, parents first
+    kids = {}
+    for lev, counts in enumerate(children):
+        nxt = 0
+        for i, c in enumerate(counts):
+            kids[(lev, i)] = [(lev + 1, nxt + j) for j in range(c)]
+            nxt += c
+    order, parent = [], {(0, 0): None}
+    if draw(st.booleans()):
+        frontier = [(0, 0)]
+        while frontier:
+            order += frontier
+            frontier = [k for node in frontier for k in kids.get(node, [])]
+    else:
+        stack = [(0, 0)]
+        while stack:
+            node = stack.pop()
+            order.append(node)
+            stack += kids.get(node, [])[::-1]
+    index = {node: n for n, node in enumerate(order)}
+    for node, ks in kids.items():
+        for k in ks:
+            parent[k] = node
+    parents = [-1 if parent[node] is None else index[parent[node]]
+               for node in order]
+    lev = [node[0] for node in order]
+    nx = [dims[l][0] for l in lev]
+    nu = [dims[l][1] for l in lev]
+    nb = [rows[l][0] for l in lev]
+    ng = [rows[l][1] for l in lev]
+    ns = [soft[l] for l in lev]
+    return _convex_qp(rng, "tree", parents, nx, nu, nb, ng, ns)
+
+
+def _convex_qp(rng, kind, parents, nx, nu, nb, ng, ns):
+    """Random convex OCP or tree QP of the given dimensions.
+
+    Positive definite node Hessians, boxes, general rows, soft rows,
+    masked sides and infinite bounds.
+    """
+    n_node = len(parents)
     if kind == "ocp":
         qp = OcpQp(OcpQpDim(n_node - 1, nx, nu, nb, ng, ns))
     else:
@@ -502,8 +577,9 @@ class TestFactorSweepEquivalence:
     """The node-kernel factor sweep against the wrapper-based sweep it replaced."""
 
     @pytest.mark.parametrize("variant,use_qr,reg_prim", ROUTES)
-    @settings(max_examples=60)
-    @given(qp=convex_stage_qps(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=120)
+    @given(qp=st.one_of(convex_stage_qps(), level_trees()),
+           seed=st.integers(0, 2**32 - 1))
     def test_matches_reference_sweep(self, variant, use_qr, reg_prim, qp, seed):
         rng = np.random.default_rng(seed)
         it = rand_iterate(rng, qp)
@@ -528,8 +604,9 @@ class TestFactorSweepEquivalence:
         assert _close(fac.solve(*rhs).flat(), ko.riccati_solve(ref, qp, *rhs).flat())
 
     @pytest.mark.parametrize("variant,use_qr,reg_prim", ROUTES)
-    @settings(max_examples=60)
-    @given(qp=convex_stage_qps(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=120)
+    @given(qp=st.one_of(convex_stage_qps(), level_trees()),
+           seed=st.integers(0, 2**32 - 1))
     def test_cost_to_go_buffer_matches_reference(self, variant, use_qr, reg_prim,
                                                  qp, seed):
         rng = np.random.default_rng(seed)
@@ -589,6 +666,104 @@ class TestFactorSweepEquivalence:
             fac.K[0]
             fac.K[1]
         assert read.flops == gains
+
+    @staticmethod
+    def _ref_lag(qp, bad):
+        """What the reference has not counted when node ``bad`` fails, less
+        what it counted in excess.
+
+        It forms each node's reduced Hessian (``2 nw^2 ng``) when its
+        descending sweep reaches the node, where the sweep forms all of
+        them first, and it solves the gains ``K`` of the nodes it
+        completed.
+        """
+        d = qp.dim
+        return sum(2 * (nu + nx) ** 2 * ng if n < bad else
+                   -nu * nu * nx if n > bad else 0
+                   for n, (nu, nx, ng) in enumerate(zip(d.nu, d.nx, d.ng)))
+
+    @pytest.mark.parametrize("variant,use_qr,reg_prim", ROUTES)
+    @pytest.mark.parametrize("bad", [1, 2, 4, 5])
+    def test_failing_node_inside_a_level(self, rng, variant, use_qr, reg_prim,
+                                         bad):
+        # levels {1, 2} and {3, 4, 5, 6}; the stacked step fails and its
+        # nodes rerun one by one, so the stage and the flops counted up to
+        # the failure are the node-by-node sweep's
+        parents = [-1, 0, 0, 1, 1, 2, 2]
+        kw = dict(variant=variant, use_qr=use_qr, arg=IpmArg(reg_prim=reg_prim))
+        qp = rand_tree_qp(rng, parents, nx=3, nu=2)
+        assert any(lv.k == 4 and bad in lv.nodes or lv.k == 2 and bad in lv.nodes
+                   for lv in make_view(qp).band.levels)
+        qp.set_field("R", bad, -1e3 * np.eye(2))
+        it = rand_iterate(rng, qp)
+        with flop_counter() as got_fl, pytest.raises(FactorizationFailed) as got:
+            ko.riccati_factor(qp, it, **kw)
+        with flop_counter() as want_fl, pytest.raises(FactorizationFailed) as want:
+            riccati_factor_ref(qp, it, **kw)
+        assert got.value.stage == want.value.stage == bad
+        assert got_fl.flops == want_fl.flops + self._ref_lag(qp, bad)
+
+    @pytest.mark.parametrize("bad", [3, 4, 6])
+    def test_rank_deficient_stack_inside_a_level(self, rng, bad):
+        # a leaf of the level {3, 4, 5, 6} whose node Hessian has a
+        # direction of curvature 1e-40: dpotrf factors it, but the QR of
+        # its stack [chol(M)'] is rank deficient
+        parents = [-1, 0, 0, 1, 1, 2, 2]
+        qp = rand_tree_qp(rng, parents, nx=3, nu=2)
+        qp.set_field("R", bad, np.eye(2))
+        qp.set_field("S", bad, np.zeros((2, 3)))
+        qp.set_field("Q", bad, np.diag([1.0, 1.0, 1e-40]))
+        m = qp.dim.nb[bad] + qp.dim.ng[bad]
+        qp.set_field("maskl", bad, np.zeros(m))
+        qp.set_field("masku", bad, np.zeros(m))
+        it = rand_iterate(rng, qp)
+        kw = dict(variant="square_root", use_qr=True)
+        with flop_counter() as got_fl, pytest.raises(FactorizationFailed) as got:
+            ko.riccati_factor(qp, it, **kw)
+        with flop_counter() as want_fl, pytest.raises(FactorizationFailed) as want:
+            riccati_factor_ref(qp, it, **kw)
+        assert "at or below" in str(got.value)
+        assert got.value.stage == want.value.stage == bad
+        assert got_fl.flops == want_fl.flops + self._ref_lag(qp, bad)
+        # the Cholesky routes factor it
+        ko.riccati_factor(qp, it, variant="square_root")
+
+    @pytest.mark.parametrize("variant,use_qr,reg_prim", ROUTES)
+    @pytest.mark.parametrize("nx,nu", [([0, 2, 2], [1, 1, 0]), ([2, 2, 0], [1, 1, 0]),
+                                       ([2, 0, 2], [1, 0, 0])])
+    def test_stages_without_variables_match_reference(self, rng, variant, use_qr,
+                                                      reg_prim, nx, nu):
+        qp = OcpQp(OcpQpDim(2, nx=nx, nu=nu))
+        for n in range(3):
+            qp.set_field("R", n, np.eye(nu[n]))
+            qp.set_field("Q", n, np.eye(nx[n]))
+        for n in range(2):
+            qp.set_field("A", n, 0.3 * rng.standard_normal((nx[n + 1], nx[n])))
+            qp.set_field("B", n, rng.standard_normal((nx[n + 1], nu[n])))
+        it = rand_iterate(rng, qp)
+        kw = dict(variant=variant, use_qr=use_qr, arg=IpmArg(reg_prim=reg_prim))
+        with flop_counter() as got_fl:
+            fac = ko.riccati_factor(qp, it, **kw)
+        with flop_counter() as want_fl:
+            ref = riccati_factor_ref(qp, it, **kw)
+        gains = sum(a * a * b for a, b in zip(nu, nx) if a)
+        assert got_fl.flops == want_fl.flops - gains
+        assert _close(fac.ab, ref.ab)
+        for n in range(3):
+            assert _close(fac.p_matrix(n), ref.p_matrix(n))
+
+    @settings(max_examples=40)
+    @given(qp=level_trees(), seed=st.integers(0, 2**32 - 1))
+    def test_level_tree_flops_are_the_kernel_counts(self, qp, seed):
+        it = rand_iterate(np.random.default_rng(seed), qp)
+        gains = sum(nu * nu * nx for nu, nx in zip(qp.dim.nu, qp.dim.nx) if nu)
+        for variant, use_qr in (("classical", False), ("square_root", False),
+                                ("square_root", True)):
+            with flop_counter() as want:
+                riccati_factor_ref(qp, it, variant=variant, use_qr=use_qr)
+            with flop_counter() as got:
+                ko.riccati_factor(qp, it, variant=variant, use_qr=use_qr)
+            assert got.flops == want.flops - gains
 
 
 class TestApplyAndFlops:

@@ -47,6 +47,29 @@ class TestDims:
         with pytest.raises(InvalidDim):
             TreeOcpQpDim([-1, 0, 5], nx=[1, 1, 1], nu=[0, 0, 0])
 
+    @pytest.mark.parametrize("parents", [[-1, 0, 5], [-1, 0, 2], [0, 0, 1],
+                                         [-1, -1, 0]])
+    def test_tree_parent_checks_name_the_field(self, parents):
+        # the checks validate() made on a corrupted record, now at construction
+        with pytest.raises(InvalidDim) as got:
+            TreeOcpQpDim(parents, nx=[1, 1, 1], nu=[0, 0, 0])
+        assert got.value.field == "parents"
+
+    def test_dimension_arrays_read_only(self):
+        # the edge table, the storage and cached views are built from them
+        ocp = OcpQpDim(2, nx=[2, 2, 2], nu=[1, 1, 0], nb=[1, 1, 1])
+        tree = TreeOcpQpDim([-1, 0, 0], nx=[1, 1, 1], nu=[1, 0, 0])
+        for dim, names in ((ocp, ("nx", "nu", "nb", "ng", "ns")),
+                           (tree, ("parents", "nx", "nu", "nb", "ng", "ns"))):
+            for name in names:
+                arr = getattr(dim, name)
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[1] = 0
+        # the caller's sequences stay writeable
+        nx = np.array([2, 2, 2])
+        OcpQpDim(2, nx=nx, nu=[1, 1, 0])
+        nx[0] = 3
+
     @pytest.mark.parametrize("make", [
         lambda: OcpQpDim(2.7, nx=[2, 2, 2], nu=[1, 1, 0]),
         lambda: OcpQpDim(2, nx=[2.9, 2, 2], nu=[1, 1, 0]),
@@ -200,12 +223,15 @@ class TestValidate:
         assert any(v.field == "idxb" for v in validate(qp))
 
     def test_tree_structure_violation(self, rng):
+        # the parents cannot be corrupted after construction: the write that
+        # used to simulate it raises, and the tree still validates
         from conftest import rand_tree_qp
 
         qp = rand_tree_qp(rng, [-1, 0, 1])
-        qp.dim.parents[2] = 5  # simulate post-construction corruption
-        out = validate(qp)
-        assert any(v.field == "parents" for v in out)
+        with pytest.raises(ValueError, match="read-only"):
+            qp.dim.parents[2] = 5
+        assert qp.dim.parents.tolist() == [-1, 0, 1]
+        assert validate(qp) == []
 
 
 class TestResiduals:

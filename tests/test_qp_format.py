@@ -8,6 +8,7 @@ without rows and one blank line per row of a matrix without columns.
 
 import pytest
 
+from mpcqp import InvalidDim, ParseError
 from mpcqp.qp_io import qp_read, qp_write
 
 # stage 1 has no input (S, R, r, D and B empty) although it is not terminal;
@@ -359,3 +360,20 @@ def test_write_of_read_reproduces_the_bytes(tmp_path, text):
     src.write_bytes(text.encode())
     qp_write(dst, qp_read(src))
     assert dst.read_bytes() == text.encode()
+
+
+@pytest.mark.parametrize("text,old,new,line", [
+    (OCP_TEXT, "nb 2 1 1", "nb 9 1 1", 5),
+    (OCP_TEXT, "ns 1 0 1", "ns 1 3 1", 7),
+    (OCP_TEXT, "nu 1 0 0", "nu 1 -1 0", 4),
+    (TREE_TEXT, "parents -1 0 0", "parents -1 0 2", 3),
+    (DENSE_TEXT, "dims 2 1 1 1 1", "dims 2 1 5 1 1", 2),
+], ids=["nb", "ns", "nu", "parents", "dense"])
+def test_bad_dimension_line_is_a_parse_error(tmp_path, text, old, new, line):
+    assert old in text
+    src = tmp_path / "bad.qp"
+    src.write_text(text.replace(old, new, 1))
+    with pytest.raises(ParseError) as got:
+        qp_read(src)
+    assert got.value.line == line
+    assert isinstance(got.value.__cause__, InvalidDim)
