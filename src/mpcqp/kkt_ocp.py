@@ -22,14 +22,16 @@ results are reproducible.  Cost per node is cubic in
 nu + nx, so the sweep is linear in the horizon length or node count; no
 fill-in appears outside the data blocks.
 
-The sweep walks a level schedule, a constant of the view
-(``RiccatiBand.levels``, see :class:`view.RiccatiLevel`): the nodes of one
-depth that share ``nu``, ``nx`` and the ``nx`` of their children form a
-level, and a level of k nodes is one step with one call per kernel on
-(k, ., .) stacks.  A chain is a tree with one node per level, so its steps
-have k = 1 and call LAPACK on the node's own blocks; a scenario tree's
-levels stack its branches.  Everything else is done once per factorization
-or once per view:
+The sweep walks a level schedule (``RiccatiBand.levels``, see
+:class:`RiccatiLevel`): the nodes of one depth that share ``nu``, ``nx``
+and the ``nx`` of their children form a level, and a level of k nodes is
+one step with one call per kernel on (k, ., .) stacks.  A chain is a tree
+with one node per level, so its steps have k = 1 and call LAPACK on the
+node's own blocks; a scenario tree's levels stack its branches.  The
+schedule and the band layout of the vector solve are constants of the
+view: :class:`RiccatiBand` is built on the first factorization of a view
+and kept on it as ``band``, so that the view's bound-write copies share it.
+Everything else is done once per factorization or once per view:
 
 * the augmented node Hessians ``M[n]`` of all nodes are formed in one pass
   over a flat buffer (:func:`kkt_common.reduced_hessian`): a copy of the
@@ -53,16 +55,16 @@ or once per view:
   of the schedule (``RiccatiBand.flops``).
 
 A classical step makes, per edge slot, one stacked ``P BA`` product and
-one ``BA'(.)`` product, then one ``dpotrf`` of the ``G_uu`` blocks, one
-``dtrtrs`` for X and one product for ``X'X``, and symmetrizes P.  The
-square-root step makes, per edge slot, ``W = chol(P_m)' BA`` and
-``G += W'W``, then one ``dpotrf`` of the whole blocks; the QR step one
-``dpotrf`` of the ``M[n]`` blocks and one QR (``dgeqrf``) per node of the
-stacks ``[chol(M)' ; W ...]``, with the rank test and the sign
-normalization of :func:`linalg.qr_cholesky` run once over the level.  With
-k > 1 each ``dpotrf`` and ``dtrtrs`` works on the level's block-diagonal
-matrix: one LAPACK call in place of k.  The flop counts are those of the
-:mod:`linalg` kernels these calls stand in for, per node.
+one ``BA'(.)`` product, then one Cholesky factorization of the ``G_uu``
+blocks with the triangular solve for X (:func:`linalg.cholesky_solve_stack`)
+and one product for ``X'X``, and symmetrizes P.  The square-root step
+makes, per edge slot, ``W = chol(P_m)' BA`` and ``G += W'W``, then one
+Cholesky factorization of the whole blocks (:func:`linalg.cholesky_stack`);
+the QR step one of the ``M[n]`` blocks and one QR-Cholesky of the stacks
+``[chol(M)' ; W ...]`` (:func:`linalg.qr_cholesky_stack`, which holds the
+rank test and the sign normalization).  These :mod:`linalg` kernels make
+one LAPACK call per level where they can and count no flops; the step
+counts those of the per-node kernels they stand in for.
 
 Two variants:
 
@@ -103,8 +105,8 @@ sweep is one lower triangular system T, and the forward sweep is its
 transpose: ``T' [u; x] = [-l; b]`` with ``-s_0`` in the root's slot.  Each
 factorization writes its ``L_uu``, ``L_xu`` and ``L_P0`` into T, held in
 LAPACK band storage; the layout, the bandwidth (taken from the edge table:
-about ``2 nx + nu`` on a chain) and the coupling entries, which are E's, are
-constants of the view (:class:`view.RiccatiBand`).  A vector solve then
+about ``2 nx + nu`` on a chain) and the coupling entries ``-[B A]'`` are
+constants of the view (:class:`RiccatiBand`).  A vector solve then
 folds the right-hand side over the flat vectors, forms ``P b`` with one
 stacked product over the edges' cost-to-go blocks (two with the factors on
 the square-root routes), runs the two band solves, forms
@@ -120,22 +122,19 @@ from __future__ import annotations
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import dgeqrf as _geqrf
-from scipy.linalg.lapack import dpotrf as _potrf
-from scipy.linalg.lapack import dtrtrs as _trtrs
 
-from .errors import FactorizationFailed
+from .errors import FactorizationFailed, NotPositiveDefinite, RankDeficient
 from .ipm_core import RICCATI_VARIANTS, IpmArg
 from .kkt_common import fold_rhs, recover, reduced_hessian, view_scales
 from .linalg import (
-    _EPS,
-    _qr_lwork,
-    _upper,
+    cholesky_solve_stack,
+    cholesky_stack,
     count_flops,
+    qr_cholesky_stack,
     solve_banded_triangular,
     solve_triangular,
 )
-from .view import QpSolution, RiccatiLevel, make_view, split_flat
+from .view import QpSolution, _ranges, make_view, split_flat
 
 __all__ = [
     "RiccatiFactor",
@@ -152,14 +151,13 @@ class RiccatiFactor:
     columns ``[L_uu; L_xu]`` column-major and then the root block (laid out
     by ``RiccatiBand.val_off``), and ``p_blocks``, every node's P, or
     chol(P) if ``sqrt``, at the top left of its slot (see
-    ``view.RiccatiBand.p_dim``).  The per-node lists ``L_uu`` and ``L_xu``
-    are views of ``vals``, made on first read.
+    ``RiccatiBand.p_dim``).  The per-node lists ``L_uu`` and ``L_xu`` are
+    views of ``vals``, made on first read.
     """
 
-    def __init__(self, qp, view, variant, iterate):
+    def __init__(self, qp, view, iterate):
         self.qp = qp
         self.view = view
-        self.variant = variant
         self.scales = view_scales(view, iterate.lam, iterate.t)
         self.vals = np.empty(view.band.val_off[-1])
         p = view.band.p_dim
@@ -195,20 +193,21 @@ class RiccatiFactor:
         return B @ B.T if self.sqrt else B.copy()
 
     def solve(self, r_g, r_b, r_d, r_m):
-        return riccati_solve(self, self.qp, r_g, r_b, r_d, r_m)
+        return riccati_solve(self, r_g, r_b, r_d, r_m)
 
     def solve_flat(self, rhs_flat):
         vw = self.view
         return self.solve(*split_flat(rhs_flat, vw.ny, vw.ne, vw.nc)).flat()
 
 
-def riccati_factor(qp, iterate, variant=None, arg=None, use_qr=False):
+def riccati_factor(qp, iterate, arg=None, use_qr=False):
     """Run the backward factor sweep and return a reusable factor object.
 
     Works on an :class:`OcpQp` (a chain) and on a :class:`TreeOcpQp` alike.
-    ``use_qr`` switches every node to the QR array algorithm (which implies
-    the square-root algebra).  The sweep walks the view's level schedule
-    (``RiccatiBand.levels``) and counts its flops in one call.
+    The route is ``arg.riccati_variant``; ``use_qr`` switches every node to
+    the QR array algorithm (which implies the square-root algebra).  The
+    sweep walks the view's level schedule (``RiccatiBand.levels``) and
+    counts its flops in one call.
 
     Raises
     ------
@@ -218,23 +217,24 @@ def riccati_factor(qp, iterate, variant=None, arg=None, use_qr=False):
         variant when a full node block is not, the QR route when a node
         Hessian before the successor terms is not or its stack is rank
         deficient.
+    ValueError
+        For an unknown ``arg.riccati_variant``.
     """
     arg = arg or IpmArg()
-    variant = variant or arg.riccati_variant
-    if variant not in RICCATI_VARIANTS:
-        raise ValueError(f"unknown Riccati variant '{variant}'")
+    if arg.riccati_variant not in RICCATI_VARIANTS:
+        raise ValueError(f"unknown riccati_variant '{arg.riccati_variant}'")
     vw = make_view(qp)
-    fac = RiccatiFactor(qp, vw, variant, iterate)
-    route = "qr" if use_qr else variant
+    band = _band(vw)
+    fac = RiccatiFactor(qp, vw, iterate)
+    route = "qr" if use_qr else arg.riccati_variant
     fac.sqrt = sqrt_mode = route != "classical"
     hess = reduced_hessian(vw, fac.scales, arg.reg_prim)
-    band = vw.band
     vals, P = fac.vals, fac.p_blocks
     done = band.flops[route]
     for i, lv in enumerate(band.levels):
         try:
             _level_step(lv, route, hess, vals, P)
-        except _LevelFailed as exc:
+        except (NotPositiveDefinite, RankDeficient) as exc:
             _level_failed(vw, lv, route, hess, vals, P, done[i], exc)
     nx0 = int(qp.dim.nx[0])
     root = vals[band.val_off[-2]:].reshape(nx0, nx0).T
@@ -244,14 +244,13 @@ def riccati_factor(qp, iterate, variant=None, arg=None, use_qr=False):
     else:
         count_flops(done[-1] + nx0 ** 3 // 3)
         if nx0:
-            L, info = _potrf(P[0, :nx0, :nx0], lower=1, clean=1)
-            if info:
+            try:
+                root[...] = cholesky_stack(P[None, 0, :nx0, :nx0])[0]
+            except NotPositiveDefinite as exc:
                 raise FactorizationFailed(
-                    "cost-to-go matrix not positive definite at stage 0: "
-                    f"{info}-th leading minor of the array is not positive "
-                    "definite", stage=0,
-                )
-            root[...] = L
+                    f"cost-to-go matrix not positive definite at stage 0: {exc}",
+                    stage=0,
+                ) from None
     ab = band.ab0.copy()
     ab.ravel()[band.dst] = vals[band.src]
     fac.ab = ab.T
@@ -266,21 +265,17 @@ def _level_step(lv, route, hess, vals, P):
     into ``vals`` and their P (classical) or chol(P) blocks into ``P``.
 
     * classical: per edge slot ``BA'(P BA)``; one Cholesky of the ``G_uu``
-      blocks, one triangular solve for ``X = L_uu^-1 G_ux``, one ``X'X``
-      and ``P = G_xx - X'X``, symmetrized;
+      blocks with the triangular solve for ``X = L_uu^-1 G_ux``, one
+      ``X'X`` and ``P = G_xx - X'X``, symmetrized;
     * square root: per edge slot ``W = chol(P)' BA`` and ``G += W'W``, then
       one Cholesky of the whole blocks, whose trailing blocks are chol(P);
-    * QR: one Cholesky of the node Hessians and one QR of the stacks
-      ``[chol(G)'; W ...]``.
-
-    With k = 1 the Cholesky and triangular-solve calls take the node's
-    blocks directly; with k > 1 they take the level's block-diagonal
-    matrix (:func:`view._blocks`), one LAPACK call for the level.
+    * QR: one Cholesky of the node Hessians and one QR-Cholesky of the
+      stacks ``[chol(G)'; W ...]``.
 
     Raises
     ------
-    _LevelFailed
-        When a Cholesky factorization or the QR rank test fails.
+    NotPositiveDefinite, RankDeficient
+        From the :mod:`linalg` stacked kernels.
     """
     k, nu, w = lv.k, lv.nu, lv.w
     nx = w - nu
@@ -289,7 +284,7 @@ def _level_step(lv, route, hess, vals, P):
         for sel, c, BA in lv.edges:
             G = G + BA.transpose(0, 2, 1) @ (P[sel, :c, :c] @ BA)
         if nu:
-            L, X = _chol_solve(lv, G)
+            L, X = cholesky_solve_stack(G[:, :nu, :nu], G[:, :nu, nu:])
             G = G[:, nu:, nu:] - X.transpose(0, 2, 1) @ X
             vals[lv.vals] = np.concatenate(
                 [L.transpose(0, 2, 1), X], axis=2).ravel()
@@ -297,12 +292,13 @@ def _level_step(lv, route, hess, vals, P):
         return
     W = [P[sel, :c, :c].transpose(0, 2, 1) @ BA for sel, c, BA in lv.edges]
     if route == "qr":
-        L_M = _chol_stack(lv, G, 1)
-        L = _qr_lower(np.concatenate([L_M.transpose(0, 2, 1)] + W, axis=1))
+        L_M = cholesky_stack(G)
+        S = np.concatenate([L_M.transpose(0, 2, 1)] + W, axis=1)
+        L = qr_cholesky_stack(S).transpose(0, 2, 1)
     else:
         for W_m in W:
             G = G + W_m.transpose(0, 2, 1) @ W_m
-        L = _chol_stack(lv, G, 0)
+        L = cholesky_stack(G)
     vals[lv.vals] = L[:, :, :nu].transpose(0, 2, 1).ravel()
     P[lv.p, :nx, :nx] = L[:, nu:, nu:]
 
@@ -321,104 +317,211 @@ def _level_failed(view, lv, route, hess, vals, P, counted, exc):
             one = RiccatiLevel(view, [n], view.band.val_off)
             try:
                 _level_step(one, route, hess, vals, P)
-            except _LevelFailed as one_exc:
+            except (NotPositiveDefinite, RankDeficient) as one_exc:
                 lv, exc = one, one_exc
                 break
             counted += one.flops[route][0]
         else:
             return
     n = lv.nodes[0]
-    count_flops(counted + lv.flops[route][exc.partial])
+    at_chol = isinstance(exc, NotPositiveDefinite)
+    count_flops(counted + lv.flops[route][at_chol])
     raise FactorizationFailed(
         f"Riccati factorization failed at stage {n}: {exc}", stage=n
     ) from None
 
 
-class _LevelFailed(Exception):
-    """A level's kernel failed.
+def _band(view):
+    """The view's :class:`RiccatiBand`, built on first use and kept on it as
+    ``band``; the view's bound-write copies (see :func:`view.make_view`)
+    share it."""
+    band = getattr(view, "band", None)
+    if band is None:
+        band = view.band = RiccatiBand(view)
+    return band
 
-    ``partial`` indexes the level's per-node counts ``(full, at failure)``
-    (see :class:`view.RiccatiLevel`): 1 when the failing call comes before
-    the node's last counted kernel, 0 when the whole node is counted.
+
+class RiccatiBand:
+    """The Riccati recursion's constants: its factor sweep's level schedule
+    and the band layout of its vector-solve matrix T.
+
+    The nodes are laid out in reverse order (every child before its parent),
+    each node n as ``[l_n | s_n]`` over its window ``(u_n, x_n)``, so that T
+    is lower triangular.  Its diagonal block is ``[[L_uu 0] [L_xu D_n]]``
+    with ``D_n = I`` except at the root; the edge into a child m couples the
+    parent's rows to ``s_m`` through ``-[B_m A_m]'``.  The coupling and the
+    identities are constants of the view, filled from the edge table (the
+    levels' ``[B A]`` stacks); a factorization writes only the factor
+    columns ``[L_uu; L_xu]`` of every node and the root block.
+
+    * ``vpos``     v index k sits at band position ``vpos[k]``;
+    * ``pi_pos``   band position of the child state each pi entry pairs with;
+    * ``kd``       number of subdiagonals, from the edge table;
+    * ``ab0``      (nv, kd + 1) C-ordered constant part; its transpose is
+                   LAPACK lower band storage;
+    * ``val_off``  the factor values are every node's ``[L_uu; L_xu]``, in
+                   node order, and then the root block, each flattened
+                   column-major and concatenated; block n (the root is
+                   block ``n_node``) spans ``val_off[n]:val_off[n + 1]``;
+    * ``dst``/``src``  flat positions in ``ab0`` of the factor entries and
+                   their positions among the factor values;
+    * ``levels``   the factor sweep's level schedule, deepest level first:
+                   one :class:`RiccatiLevel` per group of nodes of equal
+                   depth, ``nu``, ``nx`` and out-edge child ``nx``; a chain
+                   has one one-node level per stage;
+    * ``flops``    the sweep's nominal flop counts, per route (``classical``,
+                   ``square_root``, ``qr``): entry i is the count of
+                   levels 0..i-1, so the last entry is the whole sweep's
+                   (the classical root factor excluded);
+    * ``p_dim``    the largest nx over the nodes: a factorization writes
+                   every node's cost-to-go block (``P_n``, or ``chol(P_n)``
+                   on the square-root and QR routes) at the top left of slot
+                   n of one zeroed (n_node, p_dim, p_dim) buffer, so the
+                   blocks of the edges, edge e leading into node e + 1, are
+                   its slots 1 on, and each product over pi is one stacked
+                   ``matmul``;
+    * ``p_pos``    positions of the pi entries in a vector of the edges'
+                   padded (n_node - 1, p_dim) blocks: a slice when every
+                   non-root node has ``nx = p_dim``, else an index array.
     """
 
-    def __init__(self, msg, partial):
-        super().__init__(msg)
-        self.partial = partial
+    def __init__(self, view):
+        d = view.qp.dim
+        n_node = view.n_node
+        nu = np.asarray(d.nu, dtype=np.intp)
+        nx = np.asarray(d.nx, dtype=np.intp)
+        w = nu + nx
+        start = np.cumsum(w[::-1])[::-1] - w
+        x_pos = start + nu        # band position of every node's x block
+        self.vpos = _ranges(start, w)
+        child = np.array([m for _, m, _ in view.edges], dtype=np.intp)
+        self.pi_pos = _ranges(x_pos[child], nx[child])
+        self.p_dim = p = int(nx.max())
+        self.p_pos = (slice(None) if np.all(nx[child] == p)
+                      else _ranges(np.arange(child.size, dtype=np.intp) * p,
+                                   nx[child]))
+        # the factor entries: every node's (w_n, nu_n) column block, then the
+        # root's (nx_0, nx_0) block, each column-major and on the diagonal
+        h = np.append(w, nx[0])
+        width = np.append(nu, nx[0])
+        first = np.append(start, start[0] + nu[0])
+        count = h * width
+        self.val_off = np.concatenate([[0], np.cumsum(count)])
+        k = _ranges(np.zeros(n_node + 1, dtype=np.intp), count)
+        h_k = np.maximum(h.repeat(count), 1)
+        c, r = k // h_k, k % h_k
+        low = r >= c
+        r, c = r[low], c[low]
+        depth = np.zeros(n_node, dtype=np.intp)
+        for par, m, _ in view.edges:
+            depth[m] = depth[par] + 1
+        groups = {}
+        for n in range(n_node):
+            key = (depth[n], nu[n], nx[n],
+                   tuple(nx[m] for m, _, _ in view.out_edges[n]))
+            # a node without state is never stacked
+            groups.setdefault(key if nx[n] else (n,), []).append(n)
+        self.levels = [
+            RiccatiLevel(view, nodes, self.val_off)
+            for nodes in sorted(groups.values(),
+                                key=lambda g: (-depth[g[0]], -g[-1]))
+        ]
+        # the coupling entries -[B A]' of every edge: T's column of child
+        # state i, its row of parent variable j, as (column, offset, value)
+        coupling = []
+        for lv in self.levels:
+            row = start[lv.nodes][:, None, None] + np.arange(lv.w)
+            for sel, nxc, BA in lv.edges:
+                col = x_pos[sel][:, None, None] + np.arange(nxc)[:, None]
+                coupling.append((col, row - col, BA))
+        self.kd = kd = int(max([np.max(r - c, initial=0)]
+                               + [np.max(off, initial=0) for _, off, _ in coupling]))
+        ab0 = np.zeros((view.nv, kd + 1))
+        ab0[self.pi_pos, 0] = 1.0
+        for col, off, BA in coupling:
+            ab0[col, off] = -BA
+        ab0.flags.writeable = False   # every factorization writes a copy
+        self.ab0 = ab0
+        self.dst = (first.repeat(count)[low] + c) * (kd + 1) + r - c
+        self.src = np.flatnonzero(low)
+        self.flops = {}
+        for route in ("classical", "square_root", "qr"):
+            cum = [0]
+            for lv in self.levels:
+                cum.append(cum[-1] + lv.k * lv.flops[route][0])
+            self.flops[route] = cum
 
 
-def _chol(A, partial, overwrite=0):
-    """Lower Cholesky factor of the matrix A by one ``dpotrf``."""
-    L, info = _potrf(A, lower=1, clean=1, overwrite_a=overwrite)
-    if info:
-        raise _LevelFailed(f"{info}-th leading minor of the array is not "
-                           "positive definite", partial)
-    return L
+def _sel(ids):
+    """``ids`` as a slice when evenly spaced and ascending, else an index array."""
+    step = ids[1] - ids[0] if len(ids) > 1 else 1
+    if step > 0 and all(b - a == step for a, b in zip(ids, ids[1:])):
+        return slice(ids[0], ids[-1] + 1, step)
+    return np.array(ids, dtype=np.intp)
 
 
-def _block_diag(A, blk):
-    """The (k, b, b) stack A on the diagonal of a zero matrix, Fortran-ordered.
+class RiccatiLevel:
+    """Nodes of one depth and one shape: one step of the factor sweep.
 
-    ``blk`` holds the blocks' positions (see :func:`view._blocks`); the
-    blocks of a factor computed in place are ``L.ravel(order="F")[blk]``.
+    A level's k nodes share ``nu``, ``w = nu + nx`` and the ``nx`` of the
+    children of every out-edge slot, so :func:`_level_step` factors them
+    with one call per kernel on (k, ., .) stacks.  Selectors are slices
+    where the node numbering allows (consecutive nodes, evenly spaced
+    children, as in a breadth-first numbering) and index arrays otherwise.
+
+    * ``nodes``    the node indices, ascending; ``k`` their number;
+    * ``hess``     the nodes' (w, w) blocks in the flat reduced-Hessian
+                   buffer (:func:`kkt_common.reduced_hessian`);
+    * ``vals``     the nodes' factor columns among the band's factor
+                   values, each column-major, that is an (nu, w) block;
+    * ``p``        the nodes' slots in the stacked cost-to-go buffer;
+    * ``edges``    per out-edge slot ``(children, nx_child, BA)``: the
+                   children's slots and the (k, nx_child, w) stack of the
+                   edges' ``[B A]``;
+    * ``flops``    nominal counts per node and route, ``(full, at a
+                   Cholesky failure)``: those of the :mod:`linalg` kernels
+                   the step's calls stand in for.  A failed rank test comes
+                   at the last counted kernel, so it counts in full.
     """
-    kb = blk.shape[0] * blk.shape[1]
-    buf = np.zeros(kb * kb)
-    buf[blk] = A
-    return buf.reshape(kb, kb).T
 
+    __slots__ = ("nodes", "k", "nu", "w", "hess", "vals", "p", "edges", "flops")
 
-def _chol_stack(lv, A, partial):
-    """Lower Cholesky factors of the level's (k, w, w) stack A: one ``dpotrf``."""
-    if lv.k == 1:
-        return _chol(A[0], partial)[None]
-    L = _chol(_block_diag(A, lv.blk_w), partial, overwrite=1)
-    return L.ravel(order="F")[lv.blk_w]
-
-
-def _chol_solve(lv, G):
-    """``(L_uu, X)`` stacks of a classical step: one ``dpotrf``, one ``dtrtrs``.
-
-    ``L_uu = chol(G_uu)`` and ``X = L_uu^-1 G_ux``.  L has a positive
-    diagonal, so ``dtrtrs`` cannot fail.
-    """
-    k, nu = lv.k, lv.nu
-    if k == 1:
-        L = _chol(G[0, :nu, :nu], 1)
-        X, _ = _trtrs(L, G[0, :nu, nu:], lower=1)
-        return L[None], X[None]
-    L = _chol(_block_diag(G[:, :nu, :nu], lv.blk_u), 1, overwrite=1)
-    # the right-hand sides [G_ux; ...] as the transpose of a C-ordered
-    # (nx, k nu) copy, which dtrtrs overwrites with X
-    T = G[:, :nu, nu:].transpose(2, 0, 1).copy()
-    _trtrs(L, T.reshape(-1, k * nu).T, lower=1, overwrite_b=1)
-    return L.ravel(order="F")[lv.blk_u], T.transpose(1, 2, 0)
-
-
-def _qr_lower(S):
-    """``R'`` of the QRs of the (k, m, w) stack S, as :func:`linalg.qr_cholesky`.
-
-    One ``dgeqrf`` per node (a stacked ``numpy.linalg.qr`` costs more at
-    these sizes); the rank test (a diagonal entry at or below
-    ``max(m, w) eps max|R_ii|``) and the sign normalization (a nonnegative
-    diagonal) run once over the stack.
-    """
-    k, m, w = S.shape
-    if not w:
-        return np.zeros((k, 0, 0))
-    lwork = _qr_lwork(m, w)
-    R = np.empty((k, w, w))
-    for i in range(k):
-        R[i] = _geqrf(S[i], lwork=lwork)[0][:w]
-    R = np.where(_upper(w), R, 0.0)
-    d = R.diagonal(axis1=1, axis2=2)
-    size = np.abs(d)
-    tol = max(m, w) * _EPS * size.max(axis=1, keepdims=True)
-    if (size <= tol).any():
-        raise _LevelFailed(f"diagonal entry {size.min():.3e} at or below "
-                           f"{tol.min():.3e}", 0)
-    R *= np.copysign(1.0, d)[:, :, None]
-    return R.transpose(0, 2, 1)
+    def __init__(self, view, nodes, val_off):
+        d = view.qp.dim
+        n0 = nodes[0]
+        self.nodes = nodes
+        self.k = k = len(nodes)
+        self.nu = nu = int(d.nu[n0])
+        nx = int(d.nx[n0])
+        self.w = w = nu + nx
+        h0, v0 = int(view.hess_off[n0]), int(val_off[n0])
+        if nodes[-1] - n0 == k - 1:
+            self.hess = slice(h0, h0 + k * w * w)
+            self.vals = slice(v0, v0 + k * w * nu)
+        else:
+            ids = np.array(nodes, dtype=np.intp)
+            self.hess = _ranges(view.hess_off[ids], np.full(k, w * w))
+            self.vals = _ranges(val_off[ids], np.full(k, w * nu))
+        self.p = _sel(nodes)
+        out = [view.out_edges[n] for n in nodes]
+        self.edges = []
+        for j, (m, _, _) in enumerate(out[0]):
+            BA = np.empty((k, int(d.nx[m]), w))
+            for i, o in enumerate(out):
+                BA[i, :, :nu] = o[j][1]["B"]
+                BA[i, :, nu:] = o[j][1]["A"]
+            BA.flags.writeable = False
+            self.edges.append((_sel([o[j][0] for o in out]), int(d.nx[m]), BA))
+        c = [e[1] for e in self.edges]
+        edge_cl = sum(2 * ci * w * (ci + w) for ci in c)
+        edge_sq = sum(2 * ci * ci * w for ci in c) + w ** 3 // 3
+        m = w + sum(c)
+        self.flops = {
+            "classical": (edge_cl + nu ** 3 // 3 + nu * nu * nx + 2 * nx * nx * nu,
+                          edge_cl + nu ** 3 // 3),
+            "square_root": (edge_sq + sum(2 * w * w * ci for ci in c),) * 2,
+            "qr": (edge_sq + max(0, 2 * m * w * w - (2 * w ** 3) // 3), edge_sq),
+        }
 
 
 def _p_apply(fac, vec):
@@ -437,7 +540,7 @@ def _p_apply(fac, vec):
     return (P @ v).ravel()[band.p_pos]
 
 
-def riccati_solve(fac, qp, r_g, r_b, r_d, r_m):
+def riccati_solve(fac, r_g, r_b, r_d, r_m):
     """Full-space Newton solution from a current factor and a 4-block RHS.
 
     Two band solves with the factor's matrix T, backward then forward (see

@@ -25,7 +25,18 @@ triangle and transposition), and ``dgeqrf`` gets the workspace scipy's
 replaced by the shape checks here and the LAPACK return codes: ``dpotrf``
 reports a nonpositive pivot, ``dtrtrs`` and ``dtbtrs`` an exactly zero
 diagonal entry, and a negative code (an illegal argument) raises
-``ValueError``.
+``ValueError``.  This module is the package's only caller of LAPACK.
+
+The stacked kernels :func:`cholesky_stack`, :func:`cholesky_solve_stack`
+and :func:`qr_cholesky_stack` work on (k, n, n) stacks of blocks, the
+nodes of one level of a Riccati recursion (see :mod:`kkt_ocp`).  With
+k = 1 they call LAPACK on the block itself; with k > 1 each ``dpotrf`` and
+``dtrtrs`` works on the stack's block-diagonal matrix, one call in place of
+k, while the QR makes one ``dgeqrf`` per block (a block-diagonal QR would
+be cubic in k).  They count no flops: their caller counts the nominal
+per-block counts of the kernels they stand in for.  ``cholesky_factor``
+and ``qr_cholesky`` are their shape checks and flop counts around a stack
+of one.
 """
 
 from __future__ import annotations
@@ -37,7 +48,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg.lapack import dgeqrf as _geqrf
 from scipy.linalg.lapack import dgeqrf_lwork as _geqrf_lwork
-from scipy.linalg.lapack import dpotrf as _potrf
+from scipy.linalg.lapack import dpotrf as _dpotrf
 from scipy.linalg.lapack import dtbtrs as _tbtrs
 from scipy.linalg.lapack import dtrtrs as _trtrs
 
@@ -54,6 +65,9 @@ __all__ = [
     "solve_banded_triangular",
     "qr_cholesky",
     "matmul_acc",
+    "cholesky_stack",
+    "cholesky_solve_stack",
+    "qr_cholesky_stack",
     "flop_counter",
     "count_flops",
     "FlopCounter",
@@ -105,7 +119,7 @@ def count_flops(n):
     return None
 
 
-def cholesky_factor(M, reg=0.0, pivot_tol=0.0):
+def cholesky_factor(M, reg=0.0):
     """Lower Cholesky factor L with L @ L.T = M + reg*I.
 
     Parameters
@@ -115,16 +129,13 @@ def cholesky_factor(M, reg=0.0, pivot_tol=0.0):
         symmetry is the caller's responsibility.
     reg : float
         Nonnegative diagonal shift added before factorization.
-    pivot_tol : float
-        A pivot (squared diagonal entry of L) at or below this threshold
-        raises :class:`NotPositiveDefinite`.  The default 0 fails only on
-        nonpositive pivots; callers are expected to retry with regularization
-        instead of the kernel loosening the test.
 
     Raises
     ------
     NotPositiveDefinite
-        If M + reg*I is not numerically positive definite.
+        If M + reg*I is not numerically positive definite (a nonpositive
+        pivot); callers are expected to retry with regularization instead of
+        the kernel loosening the test.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -134,18 +145,87 @@ def cholesky_factor(M, reg=0.0, pivot_tol=0.0):
     if n == 0:
         return np.zeros((0, 0))
     A = M if reg == 0.0 else M + reg * np.eye(n)
-    L, info = _potrf(A, lower=True, clean=True, overwrite_a=False)
+    return cholesky_stack(A[None])[0]
+
+
+def _potrf(A, overwrite=0):
+    """Lower Cholesky factor of the matrix A by one ``dpotrf``."""
+    L, info = _dpotrf(A, lower=1, clean=1, overwrite_a=overwrite)
     if info > 0:
         raise NotPositiveDefinite(
             f"{info}-th leading minor of the array is not positive definite"
         )
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of dpotrf")
-    if pivot_tol > 0.0 and np.min(np.diag(L)) ** 2 <= pivot_tol:
-        raise NotPositiveDefinite(
-            f"pivot {np.min(np.diag(L))**2:.3e} below threshold {pivot_tol:.3e}"
-        )
     return L
+
+
+@lru_cache(maxsize=64)
+def _blocks(k, b):
+    """Positions of the k diagonal (b, b) blocks of a (k b, k b) matrix.
+
+    In the flat buffer whose (k b, k b) reshape is the matrix's transpose,
+    so that the transpose is Fortran-ordered: entry ``[i, r, c]`` addresses
+    row ``i b + r`` and column ``i b + c``.  Read-only and shared.
+    """
+    kb = k * b
+    i = np.arange(k)[:, None, None] * b * (kb + 1)
+    blk = i + np.arange(b)[None, :, None] + np.arange(b)[None, None, :] * kb
+    blk.flags.writeable = False
+    return blk
+
+
+def _block_diag(A, blk):
+    """The (k, b, b) stack A on the diagonal of a zero matrix, Fortran-ordered."""
+    kb = blk.shape[0] * blk.shape[1]
+    buf = np.zeros(kb * kb)
+    buf[blk] = A
+    return buf.reshape(kb, kb).T
+
+
+def cholesky_stack(A):
+    """Lower Cholesky factors of the (k, n, n) stack A, uncounted; A is not written.
+
+    One ``dpotrf``: on the block itself when k = 1, else on the stack's
+    block-diagonal matrix, whose factor holds the blocks' factors.
+
+    Raises
+    ------
+    NotPositiveDefinite
+        If a block is not numerically positive definite; with k > 1 the
+        minor named is one of the block-diagonal matrix.
+    """
+    k, n = A.shape[:2]
+    if k == 1:
+        return _potrf(A[0])[None]
+    blk = _blocks(k, n)
+    return _potrf(_block_diag(A, blk), overwrite=1).ravel(order="F")[blk]
+
+
+def cholesky_solve_stack(A, B):
+    """``(L, X)`` with ``L L' = A`` and ``L X = B`` for the (k, n, n) stack A
+    and the (k, n, m) stack B, uncounted: one ``dpotrf`` and one ``dtrtrs``.
+
+    With k > 1 both work on the block-diagonal matrix (see
+    :func:`cholesky_stack`).  L has a positive diagonal, so ``dtrtrs`` cannot
+    fail.
+
+    Raises
+    ------
+    NotPositiveDefinite
+        As :func:`cholesky_stack`.
+    """
+    k, n = A.shape[:2]
+    if k == 1:
+        L = _potrf(A[0])
+        return L[None], _trtrs(L, B[0], lower=1)[0][None]
+    blk = _blocks(k, n)
+    L = _potrf(_block_diag(A, blk), overwrite=1)
+    # the right-hand sides as the transpose of a C-ordered (m, k n) copy,
+    # which dtrtrs overwrites with X
+    T = B.transpose(2, 0, 1).copy()
+    _trtrs(L, T.reshape(-1, k * n).T, lower=1, overwrite_b=1)
+    return L.ravel(order="F")[blk], T.transpose(1, 2, 0)
 
 
 def solve_triangular(L, B, transpose=False, lower=True):
@@ -248,20 +328,40 @@ def qr_cholesky(Astack):
     if m < n:
         raise DimensionMismatch(f"stack must have at least {n} rows, got {m}")
     count_flops(max(0, 2 * m * n * n - (2 * n * n * n) // 3))
-    if n == 0:
-        return np.zeros((0, 0))
-    qr, _, _, info = _geqrf(A, lwork=_qr_lwork(m, n))
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of dgeqrf")
-    R = np.where(_upper(n), qr[:n], 0.0)
-    d = R.diagonal().copy()
+    return qr_cholesky_stack(A[None])[0]
+
+
+def qr_cholesky_stack(S):
+    """:func:`qr_cholesky` of every (m, n) block of the (k, m, n) stack S, uncounted.
+
+    One ``dgeqrf`` per block; the rank test (a diagonal entry at or below
+    ``max(m, n) eps max|R_ii|`` of its block) and the sign normalization run
+    once over the stack.
+
+    Raises
+    ------
+    RankDeficient
+        If a block fails the rank test.
+    """
+    k, m, n = S.shape
+    if not n:
+        return np.zeros((k, 0, 0))
+    lwork = _qr_lwork(m, n)
+    R = np.empty((k, n, n))
+    for i in range(k):
+        qr, _, _, info = _geqrf(S[i], lwork=lwork)
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of dgeqrf")
+        R[i] = qr[:n]
+    R = np.where(_upper(n), R, 0.0)
+    d = R.diagonal(axis1=1, axis2=2)
     size = np.abs(d)
-    rank_tol = max(m, n) * _EPS * size.max()
-    if (size <= rank_tol).any():
+    tol = max(m, n) * _EPS * size.max(axis=1, keepdims=True)
+    if (size <= tol).any():
         raise RankDeficient(
-            f"diagonal entry {size.min():.3e} at or below {rank_tol:.3e}"
+            f"diagonal entry {size.min():.3e} at or below {tol.min():.3e}"
         )
-    R *= np.copysign(1.0, d)[:, None]
+    R *= np.copysign(1.0, d)[:, :, None]
     return R
 
 

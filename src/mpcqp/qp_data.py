@@ -182,6 +182,7 @@ class _Field:
     dtype: type = float
     dyn: bool = False      # indexed by dynamics block, a key of dim.edges
     bound: bool = False    # read only by the view's bound vector d and mask act
+    checked: bool = False  # read by a blocking check of validate()
 
 
 def _check_value(name, value, shape, dtype):
@@ -248,22 +249,14 @@ def _zero_stage(nx, nu, nb, ng, ns):
     }
 
 
-# fields that no blocking check of validate() reads (bounds, gradients,
-# dynamics, linear penalties, slack bounds): a write to one of them keeps a
-# passed validation verdict
-_VERDICT_KEEPING = frozenset({
-    "S", "q", "r", "g", "lb", "ub", "lbu", "ubu", "lbx", "ubx", "C", "D",
-    "lg", "ug", "zl", "zu", "sl_lb", "su_lb", "A", "B", "b",
-})
-
-
 class _FieldAccess:
     """set_field/get_field over a declarative catalog (mixin).
 
     ``_rev`` counts the writes.  ``_valid_rev`` is the revision at which
     :func:`validate` last found no blocking error, as recorded by the
-    solver; a write carries it forward only if it touches a field in
-    ``_VERDICT_KEEPING``, and any other change of ``_rev`` drops it.
+    solver; a write carries it forward only if the field it writes is not
+    ``checked`` in the catalog (a virtual box field counts as the field it
+    writes), and any other change of ``_rev`` drops it.
 
     ``_view_cache`` is ``(rev, view, fresh)``, set by :func:`view.make_view`.
     A write to a ``bound`` field of the catalog (a virtual box field counts
@@ -289,7 +282,7 @@ class _FieldAccess:
     def _bump(self, name, f):
         rev = self._rev
         self._rev += 1
-        if self._valid_rev == rev and name in _VERDICT_KEEPING:
+        if self._valid_rev == rev and not f.checked:
             self._valid_rev = self._rev
         if f.bound and self._view_cache is not None and self._view_cache[0] == rev:
             self._view_cache = (self._rev, self._view_cache[1], False)
@@ -300,27 +293,29 @@ class _FieldAccess:
 # --------------------------------------------------------------------------
 
 _STAGE_FIELDS = {
-    "Q": _Field("Q", lambda d, n: (d.nx[n], d.nx[n])),
+    "Q": _Field("Q", lambda d, n: (d.nx[n], d.nx[n]), checked=True),
     "S": _Field("S", lambda d, n: (d.nu[n], d.nx[n])),
-    "R": _Field("R", lambda d, n: (d.nu[n], d.nu[n])),
+    "R": _Field("R", lambda d, n: (d.nu[n], d.nu[n]), checked=True),
     "q": _Field("q", lambda d, n: (d.nx[n],)),
     "r": _Field("r", lambda d, n: (d.nu[n],)),
-    "idxb": _Field("idxb", lambda d, n: (d.nb[n],), int),
+    "idxb": _Field("idxb", lambda d, n: (d.nb[n],), int, checked=True),
     "lb": _Field("lb", lambda d, n: (d.nb[n],), bound=True),
     "ub": _Field("ub", lambda d, n: (d.nb[n],), bound=True),
     "C": _Field("C", lambda d, n: (d.ng[n], d.nx[n])),
     "D": _Field("D", lambda d, n: (d.ng[n], d.nu[n])),
     "lg": _Field("lg", lambda d, n: (d.ng[n],), bound=True),
     "ug": _Field("ug", lambda d, n: (d.ng[n],), bound=True),
-    "idxs": _Field("idxs", lambda d, n: (d.ns[n],), int),
-    "Zl": _Field("Zl", lambda d, n: (d.ns[n],)),
-    "Zu": _Field("Zu", lambda d, n: (d.ns[n],)),
+    "idxs": _Field("idxs", lambda d, n: (d.ns[n],), int, checked=True),
+    "Zl": _Field("Zl", lambda d, n: (d.ns[n],), checked=True),
+    "Zu": _Field("Zu", lambda d, n: (d.ns[n],), checked=True),
     "zl": _Field("zl", lambda d, n: (d.ns[n],)),
     "zu": _Field("zu", lambda d, n: (d.ns[n],)),
     "sl_lb": _Field("sl_lb", lambda d, n: (d.ns[n],), bound=True),
     "su_lb": _Field("su_lb", lambda d, n: (d.ns[n],), bound=True),
-    "maskl": _Field("maskl", lambda d, n: (d.nb[n] + d.ng[n],), bound=True),
-    "masku": _Field("masku", lambda d, n: (d.nb[n] + d.ng[n],), bound=True),
+    "maskl": _Field("maskl", lambda d, n: (d.nb[n] + d.ng[n],), bound=True,
+                    checked=True),
+    "masku": _Field("masku", lambda d, n: (d.nb[n] + d.ng[n],), bound=True,
+                    checked=True),
 }
 
 # dynamics block i of the edge table, ``d.edges[i] = (parent, child)``:
@@ -444,25 +439,27 @@ class DenseQp(_FieldAccess):
     kind = "dense"
 
     _FIELDS = {
-        "H": _Field("H", lambda d, n: (d.nv, d.nv)),
+        "H": _Field("H", lambda d, n: (d.nv, d.nv), checked=True),
         "g": _Field("g", lambda d, n: (d.nv,)),
         "A": _Field("A", lambda d, n: (d.ne, d.nv)),
         "b": _Field("b", lambda d, n: (d.ne,)),
-        "idxb": _Field("idxb", lambda d, n: (d.nb,), int),
+        "idxb": _Field("idxb", lambda d, n: (d.nb,), int, checked=True),
         "lb": _Field("lb", lambda d, n: (d.nb,), bound=True),
         "ub": _Field("ub", lambda d, n: (d.nb,), bound=True),
         "C": _Field("C", lambda d, n: (d.ng, d.nv)),
         "lg": _Field("lg", lambda d, n: (d.ng,), bound=True),
         "ug": _Field("ug", lambda d, n: (d.ng,), bound=True),
-        "idxs": _Field("idxs", lambda d, n: (d.ns,), int),
-        "Zl": _Field("Zl", lambda d, n: (d.ns,)),
-        "Zu": _Field("Zu", lambda d, n: (d.ns,)),
+        "idxs": _Field("idxs", lambda d, n: (d.ns,), int, checked=True),
+        "Zl": _Field("Zl", lambda d, n: (d.ns,), checked=True),
+        "Zu": _Field("Zu", lambda d, n: (d.ns,), checked=True),
         "zl": _Field("zl", lambda d, n: (d.ns,)),
         "zu": _Field("zu", lambda d, n: (d.ns,)),
         "sl_lb": _Field("sl_lb", lambda d, n: (d.ns,), bound=True),
         "su_lb": _Field("su_lb", lambda d, n: (d.ns,), bound=True),
-        "maskl": _Field("maskl", lambda d, n: (d.nb + d.ng,), bound=True),
-        "masku": _Field("masku", lambda d, n: (d.nb + d.ng,), bound=True),
+        "maskl": _Field("maskl", lambda d, n: (d.nb + d.ng,), bound=True,
+                        checked=True),
+        "masku": _Field("masku", lambda d, n: (d.nb + d.ng,), bound=True,
+                        checked=True),
     }
 
     def __init__(self, nv, ne=0, nb=0, ng=0, ns=0):
@@ -573,7 +570,8 @@ def validate(qp):
     tree's parents) is checked when it is built and is read-only after.
 
     The blocking checks read only ``Q``, ``R``, ``H``, ``Zl``, ``Zu``,
-    ``idxb``, ``idxs``, ``maskl`` and ``masku``.  The solver
+    ``idxb``, ``idxs``, ``maskl`` and ``masku``, the fields marked
+    ``checked`` in the field catalog.  The solver
     therefore keeps a passed verdict across writes to any other field (an
     MPC step's bound writes, say) and validates again only after a write
     that a blocking check reads or any other change of the QP.

@@ -57,7 +57,6 @@ put ``lam_i t_i = ipm_core.MU0`` on every active row.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -88,8 +87,6 @@ from .view import QpSolution, make_view
 
 __all__ = ["SolveReport", "solve_dense_qp", "solve_ocp_qp", "solve_tree_ocp_qp",
            "solve_path"]
-
-logger = logging.getLogger("mpcqp")
 
 _WARM_FLOOR = 1e-8  # lam/t floor when starting from a primal-dual guess
 
@@ -334,7 +331,6 @@ def _ipm_loop(qp, factor_fn, arg, guess):
         it += 1
     # every exit taken with residuals leaves the iterate as they saw it
     final = res if res is not None else view.residuals(iterate)
-    _log_mu_trace(trace)
     stats = SolverStats(
         status=status, iterations=it,
         res_g=final.res_g, res_b=final.res_b,
@@ -357,14 +353,3 @@ def _refine(view, factor, iterate, rg, rb, rd, rm, sol, max_steps, stop_ratio):
     )
     rhs_norm = float(np.max(np.abs(rhs_flat))) if rhs_flat.size else 0.0
     return QpSolution.from_flat(view, flat), norm, rhs_norm, steps
-
-
-def _log_mu_trace(trace):
-    # soft monotonicity check: mu should contract by ~0.9 per iteration on
-    # nondegenerate problems; log only, never fail
-    for prev, cur in zip(trace, trace[1:]):
-        if prev.mu > 0 and cur.mu > 0.9 * prev.mu:
-            logger.debug(
-                "slow duality-measure progress at iteration %d: %.3e -> %.3e",
-                cur.it, prev.mu, cur.mu,
-            )

@@ -83,18 +83,18 @@ the KKT backends: the base Hessian of every block, flattened into one array
 ``hess0`` with the positions of its blocks, box-row diagonal entries and
 diagonals (the layout of the one-pass reduced Hessian) and each node's
 symmetrized base Hessian ``[[R S] [S' Q]]`` as a view of it are built once
-per view, not once per factorization, and so is, on first use, the band
-layout and level schedule of the Riccati recursion (:class:`RiccatiBand`),
-whose constant entries are those of E and which holds every edge's
-``[B A]``, stacked by level.  The stage type's ``H`` is made of the same
-symmetrized node Hessians.
+per view, not once per factorization; :mod:`kkt_ocp` keeps the Riccati
+recursion's band layout and level schedule on the view as well (``band``,
+built by its first factorization).  The stage type's ``H`` is made of the
+same symmetrized node Hessians.  This is the package's only module that
+builds ``scipy.sparse`` matrices.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -560,209 +560,6 @@ class StageView(ProblemView):
         return _csr(neg_BA, np.take(self.u_off, par), self.nv,
                     tail=_ranges(np.take(self.x_off, child), nx[child]))
 
-    @cached_property
-    def band(self):
-        """The Riccati recursion's constants (see :mod:`kkt_ocp`)."""
-        return RiccatiBand(self)
-
-
-class RiccatiBand:
-    """The Riccati recursion's constants: its factor sweep's level schedule
-    and the band layout of its vector-solve matrix T.
-
-    The nodes are laid out in reverse order (every child before its parent),
-    each node n as ``[l_n | s_n]`` over its window ``(u_n, x_n)``, so that T
-    is lower triangular.  Its diagonal block is ``[[L_uu 0] [L_xu D_n]]``
-    with ``D_n = I`` except at the root; the edge into a child m couples the
-    parent's rows to ``s_m`` through ``-[B_m A_m]'``.  The coupling and the
-    identities are the equality matrix E with its columns moved to band
-    order, so they are constants of the view; a factorization writes only
-    the factor columns ``[L_uu; L_xu]`` of every node and the root block.
-
-    * ``vpos``     v index k sits at band position ``vpos[k]``;
-    * ``pi_pos``   band position of the child state each pi entry pairs with;
-    * ``kd``       number of subdiagonals, from the edge table;
-    * ``ab0``      (nv, kd + 1) C-ordered constant part; its transpose is
-                   LAPACK lower band storage;
-    * ``val_off``  the factor values are every node's ``[L_uu; L_xu]``, in
-                   node order, and then the root block, each flattened
-                   column-major and concatenated; block n (the root is
-                   block ``n_node``) spans ``val_off[n]:val_off[n + 1]``;
-    * ``dst``/``src``  flat positions in ``ab0`` of the factor entries and
-                   their positions among the factor values;
-    * ``levels``   the factor sweep's level schedule, deepest level first:
-                   one :class:`RiccatiLevel` per group of nodes of equal
-                   depth, ``nu``, ``nx`` and out-edge child ``nx``; a chain
-                   has one one-node level per stage;
-    * ``flops``    the sweep's nominal flop counts, per route (``classical``,
-                   ``square_root``, ``qr``): entry i is the count of
-                   levels 0..i-1, so the last entry is the whole sweep's
-                   (the classical root factor excluded);
-    * ``p_dim``    the largest nx over the nodes: a factorization writes
-                   every node's cost-to-go block (``P_n``, or ``chol(P_n)``
-                   on the square-root and QR routes) at the top left of slot
-                   n of one zeroed (n_node, p_dim, p_dim) buffer, so the
-                   blocks of the edges, edge e leading into node e + 1, are
-                   its slots 1 on, and each product over pi is one stacked
-                   ``matmul``;
-    * ``p_pos``    positions of the pi entries in a vector of the edges'
-                   padded (n_node - 1, p_dim) blocks: a slice when every
-                   non-root node has ``nx = p_dim``, else an index array.
-    """
-
-    def __init__(self, view):
-        d = view.qp.dim
-        n_node = view.n_node
-        nu = np.array([d.nu[n] for n in range(n_node)], dtype=np.intp)
-        nx = np.array([d.nx[n] for n in range(n_node)], dtype=np.intp)
-        w = nu + nx
-        start = np.cumsum(w[::-1])[::-1] - w
-        self.vpos = _ranges(start, w)
-        child = np.array([m for _, m, _ in view.edges], dtype=np.intp)
-        self.pi_pos = self.vpos[
-            _ranges(np.take(view.x_off, child).astype(np.intp), nx[child])
-        ]
-        self.p_dim = p = int(nx.max())
-        self.p_pos = (slice(None) if np.all(nx[child] == p)
-                      else _ranges(np.arange(child.size, dtype=np.intp) * p,
-                                   nx[child]))
-        E = view.E
-        rows = self.vpos[E.indices]
-        cols = self.pi_pos.repeat(np.diff(E.indptr))
-        # the factor entries: every node's (w_n, nu_n) column block, then the
-        # root's (nx_0, nx_0) block, each column-major and on the diagonal
-        h = np.append(w, nx[0])
-        width = np.append(nu, nx[0])
-        first = np.append(start, start[0] + nu[0])
-        count = h * width
-        self.val_off = np.concatenate([[0], np.cumsum(count)])
-        k = _ranges(np.zeros(n_node + 1, dtype=np.intp), count)
-        h_k = np.maximum(h.repeat(count), 1)
-        c, r = k // h_k, k % h_k
-        low = r >= c
-        r, c = r[low], c[low]
-        self.kd = kd = int(max(np.max(rows - cols, initial=0),
-                               np.max(r - c, initial=0)))
-        ab0 = np.zeros((view.nv, kd + 1))
-        ab0[cols, rows - cols] = E.data
-        ab0.flags.writeable = False   # every factorization writes a copy
-        self.ab0 = ab0
-        self.dst = (first.repeat(count)[low] + c) * (kd + 1) + r - c
-        self.src = np.flatnonzero(low)
-        depth = np.zeros(n_node, dtype=np.intp)
-        for par, m, _ in view.edges:
-            depth[m] = depth[par] + 1
-        groups = {}
-        for n in range(n_node):
-            key = (depth[n], nu[n], nx[n],
-                   tuple(nx[m] for m, _, _ in view.out_edges[n]))
-            # a node without state is never stacked
-            groups.setdefault(key if nx[n] else (n,), []).append(n)
-        self.levels = [
-            RiccatiLevel(view, nodes, self.val_off)
-            for nodes in sorted(groups.values(),
-                                key=lambda g: (-depth[g[0]], -g[-1]))
-        ]
-        self.flops = {}
-        for route in ("classical", "square_root", "qr"):
-            cum = [0]
-            for lv in self.levels:
-                cum.append(cum[-1] + lv.k * lv.flops[route][0])
-            self.flops[route] = cum
-
-
-def _sel(ids):
-    """``ids`` as a slice when evenly spaced and ascending, else an index array."""
-    step = ids[1] - ids[0] if len(ids) > 1 else 1
-    if step > 0 and all(b - a == step for a, b in zip(ids, ids[1:])):
-        return slice(ids[0], ids[-1] + 1, step)
-    return np.array(ids, dtype=np.intp)
-
-
-@lru_cache(maxsize=64)
-def _blocks(k, b):
-    """Positions of the k diagonal (b, b) blocks of a (k b, k b) matrix.
-
-    In the flat buffer whose (k b, k b) reshape is the matrix's transpose,
-    so that the transpose is Fortran-ordered: entry ``[i, r, c]`` addresses
-    row ``i b + r`` and column ``i b + c``.  Read-only and shared.
-    """
-    kb = k * b
-    i = np.arange(k)[:, None, None] * b * (kb + 1)
-    blk = i + np.arange(b)[None, :, None] + np.arange(b)[None, None, :] * kb
-    blk.flags.writeable = False
-    return blk
-
-
-class RiccatiLevel:
-    """Nodes of one depth and one shape: one step of the factor sweep.
-
-    A level's k nodes share ``nu``, ``w = nu + nx`` and the ``nx`` of the
-    children of every out-edge slot, so :mod:`kkt_ocp` factors them with
-    one call per kernel on (k, ., .) stacks.  Selectors are slices where
-    the node numbering allows (consecutive nodes, evenly spaced children,
-    as in a breadth-first numbering) and index arrays otherwise.
-
-    * ``nodes``    the node indices, ascending; ``k`` their number;
-    * ``hess``     the nodes' (w, w) blocks in the flat reduced-Hessian
-                   buffer (:func:`kkt_common.reduced_hessian`);
-    * ``vals``     the nodes' factor columns among the band's factor
-                   values, each column-major, that is an (nu, w) block;
-    * ``p``        the nodes' slots in the stacked cost-to-go buffer;
-    * ``edges``    per out-edge slot ``(children, nx_child, BA)``: the
-                   children's slots and the (k, nx_child, w) stack of the
-                   edges' ``[B A]``;
-    * ``blk_u``, ``blk_w``  :func:`_blocks` of the input and the whole
-                   node blocks, for one Cholesky factorization of a level's
-                   block-diagonal matrix (k > 1 only);
-    * ``flops``    nominal counts per node and route, ``(full, at
-                   failure)``: those of the :mod:`linalg` kernels the
-                   step's calls stand in for.
-    """
-
-    __slots__ = ("nodes", "k", "nu", "w", "hess", "vals", "p", "edges",
-                 "blk_u", "blk_w", "flops")
-
-    def __init__(self, view, nodes, val_off):
-        d = view.qp.dim
-        n0 = nodes[0]
-        self.nodes = nodes
-        self.k = k = len(nodes)
-        self.nu = nu = int(d.nu[n0])
-        nx = int(d.nx[n0])
-        self.w = w = nu + nx
-        h0, v0 = int(view.hess_off[n0]), int(val_off[n0])
-        if nodes[-1] - n0 == k - 1:
-            self.hess = slice(h0, h0 + k * w * w)
-            self.vals = slice(v0, v0 + k * w * nu)
-        else:
-            ids = np.array(nodes, dtype=np.intp)
-            self.hess = _ranges(view.hess_off[ids], np.full(k, w * w))
-            self.vals = _ranges(val_off[ids], np.full(k, w * nu))
-        self.p = _sel(nodes)
-        out = [view.out_edges[n] for n in nodes]
-        self.edges = []
-        for j, (m, _, _) in enumerate(out[0]):
-            BA = np.empty((k, int(d.nx[m]), w))
-            for i, o in enumerate(out):
-                BA[i, :, :nu] = o[j][1]["B"]
-                BA[i, :, nu:] = o[j][1]["A"]
-            BA.flags.writeable = False
-            self.edges.append((_sel([o[j][0] for o in out]), int(d.nx[m]), BA))
-        self.blk_u = self.blk_w = None
-        if k > 1:
-            self.blk_u, self.blk_w = _blocks(k, nu), _blocks(k, w)
-        c = [e[1] for e in self.edges]
-        edge_cl = sum(2 * ci * w * (ci + w) for ci in c)
-        edge_sq = sum(2 * ci * ci * w for ci in c) + w ** 3 // 3
-        m = w + sum(c)
-        self.flops = {
-            "classical": (edge_cl + nu ** 3 // 3 + nu * nu * nx + 2 * nx * nx * nu,
-                          edge_cl + nu ** 3 // 3),
-            "square_root": (edge_sq + sum(2 * w * w * ci for ci in c),) * 2,
-            "qr": (edge_sq + max(0, 2 * m * w * w - (2 * w ** 3) // 3), edge_sq),
-        }
-
 
 def make_view(qp):
     """Build (or fetch the cached) flat view of a QP.
@@ -770,8 +567,9 @@ def make_view(qp):
     A view is cached on its QP with the QP's revision.  After writes only to
     bound fields (see :class:`qp_data._FieldAccess`) the cached view comes
     back as a shallow copy with ``d``, ``act`` and ``n_act`` recomputed, so
-    it shares every other constant, the Riccati band included; the cached
-    view itself is never modified, because earlier solutions hold it.
+    it shares every other constant, the Riccati constants that
+    :mod:`kkt_ocp` keeps on it (``band``) included; the cached view itself
+    is never modified, because earlier solutions hold it.
     """
     cached = getattr(qp, "_view_cache", None)
     if cached is not None and cached[0] == qp._rev:

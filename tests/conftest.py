@@ -16,6 +16,7 @@ from mpcqp import DenseQp, OcpQp, OcpQpDim, TreeOcpQp, TreeOcpQpDim
 from mpcqp.errors import FactorizationFailed, LinalgError
 from mpcqp.ipm_core import IpmArg
 from mpcqp.kkt_common import kkt_apply_vec, view_scales
+from mpcqp.kkt_ocp import _band
 from mpcqp.linalg import cholesky_factor, matmul_acc, qr_cholesky, solve_triangular
 from mpcqp.view import QpSolution, make_view
 
@@ -246,10 +247,9 @@ def stage_hessian_ref(st, nu, nx, cb, sc, reg):
 class RiccatiFactorRef:
     """Factor object of :func:`riccati_factor_ref`; the band solve reads it."""
 
-    def __init__(self, qp, view, variant, iterate):
+    def __init__(self, qp, view, iterate):
         self.qp = qp
         self.view = view
-        self.variant = variant
         self.scales = view_scales(view, iterate.lam, iterate.t)
         n_node = view.n_node
         self.L_uu = [None] * n_node
@@ -267,7 +267,7 @@ class RiccatiFactorRef:
         return self.L_P[n] @ self.L_P[n].T
 
 
-def riccati_factor_ref(qp, iterate, variant=None, arg=None, use_qr=False):
+def riccati_factor_ref(qp, iterate, arg=None, use_qr=False):
     """The node-by-node factor sweep that the lean node kernels replaced.
 
     Per node: a copy of the base Hessian with the constraint terms added,
@@ -276,13 +276,10 @@ def riccati_factor_ref(qp, iterate, variant=None, arg=None, use_qr=False):
     eagerly.
     """
     arg = arg or IpmArg()
-    variant = variant or arg.riccati_variant
-    if variant not in ("classical", "square_root"):
-        raise ValueError(f"unknown Riccati variant '{variant}'")
     vw = make_view(qp)
     d = qp.dim
-    fac = RiccatiFactorRef(qp, vw, variant, iterate)
-    sqrt_mode = variant == "square_root" or use_qr
+    fac = RiccatiFactorRef(qp, vw, iterate)
+    sqrt_mode = arg.riccati_variant == "square_root" or use_qr
     for n in range(vw.n_node - 1, -1, -1):
         M = add_reduced_hessian_ref(vw.blocks[n], fac.scales, vw.node_hess[n])
         if arg.reg_prim:
@@ -305,7 +302,7 @@ def riccati_factor_ref(qp, iterate, variant=None, arg=None, use_qr=False):
             ) from exc
     else:
         L_root = np.zeros((0, 0))
-    band = vw.band
+    band = _band(vw)
     # column-major: the factors come out of LAPACK Fortran-ordered
     vals = np.concatenate([L.ravel(order="F") for L in fac.L_col + [L_root]])
     ab = band.ab0.copy()

@@ -53,7 +53,8 @@ class TestFactor:
     @pytest.mark.parametrize("variant", ["classical", "square_root"])
     def test_scalar_lqr_values(self, variant):
         qp = scalar_lqr()
-        fac = ko.riccati_factor(qp, QpSolution(make_view(qp)), variant=variant)
+        fac = ko.riccati_factor(qp, QpSolution(make_view(qp)),
+                                arg=IpmArg(riccati_variant=variant))
         assert abs(fac.p_matrix(1)[0, 0] - 1.0) <= 1e-12
         assert abs(fac.K[0][0, 0] - (-0.5)) <= 1e-12
         assert abs(fac.p_matrix(0)[0, 0] - 1.5) <= 1e-12
@@ -74,7 +75,7 @@ class TestFactor:
         qp.set_field("R", 0, [[-1.0]])
         with pytest.raises(FactorizationFailed) as ei:
             ko.riccati_factor(qp, QpSolution(make_view(qp)),
-                              variant="square_root")
+                              arg=IpmArg(riccati_variant="square_root"))
         assert ei.value.stage == 0
 
     def test_classical_tolerates_indefinite_full_space(self):
@@ -85,11 +86,11 @@ class TestFactor:
         qp = scalar_lqr()
         qp.set_field("Q", 0, [[-0.2]])
         fac = ko.riccati_factor(qp, QpSolution(make_view(qp)),
-                                variant="classical")
+                                arg=IpmArg(riccati_variant="classical"))
         assert fac.p_matrix(0)[0, 0] == pytest.approx(-0.2 + 1.0 - 0.5)
         with pytest.raises(FactorizationFailed):
             ko.riccati_factor(qp, QpSolution(make_view(qp)),
-                              variant="square_root", use_qr=True)
+                              arg=IpmArg(riccati_variant="square_root"), use_qr=True)
 
     def test_positive_semidefinite_cost_to_go(self, rng):
         qp = rand_ocp_qp(rng, N=6, nx=4, nu=2)
@@ -119,7 +120,8 @@ class TestSolve:
             it = rand_iterate(rng, qp)
             vw, res, rm = _rhs_from(qp, it)
             ref = solve_full_kkt(qp, it, res.r_g, res.r_b, res.r_d, rm)
-            fac = ko.riccati_factor(qp, it, variant=variant, use_qr=use_qr)
+            fac = ko.riccati_factor(qp, it,
+                                    arg=IpmArg(riccati_variant=variant), use_qr=use_qr)
             step = fac.solve(res.r_g, res.r_b, res.r_d, rm)
             err = np.max(np.abs(step.flat() - ref.flat()))
             assert err <= 1e-8 * (1.0 + np.max(np.abs(ref.flat())))
@@ -128,9 +130,10 @@ class TestSolve:
         qp = rand_ocp_qp(rng, N=6, nx=3, nu=2)
         it = rand_iterate(rng, qp)
         vw, res, rm = _rhs_from(qp, it)
-        s1 = ko.riccati_factor(qp, it, variant="classical").solve(
+        s1 = ko.riccati_factor(qp, it).solve(
             res.r_g, res.r_b, res.r_d, rm)
-        s2 = ko.riccati_factor(qp, it, variant="square_root").solve(
+        s2 = ko.riccati_factor(
+            qp, it, arg=IpmArg(riccati_variant="square_root")).solve(
             res.r_g, res.r_b, res.r_d, rm)
         assert np.max(np.abs(s1.flat() - s2.flat())) <= 1e-8 * (
             1.0 + np.max(np.abs(s1.flat())))
@@ -225,7 +228,7 @@ class TestViewConstants:
                 ref = stage_hessian_ref(qp._stages[n], d.nu[n], d.nx[n],
                                         cb, sc, reg)
                 assert np.array_equal(M, ref)
-        for lv in vw.band.levels:
+        for lv in ko._band(vw).levels:
             for j, (_, _, BA) in enumerate(lv.edges):
                 for i, n in enumerate(lv.nodes):
                     assert np.array_equal(BA[i], ba_ref(vw.out_edges[n][j][1]))
@@ -549,8 +552,9 @@ class TestBandSolveEquivalence:
         rng = np.random.default_rng(seed)
         it = rand_iterate(rng, qp)
         vw = make_view(qp)
-        fac = ko.riccati_factor(qp, it, variant=variant, use_qr=use_qr,
-                                arg=IpmArg(reg_prim=reg_prim))
+        fac = ko.riccati_factor(
+            qp, it, arg=IpmArg(riccati_variant=variant, reg_prim=reg_prim),
+            use_qr=use_qr)
         for _ in range(2):
             rhs = (rng.standard_normal(vw.ny), rng.standard_normal(vw.ne),
                    rng.standard_normal(vw.nc),
@@ -584,7 +588,7 @@ class TestFactorSweepEquivalence:
         rng = np.random.default_rng(seed)
         it = rand_iterate(rng, qp)
         vw = make_view(qp)
-        kw = dict(variant=variant, use_qr=use_qr, arg=IpmArg(reg_prim=reg_prim))
+        kw = dict(use_qr=use_qr, arg=IpmArg(riccati_variant=variant, reg_prim=reg_prim))
         fac = ko.riccati_factor(qp, it, **kw)
         ref = riccati_factor_ref(qp, it, **kw)
         for n in range(vw.n_node):
@@ -601,7 +605,7 @@ class TestFactorSweepEquivalence:
         rhs = (rng.standard_normal(vw.ny), rng.standard_normal(vw.ne),
                rng.standard_normal(vw.nc),
                np.where(vw.act, rng.standard_normal(vw.nc), 0.0))
-        assert _close(fac.solve(*rhs).flat(), ko.riccati_solve(ref, qp, *rhs).flat())
+        assert _close(fac.solve(*rhs).flat(), ko.riccati_solve(ref, *rhs).flat())
 
     @pytest.mark.parametrize("variant,use_qr,reg_prim", ROUTES)
     @settings(max_examples=120)
@@ -612,7 +616,7 @@ class TestFactorSweepEquivalence:
         rng = np.random.default_rng(seed)
         it = rand_iterate(rng, qp)
         vw = make_view(qp)
-        kw = dict(variant=variant, use_qr=use_qr, arg=IpmArg(reg_prim=reg_prim))
+        kw = dict(use_qr=use_qr, arg=IpmArg(riccati_variant=variant, reg_prim=reg_prim))
         fac = ko.riccati_factor(qp, it, **kw)
         ref = riccati_factor_ref(qp, it, **kw)
         p = int(max(qp.dim.nx))
@@ -633,7 +637,7 @@ class TestFactorSweepEquivalence:
     @pytest.mark.parametrize("kind", ["ocp", "tree"])
     def test_indefinite_node_fails_at_reference_stage(self, rng, variant,
                                                       use_qr, reg_prim, kind):
-        kw = dict(variant=variant, use_qr=use_qr, arg=IpmArg(reg_prim=reg_prim))
+        kw = dict(use_qr=use_qr, arg=IpmArg(riccati_variant=variant, reg_prim=reg_prim))
         for bad in range(4):
             qp = (rand_ocp_qp(rng, N=4, nx=3, nu=2) if kind == "ocp"
                   else rand_tree_qp(rng, [-1, 0, 0, 1, 2], nx=3, nu=2))
@@ -657,9 +661,11 @@ class TestFactorSweepEquivalence:
               else rand_tree_qp(rng, [-1, 0, 0, 1, 1, 2]))
         it = rand_iterate(rng, qp)
         with flop_counter() as want:
-            riccati_factor_ref(qp, it, variant=variant, use_qr=use_qr)
+            riccati_factor_ref(qp, it,
+                               arg=IpmArg(riccati_variant=variant), use_qr=use_qr)
         with flop_counter() as got:
-            fac = ko.riccati_factor(qp, it, variant=variant, use_qr=use_qr)
+            fac = ko.riccati_factor(qp, it,
+                                    arg=IpmArg(riccati_variant=variant), use_qr=use_qr)
         gains = sum(nu * nu * nx for nu, nx in zip(qp.dim.nu, qp.dim.nx) if nu)
         assert got.flops == want.flops - gains
         with flop_counter() as read:
@@ -690,10 +696,10 @@ class TestFactorSweepEquivalence:
         # nodes rerun one by one, so the stage and the flops counted up to
         # the failure are the node-by-node sweep's
         parents = [-1, 0, 0, 1, 1, 2, 2]
-        kw = dict(variant=variant, use_qr=use_qr, arg=IpmArg(reg_prim=reg_prim))
+        kw = dict(use_qr=use_qr, arg=IpmArg(riccati_variant=variant, reg_prim=reg_prim))
         qp = rand_tree_qp(rng, parents, nx=3, nu=2)
         assert any(lv.k == 4 and bad in lv.nodes or lv.k == 2 and bad in lv.nodes
-                   for lv in make_view(qp).band.levels)
+                   for lv in ko._band(make_view(qp)).levels)
         qp.set_field("R", bad, -1e3 * np.eye(2))
         it = rand_iterate(rng, qp)
         with flop_counter() as got_fl, pytest.raises(FactorizationFailed) as got:
@@ -717,7 +723,7 @@ class TestFactorSweepEquivalence:
         qp.set_field("maskl", bad, np.zeros(m))
         qp.set_field("masku", bad, np.zeros(m))
         it = rand_iterate(rng, qp)
-        kw = dict(variant="square_root", use_qr=True)
+        kw = dict(use_qr=True)
         with flop_counter() as got_fl, pytest.raises(FactorizationFailed) as got:
             ko.riccati_factor(qp, it, **kw)
         with flop_counter() as want_fl, pytest.raises(FactorizationFailed) as want:
@@ -726,7 +732,7 @@ class TestFactorSweepEquivalence:
         assert got.value.stage == want.value.stage == bad
         assert got_fl.flops == want_fl.flops + self._ref_lag(qp, bad)
         # the Cholesky routes factor it
-        ko.riccati_factor(qp, it, variant="square_root")
+        ko.riccati_factor(qp, it, arg=IpmArg(riccati_variant="square_root"))
 
     @pytest.mark.parametrize("variant,use_qr,reg_prim", ROUTES)
     @pytest.mark.parametrize("nx,nu", [([0, 2, 2], [1, 1, 0]), ([2, 2, 0], [1, 1, 0]),
@@ -741,7 +747,7 @@ class TestFactorSweepEquivalence:
             qp.set_field("A", n, 0.3 * rng.standard_normal((nx[n + 1], nx[n])))
             qp.set_field("B", n, rng.standard_normal((nx[n + 1], nu[n])))
         it = rand_iterate(rng, qp)
-        kw = dict(variant=variant, use_qr=use_qr, arg=IpmArg(reg_prim=reg_prim))
+        kw = dict(use_qr=use_qr, arg=IpmArg(riccati_variant=variant, reg_prim=reg_prim))
         with flop_counter() as got_fl:
             fac = ko.riccati_factor(qp, it, **kw)
         with flop_counter() as want_fl:
@@ -760,9 +766,11 @@ class TestFactorSweepEquivalence:
         for variant, use_qr in (("classical", False), ("square_root", False),
                                 ("square_root", True)):
             with flop_counter() as want:
-                riccati_factor_ref(qp, it, variant=variant, use_qr=use_qr)
+                riccati_factor_ref(qp, it,
+                                   arg=IpmArg(riccati_variant=variant), use_qr=use_qr)
             with flop_counter() as got:
-                ko.riccati_factor(qp, it, variant=variant, use_qr=use_qr)
+                ko.riccati_factor(qp, it,
+                                  arg=IpmArg(riccati_variant=variant), use_qr=use_qr)
             assert got.flops == want.flops - gains
 
 

@@ -4,7 +4,13 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import mpcqp.kkt_ocp as ko
-from mpcqp import FactorizationFailed, IndexOutOfRange, compute_residuals, flop_counter
+from mpcqp import (
+    FactorizationFailed,
+    IndexOutOfRange,
+    IpmArg,
+    compute_residuals,
+    flop_counter,
+)
 from mpcqp.view import QpSolution, make_view, solve_full_kkt
 
 from conftest import (
@@ -44,10 +50,12 @@ class TestChainEquivalence:
                           it.lam.copy(), it.t.copy())
         vw, res, rm = _rhs_from(qp, it)
         with flop_counter() as fc_o:
-            fo = ko.riccati_factor(qp, it, variant=variant, use_qr=use_qr)
+            fo = ko.riccati_factor(qp, it,
+                                   arg=IpmArg(riccati_variant=variant), use_qr=use_qr)
             s_ocp = fo.solve(res.r_g, res.r_b, res.r_d, rm)
         with flop_counter() as fc_t:
-            ft = ko.riccati_factor(tqp, it_t, variant=variant, use_qr=use_qr)
+            ft = ko.riccati_factor(tqp, it_t,
+                                   arg=IpmArg(riccati_variant=variant), use_qr=use_qr)
             s_tree = ft.solve(res.r_g, res.r_b, res.r_d, rm)
         for n in range(qp.dim.N + 1):
             assert np.array_equal(fo.p_matrix(n), ft.p_matrix(n))
@@ -129,7 +137,7 @@ class TestTreeStructure:
         qp.set_field("Q", 1, -np.eye(2))
         it = rand_iterate(rng, qp)
         with pytest.raises(FactorizationFailed) as ei:
-            ko.riccati_factor(qp, it, variant="square_root")
+            ko.riccati_factor(qp, it, arg=IpmArg(riccati_variant="square_root"))
         assert ei.value.stage == 1
 
 
@@ -155,7 +163,8 @@ class TestSolveOracle:
             it = rand_iterate(rng, qp)
             vw, res, rm = _rhs_from(qp, it)
             ref = solve_full_kkt(qp, it, res.r_g, res.r_b, res.r_d, rm)
-            fac = ko.riccati_factor(qp, it, variant=variant, use_qr=use_qr)
+            fac = ko.riccati_factor(qp, it,
+                                    arg=IpmArg(riccati_variant=variant), use_qr=use_qr)
             step = fac.solve(res.r_g, res.r_b, res.r_d, rm)
             err = np.max(np.abs(step.flat() - ref.flat()))
             assert err <= 1e-8 * (1.0 + np.max(np.abs(ref.flat())))

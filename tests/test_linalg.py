@@ -47,10 +47,6 @@ class TestCholesky:
             err = np.max(np.abs(L @ L.T - M))
             assert err <= 1e-12 * np.max(np.abs(M))
 
-    def test_pivot_threshold(self):
-        with pytest.raises(NotPositiveDefinite):
-            cholesky_factor(np.diag([1.0, 1e-14]), pivot_tol=1e-10)
-
 
 class TestSolveTriangular:
     def test_identity(self):

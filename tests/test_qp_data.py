@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mpcqp import (
     DenseQp,
@@ -17,9 +20,16 @@ from mpcqp import (
     objective,
     validate,
 )
+from mpcqp.qp_data import _STAGE_VIRTUAL, errors_only
 from mpcqp.view import QpSolution, make_view
 
-from conftest import ocp_chain_as_tree, rand_iterate, rand_ocp_qp
+from conftest import (
+    ocp_chain_as_tree,
+    rand_dense_qp,
+    rand_iterate,
+    rand_ocp_qp,
+    rand_tree_qp,
+)
 
 
 class TestDims:
@@ -232,6 +242,54 @@ class TestValidate:
             qp.dim.parents[2] = 5
         assert qp.dim.parents.tolist() == [-1, 0, 1]
         assert validate(qp) == []
+
+
+def _verdict_keeping(qp):
+    """``(name, index)`` of every field write that keeps a passed verdict:
+    the fields not ``checked`` in the catalog, and the virtual fields that
+    write one of them."""
+    catalog = type(qp)._FIELDS
+    names = [n for n, f in catalog.items() if not f.checked]
+    if qp.kind == "dense":
+        return [(n, ()) for n in names]
+    names += [n for n, dst in _STAGE_VIRTUAL.items() if not catalog[dst].checked]
+    stages = range(len(qp.dim.nx))
+    return [(n, (i,)) for n in names
+            for i in (qp.dim.edges if n in catalog and catalog[n].dyn else stages)]
+
+
+@st.composite
+def verdict_keeping_writes(draw):
+    """A valid dense, OCP or tree QP and one write to a verdict-keeping
+    field: any float values, infinities and NaN included, of its shape."""
+    kind = draw(st.sampled_from(["dense", "ocp", "tree"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "dense":
+        qp = rand_dense_qp(rng)
+    elif kind == "ocp":
+        qp = rand_ocp_qp(rng, N=3, nx=3, nu=2)
+    else:
+        qp = rand_tree_qp(rng, [-1, 0, 0, 1])
+    name, at = draw(st.sampled_from(_verdict_keeping(qp)))
+    shape = np.shape(qp.get_field(name, *at))
+    value = draw(arrays(np.float64, shape, elements=st.floats(width=64)))
+    return qp, name, at, value
+
+
+class TestVerdictKeepingFields:
+    def test_catalog_flag_marks_the_blocking_checks_fields(self):
+        for qp in (DenseQp(3), OcpQp(OcpQpDim(1, [1, 1], [1, 0]))):
+            checked = {n for n, f in type(qp)._FIELDS.items() if f.checked}
+            assert checked == {"Q", "R", "H", "Zl", "Zu", "idxb", "idxs",
+                               "maskl", "masku"} & set(type(qp)._FIELDS)
+
+    @settings(max_examples=200)
+    @given(verdict_keeping_writes())
+    def test_write_never_adds_a_blocking_error(self, case):
+        qp, name, at, value = case
+        assert errors_only(validate(qp)) == []
+        qp.set_field(name, *at, value)
+        assert errors_only(validate(qp)) == []
 
 
 class TestResiduals:

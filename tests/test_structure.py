@@ -1,0 +1,63 @@
+"""Module boundaries of the package, checked on its source with ``ast``.
+
+Each concept has one home: the LAPACK bindings live in :mod:`linalg`, the
+``scipy.sparse`` operators in :mod:`view` and the Riccati recursion's
+constants in :mod:`kkt_ocp`.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "mpcqp"
+
+
+def _dotted(node):
+    """``a.b.c`` of a chain of attribute reads on a name, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    return ".".join([node.id] + parts[::-1])
+
+
+def _references(tree):
+    """Every module or attribute path the source imports or reads."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            out.add(node.module)
+            out.update(f"{node.module}.{a.name}" for a in node.names)
+        elif isinstance(node, ast.Attribute):
+            out.add(_dotted(node))
+    return out
+
+
+MODULES = {p.name: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+
+
+def _users(prefix):
+    return {name for name, tree in MODULES.items()
+            if any(r == prefix or r.startswith(prefix + ".")
+                   for r in _references(tree) if r)}
+
+
+def _classes(name):
+    return {n.name for n in MODULES[name].body if isinstance(n, ast.ClassDef)}
+
+
+def test_only_linalg_calls_lapack():
+    assert _users("scipy.linalg.lapack") == {"linalg.py"}
+
+
+def test_only_view_builds_sparse_operators():
+    assert _users("scipy.sparse") == {"view.py"}
+
+
+def test_riccati_constants_live_in_kkt_ocp():
+    riccati = {"RiccatiBand", "RiccatiLevel"}
+    assert not riccati & _classes("view.py")
+    assert riccati <= _classes("kkt_ocp.py")
