@@ -28,8 +28,13 @@ Only the reduced Hessian has block structure.  :func:`reduced_hessian`
 forms every block's reduced Hessian in one pass over a flat buffer laid out
 by the view (``hess0``, ``hess_off``, ``hess_box``, ``hess_diag``): one
 copy of the base Hessians, one scatter of the box rows' coefficients onto
-their diagonal entries, the Gram term ``Jg' (c Jg)`` of each block with
-general rows and the primal regularization on every diagonal entry.
+their diagonal entries, the Gram term of each block with general rows and
+the primal regularization on every diagonal entry.  The Gram term
+``Jg' diag(c) Jg`` is formed as the symmetric product ``S' S`` of
+``S = sqrt(c) Jg`` (:func:`linalg.gram`, one ``dsyrk``), so it is exactly
+symmetric and costs half a general product; the coefficients are
+nonnegative because the slack penalties are (validation rejects negative
+``Zl``/``Zu``).
 Everything else is formed once over the flat vectors, with the view's row
 tables (``box_col``, ``G`` and the positions of every row side in
 ``lam``/``t``): the scalings (:func:`view_scales`), the folded right-hand
@@ -48,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NonPositiveIterate, SingularSlackBlock
-from .linalg import matmul_acc
+from .linalg import gram
 from .view import split_flat
 
 __all__ = ["Scales", "view_scales", "row_coef", "reduced_hessian", "fold_rhs",
@@ -110,10 +115,10 @@ def reduced_hessian(view, sc, reg=0.0):
     Returns a fresh buffer laid out like ``view.hess0``: block n's (nw, nw)
     Hessian is ``out[view.hess_off[n]: view.hess_off[n + 1]]`` in row-major
     order.  It is the block's base Hessian plus the slack-eliminated
-    coefficient of each box row on that row's diagonal entry, plus
-    ``Jg' (c Jg)`` for the general rows, plus ``reg`` on the diagonal.  The
-    terms are added in that order, so each block gets the bits of a
-    block-by-block assembly.
+    coefficient of each box row on that row's diagonal entry, plus the Gram
+    term ``S' S`` of ``S = sqrt(c) Jg`` for the general rows, plus ``reg``
+    on the diagonal.  The terms are added in that order, so each block gets
+    the bits of a block-by-block assembly.
     """
     nb = view._nb
     coef = row_coef(view, sc)
@@ -122,7 +127,7 @@ def reduced_hessian(view, sc, reg=0.0):
     for cb, lo, k in view.hess_gen:
         M = out[lo: lo + cb.nw * cb.nw].reshape(cb.nw, cb.nw)
         c = coef[nb + k: nb + k + cb.ng]
-        M[...] = matmul_acc(1.0, cb.Jg, c[:, None] * cb.Jg, 1.0, M, transA=True)
+        M += gram(np.sqrt(c)[:, None] * cb.Jg)
     if reg:
         out[view.hess_diag] += reg
     return out

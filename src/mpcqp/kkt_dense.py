@@ -17,12 +17,27 @@ equality-handling methods are provided:
 * ``null_space``  orthonormal basis of null(A) from a QR of A', solve the
               reduced problem on the basis.
 
-When the QR path is requested, Cholesky factors of normal-matrix forms are
-computed by orthogonal triangularization of the stacked factors instead
-(``qr_cholesky``), which avoids squaring condition numbers: Hred from the
-stack [chol(H + reg I)' ; sqrt(coef_i) * row_i], the Schur complement from
-W = L^-1 A'.  The QR route needs the unaugmented Hessian to be positive
-definite and fails otherwise; the Cholesky route needs only Hred to be.
+The reduced Hessian ``H + reg I + J' diag(coef) J`` (J the box rows, then
+the general rows ``G``) is formed by :func:`kkt_common.reduced_hessian`
+on the Cholesky route.  When the QR route is requested, Cholesky factors of
+normal-matrix forms are computed by orthogonal triangularization of the
+stacked factors instead, which avoids squaring condition numbers.  Hred
+comes from one triangular-pentagonal QR (:func:`linalg.qr_cholesky_tp`) of
+
+    [ chol(H + reg I)'    ]    n rows, upper triangular
+    [ sqrt(coef_g) G_g    ]    the general rows with coef > 0
+    [ diag(sqrt(coef_b))  ]    n rows: the box rows' coefficients summed
+                               onto the diagonal entries of their columns
+
+taken from ``view.G`` and the box columns directly, so no dense row matrix
+is built.  ``chol(H + reg I)'`` depends only on the view and ``reg``: it
+is factored once per view and ``reg`` and kept on the view as
+``hess_chol`` (a dict by ``reg``, failures included), which the view's
+bound-write copies share, as :mod:`kkt_ocp` keeps its ``band``.  The
+route's Schur complement comes from the QR of W = L^-1 A'.  It needs the
+unaugmented Hessian to be positive definite and fails otherwise; the
+Cholesky route needs only Hred to be.  The null-space route's QR of A' is
+:func:`linalg.qr_full`.
 
 A factor object is valid for any number of right-hand sides until the
 iterate changes.
@@ -31,12 +46,18 @@ iterate changes.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
-from .errors import FactorizationFailed, LinalgError
+from .errors import FactorizationFailed, LinalgError, NotPositiveDefinite
 from .ipm_core import KKT_METHODS, IpmArg
 from .kkt_common import fold_rhs, recover, reduced_hessian, row_coef, view_scales
-from .linalg import cholesky_factor, matmul_acc, qr_cholesky, solve_triangular
+from .linalg import (
+    cholesky_factor,
+    matmul_acc,
+    qr_cholesky,
+    qr_cholesky_tp,
+    qr_full,
+    solve_triangular,
+)
 from .view import QpSolution, make_view, split_flat
 
 __all__ = ["DenseKktFactor", "factor"]
@@ -60,15 +81,17 @@ class DenseKktFactor:
         self._A = A
         ne = qp.ne
         if use_qr:
-            self._Lred = self._factor_qr(H, sc, arg.reg_prim)
+            self._Lred = self._factor_qr(sc, arg.reg_prim)
         else:
             Hred = reduced_hessian(view, sc, arg.reg_prim).reshape(H.shape)
             self._Lred = cholesky_factor(Hred)
             self._Hred = Hred
         if method == "null_space" and ne:
+            if ne > qp.nv:
+                raise FactorizationFailed("more equality constraint rows than variables")
             if not hasattr(self, "_Hred"):
                 self._Hred = self._Lred @ self._Lred.T
-            Q, R = scipy.linalg.qr(A.T, mode="full")
+            Q, R = qr_full(A.T)
             self._Q1 = Q[:, :ne]
             self._Z = Q[:, ne:]
             self._Ra = R[:ne, :]
@@ -84,17 +107,15 @@ class DenseKktFactor:
                 self._Lm = cholesky_factor(
                     matmul_acc(1.0, W, W, 0.0, 0.0, transA=True))
 
-    def _factor_qr(self, H, sc, reg):
+    def _factor_qr(self, sc, reg):
         """Cholesky of the reduced Hessian via the stacked-factor QR route."""
-        Lh = cholesky_factor(H, reg)
-        coef = row_coef(self.view, sc)
-        rows = np.flatnonzero(coef > 0.0)
-        if rows.size:
-            J = self.view.row_matrix()[rows]
-            stack = np.vstack([Lh.T, np.sqrt(coef[rows])[:, None] * J])
-        else:
-            stack = Lh.T
-        return qr_cholesky(stack).T
+        vw = self.view
+        nb = vw._nb
+        coef = row_coef(vw, sc)
+        gen = np.flatnonzero(coef[nb:] > 0.0)
+        S = np.sqrt(coef[nb + gen])[:, None] * vw.G[gen]
+        d = np.sqrt(np.bincount(vw.box_col, coef[:nb], vw.nv))
+        return qr_cholesky_tp(_hess_chol(vw, reg), S, d).T
 
     # -- solves ----------------------------------------------------------
 
@@ -129,6 +150,33 @@ class DenseKktFactor:
         """Same solve on a packed [r_g, r_b, r_d, r_m] vector (refinement hook)."""
         vw = self.view
         return self.solve(*split_flat(rhs_flat, vw.ny, vw.ne, vw.nc)).flat()
+
+
+def _hess_chol(view, reg):
+    """``chol(H + reg I)'`` of the view's Hessian, upper triangular.
+
+    Factored on first use for each ``reg`` and kept on the view in the dict
+    ``hess_chol``, a failure as its message; the view's bound-write copies
+    (see :func:`view.make_view`) share it.
+
+    Raises
+    ------
+    NotPositiveDefinite
+        If ``H + reg I`` is not numerically positive definite.
+    """
+    cache = getattr(view, "hess_chol", None)
+    if cache is None:
+        cache = view.hess_chol = {}
+    U = cache.get(reg)
+    if U is None:
+        try:
+            U = np.asfortranarray(cholesky_factor(view.H, reg).T)
+        except NotPositiveDefinite as exc:
+            U = str(exc)
+        cache[reg] = U
+    if isinstance(U, str):
+        raise NotPositiveDefinite(U)
+    return U
 
 
 def factor(qp, iterate, arg=None, use_qr=False):

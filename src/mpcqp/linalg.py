@@ -13,30 +13,51 @@ concurrently on disjoint data while making complexity measurements exact and
 reproducible.  Nominal counts use the standard textbook formulas and are
 deterministic integers.
 
-The Cholesky, triangular-solve and QR kernels call the LAPACK routines
-``dpotrf``, ``dtrtrs``, (banded) ``dtbtrs`` and ``dgeqrf`` directly, bound
-once at import, instead of going through ``scipy.linalg.cholesky``/
-``solve_triangular``/``qr`` or ``numpy.linalg.qr``: on the small blocks of a
-Riccati recursion the wrappers' argument validation costs several times the
-arithmetic.  Layout dispatch follows scipy's wrappers exactly (a factor
-that is not Fortran-contiguous is passed transposed with the opposite
-triangle and transposition), and ``dgeqrf`` gets the workspace scipy's
+The kernels call LAPACK directly, bound once at import, instead
+of going through ``scipy.linalg.cholesky``/``solve_triangular``/``qr`` or
+``numpy.linalg.qr``: on the small blocks of a Riccati recursion the
+wrappers' argument validation costs several times the arithmetic.  The
+routines called and the nominal count of each counted kernel:
+
+* :func:`cholesky_factor`          ``dpotrf``; ``n^3 / 3``;
+* :func:`solve_triangular`         ``dtrtrs``; ``n^2`` per column;
+* :func:`solve_banded_triangular`  ``dtbtrs``; ``2 n kd + n - kd (kd + 1)``
+                                   per column;
+* :func:`qr_cholesky`              ``dgeqrf``; ``2 m n^2 - 2 n^3 / 3``;
+* :func:`qr_cholesky_tp`           ``dtpqrt`` (l = n) on ``[U ; S ; diag(d)]``
+                                   with U upper triangular;
+                                   ``2 p n^2 + 2 n^3 / 3`` for p rows of S;
+* :func:`qr_full`                  ``dgeqrf`` and ``dorgqr`` (Q and R of an
+                                   (m, n) matrix); ``2 m n^2 - 2 n^3 / 3 +
+                                   4 m^2 n - 4 m n^2 + 4 n^3 / 3``;
+* :func:`gram`                     ``dsyrk`` on one triangle, mirrored,
+                                   through numpy's matrix product;
+                                   ``k n (n + 1)`` for S'S of a (k, n) S;
+* :func:`matmul_acc`               numpy's matrix product; ``2 m n k``.
+
+Layout dispatch follows scipy's wrappers exactly (a factor that is not
+Fortran-contiguous is passed transposed with the opposite triangle and
+transposition), and ``dgeqrf``/``dorgqr`` get the workspaces scipy's
 ``qr`` asks for, so results are bit-identical to them.  Their checks are
 replaced by the shape checks here and the LAPACK return codes: ``dpotrf``
 reports a nonpositive pivot, ``dtrtrs`` and ``dtbtrs`` an exactly zero
 diagonal entry, and a negative code (an illegal argument) raises
-``ValueError``.  This module is the package's only caller of LAPACK.
+``ValueError``.  The QR-Cholesky kernels share one rank test and sign
+normalization (:func:`_rank_checked`).  This module is the package's only
+caller of LAPACK.
 
 The stacked kernels :func:`cholesky_stack`, :func:`cholesky_solve_stack`
 and :func:`qr_cholesky_stack` work on (k, n, n) stacks of blocks, the
 nodes of one level of a Riccati recursion (see :mod:`kkt_ocp`).  With
-k = 1 they call LAPACK on the block itself; with k > 1 each ``dpotrf`` and
-``dtrtrs`` works on the stack's block-diagonal matrix, one call in place of
-k, while the QR makes one ``dgeqrf`` per block (a block-diagonal QR would
-be cubic in k).  They count no flops: their caller counts the nominal
-per-block counts of the kernels they stand in for.  ``cholesky_factor``
-and ``qr_cholesky`` are their shape checks and flop counts around a stack
-of one.
+k = 1 they call LAPACK on the block itself.  With k > 1 each ``dpotrf``
+and ``dtrtrs`` works on the stack's block-diagonal matrix, one call in
+place of k, while its order k n is at most ``_DIAG_MAX`` (64); beyond it,
+where that call's k^3 cost overtakes k calls, they go block by block.
+The QR makes one ``dgeqrf`` per block (a block-diagonal QR would be cubic
+in k).  They count no flops: their caller counts the nominal per-block
+counts of the kernels they stand in for.  ``cholesky_factor`` and
+``qr_cholesky`` are their shape checks and flop counts around a stack of
+one.
 """
 
 from __future__ import annotations
@@ -48,8 +69,10 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg.lapack import dgeqrf as _geqrf
 from scipy.linalg.lapack import dgeqrf_lwork as _geqrf_lwork
+from scipy.linalg.lapack import dorgqr as _orgqr
 from scipy.linalg.lapack import dpotrf as _dpotrf
 from scipy.linalg.lapack import dtbtrs as _tbtrs
+from scipy.linalg.lapack import dtpqrt as _tpqrt
 from scipy.linalg.lapack import dtrtrs as _trtrs
 
 from .errors import (
@@ -64,6 +87,9 @@ __all__ = [
     "solve_triangular",
     "solve_banded_triangular",
     "qr_cholesky",
+    "qr_cholesky_tp",
+    "qr_full",
+    "gram",
     "matmul_acc",
     "cholesky_stack",
     "cholesky_solve_stack",
@@ -183,21 +209,30 @@ def _block_diag(A, blk):
     return buf.reshape(kb, kb).T
 
 
+# order k n of the block-diagonal matrix up to which one LAPACK call on it
+# beats k calls on the blocks (timed on stacks of 2 to 32 blocks of order
+# 2 to 16); the work of the call grows as k^3, that of the loop as k
+_DIAG_MAX = 64
+
+
 def cholesky_stack(A):
     """Lower Cholesky factors of the (k, n, n) stack A, uncounted; A is not written.
 
     One ``dpotrf``: on the block itself when k = 1, else on the stack's
-    block-diagonal matrix, whose factor holds the blocks' factors.
+    block-diagonal matrix, whose factor holds the blocks' factors, while its
+    order k n is at most ``_DIAG_MAX``; one ``dpotrf`` per block beyond.
 
     Raises
     ------
     NotPositiveDefinite
-        If a block is not numerically positive definite; with k > 1 the
-        minor named is one of the block-diagonal matrix.
+        If a block is not numerically positive definite; on the
+        block-diagonal matrix the minor named is one of that matrix.
     """
     k, n = A.shape[:2]
     if k == 1:
         return _potrf(A[0])[None]
+    if k * n > _DIAG_MAX:
+        return np.stack([_potrf(a) for a in A])
     blk = _blocks(k, n)
     return _potrf(_block_diag(A, blk), overwrite=1).ravel(order="F")[blk]
 
@@ -206,8 +241,8 @@ def cholesky_solve_stack(A, B):
     """``(L, X)`` with ``L L' = A`` and ``L X = B`` for the (k, n, n) stack A
     and the (k, n, m) stack B, uncounted: one ``dpotrf`` and one ``dtrtrs``.
 
-    With k > 1 both work on the block-diagonal matrix (see
-    :func:`cholesky_stack`).  L has a positive diagonal, so ``dtrtrs`` cannot
+    Both work on the block-diagonal matrix, or block by block, as in
+    :func:`cholesky_stack`.  L has a positive diagonal, so ``dtrtrs`` cannot
     fail.
 
     Raises
@@ -219,6 +254,10 @@ def cholesky_solve_stack(A, B):
     if k == 1:
         L = _potrf(A[0])
         return L[None], _trtrs(L, B[0], lower=1)[0][None]
+    if k * n > _DIAG_MAX:
+        L = [_potrf(a) for a in A]
+        X = [_trtrs(L_i, B_i, lower=1)[0] for L_i, B_i in zip(L, B)]
+        return np.stack(L), np.stack(X)
     blk = _blocks(k, n)
     L = _potrf(_block_diag(A, blk), overwrite=1)
     # the right-hand sides as the transpose of a C-ordered (m, k n) copy,
@@ -334,9 +373,7 @@ def qr_cholesky(Astack):
 def qr_cholesky_stack(S):
     """:func:`qr_cholesky` of every (m, n) block of the (k, m, n) stack S, uncounted.
 
-    One ``dgeqrf`` per block; the rank test (a diagonal entry at or below
-    ``max(m, n) eps max|R_ii|`` of its block) and the sign normalization run
-    once over the stack.
+    One ``dgeqrf`` per block, then :func:`_rank_checked` over the stack.
 
     Raises
     ------
@@ -353,6 +390,24 @@ def qr_cholesky_stack(S):
         if info < 0:
             raise ValueError(f"illegal value in argument {-info} of dgeqrf")
         R[i] = qr[:n]
+    return _rank_checked(R, m)
+
+
+def _rank_checked(R, m):
+    """The QR triangles of the (k, n, n) stack R, rank-tested and sign-normalized.
+
+    The one rank test and sign normalization of the QR kernels: the
+    strictly lower part is zeroed, a block fails if a diagonal entry is at
+    or below ``max(m, n) eps max|R_ii|`` of its block (m is the row count
+    of the stack that was triangularized), and rows are negated where the
+    diagonal is negative.
+
+    Raises
+    ------
+    RankDeficient
+        If a block fails the rank test.
+    """
+    n = R.shape[-1]
     R = np.where(_upper(n), R, 0.0)
     d = R.diagonal(axis1=1, axis2=2)
     size = np.abs(d)
@@ -363,6 +418,103 @@ def qr_cholesky_stack(S):
         )
     R *= np.copysign(1.0, d)[:, :, None]
     return R
+
+
+# column block size of dtpqrt's compact WY reflectors: within 15% of the
+# best of 8 to 48 on stacks from 200 x 40 to 920 x 280; one block of all n
+# columns is 3 times slower at n = 280
+_TP_NB = 16
+
+
+def qr_cholesky_tp(U, S, d):
+    """Upper-triangular R with R.T @ R = U.T @ U + S.T @ S + diag(d)**2, via QR.
+
+    :func:`qr_cholesky` of the stack ``[U ; S ; diag(d)]`` for an
+    upper-triangular U, by one triangular-pentagonal QR (``dtpqrt`` with
+    l = n) on a Fortran-ordered copy: its reflectors leave the zeros below
+    both triangles alone.  The nominal count is ``2 p n^2 + 2 n^3 / 3`` for
+    the p rows of S, where :func:`qr_cholesky` of the (p + 2 n, n) stack
+    counts ``2 (p + 2 n) n^2 - 2 n^3 / 3``.  The rank test (see
+    :func:`_rank_checked`) counts the rows of U and S and the nonzero
+    entries of d, leaving out the zero rows of the diagonal block.
+
+    Parameters
+    ----------
+    U : (n, n) array
+        Upper triangular; its strictly lower part is not read.
+    S : (p, n) array
+        General rows.
+    d : (n,) array
+        The diagonal of the trailing triangle.
+
+    Raises
+    ------
+    RankDeficient
+        As :func:`qr_cholesky`.
+    """
+    U = np.asarray(U, dtype=float)
+    S = np.asarray(S, dtype=float)
+    n = U.shape[0]
+    if U.ndim != 2 or U.shape[1] != n or S.ndim != 2 or S.shape[1] != n:
+        raise DimensionMismatch(
+            f"triangle {U.shape} and rows {S.shape} are not conformal")
+    if np.shape(d) != (n,):
+        raise DimensionMismatch(f"diagonal must be ({n},), got {np.shape(d)}")
+    p = S.shape[0]
+    count_flops(2 * p * n * n + (2 * n ** 3) // 3)
+    if not n:
+        return np.zeros((0, 0))
+    # the workspaces dtpqrt overwrites, Fortran-ordered so that the wrapper
+    # does not copy them again
+    A = np.array(U, order="F")
+    B = np.zeros((n, p + n)).T
+    B[:p] = S
+    B[p + np.arange(n), np.arange(n)] = d
+    R, _, _, info = _tpqrt(n, min(n, _TP_NB), A, B, overwrite_a=1, overwrite_b=1)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dtpqrt")
+    return _rank_checked(R[None], n + p + np.count_nonzero(d))[0]
+
+
+def qr_full(A):
+    """``(Q, R)`` with ``A = Q R`` for an (m, n) A with m >= n.
+
+    Q is (m, m) orthogonal and R (m, n) upper triangular, as from
+    ``scipy.linalg.qr(A, mode="full")``, bit for bit: one ``dgeqrf`` and
+    one ``dorgqr`` forming all m columns of Q, with the workspaces scipy
+    queries.  Nominal count ``2 m n^2 - 2 n^3 / 3`` for the factorization
+    plus ``4 m^2 n - 4 m n^2 + 4 n^3 / 3`` for Q (``dorgqr``'s count with
+    n reflectors on m columns).  No rank test: the caller decides.
+    """
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2:
+        raise DimensionMismatch(f"expected a matrix, got shape {A.shape}")
+    m, n = A.shape
+    if m < n:
+        raise DimensionMismatch(f"matrix must have at least {n} rows, got {m}")
+    count_flops(2 * m * n * n - (2 * n ** 3) // 3
+                + 4 * m * m * n - 4 * m * n * n + (4 * n ** 3) // 3)
+    if not n:
+        return np.eye(m), np.zeros((m, 0))
+    qr, tau, _, info = _geqrf(A, lwork=_qr_lwork(m, n))
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dgeqrf")
+    Q = np.empty((m, m))
+    Q[:, :n] = qr
+    Q, _, info = _orgqr(Q, tau, lwork=_orgqr_lwork(m, n), overwrite_a=1)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dorgqr")
+    return Q, np.triu(qr)
+
+
+@lru_cache(maxsize=64)
+def _orgqr_lwork(m, k):
+    """The workspace size scipy's ``qr`` queries for an (m, m) ``dorgqr``
+    with k reflectors."""
+    _, work, info = _orgqr(np.zeros((m, m), order="F"), np.zeros(k), lwork=-1)
+    if info != 0:
+        raise ValueError(f"dorgqr workspace query failed with code {info}")
+    return int(work[0])
 
 
 @lru_cache(maxsize=256)
@@ -380,6 +532,24 @@ def _upper(n):
     mask = np.triu(np.ones((n, n), dtype=bool))
     mask.flags.writeable = False
     return mask
+
+
+def gram(S):
+    """Symmetric Gram matrix ``S.T @ S`` of the (k, n) matrix S.
+
+    One ``dsyrk`` on one triangle, mirrored onto the other, so the result
+    is exactly symmetric: numpy's matrix product recognizes a contiguous
+    matrix times its own transpose and makes that call itself, and mirrors
+    in C faster than a mask over the result.  The nominal count is that of
+    ``dsyrk``, ``k n (n + 1)``, about half the general product's
+    ``2 k n^2``.  A fresh C-ordered array; S is not written.
+    """
+    S = np.ascontiguousarray(S, dtype=float)
+    if S.ndim != 2:
+        raise DimensionMismatch(f"expected a matrix, got shape {S.shape}")
+    k, n = S.shape
+    count_flops(k * n * (n + 1))
+    return S.T @ S
 
 
 def matmul_acc(alpha, A, B, beta, C, transA=False):

@@ -17,7 +17,13 @@ from mpcqp.errors import FactorizationFailed, LinalgError
 from mpcqp.ipm_core import IpmArg
 from mpcqp.kkt_common import kkt_apply_vec, view_scales
 from mpcqp.kkt_ocp import _band
-from mpcqp.linalg import cholesky_factor, matmul_acc, qr_cholesky, solve_triangular
+from mpcqp.linalg import (
+    cholesky_factor,
+    gram,
+    matmul_acc,
+    qr_cholesky,
+    solve_triangular,
+)
 from mpcqp.view import QpSolution, make_view
 
 # property tests draw a fixed example sequence, so every run checks the
@@ -213,7 +219,8 @@ def add_reduced_hessian_ref(cb, sc, H):
     """Constraint terms of block ``cb`` added to a copy of its Hessian (reference).
 
     Box rows add their slack-eliminated coefficient to one diagonal entry
-    each; general rows add the scaled Gram matrix of their coefficient rows.
+    each; general rows add the Gram matrix ``S' S`` of their rows scaled by
+    the square roots of their coefficients, as the Gram kernel forms it.
     """
     g = sc.ge[cb.c_off: cb.c_off + 2 * cb.m]
     coef = g[: cb.m] + g[cb.m:]
@@ -221,8 +228,7 @@ def add_reduced_hessian_ref(cb, sc, H):
     if cb.nb:
         H[cb.idxb, cb.idxb] += coef[: cb.nb]
     if cb.ng:
-        H = matmul_acc(1.0, cb.Jg, coef[cb.nb:, None] * cb.Jg, 1.0, H,
-                       transA=True)
+        H = H + gram(np.sqrt(coef[cb.nb:])[:, None] * cb.Jg)
     return H
 
 

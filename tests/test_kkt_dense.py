@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 import mpcqp.kkt_dense as kd
-from mpcqp import DenseQp, FactorizationFailed, IpmArg, compute_residuals
+from mpcqp import DenseQp, FactorizationFailed, IpmArg, compute_residuals, flop_counter
 from mpcqp.errors import SingularSlackBlock
 from mpcqp.ipm_core import iterative_refinement
 from mpcqp.kkt_common import (
     kkt_apply_vec,
     kkt_rhs_flat,
     reduced_hessian,
+    row_coef,
     view_scales,
 )
 from mpcqp.view import QpSolution, make_view, solve_full_kkt
@@ -256,3 +259,167 @@ class TestRegularizationAndRefinement:
         it = QpSolution(make_view(qp))
         with pytest.raises(FactorizationFailed):
             kd.factor(qp, it, IpmArg())
+
+
+@st.composite
+def dense_qps(draw):
+    """Dense QPs with box, general and soft rows, masked sides, infinite
+    bounds and rows whose coefficient is zero (both sides off), with an
+    exactly symmetric Hessian and an iterate."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    nv = draw(st.integers(1, 7))
+    nb = draw(st.integers(0, nv))
+    ng = draw(st.integers(0, 4))
+    ns = draw(st.integers(0, nb + ng))
+    qp = rand_dense_qp(rng, nv=nv, ne=draw(st.integers(0, 2)), nb=nb, ng=ng,
+                       ns=ns, mask_first=False)
+    H = qp.get_field("H")
+    qp.set_field("H", 0.5 * (H + H.T))
+    m = nb + ng
+    if m:
+        for name in ("maskl", "masku"):
+            qp.set_field(name, (rng.uniform(size=m) < 0.8).astype(float))
+        for lo, up, k in (("lb", "ub", nb), ("lg", "ug", ng)):
+            for name, inf in ((lo, -np.inf), (up, np.inf)):
+                if k:
+                    v = qp.get_field(name)
+                    qp.set_field(name, np.where(rng.uniform(size=k) < 0.2, inf, v))
+    return qp, rand_iterate(rng, qp), draw(st.sampled_from([0.0, 1e-6]))
+
+
+def _coefficients(qp, it):
+    vw = make_view(qp)
+    sc = view_scales(vw, it.lam, it.t)
+    return vw, sc, row_coef(vw, sc)
+
+
+class TestDenseKernelProperties:
+    @given(dense_qps())
+    def test_qr_route_factors_the_reduced_hessian(self, case):
+        qp, it, reg = case
+        vw, _, coef = _coefficients(qp, it)
+        J = vw.row_matrix()
+        want = (qp.get_field("H") + reg * np.eye(vw.nv)
+                + J.T @ (coef[:, None] * J))
+        L = kd.factor(qp, it, IpmArg(reg_prim=reg), use_qr=True)._Lred
+        assert np.max(np.abs(L @ L.T - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.all(np.diag(L) >= 0.0)
+
+    @given(dense_qps())
+    def test_reduced_hessian_exactly_symmetric(self, case):
+        qp, it, reg = case
+        vw, sc, _ = _coefficients(qp, it)
+        Hred = reduced_hessian(vw, sc, reg).reshape(vw.nv, vw.nv)
+        assert np.array_equal(Hred, Hred.T)
+
+    @given(dense_qps(), st.data())
+    def test_rank_deficient_stack_fails(self, case, data):
+        # column j gets curvature 1e-40 and no constraint row touches it:
+        # chol(H) exists, the QR of the stack is rank deficient (the rank
+        # test is relative to the largest pivot, so another column is needed)
+        qp = case[0]
+        vw = make_view(qp)
+        assume(vw.nv > 1)
+        j = data.draw(st.integers(0, vw.nv - 1))
+        H = qp.get_field("H")
+        H[j, :] = H[:, j] = 0.0
+        H[j, j] = 1e-40
+        qp.set_field("H", H)
+        if qp.ng:
+            C = qp.get_field("C")
+            C[:, j] = 0.0
+            qp.set_field("C", C)
+        if qp.nb:
+            on = (qp.get_field("idxb") != j).astype(float)
+            for name in ("maskl", "masku"):
+                qp.set_field(name, np.concatenate(
+                    [qp.get_field(name)[: qp.nb] * on, qp.get_field(name)[qp.nb:]]))
+        it = rand_iterate(np.random.default_rng(j), qp)
+        with pytest.raises(FactorizationFailed, match="at or below"):
+            kd.factor(qp, it, IpmArg(reg_prim=0.0), use_qr=True)
+
+
+def _chol(n):
+    return n ** 3 // 3
+
+
+def _qr(m, n):
+    return 2 * m * n * n - (2 * n ** 3) // 3
+
+
+class TestDenseFlops:
+    """The counted flops of a factorization are its kernels' textbook counts."""
+
+    @staticmethod
+    def _case(rng):
+        qp = rand_dense_qp(rng, nv=7, ne=2, nb=3, ng=4, ns=2)
+        maskl, masku = qp.get_field("maskl"), qp.get_field("masku")
+        maskl[[0, 5]] = masku[[0, 5]] = 0.0   # box row 0, general row 2 off
+        masku[4] = 0.0                        # general row 1: lower side only
+        qp.set_field("maskl", maskl)
+        qp.set_field("masku", masku)
+        return qp, rand_iterate(rng, qp)
+
+    def _count(self, qp, it, **kw):
+        with flop_counter() as fc:
+            kd.factor(qp, it, **kw)
+        return fc.flops
+
+    def test_cholesky_route(self, rng):
+        qp, it = self._case(rng)
+        nv, ne, ng = qp.nv, qp.ne, qp.ng
+        # the Gram kernel over all general rows, chol(Hred), W = L^-1 A',
+        # W'W and its Cholesky
+        want = (ng * nv * (nv + 1) + _chol(nv) + nv * nv * ne
+                + 2 * ne * ne * nv + _chol(ne))
+        for _ in range(2):
+            assert self._count(qp, it, arg=IpmArg(reg_prim=1e-6)) == want
+
+    def test_qr_route_counts_chol_h_once_per_view_and_reg(self, rng):
+        qp, it = self._case(rng)
+        _, _, coef = _coefficients(qp, it)
+        nv, ne, nb = qp.nv, qp.ne, qp.nb
+        p = np.count_nonzero(coef[nb:] > 0.0)
+        assert p == 3
+        # the triangular-pentagonal QR, W = L^-1 A' and the QR of W
+        rest = (2 * p * nv * nv + (2 * nv ** 3) // 3 + nv * nv * ne
+                + _qr(nv, ne))
+        kw = dict(arg=IpmArg(reg_prim=1e-6), use_qr=True)
+        assert self._count(qp, it, **kw) == _chol(nv) + rest
+        assert self._count(qp, it, **kw) == rest
+        # a bound write keeps the view's constants, chol(H + reg I) included
+        qp.set_field("lb", qp.get_field("lb") - 0.1)
+        assert self._count(qp, it, **kw) == rest
+        kw_reg = dict(arg=IpmArg(reg_prim=2e-6), use_qr=True)
+        assert self._count(qp, it, **kw_reg) == _chol(nv) + rest
+        assert self._count(qp, it, **kw_reg) == rest
+        # any other write builds a new view
+        qp.set_field("g", qp.get_field("g") + 0.1)
+        assert self._count(qp, it, **kw) == _chol(nv) + rest
+
+    def test_failed_chol_h_is_kept_too(self):
+        qp = DenseQp(nv=3)
+        qp.set_field("H", np.diag([1.0, -1.0, 1.0]))
+        it = QpSolution(make_view(qp))
+        for want in (_chol(3), 0):
+            with flop_counter() as fc, pytest.raises(FactorizationFailed):
+                kd.factor(qp, it, IpmArg(reg_prim=0.0), use_qr=True)
+            assert fc.flops == want
+
+    def test_null_space_route(self, rng):
+        qp, it = self._case(rng)
+        nv, ne, ng = qp.nv, qp.ne, qp.ng
+        nz = nv - ne
+        # Hred as on the Cholesky route, the full QR of A', Z'(Hred Z)
+        # and its Cholesky
+        want = (ng * nv * (nv + 1) + _chol(nv) + _qr(nv, ne)
+                + 4 * nv * nv * ne - 4 * nv * ne * ne + (4 * ne ** 3) // 3
+                + 2 * nz * nz * nv + _chol(nz))
+        arg = IpmArg(kkt_method="null_space", reg_prim=1e-6)
+        assert self._count(qp, it, arg=arg) == want
+
+    def test_null_space_with_more_rows_than_variables_fails(self, rng):
+        qp = rand_dense_qp(rng, nv=2, ne=3, nb=1, ng=1, ns=0)
+        it = rand_iterate(rng, qp)
+        with pytest.raises(FactorizationFailed, match="more equality"):
+            kd.factor(qp, it, IpmArg(kkt_method="null_space"))

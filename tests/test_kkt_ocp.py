@@ -15,6 +15,7 @@ from mpcqp import (
     Status,
     compute_residuals,
     flop_counter,
+    linalg,
     solve_ocp_qp,
 )
 from mpcqp.kkt_common import reduced_hessian, view_scales
@@ -678,28 +679,31 @@ class TestFactorSweepEquivalence:
         """What the reference has not counted when node ``bad`` fails, less
         what it counted in excess.
 
-        It forms each node's reduced Hessian (``2 nw^2 ng``) when its
-        descending sweep reaches the node, where the sweep forms all of
-        them first, and it solves the gains ``K`` of the nodes it
-        completed.
+        It forms each node's reduced Hessian (the Gram kernel's
+        ``ng nw (nw + 1)``) when its descending sweep reaches the node,
+        where the sweep forms all of them first, and it solves the gains
+        ``K`` of the nodes it completed.
         """
         d = qp.dim
-        return sum(2 * (nu + nx) ** 2 * ng if n < bad else
+        return sum(ng * (nu + nx) * (nu + nx + 1) if n < bad else
                    -nu * nu * nx if n > bad else 0
                    for n, (nu, nx, ng) in enumerate(zip(d.nu, d.nx, d.ng)))
 
     @pytest.mark.parametrize("variant,use_qr,reg_prim", ROUTES)
-    @pytest.mark.parametrize("bad", [1, 2, 4, 5])
+    @pytest.mark.parametrize("bad", [1, 2, 4, 5, 7, 30])
     def test_failing_node_inside_a_level(self, rng, variant, use_qr, reg_prim,
                                          bad):
-        # levels {1, 2} and {3, 4, 5, 6}; the stacked step fails and its
-        # nodes rerun one by one, so the stage and the flops counted up to
-        # the failure are the node-by-node sweep's
-        parents = [-1, 0, 0, 1, 1, 2, 2]
+        # levels {1, 2}, {3, 4, 5, 6} and the 36 leaves {7, ..., 42}, wider
+        # than the stacked kernels' block-diagonal cut-off, so they factor
+        # block by block; the stacked step fails and its nodes rerun one by
+        # one, so the stage and the flops counted up to the failure are the
+        # node-by-node sweep's
+        parents = [-1, 0, 0, 1, 1, 2, 2] + [p for p in (3, 4, 5, 6) for _ in range(9)]
         kw = dict(use_qr=use_qr, arg=IpmArg(riccati_variant=variant, reg_prim=reg_prim))
         qp = rand_tree_qp(rng, parents, nx=3, nu=2)
-        assert any(lv.k == 4 and bad in lv.nodes or lv.k == 2 and bad in lv.nodes
-                   for lv in ko._band(make_view(qp)).levels)
+        level = {lv.k for lv in ko._band(make_view(qp)).levels if bad in lv.nodes}
+        assert level == ({36} if bad > 6 else {4} if bad > 2 else {2})
+        assert 36 * 2 > linalg._DIAG_MAX
         qp.set_field("R", bad, -1e3 * np.eye(2))
         it = rand_iterate(rng, qp)
         with flop_counter() as got_fl, pytest.raises(FactorizationFailed) as got:

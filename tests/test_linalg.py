@@ -9,11 +9,17 @@ from mpcqp.errors import (
     RankDeficient,
     SingularFactor,
 )
+from mpcqp import linalg
 from mpcqp.linalg import (
     cholesky_factor,
+    cholesky_solve_stack,
+    cholesky_stack,
     flop_counter,
+    gram,
     matmul_acc,
     qr_cholesky,
+    qr_cholesky_tp,
+    qr_full,
     solve_banded_triangular,
     solve_triangular,
 )
@@ -342,3 +348,148 @@ class TestBandedTriangular:
             with flop_counter() as fc:
                 solve_banded_triangular(ab, np.ones(n if ncol is None else (n, ncol)))
             assert fc.flops == expected
+
+
+class TestGram:
+    @pytest.mark.parametrize("k,n", [(5, 3), (1, 1), (40, 17), (3, 8)])
+    def test_exactly_symmetric_gram(self, k, n):
+        S = np.random.default_rng(14).standard_normal((k, n))
+        with flop_counter() as fc:
+            X = gram(S)
+        assert fc.flops == k * n * (n + 1)
+        assert np.array_equal(X, X.T)
+        assert np.max(np.abs(X - S.T @ S)) <= 1e-13 * np.max(np.abs(S.T @ S))
+
+    @pytest.mark.parametrize("k,n", [(0, 3), (4, 0), (0, 0)])
+    def test_empty(self, k, n):
+        with flop_counter() as fc:
+            X = gram(np.zeros((k, n)))
+        assert np.array_equal(X, np.zeros((n, n)))
+        assert fc.flops == 0
+
+    def test_layouts_give_the_same_bits(self):
+        S = np.random.default_rng(15).standard_normal((9, 6))
+        big = np.zeros((18, 12))
+        big[::2, ::2] = S
+        X = gram(S)
+        for other in (np.asfortranarray(S), big[::2, ::2]):
+            assert np.array_equal(gram(other), X)
+
+
+def _tp_stack(rng, n, p, zeros=0):
+    """An upper-triangular U, p general rows S and a diagonal d with
+    ``zeros`` zero entries."""
+    G = rng.standard_normal((n, n))
+    U = np.linalg.cholesky(G @ G.T + np.eye(n)).T
+    S = rng.standard_normal((p, n))
+    d = rng.uniform(0.1, 2.0, n)
+    d[rng.choice(n, zeros, replace=False)] = 0.0
+    return U, S, d
+
+
+class TestQrCholeskyTp:
+    @pytest.mark.parametrize("n,p", [(1, 0), (4, 3), (6, 0), (9, 20), (40, 70)])
+    def test_gram_of_the_stack(self, n, p):
+        rng = np.random.default_rng(16)
+        U, S, d = _tp_stack(rng, n, p, zeros=n // 2)
+        with flop_counter() as fc:
+            R = qr_cholesky_tp(U, S, d)
+        assert fc.flops == 2 * p * n * n + (2 * n ** 3) // 3
+        want = U.T @ U + S.T @ S + np.diag(d * d)
+        assert np.max(np.abs(R.T @ R - want)) <= 1e-13 * np.max(np.abs(want))
+        assert np.array_equal(R, np.triu(R))
+        assert np.all(np.diag(R) >= 0.0)
+        # the same factor as the QR of the whole stack, up to rounding
+        ref = qr_cholesky(np.vstack([U, S, np.diag(d)]))
+        assert np.max(np.abs(R - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_inputs_unwritten_and_lower_part_unread(self):
+        rng = np.random.default_rng(17)
+        U, S, d = _tp_stack(rng, 5, 4)
+        R = qr_cholesky_tp(U, S, d)
+        noisy = U + np.tril(rng.standard_normal((5, 5)), -1)
+        U_f, S_f = np.asfortranarray(noisy), np.asfortranarray(S)
+        before = (U_f.copy(), S_f.copy(), d.copy())
+        assert np.array_equal(qr_cholesky_tp(U_f, S_f, d), R)
+        assert all(np.array_equal(a, b) for a, b in zip((U_f, S_f, d), before))
+
+    def test_rank_deficient(self):
+        U = np.diag([1.0, 1.0, 1e-40])
+        with pytest.raises(RankDeficient):
+            qr_cholesky_tp(U, np.ones((2, 3)) * [1.0, 1.0, 0.0], np.zeros(3))
+
+    def test_threshold_counts_nonzero_rows(self):
+        # tol = max(m, n) eps max|R_ii| with m = n + p + #(d != 0): a pivot
+        # of 5 eps passes for m = 4 and fails for m = 6
+        eps = np.finfo(float).eps
+        U = np.diag([1.0, 5.0 * eps, 1.0])
+        S = np.zeros((1, 3))
+        assert qr_cholesky_tp(U, S, np.zeros(3))[1, 1] == 5.0 * eps
+        with pytest.raises(RankDeficient):
+            qr_cholesky_tp(U, S, np.array([1e-200, 0.0, 1e-200]))
+
+    def test_shape_errors(self):
+        with pytest.raises(DimensionMismatch):
+            qr_cholesky_tp(np.eye(3), np.ones((2, 2)), np.ones(3))
+        with pytest.raises(DimensionMismatch):
+            qr_cholesky_tp(np.eye(3), np.ones((2, 3)), np.ones(2))
+
+
+class TestQrFull:
+    @pytest.mark.parametrize("m,n", [(5, 3), (7, 7), (30, 4), (3, 0), (0, 0), (200, 7)])
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    def test_matches_scipy_bit_for_bit(self, m, n, layout):
+        A = np.random.default_rng(18).standard_normal((m, n))
+        A = np.asfortranarray(A) if layout == "F" else A
+        with flop_counter() as fc:
+            Q, R = qr_full(A)
+        Q_ref, R_ref = scipy.linalg.qr(A, mode="full", check_finite=False)
+        assert np.array_equal(Q, Q_ref) and np.array_equal(R, R_ref)
+        assert fc.flops == (2 * m * n * n - (2 * n ** 3) // 3
+                            + 4 * m * m * n - 4 * m * n * n + (4 * n ** 3) // 3)
+
+    def test_too_few_rows(self):
+        with pytest.raises(DimensionMismatch):
+            qr_full(np.ones((2, 3)))
+
+
+class TestStackedCholeskyCutoff:
+    """Stacks wider than the block-diagonal cut-off go block by block."""
+
+    @staticmethod
+    def _spd_stack(rng, k, n):
+        G = rng.standard_normal((k, n, n))
+        return G @ G.transpose(0, 2, 1) + np.eye(n)
+
+    def test_wide_stack_equals_single_calls(self):
+        rng = np.random.default_rng(19)
+        k, n = 32, 8
+        assert k * n > linalg._DIAG_MAX
+        A = self._spd_stack(rng, k, n)
+        B = rng.standard_normal((k, n, 3))
+        L = cholesky_stack(A)
+        L2, X = cholesky_solve_stack(A, B)
+        one = [cholesky_solve_stack(A[i: i + 1], B[i: i + 1]) for i in range(k)]
+        assert np.array_equal(L, np.concatenate([cholesky_stack(A[i: i + 1])
+                                                 for i in range(k)]))
+        assert np.array_equal(L2, np.concatenate([o[0] for o in one]))
+        assert np.array_equal(X, np.concatenate([o[1] for o in one]))
+
+    @pytest.mark.parametrize("k,n", [(4, 8), (16, 4), (32, 2)])
+    def test_block_diagonal_within_cutoff(self, k, n):
+        # at or below the cut-off one call on the block-diagonal matrix
+        rng = np.random.default_rng(20)
+        assert k * n <= linalg._DIAG_MAX
+        A = self._spd_stack(rng, k, n)
+        L = cholesky_stack(A)
+        assert np.max(np.abs(L @ L.transpose(0, 2, 1) - A)) <= 1e-12 * np.max(A)
+
+    @pytest.mark.parametrize("k", [4, 40])
+    def test_failing_block_raises(self, k):
+        rng = np.random.default_rng(21)
+        A = self._spd_stack(rng, k, 3)
+        A[k // 2] = -np.eye(3)
+        with pytest.raises(NotPositiveDefinite):
+            cholesky_stack(A)
+        with pytest.raises(NotPositiveDefinite):
+            cholesky_solve_stack(A, np.ones((k, 3, 1)))

@@ -1,8 +1,8 @@
 """Module boundaries of the package, checked on its source with ``ast``.
 
-Each concept has one home: the LAPACK bindings live in :mod:`linalg`, the
-``scipy.sparse`` operators in :mod:`view` and the Riccati recursion's
-constants in :mod:`kkt_ocp`.
+Each concept has one home: the LAPACK bindings live in :mod:`linalg`
+(mass-spring's matrix exponential aside), the ``scipy.sparse`` operators
+in :mod:`view` and the Riccati recursion's constants in :mod:`kkt_ocp`.
 """
 
 import ast
@@ -51,6 +51,11 @@ def _classes(name):
 
 def test_only_linalg_calls_lapack():
     assert _users("scipy.linalg.lapack") == {"linalg.py"}
+    # every other reach into scipy.linalg is mass_spring's expm
+    assert _users("scipy.linalg") == {"linalg.py", "mass_spring.py"}
+    spring = {r for r in _references(MODULES["mass_spring.py"])
+              if r and (r == "scipy.linalg" or r.startswith("scipy.linalg."))}
+    assert spring == {"scipy.linalg", "scipy.linalg.expm"}
 
 
 def test_only_view_builds_sparse_operators():
