@@ -5,23 +5,42 @@ Full condensing eliminates every state except (optionally) the one at stage
 coincide with the original inputs.  A kept initial state goes after the
 inputs, so ``z`` is in the stage order ``(u, x)``.  The condensed Hessian
 is built by a backward recursion with the flavor of a Riccati sweep but
-without any minimization:
+without any minimization.  With ``W_n = [[R_n S_n] [S_n' Q_n]]`` the stage
+cost over ``(u_n, x_n)`` and ``[B_n A_n]`` the dynamics,
 
-    P[N] = Q[N]
-    Y[n] = A[n]' P[n+1] B[n] + S[n]'
-    P[n] = Q[n] + A[n]' P[n+1] A[n]
+    M[N] = W_N
+    M[n] = W_n + [B_n A_n]' P[n+1] [B_n A_n],   P[n] = M[n][x, x]
 
-    H[u_i, u_i] = R_i + B_i' P[i+1] B_i
-    H[u_i, u_j] = (dx_j/du_i)' Y[j]              (i < j)
-    H[x0,  u_j] = (dx_j/dx0)'  Y[j]
+    H[u_i, u_i] = M[i][u, u]                        (R_i + B_i' P[i+1] B_i)
+    H[u_j, u_i] = M[j][x, u]' (dx_j/du_i)   (i < j) (Y[j] = A_j' P B_j + S_j')
+    H[u_j, x0 ] = M[j][x, u]' (dx_j/dx0)
     H[x0,  x0 ] = P[0]
 
-with the input-to-state sensitivities accumulated forward.  The cost is
-quadratic in the horizon and cubic in the state dimension.  Two variants
+with the prediction ``x_n = pred_n z + gamma_n`` rolled forward.  The cost
+is quadratic in the horizon and cubic in the state dimension.  Two variants
 mirror the Riccati ones: the classical recursion propagates P explicitly
 (and tolerates indefinite stage cost), the square-root variant propagates
-chol(P) through QR triangularization and requires positive definite state
-costs.
+chol(P) through QR triangularization (``M[n] = W_n + T' T`` with
+``T = chol(P[n+1])' [B_n A_n]``) and requires positive definite state costs
+``Q_1..Q_N``.  The gradient comes from the same sweep over the affine part:
+``h_n = g_n + W_n (0, gamma_n)``, ``h_n += [B_n A_n]' beta[n+1]``, ``beta[n]
+= h_n[x]``, and ``g[u_n] = h_n[u]``, ``g[x0] = beta[0]``.
+
+The stages are taken in runs of equal dimensions (``nx``, ``nu``, ``ng`` and
+the next stage's ``nx``; see :func:`_runs`); a run of one stage is the
+general case.  Per run, the stage costs ``W`` are a (k, nw, nw) view of the
+OCP view's ``hess0``, the dynamics one (k, nx', nw) stack ``[B A]``, and
+every product that does not feed the recursion is one stacked product: the
+Hessian's input rows ``M[j][x, u]' pred_j``, its diagonal blocks, the affine
+stage terms and the general rows ``C_n pred_n``.  Only the recursions stay
+sequential, one or two small products per stage: the prediction multiplies
+the nonzero columns of ``pred_n`` (the earlier inputs, and the kept x0),
+the sweep makes ``P[n+1] [B A]`` and ``[B A]'`` of that.  Each large array
+is written once, into the fresh dense QP's own storage: the Hessian's input
+rows and halved diagonal blocks, then ``H += H'`` in place, which mirrors
+them exactly; the state rows of ``C`` by one unbuffered ``take`` from the
+stacked prediction.  The flops are counted once, nominally (see
+:func:`condense`).
 
 Constraint routing works on the OCP view's row table (``_rows``, ``_soft``,
 see :class:`view.ProblemView`), with index arrays and no per-row step.  A
@@ -31,19 +50,23 @@ stage-0 rows are dropped.  Every other state box row becomes a dense general
 row whose coefficients are its row of the prediction, gathered from the
 stacked ``(sum nx, nz)`` prediction; a stage's general rows are
 ``C_n pred_n`` with ``D_n`` added on the stage's inputs.  The dense rows are
-the box rows in z order, then the general rows stage by stage, each stage's
-state box rows ahead of its general rows.  Bounds, masks and soft-constraint
-data are gathered through the same positions.  With ``keep_x0=False`` the
-initial state must be fully fixed by equal-bound box rows; those rows are
-dropped from the dense QP and their multipliers are reconstructed during
-expansion from the stage-0 stationarity gap.
+the box rows in z order, then the state box rows, then the general rows,
+each in stage order.  Bounds, masks and soft-constraint data are gathered
+through the same positions.  With ``keep_x0=False`` the initial state must
+be fully fixed by equal-bound box rows; those rows are dropped from the
+dense QP and their multipliers are reconstructed during expansion from the
+stage-0 stationarity gap.
 
-Expansion rebuilds states by rolling the dynamics forward and scatters the
-dense multipliers, inequality slacks and soft slacks to the OCP positions
-the map recorded (``lam_pos``, ``slack_pos``).  The dynamics multipliers
-follow from the backward costate recursion
+Expansion rebuilds all states by one product with the stored prediction,
+``pred_all @ z + gamma_all``, and scatters the inputs, the dense
+multipliers, inequality slacks and soft slacks to the OCP positions the map
+recorded (``z_pos``, ``lam_pos``, ``slack_pos``).  The stationarity terms of
+every stage, ``h_m = Q_m x_m + S_m' u_m + q_m - (C' lam)_{x_m}``, are one
+stacked product per run; only the costate sweep
 
-    pi[m-1] = Q_m x_m + S_m' u_m + q_m + A_m' pi[m] - (C' lam)_{x_m}.
+    pi[m-1] = h_m + A_m' pi[m]
+
+stays sequential, one small product per stage.
 
 Partial condensing applies the same machinery per block of ``N1`` stages
 (keeping each block's initial state, as required), producing an
@@ -66,10 +89,11 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import CondenseError, DimensionMismatch, InvalidBlockSize
 from .ipm_core import RICCATI_VARIANTS
-from .linalg import cholesky_factor, matmul_acc, qr_cholesky
+from .linalg import cholesky_stack, count_flops, qr_cholesky_stack
 from .qp_data import ROW_FIELDS, DenseQp, OcpQp, OcpQpDim
 from .view import DenseView, QpSolution, _ranges, make_view
 
@@ -84,18 +108,31 @@ __all__ = [
 
 @dataclass
 class CondensingMap:
-    """Index maps that route data and solutions across one condensing."""
+    """Index maps and the stored prediction of one condensing."""
 
     keep_x0: bool
     x0hat: object
     nx0: int
-    u_off: list
+    u_off: list         # z offset of every stage's inputs, None without any
     nv: int
-    pred: list          # per stage: (nx_n, nv) prediction operator, rows of one stack
-    gamma: list         # per stage: constant part of the prediction, likewise
+    pred_all: np.ndarray    # (sum nx, nv): the states of every stage, stacked,
+    gamma_all: np.ndarray   # are pred_all @ z + gamma_all
+    x_end: np.ndarray       # end row of every stage in pred_all
+    x_pos: np.ndarray       # OCP v position of every row of pred_all
+    z_pos: np.ndarray       # OCP v position of every z entry
     lam_pos: np.ndarray     # OCP lam/t position of every dense lam/t entry
     slack_pos: np.ndarray   # OCP slack index of every dense slack
     fix_rows: np.ndarray    # stage-0 box rows dropped with the initial state
+
+    @property
+    def pred(self):
+        """Per stage: its (nx_n, nv) rows of ``pred_all``, the prediction operator."""
+        return np.split(self.pred_all, self.x_end[:-1])
+
+    @property
+    def gamma(self):
+        """Per stage: its rows of ``gamma_all``, the prediction's constant part."""
+        return np.split(self.gamma_all, self.x_end[:-1])
 
 
 @dataclass
@@ -126,36 +163,160 @@ def _detect_fixed_x0(qp):
     return not np.isnan(x0hat).any(), x0hat, np.flatnonzero(fix)
 
 
-def _cost_recursion(qp, variant):
-    """Backward P/Y sweep; returns (P list, Y list) with P explicit."""
+def _runs(d):
+    """``(first, end)`` of every maximal run of stages with equal dimensions.
+
+    Equal ``nx``, ``nu``, ``ng`` and next-stage ``nx``, so that a run's
+    blocks stack into (k, ...) arrays.  The terminal stage, which has no
+    dynamics, is a run of its own.
+    """
+    nx = d.nx.tolist()
+    key = list(zip(nx, d.nu.tolist(), d.ng.tolist(), nx[1:] + [-1]))
+    ends = [0] + [n for n in range(1, d.N + 1) if key[n] != key[n - 1]] + [d.N + 1]
+    return list(zip(ends[:-1], ends[1:]))
+
+
+def _diag_blocks(rows, col, q):
+    """Writable (k, m, q) view of the blocks ``rows[i, :, col + i q:][:, :q]``.
+
+    ``rows`` is a (k, m, n) view of consecutive row blocks, one per stage of
+    a run; block i is stage i's window of q columns, which follow each other.
+    """
+    s0, s1, s2 = rows.strides
+    return as_strided(rows[:, :, col:], shape=(rows.shape[0], rows.shape[1], q),
+                      strides=(s0 + q * s2, s1, s2))
+
+
+def _rows_times(L, P3, out, cols, x0):
+    """``out = L @ P3`` for a run, on the nonzero columns of its prediction.
+
+    ``P3`` is the run's (k, nx, nv) prediction, zero past column ``cols``
+    (the last stage's inputs) up to the kept x0's columns, which start at
+    ``x0`` (None when x0 is not kept); ``out`` keeps its zeros there.
+    """
+    np.matmul(L, P3[:, :, :cols], out=out[:, :, :cols])
+    if x0 is not None:
+        np.matmul(L, P3[:, :, x0:], out=out[:, :, x0:])
+
+
+def _stack(qp, a, b, name, dyn=False):
+    """The field ``name`` of stages a..b-1 (their dynamics if ``dyn``), stacked."""
+    src = qp._dyn if dyn else qp._stages
+    return np.array([src[n][name] for n in range(a, b)])
+
+
+def _prediction(qp, uz, x_end, nv, keep_x0, x0hat):
+    """``(pred, gamma)``: ``x_n = pred[rows n] z + gamma[rows n]`` for every stage.
+
+    ``pred_n`` is zero outside the inputs before stage n and the kept x0,
+    so each step multiplies only those columns.
+    """
     d = qp.dim
-    N = d.N
-    P = [None] * (N + 1)
-    Y = [None] * N
-    if variant == "square_root":
-        U = [None] * (N + 1)
-        U[N] = cholesky_factor(qp._stages[N]["Q"]).T
-        P[N] = U[N].T @ U[N]
-        for n in range(N - 1, -1, -1):
-            dyn = qp._dyn[n]
-            UA = matmul_acc(1.0, U[n + 1], dyn["A"], 0.0, 0.0)
-            UB = matmul_acc(1.0, U[n + 1], dyn["B"], 0.0, 0.0)
-            Y[n] = matmul_acc(1.0, UA, UB, 0.0, 0.0, transA=True) \
-                + qp._stages[n]["S"].T
-            Uq = cholesky_factor(qp._stages[n]["Q"]).T
-            U[n] = qr_cholesky(np.vstack([Uq, UA]))
-            P[n] = U[n].T @ U[n]
-        return P, Y
-    P[N] = 0.5 * (qp._stages[N]["Q"] + qp._stages[N]["Q"].T)
-    for n in range(N - 1, -1, -1):
+    nx0 = int(d.nx[0])
+    pred = np.zeros((x_end[-1], nv))
+    gamma = np.empty(x_end[-1])
+    x0 = nv - nx0 if keep_x0 else nv
+    if keep_x0:
+        pred[np.arange(nx0), x0 + np.arange(nx0)] = 1.0
+        gamma[:nx0] = 0.0
+    else:
+        gamma[:nx0] = x0hat
+    ends = [0] + x_end.tolist()
+    for n, nu in enumerate(d.nu[: d.N].tolist()):
         dyn = qp._dyn[n]
-        PA = matmul_acc(1.0, P[n + 1], dyn["A"], 0.0, 0.0)
-        PB = matmul_acc(1.0, P[n + 1], dyn["B"], 0.0, 0.0)
-        Y[n] = matmul_acc(1.0, dyn["A"], PB, 0.0, 0.0, transA=True) \
-            + qp._stages[n]["S"].T
-        Pn = matmul_acc(1.0, dyn["A"], PA, 1.0, qp._stages[n]["Q"], transA=True)
-        P[n] = 0.5 * (Pn + Pn.T)
-    return P, Y
+        A = dyn["A"]
+        cur, nxt, k = pred[ends[n]: ends[n + 1]], pred[ends[n + 1]: ends[n + 2]], uz[n]
+        np.matmul(A, cur[:, :k], out=nxt[:, :k])
+        nxt[:, k: k + nu] = dyn["B"]
+        if keep_x0:
+            np.matmul(A, cur[:, x0:], out=nxt[:, x0:])
+        g = gamma[ends[n + 1]: ends[n + 2]]
+        np.matmul(A, gamma[ends[n]: ends[n + 1]], out=g)
+        g += dyn["b"]
+    return pred, gamma
+
+
+def _cost_recursion(qp, vw, runs, gamma, x_end, variant):
+    """The backward sweep: ``(Ms, h)``.
+
+    ``Ms`` holds every stage's ``M[n]``, a (k, nw, nw) array per run (views
+    of one buffer laid out like the view's ``hess0``); ``h``, laid out like
+    v, holds every stage's affine term ``h_n`` (see the module docstring).
+    ``P`` is used as computed: the Hessian is symmetrized once, exactly, at
+    the end (the square-root variant's ``T' T`` is symmetric as computed).
+    """
+    d = qp.dim
+    nx, nu = d.nx.tolist(), d.nu.tolist()
+    sqrt = variant == "square_root"
+    off = vw.hess_off
+    M = vw.hess0.copy()
+    h = vw.g[: vw.nv].copy()
+    Ms, hs, BAs = [], [], []
+    for a, b in runs:
+        k, nur, nxr = b - a, nu[a], nx[a]
+        nw = nur + nxr
+        W = vw.hess0[off[a]: off[b]].reshape(k, nw, nw)
+        Ms.append(M[off[a]: off[b]].reshape(k, nw, nw))
+        hr = h[vw.u_off[a]: vw.u_off[a] + k * nw].reshape(k, nw)
+        # h_n = g_n + W_n (0, gamma_n)
+        hr += (W[:, :, nur:] @ gamma[x_end[a] - nxr: x_end[b - 1]].reshape(
+            k, nxr, 1))[:, :, 0]
+        hs.append(hr)
+        if b <= d.N:
+            BA = np.empty((k, nx[b], nw))
+            BA[:, :, :nur] = _stack(qp, a, b, "B", dyn=True)
+            BA[:, :, nur:] = _stack(qp, a, b, "A", dyn=True)
+            BAs.append(BA)
+    nuN = nu[d.N]
+    P, beta = Ms[-1][0][nuN:, nuN:], hs[-1][0][nuN:]
+    if sqrt and d.N:
+        U = _chol_t(P[None])[0]
+    for r in range(len(runs) - 2, -1, -1):
+        (a, b), nur = runs[r], nu[runs[r][0]]
+        if sqrt:
+            # chol(Q_n)' of the run's stages past stage 0
+            first = max(a, 1)
+            nw = nur + nx[a]
+            Uq = _chol_t(vw.hess0[off[first]: off[b]].reshape(
+                max(b - first, 0), nw, nw)[:, nur:, nur:])
+        for n, BAn, Mn, hn in zip(range(b - 1, a - 1, -1), BAs[r][::-1],
+                                  Ms[r][::-1], hs[r][::-1]):
+            if sqrt:
+                T = U @ BAn
+                Mn += T.T @ T
+                if n:
+                    U = qr_cholesky_stack(
+                        np.vstack([Uq[n - first], T[:, nur:]])[None])[0]
+            else:
+                Mn += BAn.T @ (P @ BAn)
+            hn += beta @ BAn
+            P, beta = Mn[nur:, nur:], hn[nur:]
+    return Ms, h
+
+
+def _chol_t(Q):
+    """``chol(Q_i)'`` of the (k, n, n) stack Q, upper triangular, uncounted."""
+    if not Q.size:
+        return np.zeros(Q.shape)
+    return cholesky_stack(Q).transpose(0, 2, 1)
+
+
+def _flops(d, p, sqrt):
+    """The nominal flop count of :func:`condense`, see its docstring.
+
+    ``p`` holds the nonzero columns of every stage's prediction.
+    """
+    N = d.N
+    nx, nu, ng = (a.astype(np.int64) for a in (d.nx, d.nu, d.ng))
+    w = nu + nx
+    c, wn, xn = nx[1:], w[:N], nx[:N]
+    total = ((2 * w * nx + 2 * nu * nx * p + 2 * ng * nx * (p + 1)).sum()
+             + (2 * c * xn * (p[:N] + 1) + 2 * c * wn).sum())
+    if not sqrt:
+        return int(total + (2 * c * wn * (c + wn)).sum())
+    qr = np.maximum(0, 2 * (xn + c) * xn * xn - (2 * xn ** 3) // 3)[1:]
+    return int(total + (2 * c * c * wn + c * wn * (wn + 1)).sum()
+               + (nx[1:] ** 3 // 3).sum() + qr.sum())
 
 
 def condense(qp, keep_x0=None, variant="classical"):
@@ -164,13 +325,26 @@ def condense(qp, keep_x0=None, variant="classical"):
     ``keep_x0=None`` keeps the initial state as a variable unless it is
     fully fixed by equal-bound box rows; ``keep_x0=False`` requires that and
     eliminates it.  Returns ``(dense_qp, condensing_map)``.
+
+    The flops are counted once, nominally.  With ``w = nu_n + nx_n``,
+    ``c = nx_{n+1}`` and ``p_n`` the nonzero columns of ``pred_n`` (the
+    inputs before stage n, plus ``nx_0`` when x0 is kept):
+
+    * every stage n < N: the prediction ``2 c nx_n (p_n + 1)``, the affine
+      sweep ``2 c w``, and the recursion ``2 c w (c + w)`` (classical) or
+      ``2 c^2 w + c w (w + 1)`` (square root: ``T``, then ``T' T``);
+    * every stage: the affine term ``2 w nx_n``, the Hessian's input rows
+      ``2 nu_n nx_n p_n`` and the general rows ``2 ng_n nx_n (p_n + 1)``;
+    * square root, every stage n >= 1: ``chol(Q_n)``, ``nx_n^3 / 3``, and
+      for n < N the QR of ``[chol(Q_n)' ; T_x]``,
+      ``2 (nx_n + c) nx_n^2 - 2 nx_n^3 / 3``.
     """
     if not isinstance(qp, OcpQp):
         raise TypeError("condense expects an OcpQp")
     if variant not in RICCATI_VARIANTS:
         raise ValueError(f"unknown condensing variant '{variant}'")
     d = qp.dim
-    N = d.N
+    nx, nu, ng = d.nx, d.nu, d.ng
     all_fixed, x0hat, fix_rows = _detect_fixed_x0(qp)
     if keep_x0 is None:
         keep_x0 = not all_fixed
@@ -179,111 +353,37 @@ def condense(qp, keep_x0=None, variant="classical"):
             "keep_x0=False requires every initial-state component fixed "
             "by active equal-bound box rows"
         )
-    # z layout: [u_0 | u_1 | ... | x0 (if kept)], the stage order (u, x)
-    u_off = [None] * (N + 1)
-    off = 0
-    for n in range(N + 1):
-        if d.nu[n]:
-            u_off[n] = off
-            off += d.nu[n]
-    x0_off = off
-    nx0 = d.nx[0]
-    nv = off + nx0 if keep_x0 else off
-    # sensitivities and affine parts: every stage's rows of one stack
-    x_end = np.cumsum(d.nx)
-    pred_all = np.zeros((x_end[-1], nv))
-    gamma_all = np.zeros(x_end[-1])
-    rows_of = [slice(e - k, e) for e, k in zip(x_end.tolist(), d.nx)]
-    pred = [pred_all[r] for r in rows_of]
-    gamma = [gamma_all[r] for r in rows_of]
-    if keep_x0:
-        pred[0][:, x0_off:] = np.eye(nx0)
-    else:
-        gamma[0][:] = x0hat
-    for n in range(N):
-        dyn = qp._dyn[n]
-        pred[n + 1][:] = matmul_acc(1.0, dyn["A"], pred[n], 0.0, 0.0)
-        if d.nu[n]:
-            pred[n + 1][:, u_off[n]: u_off[n] + d.nu[n]] += dyn["B"]
-        gamma[n + 1][:] = dyn["A"] @ gamma[n] + dyn["b"]
-    P, Y = _cost_recursion(qp, variant)
-    # costate of the affine part
-    beta = [None] * (N + 1)
-    beta[N] = qp._stages[N]["q"] + qp._stages[N]["Q"] @ gamma[N]
-    for n in range(N - 1, -1, -1):
-        beta[n] = (
-            qp._stages[n]["q"]
-            + qp._stages[n]["Q"] @ gamma[n]
-            + qp._dyn[n]["A"].T @ beta[n + 1]
-        )
-    Hc = np.zeros((nv, nv))
-    gc = np.zeros(nv)
-    if keep_x0:
-        Hc[x0_off:, x0_off:] = P[0]
-        gc[x0_off:] = beta[0]
-    for j in range(N + 1):
-        nuj = d.nu[j]
-        if not nuj:
-            continue
-        oj = u_off[j]
-        stj = qp._stages[j]
-        if j < N:
-            Bj = qp._dyn[j]["B"]
-            Hc[oj: oj + nuj, oj: oj + nuj] = stj["R"] + matmul_acc(
-                1.0, Bj, P[j + 1] @ Bj, 0.0, 0.0, transA=True
-            )
-            cross = Y[j]
-            gc[oj: oj + nuj] = (
-                stj["r"] + stj["S"] @ gamma[j] + Bj.T @ beta[j + 1]
-            )
-        else:
-            Hc[oj: oj + nuj, oj: oj + nuj] = stj["R"]
-            cross = stj["S"].T
-            gc[oj: oj + nuj] = stj["r"] + stj["S"] @ gamma[j]
-        # couplings of u_j with x0 and with earlier inputs, through dx_j/dz
-        cols = pred[j].T @ cross  # (nv, nuj): includes x0 block and u_i, i<j
-        Hc[:, oj: oj + nuj] += cols
-        Hc[oj: oj + nuj, :] += cols.T
-    Hc = 0.5 * (Hc + Hc.T)
-    # ---- constraints, routed through the view's row table ----
     vw = make_view(qp)
+    runs = _runs(d)
+    # z layout: [u_0 | u_1 | ... | x0 (if kept)], the stage order (u, x)
+    uz = np.concatenate([[0], np.cumsum(nu)]).tolist()
+    x0_off = uz[-1]
+    nx0 = int(nx[0])
+    nv = x0_off + nx0 if keep_x0 else x0_off
+    # nonzero columns of every stage's prediction
+    p = np.array(uz[:-1], dtype=np.int64) + (nx0 if keep_x0 else 0)
+    x_end = np.cumsum(nx)
+    pred, gamma = _prediction(qp, uz, x_end, nv, keep_x0, x0hat)
+    Ms, h = _cost_recursion(qp, vw, runs, gamma, x_end, variant)
+    # ---- constraints, routed through the view's row table ----
     m, rows, ns = vw._m, vw._rows, vw.ns_tot
-    # z column of every v entry that stays a variable, prediction row of
-    # every state entry; -1 elsewhere
-    zcol = np.full(vw.nv, -1)
-    zcol[_ranges(np.array(vw.u_off), np.array(d.nu))] = np.arange(x0_off)
+    # OCP v position of every z entry and of every prediction row; their
+    # inverses map v entries to z columns and prediction rows, -1 elsewhere
+    z_pos = _ranges(np.array(vw.u_off), nu)
     if keep_x0:
-        zcol[vw.x_off[0]: vw.x_off[0] + nx0] = np.arange(x0_off, nv)
+        z_pos = np.concatenate([z_pos, vw.x_off[0] + np.arange(nx0)])
+    x_pos = _ranges(np.array(vw.x_off), nx)
+    zcol = np.full(vw.nv, -1)
+    zcol[z_pos] = np.arange(nv)
     xrow = np.full(vw.nv, -1)
-    xrow[_ranges(np.array(vw.x_off), np.array(d.nx))] = np.arange(x_end[-1])
+    xrow[x_pos] = np.arange(x_end[-1])
     zb, xb = zcol[vw.box_col], xrow[vw.box_col]
     box = np.flatnonzero(zb >= 0)
     box = box[np.argsort(zb[box], kind="stable")]
     # the general rows: state box rows past stage 0, then every general row
     sbox = np.flatnonzero(xb >= nx0)
-    gen = np.concatenate([sbox, np.arange(vw._nb, m)])
-    Cg = np.empty((gen.size, nv))
-    shift = np.empty(gen.size)
-    np.take(pred_all, xb[sbox], axis=0, out=Cg[: sbox.size])
-    np.take(gamma_all, xb[sbox], out=shift[: sbox.size])
-    k = sbox.size
-    for n in range(N + 1):
-        if d.ng[n]:
-            st = qp._stages[n]
-            Cn = Cg[k: k + d.ng[n]]
-            np.matmul(st["C"], pred[n], out=Cn)
-            if d.nu[n]:
-                Cn[:, u_off[n]: u_off[n] + d.nu[n]] += st["D"]
-            shift[k: k + d.ng[n]] = st["C"] @ gamma[n]
-            k += d.ng[n]
-    if m > vw._nb:
-        # stage by stage, each stage's state rows first
-        stage = np.concatenate([np.repeat(np.arange(N + 1), d.nb)[sbox],
-                                np.repeat(np.arange(N + 1), d.ng)])
-        order = np.argsort(stage, kind="stable")
-        gen, Cg, shift = gen[order], Cg[order], shift[order]
+    src = np.concatenate([box, sbox, np.arange(vw._nb, m)])
     # dense row -> OCP row, and the lam/t positions of its two sides
-    src = np.concatenate([box, gen])
     lo_pos, up_pos = rows[src], rows[m + src]
     dense_row = np.full(vw.nc, -1)
     dense_row[lo_pos] = np.arange(src.size)
@@ -294,17 +394,52 @@ def condense(qp, keep_x0=None, variant="classical"):
         )
     slack_pos = np.argsort(soft_row)
     nb_c = box.size
-    dense = DenseQp(nv, ne=0, nb=nb_c, ng=gen.size, ns=ns)
-    dense.set_field("H", Hc)
-    dense.set_field("g", gc)
+    dense = DenseQp(nv, ne=0, nb=nb_c, ng=src.size - nb_c, ns=ns)
+    # ---- the Hessian: input rows, halved diagonal blocks, then H += H' ----
+    x0 = x0_off if keep_x0 else None
+    H = dense._fill("H")
+    for (a, b), Mr in zip(runs, Ms):
+        nur, nxr = nu[a], nx[a]
+        if not nur:
+            continue
+        k = b - a
+        YT = Mr[:, nur:, :nur].transpose(0, 2, 1)
+        P3 = pred[x_end[a] - nxr: x_end[b - 1]].reshape(k, nxr, nv)
+        Hr = H[uz[a]: uz[b]].reshape(k, nur, nv)
+        _rows_times(YT, P3, Hr, uz[b - 1], x0)
+        np.multiply(Mr[:, :nur, :nur], 0.5, out=_diag_blocks(Hr, uz[a], nur))
+    if keep_x0:
+        H[x0_off:, x0_off:] = 0.5 * Ms[0][0][nu[0]:, nu[0]:]
+    np.add(H, H.T, out=H)
+    dense.set_field("g", h[z_pos])
+    # ---- the general rows: gathered state rows, then C_n pred_n + D_n ----
+    C = dense._fill("C")
+    shift = np.empty(src.size - nb_c)
+    ksb = sbox.size
+    np.take(pred, xb[sbox], axis=0, out=C[:ksb], mode="clip")
+    shift[:ksb] = gamma[xb[sbox]]
+    r0 = ksb
+    for a, b in runs:
+        ngr, nur, nxr = ng[a], nu[a], nx[a]
+        if not ngr:
+            continue
+        k = b - a
+        Cs = _stack(qp, a, b, "C")
+        Cr = C[r0: r0 + k * ngr].reshape(k, ngr, nv)
+        _rows_times(Cs, pred[x_end[a] - nxr: x_end[b - 1]].reshape(k, nxr, nv),
+                    Cr, uz[b - 1], x0)
+        _diag_blocks(Cr, uz[a], nur)[...] = _stack(qp, a, b, "D")
+        np.matmul(Cs, gamma[x_end[a] - nxr: x_end[b - 1]].reshape(k, nxr, 1),
+                  out=shift[r0: r0 + k * ngr].reshape(k, ngr, 1))
+        r0 += k * ngr
+    count_flops(_flops(d, p, variant == "square_root"))
     bnd, on = vw._raw_bounds()
     lo, up = bnd[lo_pos], bnd[up_pos]
     if nb_c:
         dense.set_field("idxb", zb[box])
         dense.set_field("lb", lo[:nb_c])
         dense.set_field("ub", up[:nb_c])
-    if gen.size:
-        dense.set_field("C", Cg)
+    if shift.size:
         dense.set_field("lg", lo[nb_c:] - shift)
         dense.set_field("ug", up[nb_c:] - shift)
     dense.set_field("maskl", on[lo_pos])
@@ -319,7 +454,10 @@ def condense(qp, keep_x0=None, variant="classical"):
     cmap = CondensingMap(
         keep_x0=keep_x0,
         x0hat=None if keep_x0 else x0hat,
-        nx0=nx0, u_off=u_off, nv=nv, pred=pred, gamma=gamma,
+        nx0=nx0,
+        u_off=[o if k else None for o, k in zip(uz, nu.tolist())],
+        nv=nv, pred_all=pred, gamma_all=gamma, x_end=x_end,
+        x_pos=x_pos, z_pos=z_pos,
         lam_pos=rows[np.concatenate(
             [src, m + src, 2 * m + slack_pos, 2 * m + ns + slack_pos])],
         slack_pos=slack_pos,
@@ -331,61 +469,63 @@ def condense(qp, keep_x0=None, variant="classical"):
 def expand_solution(dense_sol, cmap, qp, pi_terminal=None):
     """Expand a dense solution back to the original optimal-control QP.
 
-    States are rebuilt by the forward dynamics rollout, multipliers and
-    slacks are scattered to the positions the map records, and the dynamics
-    multipliers follow from the backward costate recursion (seeded with
-    ``pi_terminal`` when the last edge's multiplier is known, as in partial
-    condensing).
+    States come from one product with the stored prediction, inputs,
+    multipliers and slacks are scattered to the positions the map records,
+    and the dynamics multipliers follow from the backward costate sweep
+    (seeded with ``pi_terminal`` when the last edge's multiplier is known,
+    as in partial condensing).
     """
     d = qp.dim
     N = d.N
+    nx, nu = d.nx, d.nu
     vw = make_view(qp)
     sol = QpSolution(vw)
     z = dense_sol.v
     if z.shape[0] != cmap.nv:
         raise DimensionMismatch("dense solution does not match the map")
-    # primal: inputs from z, states by rollout
-    x = z[cmap.nv - cmap.nx0:].copy() if cmap.keep_x0 else cmap.x0hat.copy()
-    sol.x(0)[:] = x
-    for n in range(N + 1):
-        if d.nu[n]:
-            sol.u(n)[:] = z[cmap.u_off[n]: cmap.u_off[n] + d.nu[n]]
-        if n < N:
-            dyn = qp._dyn[n]
-            x = dyn["A"] @ x + dyn["B"] @ sol.u(n) + dyn["b"]
-            sol.x(n + 1)[:] = x
+    v = sol.v
+    v[cmap.x_pos] = cmap.pred_all @ z + cmap.gamma_all
+    v[cmap.z_pos] = z
     # multipliers and inequality slacks
     sol.lam[cmap.lam_pos] = dense_sol.lam
     sol.t[cmap.lam_pos] = dense_sol.t
     sol.sl_all[cmap.slack_pos] = dense_sol.sl_all
     sol.su_all[cmap.slack_pos] = dense_sol.su_all
-    # costate recursion for the dynamics multipliers
-    ct = vw.ct_lam(sol.lam)
-    def ctlam_x(m):
-        return ct[vw.x_off[m]: vw.x_off[m] + d.nx[m]]
+    # h_m = Q_m x_m + S_m' u_m + q_m - (C' lam)_{x_m} of every stage, laid
+    # out like the prediction's rows: one stacked product per run
+    x_end = cmap.x_end
+    h = (vw.g[: vw.nv] - vw.ct_lam(sol.lam)[: vw.nv])[cmap.x_pos]
+    off = vw.hess_off
+    for a, b in _runs(d):
+        k, nur, nxr = b - a, nu[a], nx[a]
+        nw = nur + nxr
+        W = vw.hess0[off[a]: off[b]].reshape(k, nw, nw)
+        w = v[vw.u_off[a]: vw.u_off[a] + k * nw].reshape(k, nw, 1)
+        h[x_end[a] - nxr: x_end[b - 1]] += (W[:, nur:] @ w).ravel()
+    # costate sweep: pi[m-1] = h_m + A_m' pi[m]
+    pi, pi_off = sol.pi, vw.pi_off
     start = N
+    nxt = None
     if pi_terminal is not None and N >= 1:
-        sol.pi_stage(N - 1)[:] = pi_terminal
+        nxt = pi[pi_off[N - 1]: pi_off[N - 1] + nx[N]]
+        nxt[:] = pi_terminal
         start = N - 1
     for m in range(start, 0, -1):
-        st = qp._stages[m]
-        pi_m1 = (
-            st["Q"] @ sol.x(m) + st["S"].T @ sol.u(m) + st["q"] - ctlam_x(m)
-        )
-        if m < N:
-            pi_m1 = pi_m1 + qp._dyn[m]["A"].T @ sol.pi_stage(m)
-        sol.pi_stage(m - 1)[:] = pi_m1
+        out = pi[pi_off[m - 1]: pi_off[m - 1] + nx[m]]
+        hm = h[x_end[m] - nx[m]: x_end[m]]
+        if nxt is None:
+            out[:] = hm
+        else:
+            np.add(hm, qp._dyn[m]["A"].T @ nxt, out=out)
+        nxt = out
     # dropped initial-state fixing rows: recover their net multipliers from
     # the stage-0 stationarity gap and split by sign
     if cmap.fix_rows.size:
-        st = qp._stages[0]
-        gap = (
-            st["Q"] @ sol.x(0) + st["S"].T @ sol.u(0) + st["q"] - ctlam_x(0)
-        )
+        gap = h[: nx[0]]
         if N >= 1:
-            gap = gap + qp._dyn[0]["A"].T @ sol.pi_stage(0)
+            gap = gap + qp._dyn[0]["A"].T @ nxt
         i = cmap.fix_rows
-        nu_val = gap[st["idxb"][i] - d.nu[0]]
+        nu_val = gap[qp._stages[0]["idxb"][i] - nu[0]]
         side = np.where(nu_val >= 0.0, vw._rows[i], vw._rows[vw._m + i])
         sol.lam[side] = np.abs(nu_val)
     return sol

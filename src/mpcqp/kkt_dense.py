@@ -12,8 +12,9 @@ with ``Hred`` the constraint-augmented Hessian over v (plus the primal
 regularization, which iterative refinement offsets afterwards).  Two
 equality-handling methods are provided:
 
-* ``schur``   factor Hred, form the Schur complement A Hred^-1 A' and
-              factor it;
+* ``schur``   factor Hred, form the Schur complement A Hred^-1 A' as
+              W' W with W = L^-1 A' (:func:`linalg.gram`, exactly
+              symmetric) and factor it;
 * ``null_space``  orthonormal basis of null(A) from a QR of A', solve the
               reduced problem on the basis.
 
@@ -52,6 +53,7 @@ from .ipm_core import KKT_METHODS, IpmArg
 from .kkt_common import fold_rhs, recover, reduced_hessian, row_coef, view_scales
 from .linalg import (
     cholesky_factor,
+    gram,
     matmul_acc,
     qr_cholesky,
     qr_cholesky_tp,
@@ -104,8 +106,7 @@ class DenseKktFactor:
             if use_qr:
                 self._Lm = qr_cholesky(W).T
             else:
-                self._Lm = cholesky_factor(
-                    matmul_acc(1.0, W, W, 0.0, 0.0, transA=True))
+                self._Lm = cholesky_factor(gram(W))
 
     def _factor_qr(self, sc, reg):
         """Cholesky of the reduced Hessian via the stacked-factor QR route."""

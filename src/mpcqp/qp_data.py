@@ -488,6 +488,19 @@ class DenseQp(_FieldAccess):
         self._data[f.attr] = _check_value(name, value, f.shape(self, None), f.dtype)
         self._bump(name, f)
 
+    def _fill(self, name):
+        """The stored array of field ``name`` itself, to be written in place.
+
+        A producer that builds a fresh QP (condensing) writes its large
+        fields straight into it, once, in place of a second copy through
+        :meth:`set_field`.  The array has the field's catalog shape and
+        dtype, so what is written into it takes both; the revision moves
+        as :meth:`set_field` moves it.
+        """
+        f = self._resolve(name, None)
+        self._bump(name, f)
+        return self._data[f.attr]
+
     def get_field(self, name):
         f = self._resolve(name, None)
         return self._data[f.attr].copy()

@@ -154,6 +154,64 @@ def rand_ocp_qp(rng, N=5, nx=4, nu=2, nb=None, ng=1, ns=1, fix_x0=False,
     return qp
 
 
+def rand_mixed_ocp_qp(rng, nx, nu, ng, ns, fix_x0=False):
+    """Feasible optimal-control QP with per-stage sizes ``nx``, ``nu``, ``ng``
+    and ``ns`` (lists over stages 0..N; ``nu[N]`` may be nonzero).
+
+    Each stage boxes a random subset of its (u, x) window, except that a
+    fixed initial state boxes all of x0 with equal bounds (and softens none
+    of those rows); soft rows are drawn from the other rows.
+    """
+    N = len(nx) - 1
+    nw = [nu[n] + nx[n] for n in range(N + 1)]
+    idxb = [np.sort(rng.choice(nw[n], int(rng.integers(nw[n] + 1)), replace=False))
+            for n in range(N + 1)]
+    if fix_x0:
+        idxb[0] = np.union1d(idxb[0], nu[0] + np.arange(nx[0]))
+    nb = [i.size for i in idxb]
+    ns = [min(ns[n], nb[n] + ng[n] - (nx[0] if fix_x0 and n == 0 else 0))
+          for n in range(N + 1)]
+    qp = OcpQp(OcpQpDim(N, nx, nu, nb, ng, ns))
+    us = [rng.uniform(-1.0, 1.0, nu[n]) for n in range(N + 1)]
+    xs = [rng.uniform(-1.0, 1.0, nx[0])]
+    for n in range(N):
+        A = 0.5 * rng.standard_normal((nx[n + 1], nx[n]))
+        B = rng.standard_normal((nx[n + 1], nu[n]))
+        b = rng.uniform(-0.2, 0.2, nx[n + 1])
+        for f, value in (("A", A), ("B", B), ("b", b)):
+            qp.set_field(f, n, value)
+        xs.append(A @ xs[n] + B @ us[n] + b)
+    for n in range(N + 1):
+        G = rng.standard_normal((nw[n], nw[n]))
+        W = G @ G.T + np.eye(nw[n])
+        w = np.concatenate([us[n], xs[n]])
+        lb = w[idxb[n]] - rng.uniform(0.5, 2.0, nb[n])
+        ub = w[idxb[n]] + rng.uniform(0.5, 2.0, nb[n])
+        fixed = np.zeros(nb[n], dtype=bool)
+        if fix_x0 and n == 0:
+            fixed = idxb[0] >= nu[0]
+            lb[fixed] = ub[fixed] = w[idxb[0][fixed]]
+        C = rng.standard_normal((ng[n], nx[n]))
+        D = rng.standard_normal((ng[n], nu[n]))
+        cw = D @ us[n] + C @ xs[n]
+        pool = np.concatenate([np.flatnonzero(~fixed), nb[n] + np.arange(ng[n])])
+        for f, value in (("R", W[:nu[n], :nu[n]]), ("S", W[:nu[n], nu[n]:]),
+                         ("Q", W[nu[n]:, nu[n]:]),
+                         ("r", 0.3 * rng.standard_normal(nu[n])),
+                         ("q", 0.3 * rng.standard_normal(nx[n])),
+                         ("idxb", idxb[n]), ("lb", lb), ("ub", ub),
+                         ("C", C), ("D", D),
+                         ("lg", cw - rng.uniform(0.5, 2.0, ng[n])),
+                         ("ug", cw + rng.uniform(0.5, 2.0, ng[n])),
+                         ("idxs", np.sort(rng.choice(pool, ns[n], replace=False))),
+                         ("Zl", rng.uniform(0.5, 2.0, ns[n])),
+                         ("Zu", rng.uniform(0.5, 2.0, ns[n])),
+                         ("zl", rng.uniform(0.0, 0.3, ns[n])),
+                         ("zu", rng.uniform(0.0, 0.3, ns[n]))):
+            qp.set_field(f, n, value)
+    return qp
+
+
 def rand_tree_qp(rng, parents, nx=2, nu=1, nb=2, ng=1, ns=1):
     """Feasible tree QP with identical per-node dimension pattern."""
     n_node = len(parents)
@@ -838,3 +896,181 @@ def prediction_matrix_hessian(qp, keep_x0):
         Mbar[xo: xo + d.nx[n], uo: uo + d.nu[n]] = st["S"].T
         Mbar[xo: xo + d.nx[n], xo: xo + d.nx[n]] = st["Q"]
     return T.T @ Mbar @ T
+
+
+class CondensingMapRef:
+    """Map of :func:`condense_ref`: the per-stage prediction and row routes."""
+
+    def __init__(self, **fields):
+        self.__dict__.update(fields)
+
+
+def _cost_recursion_ref(qp, variant):
+    """Backward P/Y sweep stage by stage; returns (P list, Y list)."""
+    N = qp.dim.N
+    P = [None] * (N + 1)
+    Y = [None] * N
+    if variant == "square_root":
+        U = [None] * (N + 1)
+        U[N] = cholesky_factor(qp._stages[N]["Q"]).T
+        P[N] = U[N].T @ U[N]
+        for n in range(N - 1, -1, -1):
+            dyn = qp._dyn[n]
+            UA = matmul_acc(1.0, U[n + 1], dyn["A"], 0.0, 0.0)
+            UB = matmul_acc(1.0, U[n + 1], dyn["B"], 0.0, 0.0)
+            Y[n] = matmul_acc(1.0, UA, UB, 0.0, 0.0, transA=True) \
+                + qp._stages[n]["S"].T
+            Uq = cholesky_factor(qp._stages[n]["Q"]).T
+            U[n] = qr_cholesky(np.vstack([Uq, UA]))
+            P[n] = U[n].T @ U[n]
+        return P, Y
+    P[N] = 0.5 * (qp._stages[N]["Q"] + qp._stages[N]["Q"].T)
+    for n in range(N - 1, -1, -1):
+        dyn = qp._dyn[n]
+        PA = matmul_acc(1.0, P[n + 1], dyn["A"], 0.0, 0.0)
+        PB = matmul_acc(1.0, P[n + 1], dyn["B"], 0.0, 0.0)
+        Y[n] = matmul_acc(1.0, dyn["A"], PB, 0.0, 0.0, transA=True) \
+            + qp._stages[n]["S"].T
+        Pn = matmul_acc(1.0, dyn["A"], PA, 1.0, qp._stages[n]["Q"], transA=True)
+        P[n] = 0.5 * (Pn + Pn.T)
+    return P, Y
+
+
+def condense_ref(qp, keep_x0, variant="classical"):
+    """Full condensing stage by stage, the loop the stacked runs replaced.
+
+    The prediction rolls forward over all columns, the Hessian is
+    accumulated one stage's couplings at a time with ``+=`` and symmetrized
+    by ``0.5 (H + H')``, and the rows are built one OCP row at a time: box
+    rows in z order, then each stage's state box rows and general rows,
+    stage by stage.  Each row carries its OCP row number (the view's row
+    numbering), by which tests match it whatever the dense row order.
+    ``keep_x0=False`` takes the initial state from the stage-0 equal-bound
+    box rows.
+    """
+    d = qp.dim
+    N = d.N
+    st0 = qp._stages[0]
+    x0hat = np.full(d.nx[0], np.nan)
+    for i, k in enumerate(st0["idxb"]):
+        if k >= d.nu[0] and st0["lb"][i] == st0["ub"][i]:
+            x0hat[k - d.nu[0]] = st0["lb"][i]
+    u_off = [None] * (N + 1)
+    off = 0
+    for n in range(N + 1):
+        if d.nu[n]:
+            u_off[n] = off
+            off += d.nu[n]
+    x0_off = off
+    nx0 = d.nx[0]
+    nv = off + nx0 if keep_x0 else off
+    pred = [np.zeros((d.nx[n], nv)) for n in range(N + 1)]
+    gamma = [np.zeros(d.nx[n]) for n in range(N + 1)]
+    if keep_x0:
+        pred[0][:, x0_off:] = np.eye(nx0)
+    else:
+        gamma[0][:] = x0hat
+    for n in range(N):
+        dyn = qp._dyn[n]
+        pred[n + 1][:] = matmul_acc(1.0, dyn["A"], pred[n], 0.0, 0.0)
+        if d.nu[n]:
+            pred[n + 1][:, u_off[n]: u_off[n] + d.nu[n]] += dyn["B"]
+        gamma[n + 1][:] = dyn["A"] @ gamma[n] + dyn["b"]
+    P, Y = _cost_recursion_ref(qp, variant)
+    beta = [None] * (N + 1)
+    beta[N] = qp._stages[N]["q"] + qp._stages[N]["Q"] @ gamma[N]
+    for n in range(N - 1, -1, -1):
+        beta[n] = (qp._stages[n]["q"] + qp._stages[n]["Q"] @ gamma[n]
+                   + qp._dyn[n]["A"].T @ beta[n + 1])
+    Hc = np.zeros((nv, nv))
+    gc = np.zeros(nv)
+    if keep_x0:
+        Hc[x0_off:, x0_off:] = P[0]
+        gc[x0_off:] = beta[0]
+    for j in range(N + 1):
+        nuj = d.nu[j]
+        if not nuj:
+            continue
+        oj = u_off[j]
+        stj = qp._stages[j]
+        if j < N:
+            Bj = qp._dyn[j]["B"]
+            Hc[oj: oj + nuj, oj: oj + nuj] = stj["R"] + matmul_acc(
+                1.0, Bj, P[j + 1] @ Bj, 0.0, 0.0, transA=True)
+            cross = Y[j]
+            gc[oj: oj + nuj] = stj["r"] + stj["S"] @ gamma[j] + Bj.T @ beta[j + 1]
+        else:
+            Hc[oj: oj + nuj, oj: oj + nuj] = stj["R"]
+            cross = stj["S"].T
+            gc[oj: oj + nuj] = stj["r"] + stj["S"] @ gamma[j]
+        cols = pred[j].T @ cross
+        Hc[:, oj: oj + nuj] += cols
+        Hc[oj: oj + nuj, :] += cols.T
+    Hc = 0.5 * (Hc + Hc.T)
+    # rows, one OCP row at a time, in view row numbering (box rows of every
+    # stage first, then general rows): box rows as (z column, row, lb, ub),
+    # general rows as (coefficients, lower, upper, row)
+    vw = make_view(qp)
+    gen_row0 = np.cumsum(d.ng) - d.ng + vw._nb
+    box_row0 = np.cumsum(d.nb) - d.nb
+    box, gen = [], []
+    for n in range(N + 1):
+        st = qp._stages[n]
+        for i, k in enumerate(st["idxb"]):
+            r = box_row0[n] + i
+            if k < d.nu[n]:
+                box.append((u_off[n] + k, r, st["lb"][i], st["ub"][i]))
+            elif n == 0 and keep_x0:
+                box.append((x0_off + k - d.nu[0], r, st["lb"][i], st["ub"][i]))
+            elif n:
+                s = gamma[n][k - d.nu[n]]
+                gen.append((pred[n][k - d.nu[n]], st["lb"][i] - s,
+                            st["ub"][i] - s, r))
+        for i in range(d.ng[n]):
+            row = st["C"][i] @ pred[n]
+            if d.nu[n]:
+                row[u_off[n]: u_off[n] + d.nu[n]] += st["D"][i]
+            s = st["C"][i] @ gamma[n]
+            gen.append((row, st["lg"][i] - s, st["ug"][i] - s, gen_row0[n] + i))
+    box.sort()
+    return CondensingMapRef(
+        H=Hc, g=gc, idxb=np.array([b[0] for b in box], dtype=int),
+        box_rows=np.array([b[1] for b in box], dtype=int),
+        lb=np.array([b[2] for b in box]), ub=np.array([b[3] for b in box]),
+        C=np.array([g[0] for g in gen]).reshape(len(gen), nv),
+        lg=np.array([g[1] for g in gen]), ug=np.array([g[2] for g in gen]),
+        gen_rows=np.array([g[3] for g in gen], dtype=int),
+        keep_x0=keep_x0, x0hat=x0hat, nx0=nx0, u_off=u_off, nv=nv,
+        pred=pred, gamma=gamma)
+
+
+def expand_ref(z, lam, qp, cref):
+    """States by the dynamics rollout from the dense point z, and the
+    dynamics multipliers by the stage-by-stage costate recursion.
+
+    ``lam`` is the OCP multiplier vector the dense one scatters to.
+    Returns ``(v, pi)`` of the OCP solution.
+    """
+    d = qp.dim
+    N = d.N
+    sol = QpSolution(make_view(qp))
+    sol.lam[:] = lam
+    x = z[cref.nv - cref.nx0:].copy() if cref.keep_x0 else cref.x0hat.copy()
+    sol.x(0)[:] = x
+    for n in range(N + 1):
+        if d.nu[n]:
+            sol.u(n)[:] = z[cref.u_off[n]: cref.u_off[n] + d.nu[n]]
+        if n < N:
+            dyn = qp._dyn[n]
+            x = dyn["A"] @ x + dyn["B"] @ sol.u(n) + dyn["b"]
+            sol.x(n + 1)[:] = x
+    vw = sol._view
+    ct = vw.ct_lam(sol.lam)
+    for m in range(N, 0, -1):
+        st = qp._stages[m]
+        pi_m1 = (st["Q"] @ sol.x(m) + st["S"].T @ sol.u(m) + st["q"]
+                 - ct[vw.x_off[m]: vw.x_off[m] + d.nx[m]])
+        if m < N:
+            pi_m1 = pi_m1 + qp._dyn[m]["A"].T @ sol.pi_stage(m)
+        sol.pi_stage(m - 1)[:] = pi_m1
+    return sol.v.copy(), sol.pi.copy()

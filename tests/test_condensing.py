@@ -13,6 +13,7 @@ from mpcqp import (
     compute_residuals,
     condense,
     expand_solution,
+    flop_counter,
     mode_preset,
     objective,
     partial_condense,
@@ -20,9 +21,19 @@ from mpcqp import (
     solve_dense_qp,
     solve_ocp_qp,
 )
+from mpcqp.condensing import _runs
+from mpcqp.ipm_core import RICCATI_VARIANTS
 from mpcqp.view import make_view
 
-from conftest import maxabs, prediction_matrix_hessian, rand_iterate, rand_ocp_qp
+from conftest import (
+    condense_ref,
+    expand_ref,
+    maxabs,
+    prediction_matrix_hessian,
+    rand_iterate,
+    rand_mixed_ocp_qp,
+    rand_ocp_qp,
+)
 
 
 def scalar_example():
@@ -247,6 +258,120 @@ class TestFullCondense:
             assert maxabs(esol.u(n) - direct.solution.u(n)) <= 1e-6
             assert maxabs(esol.x(n) - direct.solution.x(n)) <= 1e-6
         assert compute_residuals(qp, esol).max_norm() <= 1e-6
+
+
+def mixed_dims(rng, N):
+    """Per-stage (nx, nu, ng) lists in runs: a stage repeats the previous
+    stage's sizes or draws new ones."""
+    dims = []
+    for n in range(N + 1):
+        if n and rng.random() < 0.6:
+            dims.append(dims[-1])
+        else:
+            dims.append((int(rng.integers(1, 4)), int(rng.integers(0, 3)),
+                         int(rng.integers(0, 3))))
+    return [list(c) for c in zip(*dims)]
+
+
+def rel_err(a, ref):
+    return maxabs(a - ref) / max(1.0, maxabs(ref))
+
+
+def condense_flops(qp, keep, variant):
+    """The nominal flop count of :func:`condense`, stage by stage."""
+    d = qp.dim
+    N = d.N
+    nx, nu, ng = (list(map(int, a)) for a in (d.nx, d.nu, d.ng))
+    total = 0
+    p = nx[0] if keep else 0           # nonzero prediction columns
+    for n in range(N + 1):
+        w = nu[n] + nx[n]
+        total += 2 * w * nx[n] + 2 * nu[n] * nx[n] * p + 2 * ng[n] * nx[n] * (p + 1)
+        if n < N:
+            c = nx[n + 1]
+            total += 2 * c * nx[n] * (p + 1) + 2 * c * w
+            if variant == "classical":
+                total += 2 * c * w * (c + w)
+            else:
+                total += 2 * c * c * w + c * w * (w + 1)
+        if variant == "square_root" and n >= 1:
+            total += nx[n] ** 3 // 3
+            if n < N:
+                total += 2 * (nx[n] + nx[n + 1]) * nx[n] ** 2 - (2 * nx[n] ** 3) // 3
+        p += nu[n]
+    return total
+
+
+class TestStackedCondense:
+    """Condensing in runs of stages against the stage-by-stage oracle."""
+
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), N=st.integers(0, 6),
+           fix_x0=st.booleans(), keep=st.booleans(),
+           variant=st.sampled_from(RICCATI_VARIANTS))
+    def test_matches_stage_by_stage_oracle(self, seed, N, fix_x0, keep, variant):
+        # mixed sizes, inputs at the terminal stage, general rows with D,
+        # soft rows; a free initial state can only be kept
+        rng = np.random.default_rng(seed)
+        nx, nu, ng = mixed_dims(rng, N)
+        qp = rand_mixed_ocp_qp(rng, nx, nu, ng, [2] * (N + 1), fix_x0=fix_x0)
+        keep = keep or not fix_x0
+        dense, cmap = condense(qp, keep_x0=keep, variant=variant)
+        ref = condense_ref(qp, keep, variant)
+        H = dense.get_field("H")
+        assert np.array_equal(H, H.T)
+        assert rel_err(H, ref.H) <= 1e-12
+        assert rel_err(dense.get_field("g"), ref.g) <= 1e-12
+        # rows are matched by their OCP row (lower sides: lam/t position ->
+        # row number through the inverse of the view's row table)
+        row_of = np.argsort(make_view(qp)._rows)
+        rows = row_of[cmap.lam_pos[: dense.nb + dense.ng]]
+        nb = dense.nb
+        assert np.array_equal(rows[:nb], ref.box_rows)
+        for f in ("idxb", "lb", "ub"):
+            assert np.array_equal(dense.get_field(f), getattr(ref, f)), f
+        got, want = np.argsort(rows[nb:]), np.argsort(ref.gen_rows)
+        assert np.array_equal(rows[nb:][got], ref.gen_rows[want])
+        for f in ("C", "lg", "ug"):
+            assert rel_err(dense.get_field(f)[got], getattr(ref, f)[want]) <= 1e-12, f
+        # expansion of a random dense point: states, inputs and costates
+        point = rand_iterate(rng, dense)
+        esol = expand_solution(point, cmap, qp)
+        v_ref, pi_ref = expand_ref(point.v, esol.lam, qp, ref)
+        assert rel_err(esol.v, v_ref) <= 1e-12
+        assert rel_err(esol.pi, pi_ref) <= 1e-12
+
+    def test_runs_follow_stage_sizes(self, rng):
+        qp = rand_mixed_ocp_qp(rng, [2, 2, 2, 3, 3, 3], [1, 1, 1, 1, 1, 1],
+                               [0, 0, 1, 1, 1, 1], [0] * 6, fix_x0=True)
+        # equal (nx, nu, ng, next nx): stage 2 differs from stage 1 in ng,
+        # from stage 3 in nx; the terminal stage is a run of its own
+        assert _runs(qp.dim) == [(0, 2), (2, 3), (3, 5), (5, 6)]
+
+
+class TestCondenseFlops:
+    """The counted flops of condensing are its nominal products' counts."""
+
+    def test_scalar_hand_count(self):
+        # stage 0 (w = 2, c = 1, p = 0): W (0, gamma) 4, prediction 2,
+        # affine sweep 4, recursion 12 (classical) or 4 + 6 (square root);
+        # stage 1 (w = 1): W (0, gamma) 2
+        for variant, want in (("classical", 24), ("square_root", 22)):
+            with flop_counter() as fc:
+                condense(scalar_example(), keep_x0=False, variant=variant)
+            assert fc.flops == want == condense_flops(scalar_example(), False,
+                                                      variant)
+
+    @pytest.mark.parametrize("variant", RICCATI_VARIANTS)
+    @pytest.mark.parametrize("keep", [False, True])
+    def test_nominal_count(self, rng, variant, keep):
+        qp = rand_mixed_ocp_qp(rng, [2, 3, 3, 3, 2], [1, 2, 2, 0, 1],
+                               [1, 0, 2, 2, 1], [1] * 5, fix_x0=True)
+        want = condense_flops(qp, keep, variant)
+        for _ in range(2):
+            with flop_counter() as fc:
+                condense(qp, keep_x0=keep, variant=variant)
+            assert fc.flops == want
 
 
 class TestExpand:

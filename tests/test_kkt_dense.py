@@ -369,9 +369,9 @@ class TestDenseFlops:
         qp, it = self._case(rng)
         nv, ne, ng = qp.nv, qp.ne, qp.ng
         # the Gram kernel over all general rows, chol(Hred), W = L^-1 A',
-        # W'W and its Cholesky
+        # W'W by the Gram kernel and its Cholesky
         want = (ng * nv * (nv + 1) + _chol(nv) + nv * nv * ne
-                + 2 * ne * ne * nv + _chol(ne))
+                + nv * ne * (ne + 1) + _chol(ne))
         for _ in range(2):
             assert self._count(qp, it, arg=IpmArg(reg_prim=1e-6)) == want
 

@@ -3,12 +3,17 @@
 Each concept has one home: the LAPACK bindings live in :mod:`linalg`
 (mass-spring's matrix exponential aside), the ``scipy.sparse`` operators
 in :mod:`view` and the Riccati recursion's constants in :mod:`kkt_ocp`.
+The benchmark's tracer wraps package functions by name; those names are
+checked here too, so that a refactor that moves one fails here instead of
+silently reporting its per-layer metric as absent.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "mpcqp"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "mpcqp"
 
 
 def _dotted(node):
@@ -66,3 +71,20 @@ def test_riccati_constants_live_in_kkt_ocp():
     riccati = {"RiccatiBand", "RiccatiLevel"}
     assert not riccati & _classes("view.py")
     assert riccati <= _classes("kkt_ocp.py")
+
+
+def _tracing():
+    """``perfbench/tracing.py``, loaded from its file (it is only read)."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_span_target_resolves():
+    tracing = _tracing()
+    for span, module, path in tracing.TARGETS:
+        assert module.startswith("mpcqp."), span
+        hit = tracing._resolve(module, path)
+        assert hit is not None and callable(hit[2]), f"{span} <- {module}:{path}"
