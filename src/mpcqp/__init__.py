@@ -43,7 +43,6 @@ from .mass_spring import (
     gen_mass_spring,
     mass_spring_dynamics,
     run_closed_loop,
-    run_scaling,
 )
 from .qp_data import (
     DenseQp,
@@ -100,7 +99,6 @@ __all__ = [
     "gen_mass_spring",
     "mass_spring_dynamics",
     "run_closed_loop",
-    "run_scaling",
     "DenseQp",
     "OcpQp",
     "OcpQpDim",

@@ -1,4 +1,4 @@
-"""Command-line front end: benchmark generation, solves, MPC runs, scaling.
+"""Command-line front end: benchmark generation, solves and MPC runs.
 
 Subcommands
 -----------
@@ -18,11 +18,6 @@ Subcommands
 ``closed-loop``
     Simulate MPC on the exact discrete plant with warm-started solves.
 
-``scaling``
-    Fixed-iteration runtime/flop table over a grid of sizes, modes and
-    solve paths, written as CSV.  Flop counts are deterministic kernel
-    counts; the wall-time column is the only nondeterministic output.
-
 Exit codes: 0 success, 1 solver did not reach the requested accuracy,
 2 usage or file errors.
 """
@@ -37,7 +32,7 @@ import numpy as np
 
 from .errors import ClosedLoopFailed, InvalidConfig, MpcQpError, ParseError
 from .ipm_core import Status, mode_preset
-from .mass_spring import MassSpringConfig, gen_mass_spring, run_closed_loop, run_scaling
+from .mass_spring import MassSpringConfig, gen_mass_spring, run_closed_loop
 from .qp_io import qp_read, qp_write
 from .solver import solve_path
 from .view import compute_residuals
@@ -79,10 +74,6 @@ def _parse_float_list(text):
     return [float(t) for t in text.split(",") if t]
 
 
-def _parse_int_list(text):
-    return [int(t) for t in text.split(",") if t]
-
-
 def _build_parser():
     p = argparse.ArgumentParser(
         prog="mpcqp",
@@ -122,16 +113,6 @@ def _build_parser():
                    help="also solve each step cold for paired counts")
     c.add_argument("--out", default=None, help="per-step CSV output path")
 
-    r = sub.add_parser("scaling", help="runtime/flop scaling table")
-    r.add_argument("--masses", type=str, required=True, help="e.g. 2,4,8")
-    r.add_argument("--horizons", type=str, required=True, help="e.g. 10,20")
-    r.add_argument("--modes", type=str, required=True,
-                   help="e.g. speed,balance,robust")
-    r.add_argument("--reps", type=int, default=3)
-    r.add_argument("--paths", type=str, default="ocp",
-                   help="e.g. ocp,condense,partial:4")
-    r.add_argument("--iter-max", type=int, default=10)
-    r.add_argument("--out", required=True)
     return p
 
 
@@ -208,30 +189,6 @@ def _cmd_closed_loop(args):
     return 0
 
 
-def _cmd_scaling(args):
-    cells = run_scaling(
-        _parse_int_list(args.masses),
-        _parse_int_list(args.horizons),
-        [m for m in args.modes.split(",") if m],
-        reps=args.reps,
-        paths=[p for p in args.paths.split(",") if p],
-        iter_max=args.iter_max,
-    )
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([
-            "masses", "horizon", "mode", "path", "reps",
-            "iterations", "status", "flops", "median_seconds",
-        ])
-        for c in cells:
-            writer.writerow([
-                c.masses, c.horizon, c.mode, c.path, c.reps,
-                c.iterations, c.status, c.flops, _fmt(c.median_seconds),
-            ])
-    print(f"wrote {len(cells)} scaling rows to {args.out}")
-    return 0
-
-
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -242,8 +199,6 @@ def main(argv=None):
             return _cmd_solve(args)
         if args.command == "closed-loop":
             return _cmd_closed_loop(args)
-        if args.command == "scaling":
-            return _cmd_scaling(args)
         parser.error(f"unknown command {args.command}")
     except (ParseError, InvalidConfig, MpcQpError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -433,7 +433,7 @@ def condense(qp, keep_x0=None, variant="classical"):
                   out=shift[r0: r0 + k * ngr].reshape(k, ngr, 1))
         r0 += k * ngr
     count_flops(_flops(d, p, variant == "square_root"))
-    bnd, on = vw._raw_bounds()
+    bnd, on = vw._bnd, vw._on
     lo, up = bnd[lo_pos], bnd[up_pos]
     if nb_c:
         dense.set_field("idxb", zb[box])

@@ -98,11 +98,12 @@ T0 = 1.0          # slack floor at a cold start
 class IpmArg:
     """Full algorithmic configuration of one solve.
 
-    Build via :func:`mode_preset` and override fields as needed.  Tolerances
-    must be positive; ``tol_comp`` bounds the duality measure, the other
-    three bound the stationarity / equality / inequality residual infinity
-    norms (ignored in the absolute formulation, ``abs_form``, which skips
-    residuals in the loop and exits on the duality measure only).
+    Build via :func:`mode_preset` and override fields as needed; the
+    defaults are the ``speed`` preset.  Tolerances must be positive;
+    ``tol_comp`` bounds the duality measure, the other three bound the
+    stationarity / equality / inequality residual infinity norms (ignored
+    in the absolute formulation, ``abs_form``, which skips residuals in the
+    loop and exits on the duality measure only).
 
     ``lam_min``/``t_min`` clip the multipliers and slacks from below after
     every update, bounding the late-iteration ill-conditioning of the KKT
@@ -123,7 +124,6 @@ class IpmArg:
     ``ALPHA_MIN``, ``MU0`` and ``T0``.
     """
 
-    mode: str = "balance"
     iter_max: int = 30
     tol_stat: float = 1e-8
     tol_eq: float = 1e-8
@@ -203,14 +203,18 @@ _PRESETS = {
 
 
 def mode_preset(mode):
-    """Pre-defined argument set for one of the four solver modes."""
+    """Pre-defined argument set for one of the four solver modes.
+
+    ``mode`` only selects the preset; the returned :class:`IpmArg` does
+    not record it.
+    """
     try:
         overrides = _PRESETS[mode]
     except KeyError:
         raise ValueError(
             f"unknown mode '{mode}'; expected one of {sorted(_PRESETS)}"
         ) from None
-    return IpmArg(mode=mode, **overrides)
+    return IpmArg(**overrides)
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Scalable mass-spring benchmark: problem generator and MPC drivers.
+"""Scalable mass-spring benchmark: problem generator and closed-loop MPC driver.
 
 The plant is a horizontal chain of M unit masses connected to each other and
 to walls at both ends by unit springs; the first M - 1 masses are actuated
@@ -21,15 +21,11 @@ alternating-position initial state of amplitude 0.6.  The initial state is
 imposed through equal lower and upper bounds on the stage-0 state box rows.
 
 ``run_closed_loop`` simulates MPC on the exact discrete plant with solution
-shifting and warm starts; ``run_scaling`` measures runtimes and
-deterministic kernel flop counts over a grid of sizes, modes and solve
-paths, running a fixed iteration count per solve (early exits disabled by
-tolerances set to the smallest positive float).
+shifting and warm starts.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -38,7 +34,7 @@ import scipy.linalg
 from .errors import ClosedLoopFailed, InvalidConfig
 from .ipm_core import Status, mode_preset
 from .qp_data import OcpQp, OcpQpDim
-from .solver import solve_ocp_qp, solve_path
+from .solver import solve_ocp_qp
 from .view import QpSolution, make_view
 
 __all__ = [
@@ -47,7 +43,6 @@ __all__ = [
     "mass_spring_dynamics",
     "default_x0",
     "run_closed_loop",
-    "run_scaling",
     "ClosedLoopResult",
 ]
 
@@ -270,63 +265,3 @@ def run_closed_loop(cfg, steps, arg=None, warm_start="primal_dual",
         states[k + 1] = x
         guess = _shift_guess(qp, view, rep.solution, N)
     return ClosedLoopResult(records=records, states=states, inputs=inputs)
-
-
-@dataclass
-class ScalingCell:
-    masses: int
-    horizon: int
-    mode: str
-    path: str
-    reps: int
-    iterations: int
-    status: str
-    flops: int
-    median_seconds: float
-
-
-def run_scaling(masses, horizons, modes, reps=3, paths=("ocp",), iter_max=10):
-    """Runtime / flop table over a grid of sizes, modes and solve paths.
-
-    Every solve runs exactly ``iter_max`` iterations (exit tolerances are
-    dropped to the smallest positive double so the tolerance tests never
-    fire), mirroring fixed-iteration timing protocols.  Flop counts come
-    from the deterministic kernel counters and are identical across
-    repetitions; wall times are medians over ``reps`` runs.
-    """
-    if not masses or not horizons or not modes:
-        raise InvalidConfig("masses, horizons and modes must be nonempty")
-    if reps < 1:
-        raise InvalidConfig("reps must be >= 1")
-    tiny = 5e-324
-    cells = []
-    for M in masses:
-        for N in horizons:
-            cfg = MassSpringConfig(masses=M, horizon=N)
-            qp = gen_mass_spring(cfg)
-            for mode in modes:
-                arg = replace(
-                    mode_preset(mode), iter_max=iter_max,
-                    tol_stat=tiny, tol_eq=tiny, tol_ineq=tiny, tol_comp=tiny,
-                )
-                for path in paths:
-                    times = []
-                    flops = None
-                    rep = None
-                    for _ in range(reps):
-                        t0 = time.perf_counter()
-                        rep = solve_path(qp, path, arg)[0]
-                        times.append(time.perf_counter() - t0)
-                        if flops is None:
-                            flops = rep.stats.flops
-                        elif flops != rep.stats.flops:
-                            raise RuntimeError(
-                                "nondeterministic flop count across repetitions"
-                            )
-                    cells.append(ScalingCell(
-                        masses=M, horizon=N, mode=mode, path=path, reps=reps,
-                        iterations=rep.iterations, status=rep.status.value,
-                        flops=flops,
-                        median_seconds=float(np.median(times)),
-                    ))
-    return cells

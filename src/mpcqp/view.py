@@ -283,40 +283,39 @@ class ProblemView:
                          for cb, lo, k in zip(self.blocks, start, first) if cb.ng]
         self._set_bounds()
 
-    def _raw_bounds(self):
-        """The QP's bounds and side masks as stored, laid out like ``lam``.
+    def _set_bounds(self):
+        """Set the bound tables from the QP's bound fields.
 
-        Returns ``(bnd, on)``: ``bnd`` holds ``lb``/``lg`` on lower sides,
-        ``ub``/``ug`` (not negated) on upper sides and the slack lower
-        bounds on the slack-bound rows; ``on`` holds ``maskl``/``masku`` on
-        the sides of the box and general rows and 1.0 elsewhere.
+        The one place they are computed: a build calls it, and so does
+        :func:`make_view` on a copy of the cached view after bound writes.
+        All are laid out like ``lam`` and read-only:
+
+        * ``_bnd``     the bounds as stored: ``lb``/``lg`` on lower sides,
+                       ``ub``/``ug`` (not negated) on upper sides and the
+                       slack lower bounds on the slack-bound rows;
+        * ``_on``      ``maskl``/``masku`` on the sides of the box and
+                       general rows and 1.0 elsewhere;
+        * ``d``        the bounds with the upper sides negated, 0.0 on
+                       inactive rows;
+        * ``act``      the active rows (side mask on, bound finite), with
+                       ``act_float`` its 0.0/1.0 copy and ``n_act`` its count.
         """
         stages = self._stages()
-        bnd = np.concatenate([
+        self._bnd = np.concatenate([
             a for st in stages
             for a in (st["lb"], st["lg"], st["ub"], st["ug"],
                       st["sl_lb"], st["su_lb"])
         ])
-        on = np.ones(self.nc)
-        on[self._mask_pos] = np.concatenate(
+        self._on = np.ones(self.nc)
+        self._on[self._mask_pos] = np.concatenate(
             [a for st in stages for a in (st["maskl"], st["masku"])]
         )
-        return bnd, on
-
-    def _set_bounds(self):
-        """Set ``d``, ``act`` and ``n_act`` from the QP's bound fields.
-
-        The one place they are computed: a build calls it, and so does
-        :func:`make_view` on a copy of the cached view after bound writes.
-        ``act_float`` is ``act`` as 0.0/1.0.
-        """
-        d, on = self._raw_bounds()
-        np.negative(d, out=d, where=self._upper)
-        self.act = (on != 0.0) & np.isfinite(d)
+        d = np.where(self._upper, -self._bnd, self._bnd)
+        self.act = (self._on != 0.0) & np.isfinite(d)
         self.act_float = self.act.astype(float)
         self.n_act = int(np.count_nonzero(self.act))
         self.d = np.where(self.act, d, 0.0)
-        for const in (self.act, self.act_float, self.d):
+        for const in (self._bnd, self._on, self.act, self.act_float, self.d):
             const.flags.writeable = False
 
     @cached_property
@@ -566,10 +565,11 @@ def make_view(qp):
 
     A view is cached on its QP with the QP's revision.  After writes only to
     bound fields (see :class:`qp_data._FieldAccess`) the cached view comes
-    back as a shallow copy with ``d``, ``act`` and ``n_act`` recomputed, so
-    it shares every other constant, the Riccati constants that
-    :mod:`kkt_ocp` keeps on it (``band``) included; the cached view itself
-    is never modified, because earlier solutions hold it.
+    back as a shallow copy with its bound tables recomputed (see
+    :meth:`ProblemView._set_bounds`), so it shares every other constant,
+    the Riccati constants that :mod:`kkt_ocp` keeps on it (``band``)
+    included; the cached view itself is never modified, because earlier
+    solutions hold it.
     """
     cached = getattr(qp, "_view_cache", None)
     if cached is not None and cached[0] == qp._rev:

@@ -16,7 +16,6 @@ from mpcqp import (
     qp_read,
     qp_write,
     run_closed_loop,
-    run_scaling,
     validate,
 )
 from mpcqp.cli import main as cli_main
@@ -129,30 +128,6 @@ class TestClosedLoop:
         with pytest.raises(ClosedLoopFailed) as ei:
             run_closed_loop(cfg, 3, arg)
         assert ei.value.step == 0
-
-
-class TestScaling:
-    def test_single_cell(self):
-        cells = run_scaling([2], [10], ["speed"], reps=1)
-        assert len(cells) == 1
-        assert cells[0].iterations == 10
-
-    def test_flops_deterministic_and_linear(self):
-        a = run_scaling([2], [10, 40], ["speed"], reps=2)
-        b = run_scaling([2], [10, 40], ["speed"], reps=2)
-        assert [c.flops for c in a] == [c.flops for c in b]
-        ratio = a[1].flops / a[0].flops
-        assert 3.6 <= ratio <= 4.4
-
-    def test_robust_costs_more_than_speed(self):
-        cells = run_scaling([2], [10], ["speed", "robust"], reps=1)
-        by_mode = {c.mode: c.flops for c in cells}
-        assert by_mode["robust"] > by_mode["speed"]
-
-    def test_paths(self):
-        cells = run_scaling([2], [8], ["speed"], reps=1,
-                            paths=["ocp", "condense", "partial:4"])
-        assert {c.path for c in cells} == {"ocp", "condense", "partial:4"}
 
 
 class TestQpFiles:
@@ -305,14 +280,13 @@ class TestCli:
         assert lines[0].startswith("step,")
         assert len(lines) == 6
 
-    def test_scaling_command(self, tmp_path):
-        out_csv = str(tmp_path / "sc.csv")
-        rc = cli_main(["scaling", "--masses", "2", "--horizons", "10",
-                       "--modes", "speed", "--reps", "1",
-                       "--out", out_csv])
-        assert rc == 0
-        lines = open(out_csv).read().splitlines()
-        assert len(lines) == 2 and lines[0].startswith("masses,")
+    def test_scaling_command_is_gone(self, capsys):
+        # wall-time measurements live in perfbench, not in the CLI
+        with pytest.raises(SystemExit) as ei:
+            cli_main(["scaling", "--masses", "2", "--horizons", "10",
+                      "--modes", "speed", "--out", "sc.csv"])
+        assert ei.value.code == 2
+        assert "invalid choice: 'scaling'" in capsys.readouterr().err
 
     def test_report_determinism(self, tmp_path):
         qpf = str(tmp_path / "ms.qp")

@@ -188,6 +188,30 @@ class TestFullCondense:
         with pytest.raises(ValueError, match="sqrt"):
             condense(qp, variant="sqrt")
 
+    @pytest.mark.parametrize("fix_x0", [False, True])
+    def test_bound_writes_reach_the_next_condensing(self, rng, fix_x0):
+        # condense reads the bounds its view keeps; after bound writes, which
+        # keep the view, it must match a condensing of a fresh copy
+        qp = rand_ocp_qp(rng, N=4, nx=3, nu=2, ng=1, ns=1, fix_x0=fix_x0)
+        condense(qp)
+        bounds = ("lb", "ub", "lg", "ug", "sl_lb", "su_lb", "maskl", "masku")
+        for f in bounds:
+            n = int(rng.integers(1, 5))
+            value = qp.get_field(f, n)
+            value[0] = 0.0 if f.startswith("mask") else value[0] - 0.25
+            qp.set_field(f, n, value)
+        fresh = OcpQp(qp.dim)
+        for n in range(5):
+            for f in STAGE_FIELDS:
+                fresh.set_field(f, n, qp.get_field(f, n))
+        for n in range(4):
+            for f in ("A", "B", "b"):
+                fresh.set_field(f, n, qp.get_field(f, n))
+        (d1, m1), (d2, m2) = condense(qp), condense(fresh)
+        for f in bounds:
+            assert np.array_equal(d1.get_field(f), d2.get_field(f)), f
+        assert np.array_equal(m1.lam_pos, m2.lam_pos)
+
     @settings(max_examples=40)
     @given(seed=st.integers(0, 2**32 - 1), N=st.integers(1, 5),
            fix_x0=st.booleans(), keep=st.booleans())

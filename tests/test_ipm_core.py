@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -311,6 +311,10 @@ class TestModePresets:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             mode_preset("turbo")
+
+    def test_defaults_are_the_speed_preset(self):
+        assert IpmArg() == mode_preset("speed")
+        assert len(fields(IpmArg)) == 19
 
     def test_speed_equals_balance_without_safeguards(self, rng):
         # disabling refinement, QR fallback and the tighter floors turns the

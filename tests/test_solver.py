@@ -6,10 +6,12 @@ import pytest
 from mpcqp import (
     DenseQp,
     InvalidConfig,
+    MassSpringConfig,
     OcpQp,
     OcpQpDim,
     Status,
     compute_residuals,
+    gen_mass_spring,
     mode_preset,
     partial_condense,
     solve_dense_qp,
@@ -189,12 +191,15 @@ class TestOcp:
         assert warm2.status is Status.Success
         assert warm2.iterations <= cold2.iterations
 
-    def test_determinism_bit_identical(self, rng):
-        qp = rand_ocp_qp(rng, N=4, nx=3, nu=2)
-        arg = mode_preset("balance").with_tol(1e-8)
-        r1 = solve_ocp_qp(qp, arg)
-        r2 = solve_ocp_qp(qp, arg)
-        assert np.array_equal(r1.solution.flat(), r2.solution.flat())
+    @pytest.mark.parametrize("path", ["ocp", "condense", "partial:4"])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_determinism_bit_identical(self, rng, mode, path):
+        qp = rand_ocp_qp(rng, N=8, nx=3, nu=2)
+        arg = mode_preset(mode).with_tol(1e-8)
+        r1, s1 = solve_path(qp, path, arg)
+        r2, s2 = solve_path(qp, path, arg)
+        assert np.array_equal(s1.flat(), s2.flat())
+        assert r1.status is r2.status
         assert r1.iterations == r2.iterations
         assert r1.stats.flops == r2.stats.flops
         t1 = [(t.mu, t.alpha, t.sigma) for t in r1.stats.trace]
@@ -604,3 +609,32 @@ class TestSolvePath:
         rep, sol = solve_path(qp, "partial:2")
         assert rep.status == Status.Success
         assert compute_residuals(qp, sol).max_norm() <= 1e-5
+
+
+class TestFixedIterations:
+    """Exit tolerances at the smallest positive double: no solve converges,
+    so each runs exactly ``iter_max`` iterations and its flop count is the
+    cost of that many iterations."""
+
+    @staticmethod
+    def solve(masses, horizon, mode, path="ocp"):
+        qp = gen_mass_spring(MassSpringConfig(masses=masses, horizon=horizon))
+        arg = replace(mode_preset(mode).with_tol(5e-324), iter_max=10)
+        return solve_path(qp, path, arg)[0]
+
+    @pytest.mark.parametrize("path", ["ocp", "condense", "partial:4"])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_runs_exactly_iter_max(self, mode, path):
+        rep = self.solve(2, 10, mode, path)
+        assert rep.status is Status.MaxIter
+        assert rep.iterations == 10
+
+    def test_riccati_flops_linear_in_horizon(self):
+        ratio = self.solve(2, 40, "speed").stats.flops \
+            / self.solve(2, 10, "speed").stats.flops
+        assert 3.6 <= ratio <= 4.4
+
+    @pytest.mark.parametrize("path", ["ocp", "condense", "partial:4"])
+    def test_robust_costs_more_than_speed(self, path):
+        assert (self.solve(2, 10, "robust", path).stats.flops
+                > self.solve(2, 10, "speed", path).stats.flops)

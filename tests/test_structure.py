@@ -3,6 +3,7 @@
 Each concept has one home: the LAPACK bindings live in :mod:`linalg`
 (mass-spring's matrix exponential aside), the ``scipy.sparse`` operators
 in :mod:`view` and the Riccati recursion's constants in :mod:`kkt_ocp`.
+No module reads a clock: wall time is measured by the benchmark alone.
 The benchmark's tracer wraps package functions by name; those names are
 checked here too, so that a refactor that moves one fails here instead of
 silently reporting its per-layer metric as absent.
@@ -65,6 +66,14 @@ def test_only_linalg_calls_lapack():
 
 def test_only_view_builds_sparse_operators():
     assert _users("scipy.sparse") == {"view.py"}
+
+
+def test_src_has_no_timing_driver():
+    assert _users("time") == set()
+    for name, tree in MODULES.items():
+        reads = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        reads.update(r.rsplit(".", 1)[-1] for r in _references(tree) if r)
+        assert "perf_counter" not in reads, name
 
 
 def test_riccati_constants_live_in_kkt_ocp():
