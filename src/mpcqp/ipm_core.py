@@ -142,6 +142,11 @@ class IpmArg:
     abs_form: bool = False            # absolute formulation, no loop residuals
     ftb: float = 0.995                # fraction-to-boundary factor
     kkt_method: str = "schur"         # dense equality handling: schur | null_space
+    # classical factors each whole node block and keeps P explicit; a level
+    # with a block that is not positive definite falls back to factoring its
+    # input blocks only, so it needs only the reduced blocks positive
+    # definite.  square_root needs every whole block positive definite.
+    # Either counts its route's nominal flops, fallback or not.
     riccati_variant: str = "classical"  # classical | square_root
 
     def with_tol(self, tol):

@@ -15,7 +15,9 @@ recursion over the node matrices
 with ``M[n]`` the augmented node Hessian over (u, x).  The input block is
 eliminated through ``L_uu = chol(G_uu)`` and ``X = L_uu^-1 G_ux`` (so
 ``L_xu = X'``), and the cost-to-go matrix ``P[n] = G_xx - X'X`` propagates
-toward the root; leaves have no successor contribution.  The sweep visits
+toward the root; leaves have no successor contribution.  When G is positive
+definite, these are the blocks of its Cholesky factor
+``[[L_uu 0] [L_xu L_xx]]``, with ``P[n] = L_xx L_xx'``.  The sweep visits
 the nodes by depth, deepest first, so it reaches every node after all of
 its children; child contributions are summed in multiplier order so
 results are reproducible.  Cost per node is cubic in
@@ -55,9 +57,13 @@ Everything else is done once per factorization or once per view:
   of the schedule (``RiccatiBand.flops``).
 
 A classical step makes, per edge slot, one stacked ``P BA`` product and
-one ``BA'(.)`` product, then one Cholesky factorization of the ``G_uu``
-blocks with the triangular solve for X (:func:`linalg.cholesky_solve_stack`)
-and one product for ``X'X``, and symmetrizes P.  The square-root step
+one ``BA'(.)`` product, then one Cholesky factorization of the whole blocks
+(:func:`linalg.cholesky_stack`) and one product ``P = L_xx L_xx'``, which
+is symmetric as formed.  Only when a block of the level is not positive
+definite does the step fall back to the input blocks: one Cholesky
+factorization of the ``G_uu`` blocks with the triangular solve for X
+(:func:`linalg.cholesky_solve_stack`), one product for ``X'X``, and P
+symmetrized.  Both count the same nominal flops.  The square-root step
 makes, per edge slot, ``W = chol(P_m)' BA`` and ``G += W'W``, then one
 Cholesky factorization of the whole blocks (:func:`linalg.cholesky_stack`);
 the QR step one of the ``M[n]`` blocks and one QR-Cholesky of the stacks
@@ -68,9 +74,13 @@ counts those of the per-node kernels they stand in for.
 
 Two variants:
 
-* ``classical``     P is propagated explicitly and only G_uu is factorized;
-                    the full-space node Hessian may be indefinite as long as
-                    every reduced block is positive definite.
+* ``classical``     P is propagated explicitly.  The whole (nu+nx) block
+                    of G is factorized, and ``P = L_xx L_xx'``; a level with
+                    a block that is not positive definite factors only the
+                    G_uu blocks instead, so the full-space node Hessian may
+                    be indefinite as long as every reduced block is positive
+                    definite.  The counted flops are those of the G_uu
+                    route either way.
 * ``square_root``   the whole (nu+nx) block of G is factorized; its trailing
                     triangle is exactly chol(P[n]), so P is propagated in
                     factored form.  Requires positive definite node
@@ -238,24 +248,25 @@ def riccati_factor(qp, iterate, arg=None, use_qr=False):
     done = band.flops[route]
     for i, lv in enumerate(band.levels):
         try:
-            _level_step(lv, route, hess, vals, P)
+            L_P = _level_step(lv, route, hess, vals, P)
         except (NotPositiveDefinite, RankDeficient) as exc:
+            L_P = None
             _level_failed(vw, lv, route, hess, vals, P, done[i], exc)
+    # the last level is the root's; unless a classical root fell back to
+    # its input block, its trailing factor is chol(P[0])
     nx0 = int(qp.dim.nx[0])
     root = vals[band.val_off[-2]:].reshape(nx0, nx0).T
-    if sqrt_mode:
-        count_flops(done[-1])
-        root[...] = P[0, :nx0, :nx0]
-    else:
-        count_flops(done[-1] + nx0 ** 3 // 3)
-        if nx0:
-            try:
-                root[...] = cholesky_stack(P[None, 0, :nx0, :nx0])[0]
-            except NotPositiveDefinite as exc:
-                raise FactorizationFailed(
-                    f"cost-to-go matrix not positive definite at stage 0: {exc}",
-                    stage=0,
-                ) from None
+    count_flops(done[-1] if sqrt_mode else done[-1] + nx0 ** 3 // 3)
+    if L_P is not None:
+        root[...] = L_P[0]
+    elif nx0:
+        try:
+            root[...] = cholesky_stack(P[None, 0, :nx0, :nx0])[0]
+        except NotPositiveDefinite as exc:
+            raise FactorizationFailed(
+                f"cost-to-go matrix not positive definite at stage 0: {exc}",
+                stage=0,
+            ) from None
     ab = band.ab0.copy()
     ab.ravel()[band.dst] = vals[band.src]
     fac.ab = ab.T
@@ -268,10 +279,13 @@ def _level_step(lv, route, hess, vals, P):
     Reads the nodes' reduced Hessians from ``hess`` (never written) and
     their children's blocks from ``P``; writes the nodes' factor columns
     into ``vals`` and their P (classical) or chol(P) blocks into ``P``.
+    Returns the nodes' chol(P) blocks, or None where a classical level fell
+    back to its input blocks.
 
-    * classical: per edge slot ``BA'(P BA)``; one Cholesky of the ``G_uu``
-      blocks with the triangular solve for ``X = L_uu^-1 G_ux``, one
-      ``X'X`` and ``P = G_xx - X'X``, symmetrized;
+    * classical: per edge slot ``BA'(P BA)``, then one Cholesky of the whole
+      blocks and ``P = L_xx L_xx'``.  If a block is not positive definite,
+      :func:`_reduced_step` factors the level's ``G_uu`` blocks instead.
+      Flops are counted by the caller, nominally, on either path;
     * square root: per edge slot ``W = chol(P)' BA`` and ``G += W'W``, then
       one Cholesky of the whole blocks, whose trailing blocks are chol(P);
     * QR: one Cholesky of the node Hessians and one QR-Cholesky of the
@@ -288,24 +302,46 @@ def _level_step(lv, route, hess, vals, P):
     if route == "classical":
         for sel, c, BA in lv.edges:
             G = G + BA.transpose(0, 2, 1) @ (P[sel, :c, :c] @ BA)
-        if nu:
-            L, X = cholesky_solve_stack(G[:, :nu, :nu], G[:, :nu, nu:])
-            G = G[:, nu:, nu:] - X.transpose(0, 2, 1) @ X
-            vals[lv.vals] = np.concatenate(
-                [L.transpose(0, 2, 1), X], axis=2).ravel()
-        P[lv.p, :nx, :nx] = 0.5 * (G + G.transpose(0, 2, 1))
-        return
-    W = [P[sel, :c, :c].transpose(0, 2, 1) @ BA for sel, c, BA in lv.edges]
-    if route == "qr":
-        L_M = cholesky_stack(G)
-        S = np.concatenate([L_M.transpose(0, 2, 1)] + W, axis=1)
-        L = qr_cholesky_stack(S).transpose(0, 2, 1)
+        try:
+            L = cholesky_stack(G)
+        except NotPositiveDefinite:
+            _reduced_step(lv, G, vals, P)
+            return None
     else:
-        for W_m in W:
-            G = G + W_m.transpose(0, 2, 1) @ W_m
-        L = cholesky_stack(G)
+        W = [P[sel, :c, :c].transpose(0, 2, 1) @ BA for sel, c, BA in lv.edges]
+        if route == "qr":
+            L_M = cholesky_stack(G)
+            S = np.concatenate([L_M.transpose(0, 2, 1)] + W, axis=1)
+            L = qr_cholesky_stack(S).transpose(0, 2, 1)
+        else:
+            for W_m in W:
+                G = G + W_m.transpose(0, 2, 1) @ W_m
+            L = cholesky_stack(G)
     vals[lv.vals] = L[:, :, :nu].transpose(0, 2, 1).ravel()
-    P[lv.p, :nx, :nx] = L[:, nu:, nu:]
+    L_P = L[:, nu:, nu:]
+    P[lv.p, :nx, :nx] = (L_P @ L_P.transpose(0, 2, 1) if route == "classical"
+                         else L_P)
+    return L_P
+
+
+def _reduced_step(lv, G, vals, P):
+    """The classical step on whole blocks ``G`` that are not positive
+    definite: one Cholesky of the ``G_uu`` blocks with the triangular solve
+    for ``X = L_uu^-1 G_ux``, one ``X'X`` and ``P = G_xx - X'X``, symmetrized.
+
+    Raises
+    ------
+    NotPositiveDefinite
+        If a ``G_uu`` block is not positive definite.
+    """
+    nu = lv.nu
+    nx = lv.w - nu
+    if nu:
+        L, X = cholesky_solve_stack(G[:, :nu, :nu], G[:, :nu, nu:])
+        G = G[:, nu:, nu:] - X.transpose(0, 2, 1) @ X
+        vals[lv.vals] = np.concatenate(
+            [L.transpose(0, 2, 1), X], axis=2).ravel()
+    P[lv.p, :nx, :nx] = 0.5 * (G + G.transpose(0, 2, 1))
 
 
 def _level_failed(view, lv, route, hess, vals, P, counted, exc):

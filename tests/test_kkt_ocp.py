@@ -16,9 +16,17 @@ from mpcqp import (
     compute_residuals,
     flop_counter,
     linalg,
+    mode_preset,
     solve_ocp_qp,
+    solve_tree_ocp_qp,
 )
 from mpcqp.kkt_common import reduced_hessian, view_scales
+from mpcqp.mass_spring import (
+    MassSpringConfig,
+    default_x0,
+    gen_mass_spring,
+    mass_spring_dynamics,
+)
 from mpcqp.view import QpSolution, StageView, make_view, solve_full_kkt
 
 from conftest import (
@@ -776,6 +784,219 @@ class TestFactorSweepEquivalence:
                 ko.riccati_factor(qp, it,
                                   arg=IpmArg(riccati_variant=variant), use_qr=use_qr)
             assert got.flops == want.flops - gains
+
+
+def _spy(monkeypatch, name):
+    """Record the leading (stack) dimension of every call to ``ko.name``."""
+    real = getattr(ko, name)
+    calls = []
+
+    def kernel(A, *rest):
+        calls.append(A.shape[0])
+        return real(A, *rest)
+
+    monkeypatch.setattr(ko, name, kernel)
+    return calls
+
+
+def _scalar_tree(parents, Q, R):
+    """Scalar-state tree with ``A = B = 1`` on every edge; childless nodes
+    have no input."""
+    n_node = len(parents)
+    nu = [int(n in parents) for n in range(n_node)]
+    qp = TreeOcpQp(TreeOcpQpDim(parents, nx=[1] * n_node, nu=nu))
+    for n in range(n_node):
+        qp.set_field("Q", n, [[Q[n]]])
+        if nu[n]:
+            qp.set_field("R", n, [[R[n]]])
+        if n:
+            qp.set_field("A", n, [[1.0]])
+            qp.set_field("B", n, [[1.0]])
+    return qp
+
+
+def _chain(Q, R):
+    """Scalar chain with ``A = B = 1``; the last stage has no input."""
+    N = len(Q) - 1
+    qp = OcpQp(OcpQpDim(N, nx=[1] * (N + 1), nu=[1] * N + [0]))
+    for n in range(N + 1):
+        qp.set_field("Q", n, [[Q[n]]])
+        if n < N:
+            qp.set_field("R", n, [[R[n]]])
+            qp.set_field("A", n, [[1.0]])
+            qp.set_field("B", n, [[1.0]])
+    return qp
+
+
+class TestWholeBlockFallback:
+    """The classical step factors whole node blocks and falls back to the
+    input blocks on a level with a block that is not positive definite."""
+
+    # stage 1: G = [[2, 1], [1, -2]] is indefinite, G_uu = 2 and P1 = -2.5;
+    # stage 0: G = [[7.5, -2.5], [-2.5, 7.5]], P0 = 20/3
+    CHAIN = dict(Q=[10.0, -3.0, 1.0], R=[10.0, 1.0])
+    # level {1, 2}: node 1 as stage 1 above, node 2 positive definite
+    TREE = dict(parents=[-1, 0, 0, 1, 2], Q=[10.0, -3.0, 1.0, 1.0, 1.0],
+                R=[10.0, 1.0, 1.0])
+
+    def _agrees_with_reference(self, qp):
+        it = QpSolution(make_view(qp))
+        with flop_counter() as got_fl:
+            fac = ko.riccati_factor(qp, it)
+        with flop_counter() as want_fl:
+            ref = riccati_factor_ref(qp, it)
+        for n in range(len(ref.P)):
+            assert _close(fac.L_uu[n], ref.L_uu[n])
+            assert _close(fac.L_xu[n], ref.L_col[n][qp.dim.nu[n]:])
+            assert _close(fac.p_matrix(n), ref.p_matrix(n))
+        assert _close(fac.ab, ref.ab)
+        gains = sum(nu * nu * nx for nu, nx in zip(qp.dim.nu, qp.dim.nx) if nu)
+        assert got_fl.flops == want_fl.flops - gains
+        return fac
+
+    def test_indefinite_interior_block_of_a_chain(self, monkeypatch):
+        qp = _chain(**self.CHAIN)
+        reduced = _spy(monkeypatch, "cholesky_solve_stack")
+        fac = self._agrees_with_reference(qp)
+        assert reduced == [1]
+        assert fac.p_matrix(1)[0, 0] == pytest.approx(-2.5)
+        assert fac.p_matrix(0)[0, 0] == pytest.approx(20.0 / 3.0)
+        with pytest.raises(FactorizationFailed) as ei:
+            ko.riccati_factor(qp, QpSolution(make_view(qp)),
+                              arg=IpmArg(riccati_variant="square_root"))
+        assert ei.value.stage == 1
+
+    def test_indefinite_node_falls_back_for_its_whole_level(self, monkeypatch):
+        qp = _scalar_tree(**self.TREE)
+        assert [lv.k for lv in ko._band(make_view(qp)).levels] == [2, 2, 1]
+        reduced = _spy(monkeypatch, "cholesky_solve_stack")
+        fac = self._agrees_with_reference(qp)
+        assert reduced == [2]
+        assert fac.p_matrix(1)[0, 0] == pytest.approx(-2.5)
+        assert fac.p_matrix(2)[0, 0] == pytest.approx(1.5)
+        with pytest.raises(FactorizationFailed) as ei:
+            ko.riccati_factor(qp, QpSolution(make_view(qp)),
+                              arg=IpmArg(riccati_variant="square_root"))
+        assert ei.value.stage == 1
+
+    @pytest.mark.parametrize("kind", ["ocp", "tree"])
+    def test_input_block_not_positive_definite_fails_at_its_stage(self, kind):
+        # R1 = -5 makes G_uu = -4 at node 1: the fallback fails too, at the
+        # stage and with the flops counted up to the failure of the
+        # node-by-node sweep (see TestFactorSweepEquivalence._ref_lag)
+        if kind == "ocp":
+            qp = _chain(Q=self.CHAIN["Q"], R=[10.0, -5.0])
+        else:
+            qp = _scalar_tree(**dict(self.TREE, R=[10.0, -5.0, 1.0]))
+        it = QpSolution(make_view(qp))
+        with flop_counter() as got_fl, pytest.raises(FactorizationFailed) as got:
+            ko.riccati_factor(qp, it)
+        with flop_counter() as want_fl, pytest.raises(FactorizationFailed) as want:
+            riccati_factor_ref(qp, it)
+        assert got.value.stage == want.value.stage == 1
+        lag = TestFactorSweepEquivalence._ref_lag(qp, 1)
+        assert got_fl.flops == want_fl.flops + lag
+
+    def test_indefinite_root_fails_at_stage_zero(self):
+        # root G = [[2, 1], [1, -2]]: G_uu is positive definite, P0 = -2.5
+        # is not
+        qp = _chain(Q=[-3.0, 1.0], R=[1.0])
+        it = QpSolution(make_view(qp))
+        with flop_counter() as got_fl, pytest.raises(FactorizationFailed) as got:
+            ko.riccati_factor(qp, it)
+        with flop_counter() as want_fl, pytest.raises(FactorizationFailed) as want:
+            riccati_factor_ref(qp, it)
+        assert got.value.stage == want.value.stage == 0
+        assert "cost-to-go" in str(got.value)
+        assert got_fl.flops == want_fl.flops - 1    # the gain solve of stage 0
+
+    @pytest.mark.parametrize("reg_prim", [0.0, 1e-3])
+    @pytest.mark.parametrize("kind", ["ocp", "tree"])
+    def test_root_block_is_the_trailing_factor(self, rng, monkeypatch, kind,
+                                               reg_prim):
+        qp = (rand_ocp_qp(rng, N=5, nx=3, nu=2) if kind == "ocp"
+              else rand_tree_qp(rng, [-1, 0, 0, 1, 1, 2], nx=3, nu=2))
+        it = rand_iterate(rng, qp)
+        arg = IpmArg(reg_prim=reg_prim)
+        chol = _spy(monkeypatch, "cholesky_stack")
+        fac = ko.riccati_factor(qp, it, arg=arg)
+        ref = riccati_factor_ref(qp, it, arg=arg)
+        band = fac.view.band
+        assert len(chol) == len(band.levels)
+        root = band.dst[band.src >= band.val_off[-2]]
+        assert root.size == 3 * 4 // 2
+        got, want = fac.ab.T.ravel()[root], ref.ab.T.ravel()[root]
+        assert _close(got, want)
+        L0 = np.linalg.cholesky(ref.p_matrix(0))
+        assert _close(got, L0.T[np.triu_indices(3)])
+
+
+def _mass_spring_tree(masses=3, horizon=8, branch_levels=2):
+    """Binary scenario tree on mass-spring dynamics, as the benchmark's:
+    31 nodes by default, each branch with its own sampling time, costs
+    weighted by the node's probability, input and state boxes."""
+    parents, ts, prob, level = [-1], [0.5], [1.0], [0]
+    n = 0
+    while n < len(parents):
+        k = 2 if level[n] < branch_levels else 1 if level[n] < horizon else 0
+        for j in range(k):
+            parents.append(n)
+            level.append(level[n] + 1)
+            prob.append(prob[n] / k)
+            ts.append(ts[n] * (1.0 + 0.1 * (j - 0.5)) if k == 2 else ts[n])
+        n += 1
+    nx = 2 * masses
+    nu = [0 if lev == horizon else masses - 1 for lev in level]
+    qp = TreeOcpQp(TreeOcpQpDim(parents, nx=[nx] * len(parents), nu=nu,
+                                nb=[m + nx for m in nu]))
+    for n, m in enumerate(nu):
+        qp.set_field("Q", n, prob[n] * np.eye(nx))
+        qp.set_field("idxb", n, np.arange(m + nx))
+        qp.set_field("lb", n, np.r_[-0.5 * np.ones(m), -4.0 * np.ones(nx)])
+        qp.set_field("ub", n, np.r_[0.5 * np.ones(m), 4.0 * np.ones(nx)])
+        if m:
+            qp.set_field("R", n, prob[n] * np.eye(m))
+        if n:
+            A, B = mass_spring_dynamics(masses, ts[n])
+            qp.set_field("A", n, A)
+            qp.set_field("B", n, B)
+    qp.set_field("lbx", 0, default_x0(masses))
+    qp.set_field("ubx", 0, default_x0(masses))
+    return qp
+
+
+class TestWorkloadFactorCalls:
+    """At the iterates of the benchmark's problems no classical level falls
+    back: a factorization makes one whole-block Cholesky call per level and
+    none of the input blocks.  Call counts do not depend on the host."""
+
+    @pytest.mark.parametrize("kind", ["ocp", "tree"])
+    def test_one_cholesky_call_per_level(self, monkeypatch, kind):
+        if kind == "ocp":
+            qp = gen_mass_spring(MassSpringConfig(masses=4, horizon=20))
+            solve, mode, n_node = solve_ocp_qp, "balance", 21
+        else:
+            qp = _mass_spring_tree()
+            solve, mode, n_node = solve_tree_ocp_qp, "speed", 31
+        assert make_view(qp).n_node == n_node
+        chol = _spy(monkeypatch, "cholesky_stack")
+        reduced = _spy(monkeypatch, "cholesky_solve_stack")
+        real, calls = ko.riccati_factor, []
+
+        def factor(qp, iterate, arg=None, use_qr=False):
+            c, r = len(chol), len(reduced)
+            fac = real(qp, iterate, arg=arg, use_qr=use_qr)
+            calls.append((use_qr, len(chol) - c, len(reduced) - r))
+            return fac
+
+        monkeypatch.setattr(ko, "riccati_factor", factor)
+        rep = solve(qp, mode_preset(mode).with_tol(1e-6))
+        assert rep.status is Status.Success
+        levels = len(ko._band(make_view(qp)).levels)
+        assert levels == (21 if kind == "ocp" else 9)
+        classical = [c[1:] for c in calls if not c[0]]
+        assert len(classical) == rep.iterations
+        assert classical == [(levels, 0)] * rep.iterations
 
 
 class TestApplyAndFlops:
