@@ -370,7 +370,8 @@ def check_termination(res, mu, alpha_last, it, arg):
     return None
 
 
-def iterative_refinement(solve, apply_kkt, rhs, delta0, max_steps, stop_ratio):
+def iterative_refinement(solve, apply_kkt, rhs, delta0, max_steps, stop_ratio,
+                         rhs_norm=None):
     """Refine a linear-system solution against the unfactorized matrix.
 
     ``solve(r)`` must return x with K_fact @ x = -r (the factorization's
@@ -386,9 +387,13 @@ def iterative_refinement(solve, apply_kkt, rhs, delta0, max_steps, stop_ratio):
     iterate seen is returned, so the result never has a larger residual norm
     than ``delta0``.
 
-    Returns ``(delta, final_norm, steps_applied)``.
+    ``rhs_norm``, when given, is ``||rhs||_inf``, which the caller already
+    has.
+
+    Returns ``(delta, final_norm, steps_applied)``; ``delta`` is ``delta0``
+    itself when no correction improved on it.
     """
-    scale = max(1.0, _vec_norm(rhs))
+    scale = max(1.0, _vec_norm(rhs) if rhs_norm is None else rhs_norm)
     best = delta0
     res = apply_kkt(delta0) + rhs
     best_norm = _vec_norm(res)

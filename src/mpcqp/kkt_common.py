@@ -82,7 +82,10 @@ def view_scales(view, lam, t):
         If an augmented slack diagonal is not strictly positive.
     """
     act = view.act
-    if np.any(lam[act] <= 0.0) or np.any(t[act] <= 0.0):
+    # one pass over every row settles the usual case; the masked test runs
+    # only when some entry is not positive (masked rows hold lam = t = 0)
+    low = np.minimum(lam, t)
+    if low.min(initial=np.inf) <= 0.0 and np.any(low[act] <= 0.0):
         raise NonPositiveIterate("lam, t must be > 0 on active rows")
     g = np.zeros(view.nc)
     np.divide(lam, t, out=g, where=act)

@@ -27,9 +27,9 @@ fill-in appears outside the data blocks.
 The sweep walks a level schedule (``RiccatiBand.levels``, see
 :class:`RiccatiLevel`): the nodes of one depth that share ``nu``, ``nx``
 and the ``nx`` of their children form a level, and a level of k nodes is
-one step with one call per kernel on (k, ., .) stacks.  A chain is a tree
-with one node per level, so its steps have k = 1 and call LAPACK on the
-node's own blocks; a scenario tree's levels stack its branches.  The
+one step with one kernel call on (k, ., .) stacks.  A chain is a tree
+with one node per level, so its steps have k = 1 and call BLAS and LAPACK
+on the node's own blocks; a scenario tree's levels stack its branches.  The
 schedule and the band layout of the vector solve are constants of the
 view: :class:`RiccatiBand` is built on the first factorization of a view
 and kept on it as ``band``, so that the view's bound-write copies share it.
@@ -56,21 +56,27 @@ Everything else is done once per factorization or once per view:
 * the flops are counted once per factorization, from the per-route totals
   of the schedule (``RiccatiBand.flops``).
 
-A classical step makes, per edge slot, one stacked ``P BA`` product and
-one ``BA'(.)`` product, then one Cholesky factorization of the whole blocks
-(:func:`linalg.cholesky_stack`) and one product ``P = L_xx L_xx'``, which
-is symmetric as formed.  Only when a block of the level is not positive
+A level step makes one call of its route's update-and-factor kernel in
+:mod:`linalg`, which factors the level's whole (nu+nx) node blocks at once:
+:func:`linalg.cholesky_update` (classical, ``chol(M + [B A]' P [B A])``),
+:func:`linalg.cholesky_sqrt_update` (square root, ``chol(M + W'W)`` with
+``W = chol(P)' [B A]``) and :func:`linalg.qr_cholesky_update` (QR, the
+triangle of ``[chol(M)' ; W ...]``, which holds the rank test and the sign
+normalization).  On a one-node level (every level of a chain, a tree's
+root) the kernel calls BLAS and LAPACK on the node's own blocks, with the
+``[B A]`` blocks stored column-major once per view so that they reach BLAS
+uncopied: ``dsymm``, ``dgemm`` and ``dpotrf`` (classical), ``dtrmm``,
+``dsyrk`` and ``dpotrf`` (square root), ``dpotrf``, ``dtrmm`` and one
+``dtpqrt`` (QR); on a stacked level it works on (k, ., .) stacks, and the
+QR runs one ``dtpqrt`` per node.  A node without children (a leaf, a
+chain's last stage) has nothing to triangularize: the QR route takes
+``chol(M)`` as its factor.  A classical step then forms ``P = L_xx L_xx'``,
+symmetric as formed.  Only when a block of the level is not positive
 definite does the step fall back to the input blocks: one Cholesky
 factorization of the ``G_uu`` blocks with the triangular solve for X
 (:func:`linalg.cholesky_solve_stack`), one product for ``X'X``, and P
-symmetrized.  Both count the same nominal flops.  The square-root step
-makes, per edge slot, ``W = chol(P_m)' BA`` and ``G += W'W``, then one
-Cholesky factorization of the whole blocks (:func:`linalg.cholesky_stack`);
-the QR step one of the ``M[n]`` blocks and one QR-Cholesky of the stacks
-``[chol(M)' ; W ...]`` (:func:`linalg.qr_cholesky_stack`, which holds the
-rank test and the sign normalization).  These :mod:`linalg` kernels make
-one LAPACK call per level where they can and count no flops; the step
-counts those of the per-node kernels they stand in for.
+symmetrized.  The kernels count no flops; the step counts those of the
+per-node kernels they stand in for, the same on every path.
 
 Two variants:
 
@@ -143,9 +149,11 @@ from .ipm_core import RICCATI_VARIANTS, IpmArg
 from .kkt_common import fold_rhs, recover, reduced_hessian, view_scales
 from .linalg import (
     cholesky_solve_stack,
+    cholesky_sqrt_update,
     cholesky_stack,
+    cholesky_update,
     count_flops,
-    qr_cholesky_stack,
+    qr_cholesky_update,
     solve_banded_triangular,
     solve_triangular,
 )
@@ -258,7 +266,7 @@ def riccati_factor(qp, iterate, arg=None, use_qr=False):
     root = vals[band.val_off[-2]:].reshape(nx0, nx0).T
     count_flops(done[-1] if sqrt_mode else done[-1] + nx0 ** 3 // 3)
     if L_P is not None:
-        root[...] = L_P[0]
+        root[...] = L_P
     elif nx0:
         try:
             root[...] = cholesky_stack(P[None, 0, :nx0, :nx0])[0]
@@ -274,60 +282,60 @@ def riccati_factor(qp, iterate, arg=None, use_qr=False):
 
 
 def _level_step(lv, route, hess, vals, P):
-    """Factor the k nodes of one level: one call per kernel on (k, ., .) stacks.
+    """Factor the k nodes of one level: one call of the route's update kernel.
 
     Reads the nodes' reduced Hessians from ``hess`` (never written) and
     their children's blocks from ``P``; writes the nodes' factor columns
     into ``vals`` and their P (classical) or chol(P) blocks into ``P``.
-    Returns the nodes' chol(P) blocks, or None where a classical level fell
-    back to its input blocks.
+    Returns the nodes' chol(P) blocks (shaped as ``lv.shape``), or None
+    where a classical level fell back to its input blocks.
 
-    * classical: per edge slot ``BA'(P BA)``, then one Cholesky of the whole
-      blocks and ``P = L_xx L_xx'``.  If a block is not positive definite,
-      :func:`_reduced_step` factors the level's ``G_uu`` blocks instead.
-      Flops are counted by the caller, nominally, on either path;
-    * square root: per edge slot ``W = chol(P)' BA`` and ``G += W'W``, then
-      one Cholesky of the whole blocks, whose trailing blocks are chol(P);
-    * QR: one Cholesky of the node Hessians and one QR-Cholesky of the
-      stacks ``[chol(G)'; W ...]``.
+    * classical: :func:`linalg.cholesky_update`, the Cholesky factors of the
+      whole blocks ``M + sum BA' P BA``, then ``P = L_xx L_xx'``.  If a
+      block is not positive definite, :func:`_reduced_step` factors the
+      level's ``G_uu`` blocks instead.  Flops are counted by the caller,
+      nominally, on either path;
+    * square root: :func:`linalg.cholesky_sqrt_update`, the Cholesky
+      factors of ``M + sum W'W`` with ``W = chol(P)' BA``, whose trailing
+      blocks are chol(P);
+    * QR: :func:`linalg.qr_cholesky_update`, the QR-Cholesky factors of the
+      stacks ``[chol(M)'; W ...]``.
 
     Raises
     ------
     NotPositiveDefinite, RankDeficient
-        From the :mod:`linalg` stacked kernels.
+        From the :mod:`linalg` update kernels.
     """
-    k, nu, w = lv.k, lv.nu, lv.w
-    nx = w - nu
-    G = hess[lv.hess].reshape(k, w, w)
+    nu = lv.nu
+    nx = lv.w - nu
+    M = hess[lv.hess].reshape(lv.shape)
+    terms = [(P[sel, :c, :c], BA) for sel, c, BA in lv.terms]
     if route == "classical":
-        for sel, c, BA in lv.edges:
-            G = G + BA.transpose(0, 2, 1) @ (P[sel, :c, :c] @ BA)
         try:
-            L = cholesky_stack(G)
+            L = cholesky_update(M, terms)
         except NotPositiveDefinite:
-            _reduced_step(lv, G, vals, P)
+            _reduced_step(lv, M, terms, vals, P)
             return None
+    elif route == "qr":
+        L = qr_cholesky_update(M, terms)
     else:
-        W = [P[sel, :c, :c].transpose(0, 2, 1) @ BA for sel, c, BA in lv.edges]
-        if route == "qr":
-            L_M = cholesky_stack(G)
-            S = np.concatenate([L_M.transpose(0, 2, 1)] + W, axis=1)
-            L = qr_cholesky_stack(S).transpose(0, 2, 1)
-        else:
-            for W_m in W:
-                G = G + W_m.transpose(0, 2, 1) @ W_m
-            L = cholesky_stack(G)
-    vals[lv.vals] = L[:, :, :nu].transpose(0, 2, 1).ravel()
-    L_P = L[:, nu:, nu:]
-    P[lv.p, :nx, :nx] = (L_P @ L_P.transpose(0, 2, 1) if route == "classical"
-                         else L_P)
+        L = cholesky_sqrt_update(M, terms)
+    vals[lv.vals] = L[..., :nu].swapaxes(-1, -2).ravel()
+    L_P = L[..., nu:, nu:]
+    if route != "classical":
+        P[lv.p, :nx, :nx] = L_P
+    elif lv.k == 1:
+        np.matmul(L_P, L_P.T, out=P[lv.p, :nx, :nx])
+    else:
+        P[lv.p, :nx, :nx] = L_P @ L_P.transpose(0, 2, 1)
     return L_P
 
 
-def _reduced_step(lv, G, vals, P):
-    """The classical step on whole blocks ``G`` that are not positive
-    definite: one Cholesky of the ``G_uu`` blocks with the triangular solve
-    for ``X = L_uu^-1 G_ux``, one ``X'X`` and ``P = G_xx - X'X``, symmetrized.
+def _reduced_step(lv, M, terms, vals, P):
+    """The classical step on a level whose whole blocks
+    ``G = M + sum BA' P BA`` are not all positive definite: one Cholesky of
+    the ``G_uu`` blocks with the triangular solve for ``X = L_uu^-1 G_ux``,
+    one ``X'X`` and ``P = G_xx - X'X``, symmetrized.
 
     Raises
     ------
@@ -336,6 +344,11 @@ def _reduced_step(lv, G, vals, P):
     """
     nu = lv.nu
     nx = lv.w - nu
+    if M.ndim == 2:
+        M, terms = M[None], [(P_m[None], BA[None]) for P_m, BA in terms]
+    G = M
+    for P_m, BA in terms:
+        G = G + BA.transpose(0, 2, 1) @ (P_m @ BA)
     if nu:
         L, X = cholesky_solve_stack(G[:, :nu, :nu], G[:, :nu, nu:])
         G = G[:, nu:, nu:] - X.transpose(0, 2, 1) @ X
@@ -473,7 +486,7 @@ class RiccatiBand:
         for lv in self.levels:
             row = start[lv.nodes][:, None, None] + np.arange(lv.w)
             for sel, nxc, BA in lv.edges:
-                col = x_pos[sel][:, None, None] + np.arange(nxc)[:, None]
+                col = x_pos[sel].reshape(-1, 1, 1) + np.arange(nxc)[:, None]
                 coupling.append((col, row - col, BA))
         self.kd = kd = int(max([np.max(r - c, initial=0)]
                                + [np.max(off, initial=0) for _, off, _ in coupling]))
@@ -506,7 +519,8 @@ class RiccatiLevel:
 
     A level's k nodes share ``nu``, ``w = nu + nx`` and the ``nx`` of the
     children of every out-edge slot, so :func:`_level_step` factors them
-    with one call per kernel on (k, ., .) stacks.  Selectors are slices
+    with one kernel call on (k, ., .) stacks, or on the node's own blocks
+    when k = 1.  Selectors are slices
     where the node numbering allows (consecutive nodes, evenly spaced
     children, as in a breadth-first numbering) and index arrays otherwise.
 
@@ -515,17 +529,24 @@ class RiccatiLevel:
                    buffer (:func:`kkt_common.reduced_hessian`);
     * ``vals``     the nodes' factor columns among the band's factor
                    values, each column-major, that is an (nu, w) block;
-    * ``p``        the nodes' slots in the stacked cost-to-go buffer;
+    * ``shape``    ``(k, w, w)``, the shape of the step's stacks; ``(w, w)``
+                   on a one-node level, whose step works on the node's own
+                   blocks (see :func:`linalg.cholesky_update`);
+    * ``p``        the nodes' slots in the stacked cost-to-go buffer, an
+                   int on a one-node level;
     * ``edges``    per out-edge slot ``(children, nx_child, BA)``: the
                    children's slots and the (k, nx_child, w) stack of the
-                   edges' ``[B A]``;
+                   edges' ``[B A]``, each block column-major;
+    * ``terms``    ``edges`` as the step indexes them: on a one-node level
+                   the child's slot is an int and BA its (nx_child, w) block;
     * ``flops``    nominal counts per node and route, ``(full, at a
                    Cholesky failure)``: those of the :mod:`linalg` kernels
                    the step's calls stand in for.  A failed rank test comes
                    at the last counted kernel, so it counts in full.
     """
 
-    __slots__ = ("nodes", "k", "nu", "w", "hess", "vals", "p", "edges", "flops")
+    __slots__ = ("nodes", "k", "nu", "w", "shape", "hess", "vals", "p", "edges",
+                 "terms", "flops")
 
     def __init__(self, view, nodes, val_off):
         d = view.qp.dim
@@ -543,16 +564,20 @@ class RiccatiLevel:
             ids = np.array(nodes, dtype=np.intp)
             self.hess = _ranges(view.hess_off[ids], np.full(k, w * w))
             self.vals = _ranges(val_off[ids], np.full(k, w * nu))
-        self.p = _sel(nodes)
+        self.shape = (k, w, w) if k > 1 else (w, w)
+        self.p = _sel(nodes) if k > 1 else n0
         out = [view.out_edges[n] for n in nodes]
         self.edges = []
         for j, (m, _, _) in enumerate(out[0]):
-            BA = np.empty((k, int(d.nx[m]), w))
+            # each block column-major, as BLAS takes it on a one-node level
+            BA = np.empty((k, w, int(d.nx[m]))).transpose(0, 2, 1)
             for i, o in enumerate(out):
                 BA[i, :, :nu] = o[j][1]["B"]
                 BA[i, :, nu:] = o[j][1]["A"]
             BA.flags.writeable = False
             self.edges.append((_sel([o[j][0] for o in out]), int(d.nx[m]), BA))
+        self.terms = (self.edges if k > 1 else
+                      [(sel.start, c, BA[0]) for sel, c, BA in self.edges])
         c = [e[1] for e in self.edges]
         edge_cl = sum(2 * ci * w * (ci + w) for ci in c)
         edge_sq = sum(2 * ci * ci * w for ci in c) + w ** 3 // 3

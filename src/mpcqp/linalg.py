@@ -13,7 +13,7 @@ concurrently on disjoint data while making complexity measurements exact and
 reproducible.  Nominal counts use the standard textbook formulas and are
 deterministic integers.
 
-The kernels call LAPACK directly, bound once at import, instead
+The kernels call LAPACK and BLAS directly, bound once at import, instead
 of going through ``scipy.linalg.cholesky``/``solve_triangular``/``qr`` or
 ``numpy.linalg.qr``: on the small blocks of a Riccati recursion the
 wrappers' argument validation costs several times the arithmetic.  The
@@ -43,8 +43,8 @@ replaced by the shape checks here and the LAPACK return codes: ``dpotrf``
 reports a nonpositive pivot, ``dtrtrs`` and ``dtbtrs`` an exactly zero
 diagonal entry, and a negative code (an illegal argument) raises
 ``ValueError``.  The QR-Cholesky kernels share one rank test and sign
-normalization (:func:`_rank_checked`).  This module is the package's only
-caller of LAPACK.
+normalization (:func:`_rank_tested`).  This module is the package's only
+caller of LAPACK and of BLAS (numpy's matrix product aside).
 
 The stacked kernels :func:`cholesky_stack`, :func:`cholesky_solve_stack`
 and :func:`qr_cholesky_stack` work on (k, n, n) stacks of blocks, the
@@ -58,6 +58,17 @@ in k).  They count no flops: their caller counts the nominal per-block
 counts of the kernels they stand in for.  ``cholesky_factor`` and
 ``qr_cholesky`` are their shape checks and flop counts around a stack of
 one.
+
+The update-and-factor kernels :func:`cholesky_update`,
+:func:`cholesky_sqrt_update` and :func:`qr_cholesky_update` are one
+Riccati level's step on each route, uncounted as well: the factor of a
+node Hessian M updated by its children's terms.  On a (k, w, w) stack they
+form the terms by stacked products and factor by :func:`cholesky_stack`,
+the QR by one ``dpotrf`` and one ``dtpqrt`` (l = 0) per block; on one
+(w, w) block they call BLAS and LAPACK on it with no copy in between
+(``dsymm``/``dgemm``, ``dtrmm``/``dsyrk``, ``dpotrf``, ``dtpqrt``).  Their
+BLAS and LAPACK arguments are positional, as the wrappers parse keywords
+slower.
 """
 
 from __future__ import annotations
@@ -67,6 +78,10 @@ from contextlib import contextmanager
 from functools import lru_cache
 
 import numpy as np
+from scipy.linalg.blas import dgemm as _gemm
+from scipy.linalg.blas import dsymm as _symm
+from scipy.linalg.blas import dsyrk as _syrk
+from scipy.linalg.blas import dtrmm as _trmm
 from scipy.linalg.lapack import dgeqrf as _geqrf
 from scipy.linalg.lapack import dgeqrf_lwork as _geqrf_lwork
 from scipy.linalg.lapack import dorgqr as _orgqr
@@ -94,6 +109,9 @@ __all__ = [
     "cholesky_stack",
     "cholesky_solve_stack",
     "qr_cholesky_stack",
+    "cholesky_update",
+    "cholesky_sqrt_update",
+    "qr_cholesky_update",
     "flop_counter",
     "count_flops",
     "FlopCounter",
@@ -174,9 +192,12 @@ def cholesky_factor(M, reg=0.0):
     return cholesky_stack(A[None])[0]
 
 
-def _potrf(A, overwrite=0):
-    """Lower Cholesky factor of the matrix A by one ``dpotrf``."""
-    L, info = _dpotrf(A, lower=1, clean=1, overwrite_a=overwrite)
+def _potrf(A, overwrite=0, lower=1):
+    """Lower (upper if not ``lower``) Cholesky factor of the matrix A by one
+    ``dpotrf``, the other triangle zeroed."""
+    # positional (lower, clean, overwrite_a): the wrappers parse keywords
+    # slower, which shows on the blocks of a Riccati level
+    L, info = _dpotrf(A, lower, 1, overwrite)
     if info > 0:
         raise NotPositiveDefinite(
             f"{info}-th leading minor of the array is not positive definite"
@@ -397,10 +418,28 @@ def _rank_checked(R, m):
     """The QR triangles of the (k, n, n) stack R, rank-tested and sign-normalized.
 
     The one rank test and sign normalization of the QR kernels: the
-    strictly lower part is zeroed, a block fails if a diagonal entry is at
-    or below ``max(m, n) eps max|R_ii|`` of its block (m is the row count
-    of the stack that was triangularized), and rows are negated where the
-    diagonal is negative.
+    strictly lower part is zeroed, then :func:`_rank_tested`.
+
+    Raises
+    ------
+    RankDeficient
+        If a block fails the rank test.
+    """
+    return _rank_tested(np.where(_upper(R.shape[-1]), R, 0.0), m)
+
+
+def _rank_tested(R, m):
+    """Rank-test and sign-normalize, in place, the (k, n, n) stack R of
+    upper triangles (a view of the caller's buffer; only R's diagonal is
+    read): a block fails if a diagonal entry is at or below
+    ``max(m, n) eps max|R_ii|`` of its block (m is the row count of the
+    stack that was triangularized), and rows are negated where the diagonal
+    is negative.  Returns R.
+
+    The stack's extreme diagonal entries decide the common cases without a
+    reduction per block: when every entry has one sign and the smallest in
+    magnitude passes against the largest of the whole stack, every block
+    passes, and R is kept or negated whole.
 
     Raises
     ------
@@ -408,10 +447,15 @@ def _rank_checked(R, m):
         If a block fails the rank test.
     """
     n = R.shape[-1]
-    R = np.where(_upper(n), R, 0.0)
     d = R.diagonal(axis1=1, axis2=2)
+    c = max(m, n) * _EPS
+    lo, hi = d.min(), d.max()
+    if lo > c * hi:
+        return R
+    if hi < c * lo:
+        return np.negative(R, out=R)
     size = np.abs(d)
-    tol = max(m, n) * _EPS * size.max(axis=1, keepdims=True)
+    tol = c * size.max(axis=1, keepdims=True)
     if (size <= tol).any():
         raise RankDeficient(
             f"diagonal entry {size.min():.3e} at or below {tol.min():.3e}"
@@ -474,6 +518,139 @@ def qr_cholesky_tp(U, S, d):
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of dtpqrt")
     return _rank_checked(R[None], n + p + np.count_nonzero(d))[0]
+
+
+def cholesky_update(M, terms):
+    """Lower Cholesky factor of ``M + sum BA' P BA`` over the ``(P, BA)``
+    terms, uncounted: one Riccati level's classical update and factorization.
+
+    M is one (w, w) block or a (k, w, w) stack of them; the terms' P and BA
+    are then (c, c) and (c, w) blocks, or (k, c, c) and (k, c, w) stacks.
+    P is symmetric.  On blocks, per term one ``dsymm`` for ``P BA`` (reading
+    one triangle of P) and one ``dgemm`` (beta = 1) adding ``BA' (P BA)`` to
+    the copy of M the first one makes, then one ``dpotrf``: a column-major
+    BA and C-ordered M and P (whose transposes are their Fortran-ordered
+    selves) reach BLAS uncopied.  On stacks, the products are stacked matrix
+    products and the factorization is :func:`cholesky_stack`.  The factor
+    has the shape of M; inputs are not written, also when the factorization
+    fails.
+
+    Raises
+    ------
+    NotPositiveDefinite
+        If a block of the updated matrix is not positive definite.
+    """
+    if M.ndim == 3:
+        G = M
+        for P, BA in terms:
+            G = G + BA.transpose(0, 2, 1) @ (P @ BA)
+        return cholesky_stack(G)
+    if not M.shape[0]:
+        return np.zeros((0, 0))
+    G, own = M.T, 0
+    for P, BA in terms:
+        if P.shape[0]:
+            # BA' (P BA) + G: (beta, c, trans_a, trans_b, overwrite_c)
+            G = _gemm(1.0, BA, _symm(1.0, P.T, BA), 1.0, G, 1, 0, own)
+            own = 1
+    return _potrf(G, overwrite=own)
+
+
+def cholesky_sqrt_update(M, terms):
+    """Lower Cholesky factor of ``M + sum W'W`` with ``W = L' BA`` over the
+    ``(L, BA)`` terms, uncounted: one Riccati level's square-root update and
+    factorization.
+
+    Shapes as in :func:`cholesky_update`, with L lower triangular.  On
+    blocks, per term one ``dtrmm`` for W and one ``dsyrk`` (beta = 1) adding
+    ``W'W`` to the lower triangle of the copy of M the first one makes, then
+    one ``dpotrf``, with the layouts of :func:`cholesky_update`.  On stacks,
+    the products are stacked matrix products and the factorization is
+    :func:`cholesky_stack`.  Inputs are not written, also when the
+    factorization fails.
+
+    Raises
+    ------
+    NotPositiveDefinite
+        If a block of the updated matrix is not positive definite.
+    """
+    if M.ndim == 3:
+        G = M
+        for L, BA in terms:
+            W = L.transpose(0, 2, 1) @ BA
+            G = G + W.transpose(0, 2, 1) @ W
+        return cholesky_stack(G)
+    if not M.shape[0]:
+        return np.zeros((0, 0))
+    G, own = M.T, 0
+    for L, BA in terms:
+        if L.shape[0]:
+            # W'W + G on the lower triangle: (beta, c, trans, lower,
+            # overwrite_c)
+            G = _syrk(1.0, _trmm(1.0, L.T, BA), 1.0, G, 1, 1, own)
+            own = 1
+    return _potrf(G, overwrite=own)
+
+
+def qr_cholesky_update(M, terms):
+    """Lower factor of ``M + sum W'W`` with ``W = L' BA`` by the array
+    algorithm, uncounted: the transposed :func:`qr_cholesky` triangle of
+    ``[chol(M)' ; W ...]``, one Riccati level's QR step.
+
+    Shapes and terms as in :func:`cholesky_sqrt_update`.  Per block, one
+    ``dpotrf`` for ``chol(M)'`` and one triangular-pentagonal QR of it and
+    its rows W (``dtpqrt`` with l = 0), whose reflectors leave the zeros
+    below the triangle alone; on stacks both work in place on one copy of
+    M.  The W rows come from one ``dtrmm`` per term on blocks and from one
+    stacked product per term on stacks.  Without rows to add, ``chol(M)'``
+    is already the triangle, so no QR runs (and on stacks ``chol(M)`` is
+    :func:`cholesky_stack`).  The rank test and the sign normalization are
+    :func:`qr_cholesky`'s (see :func:`_rank_tested`), over the ``w + sum c``
+    rows of the stack.  Inputs are not written, also when a factorization
+    fails.
+
+    Raises
+    ------
+    NotPositiveDefinite
+        If a block of M is not positive definite.
+    RankDeficient
+        If a block fails the rank test.
+    """
+    w = M.shape[-1]
+    if not w:
+        return np.zeros(M.shape)
+    terms = [(L, BA) for L, BA in terms if L.shape[-1]]
+    rows = w + sum(L.shape[-1] for L, _ in terms)
+    nb = min(w, _TP_NB)
+    if M.ndim == 2:
+        U = _potrf(M.T, lower=0)
+        if terms:
+            W = [_trmm(1.0, L_m.T, BA) for L_m, BA in terms]
+            W = W[0] if len(W) == 1 else np.asfortranarray(np.concatenate(W))
+            _tpqr(nb, U, W)
+        return _rank_tested(U[None], rows)[0].T
+    if not terms:
+        L = cholesky_stack(M)
+    else:
+        # each block's W' C-ordered, so that W is Fortran-ordered; the
+        # blocks' transposes are Fortran-ordered too, so dpotrf and dtpqrt
+        # overwrite the copy of M with the triangles
+        W = [BA.transpose(0, 2, 1) @ L_m for L_m, BA in terms]
+        Wt = W[0] if len(W) == 1 else np.concatenate(W, axis=2)
+        L = M.copy()
+        for L_i, Wt_i in zip(L, Wt):
+            _potrf(L_i.T, overwrite=1, lower=0)
+            _tpqr(nb, L_i.T, Wt_i.T)
+    _rank_tested(L.transpose(0, 2, 1), rows)
+    return L
+
+
+def _tpqr(nb, U, W):
+    """Overwrite the Fortran-ordered upper triangle U with the R of ``[U ; W]``
+    (one ``dtpqrt``, l = 0); W, Fortran-ordered too, is overwritten."""
+    info = _tpqrt(0, nb, U, W, 1, 1)[3]   # (overwrite_a, overwrite_b)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dtpqrt")
 
 
 def qr_full(A):

@@ -341,15 +341,23 @@ def _ipm_loop(qp, factor_fn, arg, guess):
 
 
 def _refine(view, factor, iterate, rg, rb, rd, rm, sol, max_steps, stop_ratio):
-    """Refined solution, its KKT residual norm, the RHS norm and the steps taken."""
+    """Refined solution, its KKT residual norm, the RHS norm and the steps taken.
+
+    The RHS norm is taken once, here, and handed to the refinement.  When
+    no correction improved on ``sol``, ``sol`` itself is returned.
+    """
     rhs_flat = kkt_rhs_flat(view, rg, rb, rd, rm)
+    rhs_norm = float(np.max(np.abs(rhs_flat))) if rhs_flat.size else 0.0
+    start = sol.flat()
     flat, norm, steps = iterative_refinement(
         factor.solve_flat,
         lambda x: kkt_apply_vec(view, iterate.lam, iterate.t, x),
         rhs_flat,
-        sol.flat(),
+        start,
         max_steps,
         stop_ratio,
+        rhs_norm=rhs_norm,
     )
-    rhs_norm = float(np.max(np.abs(rhs_flat))) if rhs_flat.size else 0.0
-    return QpSolution.from_flat(view, flat), norm, rhs_norm, steps
+    if flat is not start:
+        sol = QpSolution.from_flat(view, flat)
+    return sol, norm, rhs_norm, steps

@@ -787,12 +787,13 @@ class TestFactorSweepEquivalence:
 
 
 def _spy(monkeypatch, name):
-    """Record the leading (stack) dimension of every call to ``ko.name``."""
+    """Record the stack size of every call to ``ko.name``: the leading
+    dimension of a (k, ., .) stack, 1 for a block."""
     real = getattr(ko, name)
     calls = []
 
     def kernel(A, *rest):
-        calls.append(A.shape[0])
+        calls.append(A.shape[0] if A.ndim == 3 else 1)
         return real(A, *rest)
 
     monkeypatch.setattr(ko, name, kernel)
@@ -918,11 +919,12 @@ class TestWholeBlockFallback:
               else rand_tree_qp(rng, [-1, 0, 0, 1, 1, 2], nx=3, nu=2))
         it = rand_iterate(rng, qp)
         arg = IpmArg(reg_prim=reg_prim)
+        update = _spy(monkeypatch, "cholesky_update")
         chol = _spy(monkeypatch, "cholesky_stack")
         fac = ko.riccati_factor(qp, it, arg=arg)
         ref = riccati_factor_ref(qp, it, arg=arg)
         band = fac.view.band
-        assert len(chol) == len(band.levels)
+        assert len(update) == len(band.levels) and chol == []
         root = band.dst[band.src >= band.val_off[-2]]
         assert root.size == 3 * 4 // 2
         got, want = fac.ab.T.ravel()[root], ref.ab.T.ravel()[root]
@@ -967,8 +969,9 @@ def _mass_spring_tree(masses=3, horizon=8, branch_levels=2):
 
 class TestWorkloadFactorCalls:
     """At the iterates of the benchmark's problems no classical level falls
-    back: a factorization makes one whole-block Cholesky call per level and
-    none of the input blocks.  Call counts do not depend on the host."""
+    back: a factorization makes one call of the fused update-and-factor
+    kernel per level and none of the input-block Cholesky.  Call counts do
+    not depend on the host."""
 
     @pytest.mark.parametrize("kind", ["ocp", "tree"])
     def test_one_cholesky_call_per_level(self, monkeypatch, kind):
@@ -979,14 +982,16 @@ class TestWorkloadFactorCalls:
             qp = _mass_spring_tree()
             solve, mode, n_node = solve_tree_ocp_qp, "speed", 31
         assert make_view(qp).n_node == n_node
+        update = _spy(monkeypatch, "cholesky_update")
         chol = _spy(monkeypatch, "cholesky_stack")
         reduced = _spy(monkeypatch, "cholesky_solve_stack")
         real, calls = ko.riccati_factor, []
 
         def factor(qp, iterate, arg=None, use_qr=False):
-            c, r = len(chol), len(reduced)
+            counts = [len(update), len(chol), len(reduced)]
             fac = real(qp, iterate, arg=arg, use_qr=use_qr)
-            calls.append((use_qr, len(chol) - c, len(reduced) - r))
+            calls.append((use_qr, len(update) - counts[0], len(chol) - counts[1],
+                          len(reduced) - counts[2]))
             return fac
 
         monkeypatch.setattr(ko, "riccati_factor", factor)
@@ -996,7 +1001,34 @@ class TestWorkloadFactorCalls:
         assert levels == (21 if kind == "ocp" else 9)
         classical = [c[1:] for c in calls if not c[0]]
         assert len(classical) == rep.iterations
-        assert classical == [(levels, 0)] * rep.iterations
+        assert classical == [(levels, 0, 0)] * rep.iterations
+
+    def test_robust_tree_runs_no_qr_on_leaves(self, rng, monkeypatch):
+        # the QR route triangularizes one stack per node with children (27
+        # of the 31) and takes chol(M) of the 4 leaves as it is, with the
+        # reference's factor and flops
+        qp = _mass_spring_tree()
+        it = rand_iterate(rng, qp)
+        arg = mode_preset("robust")
+        tpqrt, geqrf = [], []
+        for name, calls in (("_tpqrt", tpqrt), ("_geqrf", geqrf)):
+            def counted(*a, real=getattr(linalg, name), calls=calls, **kw):
+                calls.append(1)
+                return real(*a, **kw)
+
+            monkeypatch.setattr(linalg, name, counted)
+        with flop_counter() as got_fl:
+            fac = ko.riccati_factor(qp, it, arg=arg, use_qr=True)
+        assert len(tpqrt) == 27 and geqrf == []
+        with flop_counter() as want_fl:
+            ref = riccati_factor_ref(qp, it, arg=arg, use_qr=True)
+        gains = sum(nu * nu * nx for nu, nx in zip(qp.dim.nu, qp.dim.nx) if nu)
+        assert got_fl.flops == want_fl.flops - gains
+        for n in range(len(ref.P)):
+            assert _close(fac.L_uu[n], ref.L_uu[n])
+            assert _close(fac.L_xu[n], ref.L_col[n][qp.dim.nu[n]:])
+            assert _close(fac.p_matrix(n), ref.p_matrix(n))
+        assert _close(fac.ab, ref.ab)
 
 
 class TestApplyAndFlops:

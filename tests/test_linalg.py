@@ -13,12 +13,16 @@ from mpcqp import linalg
 from mpcqp.linalg import (
     cholesky_factor,
     cholesky_solve_stack,
+    cholesky_sqrt_update,
     cholesky_stack,
+    cholesky_update,
     flop_counter,
     gram,
     matmul_acc,
     qr_cholesky,
+    qr_cholesky_stack,
     qr_cholesky_tp,
+    qr_cholesky_update,
     qr_full,
     solve_banded_triangular,
     solve_triangular,
@@ -493,3 +497,139 @@ class TestStackedCholeskyCutoff:
             cholesky_stack(A)
         with pytest.raises(NotPositiveDefinite):
             cholesky_solve_stack(A, np.ones((k, 3, 1)))
+
+
+UPDATE_RTOL = 1e-12
+
+
+def _blocks_in(layout, X):
+    """X with every trailing (r, c) block C- or Fortran-ordered."""
+    if layout == "C":
+        return np.ascontiguousarray(X)
+    return np.ascontiguousarray(np.swapaxes(X, -1, -2)).swapaxes(-1, -2)
+
+
+def _update_case(rng, k, w, cs, layout):
+    """An update kernel's inputs: positive definite M and, per child size c
+    in ``cs``, a symmetric positive definite P, its lower Cholesky factor
+    and a [B A] block; one block each when k is None, else (k, ., .)
+    stacks.  Returns ``(M, [(P, L, BA) ...])``."""
+    shape = () if k is None else (k,)
+
+    def spd(n):
+        X = rng.standard_normal(shape + (n, n))
+        return X @ np.swapaxes(X, -1, -2) + n * np.eye(n)
+
+    terms = []
+    for c in cs:
+        P = spd(c)
+        L = np.linalg.cholesky(P) if c else np.zeros(shape + (0, 0))
+        BA = rng.standard_normal(shape + (c, w))
+        terms.append(tuple(_blocks_in(layout, X) for X in (P, L, BA)))
+    return _blocks_in(layout, spd(w)), terms
+
+
+def _sqrt_rows(M, terms):
+    """The stack ``[chol(M)' ; W ...]`` of the QR route, W = L' BA."""
+    L_M = np.linalg.cholesky(M) if M.shape[-1] else np.zeros(M.shape)
+    return np.concatenate([np.swapaxes(L_M, -1, -2)]
+                          + [np.swapaxes(L, -1, -2) @ BA for _, L, BA in terms],
+                          axis=-2)
+
+
+def _close_rel(a, ref):
+    err = float(np.max(np.abs(a - ref), initial=0.0))
+    return err <= UPDATE_RTOL * max(1.0, float(np.max(np.abs(ref), initial=0.0)))
+
+
+class TestUpdateKernels:
+    """The Riccati level kernels against numpy on blocks and on stacks."""
+
+    SHAPES = [None, 1, 3, 24]    # one block, then stacks; 24 blocks of
+    # order 3 or more lie beyond the block-diagonal cut-off
+
+    @pytest.mark.parametrize("k", SHAPES)
+    @pytest.mark.parametrize("w,cs", [(5, (3,)), (5, (3, 2)), (3, (3,)), (4, ()),
+                                      (4, (0, 2)), (0, (2,)), (0, ())])
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    def test_match_numpy(self, k, w, cs, layout):
+        # (3, (3,)) is a node without inputs (nu = 0, [B A] = A), (4, ())
+        # a leaf, (4, (0, 2)) a child without state, w = 0 a node without
+        # variables
+        rng = np.random.default_rng(30 + w + len(cs))
+        M, terms = _update_case(rng, k, w, cs, layout)
+        G = M + sum((np.swapaxes(BA, -1, -2) @ P @ BA for P, _, BA in terms),
+                    np.zeros_like(M))
+        ref = np.linalg.cholesky(G) if w else np.zeros(G.shape)
+        L = cholesky_update(M, [(P, BA) for P, _, BA in terms])
+        assert L.shape == M.shape and _close_rel(L, ref)
+        L = cholesky_sqrt_update(M, [(L_m, BA) for _, L_m, BA in terms])
+        assert L.shape == M.shape and _close_rel(L, ref)
+        L = qr_cholesky_update(M, [(L_m, BA) for _, L_m, BA in terms])
+        assert L.shape == M.shape and _close_rel(L, ref)
+        if w:
+            S = _sqrt_rows(M, terms)
+            R = qr_cholesky_stack(S if k is not None else S[None])
+            assert _close_rel(L, np.swapaxes(R, -1, -2).reshape(M.shape))
+        for X in (L, ref):
+            assert np.array_equal(X, np.tril(X))
+
+    @pytest.mark.parametrize("k", SHAPES)
+    def test_qr_without_rows_is_the_cholesky_factor(self, k):
+        # a leaf: chol(M)' is already triangular, so the factor is chol(M)
+        # with the rank test, exactly
+        rng = np.random.default_rng(31)
+        M, _ = _update_case(rng, k, 4, (), "C")
+        L = qr_cholesky_update(M, [])
+        want = cholesky_stack(M if k is not None else M[None])
+        assert np.array_equal(L, want.reshape(M.shape))
+
+    @pytest.mark.parametrize("k", SHAPES)
+    @pytest.mark.parametrize("route", ["classical", "square_root", "qr"])
+    def test_failure_leaves_inputs_unwritten(self, k, route):
+        rng = np.random.default_rng(32)
+        M, terms = _update_case(rng, k, 4, (3, 2), "F")
+        M[..., 1, 1] = -100.0
+        use = [(P if route == "classical" else L, BA) for P, L, BA in terms]
+        kernel = {"classical": cholesky_update, "square_root": cholesky_sqrt_update,
+                  "qr": qr_cholesky_update}[route]
+        before = [M.copy()] + [X.copy() for t in use for X in t]
+        with pytest.raises(NotPositiveDefinite):
+            kernel(M, use)
+        after = [M] + [X for t in use for X in t]
+        assert all(np.array_equal(a, b) for a, b in zip(after, before))
+
+    @pytest.mark.parametrize("k", SHAPES)
+    @pytest.mark.parametrize("cs", [(), (2,)])
+    def test_qr_rank_deficient_stack_raises(self, k, cs):
+        # a direction of curvature 1e-40 that no W row reaches: the stacks
+        # that qr_cholesky_stack rejects, with their inputs unwritten
+        rng = np.random.default_rng(33)
+        M, terms = _update_case(rng, k, 3, cs, "C")
+        M[...] = np.diag([1.0, 2.0, 1e-40])
+        for _, _, BA in terms:
+            BA[..., 2] = 0.0
+        use = [(L, BA) for _, L, BA in terms]
+        before = [M.copy()] + [X.copy() for t in use for X in t]
+        S = _sqrt_rows(M, terms)
+        with pytest.raises(RankDeficient):
+            qr_cholesky_stack(S if k is not None else S[None])
+        with pytest.raises(RankDeficient):
+            qr_cholesky_update(M, use)
+        after = [M] + [X for t in use for X in t]
+        assert all(np.array_equal(a, b) for a, b in zip(after, before))
+
+    def test_rank_test_is_per_block(self):
+        # a block 1e-20 times smaller than its neighbour passes on its own
+        # scale; signs are normalized block by block and row by row
+        R = np.stack([np.diag([-2.0, 3.0]), 1e-20 * np.diag([1.0, -1.0])])
+        R[0, 0, 1] = 5.0
+        got = linalg._rank_tested(R.copy(), 2)
+        signs = np.sign(np.diagonal(R, axis1=1, axis2=2))[:, :, None]
+        assert np.array_equal(got, R * signs)
+        for sign in (1.0, -1.0):
+            T = sign * np.stack([np.triu(np.ones((3, 3))), 2.0 * np.eye(3)])
+            assert np.array_equal(linalg._rank_tested(T.copy(), 3), np.abs(T))
+        bad = np.stack([np.eye(2), np.diag([1.0, 1e-17])])
+        with pytest.raises(RankDeficient):
+            linalg._rank_tested(bad, 2)

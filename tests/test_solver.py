@@ -479,6 +479,37 @@ class TestStatsAndTrace:
         assert all(r.refine_steps == 0 and np.isnan(r.refine_ratio)
                    for r in plain.stats.trace)
 
+    @pytest.mark.parametrize("stop_ratio,steps", [(1.0, 0), (0.0, 2)])
+    def test_refinement_returns_its_input_when_no_step_ran(self, rng, stop_ratio,
+                                                          steps):
+        # a refinement that meets its target at once hands back the
+        # direction it was given, bit for bit; its ratio is the residual
+        # norm of that direction over max(1, ||rhs||)
+        import mpcqp.kkt_ocp as ko
+        from mpcqp.kkt_common import kkt_apply_vec, kkt_rhs_flat
+        from mpcqp.solver import _refine
+
+        qp = rand_ocp_qp(rng, N=4, nx=3, nu=2)
+        it = rand_iterate(rng, qp)
+        vw = make_view(qp)
+        rhs = (rng.standard_normal(vw.ny), rng.standard_normal(vw.ne),
+               rng.standard_normal(vw.nc),
+               np.where(vw.act, rng.standard_normal(vw.nc), 0.0))
+        fac = ko.riccati_factor(qp, it)
+        sol = fac.solve(*rhs)
+        before = sol.flat().copy()
+        out, norm, rhs_norm, n = _refine(vw, fac, it, *rhs, sol, 2, stop_ratio)
+        assert n == steps
+        rhs_flat = kkt_rhs_flat(vw, *rhs)
+        assert rhs_norm == np.max(np.abs(rhs_flat))
+        if steps:
+            assert norm <= np.max(np.abs(
+                kkt_apply_vec(vw, it.lam, it.t, before) + rhs_flat))
+        else:
+            assert out is sol and np.array_equal(out.flat(), before)
+            want = np.max(np.abs(kkt_apply_vec(vw, it.lam, it.t, before) + rhs_flat))
+            assert norm / max(1.0, rhs_norm) == want / max(1.0, rhs_norm)
+
     @pytest.mark.parametrize("mode", MODES)
     def test_final_residuals_reuse_the_loop_evaluation(self, rng, monkeypatch, mode):
         from mpcqp.view import ProblemView

@@ -1,6 +1,6 @@
 """Module boundaries of the package, checked on its source with ``ast``.
 
-Each concept has one home: the LAPACK bindings live in :mod:`linalg`
+Each concept has one home: the LAPACK and BLAS bindings live in :mod:`linalg`
 (mass-spring's matrix exponential aside), the ``scipy.sparse`` operators
 in :mod:`view` and the Riccati recursion's constants in :mod:`kkt_ocp`.
 No module reads a clock: wall time is measured by the benchmark alone.
@@ -57,6 +57,8 @@ def _classes(name):
 
 def test_only_linalg_calls_lapack():
     assert _users("scipy.linalg.lapack") == {"linalg.py"}
+    # the Riccati update kernels' BLAS calls stay behind linalg too
+    assert _users("scipy.linalg.blas") == {"linalg.py"}
     # every other reach into scipy.linalg is mass_spring's expm
     assert _users("scipy.linalg") == {"linalg.py", "mass_spring.py"}
     spring = {r for r in _references(MODULES["mass_spring.py"])
