@@ -39,17 +39,21 @@ Everything else is done once per factorization or once per view:
   over a flat buffer (:func:`kkt_common.reduced_hessian`): a copy of the
   view's symmetrized base Hessians ``[[R S] [S' Q]]``, one scatter of the
   box rows' coefficients, the general rows' Gram terms and the primal
-  regularization.  A level reads its nodes' blocks as one (k, w, w) stack,
-  a view of the buffer where the nodes are numbered consecutively
-  (breadth-first), and never writes them;
+  regularization.  The sweep copies the buffer once into a work buffer
+  (:attr:`RiccatiFactor.work`) and keeps the original for its fallbacks;
 * the schedule, its slices and index arrays, and the edges' ``[B A]``
   stacked per level and out-edge slot are built once per QP revision;
-* a level writes its nodes' factor columns ``[L_uu; L_xu]`` in one
-  assignment into the value buffer from which the band matrix of the
-  vector solve is filled, and their cost-to-go blocks (``P[n]``, or
-  ``chol(P[n])`` on the square-root and QR routes) in one assignment into
-  their slots of one stacked buffer (:attr:`RiccatiFactor.p_blocks`, laid
-  out by ``RiccatiBand.p_dim``), from which its parents' level reads them;
+* a level overwrites its nodes' blocks of the work buffer with their
+  Cholesky factors, each column-major: it reads them as one (k, w, w)
+  stack of Fortran-ordered blocks, a view of the buffer where the nodes are
+  numbered consecutively (breadth-first).  Node n's factor columns
+  ``[L_uu; L_xu]`` are then the first ``nu w`` entries of its block, and
+  the root block's trailing triangle is ``chol(P[0])``; the band matrix of
+  the vector solve is filled from there in one gather.  The level writes
+  its nodes' cost-to-go blocks (``P[n]``, or ``chol(P[n])`` on the
+  square-root and QR routes) in one assignment into their slots of one
+  stacked buffer (:attr:`RiccatiFactor.p_blocks`, laid out by
+  ``RiccatiBand.p_dim``), from which its parents' level reads them;
 * the gains ``K[n] = -L_uu^-T L_xu'`` are not needed by the solve and are
   formed when :attr:`RiccatiFactor.K` is first read (``feedback_gains``,
   tests); their triangular solves are counted then;
@@ -65,15 +69,19 @@ triangle of ``[chol(M)' ; W ...]``, which holds the rank test and the sign
 normalization).  On a one-node level (every level of a chain, a tree's
 root) the kernel calls BLAS and LAPACK on the node's own blocks, with the
 ``[B A]`` blocks stored column-major once per view so that they reach BLAS
-uncopied: ``dsymm``, ``dgemm`` and ``dpotrf`` (classical), ``dtrmm``,
-``dsyrk`` and ``dpotrf`` (square root), ``dpotrf``, ``dtrmm`` and one
-``dtpqrt`` (QR); on a stacked level it works on (k, ., .) stacks, and the
-QR runs one ``dtpqrt`` per node.  A node without children (a leaf, a
+uncopied: ``dsymm``, ``dgemm`` and ``dpotrf`` (classical) and ``dtrmm``,
+``dsyrk`` and ``dpotrf`` (square root) work in the node's work block
+itself, so that no copy of M and no new factor array is made; ``dpotrf``,
+``dtrmm`` and one ``dtpqrt`` (QR) work on a copy, which is written back
+in one assignment.  On a stacked level the kernel works on (k, ., .)
+stacks and assigns the factors into the blocks, and the QR runs one
+``dtpqrt`` per node.  A node without children (a leaf, a
 chain's last stage) has nothing to triangularize: the QR route takes
 ``chol(M)`` as its factor.  A classical step then forms ``P = L_xx L_xx'``,
 symmetric as formed.  Only when a block of the level is not positive
-definite does the step fall back to the input blocks: one Cholesky
-factorization of the ``G_uu`` blocks with the triangular solve for X
+definite does the step fall back to the input blocks, with G formed again
+from the kept reduced Hessians: one Cholesky factorization of the ``G_uu``
+blocks with the triangular solve for X
 (:func:`linalg.cholesky_solve_stack`), one product for ``X'X``, and P
 symmetrized.  The kernels count no flops; the step counts those of the
 per-node kernels they stand in for, the same on every path.
@@ -119,10 +127,11 @@ child's own row then carries ``P_m b_m`` on its right-hand side) and
 ``s_0 = L_P0^-1 p_0`` at the root, with ``L_P0 L_P0' = P_0``, the backward
 sweep is one lower triangular system T, and the forward sweep is its
 transpose: ``T' [u; x] = [-l; b]`` with ``-s_0`` in the root's slot.  Each
-factorization writes its ``L_uu``, ``L_xu`` and ``L_P0`` into T, held in
-LAPACK band storage; the layout, the bandwidth (taken from the edge table:
-about ``2 nx + nu`` on a chain) and the coupling entries ``-[B A]'`` are
-constants of the view (:class:`RiccatiBand`).  On a tree a parent sits a
+factorization gathers its ``L_uu``, ``L_xu`` and ``L_P0`` from its work
+buffer into T, held in LAPACK band storage; the layout, the bandwidth
+(taken from the edge table: about ``2 nx + nu`` on a chain) and the
+coupling entries ``-[B A]'`` are constants of the view
+(:class:`RiccatiBand`).  On a tree a parent sits a
 level's width of nodes from its children, so the bandwidth grows with the
 widest level: 37 on the 31-node scenario tree of the benchmark against 13
 on a chain of the same stages, 1029 on a 639-node tree.  The band solves
@@ -170,19 +179,21 @@ __all__ = [
 class RiccatiFactor:
     """Backward Riccati factorization of one OCP or tree QP at one iterate.
 
-    The factorization writes two buffers: ``vals``, every node's factor
-    columns ``[L_uu; L_xu]`` column-major and then the root block (laid out
-    by ``RiccatiBand.val_off``), and ``p_blocks``, every node's P, or
-    chol(P) if ``sqrt``, at the top left of its slot (see
+    The factorization writes two buffers: ``work``, laid out like the
+    reduced Hessians (``view.hess_off``), where every node's (w, w) block
+    holds its Cholesky factor column-major, so that its factor columns
+    ``[L_uu; L_xu]`` are the block's first ``nu w`` entries and the root
+    block's trailing triangle is chol(P[0]); and ``p_blocks``, every node's
+    P, or chol(P) if ``sqrt``, at the top left of its slot (see
     ``RiccatiBand.p_dim``).  The per-node lists ``L_uu`` and ``L_xu`` are
-    views of ``vals``, made on first read.
+    views of ``work``, made on first read.
     """
 
     def __init__(self, qp, view, iterate):
         self.qp = qp
         self.view = view
         self.scales = view_scales(view, iterate.lam, iterate.t)
-        self.vals = np.empty(view.band.val_off[-1])
+        self.work = None             # the factored node blocks
         p = view.band.p_dim
         self.p_blocks = np.zeros((view.n_node, p, p))
         self.ab = None               # band storage of the solve matrix T
@@ -190,9 +201,9 @@ class RiccatiFactor:
 
     @cached_property
     def _cols(self):
-        """Every node's factor columns ``[L_uu; L_xu]``, views of ``vals``."""
-        d, off = self.qp.dim, self.view.band.val_off
-        return [self.vals[off[n]: off[n + 1]].reshape(nu, nu + nx).T
+        """Every node's factor columns ``[L_uu; L_xu]``, views of ``work``."""
+        d, off = self.qp.dim, self.view.hess_off
+        return [self.work[off[n]: off[n] + nu * (nu + nx)].reshape(nu, nu + nx).T
                 for n, (nu, nx) in enumerate(zip(d.nu.tolist(), d.nx.tolist()))]
 
     @cached_property
@@ -252,43 +263,45 @@ def riccati_factor(qp, iterate, arg=None, use_qr=False):
     route = "qr" if use_qr else arg.riccati_variant
     fac.sqrt = sqrt_mode = route != "classical"
     hess = reduced_hessian(vw, fac.scales, arg.reg_prim)
-    vals, P = fac.vals, fac.p_blocks
+    fac.work = work = hess.copy()
+    P = fac.p_blocks
     done = band.flops[route]
     for i, lv in enumerate(band.levels):
         try:
-            L_P = _level_step(lv, route, hess, vals, P)
+            L_P = _level_step(lv, route, hess, work, P)
         except (NotPositiveDefinite, RankDeficient) as exc:
             L_P = None
-            _level_failed(vw, lv, route, hess, vals, P, done[i], exc)
+            _level_failed(vw, lv, route, hess, work, P, done[i], exc)
     # the last level is the root's; unless a classical root fell back to
-    # its input block, its trailing factor is chol(P[0])
-    nx0 = int(qp.dim.nx[0])
-    root = vals[band.val_off[-2]:].reshape(nx0, nx0).T
+    # its input block, the trailing triangle of its factor is chol(P[0])
+    nu0, nx0 = int(qp.dim.nu[0]), int(qp.dim.nx[0])
     count_flops(done[-1] if sqrt_mode else done[-1] + nx0 ** 3 // 3)
-    if L_P is not None:
-        root[...] = L_P
-    elif nx0:
+    if L_P is None and nx0:
+        root = band.levels[-1]
         try:
-            root[...] = cholesky_stack(P[None, 0, :nx0, :nx0])[0]
+            work[root.hess].reshape(root.shape).T[nu0:, nu0:] = \
+                cholesky_stack(P[None, 0, :nx0, :nx0])[0]
         except NotPositiveDefinite as exc:
             raise FactorizationFailed(
                 f"cost-to-go matrix not positive definite at stage 0: {exc}",
                 stage=0,
             ) from None
     ab = band.ab0.copy()
-    ab.ravel()[band.dst] = vals[band.src]
+    ab.ravel()[band.dst] = work[band.src]
     fac.ab = ab.T
     return fac
 
 
-def _level_step(lv, route, hess, vals, P):
+def _level_step(lv, route, hess, work, P):
     """Factor the k nodes of one level: one call of the route's update kernel.
 
-    Reads the nodes' reduced Hessians from ``hess`` (never written) and
-    their children's blocks from ``P``; writes the nodes' factor columns
-    into ``vals`` and their P (classical) or chol(P) blocks into ``P``.
-    Returns the nodes' chol(P) blocks (shaped as ``lv.shape``), or None
-    where a classical level fell back to its input blocks.
+    Overwrites the nodes' blocks of ``work``, a copy of ``hess`` on entry,
+    with their Cholesky factors, each column-major, and writes their P
+    (classical) or chol(P) blocks into ``P``; reads their children's blocks
+    from ``P`` and, on a classical fallback, their reduced Hessians from
+    ``hess`` (never written).  Returns the nodes' chol(P) blocks (shaped as
+    ``lv.shape``), or None where a classical level fell back to its input
+    blocks.
 
     * classical: :func:`linalg.cholesky_update`, the Cholesky factors of the
       whole blocks ``M + sum BA' P BA``, then ``P = L_xx L_xx'``.  If a
@@ -307,35 +320,40 @@ def _level_step(lv, route, hess, vals, P):
         From the :mod:`linalg` update kernels.
     """
     nu = lv.nu
-    nx = lv.w - nu
-    M = hess[lv.hess].reshape(lv.shape)
-    terms = [(P[sel, :c, :c], BA) for sel, c, BA in lv.terms]
+    # the blocks Fortran-ordered: a view of work unless the nodes are not
+    # consecutive, when the blocks are written back
+    M = work[lv.hess].reshape(lv.shape).swapaxes(-1, -2)
+    terms = [(P[i], BA) for i, BA in lv.terms]
+    L = None
     if route == "classical":
         try:
             L = cholesky_update(M, terms)
         except NotPositiveDefinite:
-            _reduced_step(lv, M, terms, vals, P)
-            return None
+            _reduced_step(lv, hess[lv.hess].reshape(lv.shape), terms, M, P)
     elif route == "qr":
         L = qr_cholesky_update(M, terms)
     else:
         L = cholesky_sqrt_update(M, terms)
-    vals[lv.vals] = L[..., :nu].swapaxes(-1, -2).ravel()
+    if not isinstance(lv.hess, slice):
+        work[lv.hess] = M.swapaxes(-1, -2).ravel()
+    if L is None:
+        return None
     L_P = L[..., nu:, nu:]
     if route != "classical":
-        P[lv.p, :nx, :nx] = L_P
+        P[lv.p] = L_P
     elif lv.k == 1:
-        np.matmul(L_P, L_P.T, out=P[lv.p, :nx, :nx])
+        np.matmul(L_P, L_P.T, out=P[lv.p])
     else:
-        P[lv.p, :nx, :nx] = L_P @ L_P.transpose(0, 2, 1)
+        P[lv.p] = L_P @ L_P.transpose(0, 2, 1)
     return L_P
 
 
-def _reduced_step(lv, M, terms, vals, P):
+def _reduced_step(lv, M, terms, out, P):
     """The classical step on a level whose whole blocks
     ``G = M + sum BA' P BA`` are not all positive definite: one Cholesky of
     the ``G_uu`` blocks with the triangular solve for ``X = L_uu^-1 G_ux``,
-    one ``X'X`` and ``P = G_xx - X'X``, symmetrized.
+    one ``X'X`` and ``P = G_xx - X'X``, symmetrized.  The factor columns
+    ``[L_uu; X']`` go into the first nu columns of the blocks ``out``.
 
     Raises
     ------
@@ -343,21 +361,20 @@ def _reduced_step(lv, M, terms, vals, P):
         If a ``G_uu`` block is not positive definite.
     """
     nu = lv.nu
-    nx = lv.w - nu
     if M.ndim == 2:
-        M, terms = M[None], [(P_m[None], BA[None]) for P_m, BA in terms]
+        M, out = M[None], out[None]
+        terms = [(P_m[None], BA[None]) for P_m, BA in terms]
     G = M
     for P_m, BA in terms:
         G = G + BA.transpose(0, 2, 1) @ (P_m @ BA)
     if nu:
         L, X = cholesky_solve_stack(G[:, :nu, :nu], G[:, :nu, nu:])
         G = G[:, nu:, nu:] - X.transpose(0, 2, 1) @ X
-        vals[lv.vals] = np.concatenate(
-            [L.transpose(0, 2, 1), X], axis=2).ravel()
-    P[lv.p, :nx, :nx] = 0.5 * (G + G.transpose(0, 2, 1))
+        out[:, :, :nu] = np.concatenate([L, X.transpose(0, 2, 1)], axis=1)
+    P[lv.p] = 0.5 * (G + G.transpose(0, 2, 1))
 
 
-def _level_failed(view, lv, route, hess, vals, P, counted, exc):
+def _level_failed(view, lv, route, hess, work, P, counted, exc):
     """Raise :class:`FactorizationFailed` for a level whose step failed.
 
     A one-node level names its node.  A stacked level reruns its nodes one
@@ -368,9 +385,9 @@ def _level_failed(view, lv, route, hess, vals, P, counted, exc):
     """
     if lv.k > 1:
         for n in lv.nodes[::-1]:
-            one = RiccatiLevel(view, [n], view.band.val_off)
+            one = RiccatiLevel(view, [n])
             try:
-                _level_step(one, route, hess, vals, P)
+                _level_step(one, route, hess, work, P)
             except (NotPositiveDefinite, RankDeficient) as one_exc:
                 lv, exc = one, one_exc
                 break
@@ -406,19 +423,19 @@ class RiccatiBand:
     parent's rows to ``s_m`` through ``-[B_m A_m]'``.  The coupling and the
     identities are constants of the view, filled from the edge table (the
     levels' ``[B A]`` stacks); a factorization writes only the factor
-    columns ``[L_uu; L_xu]`` of every node and the root block.
+    columns ``[L_uu; L_xu]`` of every node and the root block, gathered
+    from its factored node blocks (:attr:`RiccatiFactor.work`).
 
     * ``vpos``     v index k sits at band position ``vpos[k]``;
     * ``pi_pos``   band position of the child state each pi entry pairs with;
     * ``kd``       number of subdiagonals, from the edge table;
     * ``ab0``      (nv, kd + 1) C-ordered constant part; its transpose is
                    LAPACK lower band storage;
-    * ``val_off``  the factor values are every node's ``[L_uu; L_xu]``, in
-                   node order, and then the root block, each flattened
-                   column-major and concatenated; block n (the root is
-                   block ``n_node``) spans ``val_off[n]:val_off[n + 1]``;
     * ``dst``/``src``  flat positions in ``ab0`` of the factor entries and
-                   their positions among the factor values;
+                   their positions in a factorization's ``work`` buffer:
+                   node n's ``[L_uu; L_xu]`` are the first ``nu w`` entries
+                   of its block, column-major, and the root block is the
+                   trailing (nx_0, nx_0) triangle of node 0's;
     * ``levels``   the factor sweep's level schedule, deepest level first:
                    one :class:`RiccatiLevel` per group of nodes of equal
                    depth, ``nu``, ``nx`` and out-edge child ``nx``; a chain
@@ -455,16 +472,18 @@ class RiccatiBand:
                       else _ranges(np.arange(child.size, dtype=np.intp) * p,
                                    nx[child]))
         # the factor entries: every node's (w_n, nu_n) column block, then the
-        # root's (nx_0, nx_0) block, each column-major and on the diagonal
+        # root's (nx_0, nx_0) block, each column-major and on the diagonal;
+        # in the work buffer each starts at src0 with leading dimension w
         h = np.append(w, nx[0])
         width = np.append(nu, nx[0])
         first = np.append(start, start[0] + nu[0])
+        src0 = np.append(view.hess_off[:-1], nu[0] * (w[0] + 1))
         count = h * width
-        self.val_off = np.concatenate([[0], np.cumsum(count)])
         k = _ranges(np.zeros(n_node + 1, dtype=np.intp), count)
         h_k = np.maximum(h.repeat(count), 1)
         c, r = k // h_k, k % h_k
         low = r >= c
+        self.src = (src0.repeat(count) + c * np.append(w, w[0]).repeat(count) + r)[low]
         r, c = r[low], c[low]
         depth = np.zeros(n_node, dtype=np.intp)
         for par, m, _ in view.edges:
@@ -476,7 +495,7 @@ class RiccatiBand:
             # a node without state is never stacked
             groups.setdefault(key if nx[n] else (n,), []).append(n)
         self.levels = [
-            RiccatiLevel(view, nodes, self.val_off)
+            RiccatiLevel(view, nodes)
             for nodes in sorted(groups.values(),
                                 key=lambda g: (-depth[g[0]], -g[-1]))
         ]
@@ -497,7 +516,6 @@ class RiccatiBand:
         ab0.flags.writeable = False   # every factorization writes a copy
         self.ab0 = ab0
         self.dst = (first.repeat(count)[low] + c) * (kd + 1) + r - c
-        self.src = np.flatnonzero(low)
         self.flops = {}
         for route in ("classical", "square_root", "qr"):
             cum = [0]
@@ -526,29 +544,32 @@ class RiccatiLevel:
 
     * ``nodes``    the node indices, ascending; ``k`` their number;
     * ``hess``     the nodes' (w, w) blocks in the flat reduced-Hessian
-                   buffer (:func:`kkt_common.reduced_hessian`);
-    * ``vals``     the nodes' factor columns among the band's factor
-                   values, each column-major, that is an (nu, w) block;
+                   buffer (:func:`kkt_common.reduced_hessian`), and in the
+                   factorization's work buffer, its copy, which the step
+                   overwrites with the nodes' factors;
     * ``shape``    ``(k, w, w)``, the shape of the step's stacks; ``(w, w)``
                    on a one-node level, whose step works on the node's own
                    blocks (see :func:`linalg.cholesky_update`);
-    * ``p``        the nodes' slots in the stacked cost-to-go buffer, an
-                   int on a one-node level;
+    * ``p``        the index of the nodes' (nx, nx) blocks in the stacked
+                   cost-to-go buffer: their slots (an int on a one-node
+                   level) and the slots' top-left corner;
     * ``edges``    per out-edge slot ``(children, nx_child, BA)``: the
                    children's slots and the (k, nx_child, w) stack of the
                    edges' ``[B A]``, each block column-major;
-    * ``terms``    ``edges`` as the step indexes them: on a one-node level
-                   the child's slot is an int and BA its (nx_child, w) block;
+    * ``terms``    ``edges`` as the step reads them: ``(index, BA)``, the
+                   index of the children's blocks in the cost-to-go buffer,
+                   as ``p``, and on a one-node level BA the (nx_child, w)
+                   block;
     * ``flops``    nominal counts per node and route, ``(full, at a
                    Cholesky failure)``: those of the :mod:`linalg` kernels
                    the step's calls stand in for.  A failed rank test comes
                    at the last counted kernel, so it counts in full.
     """
 
-    __slots__ = ("nodes", "k", "nu", "w", "shape", "hess", "vals", "p", "edges",
+    __slots__ = ("nodes", "k", "nu", "w", "shape", "hess", "p", "edges",
                  "terms", "flops")
 
-    def __init__(self, view, nodes, val_off):
+    def __init__(self, view, nodes):
         d = view.qp.dim
         n0 = nodes[0]
         self.nodes = nodes
@@ -556,16 +577,14 @@ class RiccatiLevel:
         self.nu = nu = int(d.nu[n0])
         nx = int(d.nx[n0])
         self.w = w = nu + nx
-        h0, v0 = int(view.hess_off[n0]), int(val_off[n0])
+        h0 = int(view.hess_off[n0])
         if nodes[-1] - n0 == k - 1:
             self.hess = slice(h0, h0 + k * w * w)
-            self.vals = slice(v0, v0 + k * w * nu)
         else:
             ids = np.array(nodes, dtype=np.intp)
             self.hess = _ranges(view.hess_off[ids], np.full(k, w * w))
-            self.vals = _ranges(val_off[ids], np.full(k, w * nu))
         self.shape = (k, w, w) if k > 1 else (w, w)
-        self.p = _sel(nodes) if k > 1 else n0
+        self.p = (_sel(nodes) if k > 1 else n0, slice(nx), slice(nx))
         out = [view.out_edges[n] for n in nodes]
         self.edges = []
         for j, (m, _, _) in enumerate(out[0]):
@@ -576,8 +595,8 @@ class RiccatiLevel:
                 BA[i, :, nu:] = o[j][1]["A"]
             BA.flags.writeable = False
             self.edges.append((_sel([o[j][0] for o in out]), int(d.nx[m]), BA))
-        self.terms = (self.edges if k > 1 else
-                      [(sel.start, c, BA[0]) for sel, c, BA in self.edges])
+        self.terms = [((sel if k > 1 else sel.start, slice(c), slice(c)),
+                       BA if k > 1 else BA[0]) for sel, c, BA in self.edges]
         c = [e[1] for e in self.edges]
         edge_cl = sum(2 * ci * w * (ci + w) for ci in c)
         edge_sq = sum(2 * ci * ci * w for ci in c) + w ** 3 // 3
@@ -625,7 +644,7 @@ def riccati_solve(fac, r_g, r_b, r_d, r_m):
     f = -s
     f[band.pi_pos] = r_b
     w = solve_banded_triangular(fac.ab, f, transpose=True)
-    step = QpSolution(vw)
+    step = QpSolution._wrap(vw, np.zeros(vw.ny + vw.ne + 2 * vw.nc))
     np.add(_p_apply(fac, w[band.pi_pos] - r_b), s[band.pi_pos], out=step.pi)
     np.take(w, band.vpos, out=step.v)
     return recover(vw, fac.scales, fold, r_d, step)

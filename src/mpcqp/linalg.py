@@ -61,13 +61,15 @@ one.
 
 The update-and-factor kernels :func:`cholesky_update`,
 :func:`cholesky_sqrt_update` and :func:`qr_cholesky_update` are one
-Riccati level's step on each route, uncounted as well: the factor of a
-node Hessian M updated by its children's terms.  On a (k, w, w) stack they
-form the terms by stacked products and factor by :func:`cholesky_stack`,
-the QR by one ``dpotrf`` and one ``dtpqrt`` (l = 0) per block; on one
-(w, w) block they call BLAS and LAPACK on it with no copy in between
-(``dsymm``/``dgemm``, ``dtrmm``/``dsyrk``, ``dpotrf``, ``dtpqrt``).  Their
-BLAS and LAPACK arguments are positional, as the wrappers parse keywords
+Riccati level's step on each route, uncounted as well: they overwrite a
+node Hessian M with the factor of M updated by its children's terms, and
+never write the terms.  On a (k, w, w) stack they form the terms by
+stacked products and factor by :func:`cholesky_stack`, the QR by one
+``dpotrf`` and one ``dtpqrt`` (l = 0) per block, and assign the factors
+into M; on one Fortran-ordered (w, w) block the Cholesky routes call BLAS
+and LAPACK on M itself, which ends up holding the factor with no copy made
+(``dsymm``/``dgemm`` or ``dtrmm``/``dsyrk``, then ``dpotrf``).  Their BLAS
+and LAPACK arguments are positional, as the wrappers parse keywords
 slower.
 """
 
@@ -351,7 +353,7 @@ def solve_banded_triangular(ab, B, transpose=False):
         # no LAPACK call: scipy 1.17's dtbtrs wrapper corrupts the heap on a
         # zero-column right-hand side
         return B.copy()
-    X, info = _tbtrs(ab, B, uplo="L", trans="T" if transpose else "N")
+    X, info = _tbtrs(ab, B, "L", "T" if transpose else "N")   # (uplo, trans)
     if info > 0:
         raise SingularFactor("zero diagonal entry in triangular factor")
     if info < 0:
@@ -521,93 +523,98 @@ def qr_cholesky_tp(U, S, d):
 
 
 def cholesky_update(M, terms):
-    """Lower Cholesky factor of ``M + sum BA' P BA`` over the ``(P, BA)``
-    terms, uncounted: one Riccati level's classical update and factorization.
+    """Overwrite M with the lower Cholesky factor of ``M + sum BA' P BA``
+    over the ``(P, BA)`` terms, uncounted: one Riccati level's classical
+    update and factorization.
 
     M is one (w, w) block or a (k, w, w) stack of them; the terms' P and BA
     are then (c, c) and (c, w) blocks, or (k, c, c) and (k, c, w) stacks.
-    P is symmetric.  On blocks, per term one ``dsymm`` for ``P BA`` (reading
-    one triangle of P) and one ``dgemm`` (beta = 1) adding ``BA' (P BA)`` to
-    the copy of M the first one makes, then one ``dpotrf``: a column-major
-    BA and C-ordered M and P (whose transposes are their Fortran-ordered
-    selves) reach BLAS uncopied.  On stacks, the products are stacked matrix
-    products and the factorization is :func:`cholesky_stack`.  The factor
-    has the shape of M; inputs are not written, also when the factorization
-    fails.
+    M and P are symmetric.  On a block, per term one ``dsymm`` for ``P BA``
+    (reading one triangle of P) and one ``dgemm`` (beta = 1) adding
+    ``BA' (P BA)`` to M, then one ``dpotrf``: on a Fortran-ordered M (the
+    transposed view of a C-ordered block) both work in M itself, and a
+    column-major BA and C-ordered P reach BLAS uncopied.  On a stack, the
+    products are stacked matrix products, the factorization is
+    :func:`cholesky_stack` and the factors are written into M in one
+    assignment.  Returns M.  The terms are never written; M is, also when
+    the factorization fails.
 
     Raises
     ------
     NotPositiveDefinite
         If a block of the updated matrix is not positive definite.
     """
-    if M.ndim == 3:
-        G = M
-        for P, BA in terms:
-            G = G + BA.transpose(0, 2, 1) @ (P @ BA)
-        return cholesky_stack(G)
-    if not M.shape[0]:
-        return np.zeros((0, 0))
-    G, own = M.T, 0
+    G = M
     for P, BA in terms:
-        if P.shape[0]:
+        if M.ndim == 3:
+            G = G + BA.transpose(0, 2, 1) @ (P @ BA)
+        elif BA.size:
             # BA' (P BA) + G: (beta, c, trans_a, trans_b, overwrite_c)
-            G = _gemm(1.0, BA, _symm(1.0, P.T, BA), 1.0, G, 1, 0, own)
-            own = 1
-    return _potrf(G, overwrite=own)
+            G = _gemm(1.0, BA, _symm(1.0, P.T, BA), 1.0, G, 1, 0, 1)
+    return _factor_into(M, G)
 
 
 def cholesky_sqrt_update(M, terms):
-    """Lower Cholesky factor of ``M + sum W'W`` with ``W = L' BA`` over the
-    ``(L, BA)`` terms, uncounted: one Riccati level's square-root update and
-    factorization.
+    """Overwrite M with the lower Cholesky factor of ``M + sum W'W`` with
+    ``W = L' BA`` over the ``(L, BA)`` terms, uncounted: one Riccati level's
+    square-root update and factorization.
 
-    Shapes as in :func:`cholesky_update`, with L lower triangular.  On
-    blocks, per term one ``dtrmm`` for W and one ``dsyrk`` (beta = 1) adding
-    ``W'W`` to the lower triangle of the copy of M the first one makes, then
-    one ``dpotrf``, with the layouts of :func:`cholesky_update`.  On stacks,
-    the products are stacked matrix products and the factorization is
-    :func:`cholesky_stack`.  Inputs are not written, also when the
-    factorization fails.
+    Shapes, layouts and writes as in :func:`cholesky_update`, with L lower
+    triangular.  On a block, per term one ``dtrmm`` for W and one ``dsyrk``
+    (beta = 1) adding ``W'W`` to the lower triangle of M, then one
+    ``dpotrf``.
 
     Raises
     ------
     NotPositiveDefinite
         If a block of the updated matrix is not positive definite.
     """
-    if M.ndim == 3:
-        G = M
-        for L, BA in terms:
+    G = M
+    for L, BA in terms:
+        if M.ndim == 3:
             W = L.transpose(0, 2, 1) @ BA
             G = G + W.transpose(0, 2, 1) @ W
-        return cholesky_stack(G)
-    if not M.shape[0]:
-        return np.zeros((0, 0))
-    G, own = M.T, 0
-    for L, BA in terms:
-        if L.shape[0]:
+        elif BA.size:
             # W'W + G on the lower triangle: (beta, c, trans, lower,
             # overwrite_c)
-            G = _syrk(1.0, _trmm(1.0, L.T, BA), 1.0, G, 1, 1, own)
-            own = 1
-    return _potrf(G, overwrite=own)
+            G = _syrk(1.0, _trmm(1.0, L.T, BA), 1.0, G, 1, 1, 1)
+    return _factor_into(M, G)
+
+
+def _factor_into(M, G):
+    """Overwrite M with the lower Cholesky factor of its update G; return M.
+
+    On a stack, :func:`cholesky_stack` of G, assigned into M.  On a block,
+    one ``dpotrf`` in G itself: G is M unless M is not Fortran-ordered, when
+    BLAS made G a copy and the factor is copied in.
+    """
+    if M.ndim == 3:
+        M[...] = cholesky_stack(G)
+        return M
+    L = _potrf(G, overwrite=1)
+    if L is not M:
+        M[...] = L
+    return M
 
 
 def qr_cholesky_update(M, terms):
-    """Lower factor of ``M + sum W'W`` with ``W = L' BA`` by the array
-    algorithm, uncounted: the transposed :func:`qr_cholesky` triangle of
-    ``[chol(M)' ; W ...]``, one Riccati level's QR step.
+    """Overwrite M with the lower factor of ``M + sum W'W`` with
+    ``W = L' BA`` by the array algorithm, uncounted: the transposed
+    :func:`qr_cholesky` triangle of ``[chol(M)' ; W ...]``, one Riccati
+    level's QR step.
 
     Shapes and terms as in :func:`cholesky_sqrt_update`.  Per block, one
     ``dpotrf`` for ``chol(M)'`` and one triangular-pentagonal QR of it and
     its rows W (``dtpqrt`` with l = 0), whose reflectors leave the zeros
-    below the triangle alone; on stacks both work in place on one copy of
-    M.  The W rows come from one ``dtrmm`` per term on blocks and from one
-    stacked product per term on stacks.  Without rows to add, ``chol(M)'``
-    is already the triangle, so no QR runs (and on stacks ``chol(M)`` is
-    :func:`cholesky_stack`).  The rank test and the sign normalization are
-    :func:`qr_cholesky`'s (see :func:`_rank_tested`), over the ``w + sum c``
-    rows of the stack.  Inputs are not written, also when a factorization
-    fails.
+    below the triangle alone; both work in place on one copy of M, and the
+    factor is written into M in one assignment.  The W rows come from one
+    ``dtrmm`` per term on blocks and from one stacked product per term on
+    stacks.  Without rows to add, ``chol(M)'`` is already the triangle, so
+    no QR runs (and on stacks ``chol(M)`` is :func:`cholesky_stack`).  The
+    rank test and the sign normalization are :func:`qr_cholesky`'s (see
+    :func:`_rank_tested`), over the ``w + sum c`` rows of the stack.
+    Returns M.  The terms are never written, and M is not written when a
+    factorization fails.
 
     Raises
     ------
@@ -618,18 +625,18 @@ def qr_cholesky_update(M, terms):
     """
     w = M.shape[-1]
     if not w:
-        return np.zeros(M.shape)
+        return M
     terms = [(L, BA) for L, BA in terms if L.shape[-1]]
     rows = w + sum(L.shape[-1] for L, _ in terms)
     nb = min(w, _TP_NB)
     if M.ndim == 2:
-        U = _potrf(M.T, lower=0)
+        U = _potrf(M, lower=0)
         if terms:
             W = [_trmm(1.0, L_m.T, BA) for L_m, BA in terms]
             W = W[0] if len(W) == 1 else np.asfortranarray(np.concatenate(W))
             _tpqr(nb, U, W)
-        return _rank_tested(U[None], rows)[0].T
-    if not terms:
+        L = U.T
+    elif not terms:
         L = cholesky_stack(M)
     else:
         # each block's W' C-ordered, so that W is Fortran-ordered; the
@@ -641,8 +648,9 @@ def qr_cholesky_update(M, terms):
         for L_i, Wt_i in zip(L, Wt):
             _potrf(L_i.T, overwrite=1, lower=0)
             _tpqr(nb, L_i.T, Wt_i.T)
-    _rank_tested(L.transpose(0, 2, 1), rows)
-    return L
+    _rank_tested(L.swapaxes(-1, -2).reshape(-1, w, w), rows)
+    M[...] = L
+    return M
 
 
 def _tpqr(nb, U, W):

@@ -298,7 +298,8 @@ class ProblemView:
         * ``d``        the bounds with the upper sides negated, 0.0 on
                        inactive rows;
         * ``act``      the active rows (side mask on, bound finite), with
-                       ``act_float`` its 0.0/1.0 copy and ``n_act`` its count.
+                       ``act_float`` its 0.0/1.0 copy, ``n_act`` its count
+                       and ``_act2`` the mask of both halves of ``[lam | t]``.
         """
         stages = self._stages()
         self._bnd = np.concatenate([
@@ -314,8 +315,9 @@ class ProblemView:
         self.act = (self._on != 0.0) & np.isfinite(d)
         self.act_float = self.act.astype(float)
         self.n_act = int(np.count_nonzero(self.act))
+        self._act2 = np.concatenate([self.act, self.act])
         self.d = np.where(self.act, d, 0.0)
-        for const in (self._bnd, self._on, self.act, self.act_float, self.d):
+        for const in (self._bnd, self._on, self.act, self.act_float, self._act2, self.d):
             const.flags.writeable = False
 
     @cached_property
@@ -426,9 +428,12 @@ class ProblemView:
     # -- residuals --------------------------------------------------------
 
     def residuals(self, sol):
-        """KKT residuals of any point ``sol``; its masked sides are ignored.
+        """KKT residuals of any point ``sol`` (a :class:`QpSolution`); its
+        masked sides are ignored.
 
-        The four blocks are views of one buffer laid out like a solution.
+        The four blocks are views of one buffer laid out like a solution,
+        and their max norms are one reduction over it when no block is
+        empty.
         """
         ny, ne, nc = self.ny, self.ne, self.nc
         for name, n in (("y", ny), ("pi", ne), ("lam", nc), ("t", nc)):
@@ -437,8 +442,8 @@ class ProblemView:
                     f"solution {name} has shape {getattr(sol, name).shape}, "
                     f"the QP needs ({n},)"
                 )
-        lt = np.where(self.act, np.stack([sol.lam, sol.t]), 0.0)
-        lam, t = lt
+        lt = np.where(self._act2, sol.lt, 0.0)
+        lam, t = lt[:nc], lt[nc:]
         out = np.zeros(ny + ne + 2 * nc)
         r_g, r_b, r_d, r_m = split_flat(out, ny, ne, nc)
         self.stationarity(sol.y, sol.pi, lam, r_g, self.g)
@@ -448,8 +453,10 @@ class ProblemView:
         np.multiply(lam, t, out=r_m)
         mu = float(lam @ t) / self.n_act if self.n_act else 0.0
         a = np.abs(out)
-        res_g, res_b, res_d, res_m = (float(p.max(initial=0.0))
-                                      for p in split_flat(a, ny, ne, nc))
+        res_g, res_b, res_d, res_m = (
+            np.maximum.reduceat(a, [0, ny, ny + ne, ny + ne + nc]).tolist()
+            if ny and ne and nc else
+            [float(p.max(initial=0.0)) for p in split_flat(a, ny, ne, nc)])
         return QpResiduals(
             r_g=r_g, r_b=r_b, r_d=r_d, r_m=r_m,
             res_g=res_g, res_b=res_b, res_d=res_d, res_m=res_m, mu=mu,

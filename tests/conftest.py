@@ -367,10 +367,15 @@ def riccati_factor_ref(qp, iterate, arg=None, use_qr=False):
     else:
         L_root = np.zeros((0, 0))
     band = _band(vw)
-    # column-major: the factors come out of LAPACK Fortran-ordered
-    vals = np.concatenate([L.ravel(order="F") for L in fac.L_col + [L_root]])
+    # the sweep's work-buffer layout: each node's factor columns column-major
+    # at the start of its block, chol(P0) the trailing triangle of the root's
+    work = np.zeros(vw.hess_off[-1])
+    for off, L in zip(vw.hess_off, fac.L_col):
+        work[off: off + L.size] = L.ravel(order="F")
+    w0 = d.nu[0] + d.nx[0]
+    work[: w0 * w0].reshape(w0, w0).T[d.nu[0]:, d.nu[0]:] = L_root
     ab = band.ab0.copy()
-    ab.ravel()[band.dst] = vals[band.src]
+    ab.ravel()[band.dst] = work[band.src]
     fac.ab = ab.T
     fac.p_blocks = np.zeros((vw.n_node, band.p_dim, band.p_dim))
     for n, B in enumerate(fac.L_P if sqrt_mode else fac.P):

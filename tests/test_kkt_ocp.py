@@ -925,12 +925,82 @@ class TestWholeBlockFallback:
         ref = riccati_factor_ref(qp, it, arg=arg)
         band = fac.view.band
         assert len(update) == len(band.levels) and chol == []
-        root = band.dst[band.src >= band.val_off[-2]]
+        # the trailing (3, 3) triangle of the root's (5, 5) work block
+        root = band.dst[(band.src >= 2 * 6) & (band.src < fac.view.hess_off[1])]
         assert root.size == 3 * 4 // 2
         got, want = fac.ab.T.ravel()[root], ref.ab.T.ravel()[root]
         assert _close(got, want)
         L0 = np.linalg.cholesky(ref.p_matrix(0))
         assert _close(got, L0.T[np.triu_indices(3)])
+
+
+class TestReducedHessianKept:
+    """The sweep factors a copy of the reduced Hessians in place: the buffer
+    that :func:`kkt_common.reduced_hessian` returns, which the classical
+    fallback and a failed level's node-by-node rerun read, is bit for bit
+    unchanged after the sweep, whether it succeeds, falls back or fails."""
+
+    @staticmethod
+    def _sweep(monkeypatch, qp, it, **kw):
+        """The failing stage (None on success), with the buffer checked."""
+        real, kept = ko.reduced_hessian, []
+
+        def spy(*args):
+            hess = real(*args)
+            kept.append((hess, hess.copy()))
+            return hess
+
+        monkeypatch.setattr(ko, "reduced_hessian", spy)
+        stage = None
+        try:
+            ko.riccati_factor(qp, it, **kw)
+        except FactorizationFailed as exc:
+            stage = exc.stage
+        (hess, before), = kept
+        assert np.array_equal(hess, before)
+        return stage
+
+    @pytest.mark.parametrize("variant,use_qr,reg_prim", ROUTES)
+    @pytest.mark.parametrize("kind", ["ocp", "tree"])
+    def test_successful_sweep(self, rng, monkeypatch, variant, use_qr, reg_prim,
+                              kind):
+        qp = (rand_ocp_qp(rng, N=5, nx=3, nu=2) if kind == "ocp"
+              else rand_tree_qp(rng, [-1, 0, 0, 1, 1, 2, 2], nx=3, nu=2))
+        arg = IpmArg(riccati_variant=variant, reg_prim=reg_prim)
+        assert self._sweep(monkeypatch, qp, rand_iterate(rng, qp), arg=arg,
+                           use_qr=use_qr) is None
+
+    @pytest.mark.parametrize("kind", ["ocp", "tree"])
+    def test_classical_fallback_and_square_root_failure(self, monkeypatch, kind):
+        # node 1's whole block is indefinite: the classical step falls back
+        # to its input block (a one-node level on the chain, a stacked one
+        # on the tree), the square-root step fails there
+        fb = TestWholeBlockFallback
+        qp = _chain(**fb.CHAIN) if kind == "ocp" else _scalar_tree(**fb.TREE)
+        it = QpSolution(make_view(qp))
+        reduced = _spy(monkeypatch, "cholesky_solve_stack")
+        assert self._sweep(monkeypatch, qp, it) is None
+        assert reduced == [1 if kind == "ocp" else 2]
+        assert self._sweep(monkeypatch, qp, it,
+                           arg=IpmArg(riccati_variant="square_root")) == 1
+
+    @pytest.mark.parametrize("kind", ["ocp", "tree"])
+    def test_qr_rank_failure(self, rng, monkeypatch, kind):
+        # a node Hessian with a direction of curvature 1e-40 that no row of
+        # its stack reaches: a leaf, the last of a chain or one of the
+        # stacked level {3, 4, 5, 6} of a tree
+        if kind == "ocp":
+            qp, bad = rand_ocp_qp(rng, N=3, nx=3, nu=2), 3
+        else:
+            qp, bad = rand_tree_qp(rng, [-1, 0, 0, 1, 1, 2, 2], nx=3, nu=2), 4
+            qp.set_field("R", bad, np.eye(2))
+            qp.set_field("S", bad, np.zeros((2, 3)))
+        qp.set_field("Q", bad, np.diag([1.0, 1.0, 1e-40]))
+        m = qp.dim.nb[bad] + qp.dim.ng[bad]
+        qp.set_field("maskl", bad, np.zeros(m))
+        qp.set_field("masku", bad, np.zeros(m))
+        assert self._sweep(monkeypatch, qp, rand_iterate(rng, qp),
+                           use_qr=True) == bad
 
 
 def _mass_spring_tree(masses=3, horizon=8, branch_levels=2):

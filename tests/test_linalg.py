@@ -561,12 +561,13 @@ class TestUpdateKernels:
         G = M + sum((np.swapaxes(BA, -1, -2) @ P @ BA for P, _, BA in terms),
                     np.zeros_like(M))
         ref = np.linalg.cholesky(G) if w else np.zeros(G.shape)
-        L = cholesky_update(M, [(P, BA) for P, _, BA in terms])
-        assert L.shape == M.shape and _close_rel(L, ref)
-        L = cholesky_sqrt_update(M, [(L_m, BA) for _, L_m, BA in terms])
-        assert L.shape == M.shape and _close_rel(L, ref)
-        L = qr_cholesky_update(M, [(L_m, BA) for _, L_m, BA in terms])
-        assert L.shape == M.shape and _close_rel(L, ref)
+        # each kernel overwrites its M with the factor and returns it
+        for kernel, use in (
+                (cholesky_update, [(P, BA) for P, _, BA in terms]),
+                (cholesky_sqrt_update, [(L_m, BA) for _, L_m, BA in terms]),
+                (qr_cholesky_update, [(L_m, BA) for _, L_m, BA in terms])):
+            L = M.copy(order="K")
+            assert kernel(L, use) is L and _close_rel(L, ref)
         if w:
             S = _sqrt_rows(M, terms)
             R = qr_cholesky_stack(S if k is not None else S[None])
@@ -574,29 +575,52 @@ class TestUpdateKernels:
         for X in (L, ref):
             assert np.array_equal(X, np.tril(X))
 
+    @pytest.mark.parametrize("cs", [(3, 2), ()])
+    @pytest.mark.parametrize("kernel", [cholesky_update, cholesky_sqrt_update])
+    def test_fortran_block_is_factored_in_place(self, monkeypatch, kernel, cs):
+        # BLAS adds the terms to M itself and dpotrf factors it there: the
+        # matrix dpotrf is given, and the one it returns, are M
+        rng = np.random.default_rng(35)
+        M, terms = _update_case(rng, None, 5, cs, "F")
+        use = [(P if kernel is cholesky_update else L, BA) for P, L, BA in terms]
+        real, seen = linalg._potrf, []
+
+        def potrf(A, **kw):
+            L = real(A, **kw)
+            seen.append(A is M and L is M)
+            return L
+
+        monkeypatch.setattr(linalg, "_potrf", potrf)
+        kernel(M, use)
+        assert seen == [True]
+
     @pytest.mark.parametrize("k", SHAPES)
     def test_qr_without_rows_is_the_cholesky_factor(self, k):
         # a leaf: chol(M)' is already triangular, so the factor is chol(M)
         # with the rank test, exactly
         rng = np.random.default_rng(31)
         M, _ = _update_case(rng, k, 4, (), "C")
-        L = qr_cholesky_update(M, [])
         want = cholesky_stack(M if k is not None else M[None])
+        L = qr_cholesky_update(M, [])
         assert np.array_equal(L, want.reshape(M.shape))
+        assert np.array_equal(M, L)
 
     @pytest.mark.parametrize("k", SHAPES)
     @pytest.mark.parametrize("route", ["classical", "square_root", "qr"])
     def test_failure_leaves_inputs_unwritten(self, k, route):
+        # the terms; M is the kernels' to overwrite, and the sweep keeps
+        # the reduced Hessians it copies M from (see test_kkt_ocp's
+        # TestReducedHessianKept)
         rng = np.random.default_rng(32)
         M, terms = _update_case(rng, k, 4, (3, 2), "F")
         M[..., 1, 1] = -100.0
         use = [(P if route == "classical" else L, BA) for P, L, BA in terms]
         kernel = {"classical": cholesky_update, "square_root": cholesky_sqrt_update,
                   "qr": qr_cholesky_update}[route]
-        before = [M.copy()] + [X.copy() for t in use for X in t]
+        before = [X.copy() for t in use for X in t]
         with pytest.raises(NotPositiveDefinite):
             kernel(M, use)
-        after = [M] + [X for t in use for X in t]
+        after = [X for t in use for X in t]
         assert all(np.array_equal(a, b) for a, b in zip(after, before))
 
     @pytest.mark.parametrize("k", SHAPES)

@@ -209,6 +209,21 @@ class TestFusedProducts:
             assert norm == pytest.approx(np.max(np.abs(r), initial=0.0),
                                          rel=PRODUCT_RTOL, abs=0.0)
 
+    @pytest.mark.parametrize("ne,nb,ng,ns", [(2, 3, 2, 2), (0, 3, 2, 2),
+                                             (2, 0, 0, 0), (0, 0, 0, 0)])
+    def test_norms_are_the_block_maxima(self, rng, ne, nb, ng, ns):
+        # one reduction over the buffer when no block is empty, a maximum
+        # per block when the QP has no equality (ne = 0) or no inequality
+        # (nc = 0) rows: the same bits either way
+        qp = rand_dense_qp(rng, ne=ne, nb=nb, ng=ng, ns=ns)
+        vw = make_view(qp)
+        assert (vw.ne, vw.nc > 0) == (ne, nb + ng > 0)
+        res = vw.residuals(_point(qp, 7))
+        for norm, r in ((res.res_g, res.r_g), (res.res_b, res.r_b),
+                        (res.res_d, res.r_d), (res.res_m, res.r_m)):
+            assert type(norm) is float
+            assert norm == float(np.max(np.abs(r), initial=0.0))
+
     @settings(max_examples=100)
     @given(random_qps(), st.integers(0, 2**32 - 1))
     def test_kkt_apply_matches_separate_products(self, qp, seed):
