@@ -30,30 +30,41 @@ and the ``nx`` of their children form a level, and a level of k nodes is
 one step with one kernel call on (k, ., .) stacks.  A chain is a tree
 with one node per level, so its steps have k = 1 and call BLAS and LAPACK
 on the node's own blocks; a scenario tree's levels stack its branches.  The
-schedule and the band layout of the vector solve are constants of the
-view: :class:`RiccatiBand` is built on the first factorization of a view
-and kept on it as ``band``, so that the view's bound-write copies share it.
-Everything else is done once per factorization or once per view:
+schedule, the band layout of the vector solve and the sweep's workspace
+are constants of the view: :class:`RiccatiBand` is built on the first
+factorization of a view and kept on it as ``band``, so that the view's
+bound-write copies share it.  Everything else is done once per
+factorization or once per view:
 
 * the augmented node Hessians ``M[n]`` of all nodes are formed in one pass
   over a flat buffer (:func:`kkt_common.reduced_hessian`): a copy of the
   view's symmetrized base Hessians ``[[R S] [S' Q]]``, one scatter of the
   box rows' coefficients, the general rows' Gram terms and the primal
-  regularization.  The sweep copies the buffer once into a work buffer
-  (:attr:`RiccatiFactor.work`) and keeps the original for its fallbacks;
+  regularization.  The sweep copies the buffer once into the work buffer
+  of its workspace and keeps the original for its fallbacks;
 * the schedule, its slices and index arrays, and the edges' ``[B A]``
   stacked per level and out-edge slot are built once per QP revision;
+* the workspace (:class:`RiccatiWorkspace`) is built on the view's first
+  factorization and checked out by each sweep: the work buffer, one
+  stacked cost-to-go buffer, and every level's step arguments
+  (:meth:`RiccatiLevel.args`) prepared once as views of the two.  A level
+  that picks its nodes or children by an index array (a tree not numbered
+  breadth-first) gets copies from fancy indexing, so its arguments are
+  built at each step and written back.  A factorization that finds the
+  workspace checked out (nested or concurrent, on the same view) builds
+  its own;
 * a level overwrites its nodes' blocks of the work buffer with their
   Cholesky factors, each column-major: it reads them as one (k, w, w)
-  stack of Fortran-ordered blocks, a view of the buffer where the nodes are
-  numbered consecutively (breadth-first).  Node n's factor columns
-  ``[L_uu; L_xu]`` are then the first ``nu w`` entries of its block, and
-  the root block's trailing triangle is ``chol(P[0])``; the band matrix of
-  the vector solve is filled from there in one gather.  The level writes
-  its nodes' cost-to-go blocks (``P[n]``, or ``chol(P[n])`` on the
-  square-root and QR routes) in one assignment into their slots of one
-  stacked buffer (:attr:`RiccatiFactor.p_blocks`, laid out by
-  ``RiccatiBand.p_dim``), from which its parents' level reads them;
+  stack of Fortran-ordered blocks.  Node n's factor columns ``[L_uu;
+  L_xu]`` are then the first ``nu w`` entries of its block, and the root
+  block's trailing triangle is ``chol(P[0])``.  The level writes its
+  nodes' cost-to-go blocks (``P[n]``, or ``chol(P[n])`` on the square-root
+  and QR routes) in one assignment into their slots of the stacked buffer
+  (laid out by ``RiccatiBand.p_dim``), from which its parents' level reads
+  them.  After the sweep the factor takes its own copies of both buffers
+  (:attr:`RiccatiFactor.work`, :attr:`RiccatiFactor.p_blocks`), so that no
+  two factors share memory, and the band matrix of the vector solve is
+  filled from the factor blocks in one gather;
 * the gains ``K[n] = -L_uu^-T L_xu'`` are not needed by the solve and are
   formed when :attr:`RiccatiFactor.K` is first read (``feedback_gains``,
   tests); their triangular solves are counted then;
@@ -69,9 +80,10 @@ triangle of ``[chol(M)' ; W ...]``, which holds the rank test and the sign
 normalization).  On a one-node level (every level of a chain, a tree's
 root) the kernel calls BLAS and LAPACK on the node's own blocks, with the
 ``[B A]`` blocks stored column-major once per view so that they reach BLAS
-uncopied: ``dsymm``, ``dgemm`` and ``dpotrf`` (classical) and ``dtrmm``,
-``dsyrk`` and ``dpotrf`` (square root) work in the node's work block
-itself, so that no copy of M and no new factor array is made; ``dpotrf``,
+uncopied, and with no helper call in between: ``dsymm``, ``dgemm`` and
+``dpotrf`` (classical) and ``dtrmm``, ``dsyrk`` and ``dpotrf`` (square
+root) work in the node's work block itself, so that no copy of M and no
+new factor array is made; ``dpotrf``,
 ``dtrmm`` and one ``dtpqrt`` (QR) work on a copy, which is written back
 in one assignment.  On a stacked level the kernel works on (k, ., .)
 stacks and assigns the factors into the blocks, and the QR runs one
@@ -179,7 +191,9 @@ __all__ = [
 class RiccatiFactor:
     """Backward Riccati factorization of one OCP or tree QP at one iterate.
 
-    The factorization writes two buffers: ``work``, laid out like the
+    It holds its own copies of the two buffers of the sweep's workspace
+    (:class:`RiccatiWorkspace`), taken after the sweep, so that a later
+    factorization of the view leaves it alone: ``work``, laid out like the
     reduced Hessians (``view.hess_off``), where every node's (w, w) block
     holds its Cholesky factor column-major, so that its factor columns
     ``[L_uu; L_xu]`` are the block's first ``nu w`` entries and the root
@@ -194,8 +208,7 @@ class RiccatiFactor:
         self.view = view
         self.scales = view_scales(view, iterate.lam, iterate.t)
         self.work = None             # the factored node blocks
-        p = view.band.p_dim
-        self.p_blocks = np.zeros((view.n_node, p, p))
+        self.p_blocks = None         # the cost-to-go blocks
         self.ab = None               # band storage of the solve matrix T
         self.sqrt = False
 
@@ -240,8 +253,10 @@ def riccati_factor(qp, iterate, arg=None, use_qr=False):
     Works on an :class:`OcpQp` (a chain) and on a :class:`TreeOcpQp` alike.
     The route is ``arg.riccati_variant``; ``use_qr`` switches every node to
     the QR array algorithm (which implies the square-root algebra).  The
-    sweep walks the view's level schedule (``RiccatiBand.levels``) and
-    counts its flops in one call.
+    sweep checks the view's workspace out (``RiccatiBand.spare``; a new
+    one if none is spare) and hands it back when done, also on a failure;
+    it walks the level schedule (``RiccatiBand.levels``) on the arguments
+    prepared in the workspace and counts its flops in one call.
 
     Raises
     ------
@@ -263,43 +278,58 @@ def riccati_factor(qp, iterate, arg=None, use_qr=False):
     route = "qr" if use_qr else arg.riccati_variant
     fac.sqrt = sqrt_mode = route != "classical"
     hess = reduced_hessian(vw, fac.scales, arg.reg_prim)
-    fac.work = work = hess.copy()
-    P = fac.p_blocks
-    done = band.flops[route]
-    for i, lv in enumerate(band.levels):
-        try:
-            L_P = _level_step(lv, route, hess, work, P)
-        except (NotPositiveDefinite, RankDeficient) as exc:
-            L_P = None
-            _level_failed(vw, lv, route, hess, work, P, done[i], exc)
-    # the last level is the root's; unless a classical root fell back to
-    # its input block, the trailing triangle of its factor is chol(P[0])
-    nu0, nx0 = int(qp.dim.nu[0]), int(qp.dim.nx[0])
-    count_flops(done[-1] if sqrt_mode else done[-1] + nx0 ** 3 // 3)
-    if L_P is None and nx0:
-        root = band.levels[-1]
-        try:
-            work[root.hess].reshape(root.shape).T[nu0:, nu0:] = \
-                cholesky_stack(P[None, 0, :nx0, :nx0])[0]
-        except NotPositiveDefinite as exc:
-            raise FactorizationFailed(
-                f"cost-to-go matrix not positive definite at stage 0: {exc}",
-                stage=0,
-            ) from None
+    # check the view's workspace out for this sweep; a nested or concurrent
+    # factorization of the view finds none spare and builds its own
+    try:
+        ws = band.spare.pop()
+    except IndexError:
+        ws = RiccatiWorkspace(vw, band)
+    try:
+        work, P = ws.work, ws.p
+        np.copyto(work, hess)
+        done = band.flops[route]
+        for i, (lv, args) in enumerate(zip(band.levels, ws.steps)):
+            try:
+                L_P = _level_step(lv, route, hess, work, P, args)
+            except (NotPositiveDefinite, RankDeficient) as exc:
+                L_P = None
+                _level_failed(vw, lv, route, hess, work, P, done[i], exc)
+        # the last level is the root's; unless a classical root fell back
+        # to its input block, the trailing triangle of its factor is chol(P[0])
+        nu0, nx0 = int(qp.dim.nu[0]), int(qp.dim.nx[0])
+        count_flops(done[-1] if sqrt_mode else done[-1] + nx0 ** 3 // 3)
+        if L_P is None and nx0:
+            root = band.levels[-1]
+            try:
+                work[root.hess].reshape(root.shape).T[nu0:, nu0:] = \
+                    cholesky_stack(P[None, 0, :nx0, :nx0])[0]
+            except NotPositiveDefinite as exc:
+                raise FactorizationFailed(
+                    f"cost-to-go matrix not positive definite at stage 0: {exc}",
+                    stage=0,
+                ) from None
+        fac.work, fac.p_blocks = work.copy(), P.copy()
+    finally:
+        band.spare.append(ws)
     ab = band.ab0.copy()
-    ab.ravel()[band.dst] = work[band.src]
+    ab.ravel()[band.dst] = fac.work[band.src]
     fac.ab = ab.T
     return fac
 
 
-def _level_step(lv, route, hess, work, P):
+def _level_step(lv, route, hess, work, P, args=None):
     """Factor the k nodes of one level: one call of the route's update kernel.
 
     Overwrites the nodes' blocks of ``work``, a copy of ``hess`` on entry,
     with their Cholesky factors, each column-major, and writes their P
     (classical) or chol(P) blocks into ``P``; reads their children's blocks
     from ``P`` and, on a classical fallback, their reduced Hessians from
-    ``hess`` (never written).  Returns the nodes' chol(P) blocks (shaped as
+    ``hess`` (never written).  ``args`` are the level's arguments on
+    ``work`` and ``P`` (:meth:`RiccatiLevel.args`) prepared in the
+    workspace; without them they are built here, and written back where
+    fancy indexing made copies.  On prepared arguments a one-node step is
+    its kernel's BLAS and LAPACK calls and, on the classical route, one
+    product into its slot.  Returns the nodes' chol(P) blocks (shaped as
     ``lv.shape``), or None where a classical level fell back to its input
     blocks.
 
@@ -319,32 +349,22 @@ def _level_step(lv, route, hess, work, P):
     NotPositiveDefinite, RankDeficient
         From the :mod:`linalg` update kernels.
     """
-    nu = lv.nu
-    # the blocks Fortran-ordered: a view of work unless the nodes are not
-    # consecutive, when the blocks are written back
-    M = work[lv.hess].reshape(lv.shape).swapaxes(-1, -2)
-    terms = [(P[i], BA) for i, BA in lv.terms]
-    L = None
+    M, terms, L_P, L_Pt, P_n = args or lv.args(work, P)
     if route == "classical":
         try:
-            L = cholesky_update(M, terms)
+            cholesky_update(M, terms)
         except NotPositiveDefinite:
-            _reduced_step(lv, hess[lv.hess].reshape(lv.shape), terms, M, P)
-    elif route == "qr":
-        L = qr_cholesky_update(M, terms)
+            _reduced_step(lv, hess[lv.hess].reshape(lv.shape), terms, M, P_n)
+            L_P = None
+        else:
+            np.matmul(L_P, L_Pt, out=P_n)
     else:
-        L = cholesky_sqrt_update(M, terms)
-    if not isinstance(lv.hess, slice):
+        (qr_cholesky_update if route == "qr" else cholesky_sqrt_update)(M, terms)
+        P_n[...] = L_P
+    if not lv.views:
+        # fancy indexing made M and P_n copies: write them back
         work[lv.hess] = M.swapaxes(-1, -2).ravel()
-    if L is None:
-        return None
-    L_P = L[..., nu:, nu:]
-    if route != "classical":
-        P[lv.p] = L_P
-    elif lv.k == 1:
-        np.matmul(L_P, L_P.T, out=P[lv.p])
-    else:
-        P[lv.p] = L_P @ L_P.transpose(0, 2, 1)
+        P[lv.p] = P_n
     return L_P
 
 
@@ -353,7 +373,9 @@ def _reduced_step(lv, M, terms, out, P):
     ``G = M + sum BA' P BA`` are not all positive definite: one Cholesky of
     the ``G_uu`` blocks with the triangular solve for ``X = L_uu^-1 G_ux``,
     one ``X'X`` and ``P = G_xx - X'X``, symmetrized.  The factor columns
-    ``[L_uu; X']`` go into the first nu columns of the blocks ``out``.
+    ``[L_uu; X']`` go into the first nu columns of the blocks ``out``, and
+    P into the nodes' cost-to-go blocks ``P`` (shaped as ``out``'s trailing
+    blocks).
 
     Raises
     ------
@@ -362,7 +384,7 @@ def _reduced_step(lv, M, terms, out, P):
     """
     nu = lv.nu
     if M.ndim == 2:
-        M, out = M[None], out[None]
+        M, out, P = M[None], out[None], P[None]
         terms = [(P_m[None], BA[None]) for P_m, BA in terms]
     G = M
     for P_m, BA in terms:
@@ -371,7 +393,7 @@ def _reduced_step(lv, M, terms, out, P):
         L, X = cholesky_solve_stack(G[:, :nu, :nu], G[:, :nu, nu:])
         G = G[:, nu:, nu:] - X.transpose(0, 2, 1) @ X
         out[:, :, :nu] = np.concatenate([L, X.transpose(0, 2, 1)], axis=1)
-    P[lv.p] = 0.5 * (G + G.transpose(0, 2, 1))
+    P[...] = 0.5 * (G + G.transpose(0, 2, 1))
 
 
 def _level_failed(view, lv, route, hess, work, P, counted, exc):
@@ -414,7 +436,7 @@ def _band(view):
 
 class RiccatiBand:
     """The Riccati recursion's constants: its factor sweep's level schedule
-    and the band layout of its vector-solve matrix T.
+    and workspace, and the band layout of its vector-solve matrix T.
 
     The nodes are laid out in reverse order (every child before its parent),
     each node n as ``[l_n | s_n]`` over its window ``(u_n, x_n)``, so that T
@@ -453,7 +475,10 @@ class RiccatiBand:
                    ``matmul``;
     * ``p_pos``    positions of the pi entries in a vector of the edges'
                    padded (n_node - 1, p_dim) blocks: a slice when every
-                   non-root node has ``nx = p_dim``, else an index array.
+                   non-root node has ``nx = p_dim``, else an index array;
+    * ``spare``    the :class:`RiccatiWorkspace` objects not checked out by
+                   a sweep: the one built on the view's first factorization,
+                   reused by every later one.
     """
 
     def __init__(self, view):
@@ -522,6 +547,38 @@ class RiccatiBand:
             for lv in self.levels:
                 cum.append(cum[-1] + lv.k * lv.flops[route][0])
             self.flops[route] = cum
+        self.spare = _Spare()
+
+
+class _Spare(list):
+    """A band's spare :class:`RiccatiWorkspace` objects.  Copies and pickles
+    of it are empty: copying a workspace would detach its prepared views
+    from its buffers."""
+
+    def __reduce__(self):
+        return _Spare, ()
+
+
+class RiccatiWorkspace:
+    """The buffers of one factor sweep, and every level's step arguments
+    prepared on them.
+
+    * ``work``   laid out like the reduced Hessians (``view.hess_off``);
+    * ``p``      the stacked cost-to-go blocks, laid out like
+                 :attr:`RiccatiFactor.p_blocks` (zero outside them);
+    * ``steps``  per level, :meth:`RiccatiLevel.args` on the two buffers,
+                 built once; None for a level that picks its nodes or
+                 children by an index array, whose arguments fancy indexing
+                 copies, so that they are built at every step.
+    """
+
+    __slots__ = ("work", "p", "steps")
+
+    def __init__(self, view, band):
+        self.work = np.empty(int(view.hess_off[-1]))
+        self.p = np.zeros((view.n_node, band.p_dim, band.p_dim))
+        self.steps = [lv.args(self.work, self.p) if lv.views else None
+                      for lv in band.levels]
 
 
 def _sel(ids):
@@ -560,6 +617,9 @@ class RiccatiLevel:
                    index of the children's blocks in the cost-to-go buffer,
                    as ``p``, and on a one-node level BA the (nx_child, w)
                    block;
+    * ``views``    whether every selector is a slice or an int, so that the
+                   step's arguments on a sweep's buffers (:meth:`args`) are
+                   views of them, prepared once per workspace;
     * ``flops``    nominal counts per node and route, ``(full, at a
                    Cholesky failure)``: those of the :mod:`linalg` kernels
                    the step's calls stand in for.  A failed rank test comes
@@ -567,7 +627,7 @@ class RiccatiLevel:
     """
 
     __slots__ = ("nodes", "k", "nu", "w", "shape", "hess", "p", "edges",
-                 "terms", "flops")
+                 "terms", "views", "flops")
 
     def __init__(self, view, nodes):
         d = view.qp.dim
@@ -597,6 +657,8 @@ class RiccatiLevel:
             self.edges.append((_sel([o[j][0] for o in out]), int(d.nx[m]), BA))
         self.terms = [((sel if k > 1 else sel.start, slice(c), slice(c)),
                        BA if k > 1 else BA[0]) for sel, c, BA in self.edges]
+        self.views = isinstance(self.hess, slice) and not any(
+            isinstance(sel, np.ndarray) for sel, _, _ in self.edges)
         c = [e[1] for e in self.edges]
         edge_cl = sum(2 * ci * w * (ci + w) for ci in c)
         edge_sq = sum(2 * ci * ci * w for ci in c) + w ** 3 // 3
@@ -608,6 +670,17 @@ class RiccatiLevel:
             "qr": (edge_sq + max(0, 2 * m * w * w - (2 * w ** 3) // 3), edge_sq),
         }
 
+    def args(self, work, P):
+        """The step's arguments on a sweep's buffers: ``(M, terms, L_P,
+        L_P', P_n)``, the nodes' blocks of ``work`` Fortran-ordered, the
+        ``(P[i], BA)`` of ``terms``, the blocks' trailing (nx, nx) factors
+        and their transposes, and the nodes' blocks of ``P``.  Views of the
+        buffers if ``views``, else partly copies."""
+        M = work[self.hess].reshape(self.shape).swapaxes(-1, -2)
+        L_P = M[..., self.nu:, self.nu:]
+        return (M, [(P[i], BA) for i, BA in self.terms], L_P,
+                L_P.swapaxes(-1, -2), P[self.p])
+
 
 def _p_apply(fac, vec):
     """``P_m @ vec_m`` for every edge block of a vector laid out like pi.
@@ -617,8 +690,11 @@ def _p_apply(fac, vec):
     """
     band = fac.view.band
     P = fac.p_blocks[1:]
-    v = np.zeros(P.shape[0] * band.p_dim)
-    v[band.p_pos] = vec
+    # with every edge block full, vec is the blocks as it is
+    v = vec
+    if not isinstance(band.p_pos, slice):
+        v = np.zeros(P.shape[0] * band.p_dim)
+        v[band.p_pos] = vec
     v = v.reshape(P.shape[0], band.p_dim, 1)
     if fac.sqrt:
         v = P.transpose(0, 2, 1) @ v

@@ -68,9 +68,12 @@ stacked products and factor by :func:`cholesky_stack`, the QR by one
 ``dpotrf`` and one ``dtpqrt`` (l = 0) per block, and assign the factors
 into M; on one Fortran-ordered (w, w) block the Cholesky routes call BLAS
 and LAPACK on M itself, which ends up holding the factor with no copy made
-(``dsymm``/``dgemm`` or ``dtrmm``/``dsyrk``, then ``dpotrf``).  Their BLAS
-and LAPACK arguments are positional, as the wrappers parse keywords
-slower.
+(``dsymm``/``dgemm`` or ``dtrmm``/``dsyrk``, then ``dpotrf``).  That block
+path makes its calls directly on the arguments it is given, with no helper
+frame (the ``dpotrf`` return code goes to :func:`_potrf_failed` only when it
+is nonzero): on the small blocks of a chain, a Python frame or a view per
+call costs a sizeable part of the BLAS calls themselves.  Their BLAS and
+LAPACK arguments are positional, as the wrappers parse keywords slower.
 """
 
 from __future__ import annotations
@@ -200,13 +203,18 @@ def _potrf(A, overwrite=0, lower=1):
     # positional (lower, clean, overwrite_a): the wrappers parse keywords
     # slower, which shows on the blocks of a Riccati level
     L, info = _dpotrf(A, lower, 1, overwrite)
+    if info:
+        _potrf_failed(info)
+    return L
+
+
+def _potrf_failed(info):
+    """Raise for the nonzero return code ``info`` of ``dpotrf``."""
     if info > 0:
         raise NotPositiveDefinite(
             f"{info}-th leading minor of the array is not positive definite"
         )
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of dpotrf")
-    return L
+    raise ValueError(f"illegal value in argument {-info} of dpotrf")
 
 
 @lru_cache(maxsize=64)
@@ -533,8 +541,11 @@ def cholesky_update(M, terms):
     (reading one triangle of P) and one ``dgemm`` (beta = 1) adding
     ``BA' (P BA)`` to M, then one ``dpotrf``: on a Fortran-ordered M (the
     transposed view of a C-ordered block) both work in M itself, and a
-    column-major BA and C-ordered P reach BLAS uncopied.  On a stack, the
-    products are stacked matrix products, the factorization is
+    column-major BA and C-ordered P reach BLAS uncopied.  These calls are
+    made on the arguments as given, with no helper call in between, so a
+    caller that prepares its views once (the Riccati sweep's workspace, see
+    :mod:`kkt_ocp`) pays for little more than BLAS and LAPACK.  On a stack,
+    the products are stacked matrix products, the factorization is
     :func:`cholesky_stack` and the factors are written into M in one
     assignment.  Returns M.  The terms are never written; M is, also when
     the factorization fails.
@@ -545,13 +556,22 @@ def cholesky_update(M, terms):
         If a block of the updated matrix is not positive definite.
     """
     G = M
-    for P, BA in terms:
-        if M.ndim == 3:
+    if M.ndim == 3:
+        for P, BA in terms:
             G = G + BA.transpose(0, 2, 1) @ (P @ BA)
-        elif BA.size:
+        M[...] = cholesky_stack(G)
+        return M
+    for P, BA in terms:
+        if BA.size:
             # BA' (P BA) + G: (beta, c, trans_a, trans_b, overwrite_c)
             G = _gemm(1.0, BA, _symm(1.0, P.T, BA), 1.0, G, 1, 0, 1)
-    return _factor_into(M, G)
+    # (lower, clean, overwrite_a); G is M unless M is not Fortran-ordered
+    G, info = _dpotrf(G, 1, 1, 1)
+    if info:
+        _potrf_failed(info)
+    if G is not M:
+        M[...] = G
+    return M
 
 
 def cholesky_sqrt_update(M, terms):
@@ -562,7 +582,7 @@ def cholesky_sqrt_update(M, terms):
     Shapes, layouts and writes as in :func:`cholesky_update`, with L lower
     triangular.  On a block, per term one ``dtrmm`` for W and one ``dsyrk``
     (beta = 1) adding ``W'W`` to the lower triangle of M, then one
-    ``dpotrf``.
+    ``dpotrf``, with no helper call in between.
 
     Raises
     ------
@@ -570,30 +590,22 @@ def cholesky_sqrt_update(M, terms):
         If a block of the updated matrix is not positive definite.
     """
     G = M
-    for L, BA in terms:
-        if M.ndim == 3:
+    if M.ndim == 3:
+        for L, BA in terms:
             W = L.transpose(0, 2, 1) @ BA
             G = G + W.transpose(0, 2, 1) @ W
-        elif BA.size:
+        M[...] = cholesky_stack(G)
+        return M
+    for L, BA in terms:
+        if BA.size:
             # W'W + G on the lower triangle: (beta, c, trans, lower,
             # overwrite_c)
             G = _syrk(1.0, _trmm(1.0, L.T, BA), 1.0, G, 1, 1, 1)
-    return _factor_into(M, G)
-
-
-def _factor_into(M, G):
-    """Overwrite M with the lower Cholesky factor of its update G; return M.
-
-    On a stack, :func:`cholesky_stack` of G, assigned into M.  On a block,
-    one ``dpotrf`` in G itself: G is M unless M is not Fortran-ordered, when
-    BLAS made G a copy and the factor is copied in.
-    """
-    if M.ndim == 3:
-        M[...] = cholesky_stack(G)
-        return M
-    L = _potrf(G, overwrite=1)
-    if L is not M:
-        M[...] = L
+    G, info = _dpotrf(G, 1, 1, 1)
+    if info:
+        _potrf_failed(info)
+    if G is not M:
+        M[...] = G
     return M
 
 
@@ -609,10 +621,11 @@ def qr_cholesky_update(M, terms):
     below the triangle alone; both work in place on one copy of M, and the
     factor is written into M in one assignment.  The W rows come from one
     ``dtrmm`` per term on blocks and from one stacked product per term on
-    stacks.  Without rows to add, ``chol(M)'`` is already the triangle, so
-    no QR runs (and on stacks ``chol(M)`` is :func:`cholesky_stack`).  The
-    rank test and the sign normalization are :func:`qr_cholesky`'s (see
-    :func:`_rank_tested`), over the ``w + sum c`` rows of the stack.
+    stacks; on a block ``dpotrf`` is called directly.  Without rows to add,
+    ``chol(M)'`` is already the triangle, so no QR runs (and on stacks
+    ``chol(M)`` is :func:`cholesky_stack`).  The rank test and the sign
+    normalization are :func:`qr_cholesky`'s (see :func:`_rank_tested`),
+    over the ``w + sum c`` rows of the stack.
     Returns M.  The terms are never written, and M is not written when a
     factorization fails.
 
@@ -630,7 +643,10 @@ def qr_cholesky_update(M, terms):
     rows = w + sum(L.shape[-1] for L, _ in terms)
     nb = min(w, _TP_NB)
     if M.ndim == 2:
-        U = _potrf(M, lower=0)
+        # (lower, clean, overwrite_a): U is a Fortran-ordered copy
+        U, info = _dpotrf(M, 0, 1, 0)
+        if info:
+            _potrf_failed(info)
         if terms:
             W = [_trmm(1.0, L_m.T, BA) for L_m, BA in terms]
             W = W[0] if len(W) == 1 else np.asfortranarray(np.concatenate(W))

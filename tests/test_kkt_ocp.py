@@ -1196,3 +1196,222 @@ class TestApplyAndFlops:
         c8, c16, c32 = count(8), count(16), count(32)
         assert 1.9 <= c16 / c8 <= 2.1
         assert 1.9 <= c32 / c16 <= 2.1
+
+
+def _matches_reference(qp, fac, ref):
+    """``fac`` against the reference sweep's factor, at ``SWEEP_RTOL``."""
+    for n in range(len(ref.P)):
+        assert _close(fac.L_uu[n], ref.L_uu[n])
+        assert _close(fac.L_xu[n], ref.L_col[n][qp.dim.nu[n]:])
+        assert _close(fac.p_matrix(n), ref.p_matrix(n))
+        assert _close(fac.K[n], ref.K[n])
+    assert _close(fac.ab, ref.ab)
+
+
+def _workspace_qp(seed, kind):
+    """A chain or a breadth-first tree with stacked levels, from a seed."""
+    rng = np.random.default_rng(seed)
+    return (rand_ocp_qp(rng, N=5, nx=3, nu=2) if kind == "ocp"
+            else rand_tree_qp(rng, [-1, 0, 0, 1, 1, 2, 2], nx=3, nu=2))
+
+
+class TestWorkspace:
+    """The sweep runs on a workspace kept on the view's band: built on the
+    view's first factorization, reused by every later one and handed back
+    also when a factorization fails.  Each factor holds its own copies of
+    the buffers, so a later factorization of the view leaves it alone."""
+
+    @staticmethod
+    def _spare(qp):
+        ws, = ko._band(make_view(qp)).spare
+        return ws
+
+    @pytest.mark.parametrize("kind", ["ocp", "tree"])
+    def test_consecutive_factorizations_reuse_the_buffers(self, rng, kind):
+        qp = _workspace_qp(40, kind)
+        first = ko.riccati_factor(qp, rand_iterate(rng, qp))
+        ws = self._spare(qp)
+        work, p, steps = ws.work, ws.p, ws.steps
+        assert all(np.shares_memory(args[0], work) for args in steps)
+        second = ko.riccati_factor(qp, rand_iterate(rng, qp))
+        assert self._spare(qp) is ws
+        assert ws.work is work and ws.p is p and ws.steps is steps
+        for fac in (first, second):
+            assert not np.shares_memory(fac.work, work)
+            assert not np.shares_memory(fac.p_blocks, p)
+        assert not np.shares_memory(first.work, second.work)
+
+    @pytest.mark.parametrize("variant,use_qr,reg_prim", ROUTES)
+    @pytest.mark.parametrize("kind", ["ocp", "tree"])
+    def test_each_factor_owns_its_buffers(self, rng, kind, variant, use_qr,
+                                          reg_prim):
+        # A at iterate 1, then B at iterate 2 on the same view: A's reads
+        # are those of a fresh view's factor at iterate 1, bit for bit
+        kw = dict(use_qr=use_qr, arg=IpmArg(riccati_variant=variant, reg_prim=reg_prim))
+        qp, twin = _workspace_qp(41, kind), _workspace_qp(41, kind)
+        it1, it2 = rand_iterate(rng, qp), rand_iterate(rng, qp)
+        a = ko.riccati_factor(qp, it1, **kw)
+        ko.riccati_factor(qp, it2, **kw)
+        want = ko.riccati_factor(
+            twin, QpSolution.from_flat(make_view(twin), it1.flat()), **kw)
+        vw = a.view
+        rhs = (rng.standard_normal(vw.ny), rng.standard_normal(vw.ne),
+               rng.standard_normal(vw.nc),
+               np.where(vw.act, rng.standard_normal(vw.nc), 0.0))
+        assert np.array_equal(a.solve(*rhs).flat(), want.solve(*rhs).flat())
+        for n in range(vw.n_node):
+            assert np.array_equal(a.p_matrix(n), want.p_matrix(n))
+            assert np.array_equal(a.L_uu[n], want.L_uu[n])
+            assert np.array_equal(a.L_xu[n], want.L_xu[n])
+            assert np.array_equal(a.K[n], want.K[n])
+        assert np.array_equal(a.ab, want.ab)
+
+    def test_nested_factorization_builds_its_own(self, rng, monkeypatch):
+        # a factorization of the view inside a sweep of it finds the
+        # workspace checked out; both hand theirs back
+        qp, twin = _workspace_qp(44, "ocp"), _workspace_qp(44, "ocp")
+        it1, it2 = rand_iterate(rng, qp), rand_iterate(rng, qp)
+        ko.riccati_factor(qp, it1)
+        real, inner = ko.cholesky_update, []
+
+        def update(M, terms):
+            if not inner:
+                inner.append(None)
+                inner[0] = ko.riccati_factor(qp, it2)
+            return real(M, terms)
+
+        monkeypatch.setattr(ko, "cholesky_update", update)
+        outer = ko.riccati_factor(qp, it1)
+        monkeypatch.undo()
+        assert len(ko._band(make_view(qp)).spare) == 2
+        for fac, it in ((outer, it1), (inner[0], it2)):
+            want = ko.riccati_factor(
+                twin, QpSolution.from_flat(make_view(twin), it.flat()))
+            assert np.array_equal(fac.ab, want.ab)
+            assert np.array_equal(fac.p_blocks, want.p_blocks)
+
+    def test_concurrent_factorizations_do_not_share_a_workspace(self, rng):
+        # threads factoring one view at their own iterates, switching often:
+        # a shared workspace would mix their sweeps
+        import sys
+        import threading
+
+        qp, twin = _workspace_qp(45, "tree"), _workspace_qp(45, "tree")
+        its = [rand_iterate(rng, qp) for _ in range(6)]
+        want = [ko.riccati_factor(
+            twin, QpSolution.from_flat(make_view(twin), it.flat())).ab
+            for it in its]
+        wrong = []
+
+        def run(k):
+            for _ in range(25):
+                if not np.array_equal(ko.riccati_factor(qp, its[k]).ab, want[k]):
+                    wrong.append(k)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(k,)) for k in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+        assert 1 <= len(ko._band(make_view(qp)).spare) <= 6
+
+    def test_copied_qp_gets_its_own_workspace(self, rng):
+        # a deep copy would detach a workspace's prepared views from its
+        # buffers: the copy's band starts without one
+        import copy
+
+        qp = _workspace_qp(42, "tree")
+        it = rand_iterate(rng, qp)
+        fac = ko.riccati_factor(qp, it)
+        twin = copy.deepcopy(qp)
+        assert ko._band(make_view(twin)).spare == []
+        it_twin = QpSolution.from_flat(make_view(twin), it.flat())
+        for _ in range(2):
+            got = ko.riccati_factor(twin, it_twin)
+            assert np.array_equal(got.ab, fac.ab)
+            assert np.array_equal(got.p_blocks, fac.p_blocks)
+
+    FB = TestWholeBlockFallback
+
+    @pytest.mark.parametrize("case", [
+        # (QP, the sweep's keywords, a route that factors it, failing stage)
+        ("chain fallback", {}, {}, None),
+        ("tree fallback", {}, {}, None),
+        ("chain square root", dict(arg=IpmArg(riccati_variant="square_root")), {}, 1),
+        ("tree square root", dict(arg=IpmArg(riccati_variant="square_root")), {}, 1),
+        ("chain qr leaf", dict(use_qr=True),
+         dict(arg=IpmArg(riccati_variant="square_root")), 3),
+        ("tree qr level", dict(use_qr=True),
+         dict(arg=IpmArg(riccati_variant="square_root")), 4),
+    ], ids=lambda c: c[0])
+    def test_failure_hands_the_workspace_back(self, rng, monkeypatch, case):
+        # the cases of TestReducedHessianKept, on a view's first sweep: the
+        # workspace it builds is spare afterwards, the next factorization
+        # reuses it and matches the reference sweep
+        name, kw, then, stage = case
+        if "fallback" in name or "square root" in name:
+            qp = (_chain(**self.FB.CHAIN) if name.startswith("chain")
+                  else _scalar_tree(**self.FB.TREE))
+            it = QpSolution(make_view(qp))
+        else:
+            qp = (rand_ocp_qp(rng, N=3, nx=3, nu=2) if name.startswith("chain")
+                  else rand_tree_qp(rng, [-1, 0, 0, 1, 1, 2, 2], nx=3, nu=2))
+            if stage == 4:
+                qp.set_field("R", stage, np.eye(2))
+                qp.set_field("S", stage, np.zeros((2, 3)))
+            qp.set_field("Q", stage, np.diag([1.0, 1.0, 1e-40]))
+            m = qp.dim.nb[stage] + qp.dim.ng[stage]
+            qp.set_field("maskl", stage, np.zeros(m))
+            qp.set_field("masku", stage, np.zeros(m))
+            it = rand_iterate(rng, qp)
+        assert TestReducedHessianKept._sweep(monkeypatch, qp, it, **kw) == stage
+        monkeypatch.undo()
+        ws = self._spare(qp)
+        _matches_reference(qp, ko.riccati_factor(qp, it, **then),
+                           riccati_factor_ref(qp, it, **then))
+        assert self._spare(qp) is ws
+
+    @pytest.mark.parametrize("variant,use_qr,reg_prim", ROUTES)
+    def test_depth_first_tree_matches_reference(self, rng, variant, use_qr,
+                                                reg_prim):
+        # numbered depth first, the levels {2, 3, 5, 6} and {1, 4} are not
+        # consecutive: their selectors are index arrays, so their arguments
+        # are built at every step and written back
+        kw = dict(use_qr=use_qr, arg=IpmArg(riccati_variant=variant, reg_prim=reg_prim))
+        qp = rand_tree_qp(rng, [-1, 0, 1, 1, 0, 4, 4], nx=3, nu=2)
+        levels = ko._band(make_view(qp)).levels
+        assert [(lv.nodes, lv.views) for lv in levels] == [
+            ([2, 3, 5, 6], False), ([1, 4], False), ([0], True)]
+        for _ in range(2):      # the second on the kept workspace
+            it = rand_iterate(rng, qp)
+            _matches_reference(qp, ko.riccati_factor(qp, it, **kw),
+                               riccati_factor_ref(qp, it, **kw))
+        assert self._spare(qp).steps[:2] == [None, None]
+
+
+class TestCostToGoApply:
+    """``_p_apply`` reads a vector of full edge blocks as the blocks."""
+
+    @pytest.mark.parametrize("variant", ["classical", "square_root"])
+    @pytest.mark.parametrize("kind", ["ocp", "tree"])
+    def test_full_edge_blocks_match_the_padded_path(self, rng, monkeypatch,
+                                                    kind, variant):
+        qp = _workspace_qp(43, kind)
+        fac = ko.riccati_factor(qp, rand_iterate(rng, qp),
+                                arg=IpmArg(riccati_variant=variant))
+        band, ne = fac.view.band, fac.view.ne
+        assert band.p_pos == slice(None)
+        # contiguous, and at an offset into a larger vector as the solve's
+        # r_b is
+        vecs = [rng.standard_normal(ne), rng.standard_normal(ne + 3)[3:]]
+        got = [ko._p_apply(fac, v) for v in vecs]
+        monkeypatch.setattr(band, "p_pos", np.arange(ne))
+        for v, g in zip(vecs, got):
+            assert np.array_equal(g, ko._p_apply(fac, v))

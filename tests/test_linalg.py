@@ -583,14 +583,14 @@ class TestUpdateKernels:
         rng = np.random.default_rng(35)
         M, terms = _update_case(rng, None, 5, cs, "F")
         use = [(P if kernel is cholesky_update else L, BA) for P, L, BA in terms]
-        real, seen = linalg._potrf, []
+        real, seen = linalg._dpotrf, []
 
-        def potrf(A, **kw):
-            L = real(A, **kw)
+        def potrf(A, *args):
+            L, info = real(A, *args)
             seen.append(A is M and L is M)
-            return L
+            return L, info
 
-        monkeypatch.setattr(linalg, "_potrf", potrf)
+        monkeypatch.setattr(linalg, "_dpotrf", potrf)
         kernel(M, use)
         assert seen == [True]
 
