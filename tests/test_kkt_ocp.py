@@ -934,6 +934,23 @@ class TestWholeBlockFallback:
         assert _close(got, L0.T[np.triu_indices(3)])
 
 
+def _rank_deficient_qp(rng, kind):
+    """``(qp, bad)``: node ``bad``'s Hessian has a direction of curvature
+    1e-40 that no row of its QR stack reaches.  It is a leaf, the last
+    stage of a chain or one of the stacked level {3, 4, 5, 6} of a tree."""
+    if kind == "ocp":
+        qp, bad = rand_ocp_qp(rng, N=3, nx=3, nu=2), 3
+    else:
+        qp, bad = rand_tree_qp(rng, [-1, 0, 0, 1, 1, 2, 2], nx=3, nu=2), 4
+        qp.set_field("R", bad, np.eye(2))
+        qp.set_field("S", bad, np.zeros((2, 3)))
+    qp.set_field("Q", bad, np.diag([1.0, 1.0, 1e-40]))
+    m = qp.dim.nb[bad] + qp.dim.ng[bad]
+    qp.set_field("maskl", bad, np.zeros(m))
+    qp.set_field("masku", bad, np.zeros(m))
+    return qp, bad
+
+
 class TestReducedHessianKept:
     """The sweep factors a copy of the reduced Hessians in place: the buffer
     that :func:`kkt_common.reduced_hessian` returns, which the classical
@@ -986,19 +1003,7 @@ class TestReducedHessianKept:
 
     @pytest.mark.parametrize("kind", ["ocp", "tree"])
     def test_qr_rank_failure(self, rng, monkeypatch, kind):
-        # a node Hessian with a direction of curvature 1e-40 that no row of
-        # its stack reaches: a leaf, the last of a chain or one of the
-        # stacked level {3, 4, 5, 6} of a tree
-        if kind == "ocp":
-            qp, bad = rand_ocp_qp(rng, N=3, nx=3, nu=2), 3
-        else:
-            qp, bad = rand_tree_qp(rng, [-1, 0, 0, 1, 1, 2, 2], nx=3, nu=2), 4
-            qp.set_field("R", bad, np.eye(2))
-            qp.set_field("S", bad, np.zeros((2, 3)))
-        qp.set_field("Q", bad, np.diag([1.0, 1.0, 1e-40]))
-        m = qp.dim.nb[bad] + qp.dim.ng[bad]
-        qp.set_field("maskl", bad, np.zeros(m))
-        qp.set_field("masku", bad, np.zeros(m))
+        qp, bad = _rank_deficient_qp(rng, kind)
         assert self._sweep(monkeypatch, qp, rand_iterate(rng, qp),
                            use_qr=True) == bad
 
@@ -1338,45 +1343,35 @@ class TestWorkspace:
             assert np.array_equal(got.ab, fac.ab)
             assert np.array_equal(got.p_blocks, fac.p_blocks)
 
-    FB = TestWholeBlockFallback
-
-    @pytest.mark.parametrize("case", [
-        # (QP, the sweep's keywords, a route that factors it, failing stage)
-        ("chain fallback", {}, {}, None),
-        ("tree fallback", {}, {}, None),
-        ("chain square root", dict(arg=IpmArg(riccati_variant="square_root")), {}, 1),
-        ("tree square root", dict(arg=IpmArg(riccati_variant="square_root")), {}, 1),
-        ("chain qr leaf", dict(use_qr=True),
-         dict(arg=IpmArg(riccati_variant="square_root")), 3),
-        ("tree qr level", dict(use_qr=True),
-         dict(arg=IpmArg(riccati_variant="square_root")), 4),
-    ], ids=lambda c: c[0])
-    def test_failure_hands_the_workspace_back(self, rng, monkeypatch, case):
-        # the cases of TestReducedHessianKept, on a view's first sweep: the
-        # workspace it builds is spare afterwards, the next factorization
-        # reuses it and matches the reference sweep
-        name, kw, then, stage = case
-        if "fallback" in name or "square root" in name:
-            qp = (_chain(**self.FB.CHAIN) if name.startswith("chain")
-                  else _scalar_tree(**self.FB.TREE))
-            it = QpSolution(make_view(qp))
-        else:
-            qp = (rand_ocp_qp(rng, N=3, nx=3, nu=2) if name.startswith("chain")
-                  else rand_tree_qp(rng, [-1, 0, 0, 1, 1, 2, 2], nx=3, nu=2))
-            if stage == 4:
-                qp.set_field("R", stage, np.eye(2))
-                qp.set_field("S", stage, np.zeros((2, 3)))
-            qp.set_field("Q", stage, np.diag([1.0, 1.0, 1e-40]))
-            m = qp.dim.nb[stage] + qp.dim.ng[stage]
-            qp.set_field("maskl", stage, np.zeros(m))
-            qp.set_field("masku", stage, np.zeros(m))
-            it = rand_iterate(rng, qp)
+    def _hands_back(self, monkeypatch, qp, it, kw, stage, then):
+        """A view's first sweep with ``kw``, checked as in
+        :class:`TestReducedHessianKept`, fails at ``stage`` (None: it
+        succeeds); the workspace it built is spare afterwards, and the next
+        factorization, with ``then``, reuses it and matches the reference."""
         assert TestReducedHessianKept._sweep(monkeypatch, qp, it, **kw) == stage
         monkeypatch.undo()
         ws = self._spare(qp)
         _matches_reference(qp, ko.riccati_factor(qp, it, **then),
                            riccati_factor_ref(qp, it, **then))
         assert self._spare(qp) is ws
+
+    @pytest.mark.parametrize("kw,stage", [
+        ({}, None), (dict(arg=IpmArg(riccati_variant="square_root")), 1),
+    ], ids=["classical-fallback", "square-root-failure"])
+    @pytest.mark.parametrize("kind", ["ocp", "tree"])
+    def test_fallback_and_failure_hand_the_workspace_back(self, monkeypatch,
+                                                          kind, kw, stage):
+        # node 1's whole block is indefinite: a one-node classical fallback
+        # on the chain, a stacked one on the tree; square root fails there
+        fb = TestWholeBlockFallback
+        qp = _chain(**fb.CHAIN) if kind == "ocp" else _scalar_tree(**fb.TREE)
+        self._hands_back(monkeypatch, qp, QpSolution(make_view(qp)), kw, stage, {})
+
+    @pytest.mark.parametrize("kind", ["ocp", "tree"])
+    def test_rank_failure_hands_the_workspace_back(self, rng, monkeypatch, kind):
+        qp, bad = _rank_deficient_qp(rng, kind)
+        self._hands_back(monkeypatch, qp, rand_iterate(rng, qp), dict(use_qr=True),
+                         bad, dict(arg=IpmArg(riccati_variant="square_root")))
 
     @pytest.mark.parametrize("variant,use_qr,reg_prim", ROUTES)
     def test_depth_first_tree_matches_reference(self, rng, variant, use_qr,
