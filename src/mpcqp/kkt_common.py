@@ -186,7 +186,9 @@ def kkt_apply_vec(view, lam, t, delta_flat):
     ``dlam``/``dt`` parts of ``delta_flat`` must be zero on masked rows, as
     every iterate and step of the interior point loop is; masked rows then
     map to zero.  Used to form iterative-refinement residuals; the result
-    is one buffer laid out like ``delta_flat``.
+    is one buffer laid out like ``delta_flat``: the view's
+    :meth:`~view.ProblemView.kkt_product` of its first three blocks, then
+    ``+ dt`` and the mask on the inequality rows and ``t dlam + lam dt``.
 
     Raises
     ------
@@ -200,12 +202,13 @@ def kkt_apply_vec(view, lam, t, delta_flat):
             f"KKT vector of shape {delta_flat.shape} with lam {lam.shape} and "
             f"t {t.shape}; the QP needs ({n},) and ({nc},)"
         )
-    dy, dpi, dlam, dt = split_flat(delta_flat, ny, ne, nc)
-    out = np.zeros(n)
-    a_g, a_b, a_d, a_m = split_flat(out, ny, ne, nc)
-    view.stationarity(dy, dpi, dlam, a_g)
-    np.negative(view.a_y(dy), out=a_b)
-    np.subtract(dt, view.cy(dy), out=a_d, where=view.act)
+    k = ny + ne + nc
+    out = np.empty(n)
+    view.kkt_product(delta_flat[:k], out[:k])
+    a_d, a_m = out[ny + ne: k], out[k:]
+    dlam, dt = delta_flat[ny + ne: k], delta_flat[k:]
+    a_d += dt
+    a_d[view._inact] = 0.0
     np.multiply(t, dlam, out=a_m)
     a_m += lam * dt
     return out

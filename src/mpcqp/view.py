@@ -48,22 +48,38 @@ Each view builds these operators once, over the variables v:
 and two index tables: ``box_col``, the column of v that each box row
 selects, and the positions in ``lam``/``t`` of the lower, upper and
 slack-bound side of every row.  The products ``hess_y``, ``at_pi``,
-``a_y``, ``cy``, ``ct_lam``, ``stationarity`` and
-:meth:`ProblemView.residuals` are written once for all three QP types:
+``a_y``, ``cy`` and ``ct_lam`` are written once for all three QP types:
 matrix products with H, E and G, one gather for the box rows and one
 ``np.bincount`` scatter back; a view without general rows makes no product
-with G.  ``hess_matrix``,
-``eq_matrix`` and ``con_matrix`` are dense copies of the same operators.
-The vectors g, b and d are constants of the view as well.
+with G.  ``hess_matrix``, ``eq_matrix`` and ``con_matrix`` are dense copies
+of the same operators.  The vectors g, b and d are constants of the view as
+well.
+
+:meth:`ProblemView.residuals` and the KKT matrix action
+(:func:`kkt_common.kkt_apply_vec`) need all of these products at once:
+the linear part of the KKT system over ``z = [y | pi | lam]``, the first
+three blocks of a solution buffer,
+
+    K z = [H y - A' pi - C' lam ; -A y ; -C y]      (C unmasked),
+
+followed by a few elementwise passes.  A view type makes that product in
+its :meth:`ProblemView.kkt_product`.
 
 A view type supplies only its layout and its blocks, and the QP type decides
 the storage.  The dense type uses its QP's own ``H``, ``A`` and ``C`` arrays:
-they are dense already, and copying them would cost every condensed solve.
-The stage type assembles its node Hessians, its edges' ``-[B A]`` and ``I``
-and its nodes' ``[D C]`` into ``scipy.sparse`` CSR, so that each product is
-one call whatever the number of nodes; it builds ``H`` and ``E`` on first
-use, so that a view that serves only its row table and ``G`` (a block of a
-partially condensed QP) never builds them.
+they are dense already, and copying them would cost every condensed solve;
+its ``kkt_product`` makes the separate dense products above, whose order
+fixes the condensed solve's bits.  The stage type assembles its node
+Hessians, its edges' ``-[B A]`` and ``I`` and its nodes' ``[D C]`` into
+``scipy.sparse`` CSR, without the zeros the dense blocks hold, so that each
+product is one call whatever the number of nodes, and places their entries, with the slack diagonal, the box rows'
+unit entries and the slack columns, into one CSR ``K`` by index arithmetic:
+its ``kkt_product`` is one sparse product, where the separate products
+would be three sparse products plus the box rows' gather and scatter.  It
+builds ``H``, ``E`` and ``K`` on first use, so that a view that serves only
+its row table and ``G`` (a block of a partially condensed QP, or
+:func:`condensing.expand_solution`, which reads ``ct_lam``) never builds
+them.
 
 OCP and tree QPs share one view, :class:`StageView`, because a horizon is a
 chain tree: nodes (stages) joined by dynamics edges.  The edges come from
@@ -85,9 +101,11 @@ diagonals (the layout of the one-pass reduced Hessian) and each node's
 symmetrized base Hessian ``[[R S] [S' Q]]`` as a view of it are built once
 per view, not once per factorization; :mod:`kkt_ocp` keeps the Riccati
 recursion's band layout and level schedule on the view as well (``band``,
-built by its first factorization).  The stage type's ``H`` is made of the
-same symmetrized node Hessians.  This is the package's only module that
-builds ``scipy.sparse`` matrices.
+built by its first factorization).  The stage type's ``H`` and ``K`` are
+made of the same symmetrized node Hessians, and ``make_view`` builds the
+operators before it copies a view, so that every copy shares them.  This
+is the package's only module that builds ``scipy.sparse`` matrices: the
+stage type's ``H``, ``E``, ``G`` and ``K``.
 """
 
 from __future__ import annotations
@@ -164,7 +182,9 @@ def _csr(mats, offs, n_col, tail=None):
     """CSR matrix of the dense blocks ``mats`` stacked top to bottom.
 
     Block k spans the columns from ``offs[k]`` on.  With ``tail``, row i
-    also holds a 1 in column ``tail[i]``, after its block entries.
+    also holds a 1 in column ``tail[i]``, after its block entries.  The
+    blocks' zero entries are not stored: a product then skips them and, on
+    finite vectors, keeps its bits.
     """
     if not mats:
         return sp.csr_array((0, n_col))
@@ -178,7 +198,10 @@ def _csr(mats, offs, n_col, tail=None):
         data = np.insert(data, ends, 1.0)
         row_len = row_len + 1
     indptr = np.concatenate([[0], np.cumsum(row_len)])
-    return sp.csr_array((data, indices, indptr), shape=(row_len.shape[0], n_col))
+    keep = data != 0.0      # not the zeros the dense blocks hold
+    indptr = np.concatenate([[0], np.cumsum(keep)])[indptr]
+    return sp.csr_array((data[keep], indices[keep], indptr),
+                        shape=(row_len.shape[0], n_col))
 
 
 def _dense(M):
@@ -194,7 +217,10 @@ class ProblemView:
     block flattened row-major and concatenated in block order, and returns
     the gradient over v and the equality right-hand side, and sets or
     provides the operators ``H``, ``E`` and ``G`` over v (a stage view
-    builds ``H`` and ``E`` on first use).  Everything else is built
+    builds ``H``, ``E`` and its KKT operator ``K`` on first use; ``_lazy``
+    names what a type builds on first use).  A view type also supplies
+    :meth:`kkt_product`, the one product :meth:`residuals` and
+    :func:`kkt_common.kkt_apply_vec` make.  Everything else is built
     here, once per view, including the row table and the flat layout of the
     blocks' reduced Hessians (see :func:`kkt_common.reduced_hessian`).
 
@@ -299,7 +325,12 @@ class ProblemView:
                        inactive rows;
         * ``act``      the active rows (side mask on, bound finite), with
                        ``act_float`` its 0.0/1.0 copy, ``n_act`` its count
-                       and ``_act2`` the mask of both halves of ``[lam | t]``.
+                       and ``_inact`` the positions of the inactive rows.
+
+        Two more go with them, for :meth:`residuals`: ``_act_buf``, laid out
+        like a solution buffer, keeps all of ``y`` and ``pi`` and the active
+        rows of ``lam`` and ``t``, and ``_shift`` is ``[g | b | d]``, the
+        residuals' constant part, laid out like ``K z``.
         """
         stages = self._stages()
         self._bnd = np.concatenate([
@@ -315,10 +346,18 @@ class ProblemView:
         self.act = (self._on != 0.0) & np.isfinite(d)
         self.act_float = self.act.astype(float)
         self.n_act = int(np.count_nonzero(self.act))
-        self._act2 = np.concatenate([self.act, self.act])
+        self._inact = np.flatnonzero(~self.act)
+        self._act_buf = np.concatenate(
+            [np.ones(self.ny + self.ne, dtype=bool), self.act, self.act])
         self.d = np.where(self.act, d, 0.0)
-        for const in (self._bnd, self._on, self.act, self.act_float, self._act2, self.d):
+        self._shift = np.concatenate([self.g, self.b, self.d])
+        for const in (self._bnd, self._on, self.act, self.act_float, self._inact,
+                      self._act_buf, self.d, self._shift):
             const.flags.writeable = False
+
+    # the operators built on first use; make_view builds them before it
+    # copies a view, so that every copy shares them
+    _lazy = ("_Et",)
 
     @cached_property
     def _Et(self):
@@ -371,25 +410,16 @@ class ProblemView:
         """C' @ lam over v and over the slacks, for ``lam`` already masked."""
         return self.rows_t(lam), lam[self._soft] + lam[self._rows[2 * self._m:]]
 
-    def stationarity(self, y, pi, lam, out, g=None):
-        """``out = H y (+ g) - A' pi - C' lam``, written into ``out`` (ny,).
+    def kkt_product(self, z, out, shift=None):
+        """``out = K z (+ shift)`` for ``z = [y | pi | lam]``; returns ``out``.
 
-        The products of :meth:`residuals` and of the KKT matrix action
-        (:func:`kkt_common.kkt_apply_vec`), in the order of
-        ``hess_y(y) + g - at_pi(pi) - ct_lam(lam)``.  ``lam`` must be 0 on
-        masked sides; it is not masked here.
+        ``z``, ``out`` and ``shift`` have length ``ny + ne + nc``.  K is the
+        linear part of the KKT system (see the module docstring), with no
+        row of C zeroed; ``lam`` must be 0 on masked sides.  A stage view
+        makes one sparse product with :attr:`StageView.K`, the dense view
+        the separate dense products with its QP's arrays.
         """
-        nv = self.nv
-        out[:nv] = self.H @ y[:nv]
-        np.multiply(self.slack_diag, y[nv:], out=out[nv:])
-        if g is not None:
-            out += g
-        if self.ne:
-            out[:nv] -= self._Et @ pi
-        ct_v, ct_s = self._ct_parts(lam)
-        out[:nv] -= ct_v
-        out[nv:] -= ct_s
-        return out
+        raise NotImplementedError
 
     # -- oracle-grade dense copies ---------------------------------------
 
@@ -431,9 +461,12 @@ class ProblemView:
         """KKT residuals of any point ``sol`` (a :class:`QpSolution`); its
         masked sides are ignored.
 
-        The four blocks are views of one buffer laid out like a solution,
-        and their max norms are one reduction over it when no block is
-        empty.
+        One masked copy of the point's buffer, one :meth:`kkt_product` with
+        the constant ``[g | b | d]`` added, then ``+ t`` and the mask on
+        ``r_d`` and ``r_m = lam t``.  The four blocks are views of one
+        buffer laid out like a solution, and their max norms are one
+        reduction over it when no block is empty.  Each part of ``sol``
+        is checked against the view's sizes first.
         """
         ny, ne, nc = self.ny, self.ne, self.nc
         for name, n in (("y", ny), ("pi", ne), ("lam", nc), ("t", nc)):
@@ -442,14 +475,14 @@ class ProblemView:
                     f"solution {name} has shape {getattr(sol, name).shape}, "
                     f"the QP needs ({n},)"
                 )
-        lt = np.where(self._act2, sol.lt, 0.0)
-        lam, t = lt[:nc], lt[nc:]
-        out = np.zeros(ny + ne + 2 * nc)
+        k = ny + ne + nc
+        buf = np.where(self._act_buf, sol.flat(), 0.0)
+        lam, t = buf[ny + ne: k], buf[k:]
+        out = np.empty(k + nc)
+        self.kkt_product(buf[:k], out[:k], self._shift)
         r_g, r_b, r_d, r_m = split_flat(out, ny, ne, nc)
-        self.stationarity(sol.y, sol.pi, lam, r_g, self.g)
-        np.subtract(self.b, self.a_y(sol.y), out=r_b)
-        np.subtract(self.d, self.cy(sol.y), out=r_d, where=self.act)
         r_d += t
+        r_d[self._inact] = 0.0
         np.multiply(lam, t, out=r_m)
         mu = float(lam @ t) / self.n_act if self.n_act else 0.0
         a = np.abs(out)
@@ -489,6 +522,30 @@ class DenseView(ProblemView):
         self.G = data["C"]
         return data["g"], data["b"]
 
+    def kkt_product(self, z, out, shift=None):
+        # separate products with the QP's own arrays, summed in the order
+        # hess_y(y) + g - at_pi(pi) - ct_lam(lam), which condensed solves'
+        # results depend on
+        ny, ne, nv = self.ny, self.ne, self.nv
+        y, pi, lam = z[:ny], z[ny: ny + ne], z[ny + ne:]
+        o_g, o_b, o_d = out[:ny], out[ny: ny + ne], out[ny + ne:]
+        o_g[:nv] = self.H @ y[:nv]
+        np.multiply(self.slack_diag, y[nv:], out=o_g[nv:])
+        if shift is not None:
+            o_g += shift[:ny]
+        if ne:
+            o_g[:nv] -= self._Et @ pi
+        ct_v, ct_s = self._ct_parts(lam)
+        o_g[:nv] -= ct_v
+        o_g[nv:] -= ct_s
+        if shift is None:
+            np.negative(self.a_y(y), out=o_b)
+            np.negative(self.cy(y), out=o_d)
+        else:
+            np.subtract(shift[ny: ny + ne], self.a_y(y), out=o_b)
+            np.subtract(shift[ny + ne:], self.cy(y), out=o_d)
+        return out
+
 
 class StageView(ProblemView):
     """View of an OCP or tree QP: parents-first nodes joined by dynamics edges.
@@ -501,6 +558,8 @@ class StageView(ProblemView):
     ``E`` the rows ``[-B -A I]`` of every edge and ``G`` the rows ``[D C]``
     of every node.
     """
+
+    _lazy = ("H", "E", "_Et", "K")
 
     def __init__(self, qp, edges):
         self.edges = edges
@@ -566,6 +625,37 @@ class StageView(ProblemView):
         return _csr(neg_BA, np.take(self.u_off, par), self.nv,
                     tail=_ranges(np.take(self.x_off, child), nx[child]))
 
+    @cached_property
+    def K(self):
+        """The KKT matrix's linear part over ``z = [y | pi | lam]``, one CSR.
+
+        ``K @ z`` is ``[H y - A' pi - C' lam; -A y; -C y]`` with C unmasked:
+        the entries of H, E and G placed by index arithmetic, with the slack
+        diagonal, the box rows' unit entries and the slack columns.
+        """
+        ny, ne, nv, nb, m = self.ny, self.ne, self.nv, self._nb, self._m
+        H, E = self.H.tocoo(), self.E.tocoo()
+        # C over y as triplets: the rows J = [box; G] on their lower and
+        # upper sides, then every slack column's slack-bound and soft side
+        j_row, j_col, j_val = np.arange(nb), self.box_col, np.ones(nb)
+        if m > nb:      # as in cy, a view without general rows never reads G
+            G = self.G.tocoo()
+            j_row, j_col, j_val = (np.concatenate(pair) for pair in (
+                (j_row, nb + G.row), (j_col, G.col), (j_val, G.data)))
+        s = np.arange(nv, ny)
+        c_row = ny + ne + np.concatenate([self._rows[j_row], self._rows[m + j_row],
+                                          self._rows[2 * m:], self._soft])
+        c_col = np.concatenate([j_col, j_col, s, s])
+        c_val = np.concatenate([-j_val, j_val, -np.ones(2 * s.size)])
+        e_row = E.row + ny
+        row = np.concatenate([H.row, s, E.col, e_row, c_col, c_row])
+        col = np.concatenate([H.col, s, e_row, E.col, c_row, c_col])
+        val = np.concatenate([H.data, self.slack_diag, -E.data, -E.data, c_val, c_val])
+        return sp.csr_array((val, (row, col)), shape=(ny + ne + self.nc,) * 2)
+
+    def kkt_product(self, z, out, shift=None):
+        return np.add(self.K @ z, 0.0 if shift is None else shift, out=out)
+
 
 def make_view(qp):
     """Build (or fetch the cached) flat view of a QP.
@@ -583,7 +673,7 @@ def make_view(qp):
         rev, view, fresh = cached
         if not fresh:
             # the operators, built on first use, once for all the copies
-            for name in ("H", "E", "_Et"):
+            for name in view._lazy:
                 getattr(view, name)
             view = copy.copy(view)
             view._set_bounds()

@@ -320,7 +320,7 @@ class TestViewConstants:
         ("maskl", lambda v: np.r_[0.0, v[1:]]),
         ("masku", lambda v: np.r_[v[:-1], 0.0]),
     ]
-    SHARED = ["H", "E", "G", "_Et", "_Gt", "hess0", "hess_off", "hess_box",
+    SHARED = ["H", "E", "G", "_Et", "_Gt", "K", "hess0", "hess_off", "hess_box",
               "hess_diag", "hess_gen", "node_hess", "out_edges", "box_col",
               "_rows", "_soft", "g", "b", "slack_diag", "blocks", "band"]
 

@@ -19,6 +19,7 @@ from mpcqp import (
     UnknownField,
     gen_mass_spring,
 )
+from mpcqp.condensing import condense, expand_solution, partial_condense
 from mpcqp.kkt_common import kkt_apply_vec
 from mpcqp.solver import solve_dense_qp
 from mpcqp.view import DenseView, QpSolution, StageView, make_view
@@ -29,6 +30,7 @@ from conftest import (
     hess_matrix_ref,
     kkt_apply_vec_ref,
     rand_dense_qp,
+    rand_ocp_qp,
     rand_tree_qp,
     residuals_ref,
     row_constants_ref,
@@ -248,6 +250,78 @@ class TestFusedProducts:
         # a view without any box row keeps its products in floating point
         empty = make_view(DenseQp(2, 0, 0, 0, 0))
         assert empty.rows_t(np.zeros(0)).dtype == float
+
+
+def _kkt_ref(qp):
+    """The KKT matrix's linear part over ``[y | pi | lam]`` from the reference
+    blocks, with every inequality row kept (reference)."""
+    H, E = hess_matrix_ref(qp), eq_matrix_ref(qp)
+    C = con_matrix_ref(qp, masked=False)
+    ne, nc = E.shape[0], C.shape[0]
+    return np.block([[H, -E.T, -C.T],
+                     [-E, np.zeros((ne, ne + nc))],
+                     [-C, np.zeros((nc, ne + nc))]])
+
+
+class TestKktOperator:
+    """The stage view's one CSR operator ``K`` against the reference blocks."""
+
+    @staticmethod
+    def _check(qp, seed):
+        vw = make_view(qp)
+        K = _kkt_ref(qp)
+        rng = np.random.default_rng(seed)
+        z, shift = rng.standard_normal((2, K.shape[0]))
+        if qp.kind != "dense":
+            assert vw.K.shape == K.shape
+            assert _rel_err(vw.K @ z, K @ z) <= PRODUCT_RTOL
+        out = np.empty(K.shape[0])
+        assert vw.kkt_product(z, out) is out
+        assert _rel_err(out, K @ z) <= PRODUCT_RTOL
+        vw.kkt_product(z, out, shift)
+        assert _rel_err(out, K @ z + shift) <= PRODUCT_RTOL
+
+    @settings(max_examples=100)
+    @given(random_qps(), st.integers(0, 2**32 - 1))
+    def test_matches_reference_blocks(self, qp, seed):
+        self._check(qp, seed)
+
+    def test_dense_view_has_no_operator(self, rng):
+        assert not hasattr(make_view(rand_dense_qp(rng)), "K")
+
+    def test_partially_condensed_qp(self, rng):
+        qp, _ = partial_condense(rand_ocp_qp(rng, N=7, nx=3, nu=2, fix_x0=True), 3)
+        vw = make_view(qp)
+        Jg = vw.blocks[0].Jg    # the condensed state rows, dense over the inputs
+        assert Jg.shape[0] > 1 and np.count_nonzero(Jg) > Jg.size // 2
+        # the zeros the blocks hold are not stored
+        held = sum(cb.Jg.size for cb in vw.blocks)
+        assert vw.G.nnz == np.count_nonzero(vw.G.data) < held
+        self._check(qp, 11)
+
+    @pytest.mark.parametrize("N,nb,ng,ns", [(0, 2, 1, 1), (3, 0, 0, 0), (0, 0, 0, 0)])
+    def test_no_equality_or_no_inequality_rows(self, rng, N, nb, ng, ns):
+        qp = rand_ocp_qp(rng, N=N, nx=2, nu=1, nb=nb, ng=ng, ns=ns)
+        vw = make_view(qp)
+        assert (vw.ne == 0, vw.nc == 0) == (N == 0, nb + ng == 0)
+        self._check(qp, 12)
+
+    @pytest.mark.parametrize("kind", ["ocp", "tree"])
+    def test_bound_write_copies_share_it(self, rng, kind):
+        qp = (rand_ocp_qp(rng, N=4, nx=3, nu=2) if kind == "ocp"
+              else rand_tree_qp(rng, [-1, 0, 0, 1]))
+        views = [make_view(qp)]
+        for _ in range(2):
+            qp.set_field("lb", 0, qp.get_field("lb", 0) - 0.1)
+            views.append(make_view(qp))
+        assert len({id(vw) for vw in views}) == 3
+        assert all(vw.K is views[0].K for vw in views)
+
+    def test_expand_solution_leaves_it_unbuilt(self, rng):
+        qp = rand_ocp_qp(rng, N=5, nx=3, nu=2)
+        dense, cmap = condense(qp)
+        expand_solution(solve_dense_qp(dense).solution, cmap, qp)
+        assert "K" not in vars(make_view(qp))
 
 
 class TestSolutionBuffer:
