@@ -22,9 +22,14 @@ mirror the Riccati ones: the classical recursion propagates P explicitly
 (and tolerates indefinite stage cost), the square-root variant propagates
 chol(P) through QR triangularization (``M[n] = W_n + T' T`` with
 ``T = chol(P[n+1])' [B_n A_n]``) and requires positive definite state costs
-``Q_1..Q_N``.  The gradient comes from the same sweep over the affine part:
-``h_n = g_n + W_n (0, gamma_n)``, ``h_n += [B_n A_n]' beta[n+1]``, ``beta[n]
-= h_n[x]``, and ``g[u_n] = h_n[u]``, ``g[x0] = beta[0]``.
+``Q_1..Q_N``.  Its ``chol(P[n])`` is the Riccati QR route's level step,
+:func:`linalg.qr_cholesky_update` of ``Q_n`` with the term ``T_x =
+chol(P[n+1])' A_n`` (``chol(Q_n)``, then the QR of ``[chol(Q_n)' ; T_x]``),
+and ``chol(P[N])`` the same kernel's ``chol(Q_N)`` with no term, as at a
+Riccati leaf; each passes the kernel's rank test.  The gradient comes from
+the same sweep over the affine part: ``h_n = g_n + W_n (0, gamma_n)``,
+``h_n += [B_n A_n]' beta[n+1]``, ``beta[n] = h_n[x]``, and
+``g[u_n] = h_n[u]``, ``g[x0] = beta[0]``.
 
 The stages are taken in runs of equal dimensions (``nx``, ``nu``, ``ng`` and
 the next stage's ``nx``; see :func:`_runs`); a run of one stage is the
@@ -93,7 +98,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from .errors import CondenseError, DimensionMismatch, InvalidBlockSize
 from .ipm_core import RICCATI_VARIANTS
-from .linalg import cholesky_stack, count_flops, qr_cholesky_stack
+from .linalg import count_flops, qr_cholesky_update
 from .qp_data import ROW_FIELDS, DenseQp, OcpQp, OcpQpDim
 from .view import DenseView, QpSolution, _ranges, make_view
 
@@ -244,6 +249,9 @@ def _cost_recursion(qp, vw, runs, gamma, x_end, variant):
     v, holds every stage's affine term ``h_n`` (see the module docstring).
     ``P`` is used as computed: the Hessian is symmetrized once, exactly, at
     the end (the square-root variant's ``T' T`` is symmetric as computed).
+    The square-root variant carries the lower factor ``L = chol(P[n+1])``
+    instead, one :func:`linalg.qr_cholesky_update` per stage n >= 1 on a
+    copy of ``Q_n`` and one with no term for ``Q_N``.
     """
     d = qp.dim
     nx, nu = d.nx.tolist(), d.nu.tolist()
@@ -251,12 +259,13 @@ def _cost_recursion(qp, vw, runs, gamma, x_end, variant):
     off = vw.hess_off
     M = vw.hess0.copy()
     h = vw.g[: vw.nv].copy()
-    Ms, hs, BAs = [], [], []
+    Ms, hs, BAs, Ws = [], [], [], []
     for a, b in runs:
         k, nur, nxr = b - a, nu[a], nx[a]
         nw = nur + nxr
         W = vw.hess0[off[a]: off[b]].reshape(k, nw, nw)
         Ms.append(M[off[a]: off[b]].reshape(k, nw, nw))
+        Ws.append(W)
         hr = h[vw.u_off[a]: vw.u_off[a] + k * nw].reshape(k, nw)
         # h_n = g_n + W_n (0, gamma_n)
         hr += (W[:, :, nur:] @ gamma[x_end[a] - nxr: x_end[b - 1]].reshape(
@@ -270,35 +279,23 @@ def _cost_recursion(qp, vw, runs, gamma, x_end, variant):
     nuN = nu[d.N]
     P, beta = Ms[-1][0][nuN:, nuN:], hs[-1][0][nuN:]
     if sqrt and d.N:
-        U = _chol_t(P[None])[0]
+        # chol(Q_N), a Riccati leaf's factor
+        L = qr_cholesky_update(P.copy(), [])
     for r in range(len(runs) - 2, -1, -1):
         (a, b), nur = runs[r], nu[runs[r][0]]
-        if sqrt:
-            # chol(Q_n)' of the run's stages past stage 0
-            first = max(a, 1)
-            nw = nur + nx[a]
-            Uq = _chol_t(vw.hess0[off[first]: off[b]].reshape(
-                max(b - first, 0), nw, nw)[:, nur:, nur:])
-        for n, BAn, Mn, hn in zip(range(b - 1, a - 1, -1), BAs[r][::-1],
-                                  Ms[r][::-1], hs[r][::-1]):
+        for n, BAn, Mn, hn, Wn in zip(range(b - 1, a - 1, -1), BAs[r][::-1],
+                                      Ms[r][::-1], hs[r][::-1], Ws[r][::-1]):
             if sqrt:
-                T = U @ BAn
+                T = L.T @ BAn
                 Mn += T.T @ T
                 if n:
-                    U = qr_cholesky_stack(
-                        np.vstack([Uq[n - first], T[:, nur:]])[None])[0]
+                    # chol(P[n]) from the QR of [chol(Q_n)' ; T_x]
+                    L = qr_cholesky_update(Wn[nur:, nur:].copy(), [(L, BAn[:, nur:])])
             else:
                 Mn += BAn.T @ (P @ BAn)
             hn += beta @ BAn
             P, beta = Mn[nur:, nur:], hn[nur:]
     return Ms, h
-
-
-def _chol_t(Q):
-    """``chol(Q_i)'`` of the (k, n, n) stack Q, upper triangular, uncounted."""
-    if not Q.size:
-        return np.zeros(Q.shape)
-    return cholesky_stack(Q).transpose(0, 2, 1)
 
 
 def _flops(d, p, sqrt):
@@ -335,9 +332,23 @@ def condense(qp, keep_x0=None, variant="classical"):
       ``2 c^2 w + c w (w + 1)`` (square root: ``T``, then ``T' T``);
     * every stage: the affine term ``2 w nx_n``, the Hessian's input rows
       ``2 nu_n nx_n p_n`` and the general rows ``2 ng_n nx_n (p_n + 1)``;
-    * square root, every stage n >= 1: ``chol(Q_n)``, ``nx_n^3 / 3``, and
-      for n < N the QR of ``[chol(Q_n)' ; T_x]``,
-      ``2 (nx_n + c) nx_n^2 - 2 nx_n^3 / 3``.
+    * square root, every stage n >= 1: one
+      :func:`linalg.qr_cholesky_update`, which the kernel does not count
+      itself, counted as ``chol(Q_n)``, ``nx_n^3 / 3``, and for n < N the
+      QR of ``[chol(Q_n)' ; T_x]``, ``2 (nx_n + c) nx_n^2 - 2 nx_n^3 / 3``.
+
+    Raises
+    ------
+    NotPositiveDefinite
+        With ``variant="square_root"``, if a state cost ``Q_n`` with
+        1 <= n <= N is not positive definite.  ``Q_0`` and the classical
+        variant are not factored, so neither raises.
+    RankDeficient
+        With ``variant="square_root"``, if a ``chol(P[n])`` fails the
+        shared QR rank test (see :func:`linalg.qr_cholesky_update`).
+    CondenseError
+        If ``keep_x0=False`` and the initial state is not fully fixed, or
+        a soft row fixes it.
     """
     if not isinstance(qp, OcpQp):
         raise TypeError("condense expects an OcpQp")

@@ -23,7 +23,8 @@ routines called and the nominal count of each counted kernel:
 * :func:`solve_triangular`         ``dtrtrs``; ``n^2`` per column;
 * :func:`solve_banded_triangular`  ``dtbtrs``; ``2 n kd + n - kd (kd + 1)``
                                    per column;
-* :func:`qr_cholesky`              ``dgeqrf``; ``2 m n^2 - 2 n^3 / 3``;
+* :func:`qr_cholesky`              ``dgeqrf`` on an (m, n) stack;
+                                   ``2 m n^2 - 2 n^3 / 3``;
 * :func:`qr_cholesky_tp`           ``dtpqrt`` (l = n) on ``[U ; S ; diag(d)]``
                                    with U upper triangular;
                                    ``2 p n^2 + 2 n^3 / 3`` for p rows of S;
@@ -42,38 +43,39 @@ transposition), and ``dgeqrf``/``dorgqr`` get the workspaces scipy's
 replaced by the shape checks here and the LAPACK return codes: ``dpotrf``
 reports a nonpositive pivot, ``dtrtrs`` and ``dtbtrs`` an exactly zero
 diagonal entry, and a negative code (an illegal argument) raises
-``ValueError``.  The QR-Cholesky kernels share one rank test and sign
-normalization (:func:`_rank_tested`).  This module is the package's only
+``ValueError``.  The three QR-Cholesky kernels (:func:`qr_cholesky`,
+:func:`qr_cholesky_tp` and :func:`qr_cholesky_update`) triangularize by
+LAPACK and then make one rank test and sign normalization on the upper
+triangle, :func:`_rank_tested`.  This module is the package's only
 caller of LAPACK and of BLAS (numpy's matrix product aside).
 
-The stacked kernels :func:`cholesky_stack`, :func:`cholesky_solve_stack`
-and :func:`qr_cholesky_stack` work on (k, n, n) stacks of blocks, the
+The stacked kernels :func:`cholesky_stack` and
+:func:`cholesky_solve_stack` work on (k, n, n) stacks of blocks, the
 nodes of one level of a Riccati recursion (see :mod:`kkt_ocp`).  With
 k = 1 they call LAPACK on the block itself.  With k > 1 each ``dpotrf``
 and ``dtrtrs`` works on the stack's block-diagonal matrix, one call in
 place of k, while its order k n is at most ``_DIAG_MAX`` (64); beyond it,
 where that call's k^3 cost overtakes k calls, they go block by block.
-The QR makes one ``dgeqrf`` per block (a block-diagonal QR would be cubic
-in k).  They count no flops: their caller counts the nominal per-block
-counts of the kernels they stand in for.  ``cholesky_factor`` and
-``qr_cholesky`` are their shape checks and flop counts around a stack of
-one.
+They count no flops: their caller counts the nominal per-block counts of
+the kernels they stand in for.  ``cholesky_factor`` is its shape checks
+and flop count around a stack of one.
 
 The update-and-factor kernels :func:`cholesky_update`,
-:func:`cholesky_sqrt_update` and :func:`qr_cholesky_update` are one
-Riccati level's step on each route, uncounted as well: they overwrite a
-node Hessian M with the factor of M updated by its children's terms, and
-never write the terms.  On a (k, w, w) stack they form the terms by
-stacked products and factor by :func:`cholesky_stack`, the QR by one
+:func:`cholesky_sqrt_update` and :func:`qr_cholesky_update` are one Riccati
+level's step on each route, uncounted as well (the QR one is also each
+stage of the square-root condensing sweep, see :mod:`condensing`): they
+overwrite a node Hessian M with the factor of M updated by its children's
+terms, and never write the terms.  On a (k, w, w) stack they form the terms
+by stacked products and factor by :func:`cholesky_stack`, the QR by one
 ``dpotrf`` and one ``dtpqrt`` (l = 0) per block, and assign the factors
 into M; on one Fortran-ordered (w, w) block the Cholesky routes call BLAS
 and LAPACK on M itself, which ends up holding the factor with no copy made
 (``dsymm``/``dgemm`` or ``dtrmm``/``dsyrk``, then ``dpotrf``).  That block
 path makes its calls directly on the arguments it is given, with no helper
-frame (the ``dpotrf`` return code goes to :func:`_potrf_failed` only when it
-is nonzero): on the small blocks of a chain, a Python frame or a view per
-call costs a sizeable part of the BLAS calls themselves.  Their BLAS and
-LAPACK arguments are positional, as the wrappers parse keywords slower.
+frame (the ``dpotrf`` return code goes to :func:`_potrf_failed` only when
+it is nonzero): on the small blocks of a chain, a Python frame or a view
+per call costs a sizeable part of the BLAS calls themselves.  Their BLAS
+and LAPACK arguments are positional, as the wrappers parse keywords slower.
 """
 
 from __future__ import annotations
@@ -113,7 +115,6 @@ __all__ = [
     "matmul_acc",
     "cholesky_stack",
     "cholesky_solve_stack",
-    "qr_cholesky_stack",
     "cholesky_update",
     "cholesky_sqrt_update",
     "qr_cholesky_update",
@@ -398,44 +399,12 @@ def qr_cholesky(Astack):
     if m < n:
         raise DimensionMismatch(f"stack must have at least {n} rows, got {m}")
     count_flops(max(0, 2 * m * n * n - (2 * n * n * n) // 3))
-    return qr_cholesky_stack(A[None])[0]
-
-
-def qr_cholesky_stack(S):
-    """:func:`qr_cholesky` of every (m, n) block of the (k, m, n) stack S, uncounted.
-
-    One ``dgeqrf`` per block, then :func:`_rank_checked` over the stack.
-
-    Raises
-    ------
-    RankDeficient
-        If a block fails the rank test.
-    """
-    k, m, n = S.shape
     if not n:
-        return np.zeros((k, 0, 0))
-    lwork = _qr_lwork(m, n)
-    R = np.empty((k, n, n))
-    for i in range(k):
-        qr, _, _, info = _geqrf(S[i], lwork=lwork)
-        if info < 0:
-            raise ValueError(f"illegal value in argument {-info} of dgeqrf")
-        R[i] = qr[:n]
-    return _rank_checked(R, m)
-
-
-def _rank_checked(R, m):
-    """The QR triangles of the (k, n, n) stack R, rank-tested and sign-normalized.
-
-    The one rank test and sign normalization of the QR kernels: the
-    strictly lower part is zeroed, then :func:`_rank_tested`.
-
-    Raises
-    ------
-    RankDeficient
-        If a block fails the rank test.
-    """
-    return _rank_tested(np.where(_upper(R.shape[-1]), R, 0.0), m)
+        return np.zeros((0, 0))
+    qr, _, _, info = _geqrf(A, lwork=_qr_lwork(m, n))
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dgeqrf")
+    return _rank_tested(np.triu(qr[:n])[None], m)[0]
 
 
 def _rank_tested(R, m):
@@ -489,7 +458,7 @@ def qr_cholesky_tp(U, S, d):
     both triangles alone.  The nominal count is ``2 p n^2 + 2 n^3 / 3`` for
     the p rows of S, where :func:`qr_cholesky` of the (p + 2 n, n) stack
     counts ``2 (p + 2 n) n^2 - 2 n^3 / 3``.  The rank test (see
-    :func:`_rank_checked`) counts the rows of U and S and the nonzero
+    :func:`_rank_tested`) counts the rows of U and S and the nonzero
     entries of d, leaving out the zero rows of the diagonal block.
 
     Parameters
@@ -527,7 +496,7 @@ def qr_cholesky_tp(U, S, d):
     R, _, _, info = _tpqrt(n, min(n, _TP_NB), A, B, overwrite_a=1, overwrite_b=1)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of dtpqrt")
-    return _rank_checked(R[None], n + p + np.count_nonzero(d))[0]
+    return _rank_tested(np.triu(R)[None], n + p + np.count_nonzero(d))[0]
 
 
 def cholesky_update(M, terms):
@@ -725,14 +694,6 @@ def _qr_lwork(m, n):
     if info != 0:
         raise ValueError(f"dgeqrf workspace query failed with code {info}")
     return int(work)
-
-
-@lru_cache(maxsize=256)
-def _upper(n):
-    """Read-only (n, n) mask of the upper triangle, diagonal included."""
-    mask = np.triu(np.ones((n, n), dtype=bool))
-    mask.flags.writeable = False
-    return mask
 
 
 def gram(S):

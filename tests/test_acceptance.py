@@ -7,6 +7,8 @@ matrices, plain fixed-point iteration, explicit-slack reformulations); no
 criterion checks an implementation against itself.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -483,7 +485,7 @@ def test_criterion_11_determinism_and_roundtrip(tmp_path):
                      "--report", r1]) == 0
     assert cli_main(["solve", "--qp", qpf, "--mode", "balance",
                      "--report", r2]) == 0
-    assert open(r1, "rb").read() == open(r2, "rb").read()
+    assert Path(r1).read_bytes() == Path(r2).read_bytes()
     rng = np.random.default_rng(111)
     qps = [
         rand_dense_qp(rng),
@@ -496,6 +498,6 @@ def test_criterion_11_determinism_and_roundtrip(tmp_path):
         qp2 = qp_read(path)
         path2 = str(tmp_path / f"rt{i}b.qp")
         qp_write(path2, qp2)
-        assert open(path, "rb").read() == open(path2, "rb").read()
+        assert Path(path).read_bytes() == Path(path2).read_bytes()
     _ok(11, "bit-identical solve reports on identical runs; lossless QP "
             "file round-trips for all three problem kinds")

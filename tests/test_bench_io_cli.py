@@ -1,4 +1,5 @@
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -276,7 +277,7 @@ class TestCli:
         rc = cli_main(["closed-loop", "--masses", "2", "--horizon", "10",
                        "--steps", "5", "--mode", "speed", "--out", out_csv])
         assert rc == 0
-        lines = open(out_csv).read().splitlines()
+        lines = Path(out_csv).read_text().splitlines()
         assert lines[0].startswith("step,")
         assert len(lines) == 6
 
@@ -296,4 +297,4 @@ class TestCli:
         r2 = str(tmp_path / "r2.txt")
         cli_main(["solve", "--qp", qpf, "--mode", "balance", "--report", r1])
         cli_main(["solve", "--qp", qpf, "--mode", "balance", "--report", r2])
-        assert open(r1, "rb").read() == open(r2, "rb").read()
+        assert Path(r1).read_bytes() == Path(r2).read_bytes()

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from mpcqp import (
     CondenseError,
     InvalidBlockSize,
+    MassSpringConfig,
+    NotPositiveDefinite,
     OcpQp,
     OcpQpDim,
     QpSolution,
@@ -14,6 +16,7 @@ from mpcqp import (
     condense,
     expand_solution,
     flop_counter,
+    gen_mass_spring,
     mode_preset,
     objective,
     partial_condense,
@@ -396,6 +399,31 @@ class TestCondenseFlops:
             with flop_counter() as fc:
                 condense(qp, keep_x0=keep, variant=variant)
             assert fc.flops == want
+
+
+class TestSquareRootContract:
+    """The square-root variant factors ``Q_1..Q_N``, the classical none."""
+
+    N = 5
+
+    def indefinite_at(self, n):
+        qp = gen_mass_spring(MassSpringConfig(masses=2, horizon=self.N))
+        qp.set_field("Q", n, np.diag([1.0, 1.0, 1.0, -1.0]))
+        return qp
+
+    @pytest.mark.parametrize("n", [1, 3, N])
+    def test_indefinite_state_cost_past_stage_0_raises(self, n):
+        qp = self.indefinite_at(n)
+        with pytest.raises(NotPositiveDefinite):
+            condense(qp, variant="square_root")
+        condense(qp, variant="classical")
+
+    def test_indefinite_initial_state_cost_is_not_factored(self):
+        qp = self.indefinite_at(0)
+        for keep in (True, False):
+            H = [condense(qp, keep_x0=keep, variant=variant)[0].get_field("H")
+                 for variant in ("classical", "square_root")]
+            assert rel_err(H[1], H[0]) <= 1e-12
 
 
 class TestExpand:

@@ -20,7 +20,6 @@ from mpcqp.linalg import (
     gram,
     matmul_acc,
     qr_cholesky,
-    qr_cholesky_stack,
     qr_cholesky_tp,
     qr_cholesky_update,
     qr_full,
@@ -570,7 +569,7 @@ class TestUpdateKernels:
             assert kernel(L, use) is L and _close_rel(L, ref)
         if w:
             S = _sqrt_rows(M, terms)
-            R = qr_cholesky_stack(S if k is not None else S[None])
+            R = np.stack([qr_cholesky(b) for b in S.reshape(-1, *S.shape[-2:])])
             assert _close_rel(L, np.swapaxes(R, -1, -2).reshape(M.shape))
         for X in (L, ref):
             assert np.array_equal(X, np.tril(X))
@@ -626,8 +625,8 @@ class TestUpdateKernels:
     @pytest.mark.parametrize("k", SHAPES)
     @pytest.mark.parametrize("cs", [(), (2,)])
     def test_qr_rank_deficient_stack_raises(self, k, cs):
-        # a direction of curvature 1e-40 that no W row reaches: the stacks
-        # that qr_cholesky_stack rejects, with their inputs unwritten
+        # a direction of curvature 1e-40 that no W row reaches: stacks whose
+        # every block qr_cholesky rejects, with their inputs unwritten
         rng = np.random.default_rng(33)
         M, terms = _update_case(rng, k, 3, cs, "C")
         M[...] = np.diag([1.0, 2.0, 1e-40])
@@ -636,8 +635,9 @@ class TestUpdateKernels:
         use = [(L, BA) for _, L, BA in terms]
         before = [M.copy()] + [X.copy() for t in use for X in t]
         S = _sqrt_rows(M, terms)
-        with pytest.raises(RankDeficient):
-            qr_cholesky_stack(S if k is not None else S[None])
+        for b in S.reshape(-1, *S.shape[-2:]):
+            with pytest.raises(RankDeficient):
+                qr_cholesky(b)
         with pytest.raises(RankDeficient):
             qr_cholesky_update(M, use)
         after = [M] + [X for t in use for X in t]

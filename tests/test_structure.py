@@ -99,3 +99,17 @@ def test_every_traced_span_target_resolves():
         assert module.startswith("mpcqp."), span
         hit = tracing._resolve(module, path)
         assert hit is not None and callable(hit[2]), f"{span} <- {module}:{path}"
+
+
+def test_every_linalg_kernel_has_a_caller():
+    # every kernel the package exports is used by another module of it; the
+    # flop counter is instrumentation for callers outside the package too
+    tree = MODULES["linalg.py"]
+    exported = next(ast.literal_eval(n.value) for n in tree.body
+                    if isinstance(n, ast.Assign)
+                    and any(getattr(t, "id", None) == "__all__" for t in n.targets))
+    counter = {"flop_counter", "count_flops", "FlopCounter"}
+    kernels = set(exported) - counter
+    assert kernels and counter <= set(exported)
+    for name in sorted(kernels):
+        assert _users(f"linalg.{name}") - {"linalg.py"}, name
