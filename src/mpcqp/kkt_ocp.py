@@ -27,10 +27,12 @@ fill-in appears outside the data blocks.
 The sweep walks a level schedule (``RiccatiBand.levels``, see
 :class:`RiccatiLevel`): the nodes of one depth that share ``nu``, ``nx``
 and the ``nx`` of their children form a level, and a level of k nodes is
-one step with one kernel call on (k, ., .) stacks.  A chain is a tree
-with one node per level, so its steps have k = 1 and call BLAS and LAPACK
-on the node's own blocks; a scenario tree's levels stack its branches.  The
-schedule, the band layout of the vector solve and the sweep's workspace
+one step with one kernel call on (k, ., .) stacks.  Slices select a
+level's nodes and children, as a breadth-first numbering allows; where
+they cannot (a tree numbered depth first), each node of the group is a
+level of its own.  A chain is a tree with one node per level, so its
+steps have k = 1 and call BLAS and LAPACK on the node's own blocks; a
+scenario tree's levels stack its branches.  The schedule, the band layout of the vector solve and the sweep's workspace
 are constants of the view: :class:`RiccatiBand` is built on the first
 factorization of a view and kept on it as ``band``, so that the view's
 bound-write copies share it.  Everything else is done once per
@@ -42,17 +44,14 @@ factorization or once per view:
   box rows' coefficients, the general rows' Gram terms and the primal
   regularization.  The sweep copies the buffer once into the work buffer
   of its workspace and keeps the original for its fallbacks;
-* the schedule, its slices and index arrays, and the edges' ``[B A]``
-  stacked per level and out-edge slot are built once per QP revision;
+* the schedule, its slices, and the edges' ``[B A]`` stacked per level
+  and out-edge slot are built once per QP revision;
 * the workspace (:class:`RiccatiWorkspace`) is built on the view's first
   factorization and checked out by each sweep: the work buffer, one
   stacked cost-to-go buffer, and every level's step arguments
-  (:meth:`RiccatiLevel.args`) prepared once as views of the two.  A level
-  that picks its nodes or children by an index array (a tree not numbered
-  breadth-first) gets copies from fancy indexing, so its arguments are
-  built at each step and written back.  A factorization that finds the
-  workspace checked out (nested or concurrent, on the same view) builds
-  its own;
+  (:meth:`RiccatiLevel.args`) prepared once as views of the two.  A
+  factorization that finds the workspace checked out (nested or
+  concurrent, on the same view) builds its own;
 * a level overwrites its nodes' blocks of the work buffer with their
   Cholesky factors, each column-major: it reads them as one (k, w, w)
   stack of Fortran-ordered blocks.  Node n's factor columns ``[L_uu;
@@ -90,21 +89,24 @@ stacks and assigns the factors into the blocks, and the QR runs one
 ``dtpqrt`` per node.  A node without children (a leaf, a
 chain's last stage) has nothing to triangularize: the QR route takes
 ``chol(M)`` as its factor.  A classical step then forms ``P = L_xx L_xx'``,
-symmetric as formed.  Only when a block of the level is not positive
-definite does the step fall back to the input blocks, with G formed again
-from the kept reduced Hessians: one Cholesky factorization of the ``G_uu``
-blocks with the triangular solve for X
-(:func:`linalg.cholesky_solve_stack`), one product for ``X'X``, and P
-symmetrized.  The kernels count no flops; the step counts those of the
-per-node kernels they stand in for, the same on every path.
+symmetric as formed.  A kernel raises when a block is not positive
+definite (or, on the QR route, fails the rank test), and one function
+takes every such failure over (:func:`_level_failed`): it redoes the level
+node by node, and a classical node whose whole block is not positive
+definite takes the input-block step on that block, with G formed again
+from the kept reduced Hessians: one Cholesky factorization of ``G_uu``
+with the triangular solve for X (:func:`linalg.cholesky_solve`), one
+product for ``X'X``, and P symmetrized; at the root, chol(P[0]) follows.
+The kernels count no flops; the sweep counts those of the per-node
+kernels they stand in for, the same on every path.
 
 Two variants:
 
 * ``classical``     P is propagated explicitly.  The whole (nu+nx) block
-                    of G is factorized, and ``P = L_xx L_xx'``; a level with
-                    a block that is not positive definite factors only the
-                    G_uu blocks instead, so the full-space node Hessian may
-                    be indefinite as long as every reduced block is positive
+                    of G is factorized, and ``P = L_xx L_xx'``; a node whose
+                    block is not positive definite factors only its G_uu
+                    block instead, so the full-space node Hessian may be
+                    indefinite as long as every reduced block is positive
                     definite.  The counted flops are those of the G_uu
                     route either way.
 * ``square_root``   the whole (nu+nx) block of G is factorized; its trailing
@@ -115,13 +117,14 @@ Two variants:
                     per child] without ever forming G (the array algorithm),
                     which avoids squaring the condition number.
 
-Factorization failures carry the offending stage (node) index.  When a
-stacked step fails, its level's nodes are rerun one at a time in
-descending order, so the failing node and the flops counted up to the
-failure are those of a node-by-node sweep in that order.  A factor
-call makes one attempt on the route it is given (Cholesky or QR, with or
-without regularization); retrying on another route is the solver's
-decision.
+Factorization failures carry the offending stage (node) index.  A failed
+level is redone one node at a time in descending order, so the failing
+node and the flops counted up to the failure are those of a node-by-node
+sweep in the schedule's order (descending on a chain).  A classical
+root whose P[0] is not positive definite fails there too, at stage 0,
+with the whole sweep's flops counted.  A factor call makes one attempt on
+the route it is given (Cholesky or QR, with or without regularization);
+retrying on another route is the solver's decision.
 
 The vector solve is two banded triangular solves over the flat vectors.
 After the factorization both sweeps of a node-by-node solve are linear
@@ -169,7 +172,7 @@ from .errors import FactorizationFailed, NotPositiveDefinite, RankDeficient
 from .ipm_core import RICCATI_VARIANTS, IpmArg
 from .kkt_common import fold_rhs, recover, reduced_hessian, view_scales
 from .linalg import (
-    cholesky_solve_stack,
+    cholesky_solve,
     cholesky_sqrt_update,
     cholesky_stack,
     cholesky_update,
@@ -256,7 +259,8 @@ def riccati_factor(qp, iterate, arg=None, use_qr=False):
     sweep checks the view's workspace out (``RiccatiBand.spare``; a new
     one if none is spare) and hands it back when done, also on a failure;
     it walks the level schedule (``RiccatiBand.levels``) on the arguments
-    prepared in the workspace and counts its flops in one call.
+    prepared in the workspace, hands a failed step to :func:`_level_failed`
+    and counts its flops in one call.
 
     Raises
     ------
@@ -276,7 +280,7 @@ def riccati_factor(qp, iterate, arg=None, use_qr=False):
     band = _band(vw)
     fac = RiccatiFactor(qp, vw, iterate)
     route = "qr" if use_qr else arg.riccati_variant
-    fac.sqrt = sqrt_mode = route != "classical"
+    fac.sqrt = route != "classical"
     hess = reduced_hessian(vw, fac.scales, arg.reg_prim)
     # check the view's workspace out for this sweep; a nested or concurrent
     # factorization of the view finds none spare and builds its own
@@ -288,26 +292,13 @@ def riccati_factor(qp, iterate, arg=None, use_qr=False):
         work, P = ws.work, ws.p
         np.copyto(work, hess)
         done = band.flops[route]
-        for i, (lv, args) in enumerate(zip(band.levels, ws.steps)):
+        for i, args in enumerate(ws.steps):
             try:
-                L_P = _level_step(lv, route, hess, work, P, args)
+                _level_step(route, args)
             except (NotPositiveDefinite, RankDeficient) as exc:
-                L_P = None
-                _level_failed(vw, lv, route, hess, work, P, done[i], exc)
-        # the last level is the root's; unless a classical root fell back
-        # to its input block, the trailing triangle of its factor is chol(P[0])
-        nu0, nx0 = int(qp.dim.nu[0]), int(qp.dim.nx[0])
-        count_flops(done[-1] if sqrt_mode else done[-1] + nx0 ** 3 // 3)
-        if L_P is None and nx0:
-            root = band.levels[-1]
-            try:
-                work[root.hess].reshape(root.shape).T[nu0:, nu0:] = \
-                    cholesky_stack(P[None, 0, :nx0, :nx0])[0]
-            except NotPositiveDefinite as exc:
-                raise FactorizationFailed(
-                    f"cost-to-go matrix not positive definite at stage 0: {exc}",
-                    stage=0,
-                ) from None
+                _level_failed(vw, band.levels[i], route, hess, work, P, done[i],
+                              exc)
+        count_flops(done[-1])
         fac.work, fac.p_blocks = work.copy(), P.copy()
     finally:
         band.spare.append(ws)
@@ -317,27 +308,20 @@ def riccati_factor(qp, iterate, arg=None, use_qr=False):
     return fac
 
 
-def _level_step(lv, route, hess, work, P, args=None):
+def _level_step(route, args):
     """Factor the k nodes of one level: one call of the route's update kernel.
 
-    Overwrites the nodes' blocks of ``work``, a copy of ``hess`` on entry,
-    with their Cholesky factors, each column-major, and writes their P
-    (classical) or chol(P) blocks into ``P``; reads their children's blocks
-    from ``P`` and, on a classical fallback, their reduced Hessians from
-    ``hess`` (never written).  ``args`` are the level's arguments on
-    ``work`` and ``P`` (:meth:`RiccatiLevel.args`) prepared in the
-    workspace; without them they are built here, and written back where
-    fancy indexing made copies.  On prepared arguments a one-node step is
-    its kernel's BLAS and LAPACK calls and, on the classical route, one
-    product into its slot.  Returns the nodes' chol(P) blocks (shaped as
-    ``lv.shape``), or None where a classical level fell back to its input
-    blocks.
+    ``args`` are the level's arguments on the sweep's buffers
+    (:meth:`RiccatiLevel.args`), views prepared in the workspace.  The step
+    overwrites the nodes' blocks of the work buffer, a copy of the reduced
+    Hessians on entry, with their Cholesky factors, each column-major, and
+    writes their P (classical) or chol(P) blocks into the cost-to-go
+    buffer, from which it reads their children's.  A one-node step is its
+    kernel's BLAS and LAPACK calls and, on the classical route, one product
+    into its slot.  The flops are counted by the caller.
 
     * classical: :func:`linalg.cholesky_update`, the Cholesky factors of the
-      whole blocks ``M + sum BA' P BA``, then ``P = L_xx L_xx'``.  If a
-      block is not positive definite, :func:`_reduced_step` factors the
-      level's ``G_uu`` blocks instead.  Flops are counted by the caller,
-      nominally, on either path;
+      whole blocks ``M + sum BA' P BA``, then ``P = L_xx L_xx'``;
     * square root: :func:`linalg.cholesky_sqrt_update`, the Cholesky
       factors of ``M + sum W'W`` with ``W = chol(P)' BA``, whose trailing
       blocks are chol(P);
@@ -347,81 +331,85 @@ def _level_step(lv, route, hess, work, P, args=None):
     Raises
     ------
     NotPositiveDefinite, RankDeficient
-        From the :mod:`linalg` update kernels.
+        From the :mod:`linalg` update kernels; :func:`_level_failed` takes
+        them over.
     """
-    M, terms, L_P, L_Pt, P_n = args or lv.args(work, P)
+    M, terms, L_P, L_Pt, P_n = args
     if route == "classical":
-        try:
-            cholesky_update(M, terms)
-        except NotPositiveDefinite:
-            _reduced_step(lv, hess[lv.hess].reshape(lv.shape), terms, M, P_n)
-            L_P = None
-        else:
-            np.matmul(L_P, L_Pt, out=P_n)
+        cholesky_update(M, terms)
+        np.matmul(L_P, L_Pt, out=P_n)
     else:
         (qr_cholesky_update if route == "qr" else cholesky_sqrt_update)(M, terms)
         P_n[...] = L_P
-    if not lv.views:
-        # fancy indexing made M and P_n copies: write them back
-        work[lv.hess] = M.swapaxes(-1, -2).ravel()
-        P[lv.p] = P_n
-    return L_P
 
 
-def _reduced_step(lv, M, terms, out, P):
-    """The classical step on a level whose whole blocks
-    ``G = M + sum BA' P BA`` are not all positive definite: one Cholesky of
-    the ``G_uu`` blocks with the triangular solve for ``X = L_uu^-1 G_ux``,
-    one ``X'X`` and ``P = G_xx - X'X``, symmetrized.  The factor columns
-    ``[L_uu; X']`` go into the first nu columns of the blocks ``out``, and
-    P into the nodes' cost-to-go blocks ``P`` (shaped as ``out``'s trailing
-    blocks).
+def _input_block_step(lv, hess, args):
+    """The classical step on a one-node level whose whole block
+    ``G = M + sum BA' P BA`` is not positive definite: G formed again from
+    the node's reduced Hessian in ``hess``, one Cholesky of ``G_uu`` with
+    the triangular solve for ``X = L_uu^-1 G_ux`` (:func:`linalg.cholesky_solve`),
+    ``P = G_xx - X'X``, symmetrized.  The factor columns ``[L_uu; X']`` go
+    into the first nu columns of the node's work block, and P into its
+    cost-to-go block.
 
     Raises
     ------
     NotPositiveDefinite
-        If a ``G_uu`` block is not positive definite.
+        If ``G_uu`` is not positive definite.
     """
+    M, terms, _, _, P_n = args
     nu = lv.nu
-    if M.ndim == 2:
-        M, out, P = M[None], out[None], P[None]
-        terms = [(P_m[None], BA[None]) for P_m, BA in terms]
-    G = M
+    G = hess[lv.hess].reshape(lv.shape)
     for P_m, BA in terms:
-        G = G + BA.transpose(0, 2, 1) @ (P_m @ BA)
+        G = G + BA.T @ (P_m @ BA)
     if nu:
-        L, X = cholesky_solve_stack(G[:, :nu, :nu], G[:, :nu, nu:])
-        G = G[:, nu:, nu:] - X.transpose(0, 2, 1) @ X
-        out[:, :, :nu] = np.concatenate([L, X.transpose(0, 2, 1)], axis=1)
-    P[...] = 0.5 * (G + G.transpose(0, 2, 1))
+        L, X = cholesky_solve(G[:nu, :nu], G[:nu, nu:])
+        G = G[nu:, nu:] - X.T @ X
+        M[:, :nu] = np.concatenate([L, X.T])
+    P_n[...] = 0.5 * (G + G.T)
 
 
 def _level_failed(view, lv, route, hess, work, P, counted, exc):
-    """Raise :class:`FactorizationFailed` for a level whose step failed.
+    """Finish the level whose step raised ``exc``, or raise
+    :class:`FactorizationFailed` naming the first node that fails.
 
-    A one-node level names its node.  A stacked level reruns its nodes one
-    at a time in descending order, as the node-by-node sweep would, and
-    names the first that fails; should none fail on its own, the sweep goes
-    on.  The flops counted are ``counted`` (the levels before), the nodes
-    rerun and the failing node's count up to the failing call.
+    The level is redone node by node, in descending order, as the
+    node-by-node sweep would: a stacked kernel writes nothing when it
+    fails, so each node of a stacked level runs its own step on its
+    unchanged blocks; a one-node level's node has failed its step already.
+    On the classical route a node whose step fails takes the input-block
+    step (:func:`_input_block_step`), and at the root then chol(P[0]), the
+    trailing triangle of its factor.  The flops counted at a failure are
+    ``counted`` (the levels before), the nodes redone and the failing
+    node's count up to the failing call; at chol(P[0]) they are the whole
+    sweep's.
     """
-    if lv.k > 1:
-        for n in lv.nodes[::-1]:
-            one = RiccatiLevel(view, [n])
+    for n in lv.nodes[::-1]:
+        one = lv if lv.k == 1 else RiccatiLevel(view, [n])
+        _, _, L_P, _, P_n = args = one.args(work, P)
+        full, at_chol = one.flops[route]
+        if one is not lv:
             try:
-                _level_step(one, route, hess, work, P)
-            except (NotPositiveDefinite, RankDeficient) as one_exc:
-                lv, exc = one, one_exc
-                break
-            counted += one.flops[route][0]
-        else:
-            return
-    n = lv.nodes[0]
-    at_chol = isinstance(exc, NotPositiveDefinite)
-    count_flops(counted + lv.flops[route][at_chol])
-    raise FactorizationFailed(
-        f"Riccati factorization failed at stage {n}: {exc}", stage=n
-    ) from None
+                _level_step(route, args)
+                counted += full
+                continue
+            except (NotPositiveDefinite, RankDeficient) as node_exc:
+                exc = node_exc
+        what = f"Riccati factorization failed at stage {n}"
+        flops = counted + (at_chol if isinstance(exc, NotPositiveDefinite) else full)
+        if route == "classical":
+            try:
+                _input_block_step(one, hess, args)
+                if n == 0 and P_n.size:
+                    what = "cost-to-go matrix not positive definite at stage 0"
+                    flops = counted + full
+                    L_P[...] = cholesky_stack(P_n[None])[0]
+                counted += full
+                continue
+            except NotPositiveDefinite as node_exc:
+                exc = node_exc
+        count_flops(flops)
+        raise FactorizationFailed(f"{what}: {exc}", stage=n) from None
 
 
 def _band(view):
@@ -460,12 +448,13 @@ class RiccatiBand:
                    trailing (nx_0, nx_0) triangle of node 0's;
     * ``levels``   the factor sweep's level schedule, deepest level first:
                    one :class:`RiccatiLevel` per group of nodes of equal
-                   depth, ``nu``, ``nx`` and out-edge child ``nx``; a chain
+                   depth, ``nu``, ``nx`` and out-edge child ``nx`` where
+                   slices select the group's nodes and their children, else
+                   one per node of the group, in descending order; a chain
                    has one one-node level per stage;
     * ``flops``    the sweep's nominal flop counts, per route (``classical``,
                    ``square_root``, ``qr``): entry i is the count of
-                   levels 0..i-1, so the last entry is the whole sweep's
-                   (the classical root factor excluded);
+                   levels 0..i-1, so the last entry is the whole sweep's;
     * ``p_dim``    the largest nx over the nodes: a factorization writes
                    every node's cost-to-go block (``P_n``, or ``chol(P_n)``
                    on the square-root and QR routes) at the top left of slot
@@ -519,11 +508,18 @@ class RiccatiBand:
                    tuple(nx[m] for m, _, _ in view.out_edges[n]))
             # a node without state is never stacked
             groups.setdefault(key if nx[n] else (n,), []).append(n)
-        self.levels = [
-            RiccatiLevel(view, nodes)
-            for nodes in sorted(groups.values(),
-                                key=lambda g: (-depth[g[0]], -g[-1]))
-        ]
+        self.levels = []
+        for nodes in sorted(groups.values(), key=lambda g: (-depth[g[0]], -g[-1])):
+            # stacked where slices select the nodes and, per out-edge slot,
+            # their children, as in a breadth-first numbering; else one
+            # level per node, in descending order
+            out = [view.out_edges[n] for n in nodes]
+            children = ([o[j][0] for o in out] for j in range(len(out[0])))
+            if nodes[-1] - nodes[0] == len(nodes) - 1 and all(
+                    _sel(c) is not None for c in children):
+                self.levels.append(RiccatiLevel(view, nodes))
+            else:
+                self.levels += [RiccatiLevel(view, [n]) for n in nodes[::-1]]
         # the coupling entries -[B A]' of every edge: T's column of child
         # state i, its row of parent variable j, as (column, offset, value)
         coupling = []
@@ -566,10 +562,8 @@ class RiccatiWorkspace:
     * ``work``   laid out like the reduced Hessians (``view.hess_off``);
     * ``p``      the stacked cost-to-go blocks, laid out like
                  :attr:`RiccatiFactor.p_blocks` (zero outside them);
-    * ``steps``  per level, :meth:`RiccatiLevel.args` on the two buffers,
-                 built once; None for a level that picks its nodes or
-                 children by an index array, whose arguments fancy indexing
-                 copies, so that they are built at every step.
+    * ``steps``  per level, :meth:`RiccatiLevel.args` on the two buffers:
+                 views of them, built once.
     """
 
     __slots__ = ("work", "p", "steps")
@@ -577,16 +571,15 @@ class RiccatiWorkspace:
     def __init__(self, view, band):
         self.work = np.empty(int(view.hess_off[-1]))
         self.p = np.zeros((view.n_node, band.p_dim, band.p_dim))
-        self.steps = [lv.args(self.work, self.p) if lv.views else None
-                      for lv in band.levels]
+        self.steps = [lv.args(self.work, self.p) for lv in band.levels]
 
 
 def _sel(ids):
-    """``ids`` as a slice when evenly spaced and ascending, else an index array."""
+    """``ids`` as a slice when evenly spaced and ascending, else None."""
     step = ids[1] - ids[0] if len(ids) > 1 else 1
     if step > 0 and all(b - a == step for a, b in zip(ids, ids[1:])):
         return slice(ids[0], ids[-1] + 1, step)
-    return np.array(ids, dtype=np.intp)
+    return None
 
 
 class RiccatiLevel:
@@ -595,9 +588,10 @@ class RiccatiLevel:
     A level's k nodes share ``nu``, ``w = nu + nx`` and the ``nx`` of the
     children of every out-edge slot, so :func:`_level_step` factors them
     with one kernel call on (k, ., .) stacks, or on the node's own blocks
-    when k = 1.  Selectors are slices
-    where the node numbering allows (consecutive nodes, evenly spaced
-    children, as in a breadth-first numbering) and index arrays otherwise.
+    when k = 1.  Its selectors are slices: the nodes are consecutive and
+    each slot's children evenly spaced (see ``RiccatiBand.levels``), so the
+    step's arguments on a sweep's buffers (:meth:`args`) are views of
+    them, prepared once per workspace.
 
     * ``nodes``    the node indices, ascending; ``k`` their number;
     * ``hess``     the nodes' (w, w) blocks in the flat reduced-Hessian
@@ -617,17 +611,15 @@ class RiccatiLevel:
                    index of the children's blocks in the cost-to-go buffer,
                    as ``p``, and on a one-node level BA the (nx_child, w)
                    block;
-    * ``views``    whether every selector is a slice or an int, so that the
-                   step's arguments on a sweep's buffers (:meth:`args`) are
-                   views of them, prepared once per workspace;
     * ``flops``    nominal counts per node and route, ``(full, at a
                    Cholesky failure)``: those of the :mod:`linalg` kernels
-                   the step's calls stand in for.  A failed rank test comes
+                   the step's calls stand in for; the root's full classical
+                   count includes its chol(P[0]).  A failed rank test comes
                    at the last counted kernel, so it counts in full.
     """
 
     __slots__ = ("nodes", "k", "nu", "w", "shape", "hess", "p", "edges",
-                 "terms", "views", "flops")
+                 "terms", "flops")
 
     def __init__(self, view, nodes):
         d = view.qp.dim
@@ -638,13 +630,9 @@ class RiccatiLevel:
         nx = int(d.nx[n0])
         self.w = w = nu + nx
         h0 = int(view.hess_off[n0])
-        if nodes[-1] - n0 == k - 1:
-            self.hess = slice(h0, h0 + k * w * w)
-        else:
-            ids = np.array(nodes, dtype=np.intp)
-            self.hess = _ranges(view.hess_off[ids], np.full(k, w * w))
+        self.hess = slice(h0, h0 + k * w * w)
         self.shape = (k, w, w) if k > 1 else (w, w)
-        self.p = (_sel(nodes) if k > 1 else n0, slice(nx), slice(nx))
+        self.p = (slice(n0, n0 + k) if k > 1 else n0, slice(nx), slice(nx))
         out = [view.out_edges[n] for n in nodes]
         self.edges = []
         for j, (m, _, _) in enumerate(out[0]):
@@ -657,15 +645,15 @@ class RiccatiLevel:
             self.edges.append((_sel([o[j][0] for o in out]), int(d.nx[m]), BA))
         self.terms = [((sel if k > 1 else sel.start, slice(c), slice(c)),
                        BA if k > 1 else BA[0]) for sel, c, BA in self.edges]
-        self.views = isinstance(self.hess, slice) and not any(
-            isinstance(sel, np.ndarray) for sel, _, _ in self.edges)
         c = [e[1] for e in self.edges]
         edge_cl = sum(2 * ci * w * (ci + w) for ci in c)
         edge_sq = sum(2 * ci * ci * w for ci in c) + w ** 3 // 3
         m = w + sum(c)
+        # the root's full classical count includes its chol(P[0])
+        root = nx ** 3 // 3 if n0 == 0 else 0
         self.flops = {
-            "classical": (edge_cl + nu ** 3 // 3 + nu * nu * nx + 2 * nx * nx * nu,
-                          edge_cl + nu ** 3 // 3),
+            "classical": (edge_cl + nu ** 3 // 3 + nu * nu * nx + 2 * nx * nx * nu
+                          + root, edge_cl + nu ** 3 // 3),
             "square_root": (edge_sq + sum(2 * w * w * ci for ci in c),) * 2,
             "qr": (edge_sq + max(0, 2 * m * w * w - (2 * w ** 3) // 3), edge_sq),
         }
@@ -674,8 +662,8 @@ class RiccatiLevel:
         """The step's arguments on a sweep's buffers: ``(M, terms, L_P,
         L_P', P_n)``, the nodes' blocks of ``work`` Fortran-ordered, the
         ``(P[i], BA)`` of ``terms``, the blocks' trailing (nx, nx) factors
-        and their transposes, and the nodes' blocks of ``P``.  Views of the
-        buffers if ``views``, else partly copies."""
+        and their transposes, and the nodes' blocks of ``P``, all views of
+        the buffers."""
         M = work[self.hess].reshape(self.shape).swapaxes(-1, -2)
         L_P = M[..., self.nu:, self.nu:]
         return (M, [(P[i], BA) for i, BA in self.terms], L_P,

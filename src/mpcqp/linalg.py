@@ -49,16 +49,17 @@ LAPACK and then make one rank test and sign normalization on the upper
 triangle, :func:`_rank_tested`.  This module is the package's only
 caller of LAPACK and of BLAS (numpy's matrix product aside).
 
-The stacked kernels :func:`cholesky_stack` and
-:func:`cholesky_solve_stack` work on (k, n, n) stacks of blocks, the
-nodes of one level of a Riccati recursion (see :mod:`kkt_ocp`).  With
-k = 1 they call LAPACK on the block itself.  With k > 1 each ``dpotrf``
-and ``dtrtrs`` works on the stack's block-diagonal matrix, one call in
-place of k, while its order k n is at most ``_DIAG_MAX`` (64); beyond it,
-where that call's k^3 cost overtakes k calls, they go block by block.
-They count no flops: their caller counts the nominal per-block counts of
-the kernels they stand in for.  ``cholesky_factor`` is its shape checks
-and flop count around a stack of one.
+The stacked kernel :func:`cholesky_stack` works on (k, n, n) stacks of
+blocks, the nodes of one level of a Riccati recursion (see
+:mod:`kkt_ocp`).  With k = 1 it calls LAPACK on the block itself.  With
+k > 1 its ``dpotrf`` works on the stack's block-diagonal matrix, one call
+in place of k, while its order k n is at most ``_DIAG_MAX`` (64); beyond
+it, where that call's k^3 cost overtakes k calls, it goes block by block.
+:func:`cholesky_solve` is one ``dpotrf`` and one ``dtrtrs`` on one
+block, the input-block step of a classical Riccati node.  Neither counts
+flops: their callers count the nominal per-block counts of the kernels
+they stand in for.  ``cholesky_factor`` is its shape checks and flop count
+around a stack of one.
 
 The update-and-factor kernels :func:`cholesky_update`,
 :func:`cholesky_sqrt_update` and :func:`qr_cholesky_update` are one Riccati
@@ -114,7 +115,7 @@ __all__ = [
     "gram",
     "matmul_acc",
     "cholesky_stack",
-    "cholesky_solve_stack",
+    "cholesky_solve",
     "cholesky_update",
     "cholesky_sqrt_update",
     "qr_cholesky_update",
@@ -269,34 +270,19 @@ def cholesky_stack(A):
     return _potrf(_block_diag(A, blk), overwrite=1).ravel(order="F")[blk]
 
 
-def cholesky_solve_stack(A, B):
-    """``(L, X)`` with ``L L' = A`` and ``L X = B`` for the (k, n, n) stack A
-    and the (k, n, m) stack B, uncounted: one ``dpotrf`` and one ``dtrtrs``.
+def cholesky_solve(A, B):
+    """``(L, X)`` with ``L L' = A`` and ``L X = B`` for the (n, n) matrix A
+    and the (n, m) matrix B, uncounted: one ``dpotrf`` and one ``dtrtrs``.
 
-    Both work on the block-diagonal matrix, or block by block, as in
-    :func:`cholesky_stack`.  L has a positive diagonal, so ``dtrtrs`` cannot
-    fail.
+    L has a positive diagonal, so ``dtrtrs`` cannot fail.
 
     Raises
     ------
     NotPositiveDefinite
-        As :func:`cholesky_stack`.
+        If A is not numerically positive definite.
     """
-    k, n = A.shape[:2]
-    if k == 1:
-        L = _potrf(A[0])
-        return L[None], _trtrs(L, B[0], lower=1)[0][None]
-    if k * n > _DIAG_MAX:
-        L = [_potrf(a) for a in A]
-        X = [_trtrs(L_i, B_i, lower=1)[0] for L_i, B_i in zip(L, B)]
-        return np.stack(L), np.stack(X)
-    blk = _blocks(k, n)
-    L = _potrf(_block_diag(A, blk), overwrite=1)
-    # the right-hand sides as the transpose of a C-ordered (m, k n) copy,
-    # which dtrtrs overwrites with X
-    T = B.transpose(2, 0, 1).copy()
-    _trtrs(L, T.reshape(-1, k * n).T, lower=1, overwrite_b=1)
-    return L.ravel(order="F")[blk], T.transpose(1, 2, 0)
+    L = _potrf(A)
+    return L, _trtrs(L, B, lower=1)[0]
 
 
 def solve_triangular(L, B, transpose=False, lower=True):

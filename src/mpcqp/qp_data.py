@@ -37,7 +37,8 @@ index i to ``(parent, child)``: ``n -> (n, n + 1)`` for an OCP and
 is the (c - 1)-th).  The shapes of A B b, the dynamics storage, the index
 checks and the view's edges all read it.  One initialiser, ``_zero_rows``,
 sets the constraint-row fields that a stage and a dense QP store alike
-(``ROW_FIELDS``) for both.  Counts, parents and index-set entries must be
+(``ROW_FIELDS``) for both, and one declaration, ``_with_rows``, gives both
+catalogs their entries.  Counts, parents and index-set entries must be
 whole numbers: ``2.0`` passes, ``2.5`` raises.  A dimension record is
 checked when it is built and is immutable after: its count and parent
 arrays are read-only, so the edge table, the storage and cached views
@@ -234,6 +235,39 @@ def _zero_rows(nb, ng, ns):
 ROW_FIELDS = tuple(_zero_rows(0, 0, 0))
 
 
+def _with_rows(head, general, b, g, s):
+    """A stage's or a dense QP's catalog: the fields ``head``, the box rows'
+    ``idxb lb ub``, the general rows' matrices ``general``, then the other
+    ``ROW_FIELDS``, in file order.
+
+    The ``ROW_FIELDS`` entries are declared here alone, so that their
+    ``bound`` and ``checked`` flags, which decide the view refresh and
+    whether a validation verdict is kept, are the same for both types.
+    ``b``, ``g`` and ``s`` give the (nb,), (ng,) and (ns,) shapes.
+    """
+    def m(d, n):
+        return (b(d, n)[0] + g(d, n)[0],)
+
+    return {
+        **head,
+        "idxb": _Field("idxb", b, int, checked=True),
+        "lb": _Field("lb", b, bound=True),
+        "ub": _Field("ub", b, bound=True),
+        **general,
+        "lg": _Field("lg", g, bound=True),
+        "ug": _Field("ug", g, bound=True),
+        "idxs": _Field("idxs", s, int, checked=True),
+        "Zl": _Field("Zl", s, checked=True),
+        "Zu": _Field("Zu", s, checked=True),
+        "zl": _Field("zl", s),
+        "zu": _Field("zu", s),
+        "sl_lb": _Field("sl_lb", s, bound=True),
+        "su_lb": _Field("su_lb", s, bound=True),
+        "maskl": _Field("maskl", m, bound=True, checked=True),
+        "masku": _Field("masku", m, bound=True, checked=True),
+    }
+
+
 def _zero_stage(nx, nu, nb, ng, ns):
     # written out rather than taken from the catalog's shape functions, which
     # made building a horizon's stages about 15% slower
@@ -292,31 +326,20 @@ class _FieldAccess:
 # stage data shared by OCP and tree nodes
 # --------------------------------------------------------------------------
 
-_STAGE_FIELDS = {
-    "Q": _Field("Q", lambda d, n: (d.nx[n], d.nx[n]), checked=True),
-    "S": _Field("S", lambda d, n: (d.nu[n], d.nx[n])),
-    "R": _Field("R", lambda d, n: (d.nu[n], d.nu[n]), checked=True),
-    "q": _Field("q", lambda d, n: (d.nx[n],)),
-    "r": _Field("r", lambda d, n: (d.nu[n],)),
-    "idxb": _Field("idxb", lambda d, n: (d.nb[n],), int, checked=True),
-    "lb": _Field("lb", lambda d, n: (d.nb[n],), bound=True),
-    "ub": _Field("ub", lambda d, n: (d.nb[n],), bound=True),
-    "C": _Field("C", lambda d, n: (d.ng[n], d.nx[n])),
-    "D": _Field("D", lambda d, n: (d.ng[n], d.nu[n])),
-    "lg": _Field("lg", lambda d, n: (d.ng[n],), bound=True),
-    "ug": _Field("ug", lambda d, n: (d.ng[n],), bound=True),
-    "idxs": _Field("idxs", lambda d, n: (d.ns[n],), int, checked=True),
-    "Zl": _Field("Zl", lambda d, n: (d.ns[n],), checked=True),
-    "Zu": _Field("Zu", lambda d, n: (d.ns[n],), checked=True),
-    "zl": _Field("zl", lambda d, n: (d.ns[n],)),
-    "zu": _Field("zu", lambda d, n: (d.ns[n],)),
-    "sl_lb": _Field("sl_lb", lambda d, n: (d.ns[n],), bound=True),
-    "su_lb": _Field("su_lb", lambda d, n: (d.ns[n],), bound=True),
-    "maskl": _Field("maskl", lambda d, n: (d.nb[n] + d.ng[n],), bound=True,
-                    checked=True),
-    "masku": _Field("masku", lambda d, n: (d.nb[n] + d.ng[n],), bound=True,
-                    checked=True),
-}
+_STAGE_FIELDS = _with_rows(
+    {
+        "Q": _Field("Q", lambda d, n: (d.nx[n], d.nx[n]), checked=True),
+        "S": _Field("S", lambda d, n: (d.nu[n], d.nx[n])),
+        "R": _Field("R", lambda d, n: (d.nu[n], d.nu[n]), checked=True),
+        "q": _Field("q", lambda d, n: (d.nx[n],)),
+        "r": _Field("r", lambda d, n: (d.nu[n],)),
+    },
+    {
+        "C": _Field("C", lambda d, n: (d.ng[n], d.nx[n])),
+        "D": _Field("D", lambda d, n: (d.ng[n], d.nu[n])),
+    },
+    lambda d, n: (d.nb[n],), lambda d, n: (d.ng[n],), lambda d, n: (d.ns[n],),
+)
 
 # dynamics block i of the edge table, ``d.edges[i] = (parent, child)``:
 # x[child] = A x[parent] + B u[parent] + b
@@ -438,29 +461,16 @@ class DenseQp(_FieldAccess):
 
     kind = "dense"
 
-    _FIELDS = {
-        "H": _Field("H", lambda d, n: (d.nv, d.nv), checked=True),
-        "g": _Field("g", lambda d, n: (d.nv,)),
-        "A": _Field("A", lambda d, n: (d.ne, d.nv)),
-        "b": _Field("b", lambda d, n: (d.ne,)),
-        "idxb": _Field("idxb", lambda d, n: (d.nb,), int, checked=True),
-        "lb": _Field("lb", lambda d, n: (d.nb,), bound=True),
-        "ub": _Field("ub", lambda d, n: (d.nb,), bound=True),
-        "C": _Field("C", lambda d, n: (d.ng, d.nv)),
-        "lg": _Field("lg", lambda d, n: (d.ng,), bound=True),
-        "ug": _Field("ug", lambda d, n: (d.ng,), bound=True),
-        "idxs": _Field("idxs", lambda d, n: (d.ns,), int, checked=True),
-        "Zl": _Field("Zl", lambda d, n: (d.ns,), checked=True),
-        "Zu": _Field("Zu", lambda d, n: (d.ns,), checked=True),
-        "zl": _Field("zl", lambda d, n: (d.ns,)),
-        "zu": _Field("zu", lambda d, n: (d.ns,)),
-        "sl_lb": _Field("sl_lb", lambda d, n: (d.ns,), bound=True),
-        "su_lb": _Field("su_lb", lambda d, n: (d.ns,), bound=True),
-        "maskl": _Field("maskl", lambda d, n: (d.nb + d.ng,), bound=True,
-                        checked=True),
-        "masku": _Field("masku", lambda d, n: (d.nb + d.ng,), bound=True,
-                        checked=True),
-    }
+    _FIELDS = _with_rows(
+        {
+            "H": _Field("H", lambda d, n: (d.nv, d.nv), checked=True),
+            "g": _Field("g", lambda d, n: (d.nv,)),
+            "A": _Field("A", lambda d, n: (d.ne, d.nv)),
+            "b": _Field("b", lambda d, n: (d.ne,)),
+        },
+        {"C": _Field("C", lambda d, n: (d.ng, d.nv))},
+        lambda d, n: (d.nb,), lambda d, n: (d.ng,), lambda d, n: (d.ns,),
+    )
 
     def __init__(self, nv, ne=0, nb=0, ng=0, ns=0):
         counts = {"nv": nv, "ne": ne, "nb": nb, "ng": ng, "ns": ns}

@@ -331,20 +331,21 @@ class RiccatiFactorRef:
         return self.L_P[n] @ self.L_P[n].T
 
 
-def riccati_factor_ref(qp, iterate, arg=None, use_qr=False):
+def riccati_factor_ref(qp, iterate, arg=None, use_qr=False, order=None):
     """The node-by-node factor sweep that the lean node kernels replaced.
 
     Per node: a copy of the base Hessian with the constraint terms added,
     kernel wrappers with their argument checks for every product, the
     factor columns stacked with ``hstack`` and the gains ``K`` solved
-    eagerly.
+    eagerly.  The nodes are visited in descending order, or in ``order``,
+    which must reach every node after its children.
     """
     arg = arg or IpmArg()
     vw = make_view(qp)
     d = qp.dim
     fac = RiccatiFactorRef(qp, vw, iterate)
     sqrt_mode = arg.riccati_variant == "square_root" or use_qr
-    for n in range(vw.n_node - 1, -1, -1):
+    for n in range(vw.n_node - 1, -1, -1) if order is None else order:
         M = add_reduced_hessian_ref(vw.blocks[n], fac.scales, vw.node_hess[n])
         if arg.reg_prim:
             M[np.diag_indices_from(M)] += arg.reg_prim

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import mpcqp.kkt_ocp as ko
@@ -683,19 +683,22 @@ class TestFactorSweepEquivalence:
         assert read.flops == gains
 
     @staticmethod
-    def _ref_lag(qp, bad):
+    def _ref_lag(qp, bad, order=None):
         """What the reference has not counted when node ``bad`` fails, less
         what it counted in excess.
 
         It forms each node's reduced Hessian (the Gram kernel's
-        ``ng nw (nw + 1)``) when its descending sweep reaches the node,
-        where the sweep forms all of them first, and it solves the gains
-        ``K`` of the nodes it completed.
+        ``ng nw (nw + 1)``) when its sweep reaches the node, where the
+        sweep forms all of them first, and it solves the gains ``K`` of the
+        nodes it completed.  Its sweep is descending, or in ``order`` (see
+        :func:`riccati_factor_ref`).
         """
         d = qp.dim
-        return sum(ng * (nu + nx) * (nu + nx + 1) if n < bad else
-                   -nu * nu * nx if n > bad else 0
-                   for n, (nu, nx, ng) in enumerate(zip(d.nu, d.nx, d.ng)))
+        order = list(range(len(d.nu) - 1, -1, -1) if order is None else order)
+        at = order.index(bad)
+        return (sum(d.ng[n] * (d.nu[n] + d.nx[n]) * (d.nu[n] + d.nx[n] + 1)
+                    for n in order[at + 1:])
+                - sum(d.nu[n] * d.nu[n] * d.nx[n] for n in order[:at]))
 
     @pytest.mark.parametrize("variant,use_qr,reg_prim", ROUTES)
     @pytest.mark.parametrize("bad", [1, 2, 4, 5, 7, 30])
@@ -830,8 +833,9 @@ def _chain(Q, R):
 
 
 class TestWholeBlockFallback:
-    """The classical step factors whole node blocks and falls back to the
-    input blocks on a level with a block that is not positive definite."""
+    """The classical step factors whole node blocks; a node whose block is
+    not positive definite takes the input-block step on its own block, also
+    inside a stacked level."""
 
     # stage 1: G = [[2, 1], [1, -2]] is indefinite, G_uu = 2 and P1 = -2.5;
     # stage 0: G = [[7.5, -2.5], [-2.5, 7.5]], P0 = 20/3
@@ -857,7 +861,7 @@ class TestWholeBlockFallback:
 
     def test_indefinite_interior_block_of_a_chain(self, monkeypatch):
         qp = _chain(**self.CHAIN)
-        reduced = _spy(monkeypatch, "cholesky_solve_stack")
+        reduced = _spy(monkeypatch, "cholesky_solve")
         fac = self._agrees_with_reference(qp)
         assert reduced == [1]
         assert fac.p_matrix(1)[0, 0] == pytest.approx(-2.5)
@@ -867,18 +871,81 @@ class TestWholeBlockFallback:
                               arg=IpmArg(riccati_variant="square_root"))
         assert ei.value.stage == 1
 
-    def test_indefinite_node_falls_back_for_its_whole_level(self, monkeypatch):
+    def test_indefinite_node_alone_takes_the_input_block_step(self, monkeypatch):
+        # the stacked level {1, 2} is redone node by node: node 2 factors
+        # its whole block, node 1 falls back to its input block
         qp = _scalar_tree(**self.TREE)
         assert [lv.k for lv in ko._band(make_view(qp)).levels] == [2, 2, 1]
-        reduced = _spy(monkeypatch, "cholesky_solve_stack")
+        reduced = _spy(monkeypatch, "cholesky_solve")
         fac = self._agrees_with_reference(qp)
-        assert reduced == [2]
+        assert reduced == [1]
         assert fac.p_matrix(1)[0, 0] == pytest.approx(-2.5)
         assert fac.p_matrix(2)[0, 0] == pytest.approx(1.5)
         with pytest.raises(FactorizationFailed) as ei:
             ko.riccati_factor(qp, QpSolution(make_view(qp)),
                               arg=IpmArg(riccati_variant="square_root"))
         assert ei.value.stage == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(qp=st.one_of(convex_stage_qps(), level_trees()),
+           seed=st.integers(0, 2**32 - 1), reg_prim=st.sampled_from([0.0, 1e-3]),
+           data=st.data())
+    def test_random_indefinite_blocks_match_reference(self, qp, seed, reg_prim,
+                                                      data):
+        # chains, parents-first trees and trees numbered breadth or depth
+        # first: random nodes below the root get an indefinite whole block;
+        # every input block, and the root's whole block, which absorbs the
+        # negative curvature passed up to it, stay positive definite, so
+        # those nodes take the input-block step, on one-node and stacked
+        # levels alike
+        d, rng = qp.dim, np.random.default_rng(seed)
+        n_node = len(d.nx)
+        assume(n_node > 1)
+        for n in range(n_node):
+            qp.set_field("R", n, qp.get_field("R", n) + 1e5 * np.eye(d.nu[n]))
+        qp.set_field("Q", 0, qp.get_field("Q", 0) + 1e7 * np.eye(d.nx[0]))
+        indefinite = data.draw(st.sets(st.integers(1, n_node - 1), min_size=1))
+        for n in indefinite:
+            qp.set_field("Q", n, qp.get_field("Q", n) - 1e3 * np.eye(d.nx[n]))
+        it = rand_iterate(rng, qp, spread=(0.5, 2.0))
+        arg = IpmArg(reg_prim=reg_prim)
+        try:
+            with flop_counter() as want_fl:
+                ref = riccati_factor_ref(qp, it, arg=arg)
+        except FactorizationFailed:
+            # an ancestor's input block took in too much negative curvature
+            assume(False)
+        assert all(np.linalg.eigvalsh(ref.P[n])[0] < 0 for n in indefinite)
+        with flop_counter() as got_fl:
+            fac = ko.riccati_factor(qp, it, arg=arg)
+        _matches_reference(qp, fac, ref)
+        gains = sum(nu * nu * nx for nu, nx in zip(d.nu, d.nx) if nu)
+        assert got_fl.flops == want_fl.flops - gains
+        # then one node's input block indefinite too: every route fails at
+        # the reference's stage, with its flops, when the reference visits
+        # the nodes in the order of the sweep's level schedule
+        inputs = [n for n in range(n_node) if d.nu[n]]
+        if not inputs:
+            return
+        bad = data.draw(st.sampled_from(inputs))
+        G_uu = ref.L_uu[bad] @ ref.L_uu[bad].T
+        shift = np.linalg.eigvalsh(G_uu)[-1] + 1.0
+        qp.set_field("R", bad, qp.get_field("R", bad) - shift * np.eye(d.nu[bad]))
+        it = QpSolution.from_flat(make_view(qp), it.flat())
+        order = [n for lv in ko._band(make_view(qp)).levels for n in lv.nodes[::-1]]
+        for variant, use_qr, reg in ROUTES:
+            kw = dict(use_qr=use_qr, arg=IpmArg(riccati_variant=variant,
+                                                reg_prim=reg))
+            with flop_counter() as got_fl, pytest.raises(FactorizationFailed) as got:
+                ko.riccati_factor(qp, it, **kw)
+            with flop_counter() as want_fl, pytest.raises(FactorizationFailed) as want:
+                riccati_factor_ref(qp, it, order=order, **kw)
+            stage = want.value.stage
+            assert got.value.stage == stage
+            if variant == "classical" and not use_qr:
+                assert stage == bad
+            lag = TestFactorSweepEquivalence._ref_lag(qp, stage, order)
+            assert got_fl.flops == want_fl.flops + lag
 
     @pytest.mark.parametrize("kind", ["ocp", "tree"])
     def test_input_block_not_positive_definite_fails_at_its_stage(self, kind):
@@ -990,14 +1057,15 @@ class TestReducedHessianKept:
     @pytest.mark.parametrize("kind", ["ocp", "tree"])
     def test_classical_fallback_and_square_root_failure(self, monkeypatch, kind):
         # node 1's whole block is indefinite: the classical step falls back
-        # to its input block (a one-node level on the chain, a stacked one
-        # on the tree), the square-root step fails there
+        # to its input block alone (its one-node level on the chain; on the
+        # tree, its stacked level redone node by node), the square-root
+        # step fails there
         fb = TestWholeBlockFallback
         qp = _chain(**fb.CHAIN) if kind == "ocp" else _scalar_tree(**fb.TREE)
         it = QpSolution(make_view(qp))
-        reduced = _spy(monkeypatch, "cholesky_solve_stack")
+        reduced = _spy(monkeypatch, "cholesky_solve")
         assert self._sweep(monkeypatch, qp, it) is None
-        assert reduced == [1 if kind == "ocp" else 2]
+        assert reduced == [1]
         assert self._sweep(monkeypatch, qp, it,
                            arg=IpmArg(riccati_variant="square_root")) == 1
 
@@ -1059,7 +1127,7 @@ class TestWorkloadFactorCalls:
         assert make_view(qp).n_node == n_node
         update = _spy(monkeypatch, "cholesky_update")
         chol = _spy(monkeypatch, "cholesky_stack")
-        reduced = _spy(monkeypatch, "cholesky_solve_stack")
+        reduced = _spy(monkeypatch, "cholesky_solve")
         real, calls = ko.riccati_factor, []
 
         def factor(qp, iterate, arg=None, use_qr=False):
@@ -1361,8 +1429,9 @@ class TestWorkspace:
     @pytest.mark.parametrize("kind", ["ocp", "tree"])
     def test_fallback_and_failure_hand_the_workspace_back(self, monkeypatch,
                                                           kind, kw, stage):
-        # node 1's whole block is indefinite: a one-node classical fallback
-        # on the chain, a stacked one on the tree; square root fails there
+        # node 1's whole block is indefinite: the classical step falls back
+        # to its input block (inside a stacked level on the tree); square
+        # root fails there
         fb = TestWholeBlockFallback
         qp = _chain(**fb.CHAIN) if kind == "ocp" else _scalar_tree(**fb.TREE)
         self._hands_back(monkeypatch, qp, QpSolution(make_view(qp)), kw, stage, {})
@@ -1376,19 +1445,21 @@ class TestWorkspace:
     @pytest.mark.parametrize("variant,use_qr,reg_prim", ROUTES)
     def test_depth_first_tree_matches_reference(self, rng, variant, use_qr,
                                                 reg_prim):
-        # numbered depth first, the levels {2, 3, 5, 6} and {1, 4} are not
-        # consecutive: their selectors are index arrays, so their arguments
-        # are built at every step and written back
+        # numbered depth first, slices cannot select the nodes of a depth:
+        # every node is a one-node level, in descending order per depth,
+        # with its arguments prepared on the workspace like any other
         kw = dict(use_qr=use_qr, arg=IpmArg(riccati_variant=variant, reg_prim=reg_prim))
         qp = rand_tree_qp(rng, [-1, 0, 1, 1, 0, 4, 4], nx=3, nu=2)
         levels = ko._band(make_view(qp)).levels
-        assert [(lv.nodes, lv.views) for lv in levels] == [
-            ([2, 3, 5, 6], False), ([1, 4], False), ([0], True)]
+        assert [lv.nodes for lv in levels] == [[6], [5], [3], [2], [4], [1], [0]]
         for _ in range(2):      # the second on the kept workspace
             it = rand_iterate(rng, qp)
             _matches_reference(qp, ko.riccati_factor(qp, it, **kw),
                                riccati_factor_ref(qp, it, **kw))
-        assert self._spare(qp).steps[:2] == [None, None]
+        ws = self._spare(qp)
+        assert len(ws.steps) == len(levels)
+        assert all(np.shares_memory(args[0], ws.work)
+                   and np.shares_memory(args[4], ws.p) for args in ws.steps)
 
 
 class TestCostToGoApply:

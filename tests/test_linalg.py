@@ -12,7 +12,7 @@ from mpcqp.errors import (
 from mpcqp import linalg
 from mpcqp.linalg import (
     cholesky_factor,
-    cholesky_solve_stack,
+    cholesky_solve,
     cholesky_sqrt_update,
     cholesky_stack,
     cholesky_update,
@@ -471,12 +471,13 @@ class TestStackedCholeskyCutoff:
         A = self._spd_stack(rng, k, n)
         B = rng.standard_normal((k, n, 3))
         L = cholesky_stack(A)
-        L2, X = cholesky_solve_stack(A, B)
-        one = [cholesky_solve_stack(A[i: i + 1], B[i: i + 1]) for i in range(k)]
         assert np.array_equal(L, np.concatenate([cholesky_stack(A[i: i + 1])
                                                  for i in range(k)]))
-        assert np.array_equal(L2, np.concatenate([o[0] for o in one]))
-        assert np.array_equal(X, np.concatenate([o[1] for o in one]))
+        # the 2-D kernel takes the same dpotrf of each block, then L X = B
+        for L_i, A_i, B_i in zip(L, A, B):
+            L2, X = cholesky_solve(A_i, B_i)
+            assert np.array_equal(L2, L_i)
+            assert np.max(np.abs(L2 @ X - B_i)) <= 1e-12 * np.max(np.abs(B_i))
 
     @pytest.mark.parametrize("k,n", [(4, 8), (16, 4), (32, 2)])
     def test_block_diagonal_within_cutoff(self, k, n):
@@ -495,7 +496,7 @@ class TestStackedCholeskyCutoff:
         with pytest.raises(NotPositiveDefinite):
             cholesky_stack(A)
         with pytest.raises(NotPositiveDefinite):
-            cholesky_solve_stack(A, np.ones((k, 3, 1)))
+            cholesky_solve(A[k // 2], np.ones((3, 1)))
 
 
 UPDATE_RTOL = 1e-12

@@ -20,7 +20,7 @@ from mpcqp import (
     objective,
     validate,
 )
-from mpcqp.qp_data import _STAGE_VIRTUAL, errors_only
+from mpcqp.qp_data import ROW_FIELDS, _STAGE_VIRTUAL, errors_only
 from mpcqp.view import QpSolution, make_view
 
 from conftest import (
@@ -282,6 +282,14 @@ class TestVerdictKeepingFields:
             checked = {n for n, f in type(qp)._FIELDS.items() if f.checked}
             assert checked == {"Q", "R", "H", "Zl", "Zu", "idxb", "idxs",
                                "maskl", "masku"} & set(type(qp)._FIELDS)
+
+    def test_row_fields_have_one_catalog_entry_for_both_types(self):
+        # a stage and a dense QP cache views and keep verdicts alike on
+        # their shared row fields
+        stage, dense = OcpQp._FIELDS, DenseQp._FIELDS
+        for name in ROW_FIELDS:
+            a, b = stage[name], dense[name]
+            assert (a.dtype, a.bound, a.checked) == (b.dtype, b.bound, b.checked)
 
     @settings(max_examples=200)
     @given(verdict_keeping_writes())

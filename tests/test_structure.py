@@ -113,3 +113,32 @@ def test_every_linalg_kernel_has_a_caller():
     assert kernels and counter <= set(exported)
     for name in sorted(kernels):
         assert _users(f"linalg.{name}") - {"linalg.py"}, name
+
+
+# the names an except clause can catch a Riccati kernel's failure by
+_KERNEL_FAILURES = {"NotPositiveDefinite", "RankDeficient", "LinalgError",
+                    "MpcQpError", "RuntimeError", "Exception", "BaseException"}
+
+
+def test_riccati_failures_are_classified_in_one_place():
+    # the sweep's kernel failures are caught in riccati_factor, which hands
+    # each to _level_failed, and in _level_failed, which alone raises
+    # FactorizationFailed: the root's chol(P[0]) is taken and classified
+    # there too, not in a branch after the sweep
+    catches, raises, chol = set(), set(), set()
+    for fn in ast.walk(MODULES["kkt_ocp.py"]):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.ExceptHandler):
+                types = (node.type.elts if isinstance(node.type, ast.Tuple)
+                         else [node.type])
+                if node.type is None or {_dotted(t) for t in types} & _KERNEL_FAILURES:
+                    catches.add(fn.name)
+            elif isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+                if _dotted(node.exc.func) == "FactorizationFailed":
+                    raises.add(fn.name)
+            elif isinstance(node, ast.Call) and _dotted(node.func) == "cholesky_stack":
+                chol.add(fn.name)
+    assert catches == {"riccati_factor", "_level_failed"}
+    assert raises == chol == {"_level_failed"}
