@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg
 
-from .errors import ClosedLoopFailed, InvalidConfig
+from .errors import ClosedLoopFailed, DimensionMismatch, InvalidConfig
 from .ipm_core import Status, mode_preset
 from .qp_data import OcpQp, OcpQpDim
 from .solver import solve_ocp_qp
@@ -143,26 +143,44 @@ def gen_mass_spring(cfg):
     return qp
 
 
+def _runs(same):
+    """``(a, b)`` for every maximal run ``same[a:b]`` of True entries."""
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], same, [0]))))
+    return zip(edges[::2], edges[1::2])
+
+
 def _shift_guess(qp, view, sol, N):
     """One-stage shift of a solution, repeating the last input.
+
+    Stage n < N - 1 of the guess takes the states and the dynamics
+    multipliers of stage n + 1 of ``sol``, and its inputs and inequality
+    pairs where the two stages have the same sizes (elsewhere it keeps
+    those of stage n).  The states must have one size over the horizon.  A
+    run of equal-shaped stages is one slice of ``y``, ``pi``, ``lam`` and
+    ``t`` on either side, so it shifts with one copy per array.
 
     The terminal state is rolled once more through the dynamics so the
     shifted trajectory satisfies every dynamics row exactly; only the
     repeated last input and the stale tail multipliers are approximate.
     """
+    d = qp.dim
+    nx, nu = d.nx[: N + 1], d.nu[: N + 1]
+    if np.any(nx != nx[0]):
+        raise DimensionMismatch("a shift needs one state size over the horizon")
+    nc = 2 * (d.nb + d.ng + d.ns)[: N + 1]
+    w_off = np.concatenate(([0], np.cumsum(nu + nx)))
+    c_off = np.concatenate(([0], np.cumsum(nc)))
     g = QpSolution(view)
-    g.y[:] = sol.y
-    g.pi[:] = sol.pi
-    g.lam[:] = sol.lam
-    g.t[:] = sol.t
-    for n in range(N - 1):
+    g.flat()[:] = sol.flat()
+    same_u = nu[:-2] == nu[1:-1]
+    for a, b in _runs(same_u):
+        g.y[w_off[a]: w_off[b]] = sol.y[w_off[a + 1]: w_off[b + 1]]
+    for n in np.flatnonzero(~same_u):   # the input size changes: states only
         g.x(n)[:] = sol.x(n + 1)
-        if g.u(n).shape == sol.u(n + 1).shape:
-            g.u(n)[:] = sol.u(n + 1)
-        g.pi_stage(n)[:] = sol.pi_stage(n + 1)
-        if g.lam_stage(n).shape == sol.lam_stage(n + 1).shape:
-            g.lam_stage(n)[:] = sol.lam_stage(n + 1)
-            g.t_stage(n)[:] = sol.t_stage(n + 1)
+    g.pi[: (N - 1) * nx[0]] = sol.pi[nx[0]: N * nx[0]]
+    for a, b in _runs(nc[:-2] == nc[1:-1]):
+        g.lam[c_off[a]: c_off[b]] = sol.lam[c_off[a + 1]: c_off[b + 1]]
+        g.t[c_off[a]: c_off[b]] = sol.t[c_off[a + 1]: c_off[b + 1]]
     g.x(N - 1)[:] = sol.x(N)
     dyn = qp._dyn[N - 1]
     g.x(N)[:] = dyn["A"] @ g.x(N - 1) + dyn["B"] @ g.u(N - 1) + dyn["b"]
@@ -170,22 +188,18 @@ def _shift_guess(qp, view, sol, N):
     # shifted stage-1 values say nothing about it, so rebuild those
     # multipliers from the stage-0 stationarity gap
     cb = view.blocks[0]
-    nu0 = qp.dim.nu[0]
-    xrows = [(i, k - nu0) for i, k in enumerate(cb.idxb) if k >= nu0]
-    if xrows:
+    rows = np.flatnonzero(cb.idxb >= nu[0])
+    if rows.size:
         lam0 = g.lam_stage(0)
+        lam0[rows] = 0.0
+        lam0[cb.m + rows] = 0.0
+        gap = view.residuals(g).r_g[view.x_off[0]: view.x_off[0] + nx[0]]
+        gap = gap[cb.idxb[rows] - nu[0]]
+        lam0[rows] = np.where(gap >= 0.0, gap, 0.0)
+        lam0[cb.m + rows] = np.where(gap >= 0.0, 0.0, -gap)
         t0 = g.t_stage(0)
-        for i, _ in xrows:
-            lam0[i] = 0.0
-            lam0[cb.m + i] = 0.0
-        gap = view.residuals(g).r_g[view.x_off[0]: view.x_off[0] + qp.dim.nx[0]]
-        for i, c in xrows:
-            if gap[c] >= 0.0:
-                lam0[i] = gap[c]
-            else:
-                lam0[cb.m + i] = -gap[c]
-            t0[i] = 0.0
-            t0[cb.m + i] = 0.0
+        t0[rows] = 0.0
+        t0[cb.m + rows] = 0.0
     return g
 
 

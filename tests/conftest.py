@@ -1080,3 +1080,42 @@ def expand_ref(z, lam, qp, cref):
             pi_m1 = pi_m1 + qp._dyn[m]["A"].T @ sol.pi_stage(m)
         sol.pi_stage(m - 1)[:] = pi_m1
     return sol.v.copy(), sol.pi.copy()
+
+
+def shift_guess_ref(qp, view, sol, N):
+    """Stage-by-stage form of ``mass_spring._shift_guess``: the same guess,
+    written as one accessor copy per stage and per initial-state row."""
+    g = QpSolution(view)
+    g.y[:] = sol.y
+    g.pi[:] = sol.pi
+    g.lam[:] = sol.lam
+    g.t[:] = sol.t
+    for n in range(N - 1):
+        g.x(n)[:] = sol.x(n + 1)
+        if g.u(n).shape == sol.u(n + 1).shape:
+            g.u(n)[:] = sol.u(n + 1)
+        g.pi_stage(n)[:] = sol.pi_stage(n + 1)
+        if g.lam_stage(n).shape == sol.lam_stage(n + 1).shape:
+            g.lam_stage(n)[:] = sol.lam_stage(n + 1)
+            g.t_stage(n)[:] = sol.t_stage(n + 1)
+    g.x(N - 1)[:] = sol.x(N)
+    dyn = qp._dyn[N - 1]
+    g.x(N)[:] = dyn["A"] @ g.x(N - 1) + dyn["B"] @ g.u(N - 1) + dyn["b"]
+    cb = view.blocks[0]
+    nu0 = qp.dim.nu[0]
+    xrows = [(i, k - nu0) for i, k in enumerate(cb.idxb) if k >= nu0]
+    if xrows:
+        lam0 = g.lam_stage(0)
+        t0 = g.t_stage(0)
+        for i, _ in xrows:
+            lam0[i] = 0.0
+            lam0[cb.m + i] = 0.0
+        gap = view.residuals(g).r_g[view.x_off[0]: view.x_off[0] + qp.dim.nx[0]]
+        for i, c in xrows:
+            if gap[c] >= 0.0:
+                lam0[i] = gap[c]
+            else:
+                lam0[cb.m + i] = -gap[c]
+            t0[i] = 0.0
+            t0[cb.m + i] = 0.0
+    return g

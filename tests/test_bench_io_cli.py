@@ -1,4 +1,5 @@
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -7,21 +8,33 @@ import pytest
 from mpcqp import (
     ClosedLoopFailed,
     DenseQp,
+    DimensionMismatch,
     InvalidConfig,
     MassSpringConfig,
     ParseError,
     VersionMismatch,
     gen_mass_spring,
+    default_x0,
     mass_spring_dynamics,
     mode_preset,
     qp_read,
     qp_write,
     run_closed_loop,
+    solve_ocp_qp,
     validate,
 )
 from mpcqp.cli import main as cli_main
+from mpcqp.mass_spring import _shift_guess
+from mpcqp.view import make_view
 
-from conftest import rand_dense_qp, rand_ocp_qp, rand_tree_qp
+from conftest import (
+    rand_dense_qp,
+    rand_iterate,
+    rand_mixed_ocp_qp,
+    rand_ocp_qp,
+    rand_tree_qp,
+    shift_guess_ref,
+)
 
 
 class TestGenerator:
@@ -89,6 +102,34 @@ class TestClosedLoop:
         assert all(w <= c for w, c in zip(warm, cold))
         assert sum(warm) < sum(cold)
 
+    @pytest.mark.parametrize("mode", ["speed", "balance", "robust"])
+    def test_disturbed_loop_warm_never_worse(self, mode):
+        # a plant that drifts off the prediction: every shifted guess is
+        # infeasible for the new initial state, and the warm start must
+        # still keep enough of it to beat a cold solve of the same QP
+        M, N = 4, 20
+        rng = np.random.default_rng(0)
+        A, B = mass_spring_dynamics(M, 0.5)
+        x = default_x0(M)
+        qp = gen_mass_spring(MassSpringConfig(masses=M, horizon=N, x0=x))
+        arg = mode_preset(mode).with_tol(1e-6)
+        warm_arg = replace(arg, warm_start="primal_dual")
+        warm, cold, guess = [], [], None
+        for _ in range(24):
+            qp.set_field("lbx", 0, x)
+            qp.set_field("ubx", 0, x)
+            rep = solve_ocp_qp(qp, arg)
+            assert rep.status.value == "Success"
+            if guess is not None:
+                cold.append(rep.iterations)
+                rep = solve_ocp_qp(qp, warm_arg, guess)
+                assert rep.status.value == "Success"
+                warm.append(rep.iterations)
+            guess = _shift_guess(qp, make_view(qp), rep.solution, N)
+            x = A @ x + B @ rep.solution.u(0) + rng.normal(0.0, 0.02, 2 * M)
+        assert all(w <= c for w, c in zip(warm, cold))
+        assert np.mean(warm) <= 4.3
+
     def test_kept_view_is_bit_identical_to_rebuilding(self, monkeypatch):
         # the view carried across every step's lbx/ubx writes against a run
         # that drops the cached view before every step
@@ -129,6 +170,41 @@ class TestClosedLoop:
         with pytest.raises(ClosedLoopFailed) as ei:
             run_closed_loop(cfg, 3, arg)
         assert ei.value.step == 0
+
+
+class TestShiftGuess:
+    @pytest.mark.parametrize("M,N", [(2, 1), (2, 10), (4, 20)])
+    def test_mass_spring_matches_stage_loop(self, M, N):
+        qp = gen_mass_spring(MassSpringConfig(masses=M, horizon=N))
+        sol = solve_ocp_qp(qp, mode_preset("balance").with_tol(1e-6)).solution
+        view = make_view(qp)
+        got = _shift_guess(qp, view, sol, N)
+        assert got.flat().tobytes() == shift_guess_ref(qp, view, sol, N).flat().tobytes()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_mixed_stages_match_stage_loop(self, seed):
+        # input, general and soft row counts change from stage to stage, so
+        # runs of equal-shaped stages break and some stages keep their own
+        # inputs and multipliers
+        rng = np.random.default_rng(seed)
+        N = 6
+        nu = list(rng.integers(0, 3, N + 1))
+        qp = rand_mixed_ocp_qp(rng, [3] * (N + 1), nu,
+                               list(rng.integers(0, 2, N + 1)),
+                               list(rng.integers(0, 2, N + 1)), fix_x0=True)
+        view = make_view(qp)
+        sol = rand_iterate(rng, qp)
+        got = _shift_guess(qp, view, sol, N)
+        assert got.flat().tobytes() == shift_guess_ref(qp, view, sol, N).flat().tobytes()
+
+    def test_changing_state_size_raises(self, rng):
+        qp = rand_mixed_ocp_qp(rng, [3, 3, 2, 3], [1, 1, 1, 0], [0] * 4, [0] * 4)
+        view = make_view(qp)
+        sol = rand_iterate(rng, qp)
+        with pytest.raises(ValueError):
+            shift_guess_ref(qp, view, sol, 3)
+        with pytest.raises(DimensionMismatch):
+            _shift_guess(qp, view, sol, 3)
 
 
 class TestQpFiles:

@@ -486,6 +486,37 @@ class TestFlatIterate:
         rep = solve(qp, arg, guess)
         assert np.all(_masked_part(vw, rep.solution) == 0.0)
 
+    @given(masked_qps(), st.integers(0, 2**32 - 1))
+    def test_warm_point_floors_and_keeps_the_guess(self, qp, seed):
+        vw = make_view(qp)
+        arg = replace(mode_preset("balance").with_tol(1e-8),
+                      warm_start="primal_dual")
+        floor = max(arg.lam_min, arg.t_min, 1e-8)
+        act = vw.act
+        # multipliers and slacks of either sign over thirteen decades
+        rng = np.random.default_rng(seed)
+        lam, t = (rng.choice([-1.0, 1.0], (2, vw.nc))
+                  * 10.0 ** rng.uniform(-12.0, 1.0, (2, vw.nc)))
+        guess = QpSolution(vw, rng.standard_normal(vw.ny),
+                           rng.standard_normal(vw.ne), lam, t)
+        it = _init_iterate(vw, arg, guess)
+        assert np.all(np.isfinite(it.flat()))
+        assert np.all(it.lam[act] >= floor) and np.all(it.t[act] >= floor)
+        assert np.all(_masked_part(vw, it) == 0.0)
+        # the QP's own solution: its infeasibility is at rounding level, so
+        # only the absolute floor applies and the rest is kept bit for bit
+        solve = {"dense": solve_dense_qp, "ocp": solve_ocp_qp,
+                 "tree": solve_tree_ocp_qp}[qp.kind]
+        rep = solve(qp, arg)
+        assert rep.status is Status.Success
+        sol = rep.solution
+        it = _init_iterate(vw, arg, sol)
+        assert np.array_equal(it.y, sol.y) and np.array_equal(it.pi, sol.pi)
+        assert np.array_equal(it.lam[act], np.maximum(sol.lam, floor)[act])
+        assert np.array_equal(it.t[act],
+                              np.maximum(vw.cy(sol.y) - vw.d, floor)[act])
+        assert np.all(_masked_part(vw, it) == 0.0)
+
     @given(masked_qps(), st.sampled_from(["none", "primal_dual"]),
            st.integers(0, 2**32 - 1))
     def test_step_length_and_update_equal_masked_references(self, qp, warm, seed):
