@@ -13,8 +13,8 @@ from mpcqp import (
     MassSpringConfig,
     ParseError,
     VersionMismatch,
-    gen_mass_spring,
     default_x0,
+    gen_mass_spring,
     mass_spring_dynamics,
     mode_preset,
     qp_read,
@@ -178,8 +178,8 @@ class TestShiftGuess:
         qp = gen_mass_spring(MassSpringConfig(masses=M, horizon=N))
         sol = solve_ocp_qp(qp, mode_preset("balance").with_tol(1e-6)).solution
         view = make_view(qp)
-        got = _shift_guess(qp, view, sol, N)
-        assert got.flat().tobytes() == shift_guess_ref(qp, view, sol, N).flat().tobytes()
+        ref = shift_guess_ref(qp, view, sol, N)
+        assert _shift_guess(qp, view, sol, N).flat().tobytes() == ref.flat().tobytes()
 
     @pytest.mark.parametrize("seed", range(6))
     def test_mixed_stages_match_stage_loop(self, seed):
@@ -194,8 +194,8 @@ class TestShiftGuess:
                                list(rng.integers(0, 2, N + 1)), fix_x0=True)
         view = make_view(qp)
         sol = rand_iterate(rng, qp)
-        got = _shift_guess(qp, view, sol, N)
-        assert got.flat().tobytes() == shift_guess_ref(qp, view, sol, N).flat().tobytes()
+        ref = shift_guess_ref(qp, view, sol, N)
+        assert _shift_guess(qp, view, sol, N).flat().tobytes() == ref.flat().tobytes()
 
     def test_changing_state_size_raises(self, rng):
         qp = rand_mixed_ocp_qp(rng, [3, 3, 2, 3], [1, 1, 1, 0], [0] * 4, [0] * 4)
