@@ -128,7 +128,31 @@ class TestClosedLoop:
             guess = _shift_guess(qp, make_view(qp), rep.solution, N)
             x = A @ x + B @ rep.solution.u(0) + rng.normal(0.0, 0.02, 2 * M)
         assert all(w <= c for w, c in zip(warm, cold))
-        assert np.mean(warm) <= 4.3
+        assert np.mean(warm) <= 3.8 and max(warm) <= 5
+
+    @pytest.mark.parametrize("mode", ["speed", "balance", "robust"])
+    def test_disturbed_ill_scaled_loop_succeeds(self, mode):
+        # positions weighted s times and velocities 1/s times: the lifted
+        # multipliers must not push a warm step off a badly scaled problem
+        M, N, s = 3, 10, 1e2
+        rng = np.random.default_rng(0)
+        A, B = mass_spring_dynamics(M, 0.5)
+        x = default_x0(M)
+        qp = gen_mass_spring(MassSpringConfig(masses=M, horizon=N, x0=x))
+        for n in range(N + 1):
+            qp.set_field("Q", n, np.diag(np.r_[s * np.ones(M), np.ones(M) / s]))
+        arg = mode_preset(mode).with_tol(1e-6)
+        warm_arg = replace(arg, warm_start="primal_dual")
+        iters, guess = [], None
+        for _ in range(20):
+            qp.set_field("lbx", 0, x)
+            qp.set_field("ubx", 0, x)
+            rep = solve_ocp_qp(qp, arg if guess is None else warm_arg, guess)
+            assert rep.status.value == "Success"
+            iters.append(rep.iterations)
+            guess = _shift_guess(qp, make_view(qp), rep.solution, N)
+            x = A @ x + B @ rep.solution.u(0) + rng.normal(0.0, 0.02, 2 * M)
+        assert sum(iters) <= 106
 
     def test_kept_view_is_bit_identical_to_rebuilding(self, monkeypatch):
         # the view carried across every step's lbx/ubx writes against a run

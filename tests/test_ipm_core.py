@@ -1,3 +1,4 @@
+import copy
 from dataclasses import fields, replace
 
 import numpy as np
@@ -29,7 +30,7 @@ from mpcqp.ipm_core import (
 )
 from mpcqp.kkt_dense import factor
 from mpcqp.kkt_ocp import riccati_factor
-from mpcqp.solver import _init_iterate
+from mpcqp.solver import _WARM_ROOM, _init_iterate
 from mpcqp.view import QpSolution, make_view
 
 from conftest import (
@@ -516,6 +517,54 @@ class TestFlatIterate:
         assert np.array_equal(it.t[act],
                               np.maximum(vw.cy(sol.y) - vw.d, floor)[act])
         assert np.all(_masked_part(vw, it) == 0.0)
+
+    @given(masked_qps(), st.integers(0, 2**32 - 1))
+    def test_warm_point_lifts_multipliers_to_a_centered_floor(self, qp, seed):
+        vw = make_view(qp)
+        arg = replace(mode_preset("balance").with_tol(1e-8),
+                      warm_start="primal_dual")
+        act = vw.act
+        solve = {"dense": solve_dense_qp, "ocp": solve_ocp_qp,
+                 "tree": solve_tree_ocp_qp}[qp.kind]
+        sol = solve(qp, arg).solution
+        # the solution moved by eleven decades of violation, with
+        # multipliers of either sign over thirteen decades
+        rng = np.random.default_rng(seed)
+        y = sol.y + 10.0 ** rng.uniform(-10.0, 1.0) * rng.standard_normal(vw.ny)
+        lam = (rng.choice([-1.0, 1.0], vw.nc)
+               * 10.0 ** rng.uniform(-12.0, 1.0, vw.nc))
+        guess = QpSolution(vw, y, sol.pi, lam, sol.t)
+
+        def floored(view):
+            """The guess's violation and its floored t and lam on active rows."""
+            cy = view.cy(y)
+            gap = min(1.0, max(
+                np.max(np.where(act, view.d - cy, 0.0), initial=0.0),
+                np.max(np.abs(view.b - view.a_y(y)), initial=0.0)))
+            floor = max(arg.lam_min, arg.t_min, 1e-8, _WARM_ROOM * gap)
+            return (gap, np.maximum(cy - view.d, floor)[act],
+                    np.maximum(lam, floor)[act])
+
+        gap, t, lam0 = floored(vw)
+        it = _init_iterate(vw, arg, guess)
+        assert np.array_equal(it.t[act], t)
+        mu_g = float(np.mean(lam0 * t)) if vw.n_act else 0.0
+        target = _WARM_ROOM * min(mu_g, gap)
+        assert np.all(it.lam[act] * it.t[act] >= target * (1.0 - 1e-12))
+        # only the multipliers of pairs below the target move, and only up
+        assert np.all(it.lam[act] >= lam0)
+        keep = lam0 * t >= target * (1.0 + 1e-12)
+        assert np.array_equal(it.lam[act][keep], lam0[keep])
+        # a view whose rows the guess satisfies exactly: with no violation
+        # only the absolute floor applies, so nothing else moves
+        exact = copy.copy(vw)
+        exact.b = vw.a_y(y)
+        exact.d = np.where(act, np.minimum(vw.d, vw.cy(y)), 0.0)
+        gap, t, lam0 = floored(exact)
+        assert gap == 0.0
+        it = _init_iterate(exact, arg, guess)
+        assert np.array_equal(it.t[act], t) and np.array_equal(it.lam[act], lam0)
+        assert np.all(_masked_part(exact, it) == 0.0)
 
     @given(masked_qps(), st.sampled_from(["none", "primal_dual"]),
            st.integers(0, 2**32 - 1))
