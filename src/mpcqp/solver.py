@@ -218,10 +218,8 @@ def _init_iterate(view, arg, guess):
         floor = max(_WARM_FLOOR, arg.t_min, arg.lam_min, _WARM_ROOM * gap)
         t = np.maximum(cy - view.d, floor)
         lam = np.maximum(guess.lam, floor)
-        # centering: a pair far below the floored point's mean product
-        # blocks the step as a pair at the boundary does, so its multiplier
-        # is lifted to a share of that mean, at most of the violation; the
-        # slacks stay the guess's, and with no violation nothing moves
+        # a pair far below the mean product blocks the first step as a pair
+        # at the boundary does; lifting lam alone keeps the guess's slacks
         if view.n_act:
             mu_g = float(np.sum(np.where(act, lam * t, 0.0))) / view.n_act
             lam = np.maximum(lam, _WARM_ROOM * min(mu_g, gap) / t)
