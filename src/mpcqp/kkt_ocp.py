@@ -27,15 +27,15 @@ fill-in appears outside the data blocks.
 The sweep walks a level schedule (``RiccatiBand.levels``, see
 :class:`RiccatiLevel`): the nodes of one depth that share ``nu``, ``nx``
 and the ``nx`` of their children form a level, and a level of k nodes is
-one step with one kernel call on (k, ., .) stacks.  Slices select a
-level's nodes and children, as a breadth-first numbering allows; where
-they cannot (a tree numbered depth first), each node of the group is a
-level of its own.  A chain is a tree with one node per level, so its
-steps have k = 1 and call BLAS and LAPACK on the node's own blocks; a
-scenario tree's levels stack its branches.  The schedule, the band layout of the vector solve and the sweep's workspace
-are constants of the view: :class:`RiccatiBand` is built on the first
-factorization of a view and kept on it as ``band``, so that the view's
-bound-write copies share it.  Everything else is done once per
+one step with one kernel call on (k, ., .) stacks of views.  Slices
+select a level's nodes and children, as a breadth-first numbering
+allows; where they cannot (a tree numbered depth first), each node of the
+group is a level of its own.  A chain is a tree with one node per level,
+so its steps have k = 1; a scenario tree's levels stack its branches.
+The schedule, the band layout of the vector solve and the sweep's
+workspace are constants of the view: :class:`RiccatiBand` is built on the
+first factorization of a view and kept on it as ``band``, so that the
+view's bound-write copies share it.  Everything else is done once per
 factorization or once per view:
 
 * the augmented node Hessians ``M[n]`` of all nodes are formed in one pass
@@ -71,28 +71,29 @@ factorization or once per view:
   of the schedule (``RiccatiBand.flops``).
 
 A level step makes one call of its route's update-and-factor kernel in
-:mod:`linalg`, which factors the level's whole (nu+nx) node blocks at once:
+:mod:`linalg`, which factors the level's whole (nu+nx) node blocks:
 :func:`linalg.cholesky_update` (classical, ``chol(M + [B A]' P [B A])``),
 :func:`linalg.cholesky_sqrt_update` (square root, ``chol(M + W'W)`` with
 ``W = chol(P)' [B A]``) and :func:`linalg.qr_cholesky_update` (QR, the
 triangle of ``[chol(M)' ; W ...]``, which holds the rank test and the sign
-normalization).  On a one-node level (every level of a chain, a tree's
-root) the kernel calls BLAS and LAPACK on the node's own blocks, with the
-``[B A]`` blocks stored column-major once per view so that they reach BLAS
-uncopied, and with no helper call in between: ``dsymm``, ``dgemm`` and
-``dpotrf`` (classical) and ``dtrmm``, ``dsyrk`` and ``dpotrf`` (square
-root) work in the node's work block itself, so that no copy of M and no
-new factor array is made; ``dpotrf``,
-``dtrmm`` and one ``dtpqrt`` (QR) work on a copy, which is written back
-in one assignment.  On a stacked level the kernel works on (k, ., .)
-stacks and assigns the factors into the blocks, and the QR runs one
-``dtpqrt`` per node.  A node without children (a leaf, a
-chain's last stage) has nothing to triangularize: the QR route takes
-``chol(M)`` as its factor.  A classical step then forms ``P = L_xx L_xx'``,
-symmetric as formed.  A kernel raises when a block is not positive
-definite (or, on the QR route, fails the rank test), and one function
-takes every such failure over (:func:`_level_failed`): it redoes the level
-node by node, and a classical node whose whole block is not positive
+normalization).  The Cholesky routes go node by node: for each node of
+the level the kernel calls BLAS and LAPACK on the node's own blocks, with
+the ``[B A]`` blocks stored column-major once per view so that they reach
+BLAS uncopied, and with no helper call in between: ``dsymm``, ``dgemm``
+and ``dpotrf`` (classical) and ``dtrmm``, ``dsyrk`` and ``dpotrf``
+(square root) work in the node's work block itself, so that no copy of M
+and no new factor array is made.  The QR route stays stacked: on a
+stacked level it forms the rows W of all its nodes with one stacked
+product per out-edge slot, then runs ``dpotrf`` and one ``dtpqrt`` per
+node on a copy, which is written back in one assignment (on a one-node
+level, ``dpotrf``, ``dtrmm`` and ``dtpqrt`` on a copy).  A node without
+children (a leaf, a chain's last stage) has nothing to triangularize:
+the QR route takes ``chol(M)`` as its factor.  A classical step then
+forms ``P = L_xx L_xx'``, symmetric as formed.  A kernel raises when a
+block is not positive definite (or, on the QR route, fails the rank
+test), and one function takes every such failure over
+(:func:`_level_failed`): it redoes the level node by node from the kept
+reduced Hessians, and a classical node whose whole block is not positive
 definite takes the input-block step on that block, with G formed again
 from the kept reduced Hessians: one Cholesky factorization of ``G_uu``
 with the triangular solve for X (:func:`linalg.cholesky_solve`), one
@@ -374,16 +375,19 @@ def _level_failed(view, lv, route, hess, work, P, counted, exc):
     :class:`FactorizationFailed` naming the first node that fails.
 
     The level is redone node by node, in descending order, as the
-    node-by-node sweep would: a stacked kernel writes nothing when it
-    fails, so each node of a stacked level runs its own step on its
-    unchanged blocks; a one-node level's node has failed its step already.
-    On the classical route a node whose step fails takes the input-block
-    step (:func:`_input_block_step`), and at the root then chol(P[0]), the
-    trailing triangle of its factor.  The flops counted at a failure are
-    ``counted`` (the levels before), the nodes redone and the failing
-    node's count up to the failing call; at chol(P[0]) they are the whole
-    sweep's.
+    node-by-node sweep would.  The Cholesky kernels factor a stack block by
+    block in place, so they have overwritten the blocks before the failing
+    one: the level's blocks are first copied back from the reduced
+    Hessians ``hess``, and each node of a stacked level then runs its own
+    step on its own blocks; a one-node level's node has failed its step
+    already.  On the classical route a node whose step fails takes the
+    input-block step (:func:`_input_block_step`), and at the root then
+    chol(P[0]), the trailing triangle of its factor.  The flops counted at
+    a failure are ``counted`` (the levels before), the nodes redone and the
+    failing node's count up to the failing call; at chol(P[0]) they are the
+    whole sweep's.
     """
+    work[lv.hess] = hess[lv.hess]
     for n in lv.nodes[::-1]:
         one = lv if lv.k == 1 else RiccatiLevel(view, [n])
         _, _, L_P, _, P_n = args = one.args(work, P)

@@ -51,32 +51,31 @@ caller of LAPACK and of BLAS (numpy's matrix product aside).
 
 The stacked kernel :func:`cholesky_stack` works on (k, n, n) stacks of
 blocks, the nodes of one level of a Riccati recursion (see
-:mod:`kkt_ocp`).  With k = 1 it calls LAPACK on the block itself.  With
-k > 1 its ``dpotrf`` works on the stack's block-diagonal matrix, one call
-in place of k, while its order k n is at most ``_DIAG_MAX`` (64); beyond
-it, where that call's k^3 cost overtakes k calls, it goes block by block.
-:func:`cholesky_solve` is one ``dpotrf`` and one ``dtrtrs`` on one
-block, the input-block step of a classical Riccati node.  Neither counts
-flops: their callers count the nominal per-block counts of the kernels
-they stand in for.  ``cholesky_factor`` is its shape checks and flop count
-around a stack of one.
+:mod:`kkt_ocp`): one ``dpotrf`` per block.  :func:`cholesky_solve` is one
+``dpotrf`` and one ``dtrtrs`` on one block, the input-block step of a
+classical Riccati node.  Neither counts flops: their callers count the
+nominal per-block counts of the kernels they stand in for.
+``cholesky_factor`` is its shape checks and flop count around one
+``dpotrf``.
 
 The update-and-factor kernels :func:`cholesky_update`,
 :func:`cholesky_sqrt_update` and :func:`qr_cholesky_update` are one Riccati
 level's step on each route, uncounted as well (the QR one is also each
 stage of the square-root condensing sweep, see :mod:`condensing`): they
 overwrite a node Hessian M with the factor of M updated by its children's
-terms, and never write the terms.  On a (k, w, w) stack they form the terms
-by stacked products and factor by :func:`cholesky_stack`, the QR by one
-``dpotrf`` and one ``dtpqrt`` (l = 0) per block, and assign the factors
-into M; on one Fortran-ordered (w, w) block the Cholesky routes call BLAS
-and LAPACK on M itself, which ends up holding the factor with no copy made
-(``dsymm``/``dgemm`` or ``dtrmm``/``dsyrk``, then ``dpotrf``).  That block
-path makes its calls directly on the arguments it is given, with no helper
-frame (the ``dpotrf`` return code goes to :func:`_potrf_failed` only when
-it is nonzero): on the small blocks of a chain, a Python frame or a view
-per call costs a sizeable part of the BLAS calls themselves.  Their BLAS
-and LAPACK arguments are positional, as the wrappers parse keywords slower.
+terms, and never write the terms.  On one Fortran-ordered (w, w) block
+the Cholesky routes call BLAS and LAPACK on M itself, which ends up
+holding the factor with no copy made (``dsymm``/``dgemm`` or
+``dtrmm``/``dsyrk``, then ``dpotrf``); on a (k, w, w) stack they take
+that path once per block, so every call they make is on one node's
+blocks.  The QR route forms a stack's terms by stacked products and runs
+one ``dpotrf`` and one ``dtpqrt`` (l = 0) per block on a copy, then
+assigns the factors into M.  The block path makes its calls directly on
+the arguments it is given, with no helper frame (the ``dpotrf`` return
+code goes to :func:`_potrf_failed` only when it is nonzero): on the small
+blocks of a chain, a Python frame or a view per call costs a sizeable
+part of the BLAS calls themselves.  Their BLAS and LAPACK arguments are
+positional, as the wrappers parse keywords slower.
 """
 
 from __future__ import annotations
@@ -195,8 +194,7 @@ def cholesky_factor(M, reg=0.0):
     count_flops(n * n * n // 3)
     if n == 0:
         return np.zeros((0, 0))
-    A = M if reg == 0.0 else M + reg * np.eye(n)
-    return cholesky_stack(A[None])[0]
+    return _potrf(M if reg == 0.0 else M + reg * np.eye(n))
 
 
 def _potrf(A, overwrite=0, lower=1):
@@ -219,55 +217,17 @@ def _potrf_failed(info):
     raise ValueError(f"illegal value in argument {-info} of dpotrf")
 
 
-@lru_cache(maxsize=64)
-def _blocks(k, b):
-    """Positions of the k diagonal (b, b) blocks of a (k b, k b) matrix.
-
-    In the flat buffer whose (k b, k b) reshape is the matrix's transpose,
-    so that the transpose is Fortran-ordered: entry ``[i, r, c]`` addresses
-    row ``i b + r`` and column ``i b + c``.  Read-only and shared.
-    """
-    kb = k * b
-    i = np.arange(k)[:, None, None] * b * (kb + 1)
-    blk = i + np.arange(b)[None, :, None] + np.arange(b)[None, None, :] * kb
-    blk.flags.writeable = False
-    return blk
-
-
-def _block_diag(A, blk):
-    """The (k, b, b) stack A on the diagonal of a zero matrix, Fortran-ordered."""
-    kb = blk.shape[0] * blk.shape[1]
-    buf = np.zeros(kb * kb)
-    buf[blk] = A
-    return buf.reshape(kb, kb).T
-
-
-# order k n of the block-diagonal matrix up to which one LAPACK call on it
-# beats k calls on the blocks (timed on stacks of 2 to 32 blocks of order
-# 2 to 16); the work of the call grows as k^3, that of the loop as k
-_DIAG_MAX = 64
-
-
 def cholesky_stack(A):
     """Lower Cholesky factors of the (k, n, n) stack A, uncounted; A is not written.
 
-    One ``dpotrf``: on the block itself when k = 1, else on the stack's
-    block-diagonal matrix, whose factor holds the blocks' factors, while its
-    order k n is at most ``_DIAG_MAX``; one ``dpotrf`` per block beyond.
+    One ``dpotrf`` per block.
 
     Raises
     ------
     NotPositiveDefinite
-        If a block is not numerically positive definite; on the
-        block-diagonal matrix the minor named is one of that matrix.
+        If a block is not numerically positive definite.
     """
-    k, n = A.shape[:2]
-    if k == 1:
-        return _potrf(A[0])[None]
-    if k * n > _DIAG_MAX:
-        return np.stack([_potrf(a) for a in A])
-    blk = _blocks(k, n)
-    return _potrf(_block_diag(A, blk), overwrite=1).ravel(order="F")[blk]
+    return np.stack([_potrf(a) for a in A])
 
 
 def cholesky_solve(A, B):
@@ -499,23 +459,21 @@ def cholesky_update(M, terms):
     column-major BA and C-ordered P reach BLAS uncopied.  These calls are
     made on the arguments as given, with no helper call in between, so a
     caller that prepares its views once (the Riccati sweep's workspace, see
-    :mod:`kkt_ocp`) pays for little more than BLAS and LAPACK.  On a stack,
-    the products are stacked matrix products, the factorization is
-    :func:`cholesky_stack` and the factors are written into M in one
-    assignment.  Returns M.  The terms are never written; M is, also when
-    the factorization fails.
+    :mod:`kkt_ocp`) pays for little more than BLAS and LAPACK.  A stack is
+    factored block by block, each block by these calls on its own blocks,
+    so the blocks before a failing one hold their factors.  Returns M.  The
+    terms are never written; M is, also when the factorization fails.
 
     Raises
     ------
     NotPositiveDefinite
         If a block of the updated matrix is not positive definite.
     """
-    G = M
     if M.ndim == 3:
-        for P, BA in terms:
-            G = G + BA.transpose(0, 2, 1) @ (P @ BA)
-        M[...] = cholesky_stack(G)
+        for i, M_i in enumerate(M):
+            cholesky_update(M_i, [(P[i], BA[i]) for P, BA in terms])
         return M
+    G = M
     for P, BA in terms:
         if BA.size:
             # BA' (P BA) + G: (beta, c, trans_a, trans_b, overwrite_c)
@@ -537,20 +495,18 @@ def cholesky_sqrt_update(M, terms):
     Shapes, layouts and writes as in :func:`cholesky_update`, with L lower
     triangular.  On a block, per term one ``dtrmm`` for W and one ``dsyrk``
     (beta = 1) adding ``W'W`` to the lower triangle of M, then one
-    ``dpotrf``, with no helper call in between.
+    ``dpotrf``, with no helper call in between; a stack block by block.
 
     Raises
     ------
     NotPositiveDefinite
         If a block of the updated matrix is not positive definite.
     """
-    G = M
     if M.ndim == 3:
-        for L, BA in terms:
-            W = L.transpose(0, 2, 1) @ BA
-            G = G + W.transpose(0, 2, 1) @ W
-        M[...] = cholesky_stack(G)
+        for i, M_i in enumerate(M):
+            cholesky_sqrt_update(M_i, [(L[i], BA[i]) for L, BA in terms])
         return M
+    G = M
     for L, BA in terms:
         if BA.size:
             # W'W + G on the lower triangle: (beta, c, trans, lower,

@@ -704,17 +704,15 @@ class TestFactorSweepEquivalence:
     @pytest.mark.parametrize("bad", [1, 2, 4, 5, 7, 30])
     def test_failing_node_inside_a_level(self, rng, variant, use_qr, reg_prim,
                                          bad):
-        # levels {1, 2}, {3, 4, 5, 6} and the 36 leaves {7, ..., 42}, wider
-        # than the stacked kernels' block-diagonal cut-off, so they factor
-        # block by block; the stacked step fails and its nodes rerun one by
-        # one, so the stage and the flops counted up to the failure are the
-        # node-by-node sweep's
+        # levels {1, 2}, {3, 4, 5, 6} and the 36 leaves {7, ..., 42}; the
+        # stacked step fails and its nodes rerun one by one, so the stage
+        # and the flops counted up to the failure are the node-by-node
+        # sweep's
         parents = [-1, 0, 0, 1, 1, 2, 2] + [p for p in (3, 4, 5, 6) for _ in range(9)]
         kw = dict(use_qr=use_qr, arg=IpmArg(riccati_variant=variant, reg_prim=reg_prim))
         qp = rand_tree_qp(rng, parents, nx=3, nu=2)
         level = {lv.k for lv in ko._band(make_view(qp)).levels if bad in lv.nodes}
         assert level == ({36} if bad > 6 else {4} if bad > 2 else {2})
-        assert 36 * 2 > linalg._DIAG_MAX
         qp.set_field("R", bad, -1e3 * np.eye(2))
         it = rand_iterate(rng, qp)
         with flop_counter() as got_fl, pytest.raises(FactorizationFailed) as got:
@@ -885,6 +883,34 @@ class TestWholeBlockFallback:
             ko.riccati_factor(qp, QpSolution(make_view(qp)),
                               arg=IpmArg(riccati_variant="square_root"))
         assert ei.value.stage == 1
+
+    def test_failed_stack_is_redone_from_the_reduced_hessians(self, rng,
+                                                               monkeypatch):
+        # node 4 of the level {3, 4, 5, 6} has an indefinite whole block and
+        # a positive definite input block.  The kernel factors the stack
+        # block by block in place, so when node 4 fails it has overwritten
+        # node 3's block and part of node 4's; the node-by-node redo must
+        # start again from the reduced Hessians
+        qp = rand_tree_qp(rng, [-1, 0, 0, 1, 1, 2, 2], nx=3, nu=2)
+        assert ko._band(make_view(qp)).levels[0].nodes == [3, 4, 5, 6]
+        for n in range(7):
+            qp.set_field("R", n, qp.get_field("R", n) + 1e5 * np.eye(2))
+        for n in range(3):
+            # the nodes above take in node 4's negative curvature
+            qp.set_field("Q", n, qp.get_field("Q", n) + 1e7 * np.eye(3))
+        qp.set_field("Q", 4, qp.get_field("Q", 4) - 1e3 * np.eye(3))
+        it = rand_iterate(rng, qp, spread=(0.5, 2.0))
+        reduced = _spy(monkeypatch, "cholesky_solve")
+        fac = ko.riccati_factor(qp, it)
+        ref = riccati_factor_ref(qp, it)
+        assert reduced == [1]
+        assert np.linalg.eigvalsh(ref.P[4])[0] < 0
+        _matches_reference(qp, fac, ref)
+        vw = make_view(qp)
+        rhs = (rng.standard_normal(vw.ny), rng.standard_normal(vw.ne),
+               rng.standard_normal(vw.nc),
+               np.where(vw.act, rng.standard_normal(vw.nc), 0.0))
+        assert _close(fac.solve(*rhs).flat(), ko.riccati_solve(ref, *rhs).flat())
 
     @settings(max_examples=60, deadline=None)
     @given(qp=st.one_of(convex_stage_qps(), level_trees()),
@@ -1145,6 +1171,26 @@ class TestWorkloadFactorCalls:
         classical = [c[1:] for c in calls if not c[0]]
         assert len(classical) == rep.iterations
         assert classical == [(levels, 0, 0)] * rep.iterations
+
+    @pytest.mark.parametrize("variant", ["classical", "square_root"])
+    def test_cholesky_routes_factor_one_node_block_per_call(self, rng,
+                                                            monkeypatch, variant):
+        # the stacked levels of 2 and 4 nodes make one dpotrf per node, each
+        # on that node's (w, w) block
+        qp = _mass_spring_tree()
+        assert sorted({lv.k for lv in ko._band(make_view(qp)).levels}) == [1, 2, 4]
+        w = max(qp.dim.nu + qp.dim.nx)
+        real, shapes = linalg._dpotrf, []
+
+        def potrf(A, *args):
+            shapes.append(A.shape)
+            return real(A, *args)
+
+        monkeypatch.setattr(linalg, "_dpotrf", potrf)
+        ko.riccati_factor(qp, rand_iterate(rng, qp),
+                          arg=IpmArg(riccati_variant=variant))
+        assert len(shapes) == 31
+        assert all(len(s) == 2 and s[0] == s[1] <= w for s in shapes)
 
     def test_robust_tree_runs_no_qr_on_leaves(self, rng, monkeypatch):
         # the QR route triangularizes one stack per node with children (27

@@ -457,20 +457,20 @@ class TestQrFull:
 
 
 class TestStackedCholeskyCutoff:
-    """Stacks wider than the block-diagonal cut-off go block by block."""
+    """A stack factors block by block."""
 
     @staticmethod
     def _spd_stack(rng, k, n):
         G = rng.standard_normal((k, n, n))
         return G @ G.transpose(0, 2, 1) + np.eye(n)
 
-    def test_wide_stack_equals_single_calls(self):
+    @pytest.mark.parametrize("k,n", [(32, 8), (4, 8), (16, 4), (32, 2)])
+    def test_wide_stack_equals_single_calls(self, k, n):
         rng = np.random.default_rng(19)
-        k, n = 32, 8
-        assert k * n > linalg._DIAG_MAX
         A = self._spd_stack(rng, k, n)
         B = rng.standard_normal((k, n, 3))
         L = cholesky_stack(A)
+        assert np.max(np.abs(L @ L.transpose(0, 2, 1) - A)) <= 1e-12 * np.max(A)
         assert np.array_equal(L, np.concatenate([cholesky_stack(A[i: i + 1])
                                                  for i in range(k)]))
         # the 2-D kernel takes the same dpotrf of each block, then L X = B
@@ -478,15 +478,6 @@ class TestStackedCholeskyCutoff:
             L2, X = cholesky_solve(A_i, B_i)
             assert np.array_equal(L2, L_i)
             assert np.max(np.abs(L2 @ X - B_i)) <= 1e-12 * np.max(np.abs(B_i))
-
-    @pytest.mark.parametrize("k,n", [(4, 8), (16, 4), (32, 2)])
-    def test_block_diagonal_within_cutoff(self, k, n):
-        # at or below the cut-off one call on the block-diagonal matrix
-        rng = np.random.default_rng(20)
-        assert k * n <= linalg._DIAG_MAX
-        A = self._spd_stack(rng, k, n)
-        L = cholesky_stack(A)
-        assert np.max(np.abs(L @ L.transpose(0, 2, 1) - A)) <= 1e-12 * np.max(A)
 
     @pytest.mark.parametrize("k", [4, 40])
     def test_failing_block_raises(self, k):
@@ -545,8 +536,7 @@ def _close_rel(a, ref):
 class TestUpdateKernels:
     """The Riccati level kernels against numpy on blocks and on stacks."""
 
-    SHAPES = [None, 1, 3, 24]    # one block, then stacks; 24 blocks of
-    # order 3 or more lie beyond the block-diagonal cut-off
+    SHAPES = [None, 1, 3, 24]    # one block, then stacks
 
     @pytest.mark.parametrize("k", SHAPES)
     @pytest.mark.parametrize("w,cs", [(5, (3,)), (5, (3, 2)), (3, (3,)), (4, ()),
