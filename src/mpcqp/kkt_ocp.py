@@ -27,11 +27,12 @@ fill-in appears outside the data blocks.
 The sweep walks a level schedule (``RiccatiBand.levels``, see
 :class:`RiccatiLevel`): the nodes of one depth that share ``nu``, ``nx``
 and the ``nx`` of their children form a level, and a level of k nodes is
-one step with one kernel call on (k, ., .) stacks of views.  Slices
-select a level's nodes and children, as a breadth-first numbering
-allows; where they cannot (a tree numbered depth first), each node of the
-group is a level of its own.  A chain is a tree with one node per level,
-so its steps have k = 1; a scenario tree's levels stack its branches.
+one step with one kernel call on its (k, w, w) stack and its nodes'
+operands, views prepared once per workspace.  Slices select a level's
+nodes and children, as a breadth-first numbering allows; where they
+cannot (a tree numbered depth first), each node of the group is a level
+of its own.  A chain is a tree with one node per level, so its steps
+have k = 1; a scenario tree's levels stack its branches.
 The schedule, the band layout of the vector solve and the sweep's
 workspace are constants of the view: :class:`RiccatiBand` is built on the
 first factorization of a view and kept on it as ``band``, so that the
@@ -48,10 +49,14 @@ factorization or once per view:
   and out-edge slot are built once per QP revision;
 * the workspace (:class:`RiccatiWorkspace`) is built on the view's first
   factorization and checked out by each sweep: the work buffer, one
-  stacked cost-to-go buffer, and every level's step arguments
-  (:meth:`RiccatiLevel.args`) prepared once as views of the two.  A
-  factorization that finds the workspace checked out (nested or
-  concurrent, on the same view) builds its own;
+  stacked cost-to-go buffer, the QR route's scratch, and every level's
+  step arguments (:meth:`RiccatiLevel.args`) prepared once as views of
+  the three.  On a stacked level these are every node's operands: its
+  Fortran-ordered work block with its children's cost-to-go and
+  ``[B A]`` blocks, and for the QR route the level's copy of M, its W
+  rows and every node's views of both, so that a sweep makes no view,
+  list or array per node.  A factorization that finds the workspace
+  checked out (nested or concurrent, on the same view) builds its own;
 * a level overwrites its nodes' blocks of the work buffer with their
   Cholesky factors, each column-major: it reads them as one (k, w, w)
   stack of Fortran-ordered blocks.  Node n's factor columns ``[L_uu;
@@ -77,19 +82,22 @@ A level step makes one call of its route's update-and-factor kernel in
 ``W = chol(P)' [B A]``) and :func:`linalg.qr_cholesky_update` (QR, the
 triangle of ``[chol(M)' ; W ...]``, which holds the rank test and the sign
 normalization).  The Cholesky routes go node by node: for each node of
-the level the kernel calls BLAS and LAPACK on the node's own blocks, with
-the ``[B A]`` blocks stored column-major once per view so that they reach
-BLAS uncopied, and with no helper call in between: ``dsymm``, ``dgemm``
-and ``dpotrf`` (classical) and ``dtrmm``, ``dsyrk`` and ``dpotrf``
-(square root) work in the node's work block itself, so that no copy of M
-and no new factor array is made.  The QR route stays stacked: on a
-stacked level it forms the rows W of all its nodes with one stacked
-product per out-edge slot, then runs ``dpotrf`` and one ``dtpqrt`` per
-node on a copy, which is written back in one assignment (on a one-node
-level, ``dpotrf``, ``dtrmm`` and ``dtpqrt`` on a copy).  A node without
-children (a leaf, a chain's last stage) has nothing to triangularize:
-the QR route takes ``chol(M)`` as its factor.  A classical step then
-forms ``P = L_xx L_xx'``, symmetric as formed.  A kernel raises when a
+the level the kernel calls BLAS and LAPACK on the node's prepared blocks,
+with the ``[B A]`` blocks stored column-major once per view so that they
+reach BLAS uncopied, and with no helper call in between: ``dsymm``,
+``dgemm`` and ``dpotrf`` (classical) and ``dtrmm``, ``dsyrk`` and
+``dpotrf`` (square root) work in the node's work block itself, so that
+no copy of M and no new factor array is made; a level of k nodes makes
+the calls of k chain levels.  On a stacked level the QR route forms the
+rows W of all its nodes with one stacked product per out-edge slot into
+the prepared rows, then runs ``dpotrf`` and one ``dtpqrt`` per node in
+place on the prepared copy of M, which is written back in one assignment
+(on a one-node level, ``dpotrf``, ``dtrmm`` and ``dtpqrt`` on a new
+copy).  A node without children (a leaf, a chain's last stage) has
+nothing to triangularize: the QR route takes ``chol(M)`` as its factor,
+on a stacked leaf level by the lower ``dpotrf`` of every node's work
+block in place.  A classical step then forms ``P = L_xx L_xx'``,
+symmetric as formed.  A kernel raises when a
 block is not positive definite (or, on the QR route, fails the rank
 test), and one function takes every such failure over
 (:func:`_level_failed`): it redoes the level node by node from the kept
@@ -97,9 +105,10 @@ reduced Hessians, and a classical node whose whole block is not positive
 definite takes the input-block step on that block, with G formed again
 from the kept reduced Hessians: one Cholesky factorization of ``G_uu``
 with the triangular solve for X (:func:`linalg.cholesky_solve`), one
-product for ``X'X``, and P symmetrized; at the root, chol(P[0]) follows.
-The kernels count no flops; the sweep counts those of the per-node
-kernels they stand in for, the same on every path.
+product for ``X'X``, and P symmetrized; at the root, chol(P[0]) follows,
+one ``dpotrf`` on the root block's trailing triangle.  The kernels count
+no flops; the sweep counts those of the per-node kernels they stand in
+for, the same on every path.
 
 Two variants:
 
@@ -175,7 +184,6 @@ from .kkt_common import fold_rhs, recover, reduced_hessian, view_scales
 from .linalg import (
     cholesky_solve,
     cholesky_sqrt_update,
-    cholesky_stack,
     cholesky_update,
     count_flops,
     qr_cholesky_update,
@@ -375,17 +383,18 @@ def _level_failed(view, lv, route, hess, work, P, counted, exc):
     :class:`FactorizationFailed` naming the first node that fails.
 
     The level is redone node by node, in descending order, as the
-    node-by-node sweep would.  The Cholesky kernels factor a stack block by
-    block in place, so they have overwritten the blocks before the failing
-    one: the level's blocks are first copied back from the reduced
-    Hessians ``hess``, and each node of a stacked level then runs its own
-    step on its own blocks; a one-node level's node has failed its step
-    already.  On the classical route a node whose step fails takes the
-    input-block step (:func:`_input_block_step`), and at the root then
-    chol(P[0]), the trailing triangle of its factor.  The flops counted at
-    a failure are ``counted`` (the levels before), the nodes redone and the
-    failing node's count up to the failing call; at chol(P[0]) they are the
-    whole sweep's.
+    node-by-node sweep would.  The Cholesky kernels, and the QR kernel on a leaf
+    level, factor a stack block by block in place, so they have overwritten
+    the blocks before the failing one: the level's blocks are first copied
+    back from the reduced Hessians ``hess``, and each node of a stacked
+    level then runs its own step on its own blocks; a one-node level's node
+    has failed its step already.  On the classical route a node whose step
+    fails takes the input-block step (:func:`_input_block_step`), and at the
+    root then chol(P[0]), the trailing triangle of its factor: P[0] copied
+    there and factored in place by an update kernel without terms, one
+    ``dpotrf``.  The flops counted at a failure are ``counted`` (the levels
+    before), the nodes redone and the failing node's count up to the failing
+    call; at chol(P[0]) they are the whole sweep's.
     """
     work[lv.hess] = hess[lv.hess]
     for n in lv.nodes[::-1]:
@@ -407,7 +416,10 @@ def _level_failed(view, lv, route, hess, work, P, counted, exc):
                 if n == 0 and P_n.size:
                     what = "cost-to-go matrix not positive definite at stage 0"
                     flops = counted + full
-                    L_P[...] = cholesky_stack(P_n[None])[0]
+                    # chol(P[0]) in place: an update kernel's one-block
+                    # dpotrf, with no terms
+                    L_P[...] = P_n
+                    cholesky_sqrt_update(L_P, ())
                 counted += full
                 continue
             except NotPositiveDefinite as node_exc:
@@ -566,16 +578,22 @@ class RiccatiWorkspace:
     * ``work``   laid out like the reduced Hessians (``view.hess_off``);
     * ``p``      the stacked cost-to-go blocks, laid out like
                  :attr:`RiccatiFactor.p_blocks` (zero outside them);
-    * ``steps``  per level, :meth:`RiccatiLevel.args` on the two buffers:
-                 views of them, built once.
+    * ``qr``     the QR route's scratch: ``RiccatiLevel.scratch`` entries
+                 per level, one after the other;
+    * ``steps``  per level, :meth:`RiccatiLevel.args` on the three
+                 buffers: views of them, built once.
     """
 
-    __slots__ = ("work", "p", "steps")
+    __slots__ = ("work", "p", "qr", "steps")
 
     def __init__(self, view, band):
         self.work = np.empty(int(view.hess_off[-1]))
         self.p = np.zeros((view.n_node, band.p_dim, band.p_dim))
-        self.steps = [lv.args(self.work, self.p) for lv in band.levels]
+        size = [lv.scratch for lv in band.levels]
+        self.qr = np.empty(sum(size))
+        end = np.cumsum(size).tolist()
+        self.steps = [lv.args(self.work, self.p, self.qr[e - n: e])
+                      for lv, n, e in zip(band.levels, size, end)]
 
 
 def _sel(ids):
@@ -591,11 +609,12 @@ class RiccatiLevel:
 
     A level's k nodes share ``nu``, ``w = nu + nx`` and the ``nx`` of the
     children of every out-edge slot, so :func:`_level_step` factors them
-    with one kernel call on (k, ., .) stacks, or on the node's own blocks
-    when k = 1.  Its selectors are slices: the nodes are consecutive and
-    each slot's children evenly spaced (see ``RiccatiBand.levels``), so the
-    step's arguments on a sweep's buffers (:meth:`args`) are views of
-    them, prepared once per workspace.
+    with one kernel call on their (k, w, w) stack and prepared per-node
+    operands, or on the node's own blocks when k = 1.  Its selectors are
+    slices: the nodes are consecutive and each slot's children evenly
+    spaced (see ``RiccatiBand.levels``), so the step's arguments on a
+    sweep's buffers (:meth:`args`) are views of them, prepared once per
+    workspace.
 
     * ``nodes``    the node indices, ascending; ``k`` their number;
     * ``hess``     the nodes' (w, w) blocks in the flat reduced-Hessian
@@ -615,6 +634,9 @@ class RiccatiLevel:
                    index of the children's blocks in the cost-to-go buffer,
                    as ``p``, and on a one-node level BA the (nx_child, w)
                    block;
+    * ``scratch``  the size of the QR route's copy of M and W rows on a
+                   stacked level with children, ``k w (w + sum nx_child)``;
+                   0 on the others;
     * ``flops``    nominal counts per node and route, ``(full, at a
                    Cholesky failure)``: those of the :mod:`linalg` kernels
                    the step's calls stand in for; the root's full classical
@@ -623,7 +645,7 @@ class RiccatiLevel:
     """
 
     __slots__ = ("nodes", "k", "nu", "w", "shape", "hess", "p", "edges",
-                 "terms", "flops")
+                 "terms", "scratch", "flops")
 
     def __init__(self, view, nodes):
         d = view.qp.dim
@@ -650,6 +672,7 @@ class RiccatiLevel:
         self.terms = [((sel if k > 1 else sel.start, slice(c), slice(c)),
                        BA if k > 1 else BA[0]) for sel, c, BA in self.edges]
         c = [e[1] for e in self.edges]
+        self.scratch = k * w * (w + sum(c)) if k > 1 and any(c) else 0
         edge_cl = sum(2 * ci * w * (ci + w) for ci in c)
         edge_sq = sum(2 * ci * ci * w for ci in c) + w ** 3 // 3
         m = w + sum(c)
@@ -662,16 +685,62 @@ class RiccatiLevel:
             "qr": (edge_sq + max(0, 2 * m * w * w - (2 * w ** 3) // 3), edge_sq),
         }
 
-    def args(self, work, P):
+    def args(self, work, P, scratch=None):
         """The step's arguments on a sweep's buffers: ``(M, terms, L_P,
         L_P', P_n)``, the nodes' blocks of ``work`` Fortran-ordered, the
         ``(P[i], BA)`` of ``terms``, the blocks' trailing (nx, nx) factors
         and their transposes, and the nodes' blocks of ``P``, all views of
-        the buffers."""
+        the buffers.
+
+        On a stacked level ``terms`` is the operands of every node prepared
+        for the :mod:`linalg` update kernels, ``(nodes, qr)``:
+
+        * ``nodes``  per node ``(M_i, [(P_i', BA_i) ...])``: its
+          Fortran-ordered block of M and, per out-edge slot with a state,
+          the transpose of its child's block of ``P`` and its ``[B A]``
+          block, as the Cholesky routes' BLAS calls take them;
+        * ``qr``     ``(rows, products, C, blocks, R)`` for the QR route:
+          the row count of its rank test, per slot the operands and the
+          output ``(BA', L, W)`` of one stacked product forming the W rows
+          of all nodes, the copy C of M (C-ordered) that ``dpotrf`` and
+          ``dtpqrt`` overwrite with the triangles, per node its
+          Fortran-ordered ``(U_i, W_i)`` (the transposes of C's block and
+          of its W rows), and the triangles ``R = C'`` that the rank test
+          reads.  C and W are views of ``scratch``, ``self.scratch``
+          entries of the workspace.  Without rows (a leaf level) there are
+          no products, C and blocks are None and empty, and R is ``M'``:
+          each node's block is factored in place.
+        """
         M = work[self.hess].reshape(self.shape).swapaxes(-1, -2)
         L_P = M[..., self.nu:, self.nu:]
-        return (M, [(P[i], BA) for i, BA in self.terms], L_P,
-                L_P.swapaxes(-1, -2), P[self.p])
+        terms = [(P[i], BA) for i, BA in self.terms]
+        if self.k > 1:
+            terms = _level_operands(M, terms, scratch)
+        return (M, terms, L_P, L_P.swapaxes(-1, -2), P[self.p])
+
+
+def _level_operands(M, terms, scratch):
+    """The ``terms`` argument of a stacked level's update kernel (see
+    :meth:`RiccatiLevel.args`) for its (k, w, w) stack M of Fortran-ordered
+    blocks and its ``(P, BA)`` terms, (k, c, c) and (k, c, w) stacks;
+    ``scratch`` holds at least ``k w (w + sum c)`` entries when a term has
+    rows.  Terms without entries (c = 0 or w = 0) are left out."""
+    k, w = M.shape[0], M.shape[-1]
+    terms = [(L, BA) for L, BA in terms if BA.size]
+    nodes = tuple((M_i, [(L[i].T, BA[i]) for L, BA in terms])
+                  for i, M_i in enumerate(M))
+    rows = w + sum(L.shape[-1] for L, _ in terms)
+    if not terms:
+        return nodes, (rows, (), None, (), M.swapaxes(-1, -2))
+    C = scratch[: k * w * w].reshape(k, w, w)
+    Wt = scratch[k * w * w: k * w * rows].reshape(k, w, rows - w)
+    products, j = [], 0
+    for L, BA in terms:
+        c = L.shape[-1]
+        products.append((BA.transpose(0, 2, 1), L, Wt[:, :, j: j + c]))
+        j += c
+    blocks = tuple(zip(C.transpose(0, 2, 1), Wt.transpose(0, 2, 1)))
+    return nodes, (rows, products, C, blocks, C.swapaxes(-1, -2))
 
 
 def _p_apply(fac, vec):

@@ -49,12 +49,9 @@ LAPACK and then make one rank test and sign normalization on the upper
 triangle, :func:`_rank_tested`.  This module is the package's only
 caller of LAPACK and of BLAS (numpy's matrix product aside).
 
-The stacked kernel :func:`cholesky_stack` works on (k, n, n) stacks of
-blocks, the nodes of one level of a Riccati recursion (see
-:mod:`kkt_ocp`): one ``dpotrf`` per block.  :func:`cholesky_solve` is one
-``dpotrf`` and one ``dtrtrs`` on one block, the input-block step of a
-classical Riccati node.  Neither counts flops: their callers count the
-nominal per-block counts of the kernels they stand in for.
+:func:`cholesky_solve` is one ``dpotrf`` and one ``dtrtrs`` on one block,
+the input-block step of a classical Riccati node.  It counts no flops: its
+caller counts the nominal counts of the kernels it stands in for.
 ``cholesky_factor`` is its shape checks and flop count around one
 ``dpotrf``.
 
@@ -66,15 +63,23 @@ overwrite a node Hessian M with the factor of M updated by its children's
 terms, and never write the terms.  On one Fortran-ordered (w, w) block
 the Cholesky routes call BLAS and LAPACK on M itself, which ends up
 holding the factor with no copy made (``dsymm``/``dgemm`` or
-``dtrmm``/``dsyrk``, then ``dpotrf``); on a (k, w, w) stack they take
-that path once per block, so every call they make is on one node's
-blocks.  The QR route forms a stack's terms by stacked products and runs
-one ``dpotrf`` and one ``dtpqrt`` (l = 0) per block on a copy, then
-assigns the factors into M.  The block path makes its calls directly on
-the arguments it is given, with no helper frame (the ``dpotrf`` return
-code goes to :func:`_potrf_failed` only when it is nonzero): on the small
-blocks of a chain, a Python frame or a view per call costs a sizeable
-part of the BLAS calls themselves.  Their BLAS and LAPACK arguments are
+``dtrmm``/``dsyrk``, then ``dpotrf``).  A level of k nodes hands them its
+(k, w, w) stack with operands its caller prepared once per workspace
+(see :meth:`kkt_ocp.RiccatiLevel.args`): every node's Fortran-ordered
+block and the blocks of its terms, and for the QR route a copy of the
+stack, the rows W and every node's views of both.  The kernels index no
+stack: per node the Cholesky routes make the block path's calls on its
+prepared blocks, so a level makes the calls of k chain levels.  The QR
+route forms the rows of all nodes with one stacked product per term into
+the prepared rows, copies M into the prepared copy, runs one ``dpotrf``
+and one ``dtpqrt`` (l = 0) per node in place there and assigns the
+factors into M; a stack without rows (a leaf level) takes the lower
+``dpotrf`` of every block in place.  The kernels make their calls
+directly on the arguments they are given, with no helper frame (the
+``dpotrf`` return code goes to :func:`_potrf_failed` only when it is
+nonzero): on the small blocks of a chain, a Python frame or a view per
+call costs a sizeable part of the BLAS calls themselves.  Their BLAS and
+LAPACK arguments are
 positional, as the wrappers parse keywords slower.
 """
 
@@ -113,7 +118,6 @@ __all__ = [
     "qr_full",
     "gram",
     "matmul_acc",
-    "cholesky_stack",
     "cholesky_solve",
     "cholesky_update",
     "cholesky_sqrt_update",
@@ -197,12 +201,12 @@ def cholesky_factor(M, reg=0.0):
     return _potrf(M if reg == 0.0 else M + reg * np.eye(n))
 
 
-def _potrf(A, overwrite=0, lower=1):
-    """Lower (upper if not ``lower``) Cholesky factor of the matrix A by one
-    ``dpotrf``, the other triangle zeroed."""
+def _potrf(A):
+    """Lower Cholesky factor of the matrix A by one ``dpotrf``, the upper
+    triangle zeroed; A is not written."""
     # positional (lower, clean, overwrite_a): the wrappers parse keywords
     # slower, which shows on the blocks of a Riccati level
-    L, info = _dpotrf(A, lower, 1, overwrite)
+    L, info = _dpotrf(A, 1, 1, 0)
     if info:
         _potrf_failed(info)
     return L
@@ -215,19 +219,6 @@ def _potrf_failed(info):
             f"{info}-th leading minor of the array is not positive definite"
         )
     raise ValueError(f"illegal value in argument {-info} of dpotrf")
-
-
-def cholesky_stack(A):
-    """Lower Cholesky factors of the (k, n, n) stack A, uncounted; A is not written.
-
-    One ``dpotrf`` per block.
-
-    Raises
-    ------
-    NotPositiveDefinite
-        If a block is not numerically positive definite.
-    """
-    return np.stack([_potrf(a) for a in A])
 
 
 def cholesky_solve(A, B):
@@ -450,19 +441,20 @@ def cholesky_update(M, terms):
     over the ``(P, BA)`` terms, uncounted: one Riccati level's classical
     update and factorization.
 
-    M is one (w, w) block or a (k, w, w) stack of them; the terms' P and BA
-    are then (c, c) and (c, w) blocks, or (k, c, c) and (k, c, w) stacks.
-    M and P are symmetric.  On a block, per term one ``dsymm`` for ``P BA``
-    (reading one triangle of P) and one ``dgemm`` (beta = 1) adding
-    ``BA' (P BA)`` to M, then one ``dpotrf``: on a Fortran-ordered M (the
-    transposed view of a C-ordered block) both work in M itself, and a
-    column-major BA and C-ordered P reach BLAS uncopied.  These calls are
-    made on the arguments as given, with no helper call in between, so a
-    caller that prepares its views once (the Riccati sweep's workspace, see
-    :mod:`kkt_ocp`) pays for little more than BLAS and LAPACK.  A stack is
-    factored block by block, each block by these calls on its own blocks,
-    so the blocks before a failing one hold their factors.  Returns M.  The
-    terms are never written; M is, also when the factorization fails.
+    M is one (w, w) block, with (c, c) P and (c, w) BA blocks as terms, or a
+    level's (k, w, w) stack of Fortran-ordered blocks, with its operands
+    prepared as terms (see :meth:`kkt_ocp.RiccatiLevel.args`).  M and P are
+    symmetric.  On a block, per term one ``dsymm`` for ``P BA`` (reading one
+    triangle of P) and one ``dgemm`` (beta = 1) adding ``BA' (P BA)`` to M,
+    then one ``dpotrf``: on a Fortran-ordered M (the transposed view of a
+    C-ordered block) both work in M itself, and a column-major BA and
+    C-ordered P reach BLAS uncopied.  These calls are made on the arguments
+    as given, with no helper call in between, so a caller that prepares its
+    views once (the Riccati sweep's workspace, see :mod:`kkt_ocp`) pays for
+    little more than BLAS and LAPACK.  A stack's nodes take the same calls
+    one after the other on their prepared blocks, so the blocks before a
+    failing one hold their factors.  Returns M.  The terms are never
+    written; M is, also when the factorization fails.
 
     Raises
     ------
@@ -470,8 +462,12 @@ def cholesky_update(M, terms):
         If a block of the updated matrix is not positive definite.
     """
     if M.ndim == 3:
-        for i, M_i in enumerate(M):
-            cholesky_update(M_i, [(P[i], BA[i]) for P, BA in terms])
+        for M_i, node_terms in terms[0]:
+            for Pt, BA in node_terms:
+                _gemm(1.0, BA, _symm(1.0, Pt, BA), 1.0, M_i, 1, 0, 1)
+            info = _dpotrf(M_i, 1, 1, 1)[1]
+            if info:
+                _potrf_failed(info)
         return M
     G = M
     for P, BA in terms:
@@ -495,7 +491,8 @@ def cholesky_sqrt_update(M, terms):
     Shapes, layouts and writes as in :func:`cholesky_update`, with L lower
     triangular.  On a block, per term one ``dtrmm`` for W and one ``dsyrk``
     (beta = 1) adding ``W'W`` to the lower triangle of M, then one
-    ``dpotrf``, with no helper call in between; a stack block by block.
+    ``dpotrf``, with no helper call in between; a stack's nodes the same
+    calls on their prepared blocks.
 
     Raises
     ------
@@ -503,8 +500,12 @@ def cholesky_sqrt_update(M, terms):
         If a block of the updated matrix is not positive definite.
     """
     if M.ndim == 3:
-        for i, M_i in enumerate(M):
-            cholesky_sqrt_update(M_i, [(L[i], BA[i]) for L, BA in terms])
+        for M_i, node_terms in terms[0]:
+            for Lt, BA in node_terms:
+                _syrk(1.0, _trmm(1.0, Lt, BA), 1.0, M_i, 1, 1, 1)
+            info = _dpotrf(M_i, 1, 1, 1)[1]
+            if info:
+                _potrf_failed(info)
         return M
     G = M
     for L, BA in terms:
@@ -529,16 +530,19 @@ def qr_cholesky_update(M, terms):
     Shapes and terms as in :func:`cholesky_sqrt_update`.  Per block, one
     ``dpotrf`` for ``chol(M)'`` and one triangular-pentagonal QR of it and
     its rows W (``dtpqrt`` with l = 0), whose reflectors leave the zeros
-    below the triangle alone; both work in place on one copy of M, and the
-    factor is written into M in one assignment.  The W rows come from one
-    ``dtrmm`` per term on blocks and from one stacked product per term on
-    stacks; on a block ``dpotrf`` is called directly.  Without rows to add,
-    ``chol(M)'`` is already the triangle, so no QR runs (and on stacks
-    ``chol(M)`` is :func:`cholesky_stack`).  The rank test and the sign
-    normalization are :func:`qr_cholesky`'s (see :func:`_rank_tested`),
-    over the ``w + sum c`` rows of the stack.
-    Returns M.  The terms are never written, and M is not written when a
-    factorization fails.
+    below the triangle alone; both work in place on a copy of M (on a
+    block a new one, on a stack the prepared one), and the factor is
+    written into M in one assignment.  The W rows come from one ``dtrmm``
+    per term on a block and from one stacked product per term into the
+    prepared rows on a stack.  Without rows to add, ``chol(M)'`` is
+    already the triangle, so no QR runs: a block takes the upper
+    ``dpotrf`` of a copy, and a stack's nodes the lower ``dpotrf`` of
+    their own blocks, in place.  The rank test and the sign normalization
+    are :func:`qr_cholesky`'s (see :func:`_rank_tested`), over the
+    ``w + sum c`` rows of the stack.  Returns M.  The terms are never
+    written.  M is not written when a factorization fails, except on a
+    stack without rows, whose blocks before a failing one hold their
+    factors.
 
     Raises
     ------
@@ -550,31 +554,40 @@ def qr_cholesky_update(M, terms):
     w = M.shape[-1]
     if not w:
         return M
+    if M.ndim == 3:
+        _, (rows, products, C, blocks, R) = terms
+        if C is None:
+            # a leaf level's nodes have no terms: chol(M) in place
+            cholesky_update(M, terms)
+            _rank_tested(R, rows)
+            return M
+        for BAt, L, W in products:
+            np.matmul(BAt, L, out=W)
+        np.copyto(C, M)
+        nb = min(w, _TP_NB)
+        # (lower, clean, overwrite_a) and (l, nb, a, b, overwrite_a,
+        # overwrite_b): U and W are Fortran-ordered, so both work in place
+        for U, W in blocks:
+            info = _dpotrf(U, 0, 1, 1)[1]
+            if info:
+                _potrf_failed(info)
+            info = _tpqrt(0, nb, U, W, 1, 1)[3]
+            if info < 0:
+                raise ValueError(f"illegal value in argument {-info} of dtpqrt")
+        _rank_tested(R, rows)
+        M[...] = C
+        return M
     terms = [(L, BA) for L, BA in terms if L.shape[-1]]
     rows = w + sum(L.shape[-1] for L, _ in terms)
-    nb = min(w, _TP_NB)
-    if M.ndim == 2:
-        # (lower, clean, overwrite_a): U is a Fortran-ordered copy
-        U, info = _dpotrf(M, 0, 1, 0)
-        if info:
-            _potrf_failed(info)
-        if terms:
-            W = [_trmm(1.0, L_m.T, BA) for L_m, BA in terms]
-            W = W[0] if len(W) == 1 else np.asfortranarray(np.concatenate(W))
-            _tpqr(nb, U, W)
-        L = U.T
-    elif not terms:
-        L = cholesky_stack(M)
-    else:
-        # each block's W' C-ordered, so that W is Fortran-ordered; the
-        # blocks' transposes are Fortran-ordered too, so dpotrf and dtpqrt
-        # overwrite the copy of M with the triangles
-        W = [BA.transpose(0, 2, 1) @ L_m for L_m, BA in terms]
-        Wt = W[0] if len(W) == 1 else np.concatenate(W, axis=2)
-        L = M.copy()
-        for L_i, Wt_i in zip(L, Wt):
-            _potrf(L_i.T, overwrite=1, lower=0)
-            _tpqr(nb, L_i.T, Wt_i.T)
+    # (lower, clean, overwrite_a): U is a Fortran-ordered copy
+    U, info = _dpotrf(M, 0, 1, 0)
+    if info:
+        _potrf_failed(info)
+    if terms:
+        W = [_trmm(1.0, L_m.T, BA) for L_m, BA in terms]
+        W = W[0] if len(W) == 1 else np.asfortranarray(np.concatenate(W))
+        _tpqr(min(w, _TP_NB), U, W)
+    L = U.T
     _rank_tested(L.swapaxes(-1, -2).reshape(-1, w, w), rows)
     M[...] = L
     return M

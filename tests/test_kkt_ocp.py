@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dpotrf
 
 import mpcqp.kkt_ocp as ko
 from mpcqp import (
@@ -20,6 +21,7 @@ from mpcqp import (
     solve_ocp_qp,
     solve_tree_ocp_qp,
 )
+from mpcqp.errors import NotPositiveDefinite
 from mpcqp.kkt_common import reduced_hessian, view_scales
 from mpcqp.mass_spring import (
     MassSpringConfig,
@@ -1013,7 +1015,7 @@ class TestWholeBlockFallback:
         it = rand_iterate(rng, qp)
         arg = IpmArg(reg_prim=reg_prim)
         update = _spy(monkeypatch, "cholesky_update")
-        chol = _spy(monkeypatch, "cholesky_stack")
+        chol = _spy(monkeypatch, "cholesky_sqrt_update")
         fac = ko.riccati_factor(qp, it, arg=arg)
         ref = riccati_factor_ref(qp, it, arg=arg)
         band = fac.view.band
@@ -1152,7 +1154,7 @@ class TestWorkloadFactorCalls:
             solve, mode, n_node = solve_tree_ocp_qp, "speed", 31
         assert make_view(qp).n_node == n_node
         update = _spy(monkeypatch, "cholesky_update")
-        chol = _spy(monkeypatch, "cholesky_stack")
+        chol = _spy(monkeypatch, "cholesky_sqrt_update")
         reduced = _spy(monkeypatch, "cholesky_solve")
         real, calls = ko.riccati_factor, []
 
@@ -1527,3 +1529,171 @@ class TestCostToGoApply:
         monkeypatch.setattr(band, "p_pos", np.arange(ne))
         for v, g in zip(vecs, got):
             assert np.array_equal(g, ko._p_apply(fac, v))
+
+
+def _stacked_calls(monkeypatch):
+    """Record ``(M, terms)`` of every update-kernel call on a stacked level."""
+    calls = []
+    for name in ("cholesky_update", "cholesky_sqrt_update", "qr_cholesky_update"):
+        def kernel(M, terms, real=getattr(ko, name)):
+            if M.ndim == 3:
+                calls.append((M, terms))
+            return real(M, terms)
+
+        monkeypatch.setattr(ko, name, kernel)
+    return calls
+
+
+class TestPreparedLevels:
+    """A stacked level's per-node operands are prepared once per workspace
+    (:meth:`RiccatiLevel.args`): every sweep hands the update kernels the
+    same objects, views of that workspace's buffers.  The QR route factors
+    a stacked leaf level in place, so a failure there leaves written blocks
+    that the failed level's restore puts back."""
+
+    @staticmethod
+    def _operands(terms):
+        """A stacked level's prepared arrays by the buffer they view:
+        ``work``, ``p``, ``qr`` (the workspace's QR scratch) and ``edges``
+        (the level's ``[B A]`` stacks)."""
+        nodes, (rows, products, C, blocks, R) = terms
+        out = {"work": [], "p": [], "qr": [], "edges": []}
+        for M_i, node_terms in nodes:
+            out["work"].append(M_i)
+            for Pt, BA in node_terms:
+                out["p"].append(Pt)
+                out["edges"].append(BA)
+        for BAt, L, W in products:
+            out["edges"].append(BAt)
+            out["p"].append(L)
+            out["qr"].append(W)
+        if C is None:
+            out["work"].append(R)
+        else:
+            out["qr"] += [C, R] + [X for U_W in blocks for X in U_W]
+        return out
+
+    @pytest.mark.parametrize("variant,use_qr", [
+        ("classical", False), ("square_root", False), ("square_root", True),
+    ])
+    def test_operands_are_prepared_once(self, rng, monkeypatch, variant,
+                                        use_qr):
+        qp = _mass_spring_tree()
+        band = ko._band(make_view(qp))
+        stacked = [lv for lv in band.levels if lv.k > 1]
+        assert sorted(lv.k for lv in stacked) == [2] + [4] * 7
+        calls = _stacked_calls(monkeypatch)
+        kw = dict(arg=IpmArg(riccati_variant=variant), use_qr=use_qr)
+        for _ in range(2):
+            ko.riccati_factor(qp, rand_iterate(rng, qp), **kw)
+        assert len(calls) == 2 * len(stacked)
+        first, second = calls[: len(stacked)], calls[len(stacked):]
+        ws, = band.spare
+        buffers = {"work": ws.work, "p": ws.p, "qr": ws.qr}
+        for lv, (M, terms), (M2, terms2) in zip(stacked, first, second):
+            assert M2 is M and terms2 is terms
+            ops, ops2 = self._operands(terms), self._operands(terms2)
+            assert len(ops["work"]) == lv.k + (terms[1][2] is None)
+            for role, arrays in ops.items():
+                assert all(a is b for a, b in zip(arrays, ops2[role], strict=True))
+                for X in arrays:
+                    if role == "edges":
+                        assert any(np.shares_memory(X, BA) for _, _, BA in lv.edges)
+                    else:
+                        assert np.shares_memory(X, buffers[role])
+            # the QR route's rows and copy on every level with children
+            assert (ops["qr"] != []) == (lv.edges != [])
+        # a second workspace of the view prepares its own QR buffers
+        other = ko.RiccatiWorkspace(make_view(qp), band)
+        assert ws.qr.size and not np.shares_memory(other.qr, ws.qr)
+        for args in other.steps:
+            if isinstance(args[1], tuple):
+                for X in self._operands(args[1])["qr"]:
+                    assert np.shares_memory(X, other.qr)
+                    assert not np.shares_memory(X, ws.qr)
+
+    @staticmethod
+    def _hess(monkeypatch):
+        """The reduced Hessians of every sweep, as ``reduced_hessian``
+        returns them."""
+        real, kept = ko.reduced_hessian, []
+
+        def spy(*args):
+            kept.append(real(*args))
+            return kept[-1]
+
+        monkeypatch.setattr(ko, "reduced_hessian", spy)
+        return kept
+
+    def test_qr_leaf_level_is_the_lower_cholesky_factor(self, rng, monkeypatch):
+        # the stacked leaf level {3, 4, 5, 6} takes one lower dpotrf per
+        # node, in place: bit for bit the factor of its own block
+        qp = _workspace_qp(46, "tree")
+        leaves = ko._band(make_view(qp)).levels[0]
+        assert leaves.nodes == [3, 4, 5, 6] and leaves.edges == []
+        kept = self._hess(monkeypatch)
+        fac = ko.riccati_factor(qp, rand_iterate(rng, qp), use_qr=True)
+        w = leaves.w
+        got = fac.work[leaves.hess].reshape(4, w, w).swapaxes(-1, -2)
+        M = kept[0][leaves.hess].reshape(4, w, w).swapaxes(-1, -2)
+        assert all(np.count_nonzero(M_i - np.diag(np.diag(M_i))) for M_i in M)
+        for L_i, M_i in zip(got, M):
+            assert np.array_equal(L_i, dpotrf(M_i, 1, 1)[0])
+
+    def _fails_as_reference(self, qp, it, bad):
+        with flop_counter() as got_fl, pytest.raises(FactorizationFailed) as got:
+            ko.riccati_factor(qp, it, use_qr=True)
+        with flop_counter() as want_fl, pytest.raises(FactorizationFailed) as want:
+            riccati_factor_ref(qp, it, use_qr=True)
+        assert got.value.stage == want.value.stage == bad
+        assert str(got.value) == str(want.value)
+        lag = TestFactorSweepEquivalence._ref_lag(qp, bad)
+        assert got_fl.flops == want_fl.flops + lag
+
+    def test_qr_leaf_failure_is_redone_from_the_reduced_hessians(
+            self, rng, monkeypatch):
+        # node 4 of the leaf level {3, 4, 5, 6} is not positive definite:
+        # the kernel has factored node 3 in place when it fails, and the
+        # node-by-node redo starts again from the reduced Hessians
+        qp = _workspace_qp(47, "tree")
+        leaves = ko._band(make_view(qp)).levels[0]
+        qp.set_field("R", 4, -1e3 * np.eye(2))
+        it = rand_iterate(rng, qp)
+        kept = self._hess(monkeypatch)
+        real, written = ko.qr_cholesky_update, []
+
+        def kernel(M, terms):
+            try:
+                return real(M, terms)
+            except NotPositiveDefinite:
+                if M.ndim == 3:
+                    hess = kept[-1][leaves.hess].reshape(M.shape).swapaxes(-1, -2)
+                    written.append([not np.array_equal(a, b)
+                                    for a, b in zip(M, hess)])
+                raise
+
+        monkeypatch.setattr(ko, "qr_cholesky_update", kernel)
+        self._fails_as_reference(qp, it, 4)
+        assert written == [[True, True, False, False]]
+        # the redo failed at node 4 before reaching node 3, whose block is
+        # the restored reduced Hessian, not the factor the kernel wrote
+        ws, = ko._band(make_view(qp)).spare
+        three = slice(leaves.hess.start, leaves.hess.start + leaves.w ** 2)
+        assert np.array_equal(ws.work[three], kept[0][three])
+
+    def test_qr_rank_failure_in_a_level_with_children(self, rng):
+        # node 1 of the level {1, 2}: a direction of curvature 1e-40 that
+        # neither child's rows reach
+        qp = _workspace_qp(48, "tree")
+        assert ko._band(make_view(qp)).levels[1].nodes == [1, 2]
+        qp.set_field("R", 1, np.eye(2))
+        qp.set_field("S", 1, np.zeros((2, 3)))
+        qp.set_field("Q", 1, np.diag([1.0, 1.0, 1e-40]))
+        for m in (3, 4):
+            A = qp.get_field("A", m)
+            A[:, 2] = 0.0
+            qp.set_field("A", m, A)
+        m = qp.dim.nb[1] + qp.dim.ng[1]
+        qp.set_field("maskl", 1, np.zeros(m))
+        qp.set_field("masku", 1, np.zeros(m))
+        self._fails_as_reference(qp, rand_iterate(rng, qp), 1)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from scipy.linalg.lapack import dtbtrs
+from scipy.linalg.lapack import dpotrf, dtbtrs
 
 from mpcqp.errors import (
     DimensionMismatch,
@@ -10,11 +10,11 @@ from mpcqp.errors import (
     SingularFactor,
 )
 from mpcqp import linalg
+from mpcqp.kkt_ocp import _level_operands
 from mpcqp.linalg import (
     cholesky_factor,
     cholesky_solve,
     cholesky_sqrt_update,
-    cholesky_stack,
     cholesky_update,
     flop_counter,
     gram,
@@ -456,36 +456,58 @@ class TestQrFull:
             qr_full(np.ones((2, 3)))
 
 
+def _lower_factors(A):
+    """The lower Cholesky factor of every block of the (k, n, n) stack A,
+    one ``dpotrf`` per block."""
+    return np.stack([dpotrf(a, 1, 1)[0] for a in A])
+
+
+def _level(M, terms):
+    """A stacked level as its update kernels take it: a copy of the (k, n, n)
+    stack M with Fortran-ordered blocks, and the terms' operands prepared
+    on it (:func:`kkt_ocp._level_operands`) with scratch of their own."""
+    M = np.swapaxes(M, -1, -2).copy().swapaxes(-1, -2)
+    k, w = M.shape[0], M.shape[-1]
+    rows = w + sum(BA.shape[-2] for _, BA in terms)
+    return M, _level_operands(M, terms, np.empty(k * w * rows))
+
+
 class TestStackedCholeskyCutoff:
-    """A stack factors block by block."""
+    """A stacked level without terms factors block by block."""
 
     @staticmethod
     def _spd_stack(rng, k, n):
         G = rng.standard_normal((k, n, n))
         return G @ G.transpose(0, 2, 1) + np.eye(n)
 
+    @pytest.mark.parametrize("kernel", [cholesky_update, cholesky_sqrt_update,
+                                        qr_cholesky_update])
     @pytest.mark.parametrize("k,n", [(32, 8), (4, 8), (16, 4), (32, 2)])
-    def test_wide_stack_equals_single_calls(self, k, n):
+    def test_wide_stack_equals_single_calls(self, k, n, kernel):
         rng = np.random.default_rng(19)
         A = self._spd_stack(rng, k, n)
         B = rng.standard_normal((k, n, 3))
-        L = cholesky_stack(A)
+        L = kernel(*_level(A, []))
         assert np.max(np.abs(L @ L.transpose(0, 2, 1) - A)) <= 1e-12 * np.max(A)
-        assert np.array_equal(L, np.concatenate([cholesky_stack(A[i: i + 1])
-                                                 for i in range(k)]))
+        assert np.array_equal(L, _lower_factors(A))
         # the 2-D kernel takes the same dpotrf of each block, then L X = B
         for L_i, A_i, B_i in zip(L, A, B):
             L2, X = cholesky_solve(A_i, B_i)
             assert np.array_equal(L2, L_i)
             assert np.max(np.abs(L2 @ X - B_i)) <= 1e-12 * np.max(np.abs(B_i))
 
+    @pytest.mark.parametrize("kernel", [cholesky_update, cholesky_sqrt_update,
+                                        qr_cholesky_update])
     @pytest.mark.parametrize("k", [4, 40])
-    def test_failing_block_raises(self, k):
+    def test_failing_block_raises(self, k, kernel):
         rng = np.random.default_rng(21)
         A = self._spd_stack(rng, k, 3)
         A[k // 2] = -np.eye(3)
+        M, prepared = _level(A, [])
         with pytest.raises(NotPositiveDefinite):
-            cholesky_stack(A)
+            kernel(M, prepared)
+        # the blocks before the failing one hold their factors
+        assert np.array_equal(M[: k // 2], _lower_factors(A[: k // 2]))
         with pytest.raises(NotPositiveDefinite):
             cholesky_solve(A[k // 2], np.ones((3, 1)))
 
@@ -551,12 +573,15 @@ class TestUpdateKernels:
         G = M + sum((np.swapaxes(BA, -1, -2) @ P @ BA for P, _, BA in terms),
                     np.zeros_like(M))
         ref = np.linalg.cholesky(G) if w else np.zeros(G.shape)
-        # each kernel overwrites its M with the factor and returns it
+        # each kernel overwrites its M with the factor and returns it; a
+        # stack is a level's, with its terms prepared
         for kernel, use in (
                 (cholesky_update, [(P, BA) for P, _, BA in terms]),
                 (cholesky_sqrt_update, [(L_m, BA) for _, L_m, BA in terms]),
                 (qr_cholesky_update, [(L_m, BA) for _, L_m, BA in terms])):
             L = M.copy(order="K")
+            if k is not None:
+                L, use = _level(M, use)
             assert kernel(L, use) is L and _close_rel(L, ref)
         if w:
             S = _sqrt_rows(M, terms)
@@ -590,8 +615,9 @@ class TestUpdateKernels:
         # with the rank test, exactly
         rng = np.random.default_rng(31)
         M, _ = _update_case(rng, k, 4, (), "C")
-        want = cholesky_stack(M if k is not None else M[None])
-        L = qr_cholesky_update(M, [])
+        want = _lower_factors(M if k is not None else M[None])
+        M, use = (M, []) if k is None else _level(M, [])
+        L = qr_cholesky_update(M, use)
         assert np.array_equal(L, want.reshape(M.shape))
         assert np.array_equal(M, L)
 
@@ -609,7 +635,7 @@ class TestUpdateKernels:
                   "qr": qr_cholesky_update}[route]
         before = [X.copy() for t in use for X in t]
         with pytest.raises(NotPositiveDefinite):
-            kernel(M, use)
+            kernel(*((M, use) if k is None else _level(M, use)))
         after = [X for t in use for X in t]
         assert all(np.array_equal(a, b) for a, b in zip(after, before))
 
@@ -617,7 +643,9 @@ class TestUpdateKernels:
     @pytest.mark.parametrize("cs", [(), (2,)])
     def test_qr_rank_deficient_stack_raises(self, k, cs):
         # a direction of curvature 1e-40 that no W row reaches: stacks whose
-        # every block qr_cholesky rejects, with their inputs unwritten
+        # every block qr_cholesky rejects, with their inputs unwritten; a
+        # stacked level without rows factors its blocks in place, so there
+        # M holds its blocks' Cholesky factors
         rng = np.random.default_rng(33)
         M, terms = _update_case(rng, k, 3, cs, "C")
         M[...] = np.diag([1.0, 2.0, 1e-40])
@@ -629,9 +657,12 @@ class TestUpdateKernels:
         for b in S.reshape(-1, *S.shape[-2:]):
             with pytest.raises(RankDeficient):
                 qr_cholesky(b)
+        args = (M, use) if k is None else _level(M, use)
         with pytest.raises(RankDeficient):
-            qr_cholesky_update(M, use)
-        after = [M] + [X for t in use for X in t]
+            qr_cholesky_update(*args)
+        if k is not None and not cs:
+            before[0] = _lower_factors(before[0])
+        after = [args[0]] + [X for t in use for X in t]
         assert all(np.array_equal(a, b) for a, b in zip(after, before))
 
     def test_rank_test_is_per_block(self):

@@ -138,7 +138,8 @@ def test_riccati_failures_are_classified_in_one_place():
             elif isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
                 if _dotted(node.exc.func) == "FactorizationFailed":
                     raises.add(fn.name)
-            elif isinstance(node, ast.Call) and _dotted(node.func) == "cholesky_stack":
+            elif (isinstance(node, ast.Call)
+                  and _dotted(node.func) == "cholesky_sqrt_update"):
                 chol.add(fn.name)
     assert catches == {"riccati_factor", "_level_failed"}
     assert raises == chol == {"_level_failed"}
