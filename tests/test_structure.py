@@ -124,7 +124,9 @@ def test_riccati_failures_are_classified_in_one_place():
     # the sweep's kernel failures are caught in riccati_factor, which hands
     # each to _level_failed, and in _level_failed, which alone raises
     # FactorizationFailed: the root's chol(P[0]) is taken and classified
-    # there too, not in a branch after the sweep
+    # there too, not in a branch after the sweep.  It is the only call of
+    # the square-root kernel by name: the sweep's steps pick their kernel
+    # by route
     catches, raises, chol = set(), set(), set()
     for fn in ast.walk(MODULES["kkt_ocp.py"]):
         if not isinstance(fn, ast.FunctionDef):
