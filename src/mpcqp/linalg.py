@@ -541,8 +541,9 @@ def qr_cholesky_update(M, terms):
     are :func:`qr_cholesky`'s (see :func:`_rank_tested`), over the
     ``w + sum c`` rows of the stack.  Returns M.  The terms are never
     written.  M is not written when a factorization fails, except on a
-    stack without rows, whose blocks before a failing one hold their
-    factors.
+    stack without rows: it is factored block by block in place, so the
+    blocks before a failing one hold their factors, and all of them when
+    the rank test fails.
 
     Raises
     ------
