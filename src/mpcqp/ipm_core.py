@@ -9,7 +9,11 @@ exact zeros on masked constraint rows, so these kernels take no activity
 mask: the duality measure is ``lam' t / n_act`` over the whole vectors, the
 step length is one ratio pass over ``lt`` (a zero step entry never blocks)
 and the update is one axpy over the buffer plus one floor clip of ``lt`` on
-the active rows, which keeps the masked rows at zero.
+the active rows, which keeps the masked rows at zero.  The ratio pass
+divides only the blocking entries, those where the step is negative, and
+:func:`_step_ratio` returns the uncapped ratio itself, so that a caller
+holding it for a direction gets any capped, fraction-to-boundary step
+length of that direction without a second pass.
 
 Two formulations of the Newton system are supported, selected by
 ``IpmArg.abs_form``:
@@ -284,11 +288,15 @@ def max_step(lt, dlt, ftb=1.0):
     ratio before the cap at 1, so an unblocked direction still yields a
     unit step.
     """
+    return min(1.0, ftb * _step_ratio(lt, dlt))
+
+
+def _step_ratio(lt, dlt):
+    """Largest alpha keeping ``lt + alpha dlt >= 0``, uncapped: ``inf`` for a
+    direction without a negative entry."""
     neg = dlt < 0.0
-    # the blocking ratios -lt/dlt are the negated quotients where dlt < 0;
-    # every other entry reads -inf, so an unblocked direction gives inf
-    q = np.divide(lt, dlt, out=np.full(lt.shape, -np.inf), where=neg)
-    return min(1.0, ftb * -float(q.max(initial=-np.inf)))
+    # the blocking ratios -lt/dlt are the negated quotients where dlt < 0
+    return -float(np.maximum.reduce(lt[neg] / dlt[neg], initial=-np.inf))
 
 
 def centering(mu, mu_aff):
@@ -319,7 +327,7 @@ def update_iterate_delta(iterate, step, alpha, lam_min=0.0, t_min=0.0):
     buf = iterate.flat()
     buf += alpha * step.flat()
     lt = iterate.lt.reshape(2, -1)
-    np.maximum(lt, [[lam_min], [t_min]], out=lt, where=iterate._view.act)
+    np.maximum(lt, [[lam_min], [t_min]], out=lt, where=iterate._view._act_where)
     return iterate
 
 

@@ -43,7 +43,12 @@ inequality-slack steps (:func:`recover`).  Both backends call the same four
 functions; on a dense QP, whose one block is the whole problem, they
 perform the per-block arithmetic operation for operation.  A backend writes
 its step over v and its ``pi`` straight into one zeroed solution buffer, and
-:func:`recover` fills in the rest, leaving masked rows at exact zero.
+:func:`recover` fills in the rest, leaving masked rows at exact zero.  The
+row-wise divides and differences that must skip masked rows take the
+view's ``where=`` constant ``_act_where`` (see
+:meth:`view.ProblemView._set_bounds`): the activity mask, or ``True`` when
+every row is active, where the unmasked call writes the same bits at a
+fraction of a masked call's cost.
 """
 
 from __future__ import annotations
@@ -81,14 +86,13 @@ def view_scales(view, lam, t):
     SingularSlackBlock
         If an augmented slack diagonal is not strictly positive.
     """
-    act = view.act
     # one pass over every row settles the usual case; the masked test runs
     # only when some entry is not positive (masked rows hold lam = t = 0)
     low = np.minimum(lam, t)
-    if low.min(initial=np.inf) <= 0.0 and np.any(low[act] <= 0.0):
+    if low.min(initial=np.inf) <= 0.0 and np.any(low[view.act] <= 0.0):
         raise NonPositiveIterate("lam, t must be > 0 on active rows")
     g = np.zeros(view.nc)
-    np.divide(lam, t, out=g, where=act)
+    np.divide(lam, t, out=g, where=view._act_where)
     soft = view._soft
     if not soft.size:
         return Scales(lam=lam, t=t, g=g, ge=g, D=np.zeros(0))
@@ -146,7 +150,7 @@ def fold_rhs(view, sc, r_g, r_d, r_m):
     """
     nv = view.nv
     w = np.zeros(view.nc)
-    np.divide(sc.lam * r_d - r_m, sc.t, out=w, where=view.act)
+    np.divide(sc.lam * r_d - r_m, sc.t, out=w, where=view._act_where)
     rhat = r_g[:nv] - view.rows_t(w)
     soft = view._soft
     if not soft.size:
@@ -174,8 +178,8 @@ def recover(view, sc, fold, r_d, out):
         cy[soft] += ds
         cy[view._rows[2 * view._m:]] = ds
         out.y[view.nv:] = ds
-    np.subtract(w, sc.g * cy, out=out.lam, where=view.act)
-    np.subtract(cy, r_d, out=out.t, where=view.act)
+    np.subtract(w, sc.g * cy, out=out.lam, where=view._act_where)
+    np.subtract(cy, r_d, out=out.t, where=view._act_where)
     return out
 
 

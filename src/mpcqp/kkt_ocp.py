@@ -164,7 +164,9 @@ cost about ``2 nv kd`` flops each, so unlike the factor sweep a tree's
 vector solve is not linear in the node count.  A vector solve then
 folds the right-hand side over the flat vectors, forms ``P b`` with one
 stacked product over the edges' cost-to-go blocks (two with the factors on
-the square-root routes), runs the two band solves, forms
+the square-root routes), or reuses the factor's last ``P b`` when ``b``
+is the very array of its last solve (the interior point loop's predictor
+and corrector solves share their ``r_b``), runs the two band solves, forms
 ``pi_m = P_m (x_m - b_m) + e_m`` with a second product and recovers the
 slack and inequality components over the flat vectors.  Dual
 regularization is not applied on this backend (the equality block stays
@@ -223,6 +225,7 @@ class RiccatiFactor:
         self.p_blocks = None         # the cost-to-go blocks
         self.ab = None               # band storage of the solve matrix T
         self.sqrt = False
+        self._pb = (None, None)      # the last solve's r_b and its P r_b
 
     @cached_property
     def _cols(self):
@@ -769,14 +772,17 @@ def riccati_solve(fac, r_g, r_b, r_d, r_m):
     the module docstring), between the flat fold of the right-hand side and
     the flat recovery of the slack and inequality components.  The step's
     v and pi parts go straight into one zeroed solution buffer, which the
-    recovery completes.
+    recovery completes.  ``P r_b`` is formed once for consecutive solves
+    given the same ``r_b`` array, which they must not write in between.
     """
     vw = fac.view
     band = vw.band
     rhat, fold = fold_rhs(vw, fac.scales, r_g, r_d, r_m)
+    if fac._pb[0] is not r_b:
+        fac._pb = (r_b, _p_apply(fac, r_b))
     f = np.empty(vw.nv)
     f[band.vpos] = rhat
-    f[band.pi_pos] += _p_apply(fac, r_b)
+    f[band.pi_pos] += fac._pb[1]
     s = solve_banded_triangular(fac.ab, f)
     f = -s
     f[band.pi_pos] = r_b

@@ -363,9 +363,10 @@ def _rank_tested(R, m):
         If a block fails the rank test.
     """
     n = R.shape[-1]
-    d = R.diagonal(axis1=1, axis2=2)
+    d = R.diagonal(0, 1, 2)
     c = max(m, n) * _EPS
-    lo, hi = d.min(), d.max()
+    # the ufuncs' reductions, without the ndarray.min/max wrappers' frames
+    lo, hi = np.minimum.reduce(d, None), np.maximum.reduce(d, None)
     if lo > c * hi:
         return R
     if hi < c * lo:

@@ -17,7 +17,10 @@ machinery (:mod:`ipm_core`) to the type-specific KKT backend:
    the requested accuracy is recomputed from the ladder's ``qr`` rungs,
    which the trace records as ``escalated``;
 6. fraction-to-boundary step length, iterate update with multiplier/slack
-   lower bounds.
+   lower bounds.  When the step taken is the accepted corrector's, as it
+   came from the solve (no refinement correction, no escalation), the
+   step length is the fraction of the ratio that the acceptance test's
+   ratio pass found, so an iteration makes two ratio passes, not three.
 
 The iterate and every step are :class:`view.QpSolution` buffers
 ``[y | pi | lam | t]``.  :func:`_init_iterate` puts exact zeros on the masked
@@ -86,6 +89,8 @@ from .ipm_core import (
     duality_measure,
     iterative_refinement,
     max_step,
+    _step_ratio,
+    _vec_norm,
     recover_step_absolute,
     update_iterate_delta,
 )
@@ -198,7 +203,7 @@ def _init_iterate(view, arg, guess):
         iterate.y[:] = guess.y
     if warm == "primal_dual":
         iterate.pi[:] = guess.pi
-    act = view.act
+    act = view._act_where
     cy = view.cy(iterate.y)
     if warm == "primal_dual":
         # the room a step needs is of the order of the guess's violation: a
@@ -226,8 +231,8 @@ def _init_iterate(view, arg, guess):
     else:
         t = np.maximum(cy - view.d, T0)
         lam = MU0 / t
-    iterate.t[:] = np.where(act, t, 0.0)
-    iterate.lam[:] = np.where(act, lam, 0.0)
+    np.copyto(iterate.t, t, where=act)
+    np.copyto(iterate.lam, lam, where=act)
     return iterate
 
 
@@ -281,19 +286,24 @@ def _ipm_loop(qp, factor_fn, arg, guess):
     if arg.abs_form:
         def step_of(sol):
             return recover_step_absolute(iterate, sol)
+        # the infinity norm of the right-hand side's constant [g | b | d]
+        data_norm = max(map(_vec_norm, (view.g, view.b, view.d)))
     else:
         def step_of(sol):
             return sol
     while True:
         # the absolute form solves for the next iterate: data on the right,
         # 2 comp off the complementarity rows, no residuals in the loop
-        comp = iterate.lam * iterate.t
         if arg.abs_form:
             res = None
+            comp = iterate.lam * iterate.t
             rg, rb, rd, shift = view.g, view.b, view.d, 2.0 * comp
+            rhs_norm = data_norm
         else:
             res = view.residuals(iterate)
+            comp = res.r_m
             rg, rb, rd, shift = res.r_g, res.r_b, res.r_d, 0.0
+            rhs_norm = max(res.res_g, res.res_b, res.res_d)
         mu = res.mu if res is not None else duality_measure(lt, n_act)
         if res is None and not iterate.isfinite():
             status = Status.NaNDetected
@@ -316,10 +326,10 @@ def _ipm_loop(qp, factor_fn, arg, guess):
         corrector = arg.pred_corr
         if corrector:
             rm_dir = rm_center + step_aff.lam * step_aff.t - shift
-            sol_dir = factor.solve(rg, rb, rd, rm_dir)
+            sol_corr = sol_dir = factor.solve(rg, rb, rd, rm_dir)
             step = step_of(sol_dir)
-            a_t = max_step(lt, step.lt)
-            mu_t = duality_measure(lt + a_t * step.lt, n_act)
+            ratio = _step_ratio(lt, step.lt)
+            mu_t = duality_measure(lt + min(1.0, ratio) * step.lt, n_act)
             corrector = corrector_acceptance(mu_t, mu_aff, arg.corr_ratio)
         if not corrector:
             rm_dir = rm_center - shift
@@ -328,8 +338,10 @@ def _ipm_loop(qp, factor_fn, arg, guess):
         escalated = False
         refine_steps, refine_ratio = 0, np.nan
         if arg.itref_corr_max > 0:
-            sol_dir, ir_norm, rhs_norm, refine_steps = _refine(
-                view, factor, iterate, rg, rb, rd, rm_dir, sol_dir,
+            # ||[rg | rb | rd | rm_dir]||_inf, from the norms already taken
+            rhs_norm = max(rhs_norm, _vec_norm(rm_dir))
+            sol_dir, ir_norm, refine_steps = _refine(
+                view, factor, iterate, rg, rb, rd, rm_dir, rhs_norm, sol_dir,
                 arg.itref_corr_max, arg.itref_stop_ratio,
             )
             if (
@@ -343,16 +355,20 @@ def _ipm_loop(qp, factor_fn, arg, guess):
                     factor, route = factor_qr, route_qr
                     escalated = True
                     sol_dir = factor.solve(rg, rb, rd, rm_dir)
-                    sol_dir, ir_norm, rhs_norm, refine_steps = _refine(
-                        view, factor, iterate, rg, rb, rd, rm_dir, sol_dir,
-                        arg.itref_corr_max, arg.itref_stop_ratio,
+                    sol_dir, ir_norm, refine_steps = _refine(
+                        view, factor, iterate, rg, rb, rd, rm_dir, rhs_norm,
+                        sol_dir, arg.itref_corr_max, arg.itref_stop_ratio,
                     )
             refine_ratio = ir_norm / max(1.0, rhs_norm)
             step = step_of(sol_dir)
         if not step.isfinite():
             status = Status.NaNDetected
             break
-        alpha = max_step(lt, step.lt, ftb=arg.ftb)
+        # the accepted corrector's step as solved has its ratio already
+        if corrector and sol_dir is sol_corr:
+            alpha = min(1.0, arg.ftb * ratio)
+        else:
+            alpha = max_step(lt, step.lt, ftb=arg.ftb)
         update_iterate_delta(iterate, step, alpha, arg.lam_min, arg.t_min)
         trace.append(IterRecord(
             it=it, alpha_aff=alpha_aff, alpha=alpha, mu=mu, sigma=sigma,
@@ -376,14 +392,15 @@ def _ipm_loop(qp, factor_fn, arg, guess):
     return SolveReport(solution=iterate, stats=stats, residuals=final)
 
 
-def _refine(view, factor, iterate, rg, rb, rd, rm, sol, max_steps, stop_ratio):
-    """Refined solution, its KKT residual norm, the RHS norm and the steps taken.
+def _refine(view, factor, iterate, rg, rb, rd, rm, rhs_norm, sol, max_steps,
+            stop_ratio):
+    """Refined solution, its KKT residual norm and the steps taken.
 
-    The RHS norm is taken once, here, and handed to the refinement.  When
-    no correction improved on ``sol``, ``sol`` itself is returned.
+    ``rhs_norm`` is the infinity norm of the right-hand side
+    ``[rg | rb | rd | rm]``, which the loop has from its residual norms.
+    When no correction improved on ``sol``, ``sol`` itself is returned.
     """
     rhs_flat = kkt_rhs_flat(view, rg, rb, rd, rm)
-    rhs_norm = float(np.max(np.abs(rhs_flat))) if rhs_flat.size else 0.0
     start = sol.flat()
     flat, norm, steps = iterative_refinement(
         factor.solve_flat,
@@ -396,4 +413,4 @@ def _refine(view, factor, iterate, rg, rb, rd, rm, sol, max_steps, stop_ratio):
     )
     if flat is not start:
         sol = QpSolution.from_flat(view, flat)
-    return sol, norm, rhs_norm, steps
+    return sol, norm, steps

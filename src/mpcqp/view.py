@@ -111,6 +111,7 @@ stage type's ``H``, ``E``, ``G`` and ``K``.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -325,12 +326,18 @@ class ProblemView:
                        inactive rows;
         * ``act``      the active rows (side mask on, bound finite), with
                        ``act_float`` its 0.0/1.0 copy, ``n_act`` its count
-                       and ``_inact`` the positions of the inactive rows.
+                       and ``_inact`` the positions of the inactive rows;
+        * ``_act_where`` the ``where=`` argument of the masked ufuncs over
+                       rows (:mod:`kkt_common`, the iterate update and
+                       start): ``act``, or ``True`` when every row is
+                       active, which gives the same bits without the cost
+                       of a masked call.
 
         Two more go with them, for :meth:`residuals`: ``_act_buf``, laid out
         like a solution buffer, keeps all of ``y`` and ``pi`` and the active
-        rows of ``lam`` and ``t``, and ``_shift`` is ``[g | b | d]``, the
-        residuals' constant part, laid out like ``K z``.
+        rows of ``lam`` and ``t`` (``True`` as well when every row is
+        active), and ``_shift`` is ``[g | b | d]``, the residuals' constant
+        part, laid out like ``K z``.
         """
         stages = self._stages()
         self._bnd = np.concatenate([
@@ -347,13 +354,15 @@ class ProblemView:
         self.act_float = self.act.astype(float)
         self.n_act = int(np.count_nonzero(self.act))
         self._inact = np.flatnonzero(~self.act)
-        self._act_buf = np.concatenate(
+        act_buf = np.concatenate(
             [np.ones(self.ny + self.ne, dtype=bool), self.act, self.act])
         self.d = np.where(self.act, d, 0.0)
         self._shift = np.concatenate([self.g, self.b, self.d])
         for const in (self._bnd, self._on, self.act, self.act_float, self._inact,
-                      self._act_buf, self.d, self._shift):
+                      act_buf, self.d, self._shift):
             const.flags.writeable = False
+        self._act_where = True if self.n_act == self.nc else self.act
+        self._act_buf = True if self._act_where is True else act_buf
 
     # the operators built on first use; make_view builds them before it
     # copies a view, so that every copy shares them
@@ -476,7 +485,8 @@ class ProblemView:
                     f"the QP needs ({n},)"
                 )
         k = ny + ne + nc
-        buf = np.where(self._act_buf, sol.flat(), 0.0)
+        buf = np.zeros(k + nc)
+        np.copyto(buf, sol.flat(), where=self._act_buf)
         lam, t = buf[ny + ne: k], buf[k:]
         out = np.empty(k + nc)
         self.kkt_product(buf[:k], out[:k], self._shift)
@@ -836,9 +846,8 @@ class QpResiduals:
         return max(self.res_g, self.res_b, self.res_d, self.res_m)
 
     def isfinite(self):
-        return all(
-            np.isfinite(x) for x in (self.res_g, self.res_b, self.res_d, self.res_m)
-        )
+        return all(map(math.isfinite,
+                       (self.res_g, self.res_b, self.res_d, self.res_m)))
 
 
 def compute_residuals(qp, sol):

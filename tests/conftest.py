@@ -324,6 +324,7 @@ class RiccatiFactorRef:
         self.ab = None               # band storage of the solve matrix T
         self.p_blocks = None         # per-node blocks: P, or chol(P) if sqrt
         self.sqrt = False
+        self._pb = (None, None)      # the band solve's last r_b and P r_b
 
     def p_matrix(self, n):
         if self.P[n] is not None:

@@ -27,7 +27,9 @@ from mpcqp.ipm_core import (
     max_step,
     recover_step_absolute,
     update_iterate_delta,
+    _step_ratio,
 )
+from mpcqp.kkt_common import fold_rhs, recover, view_scales
 from mpcqp.kkt_dense import factor
 from mpcqp.kkt_ocp import riccati_factor
 from mpcqp.solver import _WARM_ROOM, _init_iterate
@@ -572,12 +574,22 @@ class TestFlatIterate:
         res = vw.residuals(it)
         fac = _factor_fn(qp)(qp, it, arg=IpmArg())
         step = fac.solve(res.r_g, res.r_b, res.r_d, it.lam * it.t)
-        for scale in (1.0, 1e3, -1e3):      # scaled copies reach the boundary
-            dir_ = QpSolution.from_flat(vw, scale * step.flat())
+        # scaled copies reach the boundary; the clipped ones hold exact
+        # zeros, and the last two have no negative entry at all
+        flat = step.flat()
+        dirs = [scale * flat for scale in (1.0, 1e3, -1e3)]
+        dirs += [np.where(np.arange(flat.size) % 3 == 0, 0.0, flat),
+                 np.zeros_like(flat), np.abs(flat)]
+        for d in dirs:
+            dir_ = QpSolution.from_flat(vw, d)
+            # the loop's step length from the corrector's ratio pass
+            ratio = _step_ratio(it.lt, dir_.lt)
+            assert (ratio == np.inf) == (not np.any(dir_.lt < 0.0))
             for ftb in (1.0, arg.ftb):
                 alpha = max_step(it.lt, dir_.lt, ftb=ftb)
-                assert alpha == max_step_ref(it.lam, it.t, dir_.lam, dir_.t,
-                                             vw.act, ftb=ftb)
+                ref = max_step_ref(it.lam, it.t, dir_.lam, dir_.t, vw.act,
+                                   ftb=ftb)
+                assert alpha == ref and min(1.0, ftb * ratio) == ref
             new, ref = it.copy(), it.copy()
             update_iterate_delta(new, dir_, alpha, arg.lam_min, arg.t_min)
             update_iterate_delta_ref(ref, dir_, alpha, vw.act,
@@ -585,3 +597,58 @@ class TestFlatIterate:
             assert np.array_equal(new.flat(), ref.flat())
             assert duality_measure(new.lt, vw.n_act) == pytest.approx(
                 duality_measure_ref(new.lam, new.t, vw.act), rel=1e-14, abs=0.0)
+
+
+def _mask_forced(vw):
+    """A copy of ``vw`` whose ``where=`` constants are its boolean masks."""
+    out = copy.copy(vw)
+    out._act_where = vw.act
+    out._act_buf = np.concatenate(
+        [np.ones(vw.ny + vw.ne, dtype=bool), vw.act, vw.act])
+    return out
+
+
+class TestWhereConstant:
+    """The row kernels take ``where=True`` on a view whose rows are all
+    active, the boolean mask otherwise; either gives the same bits there."""
+
+    @pytest.mark.parametrize("kind", ["tree", "mass_spring"])
+    def test_all_active_view_gives_the_masked_bits(self, kind):
+        rng = np.random.default_rng(5)
+        qp = (rand_tree_qp(rng, [-1, 0, 0, 1, 2]) if kind == "tree"
+              else gen_mass_spring(MassSpringConfig(masses=3, horizon=6)))
+        vw = make_view(qp)
+        assert vw.n_act == vw.nc and vw._act_where is True
+        assert vw._act_buf is True
+        forced = _mask_forced(vw)
+        arg = replace(mode_preset("balance"), warm_start="primal_dual")
+        guess = QpSolution(vw, rng.standard_normal(vw.ny),
+                           rng.standard_normal(vw.ne),
+                           rng.uniform(0.1, 2.0, vw.nc), rng.uniform(0.1, 2.0, vw.nc))
+        it = _init_iterate(vw, arg, guess)
+        assert np.array_equal(it.flat(), _init_iterate(forced, arg, guess).flat())
+        it = QpSolution(vw, guess.y, guess.pi, guess.lam, guess.t)
+        outs = []
+        for view in (vw, forced):
+            res = view.residuals(it)
+            sc = view_scales(view, it.lam, it.t)
+            rhat, (w, rt) = fold_rhs(view, sc, res.r_g, res.r_d, res.r_m)
+            step = QpSolution(view, y=np.concatenate(
+                [rhat, np.zeros(view.ny - view.nv)]))
+            recover(view, sc, (w, rt), res.r_d, step)
+            new = QpSolution._wrap(view, it.flat().copy())
+            update_iterate_delta(new, step, 0.5, 0.3, 0.4)
+            outs.append([res.r_g, res.r_b, res.r_d, res.r_m,
+                         [res.res_g, res.res_b, res.res_d, res.res_m, res.mu],
+                         sc.g, sc.ge, sc.D, rhat, w, rt, step.flat(), new.flat()])
+        for a, b in zip(*outs):
+            assert np.array_equal(a, b)
+
+    @given(masked_qps())
+    def test_masked_view_keeps_its_masks(self, qp):
+        vw = make_view(qp)
+        if vw.n_act < vw.nc:
+            assert vw._act_where is vw.act
+            assert np.array_equal(vw._act_buf, _mask_forced(vw)._act_buf)
+        else:
+            assert vw._act_where is True

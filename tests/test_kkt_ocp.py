@@ -1222,6 +1222,77 @@ class TestWorkloadFactorCalls:
         assert _close(fac.ab, ref.ab)
 
 
+class TestWorkloadVectorPasses:
+    """Vector work per iteration on the benchmark's problems, counted, not
+    timed: an iteration whose accepted corrector took no refinement
+    correction makes two ratio passes, its step length coming from the
+    acceptance test's pass, and a factorization forms ``P r_b`` once for
+    the loop's solves; each refinement solve has its own ``r_b``."""
+
+    @pytest.mark.parametrize("kind", ["ocp", "tree"])
+    def test_two_ratio_passes_and_one_p_product(self, monkeypatch, kind):
+        from mpcqp import ipm_core, solver
+
+        if kind == "ocp":
+            qp = gen_mass_spring(MassSpringConfig(masses=4, horizon=20))
+            solve, mode = solve_ocp_qp, "balance"
+        else:
+            qp = _mass_spring_tree()
+            solve, mode = solve_tree_ocp_qp, "speed"
+        passes, marks = [0], []
+
+        def counted(fn):
+            def pass_(*args, **kw):
+                passes[0] += 1
+                return fn(*args, **kw)
+            return pass_
+
+        def update(*args, real=solver.update_iterate_delta, **kw):
+            marks.append(passes[0])
+            return real(*args, **kw)
+
+        # a ratio pass is a call of either kernel by the loop's bindings
+        for name in ("max_step", "_step_ratio"):
+            monkeypatch.setattr(solver, name, counted(getattr(ipm_core, name)))
+        monkeypatch.setattr(solver, "update_iterate_delta", update)
+        # a P r_b product is a _p_apply call on the r_b its solve was given
+        real_factor, real_solve, real_apply = (ko.riccati_factor, ko.riccati_solve,
+                                               ko._p_apply)
+        factors, flat_solves, rb_products, current = [0], [0], [0], [None]
+
+        def factor(*args, **kw):
+            fac = real_factor(*args, **kw)
+            factors[0] += 1
+            return fac
+
+        def riccati_solve(fac, r_g, r_b, r_d, r_m):
+            current[0] = r_b
+            return real_solve(fac, r_g, r_b, r_d, r_m)
+
+        def p_apply(fac, vec):
+            rb_products[0] += vec is current[0]
+            return real_apply(fac, vec)
+
+        def solve_flat(fac, rhs_flat, real=ko.RiccatiFactor.solve_flat):
+            flat_solves[0] += 1
+            return real(fac, rhs_flat)
+
+        monkeypatch.setattr(ko, "riccati_factor", factor)
+        monkeypatch.setattr(ko, "riccati_solve", riccati_solve)
+        monkeypatch.setattr(ko, "_p_apply", p_apply)
+        monkeypatch.setattr(ko.RiccatiFactor, "solve_flat", solve_flat)
+        rep = solve(qp, mode_preset(mode).with_tol(1e-6))
+        assert rep.status is Status.Success
+        per_iter = np.diff([0] + marks).tolist()
+        assert len(per_iter) == rep.iterations
+        unrefined = [r.corrector and not r.escalated and r.refine_steps == 0
+                     for r in rep.stats.trace]
+        assert sum(unrefined) >= rep.iterations // 2
+        for n, plain in zip(per_iter, unrefined):
+            assert n == 2 if plain else n in (2, 3)
+        assert rb_products[0] == factors[0] + flat_solves[0]
+
+
 class TestApplyAndFlops:
     def test_apply_zero(self, rng):
         qp = rand_ocp_qp(rng, N=3, nx=3, nu=1)

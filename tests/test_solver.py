@@ -498,10 +498,10 @@ class TestStatsAndTrace:
         fac = ko.riccati_factor(qp, it)
         sol = fac.solve(*rhs)
         before = sol.flat().copy()
-        out, norm, rhs_norm, n = _refine(vw, fac, it, *rhs, sol, 2, stop_ratio)
-        assert n == steps
         rhs_flat = kkt_rhs_flat(vw, *rhs)
-        assert rhs_norm == np.max(np.abs(rhs_flat))
+        rhs_norm = float(np.max(np.abs(rhs_flat)))
+        out, norm, n = _refine(vw, fac, it, *rhs, rhs_norm, sol, 2, stop_ratio)
+        assert n == steps
         if steps:
             assert norm <= np.max(np.abs(
                 kkt_apply_vec(vw, it.lam, it.t, before) + rhs_flat))
@@ -509,6 +509,29 @@ class TestStatsAndTrace:
             assert out is sol and np.array_equal(out.flat(), before)
             want = np.max(np.abs(kkt_apply_vec(vw, it.lam, it.t, before) + rhs_flat))
             assert norm / max(1.0, rhs_norm) == want / max(1.0, rhs_norm)
+
+    @pytest.mark.parametrize("mode", ["balance", "speed_abs"])
+    def test_loop_hands_refinement_the_rhs_norm(self, rng, monkeypatch, mode):
+        # the loop takes ||rhs||_inf from the norms it already has (the
+        # residuals', or the absolute form's data) and that of rm
+        import mpcqp.solver as solver
+        from mpcqp.kkt_common import kkt_rhs_flat
+
+        qp = rand_ocp_qp(rng, N=4, nx=3, nu=2)
+        vw = make_view(qp)
+        seen, real = [], solver._refine
+
+        def refine(view, factor, iterate, rg, rb, rd, rm, rhs_norm, *rest):
+            flat = kkt_rhs_flat(view, rg, rb, rd, rm)
+            seen.append((rhs_norm, float(np.max(np.abs(flat)))))
+            return real(view, factor, iterate, rg, rb, rd, rm, rhs_norm, *rest)
+
+        monkeypatch.setattr(solver, "_refine", refine)
+        arg = replace(mode_preset(mode).with_tol(1e-8), itref_corr_max=2)
+        rep = solver.solve_ocp_qp(qp, arg)
+        assert rep.status is Status.Success and vw.nc
+        assert len(seen) >= rep.iterations
+        assert all(got == want for got, want in seen)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_final_residuals_reuse_the_loop_evaluation(self, rng, monkeypatch, mode):
