@@ -22,14 +22,16 @@ mirror the Riccati ones: the classical recursion propagates P explicitly
 (and tolerates indefinite stage cost), the square-root variant propagates
 chol(P) through QR triangularization (``M[n] = W_n + T' T`` with
 ``T = chol(P[n+1])' [B_n A_n]``) and requires positive definite state costs
-``Q_1..Q_N``.  Its ``chol(P[n])`` is the Riccati QR route's level step,
-:func:`linalg.qr_cholesky_update` of ``Q_n`` with the term ``T_x =
-chol(P[n+1])' A_n`` (``chol(Q_n)``, then the QR of ``[chol(Q_n)' ; T_x]``),
-and ``chol(P[N])`` the same kernel's ``chol(Q_N)`` with no term, as at a
-Riccati leaf; each passes the kernel's rank test.  The gradient comes from
-the same sweep over the affine part: ``h_n = g_n + W_n (0, gamma_n)``,
-``h_n += [B_n A_n]' beta[n+1]``, ``beta[n] = h_n[x]``, and
-``g[u_n] = h_n[u]``, ``g[x0] = beta[0]``.
+``Q_1..Q_N``.  Its ``chol(P[n])`` is the Riccati QR route's step on a
+one-node level, :func:`linalg.qr_cholesky_update` of ``Q_n`` as a stack
+of one with the term ``T_x = chol(P[n+1])' A_n`` (the upper
+``chol(Q_n)`` on the kernel's copy, then the QR of ``[chol(Q_n)' ;
+T_x]``), and ``chol(P[N])`` the same kernel's ``chol(Q_N)`` with no term,
+the lower ``dpotrf`` in place, as at a Riccati leaf; each passes the
+kernel's rank test.  The gradient comes from the same sweep over the
+affine part: ``h_n = g_n + W_n (0, gamma_n)``, ``h_n += [B_n A_n]'
+beta[n+1]``, ``beta[n] = h_n[x]``, and ``g[u_n] = h_n[u]``, ``g[x0] =
+beta[0]``.
 
 The stages are taken in runs of equal dimensions (``nx``, ``nu``, ``ng`` and
 the next stage's ``nx``; see :func:`_runs`); a run of one stage is the
@@ -98,7 +100,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from .errors import CondenseError, DimensionMismatch, InvalidBlockSize
 from .ipm_core import RICCATI_VARIANTS
-from .linalg import count_flops, qr_cholesky_update
+from .linalg import count_flops, qr_cholesky_update, update_operands
 from .qp_data import ROW_FIELDS, DenseQp, OcpQp, OcpQpDim
 from .view import DenseView, QpSolution, _ranges, make_view
 
@@ -250,8 +252,10 @@ def _cost_recursion(qp, vw, runs, gamma, x_end, variant):
     ``P`` is used as computed: the Hessian is symmetrized once, exactly, at
     the end (the square-root variant's ``T' T`` is symmetric as computed).
     The square-root variant carries the lower factor ``L = chol(P[n+1])``
-    instead, one :func:`linalg.qr_cholesky_update` per stage n >= 1 on a
-    copy of ``Q_n`` and one with no term for ``Q_N``.
+    instead, a (1, nx, nx) stack: one :func:`linalg.qr_cholesky_update`
+    per stage n >= 1 on a Fortran-ordered copy of ``Q_n``, with the
+    operands of :func:`linalg.update_operands`, and one with no term for
+    ``Q_N``.
     """
     d = qp.dim
     nx, nu = d.nx.tolist(), d.nu.tolist()
@@ -280,17 +284,20 @@ def _cost_recursion(qp, vw, runs, gamma, x_end, variant):
     P, beta = Ms[-1][0][nuN:, nuN:], hs[-1][0][nuN:]
     if sqrt and d.N:
         # chol(Q_N), a Riccati leaf's factor
-        L = qr_cholesky_update(P.copy(), [])
+        L = P[None].copy(order="F")
+        qr_cholesky_update(L, update_operands(L, []))
     for r in range(len(runs) - 2, -1, -1):
         (a, b), nur = runs[r], nu[runs[r][0]]
         for n, BAn, Mn, hn, Wn in zip(range(b - 1, a - 1, -1), BAs[r][::-1],
                                       Ms[r][::-1], hs[r][::-1], Ws[r][::-1]):
             if sqrt:
-                T = L.T @ BAn
+                T = L[0].T @ BAn
                 Mn += T.T @ T
                 if n:
                     # chol(P[n]) from the QR of [chol(Q_n)' ; T_x]
-                    L = qr_cholesky_update(Wn[nur:, nur:].copy(), [(L, BAn[:, nur:])])
+                    Q = Wn[None, nur:, nur:].copy(order="F")
+                    L = qr_cholesky_update(
+                        Q, update_operands(Q, [(L, BAn[None, :, nur:])]))
             else:
                 Mn += BAn.T @ (P @ BAn)
             hn += beta @ BAn

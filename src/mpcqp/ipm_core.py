@@ -111,9 +111,12 @@ class IpmArg:
 
     ``lam_min``/``t_min`` clip the multipliers and slacks from below after
     every update, bounding the late-iteration ill-conditioning of the KKT
-    system.  They also put a floor of roughly ``lam_min * max(t)`` under the
-    reachable duality measure, so a ``tol_comp`` below that needs smaller
-    clip values than the balance/robust presets use.
+    system.  They also put floors under the reachable complementarity: of
+    roughly ``lam_min * max(t)`` where the clip holds a multiplier, and of
+    ``t_min * max(lam)`` where it holds the slack of the largest multiplier,
+    the floor ``res_m`` plateaus at on badly scaled problems.  A ``tol_comp``
+    below them needs smaller clip values than the balance/robust presets
+    use.
 
     ``factorization`` selects the routes (``FACTOR_ROUTES``) the solver
     tries in order each iteration: the preferred one, the other one if the

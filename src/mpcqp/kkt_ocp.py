@@ -51,7 +51,8 @@ factorization or once per view:
   factorization and checked out by each sweep: the work buffer, one
   stacked cost-to-go buffer, the QR route's scratch, and every level's
   step arguments (:meth:`RiccatiLevel.args`) prepared once as views of
-  the three.  On a stacked level these are every node's operands: its
+  the three.  On every level, a chain's one-node levels included, these
+  are every node's operands (:func:`linalg.update_operands`): its
   Fortran-ordered work block with its children's cost-to-go and
   ``[B A]`` blocks, and for the QR route the level's copy of M, its W
   rows and every node's views of both, so that a sweep makes no view,
@@ -88,27 +89,26 @@ reach BLAS uncopied, and with no helper call in between: ``dsymm``,
 ``dgemm`` and ``dpotrf`` (classical) and ``dtrmm``, ``dsyrk`` and
 ``dpotrf`` (square root) work in the node's work block itself, so that
 no copy of M and no new factor array is made; a level of k nodes makes
-the calls of k chain levels.  On a stacked level the QR route forms the
-rows W of all its nodes with one stacked product per out-edge slot into
-the prepared rows, then runs ``dpotrf`` and one ``dtpqrt`` per node in
-place on the prepared copy of M, which is written back in one assignment
-(on a one-node level, ``dpotrf``, ``dtrmm`` and ``dtpqrt`` on a new
-copy).  A node without children (a leaf, a chain's last stage) has
+the calls of k chain levels.  The QR route forms the rows W of all the
+level's nodes with one stacked product per out-edge slot into the
+prepared rows, then runs the upper ``dpotrf`` and one ``dtpqrt`` per
+node in place on the prepared copy of M, which is written back in one
+assignment.  A node without children (a leaf, a chain's last stage) has
 nothing to triangularize: the QR route takes ``chol(M)`` as its factor,
-on a stacked leaf level by the lower ``dpotrf`` of every node's work
-block in place.  A classical step then forms ``P = L_xx L_xx'``,
-symmetric as formed.  A kernel raises when a
-block is not positive definite (or, on the QR route, fails the rank
-test), and one function takes every such failure over
+by the lower ``dpotrf`` of every node's work block in place.  A
+classical step then forms ``P = L_xx L_xx'``, symmetric as formed.  A
+kernel raises when a block is not positive definite (or, on the QR
+route, fails the rank test), and one function takes every such failure
+over
 (:func:`_level_failed`): it redoes the level node by node from the kept
 reduced Hessians, and a classical node whose whole block is not positive
 definite takes the input-block step on that block, with G formed again
 from the kept reduced Hessians: one Cholesky factorization of ``G_uu``
 with the triangular solve for X (:func:`linalg.cholesky_solve`), one
 product for ``X'X``, and P symmetrized; at the root, chol(P[0]) follows,
-one ``dpotrf`` on the root block's trailing triangle.  The kernels count
-no flops; the sweep counts those of the per-node kernels they stand in
-for, the same on every path.
+one ``dpotrf`` of a copy of P[0] written into the root block's trailing
+triangle.  The kernels count no flops; the sweep counts those of the
+per-node kernels they stand in for, the same on every path.
 
 Two variants:
 
@@ -191,6 +191,7 @@ from .linalg import (
     qr_cholesky_update,
     solve_banded_triangular,
     solve_triangular,
+    update_operands,
 )
 from .view import QpSolution, _ranges, make_view, split_flat
 
@@ -328,9 +329,9 @@ def _level_step(route, args):
     overwrites the nodes' blocks of the work buffer, a copy of the reduced
     Hessians on entry, with their Cholesky factors, each column-major, and
     writes their P (classical) or chol(P) blocks into the cost-to-go
-    buffer, from which it reads their children's.  A one-node step is its
-    kernel's BLAS and LAPACK calls and, on the classical route, one product
-    into its slot.  The flops are counted by the caller.
+    buffer, from which it reads their children's.  A step is its kernel's
+    BLAS and LAPACK calls and, on the classical route, one stacked product
+    into the nodes' slots.  The flops are counted by the caller.
 
     * classical: :func:`linalg.cholesky_update`, the Cholesky factors of the
       whole blocks ``M + sum BA' P BA``, then ``P = L_xx L_xx'``;
@@ -360,8 +361,9 @@ def _input_block_step(lv, hess, args):
     ``G = M + sum BA' P BA`` is not positive definite: G formed again from
     the node's reduced Hessian in ``hess``, one Cholesky of ``G_uu`` with
     the triangular solve for ``X = L_uu^-1 G_ux`` (:func:`linalg.cholesky_solve`),
-    ``P = G_xx - X'X``, symmetrized.  The factor columns ``[L_uu; X']`` go
-    into the first nu columns of the node's work block, and P into its
+    ``P = G_xx - X'X``, symmetrized.  ``args`` are the level's
+    (:meth:`RiccatiLevel.args`); the factor columns ``[L_uu; X']`` go into
+    the first nu columns of the node's work block, and P into its
     cost-to-go block.
 
     Raises
@@ -369,11 +371,12 @@ def _input_block_step(lv, hess, args):
     NotPositiveDefinite
         If ``G_uu`` is not positive definite.
     """
-    M, terms, _, _, P_n = args
+    _, (nodes, _), _, _, P_n = args
+    (M, node_terms), = nodes
     nu = lv.nu
-    G = hess[lv.hess].reshape(lv.shape)
-    for P_m, BA in terms:
-        G = G + BA.T @ (P_m @ BA)
+    G = hess[lv.hess].reshape(lv.w, lv.w)
+    for Pt, BA in node_terms:
+        G = G + BA.T @ (Pt.T @ BA)
     if nu:
         L, X = cholesky_solve(G[:nu, :nu], G[:nu, nu:])
         G = G[nu:, nu:] - X.T @ X
@@ -386,18 +389,19 @@ def _level_failed(view, lv, route, hess, work, P, counted, exc):
     :class:`FactorizationFailed` naming the first node that fails.
 
     The level is redone node by node, in descending order, as the
-    node-by-node sweep would.  The Cholesky kernels, and the QR kernel on a leaf
-    level, factor a stack block by block in place, so they have overwritten
-    the blocks before the failing one: the level's blocks are first copied
-    back from the reduced Hessians ``hess``, and each node of a stacked
-    level then runs its own step on its own blocks; a one-node level's node
-    has failed its step already.  On the classical route a node whose step
-    fails takes the input-block step (:func:`_input_block_step`), and at the
-    root then chol(P[0]), the trailing triangle of its factor: P[0] copied
-    there and factored in place by an update kernel without terms, one
-    ``dpotrf``.  The flops counted at a failure are ``counted`` (the levels
-    before), the nodes redone and the failing node's count up to the failing
-    call; at chol(P[0]) they are the whole sweep's.
+    node-by-node sweep would.  The Cholesky kernels, and the QR kernel on a
+    leaf level, factor a stack block by block in place, so they have
+    overwritten the blocks before the failing one: the level's blocks are
+    first copied back from the reduced Hessians ``hess``, and each node of
+    a stacked level then runs its own step on a one-node level's operands
+    (with QR scratch of its own); a one-node level's node has failed its
+    step already.  On the classical route a node whose step fails takes the
+    input-block step (:func:`_input_block_step`), and at the root then
+    chol(P[0]), the trailing triangle of its factor: an update kernel
+    without terms on a Fortran-ordered copy of P[0], one ``dpotrf``.  The
+    flops counted at a failure are ``counted`` (the levels before), the
+    nodes redone and the failing node's count up to the failing call; at
+    chol(P[0]) they are the whole sweep's.
     """
     work[lv.hess] = hess[lv.hess]
     for n in lv.nodes[::-1]:
@@ -419,10 +423,10 @@ def _level_failed(view, lv, route, hess, work, P, counted, exc):
                 if n == 0 and P_n.size:
                     what = "cost-to-go matrix not positive definite at stage 0"
                     flops = counted + full
-                    # chol(P[0]) in place: an update kernel's one-block
-                    # dpotrf, with no terms
-                    L_P[...] = P_n
-                    cholesky_sqrt_update(L_P, ())
+                    # chol(P[0]): an update kernel's one-block dpotrf,
+                    # with no terms, on a Fortran-ordered copy
+                    L = P_n.copy(order="F")
+                    L_P[...] = cholesky_sqrt_update(L, update_operands(L, []))
                 counted += full
                 continue
             except NotPositiveDefinite as node_exc:
@@ -613,7 +617,7 @@ class RiccatiLevel:
     A level's k nodes share ``nu``, ``w = nu + nx`` and the ``nx`` of the
     children of every out-edge slot, so :func:`_level_step` factors them
     with one kernel call on their (k, w, w) stack and prepared per-node
-    operands, or on the node's own blocks when k = 1.  Its selectors are
+    operands; a chain's levels are stacks of one.  Its selectors are
     slices: the nodes are consecutive and each slot's children evenly
     spaced (see ``RiccatiBand.levels``), so the step's arguments on a
     sweep's buffers (:meth:`args`) are views of them, prepared once per
@@ -624,22 +628,15 @@ class RiccatiLevel:
                    buffer (:func:`kkt_common.reduced_hessian`), and in the
                    factorization's work buffer, its copy, which the step
                    overwrites with the nodes' factors;
-    * ``shape``    ``(k, w, w)``, the shape of the step's stacks; ``(w, w)``
-                   on a one-node level, whose step works on the node's own
-                   blocks (see :func:`linalg.cholesky_update`);
     * ``p``        the index of the nodes' (nx, nx) blocks in the stacked
-                   cost-to-go buffer: their slots (an int on a one-node
-                   level) and the slots' top-left corner;
+                   cost-to-go buffer: their slots and the slots' top-left
+                   corner;
     * ``edges``    per out-edge slot ``(children, nx_child, BA)``: the
                    children's slots and the (k, nx_child, w) stack of the
                    edges' ``[B A]``, each block column-major;
-    * ``terms``    ``edges`` as the step reads them: ``(index, BA)``, the
-                   index of the children's blocks in the cost-to-go buffer,
-                   as ``p``, and on a one-node level BA the (nx_child, w)
-                   block;
     * ``scratch``  the size of the QR route's copy of M and W rows on a
-                   stacked level with children, ``k w (w + sum nx_child)``;
-                   0 on the others;
+                   level with children, ``k w (w + sum nx_child)``; 0 on
+                   the others;
     * ``flops``    nominal counts per node and route, ``(full, at a
                    Cholesky failure)``: those of the :mod:`linalg` kernels
                    the step's calls stand in for; the root's full classical
@@ -647,8 +644,8 @@ class RiccatiLevel:
                    at the last counted kernel, so it counts in full.
     """
 
-    __slots__ = ("nodes", "k", "nu", "w", "shape", "hess", "p", "edges",
-                 "terms", "scratch", "flops")
+    __slots__ = ("nodes", "k", "nu", "w", "hess", "p", "edges", "scratch",
+                 "flops")
 
     def __init__(self, view, nodes):
         d = view.qp.dim
@@ -660,22 +657,19 @@ class RiccatiLevel:
         self.w = w = nu + nx
         h0 = int(view.hess_off[n0])
         self.hess = slice(h0, h0 + k * w * w)
-        self.shape = (k, w, w) if k > 1 else (w, w)
-        self.p = (slice(n0, n0 + k) if k > 1 else n0, slice(nx), slice(nx))
+        self.p = (slice(n0, n0 + k), slice(nx), slice(nx))
         out = [view.out_edges[n] for n in nodes]
         self.edges = []
         for j, (m, _, _) in enumerate(out[0]):
-            # each block column-major, as BLAS takes it on a one-node level
+            # each block column-major, as BLAS takes it
             BA = np.empty((k, w, int(d.nx[m]))).transpose(0, 2, 1)
             for i, o in enumerate(out):
                 BA[i, :, :nu] = o[j][1]["B"]
                 BA[i, :, nu:] = o[j][1]["A"]
             BA.flags.writeable = False
             self.edges.append((_sel([o[j][0] for o in out]), int(d.nx[m]), BA))
-        self.terms = [((sel if k > 1 else sel.start, slice(c), slice(c)),
-                       BA if k > 1 else BA[0]) for sel, c, BA in self.edges]
         c = [e[1] for e in self.edges]
-        self.scratch = k * w * (w + sum(c)) if k > 1 and any(c) else 0
+        self.scratch = k * w * (w + sum(c)) if any(c) else 0
         edge_cl = sum(2 * ci * w * (ci + w) for ci in c)
         edge_sq = sum(2 * ci * ci * w for ci in c) + w ** 3 // 3
         m = w + sum(c)
@@ -690,60 +684,21 @@ class RiccatiLevel:
 
     def args(self, work, P, scratch=None):
         """The step's arguments on a sweep's buffers: ``(M, terms, L_P,
-        L_P', P_n)``, the nodes' blocks of ``work`` Fortran-ordered, the
-        ``(P[i], BA)`` of ``terms``, the blocks' trailing (nx, nx) factors
-        and their transposes, and the nodes' blocks of ``P``, all views of
-        the buffers.
-
-        On a stacked level ``terms`` is the operands of every node prepared
-        for the :mod:`linalg` update kernels, ``(nodes, qr)``:
-
-        * ``nodes``  per node ``(M_i, [(P_i', BA_i) ...])``: its
-          Fortran-ordered block of M and, per out-edge slot with a state,
-          the transpose of its child's block of ``P`` and its ``[B A]``
-          block, as the Cholesky routes' BLAS calls take them;
-        * ``qr``     ``(rows, products, C, blocks, R)`` for the QR route:
-          the row count of its rank test, per slot the operands and the
-          output ``(BA', L, W)`` of one stacked product forming the W rows
-          of all nodes, the copy C of M (C-ordered) that ``dpotrf`` and
-          ``dtpqrt`` overwrite with the triangles, per node its
-          Fortran-ordered ``(U_i, W_i)`` (the transposes of C's block and
-          of its W rows), and the triangles ``R = C'`` that the rank test
-          reads.  C and W are views of ``scratch``, ``self.scratch``
-          entries of the workspace.  Without rows (a leaf level) there are
-          no products, C and blocks are None and empty, and R is ``M'``:
-          each node's block is factored in place.
+        L_P', P_n)``, the nodes' (k, w, w) stack of ``work`` with
+        Fortran-ordered blocks, the operands of every node prepared for
+        the :mod:`linalg` update kernels (:func:`linalg.update_operands` of
+        M and, per out-edge slot, the children's blocks of ``P`` and the
+        ``[B A]`` stack, with the QR route's copy of M and W rows in
+        ``scratch``, ``self.scratch`` entries, or in a buffer of their own
+        when None), the blocks' trailing (nx, nx) factors and their
+        transposes, and the nodes' blocks of ``P``, all views of the
+        buffers.
         """
-        M = work[self.hess].reshape(self.shape).swapaxes(-1, -2)
-        L_P = M[..., self.nu:, self.nu:]
-        terms = [(P[i], BA) for i, BA in self.terms]
-        if self.k > 1:
-            terms = _level_operands(M, terms, scratch)
+        M = work[self.hess].reshape(self.k, self.w, self.w).swapaxes(-1, -2)
+        L_P = M[:, self.nu:, self.nu:]
+        terms = update_operands(
+            M, [(P[sel, :c, :c], BA) for sel, c, BA in self.edges], scratch)
         return (M, terms, L_P, L_P.swapaxes(-1, -2), P[self.p])
-
-
-def _level_operands(M, terms, scratch):
-    """The ``terms`` argument of a stacked level's update kernel (see
-    :meth:`RiccatiLevel.args`) for its (k, w, w) stack M of Fortran-ordered
-    blocks and its ``(P, BA)`` terms, (k, c, c) and (k, c, w) stacks;
-    ``scratch`` holds at least ``k w (w + sum c)`` entries when a term has
-    rows.  Terms without entries (c = 0 or w = 0) are left out."""
-    k, w = M.shape[0], M.shape[-1]
-    terms = [(L, BA) for L, BA in terms if BA.size]
-    nodes = tuple((M_i, [(L[i].T, BA[i]) for L, BA in terms])
-                  for i, M_i in enumerate(M))
-    rows = w + sum(L.shape[-1] for L, _ in terms)
-    if not terms:
-        return nodes, (rows, (), None, (), M.swapaxes(-1, -2))
-    C = scratch[: k * w * w].reshape(k, w, w)
-    Wt = scratch[k * w * w: k * w * rows].reshape(k, w, rows - w)
-    products, j = [], 0
-    for L, BA in terms:
-        c = L.shape[-1]
-        products.append((BA.transpose(0, 2, 1), L, Wt[:, :, j: j + c]))
-        j += c
-    blocks = tuple(zip(C.transpose(0, 2, 1), Wt.transpose(0, 2, 1)))
-    return nodes, (rows, products, C, blocks, C.swapaxes(-1, -2))
 
 
 def _p_apply(fac, vec):

@@ -59,28 +59,28 @@ The update-and-factor kernels :func:`cholesky_update`,
 :func:`cholesky_sqrt_update` and :func:`qr_cholesky_update` are one Riccati
 level's step on each route, uncounted as well (the QR one is also each
 stage of the square-root condensing sweep, see :mod:`condensing`): they
-overwrite a node Hessian M with the factor of M updated by its children's
-terms, and never write the terms.  On one Fortran-ordered (w, w) block
-the Cholesky routes call BLAS and LAPACK on M itself, which ends up
-holding the factor with no copy made (``dsymm``/``dgemm`` or
-``dtrmm``/``dsyrk``, then ``dpotrf``).  A level of k nodes hands them its
-(k, w, w) stack with operands its caller prepared once per workspace
-(see :meth:`kkt_ocp.RiccatiLevel.args`): every node's Fortran-ordered
-block and the blocks of its terms, and for the QR route a copy of the
-stack, the rows W and every node's views of both.  The kernels index no
-stack: per node the Cholesky routes make the block path's calls on its
-prepared blocks, so a level makes the calls of k chain levels.  The QR
-route forms the rows of all nodes with one stacked product per term into
-the prepared rows, copies M into the prepared copy, runs one ``dpotrf``
-and one ``dtpqrt`` (l = 0) per node in place there and assigns the
-factors into M; a stack without rows (a leaf level) takes the lower
-``dpotrf`` of every block in place.  The kernels make their calls
-directly on the arguments they are given, with no helper frame (the
-``dpotrf`` return code goes to :func:`_potrf_failed` only when it is
-nonzero): on the small blocks of a chain, a Python frame or a view per
-call costs a sizeable part of the BLAS calls themselves.  Their BLAS and
-LAPACK arguments are
-positional, as the wrappers parse keywords slower.
+overwrite a (k, w, w) stack M of node Hessians, one Fortran-ordered
+block per node, with the factors of the blocks updated by their
+children's terms, and never write the terms.  A chain level is a stack of
+one.  They take one operand form, :func:`update_operands`, which their
+caller prepares once (per workspace in the Riccati sweep, see
+:meth:`kkt_ocp.RiccatiLevel.args`): every node's block and the blocks of
+its terms, and for the QR route a copy of the stack, the rows W and
+every node's views of both.  The kernels index no stack: per node the
+Cholesky routes call BLAS and LAPACK on the node's block itself, which
+ends up holding the factor with no copy made (``dsymm``/``dgemm`` or
+``dtrmm``/``dsyrk``, then ``dpotrf``), so a level of k nodes makes the
+calls of k chain levels.  The QR route forms the rows of all nodes with
+one stacked product per term into the prepared rows, copies M into the
+prepared copy, runs one upper ``dpotrf`` and one ``dtpqrt`` (l = 0) per
+node in place there and assigns the factors into M; a stack without rows
+(a leaf) takes the lower ``dpotrf`` of every block in place.  The kernels
+make their calls directly on the operands they are given, with no helper
+frame (the ``dpotrf`` return code goes to :func:`_potrf_failed` only when
+it is nonzero): on the small blocks of a chain, a Python frame or a view
+per call costs a sizeable part of the BLAS calls themselves.  Their BLAS
+and LAPACK arguments are positional, as the wrappers parse keywords
+slower.
 """
 
 from __future__ import annotations
@@ -119,6 +119,7 @@ __all__ = [
     "gram",
     "matmul_acc",
     "cholesky_solve",
+    "update_operands",
     "cholesky_update",
     "cholesky_sqrt_update",
     "qr_cholesky_update",
@@ -437,114 +438,142 @@ def qr_cholesky_tp(U, S, d):
     return _rank_tested(np.triu(R)[None], n + p + np.count_nonzero(d))[0]
 
 
-def cholesky_update(M, terms):
-    """Overwrite M with the lower Cholesky factor of ``M + sum BA' P BA``
-    over the ``(P, BA)`` terms, uncounted: one Riccati level's classical
-    update and factorization.
+def update_operands(M, terms, scratch=None):
+    """The ``terms`` argument of the update kernels for the (k, w, w) stack
+    M of Fortran-ordered blocks and its ``(P, BA)`` terms, (k, c, c) and
+    (k, c, w) stacks, with P the cost-to-go blocks (:func:`cholesky_update`)
+    or their lower factors (:func:`cholesky_sqrt_update`,
+    :func:`qr_cholesky_update`): ``(nodes, qr)``, views of M, of the terms
+    and of ``scratch``.
 
-    M is one (w, w) block, with (c, c) P and (c, w) BA blocks as terms, or a
-    level's (k, w, w) stack of Fortran-ordered blocks, with its operands
-    prepared as terms (see :meth:`kkt_ocp.RiccatiLevel.args`).  M and P are
-    symmetric.  On a block, per term one ``dsymm`` for ``P BA`` (reading one
-    triangle of P) and one ``dgemm`` (beta = 1) adding ``BA' (P BA)`` to M,
-    then one ``dpotrf``: on a Fortran-ordered M (the transposed view of a
-    C-ordered block) both work in M itself, and a column-major BA and
-    C-ordered P reach BLAS uncopied.  These calls are made on the arguments
-    as given, with no helper call in between, so a caller that prepares its
-    views once (the Riccati sweep's workspace, see :mod:`kkt_ocp`) pays for
-    little more than BLAS and LAPACK.  A stack's nodes take the same calls
-    one after the other on their prepared blocks, so the blocks before a
-    failing one hold their factors.  Returns M.  The terms are never
-    written; M is, also when the factorization fails.
+    * ``nodes``  per node ``(M_i, [(P_i', BA_i) ...])``: its Fortran-ordered
+      block of M and, per term, the transpose of its P block and its BA
+      block, as the Cholesky kernels' BLAS calls take them;
+    * ``qr``     ``(rows, products, C, blocks, R)`` for the QR kernel: the
+      row count of its rank test, per term the operands and the output
+      ``(BA', P, W)`` of one stacked product forming the W rows of all
+      nodes, the copy C of M (C-ordered) that ``dpotrf`` and ``dtpqrt``
+      overwrite with the triangles, per node its Fortran-ordered
+      ``(U_i, W_i)`` (the transposes of C's block and of its W rows), and
+      the triangles ``R = C'`` that the rank test reads.  C and W are
+      views of ``scratch``, which holds at least ``k w (w + sum c)``
+      entries (a new buffer when None).  Without rows (a leaf) there are
+      no products, C is None, blocks are empty and R is ``M'``: each
+      node's block is factored in place.
+
+    Terms without entries (c = 0 or w = 0) are left out.  A caller that
+    factors the same buffers again prepares this once and hands the
+    kernels the same object every time.
+
+    Raises
+    ------
+    DimensionMismatch
+        If a block of M is not Fortran-ordered, so that a kernel could not
+        factor it in place.
+    """
+    if not all(M_i.flags.f_contiguous for M_i in M):
+        raise DimensionMismatch("the blocks of M must be Fortran-ordered")
+    k, w = M.shape[0], M.shape[-1]
+    terms = [(P, BA) for P, BA in terms if BA.size]
+    nodes = tuple((M_i, [(P[i].T, BA[i]) for P, BA in terms])
+                  for i, M_i in enumerate(M))
+    rows = w + sum(P.shape[-1] for P, _ in terms)
+    if not terms:
+        return nodes, (rows, (), None, (), M.swapaxes(-1, -2))
+    if scratch is None:
+        scratch = np.empty(k * w * rows)
+    C = scratch[: k * w * w].reshape(k, w, w)
+    Wt = scratch[k * w * w: k * w * rows].reshape(k, w, rows - w)
+    products, j = [], 0
+    for P, BA in terms:
+        c = P.shape[-1]
+        products.append((BA.transpose(0, 2, 1), P, Wt[:, :, j: j + c]))
+        j += c
+    blocks = tuple(zip(C.transpose(0, 2, 1), Wt.transpose(0, 2, 1)))
+    return nodes, (rows, products, C, blocks, C.swapaxes(-1, -2))
+
+
+def cholesky_update(M, terms):
+    """Overwrite the (k, w, w) stack M with the lower Cholesky factors of
+    ``M + sum BA' P BA`` over the ``(P, BA)`` terms, uncounted: one Riccati
+    level's classical update and factorization.
+
+    ``terms`` is :func:`update_operands` of M and the terms; M and P are
+    symmetric.  Per node, per term one ``dsymm`` for ``P BA`` (reading one
+    triangle of P) and one ``dgemm`` (beta = 1) adding ``BA' (P BA)`` to
+    the node's block, then one ``dpotrf``: on the Fortran-ordered block
+    both work in the block itself, and a column-major BA and C-ordered P
+    reach BLAS uncopied.  These calls are made on the prepared operands as
+    given, with no helper call in between, so a caller that prepares them
+    once (the Riccati sweep's workspace, see :mod:`kkt_ocp`) pays for
+    little more than BLAS and LAPACK.  The nodes are taken one after the
+    other, so the blocks before a failing one hold their factors.  Returns
+    M.  The terms are never written; M is, also when the factorization
+    fails.
 
     Raises
     ------
     NotPositiveDefinite
         If a block of the updated matrix is not positive definite.
     """
-    if M.ndim == 3:
-        for M_i, node_terms in terms[0]:
-            for Pt, BA in node_terms:
-                _gemm(1.0, BA, _symm(1.0, Pt, BA), 1.0, M_i, 1, 0, 1)
-            info = _dpotrf(M_i, 1, 1, 1)[1]
-            if info:
-                _potrf_failed(info)
-        return M
-    G = M
-    for P, BA in terms:
-        if BA.size:
-            # BA' (P BA) + G: (beta, c, trans_a, trans_b, overwrite_c)
-            G = _gemm(1.0, BA, _symm(1.0, P.T, BA), 1.0, G, 1, 0, 1)
-    # (lower, clean, overwrite_a); G is M unless M is not Fortran-ordered
-    G, info = _dpotrf(G, 1, 1, 1)
-    if info:
-        _potrf_failed(info)
-    if G is not M:
-        M[...] = G
+    for M_i, node_terms in terms[0]:
+        for Pt, BA in node_terms:
+            # BA' (P BA) + M_i: (beta, c, trans_a, trans_b, overwrite_c)
+            _gemm(1.0, BA, _symm(1.0, Pt, BA), 1.0, M_i, 1, 0, 1)
+        # (lower, clean, overwrite_a): in place on the Fortran-ordered block
+        info = _dpotrf(M_i, 1, 1, 1)[1]
+        if info:
+            _potrf_failed(info)
     return M
 
 
 def cholesky_sqrt_update(M, terms):
-    """Overwrite M with the lower Cholesky factor of ``M + sum W'W`` with
-    ``W = L' BA`` over the ``(L, BA)`` terms, uncounted: one Riccati level's
-    square-root update and factorization.
+    """Overwrite the (k, w, w) stack M with the lower Cholesky factors of
+    ``M + sum W'W`` with ``W = L' BA`` over the ``(L, BA)`` terms,
+    uncounted: one Riccati level's square-root update and factorization.
 
-    Shapes, layouts and writes as in :func:`cholesky_update`, with L lower
-    triangular.  On a block, per term one ``dtrmm`` for W and one ``dsyrk``
-    (beta = 1) adding ``W'W`` to the lower triangle of M, then one
-    ``dpotrf``, with no helper call in between; a stack's nodes the same
-    calls on their prepared blocks.
+    Operands and writes as in :func:`cholesky_update`, with L lower
+    triangular.  Per node, per term one ``dtrmm`` for W and one ``dsyrk``
+    (beta = 1) adding ``W'W`` to the lower triangle of its block, then one
+    ``dpotrf``, with no helper call in between.
 
     Raises
     ------
     NotPositiveDefinite
         If a block of the updated matrix is not positive definite.
     """
-    if M.ndim == 3:
-        for M_i, node_terms in terms[0]:
-            for Lt, BA in node_terms:
-                _syrk(1.0, _trmm(1.0, Lt, BA), 1.0, M_i, 1, 1, 1)
-            info = _dpotrf(M_i, 1, 1, 1)[1]
-            if info:
-                _potrf_failed(info)
-        return M
-    G = M
-    for L, BA in terms:
-        if BA.size:
-            # W'W + G on the lower triangle: (beta, c, trans, lower,
+    for M_i, node_terms in terms[0]:
+        for Lt, BA in node_terms:
+            # W'W + M_i on the lower triangle: (beta, c, trans, lower,
             # overwrite_c)
-            G = _syrk(1.0, _trmm(1.0, L.T, BA), 1.0, G, 1, 1, 1)
-    G, info = _dpotrf(G, 1, 1, 1)
-    if info:
-        _potrf_failed(info)
-    if G is not M:
-        M[...] = G
+            _syrk(1.0, _trmm(1.0, Lt, BA), 1.0, M_i, 1, 1, 1)
+        info = _dpotrf(M_i, 1, 1, 1)[1]
+        if info:
+            _potrf_failed(info)
     return M
 
 
 def qr_cholesky_update(M, terms):
-    """Overwrite M with the lower factor of ``M + sum W'W`` with
-    ``W = L' BA`` by the array algorithm, uncounted: the transposed
-    :func:`qr_cholesky` triangle of ``[chol(M)' ; W ...]``, one Riccati
-    level's QR step.
+    """Overwrite the (k, w, w) stack M with the lower factors of
+    ``M + sum W'W`` with ``W = L' BA`` by the array algorithm, uncounted:
+    per block the transposed :func:`qr_cholesky` triangle of
+    ``[chol(M)' ; W ...]``, one Riccati level's QR step.
 
-    Shapes and terms as in :func:`cholesky_sqrt_update`.  Per block, one
-    ``dpotrf`` for ``chol(M)'`` and one triangular-pentagonal QR of it and
-    its rows W (``dtpqrt`` with l = 0), whose reflectors leave the zeros
-    below the triangle alone; both work in place on a copy of M (on a
-    block a new one, on a stack the prepared one), and the factor is
-    written into M in one assignment.  The W rows come from one ``dtrmm``
-    per term on a block and from one stacked product per term into the
-    prepared rows on a stack.  Without rows to add, ``chol(M)'`` is
-    already the triangle, so no QR runs: a block takes the upper
-    ``dpotrf`` of a copy, and a stack's nodes the lower ``dpotrf`` of
-    their own blocks, in place.  The rank test and the sign normalization
-    are :func:`qr_cholesky`'s (see :func:`_rank_tested`), over the
-    ``w + sum c`` rows of the stack.  Returns M.  The terms are never
-    written.  M is not written when a factorization fails, except on a
-    stack without rows: it is factored block by block in place, so the
-    blocks before a failing one hold their factors, and all of them when
-    the rank test fails.
+    Operands as in :func:`cholesky_sqrt_update`.  The W rows of all nodes
+    come from one stacked product per term into the prepared rows; M is
+    copied into the prepared copy, where per block one upper ``dpotrf``
+    forms ``chol(M)'`` and one triangular-pentagonal QR of it and its rows
+    W (``dtpqrt`` with l = 0), whose reflectors leave the zeros below the
+    triangle alone, both work in place; the factors are written into M in
+    one assignment.  Without rows to add, ``chol(M)'`` is already the
+    triangle, so no QR runs: every block takes the lower ``dpotrf`` in
+    place, as in :func:`cholesky_update`.  The rank test and the sign
+    normalization are :func:`qr_cholesky`'s (see :func:`_rank_tested`),
+    over the ``w + sum c`` rows of the stack.  Returns M.  The terms are
+    never written.  M is not written when a factorization fails, except
+    without rows: the blocks are factored in place one after the other,
+    so the blocks before a failing one hold their factors, and all of them
+    when the rank test fails.
 
     Raises
     ------
@@ -556,51 +585,27 @@ def qr_cholesky_update(M, terms):
     w = M.shape[-1]
     if not w:
         return M
-    if M.ndim == 3:
-        _, (rows, products, C, blocks, R) = terms
-        if C is None:
-            # a leaf level's nodes have no terms: chol(M) in place
-            cholesky_update(M, terms)
-            _rank_tested(R, rows)
-            return M
-        for BAt, L, W in products:
-            np.matmul(BAt, L, out=W)
-        np.copyto(C, M)
-        nb = min(w, _TP_NB)
-        # (lower, clean, overwrite_a) and (l, nb, a, b, overwrite_a,
-        # overwrite_b): U and W are Fortran-ordered, so both work in place
-        for U, W in blocks:
-            info = _dpotrf(U, 0, 1, 1)[1]
-            if info:
-                _potrf_failed(info)
-            info = _tpqrt(0, nb, U, W, 1, 1)[3]
-            if info < 0:
-                raise ValueError(f"illegal value in argument {-info} of dtpqrt")
+    _, (rows, products, C, blocks, R) = terms
+    if C is None:
+        cholesky_update(M, terms)
         _rank_tested(R, rows)
-        M[...] = C
         return M
-    terms = [(L, BA) for L, BA in terms if L.shape[-1]]
-    rows = w + sum(L.shape[-1] for L, _ in terms)
-    # (lower, clean, overwrite_a): U is a Fortran-ordered copy
-    U, info = _dpotrf(M, 0, 1, 0)
-    if info:
-        _potrf_failed(info)
-    if terms:
-        W = [_trmm(1.0, L_m.T, BA) for L_m, BA in terms]
-        W = W[0] if len(W) == 1 else np.asfortranarray(np.concatenate(W))
-        _tpqr(min(w, _TP_NB), U, W)
-    L = U.T
-    _rank_tested(L.swapaxes(-1, -2).reshape(-1, w, w), rows)
-    M[...] = L
+    for BAt, L, W in products:
+        np.matmul(BAt, L, out=W)
+    np.copyto(C, M)
+    nb = min(w, _TP_NB)
+    # (lower, clean, overwrite_a) and (l, nb, a, b, overwrite_a,
+    # overwrite_b): U and W are Fortran-ordered, so both work in place
+    for U, W in blocks:
+        info = _dpotrf(U, 0, 1, 1)[1]
+        if info:
+            _potrf_failed(info)
+        info = _tpqrt(0, nb, U, W, 1, 1)[3]
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of dtpqrt")
+    _rank_tested(R, rows)
+    M[...] = C
     return M
-
-
-def _tpqr(nb, U, W):
-    """Overwrite the Fortran-ordered upper triangle U with the R of ``[U ; W]``
-    (one ``dtpqrt``, l = 0); W, Fortran-ordered too, is overwritten."""
-    info = _tpqrt(0, nb, U, W, 1, 1)[3]   # (overwrite_a, overwrite_b)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of dtpqrt")
 
 
 def qr_full(A):

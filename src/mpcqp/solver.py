@@ -293,7 +293,8 @@ def _ipm_loop(qp, factor_fn, arg, guess):
             return sol
     while True:
         # the absolute form solves for the next iterate: data on the right,
-        # 2 comp off the complementarity rows, no residuals in the loop
+        # 2 comp off the complementarity rows, no residuals in the loop; the
+        # delta form takes nothing off them (shift None), and skips the pass
         if arg.abs_form:
             res = None
             comp = iterate.lam * iterate.t
@@ -302,7 +303,7 @@ def _ipm_loop(qp, factor_fn, arg, guess):
         else:
             res = view.residuals(iterate)
             comp = res.r_m
-            rg, rb, rd, shift = res.r_g, res.r_b, res.r_d, 0.0
+            rg, rb, rd, shift = res.r_g, res.r_b, res.r_d, None
             rhs_norm = max(res.res_g, res.res_b, res.res_d)
         mu = res.mu if res is not None else duality_measure(lt, n_act)
         if res is None and not iterate.isfinite():
@@ -315,7 +316,8 @@ def _ipm_loop(qp, factor_fn, arg, guess):
         if factor is None:
             status = Status.Failure
             break
-        step_aff = step_of(factor.solve(rg, rb, rd, comp - shift))
+        rm_aff = comp if shift is None else comp - shift
+        step_aff = step_of(factor.solve(rg, rb, rd, rm_aff))
         if not step_aff.isfinite():
             status = Status.NaNDetected
             break
@@ -325,14 +327,16 @@ def _ipm_loop(qp, factor_fn, arg, guess):
         rm_center = comp - (sigma * mu) * view.act_float
         corrector = arg.pred_corr
         if corrector:
-            rm_dir = rm_center + step_aff.lam * step_aff.t - shift
+            rm_dir = rm_center + step_aff.lam * step_aff.t
+            if shift is not None:
+                rm_dir -= shift
             sol_corr = sol_dir = factor.solve(rg, rb, rd, rm_dir)
             step = step_of(sol_dir)
             ratio = _step_ratio(lt, step.lt)
             mu_t = duality_measure(lt + min(1.0, ratio) * step.lt, n_act)
             corrector = corrector_acceptance(mu_t, mu_aff, arg.corr_ratio)
         if not corrector:
-            rm_dir = rm_center - shift
+            rm_dir = rm_center if shift is None else rm_center - shift
             sol_dir = factor.solve(rg, rb, rd, rm_dir)
             step = step_of(sol_dir)
         escalated = False

@@ -1602,13 +1602,12 @@ class TestCostToGoApply:
             assert np.array_equal(g, ko._p_apply(fac, v))
 
 
-def _stacked_calls(monkeypatch):
-    """Record ``(M, terms)`` of every update-kernel call on a stacked level."""
+def _level_calls(monkeypatch):
+    """Record ``(M, terms)`` of every update-kernel call."""
     calls = []
     for name in ("cholesky_update", "cholesky_sqrt_update", "qr_cholesky_update"):
         def kernel(M, terms, real=getattr(ko, name)):
-            if M.ndim == 3:
-                calls.append((M, terms))
+            calls.append((M, terms))
             return real(M, terms)
 
         monkeypatch.setattr(ko, name, kernel)
@@ -1616,15 +1615,15 @@ def _stacked_calls(monkeypatch):
 
 
 class TestPreparedLevels:
-    """A stacked level's per-node operands are prepared once per workspace
-    (:meth:`RiccatiLevel.args`): every sweep hands the update kernels the
-    same objects, views of that workspace's buffers.  The QR route factors
+    """Every level's per-node operands, a one-node level's too, are prepared
+    once per workspace (:meth:`RiccatiLevel.args`): every sweep hands the
+    update kernels the same objects, views of that workspace's buffers.  The QR route factors
     a stacked leaf level in place, so a failure there leaves written blocks
     that the failed level's restore puts back."""
 
     @staticmethod
     def _operands(terms):
-        """A stacked level's prepared arrays by the buffer they view:
+        """A level's prepared arrays by the buffer they view:
         ``work``, ``p``, ``qr`` (the workspace's QR scratch) and ``edges``
         (the level's ``[B A]`` stacks)."""
         nodes, (rows, products, C, blocks, R) = terms
@@ -1651,17 +1650,17 @@ class TestPreparedLevels:
                                         use_qr):
         qp = _mass_spring_tree()
         band = ko._band(make_view(qp))
-        stacked = [lv for lv in band.levels if lv.k > 1]
-        assert sorted(lv.k for lv in stacked) == [2] + [4] * 7
-        calls = _stacked_calls(monkeypatch)
+        levels = band.levels
+        assert sorted(lv.k for lv in levels) == [1] + [2] + [4] * 7
+        calls = _level_calls(monkeypatch)
         kw = dict(arg=IpmArg(riccati_variant=variant), use_qr=use_qr)
         for _ in range(2):
             ko.riccati_factor(qp, rand_iterate(rng, qp), **kw)
-        assert len(calls) == 2 * len(stacked)
-        first, second = calls[: len(stacked)], calls[len(stacked):]
+        assert len(calls) == 2 * len(levels)
+        first, second = calls[: len(levels)], calls[len(levels):]
         ws, = band.spare
         buffers = {"work": ws.work, "p": ws.p, "qr": ws.qr}
-        for lv, (M, terms), (M2, terms2) in zip(stacked, first, second):
+        for lv, (M, terms), (M2, terms2) in zip(levels, first, second):
             assert M2 is M and terms2 is terms
             ops, ops2 = self._operands(terms), self._operands(terms2)
             assert len(ops["work"]) == lv.k + (terms[1][2] is None)
@@ -1678,10 +1677,9 @@ class TestPreparedLevels:
         other = ko.RiccatiWorkspace(make_view(qp), band)
         assert ws.qr.size and not np.shares_memory(other.qr, ws.qr)
         for args in other.steps:
-            if isinstance(args[1], tuple):
-                for X in self._operands(args[1])["qr"]:
-                    assert np.shares_memory(X, other.qr)
-                    assert not np.shares_memory(X, ws.qr)
+            for X in self._operands(args[1])["qr"]:
+                assert np.shares_memory(X, other.qr)
+                assert not np.shares_memory(X, ws.qr)
 
     @staticmethod
     def _hess(monkeypatch):
@@ -1737,7 +1735,7 @@ class TestPreparedLevels:
             try:
                 return real(M, terms)
             except NotPositiveDefinite:
-                if M.ndim == 3:
+                if M.shape[0] > 1:
                     hess = kept[-1][leaves.hess].reshape(M.shape).swapaxes(-1, -2)
                     written.append([not np.array_equal(a, b)
                                     for a, b in zip(M, hess)])

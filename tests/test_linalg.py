@@ -10,7 +10,6 @@ from mpcqp.errors import (
     SingularFactor,
 )
 from mpcqp import linalg
-from mpcqp.kkt_ocp import _level_operands
 from mpcqp.linalg import (
     cholesky_factor,
     cholesky_solve,
@@ -25,6 +24,7 @@ from mpcqp.linalg import (
     qr_full,
     solve_banded_triangular,
     solve_triangular,
+    update_operands,
 )
 
 
@@ -463,13 +463,11 @@ def _lower_factors(A):
 
 
 def _level(M, terms):
-    """A stacked level as its update kernels take it: a copy of the (k, n, n)
-    stack M with Fortran-ordered blocks, and the terms' operands prepared
-    on it (:func:`kkt_ocp._level_operands`) with scratch of their own."""
+    """A level as its update kernels take it: a copy of the (k, n, n) stack
+    M with Fortran-ordered blocks, and the terms' operands prepared on it
+    (:func:`linalg.update_operands`) with scratch of their own."""
     M = np.swapaxes(M, -1, -2).copy().swapaxes(-1, -2)
-    k, w = M.shape[0], M.shape[-1]
-    rows = w + sum(BA.shape[-2] for _, BA in terms)
-    return M, _level_operands(M, terms, np.empty(k * w * rows))
+    return M, update_operands(M, terms)
 
 
 class TestStackedCholeskyCutoff:
@@ -490,7 +488,8 @@ class TestStackedCholeskyCutoff:
         L = kernel(*_level(A, []))
         assert np.max(np.abs(L @ L.transpose(0, 2, 1) - A)) <= 1e-12 * np.max(A)
         assert np.array_equal(L, _lower_factors(A))
-        # the 2-D kernel takes the same dpotrf of each block, then L X = B
+        # the one-block kernel takes the same dpotrf of each block, then
+        # L X = B
         for L_i, A_i, B_i in zip(L, A, B):
             L2, X = cholesky_solve(A_i, B_i)
             assert np.array_equal(L2, L_i)
@@ -525,9 +524,9 @@ def _blocks_in(layout, X):
 def _update_case(rng, k, w, cs, layout):
     """An update kernel's inputs: positive definite M and, per child size c
     in ``cs``, a symmetric positive definite P, its lower Cholesky factor
-    and a [B A] block; one block each when k is None, else (k, ., .)
-    stacks.  Returns ``(M, [(P, L, BA) ...])``."""
-    shape = () if k is None else (k,)
+    and a [B A] block, each a (k, ., .) stack.  Returns
+    ``(M, [(P, L, BA) ...])``."""
+    shape = (k,)
 
     def spd(n):
         X = rng.standard_normal(shape + (n, n))
@@ -556,9 +555,9 @@ def _close_rel(a, ref):
 
 
 class TestUpdateKernels:
-    """The Riccati level kernels against numpy on blocks and on stacks."""
+    """The Riccati level kernels against numpy on stacks."""
 
-    SHAPES = [None, 1, 3, 24]    # one block, then stacks
+    SHAPES = [1, 2, 3, 24]    # a chain level, then stacked levels
 
     @pytest.mark.parametrize("k", SHAPES)
     @pytest.mark.parametrize("w,cs", [(5, (3,)), (5, (3, 2)), (3, (3,)), (4, ()),
@@ -573,15 +572,13 @@ class TestUpdateKernels:
         G = M + sum((np.swapaxes(BA, -1, -2) @ P @ BA for P, _, BA in terms),
                     np.zeros_like(M))
         ref = np.linalg.cholesky(G) if w else np.zeros(G.shape)
-        # each kernel overwrites its M with the factor and returns it; a
+        # each kernel overwrites its M with the factor and returns it; the
         # stack is a level's, with its terms prepared
         for kernel, use in (
                 (cholesky_update, [(P, BA) for P, _, BA in terms]),
                 (cholesky_sqrt_update, [(L_m, BA) for _, L_m, BA in terms]),
                 (qr_cholesky_update, [(L_m, BA) for _, L_m, BA in terms])):
-            L = M.copy(order="K")
-            if k is not None:
-                L, use = _level(M, use)
+            L, use = _level(M, use)
             assert kernel(L, use) is L and _close_rel(L, ref)
         if w:
             S = _sqrt_rows(M, terms)
@@ -593,16 +590,20 @@ class TestUpdateKernels:
     @pytest.mark.parametrize("cs", [(3, 2), ()])
     @pytest.mark.parametrize("kernel", [cholesky_update, cholesky_sqrt_update])
     def test_fortran_block_is_factored_in_place(self, monkeypatch, kernel, cs):
-        # BLAS adds the terms to M itself and dpotrf factors it there: the
-        # matrix dpotrf is given, and the one it returns, are M
+        # BLAS adds the terms to the block of M itself and dpotrf factors it
+        # there: the matrix dpotrf is given, and the one it returns, are the
+        # prepared view of M's block
         rng = np.random.default_rng(35)
-        M, terms = _update_case(rng, None, 5, cs, "F")
-        use = [(P if kernel is cholesky_update else L, BA) for P, L, BA in terms]
+        M, terms = _update_case(rng, 1, 5, cs, "F")
+        M, use = _level(M, [(P if kernel is cholesky_update else L, BA)
+                            for P, L, BA in terms])
+        block = use[0][0][0]
+        assert np.shares_memory(block, M)
         real, seen = linalg._dpotrf, []
 
         def potrf(A, *args):
             L, info = real(A, *args)
-            seen.append(A is M and L is M)
+            seen.append(A is block and L is block)
             return L, info
 
         monkeypatch.setattr(linalg, "_dpotrf", potrf)
@@ -615,10 +616,10 @@ class TestUpdateKernels:
         # with the rank test, exactly
         rng = np.random.default_rng(31)
         M, _ = _update_case(rng, k, 4, (), "C")
-        want = _lower_factors(M if k is not None else M[None])
-        M, use = (M, []) if k is None else _level(M, [])
+        want = _lower_factors(M)
+        M, use = _level(M, [])
         L = qr_cholesky_update(M, use)
-        assert np.array_equal(L, want.reshape(M.shape))
+        assert np.array_equal(L, want)
         assert np.array_equal(M, L)
 
     @pytest.mark.parametrize("k", SHAPES)
@@ -635,7 +636,7 @@ class TestUpdateKernels:
                   "qr": qr_cholesky_update}[route]
         before = [X.copy() for t in use for X in t]
         with pytest.raises(NotPositiveDefinite):
-            kernel(*((M, use) if k is None else _level(M, use)))
+            kernel(*_level(M, use))
         after = [X for t in use for X in t]
         assert all(np.array_equal(a, b) for a, b in zip(after, before))
 
@@ -644,8 +645,8 @@ class TestUpdateKernels:
     def test_qr_rank_deficient_stack_raises(self, k, cs):
         # a direction of curvature 1e-40 that no W row reaches: stacks whose
         # every block qr_cholesky rejects, with their inputs unwritten; a
-        # stacked level without rows factors its blocks in place, so there
-        # M holds its blocks' Cholesky factors
+        # level without rows factors its blocks in place, so there M holds
+        # its blocks' Cholesky factors
         rng = np.random.default_rng(33)
         M, terms = _update_case(rng, k, 3, cs, "C")
         M[...] = np.diag([1.0, 2.0, 1e-40])
@@ -657,13 +658,25 @@ class TestUpdateKernels:
         for b in S.reshape(-1, *S.shape[-2:]):
             with pytest.raises(RankDeficient):
                 qr_cholesky(b)
-        args = (M, use) if k is None else _level(M, use)
+        args = _level(M, use)
         with pytest.raises(RankDeficient):
             qr_cholesky_update(*args)
-        if k is not None and not cs:
+        if not cs:
             before[0] = _lower_factors(before[0])
         after = [args[0]] + [X for t in use for X in t]
         assert all(np.array_equal(a, b) for a, b in zip(after, before))
+
+    @pytest.mark.parametrize("k", SHAPES)
+    def test_operands_need_fortran_ordered_blocks(self, k):
+        # the kernels factor M's blocks in place: on C-ordered blocks LAPACK
+        # would factor copies, and M would not hold the factors
+        M = np.tile(np.diag([4.0, 2.0, 1.0]), (k, 1, 1))
+        M[:, 0, 1] = M[:, 1, 0] = 1.0
+        with pytest.raises(DimensionMismatch):
+            update_operands(M, [])
+        F, use = _level(M, [])
+        L = cholesky_update(F, use)
+        assert np.array_equal(L, _lower_factors(M))
 
     def test_rank_test_is_per_block(self):
         # a block 1e-20 times smaller than its neighbour passes on its own

@@ -439,6 +439,62 @@ class TestRouteLadder:
         assert calls == routes[mode_preset(mode).factorization]
 
 
+def singular_dense_qp():
+    """Dense QP whose Hessian ``diag(1, 0)`` is singular on the free v1:
+    no route factors it without regularization."""
+    qp = DenseQp(nv=2, nb=1)
+    qp.set_field("H", np.diag([1.0, 0.0]))
+    qp.set_field("g", [1.0, 0.0])
+    qp.set_field("idxb", [0])
+    qp.set_field("lb", [-1.0])
+    qp.set_field("ub", [1.0])
+    return qp
+
+
+def decoupled_input_qp():
+    """M3 N10 mass-spring whose second input of stage 4 is decoupled: a zero
+    column of ``B``, a zero row and column of ``R`` and a zero row of ``S``,
+    with its box sides masked, so that its reduced Hessian is singular."""
+    qp = gen_mass_spring(MassSpringConfig(masses=3, horizon=10))
+    for name, zero in (("B", np.s_[:, 1]), ("R", np.s_[1, :]), ("R", np.s_[:, 1]),
+                       ("S", np.s_[1, :]), ("maskl", np.s_[1]),
+                       ("masku", np.s_[1])):
+        X = qp.get_field(name, 4)
+        X[zero] = 0.0
+        qp.set_field(name, 4, X)
+    return qp
+
+
+class TestRegularizedRungs:
+    """The ladder's ``+reg`` rungs rescue real QPs whose reduced Hessian is
+    singular: without them each solve fails at its first factorization.
+    ``speed_abs`` is left out: its mu-only exit passes a residual above the
+    tolerance (ROADMAP item 4)."""
+
+    ROUTES = {"speed": "chol+reg", "balance": "qr+reg", "robust": "chol+reg"}
+    CASES = {"dense": (singular_dense_qp, solve_dense_qp, 1e-8),
+             "ocp": (decoupled_input_qp, solve_ocp_qp, 1e-6)}
+
+    @pytest.mark.parametrize("kind", ["dense", "ocp"])
+    @pytest.mark.parametrize("mode", ["speed", "balance", "robust"])
+    def test_regularized_rung_solves(self, monkeypatch, kind, mode):
+        from mpcqp import solver
+
+        make, solve, tol = self.CASES[kind]
+        arg = mode_preset(mode).with_tol(tol)
+        qp = make()
+        rep = solve(qp, arg)
+        assert rep.status is Status.Success
+        assert [r.route for r in rep.stats.trace] == [self.ROUTES[mode]] * rep.iterations
+        r = compute_residuals(qp, rep.solution)
+        assert max(r.res_g, r.res_b, r.res_d, r.res_m) <= tol
+        unregularized = {k: tuple(x for x in v if not x.endswith("+reg"))
+                         for k, v in solver.FACTOR_ROUTES.items()}
+        monkeypatch.setattr(solver, "FACTOR_ROUTES", unregularized)
+        rep = solve(make(), arg)
+        assert rep.status is Status.Failure and rep.iterations == 0
+
+
 class TestStatsAndTrace:
     def test_iterations_bounded_and_trace_shape(self, rng):
         qp = rand_dense_qp(rng)
@@ -532,6 +588,40 @@ class TestStatsAndTrace:
         assert rep.status is Status.Success and vw.nc
         assert len(seen) >= rep.iterations
         assert all(got == want for got, want in seen)
+
+    @pytest.mark.parametrize("mode", ["speed", "speed_abs"])
+    def test_delta_form_hands_the_solve_its_complementarity(self, rng,
+                                                           monkeypatch, mode):
+        # the delta form subtracts no zero shift: the predictor's rm is the
+        # residuals' r_m itself; the absolute form's is comp - 2 comp
+        from mpcqp.kkt_ocp import RiccatiFactor
+        from mpcqp.view import ProblemView
+
+        qp = rand_ocp_qp(rng, N=4, nx=3, nu=2)
+        res, rms = [], []
+        real_res, real_solve = ProblemView.residuals, RiccatiFactor.solve
+
+        def residuals(view, sol):
+            res.append(real_res(view, sol))
+            return res[-1]
+
+        def solve(fac, r_g, r_b, r_d, r_m):
+            rms.append((r_m, fac.scales.lam * fac.scales.t))
+            return real_solve(fac, r_g, r_b, r_d, r_m)
+
+        monkeypatch.setattr(ProblemView, "residuals", residuals)
+        monkeypatch.setattr(RiccatiFactor, "solve", solve)
+        arg = replace(mode_preset(mode).with_tol(1e-8), pred_corr=False)
+        rep = solve_ocp_qp(qp, arg)
+        assert rep.status is Status.Success
+        # predictor and direction solve per iteration
+        predictors = [rm for rm, _ in rms[::2]]
+        assert len(predictors) == rep.iterations
+        if mode == "speed":
+            assert all(rm is r.r_m for rm, r in zip(predictors, res, strict=False))
+        else:
+            for rm, comp in rms[::2]:
+                assert np.array_equal(rm, comp - 2.0 * comp)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_final_residuals_reuse_the_loop_evaluation(self, rng, monkeypatch, mode):

@@ -145,3 +145,52 @@ def test_riccati_failures_are_classified_in_one_place():
                 chol.add(fn.name)
     assert catches == {"riccati_factor", "_level_failed"}
     assert raises == chol == {"_level_failed"}
+
+
+_UPDATE_KERNELS = ("cholesky_update", "cholesky_sqrt_update", "qr_cholesky_update")
+
+
+def _functions(tree):
+    return {n.name: n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+
+
+def test_update_kernels_take_one_operand_form():
+    # every update kernel reads the per-node operands of update_operands,
+    # with no second path chosen by the rank of M
+    funcs = _functions(MODULES["linalg.py"])
+    for name in _UPDATE_KERNELS:
+        for node in ast.walk(funcs[name]):
+            assert not (isinstance(node, ast.Attribute) and node.attr == "ndim"), name
+            assert not (isinstance(node, ast.Call) and _dotted(node.func) == "len"
+                        and isinstance(node.args[0], ast.Attribute)
+                        and node.args[0].attr == "shape"), name
+    # the operand preparation is defined once, next to the kernels
+    defines = {name for name, tree in MODULES.items()
+               if any(f.endswith("_operands") for f in _functions(tree))}
+    assert defines == {"linalg.py"}
+    assert "update_operands" in funcs
+
+
+def _kkt_ocp_names(tree):
+    """The names the source binds to the ``kkt_ocp`` module."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(a.asname or a.name for a in node.names
+                         if a.name.endswith("kkt_ocp"))
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.update(a.asname or a.name for a in node.names
+                         if a.name == "kkt_ocp")
+    return names
+
+
+def test_tests_take_the_operands_from_linalg():
+    # linalg's tests prepare their operands with linalg alone
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        module = _kkt_ocp_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("kkt_ocp"):
+                assert not any(a.name.endswith("_operands") for a in node.names), path.name
+            elif isinstance(node, ast.Attribute) and node.attr.endswith("_operands"):
+                assert _dotted(node.value) not in module, path.name
