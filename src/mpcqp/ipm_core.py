@@ -42,8 +42,11 @@ robust     delta        each iter  on demand   ``qr``
 =========  ===========  =========  ==========  =============
 
 Constants shared by every mode: a step length below ``ALPHA_MIN`` ends the
-solve with ``MinStep``, and a cold start puts the slacks at
-``max(C y - d, T0)`` and the multipliers at ``MU0 / t``.
+solve with ``MinStep``; a cold start puts the slacks at
+``max(C y - d, T0)`` and the multipliers at ``MU0 / t``; the corrector is
+kept only when its trial duality measure stays within ``CORR_RATIO`` times
+the affine one; and refinement stops once the KKT residual is at most
+``ITREF_STOP_RATIO * max(1, ||rhs||)``.
 """
 
 from __future__ import annotations
@@ -93,9 +96,11 @@ FACTOR_ROUTES = {
 RICCATI_VARIANTS = ("classical", "square_root")
 KKT_METHODS = ("schur", "null_space")
 
-ALPHA_MIN = 1e-8  # shortest step length before the solve ends in MinStep
-MU0 = 1e2         # lam_i t_i of every active row at a cold start
-T0 = 1.0          # slack floor at a cold start
+ALPHA_MIN = 1e-8          # shortest step length before the solve ends in MinStep
+MU0 = 1e2                 # lam_i t_i of every active row at a cold start
+T0 = 1.0                  # slack floor at a cold start
+CORR_RATIO = 1.5          # corrector acceptance threshold on mu_pcc / mu_aff
+ITREF_STOP_RATIO = 1e-12  # refinement's target residual over max(1, ||rhs||)
 
 
 @dataclass
@@ -121,14 +126,13 @@ class IpmArg:
     ``factorization`` selects the routes (``FACTOR_ROUTES``) the solver
     tries in order each iteration: the preferred one, the other one if the
     policy allows it, then the last one with primal regularization
-    (``2 * reg_prim``, or 1e-8).  Under ``chol_qr`` a ``chol`` step whose
-    refined residual exceeds ``qr_fallback_ratio * max(1, ||rhs||)`` is
-    recomputed from the ``qr`` rungs.
+    (``2 * reg_prim``, or 1e-8).
 
     With ``pred_corr`` the Mehrotra corrector is kept only when its trial
-    duality measure stays within ``corr_ratio`` times the affine one.  The
-    minimum step length and the cold-start point are the module constants
-    ``ALPHA_MIN``, ``MU0`` and ``T0``.
+    duality measure stays within ``CORR_RATIO`` times the affine one, and
+    ``itref_corr_max`` refinement steps aim at ``ITREF_STOP_RATIO``.  These
+    thresholds, the minimum step length and the cold-start point are module
+    constants (see the module docstring).
     """
 
     iter_max: int = 30
@@ -141,10 +145,7 @@ class IpmArg:
     t_min: float = 1e-16
     warm_start: str = "none"          # none | primal | primal_dual
     pred_corr: bool = True
-    corr_ratio: float = 1.5           # corrector acceptance threshold
     itref_corr_max: int = 0           # refinement steps on the combined direction
-    itref_stop_ratio: float = 1e-12   # target residual/rhs ratio for refinement
-    qr_fallback_ratio: float = 1e-6   # refinement residual ratio that triggers QR
     factorization: str = "chol"       # chol | chol_qr | qr
     abs_form: bool = False            # absolute formulation, no loop residuals
     ftb: float = 0.995                # fraction-to-boundary factor
@@ -168,8 +169,7 @@ class IpmArg:
                 raise ValueError(f"{name} must be > 0")
         if not 0.0 < self.ftb <= 1.0:
             raise ValueError("ftb must lie in (0, 1]")
-        for name in ("iter_max", "reg_prim", "itref_corr_max", "corr_ratio",
-                     "itref_stop_ratio", "qr_fallback_ratio"):
+        for name in ("iter_max", "reg_prim", "itref_corr_max"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         if self.lam_min < 0.0 or self.t_min < 0.0:
@@ -244,12 +244,10 @@ class IterRecord:
     res_m: float
     route: str          # factorization route: chol | qr | chol+reg | qr+reg
     corrector: bool     # the corrector term was used in the step direction
-    escalated: bool     # refinement missed its target and the direction was
-                        # recomputed from the ladder's qr rungs
     refine_steps: int   # corrections refinement applied to the direction
                         # the step took (0 without refinement)
     refine_ratio: float  # KKT residual it reached over max(1, ||rhs||), the
-                         # scale of itref_stop_ratio (nan without refinement)
+                         # scale of ITREF_STOP_RATIO (nan without refinement)
 
 
 @dataclass
@@ -309,7 +307,7 @@ def centering(mu, mu_aff):
     return min(1.0, max(0.0, (mu_aff / mu) ** 3))
 
 
-def corrector_acceptance(mu_pcc, mu_aff, threshold=1.5):
+def corrector_acceptance(mu_pcc, mu_aff, threshold=CORR_RATIO):
     """Keep the corrected direction only if it does not inflate complementarity.
 
     True iff the trial duality measure after the full

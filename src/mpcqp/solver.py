@@ -12,15 +12,13 @@ machinery (:mod:`ipm_core`) to the type-specific KKT backend:
 4. corrector direction, accepted only if it does not blow up the duality
    measure (otherwise one predictor-centering resolve with the same factor);
    the trace records whether it was used;
-5. optional iterative refinement of the direction taken; under the
-   ``chol_qr`` policy a ``chol`` direction that refinement cannot bring to
-   the requested accuracy is recomputed from the ladder's ``qr`` rungs,
-   which the trace records as ``escalated``;
+5. optional iterative refinement of the direction taken, against the
+   unfactorized KKT operator with the factor of step 2;
 6. fraction-to-boundary step length, iterate update with multiplier/slack
    lower bounds.  When the step taken is the accepted corrector's, as it
-   came from the solve (no refinement correction, no escalation), the
-   step length is the fraction of the ratio that the acceptance test's
-   ratio pass found, so an iteration makes two ratio passes, not three.
+   came from the solve (no refinement correction), the step length is the
+   fraction of the ratio that the acceptance test's ratio pass found, so
+   an iteration makes two ratio passes, not three.
 
 The iterate and every step are :class:`view.QpSolution` buffers
 ``[y | pi | lam | t]``.  :func:`_init_iterate` puts exact zeros on the masked
@@ -36,8 +34,8 @@ final report always carries residuals of the returned iterate: those the
 last loop test evaluated, since every exit taken after them leaves the
 iterate unchanged, or in the absolute formulation (which skips them in the
 loop) one evaluation before returning.  The trace records per iteration the
-factorization route, the corrector decision, a ``qr`` escalation and the
-refinement steps and residual ratio of the direction taken.
+factorization route, the corrector decision and the refinement steps and
+residual ratio of the direction taken.
 
 A QP with a blocking :func:`qp_data.validate` error raises before the loop.
 A passed verdict is kept on the QP for its revision, and ``set_field``
@@ -76,7 +74,9 @@ import numpy as np
 from . import condensing, kkt_dense, kkt_ocp
 from .errors import DimensionMismatch, FactorizationFailed, InvalidConfig
 from .ipm_core import (
+    CORR_RATIO,
     FACTOR_ROUTES,
+    ITREF_STOP_RATIO,
     MU0,
     T0,
     IpmArg,
@@ -236,16 +236,13 @@ def _init_iterate(view, arg, guess):
     return iterate
 
 
-def _factorize(factor_fn, qp, iterate, arg, first=None):
-    """Walk the policy's route ladder, from route ``first`` on if given.
+def _factorize(factor_fn, qp, iterate, arg):
+    """Walk the policy's route ladder.
 
     Returns ``(factor, route)`` for the first route that factors, or
     ``(None, None)`` once every route has failed.
     """
-    routes = FACTOR_ROUTES[arg.factorization]
-    if first is not None:
-        routes = routes[routes.index(first):]
-    for route in routes:
+    for route in FACTOR_ROUTES[arg.factorization]:
         arg_route = arg
         if route.endswith("+reg"):
             reg = 2.0 * arg.reg_prim if arg.reg_prim > 0.0 else 1e-8
@@ -334,35 +331,19 @@ def _ipm_loop(qp, factor_fn, arg, guess):
             step = step_of(sol_dir)
             ratio = _step_ratio(lt, step.lt)
             mu_t = duality_measure(lt + min(1.0, ratio) * step.lt, n_act)
-            corrector = corrector_acceptance(mu_t, mu_aff, arg.corr_ratio)
+            corrector = corrector_acceptance(mu_t, mu_aff, CORR_RATIO)
         if not corrector:
             rm_dir = rm_center if shift is None else rm_center - shift
             sol_dir = factor.solve(rg, rb, rd, rm_dir)
             step = step_of(sol_dir)
-        escalated = False
         refine_steps, refine_ratio = 0, np.nan
         if arg.itref_corr_max > 0:
             # ||[rg | rb | rd | rm_dir]||_inf, from the norms already taken
             rhs_norm = max(rhs_norm, _vec_norm(rm_dir))
             sol_dir, ir_norm, refine_steps = _refine(
                 view, factor, iterate, rg, rb, rd, rm_dir, rhs_norm, sol_dir,
-                arg.itref_corr_max, arg.itref_stop_ratio,
+                arg.itref_corr_max, ITREF_STOP_RATIO,
             )
-            if (
-                arg.factorization == "chol_qr"
-                and route == "chol"
-                and ir_norm > arg.qr_fallback_ratio * max(1.0, rhs_norm)
-            ):
-                factor_qr, route_qr = _factorize(factor_fn, qp, iterate, arg,
-                                                 first="qr")
-                if factor_qr is not None:
-                    factor, route = factor_qr, route_qr
-                    escalated = True
-                    sol_dir = factor.solve(rg, rb, rd, rm_dir)
-                    sol_dir, ir_norm, refine_steps = _refine(
-                        view, factor, iterate, rg, rb, rd, rm_dir, rhs_norm,
-                        sol_dir, arg.itref_corr_max, arg.itref_stop_ratio,
-                    )
             refine_ratio = ir_norm / max(1.0, rhs_norm)
             step = step_of(sol_dir)
         if not step.isfinite():
@@ -380,7 +361,7 @@ def _ipm_loop(qp, factor_fn, arg, guess):
             res_b=res.res_b if res else np.nan,
             res_d=res.res_d if res else np.nan,
             res_m=res.res_m if res else np.nan,
-            route=route, corrector=corrector, escalated=escalated,
+            route=route, corrector=corrector,
             refine_steps=refine_steps, refine_ratio=refine_ratio,
         ))
         alpha_last = alpha

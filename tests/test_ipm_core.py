@@ -17,6 +17,7 @@ from mpcqp import (
     solve_tree_ocp_qp,
 )
 from mpcqp.ipm_core import (
+    CORR_RATIO,
     IpmArg,
     Status,
     centering,
@@ -110,6 +111,10 @@ class TestCenteringAndCorrector:
         assert corrector_acceptance(1.0, 1.0, threshold=1.5)
         assert not corrector_acceptance(2.0, 1.0, threshold=1.5)
         assert corrector_acceptance(0.0, 0.0, threshold=1.5)
+
+    def test_corrector_default_threshold_is_corr_ratio(self):
+        assert corrector_acceptance(CORR_RATIO, 1.0)
+        assert not corrector_acceptance(np.nextafter(CORR_RATIO, 2.0), 1.0)
 
 
 class TestIterateUpdate:
@@ -317,7 +322,7 @@ class TestModePresets:
 
     def test_defaults_are_the_speed_preset(self):
         assert IpmArg() == mode_preset("speed")
-        assert len(fields(IpmArg)) == 19
+        assert len(fields(IpmArg)) == 16
 
     def test_speed_equals_balance_without_safeguards(self, rng):
         # disabling refinement, QR fallback and the tighter floors turns the
@@ -343,8 +348,8 @@ class TestModePresets:
 
     @pytest.mark.parametrize("name, value", [
         ("ftb", 1.5), ("ftb", 0.0), ("ftb", -0.5), ("iter_max", -1),
-        ("reg_prim", -1.0), ("itref_corr_max", -1), ("corr_ratio", -0.1),
-        ("itref_stop_ratio", -1e-12), ("qr_fallback_ratio", -1e-6),
+        ("reg_prim", -1.0), ("itref_corr_max", -1), ("lam_min", -1e-16),
+        ("t_min", -1e-16),
     ])
     def test_validate_rejects_out_of_range(self, name, value):
         with pytest.raises(ValueError, match=name):
@@ -352,8 +357,7 @@ class TestModePresets:
 
     @pytest.mark.parametrize("name, value", [
         ("ftb", 1.0), ("iter_max", 0), ("reg_prim", 0.0),
-        ("itref_corr_max", 0), ("corr_ratio", 0.0),
-        ("itref_stop_ratio", 0.0), ("qr_fallback_ratio", 0.0),
+        ("itref_corr_max", 0), ("lam_min", 0.0), ("t_min", 0.0),
     ])
     def test_validate_accepts_range_ends(self, name, value):
         replace(IpmArg(), **{name: value}).validate()

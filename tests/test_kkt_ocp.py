@@ -1285,7 +1285,7 @@ class TestWorkloadVectorPasses:
         assert rep.status is Status.Success
         per_iter = np.diff([0] + marks).tolist()
         assert len(per_iter) == rep.iterations
-        unrefined = [r.corrector and not r.escalated and r.refine_steps == 0
+        unrefined = [r.corrector and r.refine_steps == 0
                      for r in rep.stats.trace]
         assert sum(unrefined) >= rep.iterations // 2
         for n, plain in zip(per_iter, unrefined):

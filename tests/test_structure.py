@@ -4,6 +4,7 @@ Each concept has one home: the LAPACK and BLAS bindings live in :mod:`linalg`
 (mass-spring's matrix exponential aside), the ``scipy.sparse`` operators
 in :mod:`view` and the Riccati recursion's constants in :mod:`kkt_ocp`.
 No module reads a clock: wall time is measured by the benchmark alone.
+Every ``IpmArg`` field has a reader, so no knob outlives its mechanism.
 The benchmark's tracer wraps package functions by name; those names are
 checked here too, so that a refactor that moves one fails here instead of
 silently reporting its per-layer metric as absent.
@@ -113,6 +114,20 @@ def test_every_linalg_kernel_has_a_caller():
     assert kernels and counter <= set(exported)
     for name in sorted(kernels):
         assert _users(f"linalg.{name}") - {"linalg.py"}, name
+
+
+def test_every_ipm_arg_field_is_read():
+    # every knob of IpmArg is read as an attribute by the package outside
+    # the class itself (whose validate reads them all), so none is unread
+    ipm_arg = next(n for n in MODULES["ipm_core.py"].body
+                   if isinstance(n, ast.ClassDef) and n.name == "IpmArg")
+    fields = {n.target.id for n in ipm_arg.body if isinstance(n, ast.AnnAssign)}
+    inside = {id(n) for n in ast.walk(ipm_arg)}
+    read = {n.attr for tree in MODULES.values() for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+            and id(n) not in inside}
+    assert len(fields) > 10
+    assert fields - read == set()
 
 
 # the names an except clause can catch a Riccati kernel's failure by
