@@ -75,25 +75,38 @@ stacked product per run; only the costate sweep
 
 stays sequential, one small product per stage.
 
-Partial condensing applies the same machinery per block of ``N1`` stages
-(keeping each block's initial state, as required), producing an
-optimal-control QP with horizon ``ceil(N / N1)``; the last block is shorter
-when N1 does not divide N.  A condensed block is already a stage: its
-variable ``z = (u, x0)`` is the new stage's ``(u, x)`` window, its box rows
-(in ``idxb`` order), general rows and soft rows are the stage's rows as they
-stand, and its terminal prediction is the stage's ``[B A]``.  So no row is
-permuted either way.  Expansion is blockwise: each block's dense solution is
-the stage's slices of the short-horizon solution, and block-boundary states
-and dynamics multipliers are taken verbatim from it.  A block's stages are
-contiguous in every part of the full solution, so the blocks' expanded
-parts, followed by the terminal stage's, are the full solution as it is
-laid out.
+The one core, :func:`_condense`, condenses any stages a..b-1 on the OCP's
+own view: the prediction, the sweep and the row routing take the stage
+range and the view's positions, and its map records positions of that
+view.  :func:`condense` is the range 0..N.  A range that ends before stage
+N starts its sweep from ``P = 0``, ``beta = 0`` (the cost of its end state
+x_b is the next range's), and the core also returns its prediction of
+x_b.
+
+Partial condensing calls the core once per block of ``N1`` stages, keeping
+each block's initial state, and once for the terminal stage, a block of
+one stage; the result is an optimal-control QP with horizon
+``ceil(N / N1)``, the last block shorter when N1 does not divide N.  A
+condensed block is already a stage: its variable ``z = (u, x0)`` is the new
+stage's ``(u, x)`` window, its box rows (in ``idxb`` order), general rows
+and soft rows are the stage's rows as they stand, and its prediction of
+x_b is the stage's ``[B A]`` and ``b``.  So no row is permuted either way,
+and the terminal block reproduces the terminal stage (its cost as the view
+symmetrizes it).  No sub-QP and no view is built but the OCP's own.
+
+One expansion serves both.  The condensed solution's ``v``, ``lam``, ``t``
+and slacks are the blocks' dense parts one after the other (one block for
+full condensing); each block's states come from one product with its
+prediction, the rest is scattered through the maps, and the stationarity
+terms and the costate sweep run once over the whole horizon.  The sweep
+takes the dynamics multipliers into every block after the first, at the
+block ends, from the short-horizon solution; a dense solution has none.
 """
 
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -102,7 +115,7 @@ from .errors import CondenseError, DimensionMismatch, InvalidBlockSize
 from .ipm_core import RICCATI_VARIANTS
 from .linalg import count_flops, qr_cholesky_update, update_operands
 from .qp_data import ROW_FIELDS, DenseQp, OcpQp, OcpQpDim
-from .view import DenseView, QpSolution, _ranges, make_view
+from .view import QpSolution, _ranges, make_view
 
 __all__ = [
     "CondensingMap",
@@ -115,8 +128,12 @@ __all__ = [
 
 @dataclass
 class CondensingMap:
-    """Index maps and the stored prediction of one condensing."""
+    """Index maps and the stored prediction of one condensing of ``stages``.
 
+    The positions are those of the condensed OCP's own view.
+    """
+
+    stages: range           # the condensed stages a..b-1
     keep_x0: bool
     x0hat: object
     nx0: int
@@ -143,19 +160,10 @@ class CondensingMap:
 
 
 @dataclass
-class _BlockCond:
-    n0: int
-    n1: int
-    sub_qp: OcpQp
-    sub_map: CondensingMap
-    view: DenseView        # view of the block's condensed dense QP
-
-
-@dataclass
 class PartialCondensingMap:
-    """Blockwise condensing maps, one per stage of the condensed QP."""
+    """The blocks' condensing maps, one per stage of the condensed QP."""
 
-    blocks: list = field(default_factory=list)
+    blocks: list
 
 
 def _detect_fixed_x0(qp):
@@ -170,16 +178,18 @@ def _detect_fixed_x0(qp):
     return not np.isnan(x0hat).any(), x0hat, np.flatnonzero(fix)
 
 
-def _runs(d):
-    """``(first, end)`` of every maximal run of stages with equal dimensions.
+def _runs(d, a=0, b=None):
+    """``(first, end)`` of every maximal run of the stages a..b-1 (default
+    all) with equal dimensions.
 
     Equal ``nx``, ``nu``, ``ng`` and next-stage ``nx``, so that a run's
     blocks stack into (k, ...) arrays.  The terminal stage, which has no
     dynamics, is a run of its own.
     """
+    b = d.N + 1 if b is None else b
     nx = d.nx.tolist()
-    key = list(zip(nx, d.nu.tolist(), d.ng.tolist(), nx[1:] + [-1]))
-    ends = [0] + [n for n in range(1, d.N + 1) if key[n] != key[n - 1]] + [d.N + 1]
+    key = list(zip(nx, d.nu.tolist(), d.ng.tolist(), nx[1:] + [-1]))[a:b]
+    ends = [a] + [n for n in range(a + 1, b) if key[n - a] != key[n - a - 1]] + [b]
     return list(zip(ends[:-1], ends[1:]))
 
 
@@ -212,14 +222,15 @@ def _stack(qp, a, b, name, dyn=False):
     return np.array([src[n][name] for n in range(a, b)])
 
 
-def _prediction(qp, uz, x_end, nv, keep_x0, x0hat):
-    """``(pred, gamma)``: ``x_n = pred[rows n] z + gamma[rows n]`` for every stage.
+def _prediction(qp, a, b, uz, x_end, nv, keep_x0, x0hat):
+    """``(pred, gamma)``: ``x_n = pred[rows n] z + gamma[rows n]`` for the
+    stages a..b-1 and, when b <= N, for x_b.
 
     ``pred_n`` is zero outside the inputs before stage n and the kept x0,
     so each step multiplies only those columns.
     """
     d = qp.dim
-    nx0 = int(d.nx[0])
+    nx0 = int(d.nx[a])
     pred = np.zeros((x_end[-1], nv))
     gamma = np.empty(x_end[-1])
     x0 = nv - nx0 if keep_x0 else nv
@@ -229,71 +240,77 @@ def _prediction(qp, uz, x_end, nv, keep_x0, x0hat):
     else:
         gamma[:nx0] = x0hat
     ends = [0] + x_end.tolist()
-    for n, nu in enumerate(d.nu[: d.N].tolist()):
-        dyn = qp._dyn[n]
+    for i, nu in enumerate(d.nu[a: min(b, d.N)].tolist()):
+        dyn = qp._dyn[a + i]
         A = dyn["A"]
-        cur, nxt, k = pred[ends[n]: ends[n + 1]], pred[ends[n + 1]: ends[n + 2]], uz[n]
+        cur, nxt, k = pred[ends[i]: ends[i + 1]], pred[ends[i + 1]: ends[i + 2]], uz[i]
         np.matmul(A, cur[:, :k], out=nxt[:, :k])
         nxt[:, k: k + nu] = dyn["B"]
         if keep_x0:
             np.matmul(A, cur[:, x0:], out=nxt[:, x0:])
-        g = gamma[ends[n + 1]: ends[n + 2]]
-        np.matmul(A, gamma[ends[n]: ends[n + 1]], out=g)
+        g = gamma[ends[i + 1]: ends[i + 2]]
+        np.matmul(A, gamma[ends[i]: ends[i + 1]], out=g)
         g += dyn["b"]
     return pred, gamma
 
 
-def _cost_recursion(qp, vw, runs, gamma, x_end, variant):
-    """The backward sweep: ``(Ms, h)``.
+def _cost_recursion(qp, vw, a, b, runs, gamma, x_end, variant):
+    """The backward sweep over the stages a..b-1: ``(Ms, h)``.
 
     ``Ms`` holds every stage's ``M[n]``, a (k, nw, nw) array per run (views
-    of one buffer laid out like the view's ``hess0``); ``h``, laid out like
-    v, holds every stage's affine term ``h_n`` (see the module docstring).
-    ``P`` is used as computed: the Hessian is symmetrized once, exactly, at
-    the end (the square-root variant's ``T' T`` is symmetric as computed).
-    The square-root variant carries the lower factor ``L = chol(P[n+1])``
-    instead, a (1, nx, nx) stack: one :func:`linalg.qr_cholesky_update`
-    per stage n >= 1 on a Fortran-ordered copy of ``Q_n``, with the
-    operands of :func:`linalg.update_operands`, and one with no term for
-    ``Q_N``.
+    of one buffer laid out like the stages' part of the view's ``hess0``);
+    ``h``, laid out like the stages' part of v, holds every stage's affine
+    term ``h_n`` (see the module docstring).  The sweep starts from the
+    terminal stage's cost when b = N + 1, and from ``P = 0``, ``beta = 0``
+    when the stages end before it.  ``P`` is used as computed: the Hessian
+    is symmetrized once, exactly, at the end (the square-root variant's
+    ``T' T`` is symmetric as computed).  The square-root variant carries
+    the lower factor ``L = chol(P[n+1])`` instead, a (1, nx, nx) stack: one
+    :func:`linalg.qr_cholesky_update` per stage n > a on a Fortran-ordered
+    copy of ``Q_n``, with the operands of :func:`linalg.update_operands`,
+    and one with no term for ``Q_N`` (when N > a); it needs b = N + 1
+    (partial condensing's blocks take the classical variant).
     """
     d = qp.dim
     nx, nu = d.nx.tolist(), d.nu.tolist()
     sqrt = variant == "square_root"
-    off = vw.hess_off
-    M = vw.hess0.copy()
-    h = vw.g[: vw.nv].copy()
+    off, v0 = vw.hess_off, vw.u_off[a]
+    M = vw.hess0[off[a]: off[b]].copy()
+    h = vw.g[v0: vw.u_off[b] if b <= d.N else vw.nv].copy()
     Ms, hs, BAs, Ws = [], [], [], []
-    for a, b in runs:
-        k, nur, nxr = b - a, nu[a], nx[a]
+    for r0, r1 in runs:
+        k, nur, nxr, i0, i1 = r1 - r0, nu[r0], nx[r0], r0 - a, r1 - a
         nw = nur + nxr
-        W = vw.hess0[off[a]: off[b]].reshape(k, nw, nw)
-        Ms.append(M[off[a]: off[b]].reshape(k, nw, nw))
+        W = vw.hess0[off[r0]: off[r1]].reshape(k, nw, nw)
+        Ms.append(M[off[r0] - off[a]: off[r1] - off[a]].reshape(k, nw, nw))
         Ws.append(W)
-        hr = h[vw.u_off[a]: vw.u_off[a] + k * nw].reshape(k, nw)
+        hr = h[vw.u_off[r0] - v0: vw.u_off[r0] - v0 + k * nw].reshape(k, nw)
         # h_n = g_n + W_n (0, gamma_n)
-        hr += (W[:, :, nur:] @ gamma[x_end[a] - nxr: x_end[b - 1]].reshape(
+        hr += (W[:, :, nur:] @ gamma[x_end[i0] - nxr: x_end[i1 - 1]].reshape(
             k, nxr, 1))[:, :, 0]
         hs.append(hr)
-        if b <= d.N:
-            BA = np.empty((k, nx[b], nw))
-            BA[:, :, :nur] = _stack(qp, a, b, "B", dyn=True)
-            BA[:, :, nur:] = _stack(qp, a, b, "A", dyn=True)
+        if r1 <= d.N:
+            BA = np.empty((k, nx[r1], nw))
+            BA[:, :, :nur] = _stack(qp, r0, r1, "B", dyn=True)
+            BA[:, :, nur:] = _stack(qp, r0, r1, "A", dyn=True)
             BAs.append(BA)
-    nuN = nu[d.N]
-    P, beta = Ms[-1][0][nuN:, nuN:], hs[-1][0][nuN:]
-    if sqrt and d.N:
-        # chol(Q_N), a Riccati leaf's factor
-        L = P[None].copy(order="F")
-        qr_cholesky_update(L, update_operands(L, []))
-    for r in range(len(runs) - 2, -1, -1):
-        (a, b), nur = runs[r], nu[runs[r][0]]
-        for n, BAn, Mn, hn, Wn in zip(range(b - 1, a - 1, -1), BAs[r][::-1],
+    if b > d.N:
+        nuN = nu[d.N]
+        P, beta = Ms[-1][0][nuN:, nuN:], hs[-1][0][nuN:]
+        if sqrt and d.N > a:
+            # chol(Q_N), a Riccati leaf's factor
+            L = P[None].copy(order="F")
+            qr_cholesky_update(L, update_operands(L, []))
+    else:
+        P, beta = np.zeros((nx[b], nx[b])), np.zeros(nx[b])
+    for r in range(len(BAs) - 1, -1, -1):
+        (r0, r1), nur = runs[r], nu[runs[r][0]]
+        for n, BAn, Mn, hn, Wn in zip(range(r1 - 1, r0 - 1, -1), BAs[r][::-1],
                                       Ms[r][::-1], hs[r][::-1], Ws[r][::-1]):
             if sqrt:
                 T = L[0].T @ BAn
                 Mn += T.T @ T
-                if n:
+                if n > a:
                     # chol(P[n]) from the QR of [chol(Q_n)' ; T_x]
                     Q = Wn[None, nur:, nur:].copy(order="F")
                     L = qr_cholesky_update(
@@ -305,22 +322,154 @@ def _cost_recursion(qp, vw, runs, gamma, x_end, variant):
     return Ms, h
 
 
-def _flops(d, p, sqrt):
-    """The nominal flop count of :func:`condense`, see its docstring.
+def _flops(d, a, b, p, sqrt):
+    """The nominal flop count of condensing the stages a..b-1, see
+    :func:`condense`.
 
     ``p`` holds the nonzero columns of every stage's prediction.
     """
-    N = d.N
-    nx, nu, ng = (a.astype(np.int64) for a in (d.nx, d.nu, d.ng))
+    e = min(b, d.N)     # the stages a..e-1 have dynamics
+    nx, nu, ng = (x[a:b].astype(np.int64) for x in (d.nx, d.nu, d.ng))
     w = nu + nx
-    c, wn, xn = nx[1:], w[:N], nx[:N]
+    c, wn, xn = d.nx[a + 1: e + 1].astype(np.int64), w[: e - a], nx[: e - a]
     total = ((2 * w * nx + 2 * nu * nx * p + 2 * ng * nx * (p + 1)).sum()
-             + (2 * c * xn * (p[:N] + 1) + 2 * c * wn).sum())
+             + (2 * c * xn * (p[: e - a] + 1) + 2 * c * wn).sum())
     if not sqrt:
         return int(total + (2 * c * wn * (c + wn)).sum())
     qr = np.maximum(0, 2 * (xn + c) * xn * xn - (2 * xn ** 3) // 3)[1:]
     return int(total + (2 * c * c * wn + c * wn * (wn + 1)).sum()
                + (nx[1:] ** 3 // 3).sum() + qr.sum())
+
+
+def _condense(qp, vw, a, b, keep_x0, x0hat, variant):
+    """Condense the stages a..b-1 of ``qp`` on its view ``vw``.
+
+    Returns ``(dense, cmap, end)``: the dense QP over ``z = (u_a, ...,
+    u_{b-1}, x_a?)``, its map, whose positions are ``vw``'s, and ``end``,
+    the prediction ``(pred, gamma)`` of x_b, or None when b = N + 1.  The
+    stages' rows are those of ``vw``'s row table with a stage in a..b-1;
+    the dense rows are ordered as in :func:`condense`.
+    """
+    d = qp.dim
+    nx, nu, ng = d.nx, d.nu, d.ng
+    runs = _runs(d, a, b)
+    # z layout: [u_a | ... | u_{b-1} | x_a (if kept)], the stage order (u, x)
+    uz = np.concatenate([[0], np.cumsum(nu[a:b])]).tolist()
+    x0_off = uz[-1]
+    nx0 = int(nx[a])
+    nv = x0_off + nx0 if keep_x0 else x0_off
+    # nonzero columns of every stage's prediction
+    p = np.array(uz[:-1], dtype=np.int64) + (nx0 if keep_x0 else 0)
+    # end rows of the stages a..b-1, then of x_b when b <= N
+    x_end = np.cumsum(nx[a: b + 1])
+    pred, gamma = _prediction(qp, a, b, uz, x_end, nv, keep_x0, x0hat)
+    Ms, h = _cost_recursion(qp, vw, a, b, runs, gamma, x_end, variant)
+    xe = int(x_end[b - a - 1])
+    # ---- constraints, routed through the view's row table ----
+    m, rows, ns = vw._m, vw._rows, vw.ns_tot
+    s0 = vw.blocks[a].s_off
+    s1 = s0 + int(d.ns[a:b].sum())
+    # OCP v position of every z entry and of every prediction row; their
+    # inverses map v entries to z columns and prediction rows, -1 elsewhere
+    z_pos = _ranges(np.array(vw.u_off[a:b]), nu[a:b])
+    if keep_x0:
+        z_pos = np.concatenate([z_pos, vw.x_off[a] + np.arange(nx0)])
+    x_pos = _ranges(np.array(vw.x_off[a:b]), nx[a:b])
+    zcol = np.full(vw.nv, -1)
+    zcol[z_pos] = np.arange(nv)
+    xrow = np.full(vw.nv, -1)
+    xrow[x_pos] = np.arange(xe)
+    zb, xb = zcol[vw.box_col], xrow[vw.box_col]
+    box = np.flatnonzero(zb >= 0)
+    box = box[np.argsort(zb[box], kind="stable")]
+    # the general rows: state box rows past the first stage, then every
+    # general row of the stages
+    sbox = np.flatnonzero(xb >= nx0)
+    src = np.concatenate([box, sbox, np.arange(vw._nb + int(ng[:a].sum()),
+                                               vw._nb + int(ng[:b].sum()))])
+    # dense row -> OCP row, and the lam/t positions of its two sides
+    lo_pos, up_pos = rows[src], rows[m + src]
+    dense_row = np.full(vw.nc, -1)
+    dense_row[lo_pos] = np.arange(src.size)
+    soft_row = dense_row[vw._soft[s0:s1]]   # dense row of every OCP slack
+    if np.any(soft_row < 0):
+        raise CondenseError(
+            "soft initial-state fixing rows are not supported with keep_x0=False"
+        )
+    slack_pos = s0 + np.argsort(soft_row)
+    nb_c = box.size
+    dense = DenseQp(nv, ne=0, nb=nb_c, ng=src.size - nb_c, ns=s1 - s0)
+    # ---- the Hessian: input rows, halved diagonal blocks, then H += H' ----
+    x0 = x0_off if keep_x0 else None
+    H = dense._fill("H")
+    for (r0, r1), Mr in zip(runs, Ms):
+        nur, nxr, i0, i1 = nu[r0], nx[r0], r0 - a, r1 - a
+        if not nur:
+            continue
+        k = r1 - r0
+        YT = Mr[:, nur:, :nur].transpose(0, 2, 1)
+        P3 = pred[x_end[i0] - nxr: x_end[i1 - 1]].reshape(k, nxr, nv)
+        Hr = H[uz[i0]: uz[i1]].reshape(k, nur, nv)
+        _rows_times(YT, P3, Hr, uz[i1 - 1], x0)
+        np.multiply(Mr[:, :nur, :nur], 0.5, out=_diag_blocks(Hr, uz[i0], nur))
+    if keep_x0:
+        H[x0_off:, x0_off:] = 0.5 * Ms[0][0][nu[a]:, nu[a]:]
+    np.add(H, H.T, out=H)
+    dense.set_field("g", h[z_pos - vw.u_off[a]])
+    # ---- the general rows: gathered state rows, then C_n pred_n + D_n ----
+    C = dense._fill("C")
+    shift = np.empty(src.size - nb_c)
+    ksb = sbox.size
+    np.take(pred, xb[sbox], axis=0, out=C[:ksb], mode="clip")
+    shift[:ksb] = gamma[xb[sbox]]
+    g0 = ksb
+    for r0, r1 in runs:
+        ngr, nur, nxr, i0, i1 = ng[r0], nu[r0], nx[r0], r0 - a, r1 - a
+        if not ngr:
+            continue
+        k = r1 - r0
+        Cs = _stack(qp, r0, r1, "C")
+        Cr = C[g0: g0 + k * ngr].reshape(k, ngr, nv)
+        _rows_times(Cs, pred[x_end[i0] - nxr: x_end[i1 - 1]].reshape(k, nxr, nv),
+                    Cr, uz[i1 - 1], x0)
+        _diag_blocks(Cr, uz[i0], nur)[...] = _stack(qp, r0, r1, "D")
+        np.matmul(Cs, gamma[x_end[i0] - nxr: x_end[i1 - 1]].reshape(k, nxr, 1),
+                  out=shift[g0: g0 + k * ngr].reshape(k, ngr, 1))
+        g0 += k * ngr
+    count_flops(_flops(d, a, b, p, variant == "square_root"))
+    bnd, on = vw._bnd, vw._on
+    lo, up = bnd[lo_pos], bnd[up_pos]
+    if nb_c:
+        dense.set_field("idxb", zb[box])
+        dense.set_field("lb", lo[:nb_c])
+        dense.set_field("ub", up[:nb_c])
+    if shift.size:
+        dense.set_field("lg", lo[nb_c:] - shift)
+        dense.set_field("ug", up[nb_c:] - shift)
+    dense.set_field("maskl", on[lo_pos])
+    dense.set_field("masku", on[up_pos])
+    if s1 > s0:
+        dense.set_field("idxs", soft_row[slack_pos - s0])
+        # each source holds the lower sides' values, then the upper sides'
+        for names, vals in ((("Zl", "Zu"), vw.slack_diag), (("zl", "zu"), vw.g[vw.nv:]),
+                            (("sl_lb", "su_lb"), bnd[rows[2 * m:]])):
+            for name, j in zip(names, (slack_pos, ns + slack_pos)):
+                dense.set_field(name, vals[j])
+    cmap = CondensingMap(
+        stages=range(a, b),
+        keep_x0=keep_x0,
+        x0hat=None if keep_x0 else x0hat,
+        nx0=nx0,
+        u_off=[o if k else None for o, k in zip(uz, nu[a:b].tolist())],
+        nv=nv, pred_all=pred[:xe], gamma_all=gamma[:xe], x_end=x_end[: b - a],
+        x_pos=x_pos, z_pos=z_pos,
+        lam_pos=rows[np.concatenate(
+            [src, m + src, 2 * m + slack_pos, 2 * m + ns + slack_pos])],
+        slack_pos=slack_pos,
+        fix_rows=np.zeros(0, dtype=np.intp),
+    )
+    end = None if b > d.N else (pred[xe:], gamma[xe:])
+    return dense, cmap, end
 
 
 def condense(qp, keep_x0=None, variant="classical"):
@@ -361,8 +510,6 @@ def condense(qp, keep_x0=None, variant="classical"):
         raise TypeError("condense expects an OcpQp")
     if variant not in RICCATI_VARIANTS:
         raise ValueError(f"unknown condensing variant '{variant}'")
-    d = qp.dim
-    nx, nu, ng = d.nx, d.nu, d.ng
     all_fixed, x0hat, fix_rows = _detect_fixed_x0(qp)
     if keep_x0 is None:
         keep_x0 = not all_fixed
@@ -371,148 +518,48 @@ def condense(qp, keep_x0=None, variant="classical"):
             "keep_x0=False requires every initial-state component fixed "
             "by active equal-bound box rows"
         )
-    vw = make_view(qp)
-    runs = _runs(d)
-    # z layout: [u_0 | u_1 | ... | x0 (if kept)], the stage order (u, x)
-    uz = np.concatenate([[0], np.cumsum(nu)]).tolist()
-    x0_off = uz[-1]
-    nx0 = int(nx[0])
-    nv = x0_off + nx0 if keep_x0 else x0_off
-    # nonzero columns of every stage's prediction
-    p = np.array(uz[:-1], dtype=np.int64) + (nx0 if keep_x0 else 0)
-    x_end = np.cumsum(nx)
-    pred, gamma = _prediction(qp, uz, x_end, nv, keep_x0, x0hat)
-    Ms, h = _cost_recursion(qp, vw, runs, gamma, x_end, variant)
-    # ---- constraints, routed through the view's row table ----
-    m, rows, ns = vw._m, vw._rows, vw.ns_tot
-    # OCP v position of every z entry and of every prediction row; their
-    # inverses map v entries to z columns and prediction rows, -1 elsewhere
-    z_pos = _ranges(np.array(vw.u_off), nu)
-    if keep_x0:
-        z_pos = np.concatenate([z_pos, vw.x_off[0] + np.arange(nx0)])
-    x_pos = _ranges(np.array(vw.x_off), nx)
-    zcol = np.full(vw.nv, -1)
-    zcol[z_pos] = np.arange(nv)
-    xrow = np.full(vw.nv, -1)
-    xrow[x_pos] = np.arange(x_end[-1])
-    zb, xb = zcol[vw.box_col], xrow[vw.box_col]
-    box = np.flatnonzero(zb >= 0)
-    box = box[np.argsort(zb[box], kind="stable")]
-    # the general rows: state box rows past stage 0, then every general row
-    sbox = np.flatnonzero(xb >= nx0)
-    src = np.concatenate([box, sbox, np.arange(vw._nb, m)])
-    # dense row -> OCP row, and the lam/t positions of its two sides
-    lo_pos, up_pos = rows[src], rows[m + src]
-    dense_row = np.full(vw.nc, -1)
-    dense_row[lo_pos] = np.arange(src.size)
-    soft_row = dense_row[vw._soft[:ns]]      # dense row of every OCP slack
-    if np.any(soft_row < 0):
-        raise CondenseError(
-            "soft initial-state fixing rows are not supported with keep_x0=False"
-        )
-    slack_pos = np.argsort(soft_row)
-    nb_c = box.size
-    dense = DenseQp(nv, ne=0, nb=nb_c, ng=src.size - nb_c, ns=ns)
-    # ---- the Hessian: input rows, halved diagonal blocks, then H += H' ----
-    x0 = x0_off if keep_x0 else None
-    H = dense._fill("H")
-    for (a, b), Mr in zip(runs, Ms):
-        nur, nxr = nu[a], nx[a]
-        if not nur:
-            continue
-        k = b - a
-        YT = Mr[:, nur:, :nur].transpose(0, 2, 1)
-        P3 = pred[x_end[a] - nxr: x_end[b - 1]].reshape(k, nxr, nv)
-        Hr = H[uz[a]: uz[b]].reshape(k, nur, nv)
-        _rows_times(YT, P3, Hr, uz[b - 1], x0)
-        np.multiply(Mr[:, :nur, :nur], 0.5, out=_diag_blocks(Hr, uz[a], nur))
-    if keep_x0:
-        H[x0_off:, x0_off:] = 0.5 * Ms[0][0][nu[0]:, nu[0]:]
-    np.add(H, H.T, out=H)
-    dense.set_field("g", h[z_pos])
-    # ---- the general rows: gathered state rows, then C_n pred_n + D_n ----
-    C = dense._fill("C")
-    shift = np.empty(src.size - nb_c)
-    ksb = sbox.size
-    np.take(pred, xb[sbox], axis=0, out=C[:ksb], mode="clip")
-    shift[:ksb] = gamma[xb[sbox]]
-    r0 = ksb
-    for a, b in runs:
-        ngr, nur, nxr = ng[a], nu[a], nx[a]
-        if not ngr:
-            continue
-        k = b - a
-        Cs = _stack(qp, a, b, "C")
-        Cr = C[r0: r0 + k * ngr].reshape(k, ngr, nv)
-        _rows_times(Cs, pred[x_end[a] - nxr: x_end[b - 1]].reshape(k, nxr, nv),
-                    Cr, uz[b - 1], x0)
-        _diag_blocks(Cr, uz[a], nur)[...] = _stack(qp, a, b, "D")
-        np.matmul(Cs, gamma[x_end[a] - nxr: x_end[b - 1]].reshape(k, nxr, 1),
-                  out=shift[r0: r0 + k * ngr].reshape(k, ngr, 1))
-        r0 += k * ngr
-    count_flops(_flops(d, p, variant == "square_root"))
-    bnd, on = vw._bnd, vw._on
-    lo, up = bnd[lo_pos], bnd[up_pos]
-    if nb_c:
-        dense.set_field("idxb", zb[box])
-        dense.set_field("lb", lo[:nb_c])
-        dense.set_field("ub", up[:nb_c])
-    if shift.size:
-        dense.set_field("lg", lo[nb_c:] - shift)
-        dense.set_field("ug", up[nb_c:] - shift)
-    dense.set_field("maskl", on[lo_pos])
-    dense.set_field("masku", on[up_pos])
-    if ns:
-        dense.set_field("idxs", soft_row[slack_pos])
-        # each source holds the lower sides' values, then the upper sides'
-        for names, a in ((("Zl", "Zu"), vw.slack_diag), (("zl", "zu"), vw.g[vw.nv:]),
-                         (("sl_lb", "su_lb"), bnd[rows[2 * m:]])):
-            for name, j in zip(names, (slack_pos, ns + slack_pos)):
-                dense.set_field(name, a[j])
-    cmap = CondensingMap(
-        keep_x0=keep_x0,
-        x0hat=None if keep_x0 else x0hat,
-        nx0=nx0,
-        u_off=[o if k else None for o, k in zip(uz, nu.tolist())],
-        nv=nv, pred_all=pred, gamma_all=gamma, x_end=x_end,
-        x_pos=x_pos, z_pos=z_pos,
-        lam_pos=rows[np.concatenate(
-            [src, m + src, 2 * m + slack_pos, 2 * m + ns + slack_pos])],
-        slack_pos=slack_pos,
-        fix_rows=fix_rows[:0] if keep_x0 else fix_rows,
-    )
+    dense, cmap, _ = _condense(qp, make_view(qp), 0, qp.dim.N + 1, keep_x0,
+                               x0hat, variant)
+    if not keep_x0:
+        cmap.fix_rows = fix_rows
     return dense, cmap
 
 
-def expand_solution(dense_sol, cmap, qp, pi_terminal=None):
-    """Expand a dense solution back to the original optimal-control QP.
+def _expand(sol_c, cmaps, qp):
+    """Expand ``sol_c``, a solution of the QP that ``cmaps`` condensed ``qp``
+    into, back onto ``qp``; see the module docstring.
 
-    States come from one product with the stored prediction, inputs,
-    multipliers and slacks are scattered to the positions the map records,
-    and the dynamics multipliers follow from the backward costate sweep
-    (seeded with ``pi_terminal`` when the last edge's multiplier is known,
-    as in partial condensing).
+    ``cmaps`` lists the condensed blocks' maps in stage order, and the
+    parts of ``sol_c`` (``v``, ``lam``, ``t`` and the slacks) are the
+    blocks' parts, concatenated; its ``pi`` holds the dynamics multipliers
+    into the blocks after the first.
     """
     d = qp.dim
     N = d.N
     nx, nu = d.nx, d.nu
     vw = make_view(qp)
     sol = QpSolution(vw)
-    z = dense_sol.v
-    if z.shape[0] != cmap.nv:
-        raise DimensionMismatch("dense solution does not match the map")
+    z = sol_c.v
+    if z.shape[0] != sum(cm.nv for cm in cmaps):
+        raise DimensionMismatch("condensed solution does not match the map")
     v = sol.v
-    v[cmap.x_pos] = cmap.pred_all @ z + cmap.gamma_all
-    v[cmap.z_pos] = z
+    z0 = 0
+    for cm in cmaps:
+        v[cm.x_pos] = cm.pred_all @ z[z0: z0 + cm.nv] + cm.gamma_all
+        z0 += cm.nv
+    x_pos, z_pos, lam_pos, slack_pos = (
+        np.concatenate([getattr(cm, f) for cm in cmaps])
+        for f in ("x_pos", "z_pos", "lam_pos", "slack_pos"))
+    v[z_pos] = z
     # multipliers and inequality slacks
-    sol.lam[cmap.lam_pos] = dense_sol.lam
-    sol.t[cmap.lam_pos] = dense_sol.t
-    sol.sl_all[cmap.slack_pos] = dense_sol.sl_all
-    sol.su_all[cmap.slack_pos] = dense_sol.su_all
+    sol.lam[lam_pos] = sol_c.lam
+    sol.t[lam_pos] = sol_c.t
+    sol.sl_all[slack_pos] = sol_c.sl_all
+    sol.su_all[slack_pos] = sol_c.su_all
     # h_m = Q_m x_m + S_m' u_m + q_m - (C' lam)_{x_m} of every stage, laid
-    # out like the prediction's rows: one stacked product per run
-    x_end = cmap.x_end
-    h = (vw.g[: vw.nv] - vw.ct_lam(sol.lam)[: vw.nv])[cmap.x_pos]
+    # out like the states: one stacked product per run
+    x_end = np.cumsum(nx)
+    h = (vw.g[: vw.nv] - vw.ct_lam(sol.lam)[: vw.nv])[x_pos]
     off = vw.hess_off
     for a, b in _runs(d):
         k, nur, nxr = b - a, nu[a], nx[a]
@@ -520,61 +567,57 @@ def expand_solution(dense_sol, cmap, qp, pi_terminal=None):
         W = vw.hess0[off[a]: off[b]].reshape(k, nw, nw)
         w = v[vw.u_off[a]: vw.u_off[a] + k * nw].reshape(k, nw, 1)
         h[x_end[a] - nxr: x_end[b - 1]] += (W[:, nur:] @ w).ravel()
-    # costate sweep: pi[m-1] = h_m + A_m' pi[m]
+    # costate sweep inside the blocks: pi[m-1] = h_m + A_m' pi[m]; the
+    # multipliers into the blocks after the first end sol_c.pi, in order
     pi, pi_off = sol.pi, vw.pi_off
-    start = N
+    starts = {cm.stages.start for cm in cmaps[1:]}
+    p1 = sol_c.pi.size
     nxt = None
-    if pi_terminal is not None and N >= 1:
-        nxt = pi[pi_off[N - 1]: pi_off[N - 1] + nx[N]]
-        nxt[:] = pi_terminal
-        start = N - 1
-    for m in range(start, 0, -1):
+    for m in range(N, 0, -1):
         out = pi[pi_off[m - 1]: pi_off[m - 1] + nx[m]]
         hm = h[x_end[m] - nx[m]: x_end[m]]
-        if nxt is None:
+        if m in starts:
+            out[:] = sol_c.pi[p1 - nx[m]: p1]
+            p1 -= nx[m]
+        elif nxt is None:
             out[:] = hm
         else:
             np.add(hm, qp._dyn[m]["A"].T @ nxt, out=out)
         nxt = out
     # dropped initial-state fixing rows: recover their net multipliers from
     # the stage-0 stationarity gap and split by sign
-    if cmap.fix_rows.size:
+    fix_rows = cmaps[0].fix_rows
+    if fix_rows.size:
         gap = h[: nx[0]]
         if N >= 1:
             gap = gap + qp._dyn[0]["A"].T @ nxt
-        i = cmap.fix_rows
-        nu_val = gap[qp._stages[0]["idxb"][i] - nu[0]]
-        side = np.where(nu_val >= 0.0, vw._rows[i], vw._rows[vw._m + i])
+        nu_val = gap[qp._stages[0]["idxb"][fix_rows] - nu[0]]
+        side = np.where(nu_val >= 0.0, vw._rows[fix_rows],
+                        vw._rows[vw._m + fix_rows])
         sol.lam[side] = np.abs(nu_val)
     return sol
 
 
-def _sub_qp(qp, n0, n1):
-    """Stages n0..n1-1 of qp plus a zero-cost terminal placeholder at x_{n1}."""
-    d = qp.dim
-    sub_dim = OcpQpDim(
-        n1 - n0,
-        nx=[d.nx[n] for n in range(n0, n1)] + [d.nx[n1]],
-        nu=[d.nu[n] for n in range(n0, n1)] + [0],
-        nb=[d.nb[n] for n in range(n0, n1)] + [0],
-        ng=[d.ng[n] for n in range(n0, n1)] + [0],
-        ns=[d.ns[n] for n in range(n0, n1)] + [0],
-    )
-    sub = OcpQp(sub_dim)
-    for i, n in enumerate(range(n0, n1)):
-        sub._stages[i] = dict(qp._stages[n])
-        sub._dyn[i] = dict(qp._dyn[n])
-    sub._rev += 1
-    return sub
+def expand_solution(dense_sol, cmap, qp):
+    """Expand a dense solution of :func:`condense` back to the optimal-control QP.
+
+    States come from one product with the stored prediction, inputs,
+    multipliers and slacks are scattered to the positions the map records,
+    and the dynamics multipliers follow from the backward costate sweep.
+    """
+    return _expand(dense_sol, [cmap], qp)
 
 
 def partial_condense(qp, N1):
     """Block-condense an optimal-control QP to horizon ``ceil(N / N1)``.
 
-    Each block of up to N1 stages is condensed with its initial state kept
-    as a variable; the block's dense QP becomes one stage (see the module
-    docstring) and the old terminal stage is carried over unchanged.
-    ``N1 = 1`` reproduces the input problem exactly.
+    Each block of up to N1 stages is condensed on ``qp``'s own view with
+    its initial state kept as a variable, and the terminal stage is a block
+    of one stage; every block's dense QP is one stage of the result (see
+    the module docstring).  ``N1 = 1`` reproduces the input problem exactly.
+
+    The flops are those of condensing every block (see :func:`condense`),
+    the terminal one included.
     """
     if not isinstance(qp, OcpQp):
         raise TypeError("partial_condense expects an OcpQp")
@@ -584,65 +627,40 @@ def partial_condense(qp, N1):
     if d.N < 1:
         raise InvalidBlockSize("horizon must be >= 1 for partial condensing")
     N1 = int(N1)
-    pmap = PartialCondensingMap()
-    for n0 in range(0, d.N, N1):
-        n1 = min(n0 + N1, d.N)
-        sub = _sub_qp(qp, n0, n1)
-        dense, smap = condense(sub, keep_x0=True)
-        pmap.blocks.append(_BlockCond(n0, n1, sub, smap, make_view(dense)))
-    dense = [blk.view.qp for blk in pmap.blocks]
-    nx = [d.nx[blk.n0] for blk in pmap.blocks]
+    vw = make_view(qp)
+    blocks = [(n0, min(n0 + N1, d.N)) for n0 in range(0, d.N, N1)]
+    parts = [_condense(qp, vw, a, b, True, None, "classical")
+             for a, b in blocks + [(d.N, d.N + 1)]]
+    dense = [dq for dq, _, _ in parts]
+    nx = [cm.nx0 for _, cm, _ in parts]
     out = OcpQp(OcpQpDim(
-        len(dense),
-        nx + [d.nx[d.N]],
-        [dq.nv - nxk for dq, nxk in zip(dense, nx)] + [d.nu[d.N]],
-        [dq.nb for dq in dense] + [d.nb[d.N]],
-        [dq.ng for dq in dense] + [d.ng[d.N]],
-        [dq.ns for dq in dense] + [d.ns[d.N]],
+        len(blocks), nx, [dq.nv - nxk for dq, nxk in zip(dense, nx)],
+        [dq.nb for dq in dense], [dq.ng for dq in dense], [dq.ns for dq in dense],
     ))
-    for k, blk in enumerate(pmap.blocks):
-        dd = dense[k]._data
+    for k, (dq, _, end) in enumerate(parts):
+        dd = dq._data
         nu = out.dim.nu[k]
         H, g, C = dd["H"], dd["g"], dd["C"]
-        pred = blk.sub_map.pred[-1]
         split = {
             "R": H[:nu, :nu], "S": H[:nu, nu:], "Q": H[nu:, nu:],
             "r": g[:nu], "q": g[nu:], "D": C[:, :nu], "C": C[:, nu:],
-            "B": pred[:, :nu], "A": pred[:, nu:], "b": blk.sub_map.gamma[-1],
         }
+        if end is not None:
+            pred, gamma = end
+            split.update(B=pred[:, :nu], A=pred[:, nu:], b=gamma)
+        # the constraint-row fields, which a dense QP and a stage store alike
+        split.update((name, dd[name]) for name in ROW_FIELDS)
         for name, value in split.items():
             out.set_field(name, k, value)
-        # the constraint-row fields, which a dense QP and a stage store alike
-        for name in ROW_FIELDS:
-            out.set_field(name, k, dd[name])
-    # terminal stage copies over verbatim
-    out._stages[-1] = dict(qp._stages[d.N])
-    out._rev += 1
-    return out, pmap
+    return out, PartialCondensingMap([cm for _, cm, _ in parts])
 
 
 def partial_expand(sol_p, pmap, qp):
-    """Expand a short-horizon solution back to the original horizon."""
-    vwp = sol_p._view
-    Np = vwp.qp.dim.N
-    parts = []
-    for k, blk in enumerate(pmap.blocks):
-        # the block's dense solution is stage k of the short one
-        dsol = QpSolution(blk.view)
-        w0 = vwp.u_off[k]
-        dsol.v[:] = sol_p.y[w0: w0 + blk.view.nv]
-        dsol.sl_all[:] = sol_p.sl(k)
-        dsol.su_all[:] = sol_p.su(k)
-        dsol.lam[:] = sol_p.lam_stage(k)
-        dsol.t[:] = sol_p.t_stage(k)
-        bsol = expand_solution(dsol, blk.sub_map, blk.sub_qp,
-                               pi_terminal=sol_p.pi_stage(k))
-        # the block's stages without the placeholder's terminal state, which
-        # the next block (or the terminal stage) carries verbatim
-        parts.append((bsol.v[: bsol._view.x_off[-1]], bsol.sl_all, bsol.su_all,
-                      bsol.pi, bsol.lam, bsol.t))
-    parts.append((sol_p.v[vwp.u_off[Np]:], sol_p.sl(Np), sol_p.su(Np),
-                  sol_p.pi[:0], sol_p.lam_stage(Np), sol_p.t_stage(Np)))
-    # [v | sl | su | pi | lam | t], each the blocks' parts in stage order
-    return QpSolution.from_flat(make_view(qp), np.concatenate(
-        [a for column in zip(*parts) for a in column]))
+    """Expand a short-horizon solution of :func:`partial_condense` back to
+    the original horizon.
+
+    Stage k of the short solution is block k's dense solution, and its
+    dynamics multipliers are those into the blocks' initial states: one
+    expansion over all blocks (see the module docstring).
+    """
+    return _expand(sol_p, pmap.blocks, qp)

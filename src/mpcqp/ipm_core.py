@@ -41,8 +41,9 @@ balance    delta        each iter  on demand   ``chol_qr``
 robust     delta        each iter  on demand   ``qr``
 =========  ===========  =========  ==========  =============
 
-Constants shared by every mode: a step length below ``ALPHA_MIN`` ends the
-solve with ``MinStep``; a cold start puts the slacks at
+Constants shared by every mode: the step length is ``FTB`` times the
+blocking ratio (fraction to the boundary), capped at 1; a step length below
+``ALPHA_MIN`` ends the solve with ``MinStep``; a cold start puts the slacks at
 ``max(C y - d, T0)`` and the multipliers at ``MU0 / t``; the corrector is
 kept only when its trial duality measure stays within ``CORR_RATIO`` times
 the affine one; and refinement stops once the KKT residual is at most
@@ -100,6 +101,7 @@ ALPHA_MIN = 1e-8          # shortest step length before the solve ends in MinSte
 MU0 = 1e2                 # lam_i t_i of every active row at a cold start
 T0 = 1.0                  # slack floor at a cold start
 CORR_RATIO = 1.5          # corrector acceptance threshold on mu_pcc / mu_aff
+FTB = 0.995               # fraction-to-boundary factor of the step length
 ITREF_STOP_RATIO = 1e-12  # refinement's target residual over max(1, ||rhs||)
 
 
@@ -131,8 +133,9 @@ class IpmArg:
     With ``pred_corr`` the Mehrotra corrector is kept only when its trial
     duality measure stays within ``CORR_RATIO`` times the affine one, and
     ``itref_corr_max`` refinement steps aim at ``ITREF_STOP_RATIO``.  These
-    thresholds, the minimum step length and the cold-start point are module
-    constants (see the module docstring).
+    thresholds, the fraction-to-boundary factor ``FTB``, the minimum step
+    length and the cold-start point are module constants (see the module
+    docstring).
     """
 
     iter_max: int = 30
@@ -148,7 +151,6 @@ class IpmArg:
     itref_corr_max: int = 0           # refinement steps on the combined direction
     factorization: str = "chol"       # chol | chol_qr | qr
     abs_form: bool = False            # absolute formulation, no loop residuals
-    ftb: float = 0.995                # fraction-to-boundary factor
     kkt_method: str = "schur"         # dense equality handling: schur | null_space
     # classical factors each whole node block and keeps P explicit; a level
     # with a block that is not positive definite falls back to factoring its
@@ -167,8 +169,6 @@ class IpmArg:
         for name in ("tol_stat", "tol_eq", "tol_ineq", "tol_comp"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be > 0")
-        if not 0.0 < self.ftb <= 1.0:
-            raise ValueError("ftb must lie in (0, 1]")
         for name in ("iter_max", "reg_prim", "itref_corr_max"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")

@@ -76,6 +76,7 @@ from .errors import DimensionMismatch, FactorizationFailed, InvalidConfig
 from .ipm_core import (
     CORR_RATIO,
     FACTOR_ROUTES,
+    FTB,
     ITREF_STOP_RATIO,
     MU0,
     T0,
@@ -351,9 +352,9 @@ def _ipm_loop(qp, factor_fn, arg, guess):
             break
         # the accepted corrector's step as solved has its ratio already
         if corrector and sol_dir is sol_corr:
-            alpha = min(1.0, arg.ftb * ratio)
+            alpha = min(1.0, FTB * ratio)
         else:
-            alpha = max_step(lt, step.lt, ftb=arg.ftb)
+            alpha = max_step(lt, step.lt, ftb=FTB)
         update_iterate_delta(iterate, step, alpha, arg.lam_min, arg.t_min)
         trace.append(IterRecord(
             it=it, alpha_aff=alpha_aff, alpha=alpha, mu=mu, sigma=sigma,

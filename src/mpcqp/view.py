@@ -77,9 +77,9 @@ unit entries and the slack columns, into one CSR ``K`` by index arithmetic:
 its ``kkt_product`` is one sparse product, where the separate products
 would be three sparse products plus the box rows' gather and scatter.  It
 builds ``H``, ``E`` and ``K`` on first use, so that a view that serves only
-its row table and ``G`` (a block of a partially condensed QP, or
-:func:`condensing.expand_solution`, which reads ``ct_lam``) never builds
-them.
+its row table, ``hess0`` and ``G`` never builds them: an OCP's view as
+:func:`condensing.condense` and :func:`condensing.partial_condense` read
+it, and as their expansions read it (``ct_lam``).
 
 OCP and tree QPs share one view, :class:`StageView`, because a horizon is a
 chain tree: nodes (stages) joined by dynamics edges.  The edges come from
@@ -618,8 +618,8 @@ class StageView(ProblemView):
         b = [dyn["b"] for _, _, dyn in self.edges]
         return g_v, np.concatenate(b) if b else np.zeros(0)
 
-    # H and E are built on first use: condensing a block of a partially
-    # condensed QP reads only the row table, and expanding it only G
+    # H and E are built on first use: condensing, full or partial, reads
+    # only the row table and hess0, and expansion only G as well
 
     @cached_property
     def H(self):

@@ -1083,6 +1083,29 @@ def expand_ref(z, lam, qp, cref):
     return sol.v.copy(), sol.pi.copy()
 
 
+def ref_sub_qp(qp, n0, n1):
+    """Stages n0..n1-1 of ``qp`` as an OCP QP of their own, the reference
+    for one block of partial condensing.
+
+    The stages share ``qp``'s stage and dynamics data.  When n1 <= N a
+    zero-cost terminal placeholder without rows holds x_{n1}; with
+    n1 = N + 1 the block ends with ``qp``'s own terminal stage.
+    """
+    d = qp.dim
+    stages = list(range(n0, min(n1, d.N + 1)))
+    dims = [[a[n] for n in stages] for a in (d.nx, d.nu, d.nb, d.ng, d.ns)]
+    if n1 <= d.N:
+        for dim, tail in zip(dims, (d.nx[n1], 0, 0, 0, 0)):
+            dim.append(tail)
+    sub = OcpQp(OcpQpDim(len(dims[0]) - 1, *dims))
+    for i, n in enumerate(stages):
+        sub._stages[i] = dict(qp._stages[n])
+        if i < sub.dim.N:
+            sub._dyn[i] = dict(qp._dyn[n])
+    sub._rev += 1
+    return sub
+
+
 def shift_guess_ref(qp, view, sol, N):
     """Stage-by-stage form of ``mass_spring._shift_guess``: the same guess,
     written as one accessor copy per stage and per initial-state row."""

@@ -24,8 +24,10 @@ from mpcqp import (
     solve_dense_qp,
     solve_ocp_qp,
 )
+from mpcqp import view
 from mpcqp.condensing import _runs
 from mpcqp.ipm_core import RICCATI_VARIANTS
+from mpcqp.qp_data import ROW_FIELDS
 from mpcqp.view import make_view
 
 from conftest import (
@@ -36,6 +38,7 @@ from conftest import (
     rand_iterate,
     rand_mixed_ocp_qp,
     rand_ocp_qp,
+    ref_sub_qp,
 )
 
 
@@ -582,3 +585,78 @@ class TestPartial:
         for n in range(qp_a.dim.N + 1):
             for f in ("Q", "R", "S", "C", "D", "lg", "ug", "idxb"):
                 assert np.array_equal(qp_a.get_field(f, n), qp_b.get_field(f, n))
+
+
+def block_ranges(N, N1):
+    """The stage ranges of partial condensing: blocks of N1, then the terminal."""
+    return [(n0, min(n0 + N1, N)) for n0 in range(0, N, N1)] + [(N, N + 1)]
+
+
+class TestPartialBlocks:
+    """Partial condensing against the blocks condensed as QPs of their own."""
+
+    @settings(max_examples=60)
+    @given(N=st.integers(2, 9), data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_stages_are_the_condensed_reference_blocks(self, N, data, seed):
+        N1 = data.draw(st.integers(1, N), label="N1")
+        fix_x0 = data.draw(st.booleans(), label="fix_x0")
+        ng = data.draw(st.integers(0, 2), label="ng")
+        ns = data.draw(st.integers(0, 2), label="ns")
+        qp = rand_ocp_qp(np.random.default_rng(seed), N=N, nx=2, nu=2, ng=ng,
+                         ns=ns, fix_x0=fix_x0)
+        qp_p, _ = partial_condense(qp, N1)
+        ranges = block_ranges(N, N1)
+        assert qp_p.dim.N == len(ranges) - 1
+        for k, (n0, n1) in enumerate(ranges):
+            dense, cmap = condense(ref_sub_qp(qp, n0, n1), keep_x0=True)
+            nu = qp_p.dim.nu[k]
+            assert nu == dense.nv - qp.dim.nx[n0]
+            H, g, C = (dense.get_field(f) for f in ("H", "g", "C"))
+            expect = {
+                "R": H[:nu, :nu], "S": H[:nu, nu:], "Q": H[nu:, nu:],
+                "r": g[:nu], "q": g[nu:], "D": C[:, :nu], "C": C[:, nu:],
+            }
+            if k < qp_p.dim.N:
+                expect.update(B=cmap.pred[-1][:, :nu], A=cmap.pred[-1][:, nu:],
+                              b=cmap.gamma[-1])
+            expect.update((f, dense.get_field(f)) for f in ROW_FIELDS)
+            for f, value in expect.items():
+                assert np.array_equal(qp_p.get_field(f, k), value), (k, f)
+
+    @pytest.mark.parametrize("N1", [1, 2, 3, 7])
+    def test_flops_are_the_blocks_condensing(self, rng, N1):
+        # every block's count on its reference QP, less the affine term
+        # W (0, gamma) = 2 nx^2 of the reference's zero-cost terminal
+        # placeholder, which a block does not compute, plus the terminal
+        # stage's count as a block of one stage
+        qp = rand_ocp_qp(rng, N=7, nx=3, nu=2, ng=2, ns=1, fix_x0=True)
+        want = 0
+        for n0, n1 in block_ranges(7, N1):
+            with flop_counter() as fc:
+                condense(ref_sub_qp(qp, n0, n1), keep_x0=True)
+            want += fc.flops - (2 * qp.dim.nx[n1] ** 2 if n1 <= 7 else 0)
+        with flop_counter() as fc:
+            partial_condense(qp, N1)
+        assert fc.flops == want
+
+    @pytest.mark.parametrize("N1", [1, 3])
+    def test_builds_no_view(self, rng, monkeypatch, N1):
+        # both directions work on the input QP's own view, cached here
+        qp = rand_ocp_qp(rng, N=7, nx=3, nu=2, ng=1, ns=1, fix_x0=True)
+        make_view(qp)
+        builds = []
+        init = view.ProblemView.__init__
+
+        def spy(self, qp_):
+            builds.append(qp_)
+            init(self, qp_)
+
+        monkeypatch.setattr(view.ProblemView, "__init__", spy)
+        qp_p, pmap = partial_condense(qp, N1)
+        assert builds == []
+        rep = solve_ocp_qp(qp_p, ARG)
+        assert builds == [qp_p]     # the solve's own view of the short QP
+        esol = partial_expand(rep.solution, pmap, qp)
+        assert builds == [qp_p]
+        assert compute_residuals(qp, esol).max_norm() <= 1e-6
+

@@ -18,6 +18,7 @@ from mpcqp import (
 )
 from mpcqp.ipm_core import (
     CORR_RATIO,
+    FTB,
     IpmArg,
     Status,
     centering,
@@ -322,7 +323,7 @@ class TestModePresets:
 
     def test_defaults_are_the_speed_preset(self):
         assert IpmArg() == mode_preset("speed")
-        assert len(fields(IpmArg)) == 16
+        assert len(fields(IpmArg)) == 15
 
     def test_speed_equals_balance_without_safeguards(self, rng):
         # disabling refinement, QR fallback and the tighter floors turns the
@@ -347,17 +348,16 @@ class TestModePresets:
             IpmArg(tol_comp=0.0).validate()
 
     @pytest.mark.parametrize("name, value", [
-        ("ftb", 1.5), ("ftb", 0.0), ("ftb", -0.5), ("iter_max", -1),
-        ("reg_prim", -1.0), ("itref_corr_max", -1), ("lam_min", -1e-16),
-        ("t_min", -1e-16),
+        ("iter_max", -1), ("reg_prim", -1.0), ("itref_corr_max", -1),
+        ("lam_min", -1e-16), ("t_min", -1e-16),
     ])
     def test_validate_rejects_out_of_range(self, name, value):
         with pytest.raises(ValueError, match=name):
             replace(IpmArg(), **{name: value}).validate()
 
     @pytest.mark.parametrize("name, value", [
-        ("ftb", 1.0), ("iter_max", 0), ("reg_prim", 0.0),
-        ("itref_corr_max", 0), ("lam_min", 0.0), ("t_min", 0.0),
+        ("iter_max", 0), ("reg_prim", 0.0), ("itref_corr_max", 0),
+        ("lam_min", 0.0), ("t_min", 0.0),
     ])
     def test_validate_accepts_range_ends(self, name, value):
         replace(IpmArg(), **{name: value}).validate()
@@ -589,7 +589,7 @@ class TestFlatIterate:
             # the loop's step length from the corrector's ratio pass
             ratio = _step_ratio(it.lt, dir_.lt)
             assert (ratio == np.inf) == (not np.any(dir_.lt < 0.0))
-            for ftb in (1.0, arg.ftb):
+            for ftb in (1.0, FTB):
                 alpha = max_step(it.lt, dir_.lt, ftb=ftb)
                 ref = max_step_ref(it.lam, it.t, dir_.lam, dir_.t, vw.act,
                                    ftb=ftb)

@@ -721,8 +721,7 @@ class TestValidationVerdict:
         qp = rand_ocp_qp(rng, N=4, nx=3, nu=2)
         calls = spy_validate(monkeypatch)
         solve_ocp_qp(qp)
-        # partial condensing builds its QP with set_field and then replaces
-        # the terminal stage directly
+        # partial condensing builds its QP with set_field alone
         qp_p, _ = partial_condense(qp, 2)
         solve_ocp_qp(qp_p)
         solve_ocp_qp(qp_p)
