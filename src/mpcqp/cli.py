@@ -95,8 +95,6 @@ def _build_parser():
                    choices=["speed_abs", "speed", "balance", "robust"])
     s.add_argument("--iter-max", type=int, default=30)
     s.add_argument("--tol", type=float, default=1e-6)
-    s.add_argument("--warm-start", default="none",
-                   choices=["none", "primal", "primal_dual"])
     s.add_argument("--path", default="ocp",
                    help="ocp | condense | partial:<N1> (OCP inputs only)")
     s.add_argument("--report", default=None, help="write the report here too")
@@ -132,7 +130,6 @@ def _cmd_solve(args):
     qp = qp_read(args.qp)
     arg = mode_preset(args.mode).with_tol(args.tol)
     arg.iter_max = args.iter_max
-    arg.warm_start = args.warm_start
     path = args.path
     rep, sol = solve_path(qp, path, arg)
     text = format_report(

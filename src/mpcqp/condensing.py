@@ -17,18 +17,9 @@ cost over ``(u_n, x_n)`` and ``[B_n A_n]`` the dynamics,
     H[x0,  x0 ] = P[0]
 
 with the prediction ``x_n = pred_n z + gamma_n`` rolled forward.  The cost
-is quadratic in the horizon and cubic in the state dimension.  Two variants
-mirror the Riccati ones: the classical recursion propagates P explicitly
-(and tolerates indefinite stage cost), the square-root variant propagates
-chol(P) through QR triangularization (``M[n] = W_n + T' T`` with
-``T = chol(P[n+1])' [B_n A_n]``) and requires positive definite state costs
-``Q_1..Q_N``.  Its ``chol(P[n])`` is the Riccati QR route's step on a
-one-node level, :func:`linalg.qr_cholesky_update` of ``Q_n`` as a stack
-of one with the term ``T_x = chol(P[n+1])' A_n`` (the upper
-``chol(Q_n)`` on the kernel's copy, then the QR of ``[chol(Q_n)' ;
-T_x]``), and ``chol(P[N])`` the same kernel's ``chol(Q_N)`` with no term,
-the lower ``dpotrf`` in place, as at a Riccati leaf; each passes the
-kernel's rank test.  The gradient comes from the same sweep over the
+is quadratic in the horizon and cubic in the state dimension.  The
+recursion propagates P explicitly and factors nothing, so it tolerates
+indefinite stage costs.  The gradient comes from the same sweep over the
 affine part: ``h_n = g_n + W_n (0, gamma_n)``, ``h_n += [B_n A_n]'
 beta[n+1]``, ``beta[n] = h_n[x]``, and ``g[u_n] = h_n[u]``, ``g[x0] =
 beta[0]``.
@@ -112,8 +103,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import CondenseError, DimensionMismatch, InvalidBlockSize
-from .ipm_core import RICCATI_VARIANTS
-from .linalg import count_flops, qr_cholesky_update, update_operands
+from .linalg import count_flops
 from .qp_data import ROW_FIELDS, DenseQp, OcpQp, OcpQpDim
 from .view import QpSolution, _ranges, make_view
 
@@ -254,7 +244,7 @@ def _prediction(qp, a, b, uz, x_end, nv, keep_x0, x0hat):
     return pred, gamma
 
 
-def _cost_recursion(qp, vw, a, b, runs, gamma, x_end, variant):
+def _cost_recursion(qp, vw, a, b, runs, gamma, x_end):
     """The backward sweep over the stages a..b-1: ``(Ms, h)``.
 
     ``Ms`` holds every stage's ``M[n]``, a (k, nw, nw) array per run (views
@@ -263,27 +253,19 @@ def _cost_recursion(qp, vw, a, b, runs, gamma, x_end, variant):
     term ``h_n`` (see the module docstring).  The sweep starts from the
     terminal stage's cost when b = N + 1, and from ``P = 0``, ``beta = 0``
     when the stages end before it.  ``P`` is used as computed: the Hessian
-    is symmetrized once, exactly, at the end (the square-root variant's
-    ``T' T`` is symmetric as computed).  The square-root variant carries
-    the lower factor ``L = chol(P[n+1])`` instead, a (1, nx, nx) stack: one
-    :func:`linalg.qr_cholesky_update` per stage n > a on a Fortran-ordered
-    copy of ``Q_n``, with the operands of :func:`linalg.update_operands`,
-    and one with no term for ``Q_N`` (when N > a); it needs b = N + 1
-    (partial condensing's blocks take the classical variant).
+    is symmetrized once, exactly, at the end.
     """
     d = qp.dim
     nx, nu = d.nx.tolist(), d.nu.tolist()
-    sqrt = variant == "square_root"
     off, v0 = vw.hess_off, vw.u_off[a]
     M = vw.hess0[off[a]: off[b]].copy()
     h = vw.g[v0: vw.u_off[b] if b <= d.N else vw.nv].copy()
-    Ms, hs, BAs, Ws = [], [], [], []
+    Ms, hs, BAs = [], [], []
     for r0, r1 in runs:
         k, nur, nxr, i0, i1 = r1 - r0, nu[r0], nx[r0], r0 - a, r1 - a
         nw = nur + nxr
         W = vw.hess0[off[r0]: off[r1]].reshape(k, nw, nw)
         Ms.append(M[off[r0] - off[a]: off[r1] - off[a]].reshape(k, nw, nw))
-        Ws.append(W)
         hr = h[vw.u_off[r0] - v0: vw.u_off[r0] - v0 + k * nw].reshape(k, nw)
         # h_n = g_n + W_n (0, gamma_n)
         hr += (W[:, :, nur:] @ gamma[x_end[i0] - nxr: x_end[i1 - 1]].reshape(
@@ -297,32 +279,18 @@ def _cost_recursion(qp, vw, a, b, runs, gamma, x_end, variant):
     if b > d.N:
         nuN = nu[d.N]
         P, beta = Ms[-1][0][nuN:, nuN:], hs[-1][0][nuN:]
-        if sqrt and d.N > a:
-            # chol(Q_N), a Riccati leaf's factor
-            L = P[None].copy(order="F")
-            qr_cholesky_update(L, update_operands(L, []))
     else:
         P, beta = np.zeros((nx[b], nx[b])), np.zeros(nx[b])
     for r in range(len(BAs) - 1, -1, -1):
-        (r0, r1), nur = runs[r], nu[runs[r][0]]
-        for n, BAn, Mn, hn, Wn in zip(range(r1 - 1, r0 - 1, -1), BAs[r][::-1],
-                                      Ms[r][::-1], hs[r][::-1], Ws[r][::-1]):
-            if sqrt:
-                T = L[0].T @ BAn
-                Mn += T.T @ T
-                if n > a:
-                    # chol(P[n]) from the QR of [chol(Q_n)' ; T_x]
-                    Q = Wn[None, nur:, nur:].copy(order="F")
-                    L = qr_cholesky_update(
-                        Q, update_operands(Q, [(L, BAn[None, :, nur:])]))
-            else:
-                Mn += BAn.T @ (P @ BAn)
+        nur = nu[runs[r][0]]
+        for BAn, Mn, hn in zip(BAs[r][::-1], Ms[r][::-1], hs[r][::-1]):
+            Mn += BAn.T @ (P @ BAn)
             hn += beta @ BAn
             P, beta = Mn[nur:, nur:], hn[nur:]
     return Ms, h
 
 
-def _flops(d, a, b, p, sqrt):
+def _flops(d, a, b, p):
     """The nominal flop count of condensing the stages a..b-1, see
     :func:`condense`.
 
@@ -332,16 +300,12 @@ def _flops(d, a, b, p, sqrt):
     nx, nu, ng = (x[a:b].astype(np.int64) for x in (d.nx, d.nu, d.ng))
     w = nu + nx
     c, wn, xn = d.nx[a + 1: e + 1].astype(np.int64), w[: e - a], nx[: e - a]
-    total = ((2 * w * nx + 2 * nu * nx * p + 2 * ng * nx * (p + 1)).sum()
-             + (2 * c * xn * (p[: e - a] + 1) + 2 * c * wn).sum())
-    if not sqrt:
-        return int(total + (2 * c * wn * (c + wn)).sum())
-    qr = np.maximum(0, 2 * (xn + c) * xn * xn - (2 * xn ** 3) // 3)[1:]
-    return int(total + (2 * c * c * wn + c * wn * (wn + 1)).sum()
-               + (nx[1:] ** 3 // 3).sum() + qr.sum())
+    return int((2 * w * nx + 2 * nu * nx * p + 2 * ng * nx * (p + 1)).sum()
+               + (2 * c * xn * (p[: e - a] + 1) + 2 * c * wn
+                  + 2 * c * wn * (c + wn)).sum())
 
 
-def _condense(qp, vw, a, b, keep_x0, x0hat, variant):
+def _condense(qp, vw, a, b, keep_x0, x0hat):
     """Condense the stages a..b-1 of ``qp`` on its view ``vw``.
 
     Returns ``(dense, cmap, end)``: the dense QP over ``z = (u_a, ...,
@@ -363,7 +327,7 @@ def _condense(qp, vw, a, b, keep_x0, x0hat, variant):
     # end rows of the stages a..b-1, then of x_b when b <= N
     x_end = np.cumsum(nx[a: b + 1])
     pred, gamma = _prediction(qp, a, b, uz, x_end, nv, keep_x0, x0hat)
-    Ms, h = _cost_recursion(qp, vw, a, b, runs, gamma, x_end, variant)
+    Ms, h = _cost_recursion(qp, vw, a, b, runs, gamma, x_end)
     xe = int(x_end[b - a - 1])
     # ---- constraints, routed through the view's row table ----
     m, rows, ns = vw._m, vw._rows, vw.ns_tot
@@ -436,7 +400,7 @@ def _condense(qp, vw, a, b, keep_x0, x0hat, variant):
         np.matmul(Cs, gamma[x_end[i0] - nxr: x_end[i1 - 1]].reshape(k, nxr, 1),
                   out=shift[g0: g0 + k * ngr].reshape(k, ngr, 1))
         g0 += k * ngr
-    count_flops(_flops(d, a, b, p, variant == "square_root"))
+    count_flops(_flops(d, a, b, p))
     bnd, on = vw._bnd, vw._on
     lo, up = bnd[lo_pos], bnd[up_pos]
     if nb_c:
@@ -472,7 +436,7 @@ def _condense(qp, vw, a, b, keep_x0, x0hat, variant):
     return dense, cmap, end
 
 
-def condense(qp, keep_x0=None, variant="classical"):
+def condense(qp, keep_x0=None):
     """Convert an optimal-control QP into an equivalent dense QP.
 
     ``keep_x0=None`` keeps the initial state as a variable unless it is
@@ -484,32 +448,20 @@ def condense(qp, keep_x0=None, variant="classical"):
     inputs before stage n, plus ``nx_0`` when x0 is kept):
 
     * every stage n < N: the prediction ``2 c nx_n (p_n + 1)``, the affine
-      sweep ``2 c w``, and the recursion ``2 c w (c + w)`` (classical) or
-      ``2 c^2 w + c w (w + 1)`` (square root: ``T``, then ``T' T``);
+      sweep ``2 c w`` and the recursion ``2 c w (c + w)``;
     * every stage: the affine term ``2 w nx_n``, the Hessian's input rows
-      ``2 nu_n nx_n p_n`` and the general rows ``2 ng_n nx_n (p_n + 1)``;
-    * square root, every stage n >= 1: one
-      :func:`linalg.qr_cholesky_update`, which the kernel does not count
-      itself, counted as ``chol(Q_n)``, ``nx_n^3 / 3``, and for n < N the
-      QR of ``[chol(Q_n)' ; T_x]``, ``2 (nx_n + c) nx_n^2 - 2 nx_n^3 / 3``.
+      ``2 nu_n nx_n p_n`` and the general rows ``2 ng_n nx_n (p_n + 1)``.
+
+    Nothing is factored, so an indefinite stage cost does not raise.
 
     Raises
     ------
-    NotPositiveDefinite
-        With ``variant="square_root"``, if a state cost ``Q_n`` with
-        1 <= n <= N is not positive definite.  ``Q_0`` and the classical
-        variant are not factored, so neither raises.
-    RankDeficient
-        With ``variant="square_root"``, if a ``chol(P[n])`` fails the
-        shared QR rank test (see :func:`linalg.qr_cholesky_update`).
     CondenseError
         If ``keep_x0=False`` and the initial state is not fully fixed, or
         a soft row fixes it.
     """
     if not isinstance(qp, OcpQp):
         raise TypeError("condense expects an OcpQp")
-    if variant not in RICCATI_VARIANTS:
-        raise ValueError(f"unknown condensing variant '{variant}'")
     all_fixed, x0hat, fix_rows = _detect_fixed_x0(qp)
     if keep_x0 is None:
         keep_x0 = not all_fixed
@@ -519,7 +471,7 @@ def condense(qp, keep_x0=None, variant="classical"):
             "by active equal-bound box rows"
         )
     dense, cmap, _ = _condense(qp, make_view(qp), 0, qp.dim.N + 1, keep_x0,
-                               x0hat, variant)
+                               x0hat)
     if not keep_x0:
         cmap.fix_rows = fix_rows
     return dense, cmap
@@ -629,7 +581,7 @@ def partial_condense(qp, N1):
     N1 = int(N1)
     vw = make_view(qp)
     blocks = [(n0, min(n0 + N1, d.N)) for n0 in range(0, d.N, N1)]
-    parts = [_condense(qp, vw, a, b, True, None, "classical")
+    parts = [_condense(qp, vw, a, b, True, None)
              for a, b in blocks + [(d.N, d.N + 1)]]
     dense = [dq for dq, _, _ in parts]
     nx = [cm.nx0 for _, cm, _ in parts]

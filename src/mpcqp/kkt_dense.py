@@ -15,8 +15,10 @@ equality-handling methods are provided:
 * ``schur``   factor Hred, form the Schur complement A Hred^-1 A' as
               W' W with W = L^-1 A' (:func:`linalg.gram`, exactly
               symmetric) and factor it;
-* ``null_space``  orthonormal basis of null(A) from a QR of A', solve the
-              reduced problem on the basis.
+* ``null_space``  orthonormal basis Z of null(A) from a QR of A', solve the
+              reduced problem on the basis: only ``Z' Hred Z`` is
+              factored, so Hred need only be positive definite on
+              null(A), as in HPIPM's null-space method.
 
 The reduced Hessian ``H + reg I + J' diag(coef) J`` (J the box rows, then
 the general rows ``G``) is formed by :func:`kkt_common.reduced_hessian`
@@ -37,7 +39,8 @@ is factored once per view and ``reg`` and kept on the view as
 bound-write copies share, as :mod:`kkt_ocp` keeps its ``band``.  The
 route's Schur complement comes from the QR of W = L^-1 A'.  It needs the
 unaugmented Hessian to be positive definite and fails otherwise; the
-Cholesky route needs only Hred to be.  The null-space route's QR of A' is
+Cholesky route needs only Hred to be (with ``schur``; with ``null_space``
+only ``Z' Hred Z``).  The null-space route's QR of A' is
 :func:`linalg.qr_full`.
 
 A factor object is valid for any number of right-hand sides until the
@@ -86,13 +89,11 @@ class DenseKktFactor:
             self._Lred = self._factor_qr(sc, arg.reg_prim)
         else:
             Hred = reduced_hessian(view, sc, arg.reg_prim).reshape(H.shape)
-            self._Lred = cholesky_factor(Hred)
-            self._Hred = Hred
         if method == "null_space" and ne:
             if ne > qp.nv:
                 raise FactorizationFailed("more equality constraint rows than variables")
-            if not hasattr(self, "_Hred"):
-                self._Hred = self._Lred @ self._Lred.T
+            # the solve reads Hred itself, never a factor of it
+            self._Hred = self._Lred @ self._Lred.T if use_qr else Hred
             Q, R = qr_full(A.T)
             self._Q1 = Q[:, :ne]
             self._Z = Q[:, ne:]
@@ -101,12 +102,15 @@ class DenseKktFactor:
                 raise FactorizationFailed("equality constraint rows are rank deficient")
             Hz = matmul_acc(1.0, self._Z, self._Hred @ self._Z, 0.0, 0.0, transA=True)
             self._Lz = cholesky_factor(Hz)
-        elif ne:
-            W = solve_triangular(self._Lred, A.T)
-            if use_qr:
-                self._Lm = qr_cholesky(W).T
-            else:
-                self._Lm = cholesky_factor(gram(W))
+        else:
+            if not use_qr:
+                self._Lred = cholesky_factor(Hred)
+            if ne:
+                W = solve_triangular(self._Lred, A.T)
+                if use_qr:
+                    self._Lm = qr_cholesky(W).T
+                else:
+                    self._Lm = cholesky_factor(gram(W))
 
     def _factor_qr(self, sc, reg):
         """Cholesky of the reduced Hessian via the stacked-factor QR route."""

@@ -57,30 +57,28 @@ caller counts the nominal counts of the kernels it stands in for.
 
 The update-and-factor kernels :func:`cholesky_update`,
 :func:`cholesky_sqrt_update` and :func:`qr_cholesky_update` are one Riccati
-level's step on each route, uncounted as well (the QR one is also each
-stage of the square-root condensing sweep, see :mod:`condensing`): they
-overwrite a (k, w, w) stack M of node Hessians, one Fortran-ordered
-block per node, with the factors of the blocks updated by their
-children's terms, and never write the terms.  A chain level is a stack of
-one.  They take one operand form, :func:`update_operands`, which their
-caller prepares once (per workspace in the Riccati sweep, see
-:meth:`kkt_ocp.RiccatiLevel.args`): every node's block and the blocks of
-its terms, and for the QR route a copy of the stack, the rows W and
-every node's views of both.  The kernels index no stack: per node the
-Cholesky routes call BLAS and LAPACK on the node's block itself, which
-ends up holding the factor with no copy made (``dsymm``/``dgemm`` or
-``dtrmm``/``dsyrk``, then ``dpotrf``), so a level of k nodes makes the
-calls of k chain levels.  The QR route forms the rows of all nodes with
-one stacked product per term into the prepared rows, copies M into the
-prepared copy, runs one upper ``dpotrf`` and one ``dtpqrt`` (l = 0) per
-node in place there and assigns the factors into M; a stack without rows
-(a leaf) takes the lower ``dpotrf`` of every block in place.  The kernels
-make their calls directly on the operands they are given, with no helper
-frame (the ``dpotrf`` return code goes to :func:`_potrf_failed` only when
-it is nonzero): on the small blocks of a chain, a Python frame or a view
-per call costs a sizeable part of the BLAS calls themselves.  Their BLAS
-and LAPACK arguments are positional, as the wrappers parse keywords
-slower.
+level's step on each route, uncounted as well: they overwrite a (k, w, w)
+stack M of node Hessians, one Fortran-ordered block per node, with the
+factors of the blocks updated by their children's terms, and never write
+the terms.  A chain level is a stack of one.  They take one operand form,
+:func:`update_operands`, which their caller prepares once (per workspace in
+the Riccati sweep, see :meth:`kkt_ocp.RiccatiLevel.args`): every node's
+block and the blocks of its terms, and for the QR route a copy of the
+stack, the rows W and every node's views of both.  The kernels index no
+stack: per node the Cholesky routes call BLAS and LAPACK on the node's
+block itself, which ends up holding the factor with no copy made
+(``dsymm``/``dgemm`` or ``dtrmm``/``dsyrk``, then ``dpotrf``), so a level
+of k nodes makes the calls of k chain levels.  The QR route forms the rows
+of all nodes with one stacked product per term into the prepared rows,
+copies M into the prepared copy, runs one upper ``dpotrf`` and one
+``dtpqrt`` (l = 0) per node in place there and assigns the factors into M;
+a stack without rows (a leaf) takes the lower ``dpotrf`` of every block in
+place.  The kernels make their calls directly on the operands they are
+given, with no helper frame (the ``dpotrf`` return code goes to
+:func:`_potrf_failed` only when it is nonzero): on the small blocks of a
+chain, a Python frame or a view per call costs a sizeable part of the BLAS
+calls themselves.  Their BLAS and LAPACK arguments are positional, as the
+wrappers parse keywords slower.
 """
 
 from __future__ import annotations

@@ -912,25 +912,11 @@ class CondensingMapRef:
         self.__dict__.update(fields)
 
 
-def _cost_recursion_ref(qp, variant):
+def _cost_recursion_ref(qp):
     """Backward P/Y sweep stage by stage; returns (P list, Y list)."""
     N = qp.dim.N
     P = [None] * (N + 1)
     Y = [None] * N
-    if variant == "square_root":
-        U = [None] * (N + 1)
-        U[N] = cholesky_factor(qp._stages[N]["Q"]).T
-        P[N] = U[N].T @ U[N]
-        for n in range(N - 1, -1, -1):
-            dyn = qp._dyn[n]
-            UA = matmul_acc(1.0, U[n + 1], dyn["A"], 0.0, 0.0)
-            UB = matmul_acc(1.0, U[n + 1], dyn["B"], 0.0, 0.0)
-            Y[n] = matmul_acc(1.0, UA, UB, 0.0, 0.0, transA=True) \
-                + qp._stages[n]["S"].T
-            Uq = cholesky_factor(qp._stages[n]["Q"]).T
-            U[n] = qr_cholesky(np.vstack([Uq, UA]))
-            P[n] = U[n].T @ U[n]
-        return P, Y
     P[N] = 0.5 * (qp._stages[N]["Q"] + qp._stages[N]["Q"].T)
     for n in range(N - 1, -1, -1):
         dyn = qp._dyn[n]
@@ -943,7 +929,7 @@ def _cost_recursion_ref(qp, variant):
     return P, Y
 
 
-def condense_ref(qp, keep_x0, variant="classical"):
+def condense_ref(qp, keep_x0):
     """Full condensing stage by stage, the loop the stacked runs replaced.
 
     The prediction rolls forward over all columns, the Hessian is
@@ -983,7 +969,7 @@ def condense_ref(qp, keep_x0, variant="classical"):
         if d.nu[n]:
             pred[n + 1][:, u_off[n]: u_off[n] + d.nu[n]] += dyn["B"]
         gamma[n + 1][:] = dyn["A"] @ gamma[n] + dyn["b"]
-    P, Y = _cost_recursion_ref(qp, variant)
+    P, Y = _cost_recursion_ref(qp)
     beta = [None] * (N + 1)
     beta[N] = qp._stages[N]["q"] + qp._stages[N]["Q"] @ gamma[N]
     for n in range(N - 1, -1, -1):

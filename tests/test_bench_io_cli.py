@@ -389,6 +389,16 @@ class TestCli:
         assert ei.value.code == 2
         assert "invalid choice: 'scaling'" in capsys.readouterr().err
 
+    def test_solve_has_no_warm_start_flag(self, tmp_path, capsys):
+        # a solve of a file has no previous solution to start from
+        qpf = str(tmp_path / "ms.qp")
+        cli_main(["gen-mass-spring", "--masses", "2", "--horizon", "5",
+                  "--out", qpf])
+        with pytest.raises(SystemExit) as ei:
+            cli_main(["solve", "--qp", qpf, "--warm-start", "primal_dual"])
+        assert ei.value.code == 2
+        assert "unrecognized arguments: --warm-start" in capsys.readouterr().err
+
     def test_report_determinism(self, tmp_path):
         qpf = str(tmp_path / "ms.qp")
         cli_main(["gen-mass-spring", "--masses", "2", "--horizon", "10",

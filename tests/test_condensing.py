@@ -7,7 +7,6 @@ from mpcqp import (
     CondenseError,
     InvalidBlockSize,
     MassSpringConfig,
-    NotPositiveDefinite,
     OcpQp,
     OcpQpDim,
     QpSolution,
@@ -26,7 +25,6 @@ from mpcqp import (
 )
 from mpcqp import view
 from mpcqp.condensing import _runs
-from mpcqp.ipm_core import RICCATI_VARIANTS
 from mpcqp.qp_data import ROW_FIELDS
 from mpcqp.view import make_view
 
@@ -168,11 +166,10 @@ class TestFullCondense:
         dense, _ = condense(qp, keep_x0=True)
         assert dense.nb == 0 and dense.ng == 0
 
-    @pytest.mark.parametrize("variant", ["classical", "square_root"])
-    def test_matches_prediction_matrix_oracle(self, rng, variant):
+    def test_matches_prediction_matrix_oracle(self, rng):
         for keep in (True, False):
             qp = rand_ocp_qp(rng, N=6, nx=3, nu=2, fix_x0=True)
-            dense, _ = condense(qp, keep_x0=keep, variant=variant)
+            dense, _ = condense(qp, keep_x0=keep)
             H = dense.get_field("H")
             H_oracle = prediction_matrix_hessian(qp, keep)
             assert maxabs(H - H_oracle) <= 1e-10 * max(1.0, maxabs(H_oracle))
@@ -188,11 +185,6 @@ class TestFullCondense:
         free = rand_ocp_qp(rng, N=2, nx=2, nu=1, fix_x0=False)
         assert not condense(fixed)[1].keep_x0
         assert condense(free)[1].keep_x0
-
-    def test_unknown_variant_rejected(self, rng):
-        qp = rand_ocp_qp(rng, N=2, nx=2, nu=1)
-        with pytest.raises(ValueError, match="sqrt"):
-            condense(qp, variant="sqrt")
 
     @pytest.mark.parametrize("fix_x0", [False, True])
     def test_bound_writes_reach_the_next_condensing(self, rng, fix_x0):
@@ -307,7 +299,7 @@ def rel_err(a, ref):
     return maxabs(a - ref) / max(1.0, maxabs(ref))
 
 
-def condense_flops(qp, keep, variant):
+def condense_flops(qp, keep):
     """The nominal flop count of :func:`condense`, stage by stage."""
     d = qp.dim
     N = d.N
@@ -319,15 +311,7 @@ def condense_flops(qp, keep, variant):
         total += 2 * w * nx[n] + 2 * nu[n] * nx[n] * p + 2 * ng[n] * nx[n] * (p + 1)
         if n < N:
             c = nx[n + 1]
-            total += 2 * c * nx[n] * (p + 1) + 2 * c * w
-            if variant == "classical":
-                total += 2 * c * w * (c + w)
-            else:
-                total += 2 * c * c * w + c * w * (w + 1)
-        if variant == "square_root" and n >= 1:
-            total += nx[n] ** 3 // 3
-            if n < N:
-                total += 2 * (nx[n] + nx[n + 1]) * nx[n] ** 2 - (2 * nx[n] ** 3) // 3
+            total += 2 * c * nx[n] * (p + 1) + 2 * c * w + 2 * c * w * (c + w)
         p += nu[n]
     return total
 
@@ -337,17 +321,16 @@ class TestStackedCondense:
 
     @settings(max_examples=60)
     @given(seed=st.integers(0, 2**32 - 1), N=st.integers(0, 6),
-           fix_x0=st.booleans(), keep=st.booleans(),
-           variant=st.sampled_from(RICCATI_VARIANTS))
-    def test_matches_stage_by_stage_oracle(self, seed, N, fix_x0, keep, variant):
+           fix_x0=st.booleans(), keep=st.booleans())
+    def test_matches_stage_by_stage_oracle(self, seed, N, fix_x0, keep):
         # mixed sizes, inputs at the terminal stage, general rows with D,
         # soft rows; a free initial state can only be kept
         rng = np.random.default_rng(seed)
         nx, nu, ng = mixed_dims(rng, N)
         qp = rand_mixed_ocp_qp(rng, nx, nu, ng, [2] * (N + 1), fix_x0=fix_x0)
         keep = keep or not fix_x0
-        dense, cmap = condense(qp, keep_x0=keep, variant=variant)
-        ref = condense_ref(qp, keep, variant)
+        dense, cmap = condense(qp, keep_x0=keep)
+        ref = condense_ref(qp, keep)
         H = dense.get_field("H")
         assert np.array_equal(H, H.T)
         assert rel_err(H, ref.H) <= 1e-12
@@ -384,49 +367,37 @@ class TestCondenseFlops:
 
     def test_scalar_hand_count(self):
         # stage 0 (w = 2, c = 1, p = 0): W (0, gamma) 4, prediction 2,
-        # affine sweep 4, recursion 12 (classical) or 4 + 6 (square root);
-        # stage 1 (w = 1): W (0, gamma) 2
-        for variant, want in (("classical", 24), ("square_root", 22)):
-            with flop_counter() as fc:
-                condense(scalar_example(), keep_x0=False, variant=variant)
-            assert fc.flops == want == condense_flops(scalar_example(), False,
-                                                      variant)
+        # affine sweep 4, recursion 12; stage 1 (w = 1): W (0, gamma) 2
+        with flop_counter() as fc:
+            condense(scalar_example(), keep_x0=False)
+        assert fc.flops == 24 == condense_flops(scalar_example(), False)
 
-    @pytest.mark.parametrize("variant", RICCATI_VARIANTS)
     @pytest.mark.parametrize("keep", [False, True])
-    def test_nominal_count(self, rng, variant, keep):
+    def test_nominal_count(self, rng, keep):
         qp = rand_mixed_ocp_qp(rng, [2, 3, 3, 3, 2], [1, 2, 2, 0, 1],
                                [1, 0, 2, 2, 1], [1] * 5, fix_x0=True)
-        want = condense_flops(qp, keep, variant)
+        want = condense_flops(qp, keep)
         for _ in range(2):
             with flop_counter() as fc:
-                condense(qp, keep_x0=keep, variant=variant)
+                condense(qp, keep_x0=keep)
             assert fc.flops == want
 
 
-class TestSquareRootContract:
-    """The square-root variant factors ``Q_1..Q_N``, the classical none."""
+class TestIndefiniteStageCost:
+    """The sweep factors nothing, so an indefinite ``Q_n`` condenses."""
 
     N = 5
 
-    def indefinite_at(self, n):
+    @pytest.mark.parametrize("n", [0, 1, 3, N])
+    def test_indefinite_state_cost_condenses(self, n):
         qp = gen_mass_spring(MassSpringConfig(masses=2, horizon=self.N))
         qp.set_field("Q", n, np.diag([1.0, 1.0, 1.0, -1.0]))
-        return qp
-
-    @pytest.mark.parametrize("n", [1, 3, N])
-    def test_indefinite_state_cost_past_stage_0_raises(self, n):
-        qp = self.indefinite_at(n)
-        with pytest.raises(NotPositiveDefinite):
-            condense(qp, variant="square_root")
-        condense(qp, variant="classical")
-
-    def test_indefinite_initial_state_cost_is_not_factored(self):
-        qp = self.indefinite_at(0)
         for keep in (True, False):
-            H = [condense(qp, keep_x0=keep, variant=variant)[0].get_field("H")
-                 for variant in ("classical", "square_root")]
-            assert rel_err(H[1], H[0]) <= 1e-12
+            dense, _ = condense(qp, keep_x0=keep)
+            H = dense.get_field("H")
+            H_oracle = prediction_matrix_hessian(qp, keep)
+            assert np.array_equal(H, H.T)
+            assert rel_err(H, H_oracle) <= 1e-12
 
 
 class TestExpand:

@@ -1,10 +1,21 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import mpcqp.kkt_dense as kd
-from mpcqp import DenseQp, FactorizationFailed, IpmArg, compute_residuals, flop_counter
+from mpcqp import (
+    DenseQp,
+    FactorizationFailed,
+    IpmArg,
+    Status,
+    compute_residuals,
+    flop_counter,
+    mode_preset,
+    solve_dense_qp,
+)
 from mpcqp.errors import SingularSlackBlock
 from mpcqp.ipm_core import iterative_refinement
 from mpcqp.kkt_common import (
@@ -156,6 +167,7 @@ class TestFactorSolve:
 
     @pytest.mark.parametrize("method,use_qr", [
         ("schur", False), ("schur", True), ("null_space", False),
+        ("null_space", True),
     ])
     def test_matches_oracle(self, rng, method, use_qr):
         for trial in range(8):
@@ -178,6 +190,22 @@ class TestFactorSolve:
             res.r_g, res.r_b, res.r_d, rm)
         assert np.max(np.abs(s1.flat() - s2.flat())) <= 1e-8 * (
             1.0 + np.max(np.abs(s1.flat())))
+
+    @pytest.mark.parametrize("mode", ["speed", "balance", "robust"])
+    def test_null_space_needs_convexity_on_null_a_only(self, mode):
+        # H is indefinite but positive definite on null(A) = span(e_1): the
+        # null-space method factors only Z' Hred Z, the Schur one Hred
+        qp = DenseQp(2, ne=1)
+        qp.set_field("H", np.diag([1.0, -1.0]))
+        qp.set_field("g", [1.0, 0.5])
+        qp.set_field("A", [[0.0, 1.0]])
+        qp.set_field("b", [0.3])
+        arg = mode_preset(mode)
+        rep = solve_dense_qp(qp, replace(arg, kkt_method="null_space"))
+        assert rep.status is Status.Success
+        assert np.max(np.abs(rep.solution.v - [-1.0, 0.3])) <= 1e-8
+        rep = solve_dense_qp(qp, replace(arg, kkt_method="schur"))
+        assert rep.status is Status.Failure
 
     def test_absolute_rhs_matches_delta_plus_iterate(self, rng):
         qp = rand_dense_qp(rng, nv=4, ne=1, nb=2, ng=1, ns=1)
@@ -410,9 +438,9 @@ class TestDenseFlops:
         qp, it = self._case(rng)
         nv, ne, ng = qp.nv, qp.ne, qp.ng
         nz = nv - ne
-        # Hred as on the Cholesky route, the full QR of A', Z'(Hred Z)
-        # and its Cholesky
-        want = (ng * nv * (nv + 1) + _chol(nv) + _qr(nv, ne)
+        # Hred as on the Cholesky route but not factored, the full QR of
+        # A', Z'(Hred Z) and its Cholesky
+        want = (ng * nv * (nv + 1) + _qr(nv, ne)
                 + 4 * nv * nv * ne - 4 * nv * ne * ne + (4 * ne ** 3) // 3
                 + 2 * nz * nz * nv + _chol(nz))
         arg = IpmArg(kkt_method="null_space", reg_prim=1e-6)

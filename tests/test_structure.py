@@ -3,6 +3,8 @@
 Each concept has one home: the LAPACK and BLAS bindings live in :mod:`linalg`
 (mass-spring's matrix exponential aside), the ``scipy.sparse`` operators
 in :mod:`view` and the Riccati recursion's constants in :mod:`kkt_ocp`.
+Condensing factors nothing, so it takes only the flop counter from
+:mod:`linalg`.
 No module reads a clock: wall time is measured by the benchmark alone.
 Every ``IpmArg`` field has a reader, so no knob outlives its mechanism.
 The benchmark's tracer wraps package functions by name; those names are
@@ -83,6 +85,15 @@ def test_riccati_constants_live_in_kkt_ocp():
     riccati = {"RiccatiBand", "RiccatiLevel"}
     assert not riccati & _classes("view.py")
     assert riccati <= _classes("kkt_ocp.py")
+
+
+def test_condensing_is_not_coupled_to_the_riccati_kernels():
+    # the condensing sweep factors nothing: of linalg it takes only the
+    # flop counter, and it imports nothing from the interior point core
+    refs = {r for r in _references(MODULES["condensing.py"]) if r}
+    assert {r for r in refs if r.startswith("linalg")} == {
+        "linalg", "linalg.count_flops"}
+    assert not {r for r in refs if r.startswith("ipm_core")}
 
 
 def _tracing():
