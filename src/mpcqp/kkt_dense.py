@@ -76,21 +76,20 @@ def _cho_solve(L, b):
 class DenseKktFactor:
     """Factorized reduced KKT system of a dense QP at one iterate."""
 
-    def __init__(self, qp, view, sc, arg, method, use_qr):
-        self.qp = qp
+    def __init__(self, view, sc, arg, method, use_qr):
         self.view = view
         self.sc = sc
         self.method = method
         H = view.H
         A = view.E
         self._A = A
-        ne = qp.ne
+        ne = view.ne
         if use_qr:
             self._Lred = self._factor_qr(sc, arg.reg_prim)
         else:
             Hred = reduced_hessian(view, sc, arg.reg_prim).reshape(H.shape)
         if method == "null_space" and ne:
-            if ne > qp.nv:
+            if ne > view.nv:
                 raise FactorizationFailed("more equality constraint rows than variables")
             # the solve reads Hred itself, never a factor of it
             self._Hred = self._Lred @ self._Lred.T if use_qr else Hred
@@ -134,7 +133,7 @@ class DenseKktFactor:
         vw = self.view
         step = QpSolution(vw)
         rhat, fold = fold_rhs(vw, self.sc, r_g, r_d, r_m)
-        if self.method == "null_space" and self.qp.ne:
+        if self.method == "null_space" and vw.ne:
             v_p = self._Q1 @ solve_triangular(self._Ra, r_b, transpose=True,
                                               lower=False)
             rhs_z = self._Z.T @ (rhat + self._Hred @ v_p)
@@ -142,7 +141,7 @@ class DenseKktFactor:
             np.add(v_p, self._Z @ q, out=step.v)
             step.pi[:] = solve_triangular(
                 self._Ra, self._Q1.T @ (self._Hred @ step.v + rhat), lower=False)
-        elif self.qp.ne:
+        elif vw.ne:
             z = _cho_solve(self._Lred, rhat)
             rhs_pi = r_b + self._A @ z
             step.pi[:] = _cho_solve(self._Lm, rhs_pi)
@@ -207,7 +206,7 @@ def factor(qp, iterate, arg=None, use_qr=False):
     sc = view_scales(vw, iterate.lam, iterate.t)
     method = arg.kkt_method if qp.ne else "chol"
     try:
-        return DenseKktFactor(qp, vw, sc, arg, method, use_qr)
+        return DenseKktFactor(vw, sc, arg, method, use_qr)
     except LinalgError as exc:
         raise FactorizationFailed(f"dense KKT factorization failed: {exc}") from exc
 

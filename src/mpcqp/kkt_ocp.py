@@ -218,8 +218,7 @@ class RiccatiFactor:
     views of ``work``, made on first read.
     """
 
-    def __init__(self, qp, view, iterate):
-        self.qp = qp
+    def __init__(self, view, iterate):
         self.view = view
         self.scales = view_scales(view, iterate.lam, iterate.t)
         self.work = None             # the factored node blocks
@@ -231,7 +230,7 @@ class RiccatiFactor:
     @cached_property
     def _cols(self):
         """Every node's factor columns ``[L_uu; L_xu]``, views of ``work``."""
-        d, off = self.qp.dim, self.view.hess_off
+        d, off = self.view.dim, self.view.hess_off
         return [self.work[off[n]: off[n] + nu * (nu + nx)].reshape(nu, nu + nx).T
                 for n, (nu, nx) in enumerate(zip(d.nu.tolist(), d.nx.tolist()))]
 
@@ -251,7 +250,7 @@ class RiccatiFactor:
 
     def p_matrix(self, n):
         """The cost-to-go matrix P[n]."""
-        nx = self.qp.dim.nx[n]
+        nx = self.view.dim.nx[n]
         B = self.p_blocks[n, :nx, :nx]
         return B @ B.T if self.sqrt else B.copy()
 
@@ -291,7 +290,7 @@ def riccati_factor(qp, iterate, arg=None, use_qr=False):
         raise ValueError(f"unknown riccati_variant '{arg.riccati_variant}'")
     vw = make_view(qp)
     band = _band(vw)
-    fac = RiccatiFactor(qp, vw, iterate)
+    fac = RiccatiFactor(vw, iterate)
     route = "qr" if use_qr else arg.riccati_variant
     fac.sqrt = route != "classical"
     hess = reduced_hessian(vw, fac.scales, arg.reg_prim)
@@ -494,7 +493,7 @@ class RiccatiBand:
     """
 
     def __init__(self, view):
-        d = view.qp.dim
+        d = view.dim
         n_node = view.n_node
         nu = np.asarray(d.nu, dtype=np.intp)
         nx = np.asarray(d.nx, dtype=np.intp)
@@ -648,7 +647,7 @@ class RiccatiLevel:
                  "flops")
 
     def __init__(self, view, nodes):
-        d = view.qp.dim
+        d = view.dim
         n0 = nodes[0]
         self.nodes = nodes
         self.k = k = len(nodes)

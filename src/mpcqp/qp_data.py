@@ -298,7 +298,11 @@ class _FieldAccess:
     with ``fresh`` false: only its ``d`` and ``act`` are out of date, and
     ``make_view`` recomputes them once, however many such writes came in
     a row.  Any other write or change of ``_rev`` leaves the cache behind,
-    so the next ``make_view`` builds a new view.
+    so the next ``make_view`` builds a new view.  The view holds the QP's
+    storage (``dim``, and ``_stages`` or ``_data``, containers that the
+    constructor makes once and a write changes only entries of), not the
+    QP, so the cache makes no reference cycle: a dropped QP is freed with
+    its view as soon as no solution holds the view.
     """
 
     _FIELDS: dict = {}
@@ -535,7 +539,11 @@ class Violation:
 
 
 def _sym_violation(M, name, stage, out):
-    if M.shape[0] and not np.allclose(M, M.T, rtol=0.0, atol=1e-10 * max(1.0, np.max(np.abs(M)))):
+    # an exactly symmetric matrix, every condensed Hessian among them, passes
+    # without the tolerance test, whose verdict on it is the same; NaN never
+    # equals itself, so a matrix holding one takes the test
+    if M.shape[0] and not np.array_equal(M, M.T) and not np.allclose(
+            M, M.T, rtol=0.0, atol=1e-10 * max(1.0, np.max(np.abs(M)))):
         out.append(Violation(name, stage, "matrix is not symmetric"))
 
 

@@ -87,7 +87,16 @@ the container's edge table ``dim.edges`` (see :mod:`qp_data`): the view
 lists ``(parent, child, _dyn[i])`` for every dynamics block i in multiplier
 order, so ``pi`` holds one block per edge in that order for both types.
 
-A view is cached on its QP (see :func:`make_view`).  A write to a field
+A view holds its QP's storage, never the QP itself: the dimension record
+(``dim``, stage type only), the stage list or the dense QP's field dict
+(``_stages``), and the counts.  The QP's constructor makes these containers
+once and ``set_field`` replaces entries inside them, so a view reads the
+current fields whenever it reads them.  A view is cached on its QP (see
+:func:`make_view`), and because the view does not point back, the QP and
+its view make no reference cycle: a dropped QP is freed, by reference
+counting, together with its view, operators, Riccati band and workspaces
+as soon as the last solution on the view goes, and a solution that
+outlives its QP still has everything it reads.  A write to a field
 that feeds only the bound vector d and the activity mask (``lb``, ``ub``,
 ``lg``, ``ug``, the slack bounds, the masks and the virtual box fields,
 marked ``bound`` in the field catalog) keeps it: the next ``make_view``
@@ -212,8 +221,10 @@ def _dense(M):
 class ProblemView:
     """Layout tables and flat-vector operators for one QP instance.
 
-    A view type's ``_stages`` returns the row data of every block (the
-    QP's own stage dicts), and its ``_build`` sets the layout (``nv``,
+    A view type's ``_build(qp)`` keeps what the view reads of its QP:
+    ``_stages``, the row data of every block (the QP's own stage list, or
+    a list holding the dense QP's field dict), and a stage view's ``dim``;
+    it keeps no reference to the QP itself.  It sets the layout (``nv``,
     ``ns_tot``, ``ne``, ``blocks``) and ``hess0``, the base Hessian of every
     block flattened row-major and concatenated in block order, and returns
     the gradient over v and the equality right-hand side, and sets or
@@ -252,10 +263,9 @@ class ProblemView:
     """
 
     def __init__(self, qp):
-        self.qp = qp
         self.kind = qp.kind
-        g_v, b = self._build()
-        stages = self._stages()
+        g_v, b = self._build(qp)
+        stages = self._stages
         self.ny = self.nv + 2 * self.ns_tot
         self.nc = sum(cb.nc for cb in self.blocks)
         self._Gt = self.G.T
@@ -339,7 +349,7 @@ class ProblemView:
         active), and ``_shift`` is ``[g | b | d]``, the residuals' constant
         part, laid out like ``K z``.
         """
-        stages = self._stages()
+        stages = self._stages
         self._bnd = np.concatenate([
             a for st in stages
             for a in (st["lb"], st["lg"], st["ub"], st["ug"],
@@ -515,12 +525,9 @@ def split_flat(vec, ny, ne, nc):
 class DenseView(ProblemView):
     """View of a dense QP: one block over all of v, the QP's own arrays as operators."""
 
-    def _stages(self):
-        return [self.qp._data]
-
-    def _build(self):
-        qp = self.qp
+    def _build(self, qp):
         data = qp._data
+        self._stages = [data]
         self.nv = qp.nv
         self.ns_tot = qp.ns
         self.ne = qp.ne
@@ -575,13 +582,9 @@ class StageView(ProblemView):
         self.edges = edges
         super().__init__(qp)
 
-    def _stages(self):
-        return self.qp._stages
-
-    def _build(self):
-        qp = self.qp
-        d = qp.dim
-        stages = qp._stages
+    def _build(self, qp):
+        self.dim = d = qp.dim
+        self._stages = stages = qp._stages
         self.n_node = len(stages)
         self.blocks = []
         self.node_hess = []
@@ -628,7 +631,7 @@ class StageView(ProblemView):
     @cached_property
     def E(self):
         # edge row i: -[B A] over the parent's window, then 1 at the child's x_i
-        nx = self.qp.dim.nx
+        nx = self.dim.nx
         par = np.array([e[0] for e in self.edges], dtype=np.intp)
         child = np.array([e[1] for e in self.edges], dtype=np.intp)
         neg_BA = [-np.hstack([dyn["B"], dyn["A"]]) for _, _, dyn in self.edges]
@@ -673,10 +676,13 @@ def make_view(qp):
     A view is cached on its QP with the QP's revision.  After writes only to
     bound fields (see :class:`qp_data._FieldAccess`) the cached view comes
     back as a shallow copy with its bound tables recomputed (see
-    :meth:`ProblemView._set_bounds`), so it shares every other constant,
+    :meth:`ProblemView._set_bounds`) from the QP's field storage, which the
+    view holds in place of the QP, so it shares every other constant,
     the Riccati constants that :mod:`kkt_ocp` keeps on it (``band``)
     included; the cached view itself is never modified, because earlier
-    solutions hold it.
+    solutions hold it.  The view holds no reference to the QP, so the
+    cache makes no cycle: a dropped QP is freed with its view by reference
+    counting, without waiting for the cyclic collector.
     """
     cached = getattr(qp, "_view_cache", None)
     if cached is not None and cached[0] == qp._rev:
@@ -789,11 +795,11 @@ class QpSolution:
         """Dynamics multiplier of stage n (OCP) or of the edge into node n (tree)."""
         vw = self._view
         try:
-            child = vw.qp.dim.edges[n][1]
+            child = vw.dim.edges[n][1]
         except KeyError:
             raise IndexOutOfRange(f"no dynamics multiplier at {n}") from None
         off = vw.pi_off[child - 1]    # the edge into node c is edge c - 1
-        return self.pi[off: off + vw.qp.dim.nx[child]]
+        return self.pi[off: off + vw.dim.nx[child]]
 
     def lam_stage(self, n):
         cb = self._block(n)

@@ -311,8 +311,7 @@ def stage_hessian_ref(st, nu, nx, cb, sc, reg):
 class RiccatiFactorRef:
     """Factor object of :func:`riccati_factor_ref`; the band solve reads it."""
 
-    def __init__(self, qp, view, iterate):
-        self.qp = qp
+    def __init__(self, view, iterate):
         self.view = view
         self.scales = view_scales(view, iterate.lam, iterate.t)
         n_node = view.n_node
@@ -344,7 +343,7 @@ def riccati_factor_ref(qp, iterate, arg=None, use_qr=False, order=None):
     arg = arg or IpmArg()
     vw = make_view(qp)
     d = qp.dim
-    fac = RiccatiFactorRef(qp, vw, iterate)
+    fac = RiccatiFactorRef(vw, iterate)
     sqrt_mode = arg.riccati_variant == "square_root" or use_qr
     for n in range(vw.n_node - 1, -1, -1) if order is None else order:
         M = add_reduced_hessian_ref(vw.blocks[n], fac.scales, vw.node_hess[n])
@@ -445,7 +444,7 @@ def riccati_solve_ref(fac, r_g, r_b, r_d, r_m):
     factor's ``L_uu``, ``K``, ``p_matrix`` and scalings.
     """
     vw = fac.view
-    d = vw.qp.dim
+    d = vw.dim
     sc = fac.scales
     nv, ns_tot, n_node = vw.nv, vw.ns_tot, vw.n_node
     w = np.zeros(vw.nc)

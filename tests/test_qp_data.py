@@ -20,7 +20,7 @@ from mpcqp import (
     objective,
     validate,
 )
-from mpcqp.qp_data import ROW_FIELDS, _STAGE_VIRTUAL, errors_only
+from mpcqp.qp_data import ROW_FIELDS, _STAGE_VIRTUAL, _sym_violation, errors_only
 from mpcqp.view import QpSolution, make_view
 
 from conftest import (
@@ -203,6 +203,39 @@ class TestFieldAccess:
         assert np.array_equal(qp.get_field("lbu", 0), [-2.0])
 
 
+def _tolerance_asymmetric(M):
+    """The symmetry check's tolerance rule alone, without its exact test."""
+    return bool(M.shape[0]) and not np.allclose(
+        M, M.T, rtol=0.0, atol=1e-10 * max(1.0, np.max(np.abs(M))))
+
+
+@st.composite
+def symmetry_cases(draw):
+    """``(M, case)``: an exactly symmetric matrix, one with an off-diagonal
+    pair perturbed below (``case == "below"``) or above (``"above"``) the
+    tolerance ``1e-10 max|M|``, or one with NaN or an infinity placed in
+    one entry or in a mirrored pair."""
+    case = draw(st.sampled_from(["symmetric", "below", "above", "nonfinite"]))
+    n = draw(st.integers(0 if case == "symmetric" else 2, 6))
+    scale = 10.0 ** draw(st.integers(-8, 250))
+    A = scale * draw(arrays(np.float64, (n, n), elements=st.floats(-1.0, 1.0)))
+    M = 0.5 * A + 0.5 * A.T
+    if case == "symmetric":
+        return M, case
+    i, j = draw(st.sampled_from([(i, j) for i in range(n) for j in range(n)
+                                 if i != j]))
+    if case == "nonfinite":
+        value = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        M[i, j] = value
+        if draw(st.booleans()):
+            M[j, i] = draw(st.sampled_from([value, -value]))
+        return M, case
+    tol = 1e-10 * max(1.0, np.max(np.abs(M)))
+    factor = draw(st.floats(0.01, 0.5) if case == "below" else st.floats(2.0, 1e6))
+    M[i, j] += factor * tol
+    return M, case
+
+
 class TestValidate:
     def test_fresh_is_clean(self, rng):
         assert validate(DenseQp(3, 1, 2, 1, 1)) == []
@@ -226,6 +259,22 @@ class TestValidate:
         qp = DenseQp(nv=2)
         qp.set_field("H", [[1.0, 2.0], [0.0, 1.0]])
         assert any(v.field == "H" for v in validate(qp))
+
+    # the tolerance rule warns of its infinite atol on a matrix with an
+    # infinite entry, as validate always has
+    @pytest.mark.filterwarnings("ignore:One of rtol or atol:RuntimeWarning")
+    @settings(max_examples=200)
+    @given(symmetry_cases())
+    def test_symmetry_verdict_is_the_tolerance_rule(self, case):
+        # the exact test in front of the tolerance rule changes no verdict
+        M, kind = case
+        out = []
+        _sym_violation(M, "H", None, out)
+        assert bool(out) == _tolerance_asymmetric(M)
+        if kind in ("symmetric", "below"):
+            assert out == []
+        elif kind == "above":
+            assert [v.message for v in out] == ["matrix is not symmetric"]
 
     def test_malformed_index_set(self):
         qp = DenseQp(nv=3, nb=2)

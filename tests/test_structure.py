@@ -10,6 +10,8 @@ Every ``IpmArg`` field has a reader, so no knob outlives its mechanism.
 The benchmark's tracer wraps package functions by name; those names are
 checked here too, so that a refactor that moves one fails here instead of
 silently reporting its per-layer metric as absent.
+One boundary is checked on live objects: a view holds its QP's storage,
+never the QP, so that the QP's view cache makes no reference cycle.
 """
 
 import ast
@@ -220,3 +222,53 @@ def test_tests_take_the_operands_from_linalg():
                 assert not any(a.name.endswith("_operands") for a in node.names), path.name
             elif isinstance(node, ast.Attribute) and node.attr.endswith("_operands"):
                 assert _dotted(node.value) not in module, path.name
+
+
+def _held(obj):
+    """Every object reachable from ``obj`` through the attributes of package
+    objects and the items of lists, tuples and dicts; arrays are leaves."""
+    seen, stack, out = set(), [obj], []
+    while stack:
+        o = stack.pop()
+        if id(o) in seen:
+            continue
+        seen.add(id(o))
+        out.append(o)
+        if isinstance(o, (list, tuple)):
+            stack.extend(o)
+        elif isinstance(o, dict):
+            stack.extend(o.values())
+        elif type(o).__module__.startswith("mpcqp."):
+            stack.extend(getattr(o, "__dict__", {}).values())
+            stack.extend(getattr(o, name) for name in getattr(o, "__slots__", ())
+                         if hasattr(o, name))
+    return out
+
+
+def test_views_hold_no_qp():
+    # the view, its Riccati band, the band's spare workspaces, its blocks
+    # and everything they hold: a QP among them would keep the QP and its
+    # cached view alive in a cycle until a full collection
+    import numpy as np
+
+    from conftest import rand_tree_qp
+    from mpcqp import (DenseQp, MassSpringConfig, OcpQp, TreeOcpQp,
+                       gen_mass_spring, solve_dense_qp, solve_ocp_qp,
+                       solve_tree_ocp_qp)
+    from mpcqp.condensing import condense
+
+    def ocp():
+        return gen_mass_spring(MassSpringConfig(masses=3, horizon=6))
+
+    for solve, qp in ((solve_dense_qp, condense(ocp())[0]),
+                      (solve_ocp_qp, ocp()),
+                      (solve_tree_ocp_qp,
+                       rand_tree_qp(np.random.default_rng(0), [-1, 0, 0, 1]))):
+        vw = solve(qp).solution._view
+        held = _held(vw)
+        ids = {id(o) for o in held}
+        if qp.kind != "dense":
+            assert vw.band.spare
+            assert {id(o) for o in (vw.band, *vw.band.spare)} <= ids
+        assert {id(cb) for cb in vw.blocks} <= ids
+        assert not [o for o in held if isinstance(o, (DenseQp, OcpQp, TreeOcpQp))]

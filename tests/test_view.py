@@ -1,4 +1,8 @@
-"""The view's KKT operators against block-by-block references, and its accessors."""
+"""The view's KKT operators against block-by-block references, its accessors,
+and the lifetime of a view and its QP."""
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -17,11 +21,13 @@ from mpcqp import (
     TreeOcpQp,
     TreeOcpQpDim,
     UnknownField,
+    compute_residuals,
     gen_mass_spring,
 )
+from mpcqp import condensing
 from mpcqp.condensing import condense, expand_solution, partial_condense
 from mpcqp.kkt_common import kkt_apply_vec
-from mpcqp.solver import solve_dense_qp
+from mpcqp.solver import solve_dense_qp, solve_ocp_qp, solve_path, solve_tree_ocp_qp
 from mpcqp.view import DenseView, QpSolution, StageView, make_view
 
 from conftest import (
@@ -557,3 +563,107 @@ class TestBoundRefresh:
         for vw, d, act, n_act in held:
             assert np.array_equal(vw.d, d) and np.array_equal(vw.act, act)
             assert vw.n_act == n_act
+
+
+# -- lifetime ----------------------------------------------------------------
+
+def _ocp(rng):
+    return gen_mass_spring(MassSpringConfig(masses=3, horizon=12))
+
+
+# (solve, QP builder): every solve entry point, and the condensing paths of
+# solve_path, whose condensed QP is made and dropped inside the call
+LIFETIME_CASES = {
+    "dense": (solve_dense_qp, lambda rng: condense(_ocp(rng))[0]),
+    "ocp": (solve_ocp_qp, _ocp),
+    "tree": (solve_tree_ocp_qp, lambda rng: rand_tree_qp(rng, [-1, 0, 0, 1, 2])),
+    "condense": (lambda qp: solve_path(qp, "condense"), _ocp),
+    "partial:4": (lambda qp: solve_path(qp, "partial:4"), _ocp),
+}
+
+
+@pytest.fixture
+def no_cyclic_collector():
+    """Run a test with the cyclic collector off, saving what it finds.
+
+    ``gc.garbage`` then lists every object that only a full collection
+    would have freed: the reference cycles the test left behind.
+    """
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    gc.garbage.clear()
+    try:
+        yield
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+
+
+class TestLifetime:
+    """A view holds its QP's storage, not the QP, so a dropped QP and its
+    view are freed by reference counting, and a solution outlives its QP."""
+
+    @pytest.mark.parametrize("case", list(LIFETIME_CASES))
+    def test_dropped_qp_is_freed_at_once(self, rng, monkeypatch, case,
+                                         no_cyclic_collector):
+        solve, build = LIFETIME_CASES[case]
+        made = []       # the condensed QPs solve_path makes and drops
+        for name in ("condense", "partial_condense"):
+            real = getattr(condensing, name)
+
+            def recording(*args, _real=real):
+                out = _real(*args)
+                made.append(weakref.ref(out[0]))
+                return out
+
+            monkeypatch.setattr(condensing, name, recording)
+        qp = build(rng)
+        ref = weakref.ref(qp)
+        out = solve(qp)     # holds the solutions, and through them the views
+        assert all(r() is None for r in made)
+        del qp
+        assert ref() is None
+        del out
+        gc.collect()
+        assert gc.garbage == []
+
+    @pytest.mark.parametrize("case", ["dense", "ocp", "tree"])
+    def test_solution_outlives_its_qp(self, rng, case, no_cyclic_collector):
+        solve, build = LIFETIME_CASES[case]
+        qp = build(rng)
+        sol = solve(qp).solution
+        vw = sol._view
+        x = _point(qp, 7).flat()
+        want_res = compute_residuals(qp, sol)
+        want_kkt = kkt_apply_vec(vw, sol.lam, sol.t, x)
+        want_pi = sol.pi_stage(1).copy() if case != "dense" else None
+        ref = weakref.ref(qp)
+        del qp
+        assert ref() is None
+        got = vw.residuals(sol)
+        for name in ("r_g", "r_b", "r_d", "r_m"):
+            assert np.array_equal(getattr(got, name), getattr(want_res, name))
+        assert np.array_equal(kkt_apply_vec(vw, sol.lam, sol.t, x), want_kkt)
+        if case != "dense":
+            assert np.array_equal(sol.pi_stage(1), want_pi)
+        del sol, vw, got
+        gc.collect()
+        assert gc.garbage == []
+
+    @pytest.mark.parametrize("kind", ["ocp", "tree"])
+    def test_operators_built_after_the_qp_is_gone(self, rng, kind):
+        # a stage view builds E, H and K on first use, from the storage it
+        # holds, so a view whose QP is gone still builds them
+        qp = LIFETIME_CASES[kind][1](rng)
+        x = _point(qp, 3)
+        want = kkt_apply_vec(make_view(qp), x.lam, x.t, x.flat())
+        vw = _fresh_view(qp)
+        ref = weakref.ref(qp)
+        del qp
+        assert ref() is None
+        assert not any(name in vw.__dict__ for name in StageView._lazy)
+        assert np.array_equal(kkt_apply_vec(vw, x.lam, x.t, x.flat()), want)
