@@ -51,9 +51,11 @@ stacked ``(sum nx, nz)`` prediction; a stage's general rows are
 the box rows in z order, then the state box rows, then the general rows,
 each in stage order.  Bounds, masks and soft-constraint data are gathered
 through the same positions.  With ``keep_x0=False`` the initial state must
-be fully fixed by equal-bound box rows; those rows are dropped from the
-dense QP and their multipliers are reconstructed during expansion from the
-stage-0 stationarity gap.
+be fully fixed by equal-bound box rows (:func:`fixed_x0.detect_fixed_x0`);
+those rows are dropped from the dense QP and their multipliers are
+reconstructed during expansion from the stage-0 stationarity gap
+(:func:`fixed_x0.fixed_row_multipliers`, which the solvers' reduced QPs
+share).
 
 Expansion rebuilds all states by one product with the stored prediction,
 ``pred_all @ z + gamma_all``, and scatters the inputs, the dense
@@ -75,8 +77,9 @@ x_b is the next range's), and the core also returns its prediction of
 x_b.
 
 Partial condensing calls the core once per block of ``N1`` stages, keeping
-each block's initial state, and once for the terminal stage, a block of
-one stage; the result is an optimal-control QP with horizon
+each block's initial state (the first block's only when it is not fully
+fixed, as :func:`condense` decides by default), and once for the terminal
+stage, a block of one stage; the result is an optimal-control QP with horizon
 ``ceil(N / N1)``, the last block shorter when N1 does not divide N.  A
 condensed block is already a stage: its variable ``z = (u, x0)`` is the new
 stage's ``(u, x)`` window, its box rows (in ``idxb`` order), general rows
@@ -103,6 +106,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import CondenseError, DimensionMismatch, InvalidBlockSize
+from .fixed_x0 import detect_fixed_x0, fixed_row_multipliers
 from .linalg import count_flops
 from .qp_data import ROW_FIELDS, DenseQp, OcpQp, OcpQpDim
 from .view import QpSolution, _ranges, make_view
@@ -154,18 +158,6 @@ class PartialCondensingMap:
     """The blocks' condensing maps, one per stage of the condensed QP."""
 
     blocks: list
-
-
-def _detect_fixed_x0(qp):
-    """(all_fixed, x0hat, fix_rows) from the stage-0 equal-bound box rows."""
-    st = qp._stages[0]
-    nu0, nb0 = qp.dim.nu[0], qp.dim.nb[0]
-    idxb, lb = st["idxb"], st["lb"]
-    fix = ((idxb >= nu0) & (lb == st["ub"]) & np.isfinite(lb)
-           & (st["maskl"][:nb0] != 0.0) & (st["masku"][:nb0] != 0.0))
-    x0hat = np.full(qp.dim.nx[0], np.nan)
-    x0hat[idxb[fix] - nu0] = lb[fix]
-    return not np.isnan(x0hat).any(), x0hat, np.flatnonzero(fix)
 
 
 def _runs(d, a=0, b=None):
@@ -356,10 +348,6 @@ def _condense(qp, vw, a, b, keep_x0, x0hat):
     dense_row = np.full(vw.nc, -1)
     dense_row[lo_pos] = np.arange(src.size)
     soft_row = dense_row[vw._soft[s0:s1]]   # dense row of every OCP slack
-    if np.any(soft_row < 0):
-        raise CondenseError(
-            "soft initial-state fixing rows are not supported with keep_x0=False"
-        )
     slack_pos = s0 + np.argsort(soft_row)
     nb_c = box.size
     dense = DenseQp(nv, ne=0, nb=nb_c, ng=src.size - nb_c, ns=s1 - s0)
@@ -457,12 +445,13 @@ def condense(qp, keep_x0=None):
     Raises
     ------
     CondenseError
-        If ``keep_x0=False`` and the initial state is not fully fixed, or
-        a soft row fixes it.
+        If ``keep_x0=False`` and the initial state is not fully fixed (a
+        soft row does not fix its component, see
+        :func:`fixed_x0.detect_fixed_x0`).
     """
     if not isinstance(qp, OcpQp):
         raise TypeError("condense expects an OcpQp")
-    all_fixed, x0hat, fix_rows = _detect_fixed_x0(qp)
+    all_fixed, x0hat, fix_rows = detect_fixed_x0(qp)
     if keep_x0 is None:
         keep_x0 = not all_fixed
     if not keep_x0 and not all_fixed:
@@ -536,17 +525,10 @@ def _expand(sol_c, cmaps, qp):
         else:
             np.add(hm, qp._dyn[m]["A"].T @ nxt, out=out)
         nxt = out
-    # dropped initial-state fixing rows: recover their net multipliers from
-    # the stage-0 stationarity gap and split by sign
-    fix_rows = cmaps[0].fix_rows
-    if fix_rows.size:
-        gap = h[: nx[0]]
-        if N >= 1:
-            gap = gap + qp._dyn[0]["A"].T @ nxt
-        nu_val = gap[qp._stages[0]["idxb"][fix_rows] - nu[0]]
-        side = np.where(nu_val >= 0.0, vw._rows[fix_rows],
-                        vw._rows[vw._m + fix_rows])
-        sol.lam[side] = np.abs(nu_val)
+    # dropped initial-state fixing rows: their multipliers from the stage-0
+    # stationarity gap
+    if cmaps[0].fix_rows.size:
+        fixed_row_multipliers(vw, sol, cmaps[0].fix_rows)
     return sol
 
 
@@ -566,7 +548,11 @@ def partial_condense(qp, N1):
     Each block of up to N1 stages is condensed on ``qp``'s own view with
     its initial state kept as a variable, and the terminal stage is a block
     of one stage; every block's dense QP is one stage of the result (see
-    the module docstring).  ``N1 = 1`` reproduces the input problem exactly.
+    the module docstring).  The first block eliminates a fully fixed
+    initial state instead, as :func:`condense` does with ``keep_x0=None``:
+    the result's stage 0 then has no state, and the expansion recovers the
+    dropped rows' multipliers.  ``N1 = 1`` reproduces the input problem
+    exactly, up to that elimination.
 
     The flops are those of condensing every block (see :func:`condense`),
     the terminal one included.
@@ -580,11 +566,14 @@ def partial_condense(qp, N1):
         raise InvalidBlockSize("horizon must be >= 1 for partial condensing")
     N1 = int(N1)
     vw = make_view(qp)
+    all_fixed, x0hat, fix_rows = detect_fixed_x0(qp)
     blocks = [(n0, min(n0 + N1, d.N)) for n0 in range(0, d.N, N1)]
-    parts = [_condense(qp, vw, a, b, True, None)
+    parts = [_condense(qp, vw, a, b, a > 0 or not all_fixed, x0hat)
              for a, b in blocks + [(d.N, d.N + 1)]]
+    if all_fixed:
+        parts[0][1].fix_rows = fix_rows
     dense = [dq for dq, _, _ in parts]
-    nx = [cm.nx0 for _, cm, _ in parts]
+    nx = [cm.nx0 if cm.keep_x0 else 0 for _, cm, _ in parts]
     out = OcpQp(OcpQpDim(
         len(blocks), nx, [dq.nv - nxk for dq, nxk in zip(dense, nx)],
         [dq.nb for dq in dense], [dq.ng for dq in dense], [dq.ns for dq in dense],

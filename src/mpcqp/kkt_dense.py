@@ -36,7 +36,7 @@ taken from ``view.G`` and the box columns directly, so no dense row matrix
 is built.  ``chol(H + reg I)'`` depends only on the view and ``reg``: it
 is factored once per view and ``reg`` and kept on the view as
 ``hess_chol`` (a dict by ``reg``, failures included), which the view's
-bound-write copies share, as :mod:`kkt_ocp` keeps its ``band``.  The
+vector-write copies share, as :mod:`kkt_ocp` keeps its ``band``.  The
 route's Schur complement comes from the QR of W = L^-1 A'.  It needs the
 unaugmented Hessian to be positive definite and fails otherwise; the
 Cholesky route needs only Hred to be (with ``schur``; with ``null_space``
@@ -160,7 +160,7 @@ def _hess_chol(view, reg):
     """``chol(H + reg I)'`` of the view's Hessian, upper triangular.
 
     Factored on first use for each ``reg`` and kept on the view in the dict
-    ``hess_chol``, a failure as its message; the view's bound-write copies
+    ``hess_chol``, a failure as its message; the view's vector-write copies
     (see :func:`view.make_view`) share it.
 
     Raises

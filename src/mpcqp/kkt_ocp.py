@@ -36,7 +36,7 @@ have k = 1; a scenario tree's levels stack its branches.
 The schedule, the band layout of the vector solve and the sweep's
 workspace are constants of the view: :class:`RiccatiBand` is built on the
 first factorization of a view and kept on it as ``band``, so that the
-view's bound-write copies share it.  Everything else is done once per
+view's vector-write copies share it.  Everything else is done once per
 factorization or once per view:
 
 * the augmented node Hessians ``M[n]`` of all nodes are formed in one pass
@@ -314,7 +314,7 @@ def riccati_factor(qp, iterate, arg=None, use_qr=False):
         fac.work, fac.p_blocks = work.copy(), P.copy()
     finally:
         band.spare.append(ws)
-    ab = band.ab0.copy()
+    ab = band.ab0
     ab.ravel()[band.dst] = fac.work[band.src]
     fac.ab = ab.T
     return fac
@@ -436,7 +436,7 @@ def _level_failed(view, lv, route, hess, work, P, counted, exc):
 
 def _band(view):
     """The view's :class:`RiccatiBand`, built on first use and kept on it as
-    ``band``; the view's bound-write copies (see :func:`view.make_view`)
+    ``band``; the view's vector-write copies (see :func:`view.make_view`)
     share it."""
     band = getattr(view, "band", None)
     if band is None:
@@ -461,8 +461,11 @@ class RiccatiBand:
     * ``vpos``     v index k sits at band position ``vpos[k]``;
     * ``pi_pos``   band position of the child state each pi entry pairs with;
     * ``kd``       number of subdiagonals, from the edge table;
-    * ``ab0``      (nv, kd + 1) C-ordered constant part; its transpose is
-                   LAPACK lower band storage;
+    * ``ab0``      (nv, kd + 1) C-ordered constant part, a new array on
+                   every read, into which a factorization writes its factor
+                   entries; its transpose is LAPACK lower band storage.  It
+                   is kept as its nonzero entries (``_ab_pos``,
+                   ``_ab_val``): a tree's band is wide and mostly zero;
     * ``dst``/``src``  flat positions in ``ab0`` of the factor entries and
                    their positions in a factorization's ``work`` buffer:
                    node n's ``[L_uu; L_xu]`` are the first ``nu w`` entries
@@ -556,8 +559,9 @@ class RiccatiBand:
         ab0[self.pi_pos, 0] = 1.0
         for col, off, BA in coupling:
             ab0[col, off] = -BA
-        ab0.flags.writeable = False   # every factorization writes a copy
-        self.ab0 = ab0
+        self._ab_shape = ab0.shape
+        self._ab_pos = np.flatnonzero(ab0)
+        self._ab_val = ab0.ravel()[self._ab_pos]
         self.dst = (first.repeat(count)[low] + c) * (kd + 1) + r - c
         self.flops = {}
         for route in ("classical", "square_root", "qr"):
@@ -566,6 +570,12 @@ class RiccatiBand:
                 cum.append(cum[-1] + lv.k * lv.flops[route][0])
             self.flops[route] = cum
         self.spare = _Spare()
+
+    @property
+    def ab0(self):
+        ab = np.zeros(self._ab_shape)
+        ab.ravel()[self._ab_pos] = self._ab_val
+        return ab
 
 
 class _Spare(list):

@@ -18,7 +18,8 @@ circle regardless of the sampling time.
 Benchmark defaults (configuration, not physics): sampling time 0.5 s, input
 bounds |u| <= 0.5, state bounds |x| <= 4, unit quadratic weights, and an
 alternating-position initial state of amplitude 0.6.  The initial state is
-imposed through equal lower and upper bounds on the stage-0 state box rows.
+imposed through equal lower and upper bounds on the stage-0 state box rows,
+which the solver eliminates (see :mod:`fixed_x0`).
 
 ``run_closed_loop`` simulates MPC on the exact discrete plant with solution
 shifting and warm starts.
@@ -162,6 +163,9 @@ def _shift_guess(qp, view, sol, N):
     The terminal state is rolled once more through the dynamics so the
     shifted trajectory satisfies every dynamics row exactly; only the
     repeated last input and the stale tail multipliers are approximate.
+    The initial-state rows keep what the shift left in them: the solver
+    eliminates a fixed initial state and drops those rows from the guess
+    (see :mod:`fixed_x0`).
     """
     d = qp.dim
     nx, nu = d.nx[: N + 1], d.nu[: N + 1]
@@ -184,22 +188,6 @@ def _shift_guess(qp, view, sol, N):
     g.x(N - 1)[:] = sol.x(N)
     dyn = qp._dyn[N - 1]
     g.x(N)[:] = dyn["A"] @ g.x(N - 1) + dyn["B"] @ g.u(N - 1) + dyn["b"]
-    # the initial-state equal-bound rows carry the initial-state dual; the
-    # shifted stage-1 values say nothing about it, so rebuild those
-    # multipliers from the stage-0 stationarity gap
-    cb = view.blocks[0]
-    rows = np.flatnonzero(cb.idxb >= nu[0])
-    if rows.size:
-        lam0 = g.lam_stage(0)
-        lam0[rows] = 0.0
-        lam0[cb.m + rows] = 0.0
-        gap = view.residuals(g).r_g[view.x_off[0]: view.x_off[0] + nx[0]]
-        gap = gap[cb.idxb[rows] - nu[0]]
-        lam0[rows] = np.where(gap >= 0.0, gap, 0.0)
-        lam0[cb.m + rows] = np.where(gap >= 0.0, 0.0, -gap)
-        t0 = g.t_stage(0)
-        t0[rows] = 0.0
-        t0[cb.m + rows] = 0.0
     return g
 
 

@@ -182,7 +182,7 @@ class _Field:
     shape: object          # callable (qp, n) -> tuple
     dtype: type = float
     dyn: bool = False      # indexed by dynamics block, a key of dim.edges
-    bound: bool = False    # read only by the view's bound vector d and mask act
+    vec: str = None        # the one view vector that reads it: "g", "b" or "d"
     checked: bool = False  # read by a blocking check of validate()
 
 
@@ -241,7 +241,7 @@ def _with_rows(head, general, b, g, s):
     ``ROW_FIELDS``, in file order.
 
     The ``ROW_FIELDS`` entries are declared here alone, so that their
-    ``bound`` and ``checked`` flags, which decide the view refresh and
+    ``vec`` and ``checked`` flags, which decide the view refresh and
     whether a validation verdict is kept, are the same for both types.
     ``b``, ``g`` and ``s`` give the (nb,), (ng,) and (ns,) shapes.
     """
@@ -251,20 +251,20 @@ def _with_rows(head, general, b, g, s):
     return {
         **head,
         "idxb": _Field("idxb", b, int, checked=True),
-        "lb": _Field("lb", b, bound=True),
-        "ub": _Field("ub", b, bound=True),
+        "lb": _Field("lb", b, vec="d"),
+        "ub": _Field("ub", b, vec="d"),
         **general,
-        "lg": _Field("lg", g, bound=True),
-        "ug": _Field("ug", g, bound=True),
+        "lg": _Field("lg", g, vec="d"),
+        "ug": _Field("ug", g, vec="d"),
         "idxs": _Field("idxs", s, int, checked=True),
         "Zl": _Field("Zl", s, checked=True),
         "Zu": _Field("Zu", s, checked=True),
-        "zl": _Field("zl", s),
-        "zu": _Field("zu", s),
-        "sl_lb": _Field("sl_lb", s, bound=True),
-        "su_lb": _Field("su_lb", s, bound=True),
-        "maskl": _Field("maskl", m, bound=True, checked=True),
-        "masku": _Field("masku", m, bound=True, checked=True),
+        "zl": _Field("zl", s, vec="g"),
+        "zu": _Field("zu", s, vec="g"),
+        "sl_lb": _Field("sl_lb", s, vec="d"),
+        "su_lb": _Field("su_lb", s, vec="d"),
+        "maskl": _Field("maskl", m, vec="d", checked=True),
+        "masku": _Field("masku", m, vec="d", checked=True),
     }
 
 
@@ -292,22 +292,29 @@ class _FieldAccess:
     ``checked`` in the catalog (a virtual box field counts as the field it
     writes), and any other change of ``_rev`` drops it.
 
-    ``_view_cache`` is ``(rev, view, fresh)``, set by :func:`view.make_view`.
-    A write to a ``bound`` field of the catalog (a virtual box field counts
-    as the field it writes) carries a view of the current revision forward
-    with ``fresh`` false: only its ``d`` and ``act`` are out of date, and
-    ``make_view`` recomputes them once, however many such writes came in
-    a row.  Any other write or change of ``_rev`` leaves the cache behind,
-    so the next ``make_view`` builds a new view.  The view holds the QP's
-    storage (``dim``, and ``_stages`` or ``_data``, containers that the
-    constructor makes once and a write changes only entries of), not the
-    QP, so the cache makes no reference cycle: a dropped QP is freed with
-    its view as soon as no solution holds the view.
+    ``_view_cache`` is ``(rev, view, stale)``, set by :func:`view.make_view`.
+    A field's ``vec`` in the catalog names the one view vector that reads
+    it: ``g`` (the gradients ``q r g zl zu``), ``b`` (the dynamics or
+    equality right-hand side) or ``d`` (the bounds, the slack bounds and
+    the masks, which also decide ``act``); a virtual box field counts as
+    the field it writes.  A write to such a field carries a view of the
+    current revision forward and adds ``(stage, vec)`` to ``stale``, the
+    stage being the written stage, the child of a written dynamics block
+    or 0 for a dense QP; ``make_view`` then rewrites only those slices,
+    once, however many such writes came in a row.  Any other write
+    (matrices, index sets, slack penalties) or change of ``_rev`` leaves
+    the cache behind, so the next ``make_view`` builds a new view.  The
+    view holds the QP's storage (``dim``, and ``_stages`` or ``_data``,
+    containers that the constructor makes once and a write changes only
+    entries of), not the QP, so the cache makes no reference cycle: a
+    dropped QP is freed with its view as soon as no solution holds the
+    view.
     """
 
     _FIELDS: dict = {}
     _valid_rev = -1
     _view_cache = None
+    _reduced = None         # a stage QP's only, see _StageQpBase
 
     def _resolve(self, name, n):
         try:
@@ -317,13 +324,27 @@ class _FieldAccess:
         self._check_stage(name, n, f.dyn)
         return f
 
-    def _bump(self, name, f):
+    def _bump(self, f, stage, at):
+        """Count a write of field ``f`` (see the class docstring): ``stage``
+        is the written stage, or the child of a written dynamics block,
+        and ``at`` the written stage or the block's parent, which tells a
+        write at a stage QP's root (see :class:`_StageQpBase`)."""
         rev = self._rev
-        self._rev += 1
+        self._rev = rev + 1
         if self._valid_rev == rev and not f.checked:
-            self._valid_rev = self._rev
-        if f.bound and self._view_cache is not None and self._view_cache[0] == rev:
-            self._view_cache = (self._rev, self._view_cache[1], False)
+            self._valid_rev = rev + 1
+        cache = self._view_cache
+        if f.vec and cache is not None and cache[0] == rev:
+            cache[2].add((stage, f.vec))
+            self._view_cache = (rev + 1, cache[1], cache[2])
+        red = self._reduced
+        if red is not None:
+            if red[0] != rev or not (at or f.vec):
+                self._reduced = None
+            else:
+                if at and red[1] is not None:
+                    red[1].qp._bump(f, stage, at)
+                self._reduced = (rev + 1, red[1], red[2] or not at)
 
 
 # --------------------------------------------------------------------------
@@ -333,14 +354,14 @@ class _FieldAccess:
 _STAGE_FIELDS = _with_rows(
     {
         "Q": _Field("Q", lambda d, n: (d.nx[n], d.nx[n]), checked=True),
-        "S": _Field("S", lambda d, n: (d.nu[n], d.nx[n])),
+        "S": _Field("S", lambda d, n: (d.nu[n], d.nx[n]), checked=True),
         "R": _Field("R", lambda d, n: (d.nu[n], d.nu[n]), checked=True),
-        "q": _Field("q", lambda d, n: (d.nx[n],)),
-        "r": _Field("r", lambda d, n: (d.nu[n],)),
+        "q": _Field("q", lambda d, n: (d.nx[n],), vec="g"),
+        "r": _Field("r", lambda d, n: (d.nu[n],), vec="g"),
     },
     {
-        "C": _Field("C", lambda d, n: (d.ng[n], d.nx[n])),
-        "D": _Field("D", lambda d, n: (d.ng[n], d.nu[n])),
+        "C": _Field("C", lambda d, n: (d.ng[n], d.nx[n]), checked=True),
+        "D": _Field("D", lambda d, n: (d.ng[n], d.nu[n]), checked=True),
     },
     lambda d, n: (d.nb[n],), lambda d, n: (d.ng[n],), lambda d, n: (d.ns[n],),
 )
@@ -349,10 +370,10 @@ _STAGE_FIELDS = _with_rows(
 # x[child] = A x[parent] + B u[parent] + b
 _DYN_FIELDS = {
     "A": _Field("A", lambda d, i: (d.nx[d.edges[i][1]], d.nx[d.edges[i][0]]),
-                dyn=True),
+                dyn=True, checked=True),
     "B": _Field("B", lambda d, i: (d.nx[d.edges[i][1]], d.nu[d.edges[i][0]]),
-                dyn=True),
-    "b": _Field("b", lambda d, i: (d.nx[d.edges[i][1]],), dyn=True),
+                dyn=True, checked=True),
+    "b": _Field("b", lambda d, i: (d.nx[d.edges[i][1]],), dyn=True, vec="b"),
 }
 
 # bounds restricted to input / state box rows, derived from idxb: the
@@ -366,6 +387,16 @@ class _StageQpBase(_FieldAccess):
     Stage n holds the stage fields and dynamics block i the fields A B b,
     in slot i of ``_dyn``; a tree's slot 0 stays unused.  A subclass names
     its ``kind`` and its dimension record type ``_DIM``.
+
+    ``_reduced`` is ``(rev, record, root_stale)``, set by the solver (see
+    :mod:`fixed_x0`): the QP with a fixed initial state eliminated, whose
+    stages past the root are this QP's own stage and dynamics dicts, or
+    None as ``record`` when the initial state is not eliminated.  A write
+    past the root is counted on the reduced QP as well (it already sees
+    the value); a write of a vector field at the root (stage 0 or a
+    dynamics block leaving it) sets ``root_stale``, so the solver derives
+    the reduced root again; any other write at the root, or any other
+    change of ``_rev``, drops the record.
     """
 
     _FIELDS = {**_STAGE_FIELDS, **_DYN_FIELDS}
@@ -375,14 +406,27 @@ class _StageQpBase(_FieldAccess):
             raise InvalidDim(
                 f"{type(self).__name__} requires a {self._DIM.__name__}"
             )
-        self.dim = d = dim
+        d = dim
         counts = (d.nx.tolist(), d.nu.tolist(), d.nb.tolist(), d.ng.tolist(),
                   d.ns.tolist())
-        self._stages = [_zero_stage(*c) for c in zip(*counts)]
-        self._dyn = [None] * (max(d.edges, default=-1) + 1)
+        dyn = [None] * (max(d.edges, default=-1) + 1)
         for i in d.edges:
-            self._dyn[i] = _zero(_DYN_FIELDS, d, i, {})
+            dyn[i] = _zero(_DYN_FIELDS, d, i, {})
+        self._init(d, [_zero_stage(*c) for c in zip(*counts)], dyn)
+
+    def _init(self, dim, stages, dyn):
+        self.dim = dim
+        self._stages = stages
+        self._dyn = dyn
         self._rev = 0
+
+    @classmethod
+    def _over(cls, dim, stages, dyn):
+        """A QP over the given stage and dynamics dicts, not copied: a write
+        to one of them through another QP is read by this one too."""
+        qp = cls.__new__(cls)
+        qp._init(dim, stages, dyn)
+        return qp
 
     def _check_stage(self, name, n, dyn):
         d = self.dim
@@ -404,15 +448,17 @@ class _StageQpBase(_FieldAccess):
             arr = _check_value(name, value, (int(np.sum(sel)),), float)
             self._stages[stage][dst] = self._stages[stage][dst].copy()
             self._stages[stage][dst][sel] = arr
-            self._bump(name, self._FIELDS[dst])
+            self._bump(self._FIELDS[dst], stage, stage)
             return
         f = self._resolve(name, stage)
         arr = _check_value(name, value, f.shape(self.dim, stage), f.dtype)
         if f.dyn:
             self._dyn[stage][f.attr] = arr
+            parent, child = self.dim.edges[stage]
+            self._bump(f, child, parent)
         else:
             self._stages[stage][f.attr] = arr
-        self._bump(name, f)
+            self._bump(f, stage, stage)
 
     def get_field(self, name, stage):
         """Return a copy of the stored values for ``name`` at a stage/node."""
@@ -468,11 +514,11 @@ class DenseQp(_FieldAccess):
     _FIELDS = _with_rows(
         {
             "H": _Field("H", lambda d, n: (d.nv, d.nv), checked=True),
-            "g": _Field("g", lambda d, n: (d.nv,)),
-            "A": _Field("A", lambda d, n: (d.ne, d.nv)),
-            "b": _Field("b", lambda d, n: (d.ne,)),
+            "g": _Field("g", lambda d, n: (d.nv,), vec="g"),
+            "A": _Field("A", lambda d, n: (d.ne, d.nv), checked=True),
+            "b": _Field("b", lambda d, n: (d.ne,), vec="b"),
         },
-        {"C": _Field("C", lambda d, n: (d.ng, d.nv))},
+        {"C": _Field("C", lambda d, n: (d.ng, d.nv), checked=True)},
         lambda d, n: (d.nb,), lambda d, n: (d.ng,), lambda d, n: (d.ns,),
     )
 
@@ -500,7 +546,7 @@ class DenseQp(_FieldAccess):
     def set_field(self, name, value):
         f = self._resolve(name, None)
         self._data[f.attr] = _check_value(name, value, f.shape(self, None), f.dtype)
-        self._bump(name, f)
+        self._bump(f, 0, 0)
 
     def _fill(self, name):
         """The stored array of field ``name`` itself, to be written in place.
@@ -512,7 +558,7 @@ class DenseQp(_FieldAccess):
         as :meth:`set_field` moves it.
         """
         f = self._resolve(name, None)
-        self._bump(name, f)
+        self._bump(f, 0, 0)
         return self._data[f.attr]
 
     def get_field(self, name):
@@ -538,11 +584,13 @@ class Violation:
         return f"{self.severity}: {self.field}{where}: {self.message}"
 
 
-def _sym_violation(M, name, stage, out):
+def _matrix_violation(M, name, stage, out, sym=False):
+    """A non-finite entry of a matrix field, else (``sym``) an asymmetry."""
+    if not np.isfinite(M).all():
+        out.append(Violation(name, stage, "matrix has non-finite entries"))
     # an exactly symmetric matrix, every condensed Hessian among them, passes
-    # without the tolerance test, whose verdict on it is the same; NaN never
-    # equals itself, so a matrix holding one takes the test
-    if M.shape[0] and not np.array_equal(M, M.T) and not np.allclose(
+    # without the tolerance test, whose verdict on it is the same
+    elif sym and M.shape[0] and not np.array_equal(M, M.T) and not np.allclose(
             M, M.T, rtol=0.0, atol=1e-10 * max(1.0, np.max(np.abs(M)))):
         out.append(Violation(name, stage, "matrix is not symmetric"))
 
@@ -594,31 +642,38 @@ def _row_violations(st, nw, nb, ng, stage, out):
 def validate(qp):
     """Collect diagnostics for a QP; an empty list means valid.
 
-    Checks symmetry of Hessian blocks, nonnegativity of slack penalties,
-    lower > upper bound rows with both sides active, and malformed index sets
-    and masks.  Diagnostics are returned, never raised; entries with severity
-    ``warning`` do not block a solve.  The dimension record (counts and a
-    tree's parents) is checked when it is built and is read-only after.
+    Checks that every matrix field is finite, symmetry of Hessian blocks,
+    nonnegativity of slack penalties, lower > upper bound rows with both
+    sides active, and malformed index sets and masks.  Diagnostics are
+    returned, never raised; entries with severity ``warning`` do not block
+    a solve.  The dimension record (counts and a tree's parents) is checked
+    when it is built and is read-only after.
 
-    The blocking checks read only ``Q``, ``R``, ``H``, ``Zl``, ``Zu``,
-    ``idxb``, ``idxs``, ``maskl`` and ``masku``, the fields marked
-    ``checked`` in the field catalog.  The solver
-    therefore keeps a passed verdict across writes to any other field (an
-    MPC step's bound writes, say) and validates again only after a write
-    that a blocking check reads or any other change of the QP.
+    The blocking checks read only the matrices (``H``, ``Q``, ``R``, ``S``,
+    ``A``, ``B``, ``C``, ``D``), ``Zl``, ``Zu``, ``idxb``, ``idxs``,
+    ``maskl`` and ``masku``, the fields marked ``checked`` in the field
+    catalog.  The solver therefore keeps a passed verdict across writes to
+    any other field (an MPC step's bound writes, say) and validates again
+    only after a write that a blocking check reads or any other change of
+    the QP.
     """
     out = []
     if isinstance(qp, DenseQp):
-        _sym_violation(qp._data["H"], "H", None, out)
-        _row_violations(qp._data, qp.nv, qp.nb, qp.ng, None, out)
+        data = qp._data
+        for name in ("H", "A", "C"):
+            _matrix_violation(data[name], name, None, out, sym=name == "H")
+        _row_violations(data, qp.nv, qp.nb, qp.ng, None, out)
         return out
     if not isinstance(qp, _StageQpBase):
         raise TypeError(f"not a QP container: {type(qp)!r}")
     dm = qp.dim
     for n, st in enumerate(qp._stages):
-        _sym_violation(st["Q"], "Q", n, out)
-        _sym_violation(st["R"], "R", n, out)
+        for name in ("Q", "R", "S", "C", "D"):
+            _matrix_violation(st[name], name, n, out, sym=name in "QR")
         _row_violations(st, dm.nu[n] + dm.nx[n], dm.nb[n], dm.ng[n], n, out)
+    for i in dm.edges:
+        for name in ("A", "B"):
+            _matrix_violation(qp._dyn[i][name], name, i, out)
     return out
 
 

@@ -40,11 +40,20 @@ residual ratio of the direction taken.
 A QP with a blocking :func:`qp_data.validate` error raises before the loop.
 A passed verdict is kept on the QP for its revision, and ``set_field``
 carries it forward across writes that no blocking check reads (bounds,
-gradients, dynamics), so a closed loop that rewrites only the initial-state
-bounds validates once; any other write or change drops it.  The view is
-kept the same way across bound writes (:func:`view.make_view`): such a
-loop builds its operators and the Riccati band layout once and refreshes
-only the bound vector and the activity mask per step.
+gradients, right-hand sides), so a closed loop that rewrites only the
+initial-state bounds validates once; any other write or change drops it.
+The view is kept across writes of vector fields (gradients, right-hand
+sides, bounds and masks; :func:`view.make_view`): such a loop builds its
+operators and the Riccati band layout once and rewrites only the written
+stages' slices of the vectors ``g``, ``b`` and ``d`` per step.
+
+An OCP or tree QP whose initial state equal-bound box rows fix completely
+is solved on its reduced QP (:mod:`fixed_x0`), with ``nx[0] = 0`` and the
+state folded into the root's data: a caller-layout guess is restricted to
+it, and the solution is expanded back onto the caller's view, where the
+report's final residuals are evaluated.  The reduced QP is cached on the
+caller and kept up to date by the same writes, so such a loop's x0 writes
+refresh its view as well.
 
 :func:`solve_path` picks the route for an optimal-control QP: the Riccati
 backend directly, or a dense/Riccati solve of its (partially) condensed
@@ -71,7 +80,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import condensing, kkt_dense, kkt_ocp
+from . import condensing, fixed_x0, kkt_dense, kkt_ocp
 from .errors import DimensionMismatch, FactorizationFailed, InvalidConfig
 from .ipm_core import (
     CORR_RATIO,
@@ -266,10 +275,30 @@ def _solve(qp, factor_fn, arg, guess):
                 "QP fails validation: " + "; ".join(str(v) for v in bad)
             )
         qp._valid_rev = qp._rev
+    red = None if qp.kind == "dense" else fixed_x0.reduced(qp)
     with flop_counter() as fc:
-        report = _ipm_loop(qp, factor_fn, arg, guess)
+        if red is None:
+            report = _ipm_loop(qp, factor_fn, arg, guess)
+        else:
+            if guess is not None:
+                guess = red.restrict(guess, make_view(red.qp))
+            report = _ipm_loop(red.qp, factor_fn, arg, guess)
+    if red is not None:
+        report = _expanded(report, red, make_view(qp))
     report.stats.flops = fc.flops
     return report
+
+
+def _expanded(report, red, view):
+    """The report of a reduced solve (see :mod:`fixed_x0`) on the caller's
+    QP: the solution expanded onto its ``view``, and the final residuals
+    evaluated there."""
+    sol = red.expand(report.solution, view)
+    res = view.residuals(sol)
+    stats = report.stats
+    stats.res_g, stats.res_b, stats.res_d, stats.res_m, stats.mu = (
+        res.res_g, res.res_b, res.res_d, res.res_m, res.mu)
+    return SolveReport(solution=sol, stats=stats, residuals=res)
 
 
 def _ipm_loop(qp, factor_fn, arg, guess):

@@ -96,19 +96,23 @@ current fields whenever it reads them.  A view is cached on its QP (see
 its view make no reference cycle: a dropped QP is freed, by reference
 counting, together with its view, operators, Riccati band and workspaces
 as soon as the last solution on the view goes, and a solution that
-outlives its QP still has everything it reads.  A write to a field
-that feeds only the bound vector d and the activity mask (``lb``, ``ub``,
-``lg``, ``ug``, the slack bounds, the masks and the virtual box fields,
-marked ``bound`` in the field catalog) keeps it: the next ``make_view``
-returns a copy with d, ``act`` and ``n_act`` recomputed that shares
-everything else, so an MPC step's initial-state writes cost one pass over
-the bounds.  Any other write, or any other change of the QP's revision,
-builds a new view.  The view therefore also holds the per-QP constants of
-the KKT backends: the base Hessian of every block, flattened into one array
-``hess0`` with the positions of its blocks, box-row diagonal entries and
-diagonals (the layout of the one-pass reduced Hessian) and each node's
-symmetrized base Hessian ``[[R S] [S' Q]]`` as a view of it are built once
-per view, not once per factorization; :mod:`kkt_ocp` keeps the Riccati
+outlives its QP still has everything it reads.  A write to a field that
+feeds only one of the vectors g, b and d (the gradients ``q``, ``r``,
+``g``, ``zl``, ``zu``; the right-hand sides ``b``; the bounds, slack
+bounds, masks and virtual box fields, which also decide ``act``; each
+marked with its ``vec`` in the field catalog) keeps it: the next
+``make_view`` returns a copy that rewrites only the written stages' slices
+of those vectors, derives ``act`` and ``n_act`` again after a write to d,
+and shares everything else, so an MPC step's initial-state writes, or a
+reference written into ``q``, cost a few slice copies.  Any other write
+(matrices, index sets, slack penalties), or any other change of the QP's
+revision, builds a new view.  The view therefore also holds the per-QP
+constants of the KKT backends: the base Hessian of every block, flattened
+into one array ``hess0`` with the positions of its blocks, box-row
+diagonal entries and diagonals (the layout of the one-pass reduced
+Hessian) and each node's symmetrized base Hessian ``[[R S] [S' Q]]`` as a
+view of it are built once per view, not once per factorization;
+:mod:`kkt_ocp` keeps the Riccati
 recursion's band layout and level schedule on the view as well (``band``,
 built by its first factorization).  The stage type's ``H`` and ``K`` are
 made of the same symmetrized node Hessians, and ``make_view`` builds the
@@ -119,7 +123,6 @@ stage type's ``H``, ``E``, ``G`` and ``K``.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -141,7 +144,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(slots=True)
 class ConBlock:
     """One stage/node (or the whole dense QP) worth of inequality rows."""
 
@@ -188,34 +191,45 @@ def _ranges(starts, lens):
     return (starts - ends + lens).repeat(lens) + np.arange(ends[-1] if ends.size else 0)
 
 
-def _csr(mats, offs, n_col, tail=None):
-    """CSR matrix of the dense blocks ``mats`` stacked top to bottom.
+def _triplets(mats, offs, tail=None):
+    """``(row, col, val, n_row)`` of the dense blocks ``mats`` stacked top to
+    bottom, in row order.
 
     Block k spans the columns from ``offs[k]`` on.  With ``tail``, row i
     also holds a 1 in column ``tail[i]``, after its block entries.  The
-    blocks' zero entries are not stored: a product then skips them and, on
+    blocks' zero entries are left out: a product then skips them and, on
     finite vectors, keeps its bits.
     """
     if not mats:
-        return sp.csr_array((0, n_col))
+        empty = np.zeros(0, dtype=np.intp)
+        return empty, empty, np.zeros(0), 0
     rows = np.array([M.shape[0] for M in mats], dtype=np.intp)
     row_len = np.repeat([M.shape[1] for M in mats], rows)
-    indices = _ranges(np.repeat(offs, rows), row_len)
-    data = np.concatenate([M.ravel() for M in mats])
+    col = _ranges(np.repeat(offs, rows), row_len)
+    val = np.concatenate([M.ravel() for M in mats])
     if tail is not None:
         ends = np.cumsum(row_len)
-        indices = np.insert(indices, ends, tail)
-        data = np.insert(data, ends, 1.0)
+        col = np.insert(col, ends, tail)
+        val = np.insert(val, ends, 1.0)
         row_len = row_len + 1
-    indptr = np.concatenate([[0], np.cumsum(row_len)])
-    keep = data != 0.0      # not the zeros the dense blocks hold
-    indptr = np.concatenate([[0], np.cumsum(keep)])[indptr]
-    return sp.csr_array((data[keep], indices[keep], indptr),
-                        shape=(row_len.shape[0], n_col))
+    row = np.repeat(np.arange(row_len.shape[0]), row_len)
+    keep = val != 0.0       # not the zeros the dense blocks hold
+    return row[keep], col[keep], val[keep], row_len.shape[0]
+
+
+def _csr(triplets, n_col):
+    """CSR matrix of :func:`_triplets`' entries, with ``n_col`` columns."""
+    row, col, val, n_row = triplets
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(row, minlength=n_row))])
+    return sp.csr_array((val, col, indptr), shape=(n_row, n_col))
 
 
 def _dense(M):
     return M.toarray() if sp.issparse(M) else M
+
+
+_NONE = np.zeros(0, dtype=np.intp)
+_NONE.flags.writeable = False
 
 
 class ProblemView:
@@ -302,11 +316,11 @@ class ProblemView:
             [cb.idxs for cb in self.blocks]
         ).astype(np.intp)
         self._soft = np.concatenate([soft_lo, soft_lo + np.repeat(m, ns)])
-        # positions of every block's [maskl | masku] and of the upper sides,
-        # whose entries of d are the negated bounds
-        self._mask_pos = _ranges(c, 2 * m)
-        self._upper = np.zeros(self.nc, dtype=bool)
-        self._upper[_ranges(c + m, m)] = True
+        # the sign of every side's bound in d: -1.0 on the upper sides, whose
+        # entries are the negated bounds
+        self._sign = np.ones(self.nc)
+        self._sign[_ranges(c + m, m)] = -1.0
+        self._all_y = np.ones(self.ny + self.ne, dtype=bool)  # _act_buf's y, pi
         nw = np.array([cb.nw for cb in self.blocks], dtype=np.intp)
         self.hess_off = np.concatenate([[0], np.cumsum(nw * nw)])
         start = self.hess_off[:-1]
@@ -318,20 +332,74 @@ class ProblemView:
         first = np.cumsum(ng) - ng
         self.hess_gen = [(cb, int(lo), int(k))
                          for cb, lo, k in zip(self.blocks, start, first) if cb.ng]
+        self._bnd = np.concatenate([
+            a for st in stages
+            for a in (st["lb"], st["lg"], st["ub"], st["ug"],
+                      st["sl_lb"], st["su_lb"])
+        ])
+        self._on = np.ones(self.nc)
+        self._on[_ranges(c, 2 * m)] = np.concatenate(
+            [a for st in stages for a in (st["maskl"], st["masku"])]
+        )
         self._set_bounds()
 
+    def _slices(self, vec, n):
+        """``(array, offset, values)`` of every slice of block n that the
+        QP's fields feed into the view vector ``vec`` (``g``, ``b`` or
+        ``d``, whose raw tables are ``_bnd`` and ``_on``), in the layout of
+        a build."""
+        cb, st = self.blocks[n], self._stages[n]
+        if vec == "g":
+            s = self.nv + cb.s_off
+            return self._gv_slices(n) + [("g", s, st["zl"]),
+                                         ("g", s + self.ns_tot, st["zu"])]
+        if vec == "b":
+            return self._b_slices(n)
+        return [("_bnd", cb.c_off, np.concatenate(
+                    [st[k] for k in ("lb", "lg", "ub", "ug", "sl_lb", "su_lb")])),
+                ("_on", cb.c_off, np.concatenate([st["maskl"], st["masku"]]))]
+
+    def _refreshed(self, stale):
+        """A shallow copy with the slices ``stale`` names rewritten.
+
+        ``stale`` holds ``(block, vec)`` pairs (see
+        :class:`qp_data._FieldAccess`).  Each array written is copied
+        first, once, so the view itself, which earlier solutions hold, is
+        left as it is; everything else is shared.  The bound tables are
+        derived again (:meth:`_set_bounds`) when a ``d`` slice was written,
+        else only ``_shift``.
+        """
+        vw = object.__new__(type(self))
+        vw.__dict__.update(self.__dict__)
+        fresh = {}
+        for n, vec in stale:
+            for name, off, val in self._slices(vec, n):
+                arr = fresh.get(name)
+                if arr is None:
+                    arr = fresh[name] = getattr(self, name).copy()
+                if val.shape[0]:
+                    arr[off: off + val.shape[0]] = val
+        for name, arr in fresh.items():
+            arr.setflags(write=False)
+            setattr(vw, name, arr)
+        if "_bnd" in fresh or "_on" in fresh:
+            vw._set_bounds()
+        else:
+            vw._set_shift()
+        return vw
+
     def _set_bounds(self):
-        """Set the bound tables from the QP's bound fields.
+        """Derive the bound tables from the raw ones, ``_bnd`` and ``_on``.
 
         The one place they are computed: a build calls it, and so does
-        :func:`make_view` on a copy of the cached view after bound writes.
-        All are laid out like ``lam`` and read-only:
+        :meth:`_refreshed` after writes to bounds or masks.  All are laid
+        out like ``lam`` and read-only:
 
         * ``_bnd``     the bounds as stored: ``lb``/``lg`` on lower sides,
                        ``ub``/``ug`` (not negated) on upper sides and the
-                       slack lower bounds on the slack-bound rows;
+                       slack lower bounds on the slack-bound rows (raw);
         * ``_on``      ``maskl``/``masku`` on the sides of the box and
-                       general rows and 1.0 elsewhere;
+                       general rows and 1.0 elsewhere (raw);
         * ``d``        the bounds with the upper sides negated, 0.0 on
                        inactive rows;
         * ``act``      the active rows (side mask on, bound finite), with
@@ -347,32 +415,30 @@ class ProblemView:
         like a solution buffer, keeps all of ``y`` and ``pi`` and the active
         rows of ``lam`` and ``t`` (``True`` as well when every row is
         active), and ``_shift`` is ``[g | b | d]``, the residuals' constant
-        part, laid out like ``K z``.
+        part, laid out like ``K z`` (:meth:`_set_shift`).
         """
-        stages = self._stages
-        self._bnd = np.concatenate([
-            a for st in stages
-            for a in (st["lb"], st["lg"], st["ub"], st["ug"],
-                      st["sl_lb"], st["su_lb"])
-        ])
-        self._on = np.ones(self.nc)
-        self._on[self._mask_pos] = np.concatenate(
-            [a for st in stages for a in (st["maskl"], st["masku"])]
-        )
-        d = np.where(self._upper, -self._bnd, self._bnd)
-        self.act = (self._on != 0.0) & np.isfinite(d)
-        self.act_float = self.act.astype(float)
-        self.n_act = int(np.count_nonzero(self.act))
-        self._inact = np.flatnonzero(~self.act)
-        act_buf = np.concatenate(
-            [np.ones(self.ny + self.ne, dtype=bool), self.act, self.act])
-        self.d = np.where(self.act, d, 0.0)
+        d = self._bnd * self._sign
+        self.act = act = (self._on != 0.0) & np.isfinite(d)
+        self.act_float = act.astype(float)
+        self.n_act = int(np.count_nonzero(act))
+        if self.n_act == self.nc:
+            self._act_where = self._act_buf = True
+            self._inact = _NONE
+        else:
+            self._act_where = act
+            self._act_buf = np.concatenate([self._all_y, act, act])
+            self._inact = (~act).nonzero()[0]
+            d = np.where(act, d, 0.0)
+        self.d = d
+        for const in (self._bnd, self._on, act, self.act_float, self._inact,
+                      self._act_buf, d):
+            if const is not True:
+                const.setflags(write=False)
+        self._set_shift()
+
+    def _set_shift(self):
         self._shift = np.concatenate([self.g, self.b, self.d])
-        for const in (self._bnd, self._on, self.act, self.act_float, self._inact,
-                      act_buf, self.d, self._shift):
-            const.flags.writeable = False
-        self._act_where = True if self.n_act == self.nc else self.act
-        self._act_buf = True if self._act_where is True else act_buf
+        self._shift.setflags(write=False)
 
     # the operators built on first use; make_view builds them before it
     # copies a view, so that every copy shares them
@@ -539,6 +605,12 @@ class DenseView(ProblemView):
         self.G = data["C"]
         return data["g"], data["b"]
 
+    def _gv_slices(self, n):
+        return [("g", 0, self._stages[0]["g"])]
+
+    def _b_slices(self, n):
+        return [("b", 0, self._stages[0]["b"])]
+
     def kkt_product(self, z, out, shift=None):
         # separate products with the QP's own arrays, summed in the order
         # hess_y(y) + g - at_pi(pi) - ct_lam(lam), which condensed solves'
@@ -590,13 +662,15 @@ class StageView(ProblemView):
         self.node_hess = []
         self.u_off = []
         self.x_off = []
+        nu, nx = d.nu.tolist(), d.nx.tolist()
         v = s = c = 0
         for n, st in enumerate(stages):
-            cb = _block_from_stage(st, np.hstack([st["D"], st["C"]]), v, s, c)
+            cb = _block_from_stage(st, np.concatenate((st["D"], st["C"]), 1),
+                                   v, s, c)
             self.blocks.append(cb)
-            self.node_hess.append(_node_hessian(st, d.nu[n], d.nx[n]))
+            self.node_hess.append(_node_hessian(st, nu[n], nx[n]))
             self.u_off.append(v)
-            self.x_off.append(v + d.nu[n])
+            self.x_off.append(v + nu[n])
             v += cb.nw
             s += cb.ns
             c += cb.nc
@@ -606,7 +680,7 @@ class StageView(ProblemView):
         for par, m, dyn in self.edges:
             self.pi_off.append(p)
             self.out_edges[par].append((m, dyn, p))
-            p += d.nx[m]
+            p += nx[m]
         self.nv = v
         self.ns_tot = s
         self.ne = p
@@ -616,27 +690,46 @@ class StageView(ProblemView):
         for n, M in enumerate(self.node_hess):
             self.node_hess[n] = self.hess0[off: off + M.size].reshape(M.shape)
             off += M.size
-        self.G = _csr([cb.Jg for cb in self.blocks], self.u_off, v)
+        self.G = _csr(_triplets([cb.Jg for cb in self.blocks], self.u_off), v)
         g_v = np.concatenate([a for st in stages for a in (st["r"], st["q"])])
         b = [dyn["b"] for _, _, dyn in self.edges]
         return g_v, np.concatenate(b) if b else np.zeros(0)
 
+    def _gv_slices(self, n):
+        st = self._stages[n]
+        return [("g", self.u_off[n], st["r"]), ("g", self.x_off[n], st["q"])]
+
+    def _b_slices(self, n):
+        # the edge into node c is the (c - 1)-th; the root has none
+        if not n:
+            return []
+        return [("b", self.pi_off[n - 1], self.edges[n - 1][2]["b"])]
+
     # H and E are built on first use: condensing, full or partial, reads
-    # only the row table and hess0, and expansion only G as well
+    # only the row table and hess0, and expansion only G as well; K takes
+    # their entries as triplets, so that a view that only makes residuals
+    # keeps no copy
 
     @cached_property
     def H(self):
-        return _csr(self.node_hess, self.u_off, self.nv)
+        return _csr(self._hess_triplets(), self.nv)
 
     @cached_property
     def E(self):
+        return _csr(self._eq_triplets(), self.nv)
+
+    def _hess_triplets(self):
+        return _triplets(self.node_hess, self.u_off)
+
+    def _eq_triplets(self):
         # edge row i: -[B A] over the parent's window, then 1 at the child's x_i
         nx = self.dim.nx
         par = np.array([e[0] for e in self.edges], dtype=np.intp)
         child = np.array([e[1] for e in self.edges], dtype=np.intp)
-        neg_BA = [-np.hstack([dyn["B"], dyn["A"]]) for _, _, dyn in self.edges]
-        return _csr(neg_BA, np.take(self.u_off, par), self.nv,
-                    tail=_ranges(np.take(self.x_off, child), nx[child]))
+        neg_BA = [-np.concatenate((dyn["B"], dyn["A"]), 1)
+                  for _, _, dyn in self.edges]
+        return _triplets(neg_BA, np.take(self.u_off, par),
+                         tail=_ranges(np.take(self.x_off, child), nx[child]))
 
     @cached_property
     def K(self):
@@ -647,7 +740,8 @@ class StageView(ProblemView):
         diagonal, the box rows' unit entries and the slack columns.
         """
         ny, ne, nv, nb, m = self.ny, self.ne, self.nv, self._nb, self._m
-        H, E = self.H.tocoo(), self.E.tocoo()
+        h_row, h_col, h_val, _ = self._hess_triplets()
+        e_row, e_col, e_val, _ = self._eq_triplets()
         # C over y as triplets: the rows J = [box; G] on their lower and
         # upper sides, then every slack column's slack-bound and soft side
         j_row, j_col, j_val = np.arange(nb), self.box_col, np.ones(nb)
@@ -660,10 +754,10 @@ class StageView(ProblemView):
                                           self._rows[2 * m:], self._soft])
         c_col = np.concatenate([j_col, j_col, s, s])
         c_val = np.concatenate([-j_val, j_val, -np.ones(2 * s.size)])
-        e_row = E.row + ny
-        row = np.concatenate([H.row, s, E.col, e_row, c_col, c_row])
-        col = np.concatenate([H.col, s, e_row, E.col, c_row, c_col])
-        val = np.concatenate([H.data, self.slack_diag, -E.data, -E.data, c_val, c_val])
+        e_row = e_row + ny
+        row = np.concatenate([h_row, s, e_col, e_row, c_col, c_row])
+        col = np.concatenate([h_col, s, e_row, e_col, c_row, c_col])
+        val = np.concatenate([h_val, self.slack_diag, -e_val, -e_val, c_val, c_val])
         return sp.csr_array((val, (row, col)), shape=(ny + ne + self.nc,) * 2)
 
     def kkt_product(self, z, out, shift=None):
@@ -674,26 +768,26 @@ def make_view(qp):
     """Build (or fetch the cached) flat view of a QP.
 
     A view is cached on its QP with the QP's revision.  After writes only to
-    bound fields (see :class:`qp_data._FieldAccess`) the cached view comes
-    back as a shallow copy with its bound tables recomputed (see
-    :meth:`ProblemView._set_bounds`) from the QP's field storage, which the
-    view holds in place of the QP, so it shares every other constant,
-    the Riccati constants that :mod:`kkt_ocp` keeps on it (``band``)
-    included; the cached view itself is never modified, because earlier
-    solutions hold it.  The view holds no reference to the QP, so the
-    cache makes no cycle: a dropped QP is freed with its view by reference
-    counting, without waiting for the cyclic collector.
+    vector fields (see :class:`qp_data._FieldAccess`) the cached view comes
+    back as a shallow copy with the written stages' slices of ``g``, ``b``
+    and ``d`` rewritten (:meth:`ProblemView._refreshed`) from the QP's field
+    storage, which the view holds in place of the QP, so it shares every
+    other constant, the Riccati constants that :mod:`kkt_ocp` keeps on it
+    (``band``) included; none of them reads a vector.  The cached view
+    itself is never modified, because earlier solutions hold it.  The view
+    holds no reference to the QP, so the cache makes no cycle: a dropped
+    QP is freed with its view by reference counting, without waiting for
+    the cyclic collector.
     """
     cached = getattr(qp, "_view_cache", None)
     if cached is not None and cached[0] == qp._rev:
-        rev, view, fresh = cached
-        if not fresh:
+        rev, view, stale = cached
+        if stale:
             # the operators, built on first use, once for all the copies
             for name in view._lazy:
                 getattr(view, name)
-            view = copy.copy(view)
-            view._set_bounds()
-            qp._view_cache = (rev, view, True)
+            view = view._refreshed(stale)
+            qp._view_cache = (rev, view, set())
         return view
     if isinstance(qp, DenseQp):
         view = DenseView(qp)
@@ -702,7 +796,7 @@ def make_view(qp):
         view = StageView(qp, [(p, c, qp._dyn[i]) for i, (p, c) in edges])
     else:
         raise TypeError(f"not a QP container: {type(qp)!r}")
-    qp._view_cache = (qp._rev, view, True)
+    qp._view_cache = (qp._rev, view, set())
     return view
 
 

@@ -1093,7 +1093,7 @@ def ref_sub_qp(qp, n0, n1):
 
 def shift_guess_ref(qp, view, sol, N):
     """Stage-by-stage form of ``mass_spring._shift_guess``: the same guess,
-    written as one accessor copy per stage and per initial-state row."""
+    written as one accessor copy per stage."""
     g = QpSolution(view)
     g.y[:] = sol.y
     g.pi[:] = sol.pi
@@ -1110,21 +1110,4 @@ def shift_guess_ref(qp, view, sol, N):
     g.x(N - 1)[:] = sol.x(N)
     dyn = qp._dyn[N - 1]
     g.x(N)[:] = dyn["A"] @ g.x(N - 1) + dyn["B"] @ g.u(N - 1) + dyn["b"]
-    cb = view.blocks[0]
-    nu0 = qp.dim.nu[0]
-    xrows = [(i, k - nu0) for i, k in enumerate(cb.idxb) if k >= nu0]
-    if xrows:
-        lam0 = g.lam_stage(0)
-        t0 = g.t_stage(0)
-        for i, _ in xrows:
-            lam0[i] = 0.0
-            lam0[cb.m + i] = 0.0
-        gap = view.residuals(g).r_g[view.x_off[0]: view.x_off[0] + qp.dim.nx[0]]
-        for i, c in xrows:
-            if gap[c] >= 0.0:
-                lam0[i] = gap[c]
-            else:
-                lam0[cb.m + i] = -gap[c]
-            t0[i] = 0.0
-            t0[cb.m + i] = 0.0
     return g

@@ -155,8 +155,9 @@ class TestClosedLoop:
         assert sum(iters) <= 106
 
     def test_kept_view_is_bit_identical_to_rebuilding(self, monkeypatch):
-        # the view carried across every step's lbx/ubx writes against a run
-        # that drops the cached view before every step
+        # the views carried across every step's lbx/ubx writes, the QP's and
+        # that of its reduced QP with the initial state eliminated, against
+        # a run that drops both, and the reduced QP, before every step
         import mpcqp.mass_spring as ms
         from mpcqp.view import ProblemView
 
@@ -170,16 +171,18 @@ class TestClosedLoop:
         monkeypatch.setattr(ProblemView, "__init__", counting_init)
         cfg = MassSpringConfig(masses=4, horizon=20)
         kept = run_closed_loop(cfg, 16)
-        assert len(builds) == 1
+        assert len(builds) == 2
+        assert builds[1] is not builds[0] and builds[1].dim.nx[0] == 0
         real_make_view = ms.make_view
 
         def dropping_make_view(qp):
             qp._view_cache = None
+            qp._reduced = None
             return real_make_view(qp)
 
         monkeypatch.setattr(ms, "make_view", dropping_make_view)
         rebuilt = run_closed_loop(cfg, 16)
-        assert len(builds) == 1 + 16
+        assert len(builds) == 2 + 2 * 16
         assert np.array_equal(kept.states, rebuilt.states)
         assert np.array_equal(kept.inputs, rebuilt.inputs)
         assert ([r.iterations for r in kept.records]

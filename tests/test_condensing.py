@@ -446,14 +446,18 @@ class TestExpand:
 
 
 class TestPartial:
-    def test_block_size_one_is_identity(self, rng):
-        qp = rand_ocp_qp(rng, N=5, nx=3, nu=2, fix_x0=True)
+    @pytest.mark.parametrize("fix_x0", [False, True])
+    def test_block_size_one_is_identity(self, rng, fix_x0):
+        # up to a fixed initial state, which the first block eliminates
+        qp = rand_ocp_qp(rng, N=5, nx=3, nu=2, fix_x0=fix_x0)
         qp2, pmap = partial_condense(qp, 1)
-        for n in range(qp.dim.N + 1):
+        assert qp2.dim.nx[0] == (0 if fix_x0 else qp.dim.nx[0])
+        first = 1 if fix_x0 else 0
+        for n in range(first, qp.dim.N + 1):
             for f in ("Q", "R", "S", "q", "r", "idxb", "lb", "ub", "maskl",
                       "masku", "idxs", "Zl", "zl"):
                 assert np.array_equal(qp.get_field(f, n), qp2.get_field(f, n))
-        for n in range(qp.dim.N):
+        for n in range(first, qp.dim.N):
             for f in ("A", "B", "b"):
                 assert np.array_equal(qp.get_field(f, n), qp2.get_field(f, n))
         r1 = solve_ocp_qp(qp, ARG)
@@ -494,7 +498,9 @@ class TestPartial:
         qp2, pmap = partial_condense(qp, 4)
         r2 = solve_ocp_qp(qp2, ARG)
         esol = partial_expand(r2.solution, pmap, qp)
-        assert np.array_equal(esol.x(0), r2.solution.x(0))
+        # the first block eliminates the fixed initial state
+        assert r2.solution.x(0).size == 0
+        assert np.array_equal(esol.x(0), qp.get_field("lbx", 0))
         assert np.array_equal(esol.x(4), r2.solution.x(1))
         assert np.array_equal(esol.x(8), r2.solution.x(2))
 
@@ -507,8 +513,9 @@ class TestPartial:
 
     @given(N=st.integers(2, 8), data=st.data(), seed=st.integers(0, 2**32 - 1))
     def test_block_is_the_condensed_stage(self, N, data, seed):
-        # a block condensed with its initial state kept is a stage as it
-        # stands: z = (u, x0) is the (u, x) window, the rows keep their order
+        # a condensed block is a stage as it stands: z = (u, x0) is the
+        # (u, x) window, the rows keep their order; the first block
+        # eliminates a fixed initial state, as condense does by default
         N1 = data.draw(st.integers(1, N), label="N1")
         rng = np.random.default_rng(seed)
         qp = rand_ocp_qp(rng, N=N, nx=2, nu=2, ng=2, ns=2,
@@ -516,9 +523,10 @@ class TestPartial:
         # one block over the whole horizon, terminal stage without data
         qp0 = empty_terminal(qp)
         qp1, pmap = partial_condense(qp0, N)
-        dense, cmap = condense(qp0, keep_x0=True)
+        dense, cmap = condense(qp0)
+        assert cmap.keep_x0 is not bool(seed % 2)
         nu = qp1.dim.nu[0]
-        assert nu == dense.nv - qp.dim.nx[0]
+        assert nu == dense.nv - (qp.dim.nx[0] if cmap.keep_x0 else 0)
         H, g, C = (dense.get_field(f) for f in ("H", "g", "C"))
         expect = {
             "R": H[:nu, :nu], "S": H[:nu, nu:], "Q": H[nu:, nu:],
@@ -579,9 +587,12 @@ class TestPartialBlocks:
         ranges = block_ranges(N, N1)
         assert qp_p.dim.N == len(ranges) - 1
         for k, (n0, n1) in enumerate(ranges):
-            dense, cmap = condense(ref_sub_qp(qp, n0, n1), keep_x0=True)
+            # the first block eliminates a fixed initial state
+            dense, cmap = condense(ref_sub_qp(qp, n0, n1),
+                                   keep_x0=None if n0 == 0 else True)
+            assert cmap.keep_x0 is not (fix_x0 and n0 == 0)
             nu = qp_p.dim.nu[k]
-            assert nu == dense.nv - qp.dim.nx[n0]
+            assert nu == dense.nv - (qp.dim.nx[n0] if cmap.keep_x0 else 0)
             H, g, C = (dense.get_field(f) for f in ("H", "g", "C"))
             expect = {
                 "R": H[:nu, :nu], "S": H[:nu, nu:], "Q": H[nu:, nu:],
@@ -604,7 +615,8 @@ class TestPartialBlocks:
         want = 0
         for n0, n1 in block_ranges(7, N1):
             with flop_counter() as fc:
-                condense(ref_sub_qp(qp, n0, n1), keep_x0=True)
+                condense(ref_sub_qp(qp, n0, n1),
+                         keep_x0=None if n0 == 0 else True)
             want += fc.flops - (2 * qp.dim.nx[n1] ** 2 if n1 <= 7 else 0)
         with flop_counter() as fc:
             partial_condense(qp, N1)

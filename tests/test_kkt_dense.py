@@ -421,8 +421,10 @@ class TestDenseFlops:
         kw_reg = dict(arg=IpmArg(reg_prim=2e-6), use_qr=True)
         assert self._count(qp, it, **kw_reg) == _chol(nv) + rest
         assert self._count(qp, it, **kw_reg) == rest
-        # any other write builds a new view
+        # so does a gradient write; a matrix write builds a new view
         qp.set_field("g", qp.get_field("g") + 0.1)
+        assert self._count(qp, it, **kw) == rest
+        qp.set_field("H", qp.get_field("H"))
         assert self._count(qp, it, **kw) == _chol(nv) + rest
 
     def test_failed_chol_h_is_kept_too(self):

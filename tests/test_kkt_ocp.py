@@ -276,10 +276,17 @@ class TestViewConstants:
         if field in ("Q", "S", "R", "A", "B"):
             G = rng.standard_normal(value.shape)
             value = G @ G.T + np.eye(value.shape[0]) if field in ("Q", "R") else G
+        elif qp._FIELDS[field].vec:
+            value = value + 0.25
         qp.set_field(field, stage, value)
         vw = make_view(qp)
-        assert vw.H is not old.H and vw.E is not old.E and vw.G is not old.G
-        assert "band" not in vars(vw)
+        if qp._FIELDS[field].vec:
+            # a gradient or right-hand side: the operators and the band stay
+            for name in ("H", "E", "G", "K", "band"):
+                assert getattr(vw, name) is getattr(old, name), name
+        else:
+            assert vw.H is not old.H and vw.E is not old.E and vw.G is not old.G
+            assert "band" not in vars(vw)
         it = rand_iterate(rng, qp)
         self._assert_constants_match(qp, it)
         vw, res, rm = _rhs_from(qp, it)
@@ -335,7 +342,10 @@ class TestViewConstants:
     @pytest.mark.parametrize("kind", ["ocp", "tree"])
     def test_bound_write_keeps_operators(self, rng, kind, field, change):
         qp = self._qp(rng, kind)
-        solve_ocp_qp(qp)
+        # a factorization of the QP itself: a solve of the OCP, whose initial
+        # state is fixed, factors its reduced QP's view instead
+        ko.riccati_factor(qp, rand_iterate(rng, qp))
+        make_view(qp).K
         old = make_view(qp)
         assert "band" in vars(old)
         d_old, act_old = old.d.copy(), old.act.copy()

@@ -20,7 +20,7 @@ from mpcqp import (
     objective,
     validate,
 )
-from mpcqp.qp_data import ROW_FIELDS, _STAGE_VIRTUAL, _sym_violation, errors_only
+from mpcqp.qp_data import ROW_FIELDS, _STAGE_VIRTUAL, _matrix_violation, errors_only
 from mpcqp.view import QpSolution, make_view
 
 from conftest import (
@@ -260,16 +260,17 @@ class TestValidate:
         qp.set_field("H", [[1.0, 2.0], [0.0, 1.0]])
         assert any(v.field == "H" for v in validate(qp))
 
-    # the tolerance rule warns of its infinite atol on a matrix with an
-    # infinite entry, as validate always has
-    @pytest.mark.filterwarnings("ignore:One of rtol or atol:RuntimeWarning")
     @settings(max_examples=200)
     @given(symmetry_cases())
     def test_symmetry_verdict_is_the_tolerance_rule(self, case):
-        # the exact test in front of the tolerance rule changes no verdict
+        # the exact test in front of the tolerance rule changes no verdict;
+        # a non-finite matrix is flagged as such, before any symmetry test
         M, kind = case
         out = []
-        _sym_violation(M, "H", None, out)
+        _matrix_violation(M, "H", None, out, sym=True)
+        if kind == "nonfinite":
+            assert [v.message for v in out] == ["matrix has non-finite entries"]
+            return
         assert bool(out) == _tolerance_asymmetric(M)
         if kind in ("symmetric", "below"):
             assert out == []
@@ -329,8 +330,9 @@ class TestVerdictKeepingFields:
     def test_catalog_flag_marks_the_blocking_checks_fields(self):
         for qp in (DenseQp(3), OcpQp(OcpQpDim(1, [1, 1], [1, 0]))):
             checked = {n for n, f in type(qp)._FIELDS.items() if f.checked}
-            assert checked == {"Q", "R", "H", "Zl", "Zu", "idxb", "idxs",
-                               "maskl", "masku"} & set(type(qp)._FIELDS)
+            assert checked == {"Q", "R", "S", "H", "A", "B", "C", "D", "Zl",
+                               "Zu", "idxb", "idxs", "maskl", "masku"} & set(
+                                   type(qp)._FIELDS)
 
     def test_row_fields_have_one_catalog_entry_for_both_types(self):
         # a stage and a dense QP cache views and keep verdicts alike on
@@ -338,7 +340,7 @@ class TestVerdictKeepingFields:
         stage, dense = OcpQp._FIELDS, DenseQp._FIELDS
         for name in ROW_FIELDS:
             a, b = stage[name], dense[name]
-            assert (a.dtype, a.bound, a.checked) == (b.dtype, b.bound, b.checked)
+            assert (a.dtype, a.vec, a.checked) == (b.dtype, b.vec, b.checked)
 
     @settings(max_examples=200)
     @given(verdict_keeping_writes())

@@ -260,15 +260,60 @@ def test_views_hold_no_qp():
     def ocp():
         return gen_mass_spring(MassSpringConfig(masses=3, horizon=6))
 
+    from mpcqp.view import make_view
+
     for solve, qp in ((solve_dense_qp, condense(ocp())[0]),
                       (solve_ocp_qp, ocp()),
                       (solve_tree_ocp_qp,
                        rand_tree_qp(np.random.default_rng(0), [-1, 0, 0, 1]))):
-        vw = solve(qp).solution._view
-        held = _held(vw)
-        ids = {id(o) for o in held}
-        if qp.kind != "dense":
-            assert vw.band.spare
-            assert {id(o) for o in (vw.band, *vw.band.spare)} <= ids
-        assert {id(cb) for cb in vw.blocks} <= ids
-        assert not [o for o in held if isinstance(o, (DenseQp, OcpQp, TreeOcpQp))]
+        views = [solve(qp).solution._view]
+        # the mass-spring OCP fixes its initial state: the solve factors the
+        # view of its reduced QP, which the QP caches and which holds no
+        # reference back to the QP
+        red = qp._reduced[1] if qp.kind == "ocp" else None
+        if red is not None:
+            assert all(o is not qp for o in _held(red))
+            views.append(make_view(red.qp))
+        assert (red is None) == (qp.kind != "ocp")
+        for vw in views:
+            held = _held(vw)
+            ids = {id(o) for o in held}
+            if qp.kind != "dense" and vw is views[-1]:
+                assert vw.band.spare
+                assert {id(o) for o in (vw.band, *vw.band.spare)} <= ids
+            assert {id(cb) for cb in vw.blocks} <= ids
+            assert not [o for o in held
+                        if isinstance(o, (DenseQp, OcpQp, TreeOcpQp))]
+
+
+def _field_name(node):
+    """``name`` of a plain name or of a subscript by a string constant."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant):
+        return node.slice.value
+    return None
+
+
+def test_fixed_initial_state_has_one_home():
+    # the detection of an initial state fixed by equal bounds and the
+    # recovery of the dropped rows' multipliers are defined once, in
+    # fixed_x0, and read by condensing and the solver
+    for fn in ("detect_fixed_x0", "fixed_row_multipliers"):
+        homes = {name for name, tree in MODULES.items() if fn in _functions(tree)}
+        assert homes == {"fixed_x0.py"}, fn
+        assert f"fixed_x0.{fn}" in _references(MODULES["condensing.py"]), fn
+    assert "fixed_x0.reduced" in _references(MODULES["solver.py"])
+    # the equal-bound test itself is written once
+    equal_bounds = {
+        name for name, tree in MODULES.items() for n in ast.walk(tree)
+        if isinstance(n, ast.Compare) and any(isinstance(o, ast.Eq) for o in n.ops)
+        and {_field_name(n.left), *map(_field_name, n.comparators)} == {"lb", "ub"}
+    }
+    assert equal_bounds == {"fixed_x0.py"}
+    # the closed loop's shift leaves the stage-0 rows to the solver
+    shift = _functions(MODULES["mass_spring.py"])["_shift_guess"]
+    read = {n.attr for n in ast.walk(shift) if isinstance(n, ast.Attribute)}
+    read |= {n.value for n in ast.walk(shift) if isinstance(n, ast.Constant)}
+    assert not {"idxb", "blocks", "residuals", "lam_stage", "t_stage",
+                "lb", "ub"} & read

@@ -495,7 +495,8 @@ def _random_write(qp, rng, field):
 
 
 class TestBoundRefresh:
-    """A bound write refreshes only d, act and n_act of the cached view."""
+    """A bound write refreshes only d, act and n_act of the cached view; a
+    gradient or right-hand-side write only its slices of g or b."""
 
     SHARED = ["H", "E", "G", "hess0", "hess_off", "hess_box", "hess_diag",
               "hess_gen", "blocks", "box_col", "_rows", "_soft", "g", "b",
@@ -521,7 +522,7 @@ class TestBoundRefresh:
         assert np.array_equal(old.d, d_old) and np.array_equal(old.act, act_old)
         assert not (np.array_equal(vw.d, d_old) and np.array_equal(vw.act, act_old))
 
-    @pytest.mark.parametrize("field", ["H", "g", "A", "b", "C", "idxb", "Zl", "zl"])
+    @pytest.mark.parametrize("field", ["H", "A", "C", "idxb", "Zl"])
     def test_dense_other_write_builds_a_new_view(self, rng, field):
         qp = rand_dense_qp(rng)
         old = make_view(qp)
@@ -529,6 +530,22 @@ class TestBoundRefresh:
         qp.set_field(field, qp.get_field(field))
         vw = make_view(qp)
         assert vw.hess0 is not old.hess0 and vw._rows is not old._rows
+
+    @pytest.mark.parametrize("field,vec", [("g", "g"), ("b", "b"), ("zl", "g")])
+    def test_dense_vector_write_keeps_operators(self, rng, field, vec):
+        qp = rand_dense_qp(rng)
+        solve_dense_qp(qp)
+        old = make_view(qp)
+        qp.set_field(field, qp.get_field(field) + 0.25)
+        vw = make_view(qp)
+        assert vw is not old
+        for name in self.SHARED + ["d", "act"]:
+            if name != vec:
+                assert getattr(vw, name) is getattr(old, name), name
+        fresh = DenseView(qp)
+        assert np.array_equal(getattr(vw, vec), getattr(fresh, vec))
+        assert not np.array_equal(getattr(vw, vec), getattr(old, vec))
+        assert np.array_equal(vw._shift, fresh._shift)
 
     @settings(max_examples=80)
     @given(random_qps(), st.integers(0, 2**32 - 1), st.lists(
@@ -625,8 +642,13 @@ class TestLifetime:
         ref = weakref.ref(qp)
         out = solve(qp)     # holds the solutions, and through them the views
         assert all(r() is None for r in made)
-        del qp
+        # the reduced QP of a fixed initial state, which the QP caches
+        red = getattr(qp, "_reduced", None)
+        reduced = [weakref.ref(red[1].qp)] if red and red[1] is not None else []
+        assert bool(reduced) == (case == "ocp")
+        del qp, red
         assert ref() is None
+        assert all(r() is None for r in reduced)
         del out
         gc.collect()
         assert gc.garbage == []
